@@ -15,7 +15,6 @@ import argparse
 import json
 import logging
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -45,7 +44,7 @@ from .geometry import clump_number, verify_nodal_theorem
 from .graph import graph_to_dict, load_graph, save_graph
 from .spectral import dirichlet_steklov_spectrum, steklov_spectrum
 from . import clumps as clumps_mod
-from . import enumeration, extremal
+from . import extremal
 
 log = logging.getLogger("steklov")
 
@@ -291,40 +290,10 @@ def _cmd_nodal(args) -> int:
     return EXIT_OK if report.ok or report.degenerate else EXIT_ASSERTION
 
 
-def _sweep_worker(task):
-    kind, code, i = task
-    if kind == "trees":
-        g = enumeration.tree_from_code(code)
-    else:
-        g = enumeration.graph_from_code(code)
-    # report under the canonical code (trees always get tree codes, even
-    # when swept as part of the connected-graph class)
-    return enumeration.canonical_code(g), extremal.sigma_value(g, i)
-
-
-def _sweep_pairs(n: int, i: int, graph_class: str, jobs: int):
-    if graph_class == "trees":
-        if n > 12:
-            raise OutOfSupportedRangeError("tree sweeps support n <= 12")
-        stream = enumeration.enumerate_trees(n)
-    elif graph_class == "connected":
-        stream = enumeration.enumerate_connected_graphs(n)
-    else:
-        raise UsageError(f"unknown class {graph_class!r}")
-    tasks = [(graph_class, code, i) for code in stream.codes]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            pairs = pool.map(_sweep_worker, tasks, chunksize=64)
-    else:
-        pairs = [_sweep_worker(t) for t in tasks]
-    return pairs
-
-
 def _cmd_verify(args) -> int:
     t0 = time.monotonic()
-    pairs = _sweep_pairs(args.n, args.i, args.graph_class, args.jobs)
     report = extremal.verify_extremal(
-        args.n, args.i, args.graph_class, tol=args.tol, pairs=pairs
+        args.n, args.i, args.graph_class, tol=args.tol, jobs=args.jobs
     )
     payload = {
         "n": args.n,
@@ -362,8 +331,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    pairs = _sweep_pairs(args.n, args.i, args.graph_class, args.jobs)
-    pairs.sort()
+    pairs = extremal.sweep(args.n, args.i, args.graph_class, jobs=args.jobs).rows
     if args.format == "csv":
         sys.stdout.write("code,sigma\n")
         for code, val in pairs:

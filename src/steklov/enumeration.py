@@ -12,6 +12,7 @@ enumeration and an Otter-recurrence counter act as independent oracles.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 from fractions import Fraction
@@ -89,6 +90,62 @@ def tree_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
     if root is not None:
         return _rooted_code(g, root)
     return min(_rooted_code(g, c) for c in _centroids(g))
+
+
+def _unit_centroids(adj: list[list[int]]) -> list[int]:
+    """Centroids from one subtree-size pass over a tree rooted at 0."""
+    n = len(adj)
+    parent = [-1] * n
+    order = [0]
+    for v in order:  # breadth-first; ``order`` grows while it is read
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    heaviest = [n - size[v] for v in range(n)]  # the part beyond the parent
+    for v in order[1:]:
+        heaviest[parent[v]] = max(heaviest[parent[v]], size[v])
+    best = min(heaviest)
+    return [v for v in range(n) if heaviest[v] == best]
+
+
+def unit_tree_code(adj: list[list[int]]) -> str:
+    """``tree_code`` of a unit-weight tree given by adjacency lists; builds
+    no graph and no ``Fraction`` (every edge length is "1")."""
+
+    def rec(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(["1" + rec(u, v) for u in adj[v] if u != parent])) + ")"
+
+    return min(rec(c, -1) for c in _unit_centroids(adj))
+
+
+def tree_edges(code: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edges of a unit-length tree code, numbered as
+    :func:`tree_from_code` numbers them (preorder). Codes with any other
+    edge length are rejected."""
+    edges: list[tuple[int, int]] = []
+    stack: list[int] = []
+    n = 0
+    for pos, ch in enumerate(code):
+        if ch == "(":
+            if stack:
+                if code[pos - 1] != "1":
+                    raise ParseError(f"not a unit tree code at {pos}: {code!r}")
+                edges.append((stack[-1], n))
+            elif pos:
+                raise ParseError(f"trailing characters in tree code {code!r}")
+            stack.append(n)
+            n += 1
+        elif ch == ")" and stack:
+            stack.pop()
+        elif ch != "1" or code[pos + 1 : pos + 2] != "(":
+            raise ParseError(f"not a unit tree code at {pos}: {code!r}")
+    if stack or not n:
+        raise ParseError(f"malformed tree code: {code!r}")
+    return n, edges
 
 
 def tree_from_code(code: str) -> WeightedBoundaryGraph:
@@ -171,7 +228,8 @@ def graph_code(g: WeightedBoundaryGraph) -> str:
     return f"g{n}:{best:0{max(1, n * (n - 1) // 2)}b}" if n > 1 else "g1:0"
 
 
-def graph_from_code(code: str) -> WeightedBoundaryGraph:
+def graph_edges(code: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edges of a general graph code."""
     if not code.startswith("g") or ":" not in code:
         raise ParseError(f"bad graph code {code!r}")
     head, bits = code.split(":", 1)
@@ -180,17 +238,15 @@ def graph_from_code(code: str) -> WeightedBoundaryGraph:
     except ValueError as exc:
         raise ParseError(f"bad graph code {code!r}") from exc
     if n == 1:
-        return combinatorial_graph(1, [])
+        return 1, []
     if n < 1 or len(bits) != n * (n - 1) // 2 or set(bits) - {"0", "1"}:
         raise ParseError(f"bad graph code {code!r}")
-    edges = []
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if bits[k] == "1":
-                edges.append((i, j))
-            k += 1
-    return combinatorial_graph(n, edges)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return n, [pair for pair, bit in zip(pairs, bits) if bit == "1"]
+
+
+def graph_from_code(code: str) -> WeightedBoundaryGraph:
+    return combinatorial_graph(*graph_edges(code))
 
 
 def canonical_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
@@ -338,29 +394,25 @@ def prufer_tree_classes(n: int) -> set[str]:
         raise OutOfSupportedRangeError("n >= 1")
     if n == 1:
         return {"()"}
-    if n == 2:
-        return {tree_code(combinatorial_graph(2, [(0, 1)]))}
     codes = set()
     for seq in itertools.product(range(n), repeat=n - 2):
         degree = [1] * n
         for x in seq:
             degree[x] += 1
-        edges = []
-        avail = sorted(i for i in range(n) if degree[i] == 1)
-        degs = degree[:]
-        import heapq
-
-        heap = avail[:]
+        heap = [v for v in range(n) if degree[v] == 1]
         heapq.heapify(heap)
+        adj: list[list[int]] = [[] for _ in range(n)]
         for x in seq:
             leaf = heapq.heappop(heap)
-            edges.append((leaf, x))
-            degs[x] -= 1
-            if degs[x] == 1:
+            adj[leaf].append(x)
+            adj[x].append(leaf)
+            degree[x] -= 1
+            if degree[x] == 1:
                 heapq.heappush(heap, x)
         u, v = heapq.heappop(heap), heapq.heappop(heap)
-        edges.append((u, v))
-        codes.add(tree_code(combinatorial_graph(n, edges)))
+        adj[u].append(v)
+        adj[v].append(u)
+        codes.add(unit_tree_code(adj))
     return codes
 
 

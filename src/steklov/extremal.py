@@ -7,7 +7,12 @@ Predicted bounds follow the three-case main result for the i-th Steklov
 eigenvalue over n-vertex graphs: i = 2 (dumbbells), i not dividing n
 (broom-armed stars), i dividing n (regular combs with correction
 theta_i = 1/(4 cos^2(pi/2i))). Irrational bounds are evaluated with mpmath
-at 40 significant digits before any floating comparison.
+at 40 significant digits (a local ``workdps``; the global mpmath precision is
+left alone) before any floating comparison.
+
+Exhaustive sweeps screen a whole class with batched float spectra, then
+re-solve the classes near the minimum with the per-graph solver, which alone
+decides the certified minimum and argmin set.
 """
 
 from __future__ import annotations
@@ -26,7 +31,12 @@ from .enumeration import (
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
+    graph_edges,
+    graph_from_code,
     tree_code,
+    tree_edges,
+    tree_from_code,
+    unit_tree_code,
 )
 from .errors import (
     DisconnectedError,
@@ -36,6 +46,7 @@ from .errors import (
     NotASubgraphError,
     NotBipartiteError,
     OutOfSupportedRangeError,
+    ParseError,
 )
 from .families import (
     FamilyGraph,
@@ -57,17 +68,22 @@ from .geometry import (
 )
 from .graph import Role, WeightedBoundaryGraph, combinatorial_graph, make_graph
 from .spectral import (
+    EIG_EQ_TOL,
     dirichlet_steklov_spectrum,
     dtn_matrix,
     laplacian_matrix,
     laplacian_spectrum,
     steklov_spectrum,
+    unit_steklov_spectra,
 )
 
 DEFAULT_TOL = 1e-9
 MP_DPS = 40
-
-mpmath.mp.dps = MP_DPS
+GRAPH_CLASSES = ("trees", "connected")
+MAX_SWEEP_TREE_N = 12
+# Classes per batch. It bounds a batch's memory, and being fixed it keeps
+# every value independent of ``jobs``.
+SWEEP_CHUNK = 64
 
 
 # -- predicted bounds -------------------------------------------------------------
@@ -81,28 +97,30 @@ def theta_value(i: int):
         return Fraction(1, 2)
     if i == 3:
         return Fraction(1, 3)
-    return 1 / (4 * mpmath.cos(mpmath.pi / (2 * i)) ** 2)
+    with mpmath.workdps(MP_DPS):
+        return 1 / (4 * mpmath.cos(mpmath.pi / (2 * i)) ** 2)
 
 
 def lambda_value_mp(l) -> mpmath.mpf:
     """Lambda(l) in extended precision; mirrors the exact rational case table."""
-    l = mpmath.mpf(l) if not isinstance(l, mpmath.mpf) else l
-    if l <= 0:
-        raise InvalidParamsError("need l > 0")
-    if l <= 2:
-        return 1 / l
-    fl = int(mpmath.floor(l))
-    alpha = l - fl
-    if alpha == 0:
-        m = fl // 2
+    with mpmath.workdps(MP_DPS):
+        l = mpmath.mpf(l) if not isinstance(l, mpmath.mpf) else l
+        if l <= 0:
+            raise InvalidParamsError("need l > 0")
+        if l <= 2:
+            return 1 / l
+        fl = int(mpmath.floor(l))
+        alpha = l - fl
+        if alpha == 0:
+            m = fl // 2
+            if fl % 2 == 0:
+                return mpmath.mpf(1) / (1 + m * m)
+            return mpmath.mpf(1) / (1 + m * (m + 1))
         if fl % 2 == 0:
-            return mpmath.mpf(1) / (1 + m * m)
-        return mpmath.mpf(1) / (1 + m * (m + 1))
-    if fl % 2 == 0:
-        m = fl // 2
-        return 1 / (1 + m * (m + alpha))
-    m = (fl - 1) // 2
-    return 1 / (1 + (m + alpha) * (m + 1))
+            m = fl // 2
+            return 1 / (1 + m * (m + alpha))
+        m = (fl - 1) // 2
+        return 1 / (1 + (m + alpha) * (m + 1))
 
 
 @dataclass(frozen=True)
@@ -126,18 +144,23 @@ class ExtremalTarget:
     minimizers: tuple[MinimizerDescriptor, ...]
 
 
-def _descriptor(family: str, params: dict, g: WeightedBoundaryGraph) -> MinimizerDescriptor:
-    return MinimizerDescriptor(family, params, g, canonical_code(g))
-
-
-def _dedupe(descs) -> tuple[MinimizerDescriptor, ...]:
+def _class_members(candidates, graph_class: str) -> tuple[MinimizerDescriptor, ...]:
+    """Descriptors of the (family, params, graph) candidates that belong to
+    the class, one per canonical code. Membership is decided before any
+    code is computed: a large non-tree has no supported code."""
+    member = (
+        WeightedBoundaryGraph.is_tree if graph_class == "trees"
+        else WeightedBoundaryGraph.is_connected
+    )
     seen = {}
-    for d in descs:
-        seen.setdefault(d.code, d)
+    for family, params, g in candidates:
+        if member(g):
+            d = MinimizerDescriptor(family, params, g, canonical_code(g))
+            seen.setdefault(d.code, d)
     return tuple(seen[c] for c in sorted(seen))
 
 
-def _sigma2_minimizers(n: int) -> tuple[MinimizerDescriptor, ...]:
+def _sigma2_minimizers(n: int) -> list:
     m, s = divmod(n - 1, 4)
     table = {
         0: [(m, 2 * m, m)],  # n = 4m+1
@@ -149,11 +172,11 @@ def _sigma2_minimizers(n: int) -> tuple[MinimizerDescriptor, ...]:
     out = []
     for d0, i, d1 in params:
         try:
-            out.append(_descriptor("dumbbell", {"d0": d0, "i": i, "d1": d1},
-                                   build_dumbbell(d0, i, d1).graph))
+            out.append(("dumbbell", {"d0": d0, "i": i, "d1": d1},
+                        build_dumbbell(d0, i, d1).graph))
         except InvalidParamsError:
             continue  # degenerate tiny-n parameter, covered by another entry
-    return _dedupe(out)
+    return out
 
 
 def _broom_arm(params) -> RootedTree:
@@ -163,7 +186,7 @@ def _broom_arm(params) -> RootedTree:
     return RootedTree(fam.graph, fam.landmarks["o"])
 
 
-def _star_minimizers(n: int, i: int, m: int) -> tuple[MinimizerDescriptor, ...]:
+def _star_minimizers(n: int, i: int, m: int) -> list:
     forms = minimal_broom_total(m).brooms
     out = []
     for a in range(i + 1):
@@ -173,8 +196,8 @@ def _star_minimizers(n: int, i: int, m: int) -> tuple[MinimizerDescriptor, ...]:
         if a:
             arms += [_broom_arm(forms[-1])] * a
         star = build_star(arms)
-        out.append(_descriptor("star", {"i": i, "m": m, "mix": a}, star.graph))
-    return _dedupe(out)
+        out.append(("star", {"i": i, "m": m, "mix": a}, star.graph))
+    return out
 
 
 def _comb_tooth(m: int) -> RootedTree | None:
@@ -191,7 +214,7 @@ def _comb_tooth(m: int) -> RootedTree | None:
     return RootedTree(combinatorial_graph(size, edges), 0)
 
 
-def _comb_minimizers(n: int, i: int) -> tuple[MinimizerDescriptor, ...]:
+def _comb_minimizers(n: int, i: int) -> list:
     m = n // i
     tooth = _comb_tooth(m)
     bases = [("path", build_path(i))]
@@ -203,20 +226,24 @@ def _comb_minimizers(n: int, i: int) -> tuple[MinimizerDescriptor, ...]:
             g = fam.graph
         else:
             g = build_comb(fam.graph, tooth).graph
-        out.append(_descriptor("comb", {"base": name, "i": i, "m": m}, g))
-    return _dedupe(out)
+        out.append(("comb", {"base": name, "i": i, "m": m}, g))
+    return out
 
 
-def predicted_bound(n: int, i: int) -> ExtremalTarget:
+def predicted_bound(n: int, i: int, graph_class: str = "connected") -> ExtremalTarget:
     """Predicted lower bound for sigma_i over connected graphs on n vertices,
-    with the known minimizer families."""
+    with the known minimizer families that belong to ``graph_class``
+    ("connected", or "trees", which drops the cycle-based comb)."""
     if n < 2 or i < 2 or i >= n:
         raise InvalidParamsError("need n >= 2 and 2 <= i < n")
+    if graph_class not in GRAPH_CLASSES:
+        raise InvalidParamsError(f"unknown graph class {graph_class!r}")
     if i == 2:
         bound = lambda_value(Fraction(n - 1, 2))
         return ExtremalTarget(
             n, 2, "sigma2", float(bound), bound, str(bound), None,
-            characterized=True, minimizers=_sigma2_minimizers(n),
+            characterized=True,
+            minimizers=_class_members(_sigma2_minimizers(n), graph_class),
         )
     th = theta_value(i)
     if n % i != 0:
@@ -230,11 +257,12 @@ def predicted_bound(n: int, i: int) -> ExtremalTarget:
             s = n - i * m
             forms = minimal_broom_total(m).brooms
             arms = [_broom_arm(forms[0])] * i + [rooted_path(1)] * (s - 1)
-            mins = (_descriptor("star", {"i": i, "m": m, "extra_edges": s - 1},
-                                build_star(arms).graph),)
+            mins = [("star", {"i": i, "m": m, "extra_edges": s - 1},
+                     build_star(arms).graph)]
         return ExtremalTarget(
             n, i, "i_not_dividing", float(bound), bound, str(bound), None,
-            characterized=characterized, minimizers=mins,
+            characterized=characterized,
+            minimizers=_class_members(mins, graph_class),
         )
     m = n // i
     if isinstance(th, Fraction):
@@ -242,11 +270,13 @@ def predicted_bound(n: int, i: int) -> ExtremalTarget:
         bound_f, bound_s = float(bound_exact), str(bound_exact)
     else:
         bound_exact = None
-        val = lambda_value_mp(mpmath.mpf(m - 1) + th)
-        bound_f, bound_s = float(val), mpmath.nstr(val, MP_DPS)
+        with mpmath.workdps(MP_DPS):
+            val = lambda_value_mp(mpmath.mpf(m - 1) + th)
+            bound_f, bound_s = float(val), mpmath.nstr(val, MP_DPS)
     return ExtremalTarget(
         n, i, "i_dividing", bound_f, bound_exact, bound_s, th,
-        characterized=True, minimizers=_comb_minimizers(n, i),
+        characterized=True,
+        minimizers=_class_members(_comb_minimizers(n, i), graph_class),
     )
 
 
@@ -262,6 +292,105 @@ def sigma_value(g: WeightedBoundaryGraph, i: int) -> float:
 
 
 @dataclass(frozen=True)
+class SweepResult:
+    rows: tuple[tuple[str, float], ...]  # (canonical code, batch sigma_i), by code
+    minimum: float  # per-graph oracle
+    argmin_codes: tuple[str, ...]  # oracle values within tol of the minimum
+    gap: float  # best value outside the argmin minus the minimum; inf if none
+    rechecked: int  # classes re-solved by the per-graph oracle
+
+
+def _class_sigmas(task) -> np.ndarray:
+    """Batch sigma_i of a chunk of stored class codes (a pool task)."""
+    graph_class, n, i, codes = task
+    parse = tree_edges if graph_class == "trees" else graph_edges
+    edge_lists = []
+    for code in codes:
+        size, edges = parse(code)
+        if size != n:
+            raise ParseError(f"class code {code!r} is not on {n} vertices")
+        edge_lists.append(edges)
+    spectra = unit_steklov_spectra(n, edge_lists)
+    return spectra[:, i - 1] if i <= n else np.full(len(codes), math.inf)
+
+
+def _table_code(graph_class: str, n: int, code: str) -> str:
+    """Canonical code of a stored class code: connected-class members that
+    are trees (n - 1 edges) are listed under their tree code."""
+    if graph_class == "trees":
+        return code
+    size, edges = graph_edges(code)
+    if len(edges) != n - 1:
+        return code
+    adj: list[list[int]] = [[] for _ in range(size)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return unit_tree_code(adj)
+
+
+def sweep(
+    n: int, i: int, graph_class: str = "trees", jobs: int = 1, tol: float = DEFAULT_TOL
+) -> SweepResult:
+    """sigma_i over every class of ``graph_class`` on n vertices.
+
+    The whole class is screened with batched float spectra
+    (:func:`unit_steklov_spectra`). Only classes within tol +
+    EIG_EQ_TOL * max(1, |min|) of the batch minimum are decoded, recoded
+    and re-solved one by one with :func:`sigma_value`; the minimum and the
+    argmin set come from those values alone. ``rows`` keep the batch
+    values. ``jobs`` > 1 computes the batches in that many worker
+    processes; the chunks are the same for every ``jobs``, so the result is
+    too.
+    """
+    if i < 1:
+        raise InvalidParamsError("eigenvalue index is 1-based")
+    if graph_class == "trees":
+        if n > MAX_SWEEP_TREE_N:
+            raise OutOfSupportedRangeError(
+                f"tree sweeps support n <= {MAX_SWEEP_TREE_N}")
+        codes = enumerate_trees(n).codes
+        decode = tree_from_code
+    elif graph_class == "connected":
+        codes = enumerate_connected_graphs(n).codes
+        decode = graph_from_code
+    else:
+        raise InvalidParamsError(f"unknown graph class {graph_class!r}")
+    tasks = [(graph_class, n, i, codes[s:s + SWEEP_CHUNK])
+             for s in range(0, len(codes), SWEEP_CHUNK)]
+    if jobs > 1 and len(tasks) > 1:
+        import multiprocessing  # here, not at import: few sweeps start a pool
+
+        with multiprocessing.get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
+            parts = pool.map(_class_sigmas, tasks)
+    else:
+        parts = [_class_sigmas(t) for t in tasks]
+    values = np.concatenate(parts)
+
+    screen = float(values.min())
+    margin = tol + EIG_EQ_TOL * max(1.0, abs(screen))
+    oracle = {}
+    for j in np.flatnonzero(values <= screen + margin):
+        g = decode(codes[j])
+        oracle[int(j)] = (canonical_code(g), sigma_value(g, i))
+    minimum = min(v for _, v in oracle.values())
+    argmin = {j for j, (_, v) in oracle.items() if v <= minimum + tol}
+    outside = [oracle[j][1] if j in oracle else v
+               for j, v in enumerate(values.tolist()) if j not in argmin]
+    finite = [v for v in outside if v < math.inf]
+    rows = sorted(
+        (_table_code(graph_class, n, c), float(v)) for c, v in zip(codes, values)
+    )
+    return SweepResult(
+        rows=tuple(rows),
+        minimum=minimum,
+        argmin_codes=tuple(sorted(oracle[j][0] for j in argmin)),
+        gap=min(finite) - minimum if finite else math.inf,
+        rechecked=len(oracle),
+    )
+
+
+@dataclass(frozen=True)
 class ExtremalReport:
     target: ExtremalTarget
     graph_class: str
@@ -273,17 +402,8 @@ class ExtremalReport:
     bound_ok: bool
     tol: float
     seconds: float
-
-
-def _reduce_sweep(pairs, tol: float):
-    minimum = math.inf
-    values = []
-    for code, val in pairs:
-        values.append((code, val))
-        if val < minimum:
-            minimum = val
-    argmin = tuple(sorted(c for c, v in values if v <= minimum + tol))
-    return minimum, argmin, len(values)
+    gap: float  # best value outside the argmin set minus the minimum
+    rechecked: int  # classes re-solved by the per-graph oracle
 
 
 def verify_extremal(
@@ -291,28 +411,14 @@ def verify_extremal(
     i: int,
     graph_class: str = "trees",
     tol: float = DEFAULT_TOL,
-    pairs=None,
+    jobs: int = 1,
 ) -> ExtremalReport:
     """Sweep a graph class, minimize sigma_i, and match the argmin set
-    against the predicted minimizers.
-
-    ``pairs`` optionally injects precomputed (canonical code, sigma_i)
-    pairs — the hook used by parallel drivers; by default the sweep runs
-    in-process over the enumerated class.
-    """
+    against the predicted minimizers that belong to the class."""
     t0 = time.monotonic()
-    target = predicted_bound(n, i)
-    if pairs is None:
-        if graph_class == "trees":
-            stream = enumerate_trees(n)  # gates n <= 16
-            if n > 12:
-                raise OutOfSupportedRangeError("tree sweeps support n <= 12")
-        elif graph_class == "connected":
-            stream = enumerate_connected_graphs(n)  # gates n <= 7
-        else:
-            raise InvalidParamsError(f"unknown graph class {graph_class!r}")
-        pairs = ((canonical_code(g), sigma_value(g, i)) for g in stream)
-    minimum, argmin, size = _reduce_sweep(pairs, tol)
+    result = sweep(n, i, graph_class, jobs=jobs, tol=tol)
+    target = predicted_bound(n, i, graph_class)
+    minimum, argmin = result.minimum, result.argmin_codes
     predicted = tuple(sorted(d.code for d in target.minimizers))
     if target.characterized:
         match = argmin == predicted and abs(minimum - target.bound) <= tol
@@ -322,7 +428,7 @@ def verify_extremal(
     return ExtremalReport(
         target=target,
         graph_class=graph_class,
-        class_size=size,
+        class_size=len(result.rows),
         minimum=minimum,
         argmin_codes=argmin,
         predicted_codes=predicted,
@@ -330,6 +436,8 @@ def verify_extremal(
         bound_ok=bound_ok,
         tol=tol,
         seconds=time.monotonic() - t0,
+        gap=result.gap,
+        rechecked=result.rechecked,
     )
 
 

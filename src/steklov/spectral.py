@@ -224,6 +224,41 @@ def dirichlet_steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
     return _steklov_result(g, dtn_matrix(g, with_dirichlet=True), "dirichlet")
 
 
+def unit_steklov_spectra(n: int, edge_lists) -> np.ndarray:
+    """Steklov spectra of many connected unit-weight graphs on n vertices,
+    each with the combinatorial boundary (degree <= 1) and unit measures.
+
+    Row j holds the ascending eigenvalues of graph j, padded with +inf past
+    its |B|; a graph without boundary gets a row of +inf. Graphs with equal
+    |B| share one stacked Schur-complement solve and one stacked
+    ``eigvalsh``. Per graph this is ``steklov_spectrum`` up to rounding,
+    without eigenvectors or harmonic extensions.
+    """
+    count = len(edge_lists)
+    out = np.full((count, n), np.inf)
+    owner = np.repeat(np.arange(count), [len(e) for e in edge_lists])
+    ends = np.array([p for e in edge_lists for p in e], dtype=np.intp).reshape(-1, 2)
+    L = np.zeros((count, n, n))
+    L[owner, ends[:, 0], ends[:, 1]] = 1.0
+    L[owner, ends[:, 1], ends[:, 0]] = 1.0
+    degree = L.sum(axis=2)
+    np.negative(L, out=L)
+    diag = np.arange(n)
+    L[:, diag, diag] = degree
+    boundary = degree <= 1
+    order = np.argsort(~boundary, axis=1, kind="stable")  # boundary first
+    sizes = boundary.sum(axis=1)
+    for k in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == k)
+        p = order[rows]
+        Lp = L[rows[:, None, None], p[:, :, None], p[:, None, :]]
+        S = Lp[:, :k, :k]
+        if k < n:
+            S = S - Lp[:, :k, k:] @ np.linalg.solve(Lp[:, k:, k:], Lp[:, k:, :k])
+        out[rows, :k] = np.linalg.eigvalsh((S + S.transpose(0, 2, 1)) / 2.0)
+    return out
+
+
 def laplacian_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
     """Generalized Laplacian eigenvalues L u = mu M u on all of V."""
     form = laplacian_matrix(g)

@@ -178,6 +178,37 @@ def test_sweep_csv(capsys):
     assert lines[1:] == sorted(lines[1:])
 
 
+def test_sweep_csv_jobs_deterministic(capsys):
+    # 551 classes: several batches, so --jobs 2 runs a worker pool
+    argv = ["sweep", "--n", "12", "--i", "3", "--format", "csv"]
+    code1, serial, _ = run(capsys, argv + ["--jobs", "1"])
+    code2, parallel, _ = run(capsys, argv + ["--jobs", "2"])
+    assert code1 == code2 == 0
+    assert len(serial.splitlines()) == 552
+    assert serial == parallel  # byte-identical tables
+
+
+def test_sweep_connected_lists_trees_under_tree_codes(capsys):
+    code, out, _ = run(
+        capsys, ["sweep", "--n", "4", "--i", "2", "--class", "connected",
+                 "--format", "csv"]
+    )
+    assert code == 0
+    codes = [line.split(",")[0] for line in out.strip().split("\n")[1:]]
+    assert len(codes) == 6 and codes == sorted(codes)
+    assert sorted(c for c in codes if c.startswith("(")) == ["(1()1()1())", "(1()1(1()))"]
+
+
+@pytest.mark.parametrize("n,i", [(6, 3), (9, 3), (10, 5), (12, 3)])
+def test_verify_tree_combs(capsys, n, i):
+    # the tree class predicts only the path-based comb
+    code, out, _ = run(capsys, ["verify", "--n", str(n), "--i", str(i)])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["match"] and payload["bound_ok"]
+    assert payload["predicted"] == payload["argmin"]
+
+
 def test_sweep_json_rows(capsys):
     code, out, _ = run(capsys, ["sweep", "--n", "5", "--i", "2"])
     assert code == 0

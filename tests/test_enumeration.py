@@ -14,12 +14,15 @@ from steklov.enumeration import (
     enumerate_trees,
     free_tree_count,
     graph_code,
+    graph_edges,
     graph_from_code,
     graph_subset_classes,
     is_isomorphic,
     prufer_tree_classes,
     tree_code,
+    tree_edges,
     tree_from_code,
+    unit_tree_code,
 )
 from steklov.errors import OutOfSupportedRangeError, ParseError
 from steklov.graph import combinatorial_graph, make_graph, structurally_equal
@@ -129,6 +132,45 @@ def test_parse_errors():
         tree_from_code("(1(")
     with pytest.raises(ParseError):
         graph_from_code("g3:zz")
+    # the fast parser takes unit-length tree codes only
+    for bad in ("", "(1(", "(1())(", "()()", "(2())", "(1/2())", "(11())", "(1()1)"):
+        with pytest.raises(ParseError):
+            tree_edges(bad)
+    with pytest.raises(ParseError):
+        graph_edges("g3:0101")
+
+
+def test_fast_parsers_match_decoders():
+    """tree_edges / graph_edges give the edge sets, and the vertex numbering,
+    of tree_from_code / graph_from_code on every stored code."""
+    classes = [(_tree_codes(n), tree_edges, tree_from_code) for n in range(1, 13)]
+    classes += [(_graph_codes(n), graph_edges, graph_from_code) for n in range(1, 8)]
+    for codes, parse, decode in classes:
+        for code in codes:
+            n, edges = parse(code)
+            g = decode(code)
+            assert n == g.n
+            assert sorted(edges) == [(u, v) for u, v, _ in g.edges], code
+
+
+def test_stored_codes_are_canonical():
+    """The sweep engine reports stored codes as canonical codes."""
+    for n in range(1, 13):
+        for code in _tree_codes(n):
+            assert canonical_code(tree_from_code(code)) == code
+    for n in range(1, 8):
+        for code in _graph_codes(n):
+            g = graph_from_code(code)
+            if not g.is_tree():
+                assert canonical_code(g) == code
+
+
+def test_unit_tree_code_matches_tree_code(rng):
+    for _ in range(300):
+        n = int(rng.integers(1, 15))
+        g = random_unit_tree(rng, n)
+        adj = [list(g.adjacency[v]) for v in range(n)]
+        assert unit_tree_code(adj) == tree_code(g)
 
 
 def test_stream_cursor_and_reset():

@@ -1,9 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from steklov.enumeration import enumerate_trees
+from steklov.enumeration import (
+    canonical_code,
+    enumerate_connected_graphs,
+    enumerate_trees,
+)
 from steklov.errors import (
     HypothesesNotMetError,
     InvalidParamsError,
@@ -17,6 +25,7 @@ from steklov.extremal import (
     is_comb_over,
     predicted_bound,
     sigma_value,
+    sweep,
     theta_value,
     verify_bipartite_top,
     verify_extremal,
@@ -31,6 +40,12 @@ from steklov.families import build_broom, rooted_path
 from steklov.graph import Role, combinatorial_graph, make_graph
 
 from conftest import path_graph, random_weighted_graph
+
+# every supported (n, i, class): trees n <= 12, connected graphs n <= 7
+GRID_PAIRS = [(n, i) for n in range(3, 13) for i in range(2, n)]
+GRID = [("trees", n, i) for n, i in GRID_PAIRS] + [
+    ("connected", n, i) for n in range(3, 8) for i in range(2, n)
+]
 
 
 # -- predicted bounds ---------------------------------------------------------------
@@ -86,6 +101,50 @@ def test_predicted_bound_gates():
         predicted_bound(3, 3)
     with pytest.raises(InvalidParamsError):
         predicted_bound(5, 1)
+    with pytest.raises(InvalidParamsError):
+        predicted_bound(6, 3, "planar")
+
+
+def test_predicted_minimizers_belong_to_the_class():
+    # the odd-cycle comb is predicted over connected graphs, never over trees
+    assert len(predicted_bound(6, 3, "connected").minimizers) == 2
+    for n, i in [(6, 3), (9, 3), (10, 5), (12, 3), (15, 3)]:
+        mins = predicted_bound(n, i, "trees").minimizers
+        assert [d.params["base"] for d in mins] == ["path"], (n, i)
+        assert all(d.graph.is_tree() for d in mins)
+
+
+# 40-digit strings of the irrational bounds, as computed under a global
+# mpmath precision of 40 digits.
+IRRATIONAL_BOUND_STR = {
+    (8, 4): "0.7734590803390135784002412463156711540814",
+    (10, 5): "0.7834576353408995316549624394877852834291",
+    (12, 4): "0.4361302095513585322824522778946881222688",
+    (12, 6): "0.7886751345948128822545743902509787278238",
+    (16, 4): "0.2788788505379606542957255967047694816769",
+}
+
+
+def test_bound_str_independent_of_global_precision():
+    pairs = set(GRID_PAIRS) | {(n, i) for n, i in IRRATIONAL_BOUND_STR}
+    for dps in (mpmath.mp.dps, 15, 60):
+        with mpmath.workdps(dps):
+            for n, i in sorted(pairs):
+                t = predicted_bound(n, i, "trees")
+                if t.bound_exact is None:
+                    assert t.bound_str == IRRATIONAL_BOUND_STR[(n, i)], (n, i, dps)
+                else:
+                    assert t.bound_str == str(t.bound_exact)
+                    assert t.bound == float(t.bound_exact)
+            assert mpmath.mp.dps == dps
+
+
+def test_import_leaves_mpmath_precision():
+    code = ("import mpmath; mpmath.mp.dps = 23; import steklov; "
+            "steklov.predicted_bound(8, 4); print(mpmath.mp.dps)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ), timeout=120, check=True)
+    assert out.stdout.strip() == "23"
 
 
 # -- sweeps -------------------------------------------------------------------------
@@ -112,11 +171,48 @@ def test_verify_extremal_connected_comb_case():
     assert rep.match
 
 
+def test_verify_extremal_whole_grid():
+    """Every supported (n, i, class) certifies: the minimum meets the bound
+    and the argmin set matches the class's predicted minimizers."""
+    assert len(GRID) == 70
+    for graph_class, n, i in GRID:
+        rep = verify_extremal(n, i, graph_class)
+        assert rep.match and rep.bound_ok, (graph_class, n, i)
+        assert len(rep.argmin_codes) <= rep.rechecked <= rep.class_size
+        assert rep.gap > rep.tol
+
+
+@pytest.mark.parametrize("graph_class,n,i", [
+    ("trees", 7, 2), ("trees", 9, 4), ("trees", 10, 7), ("connected", 6, 3),
+])
+def test_sweep_matches_per_graph_oracle(graph_class, n, i):
+    """Screen-then-oracle gives the minimum, argmin set and gap that the
+    per-graph solver gives on the whole class."""
+    stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
+    values = {canonical_code(g): sigma_value(g, i) for g in stream}
+    minimum = min(values.values())
+    argmin = tuple(sorted(c for c, v in values.items() if v <= minimum + 1e-9))
+    outside = [v for c, v in values.items() if c not in argmin and v < math.inf]
+    res = sweep(n, i, graph_class)
+    assert res.minimum == minimum
+    assert res.argmin_codes == argmin
+    assert [c for c, _ in res.rows] == sorted(values)
+    for code, v in res.rows:
+        assert v == values[code] or abs(v - values[code]) <= 1e-12 * max(1.0, v)
+    if outside:
+        assert abs(res.gap - (min(outside) - minimum)) <= 1e-12
+    else:
+        assert res.gap == math.inf
+    assert len(argmin) <= res.rechecked < len(values)
+
+
 def test_verify_extremal_gates():
     with pytest.raises(OutOfSupportedRangeError):
         verify_extremal(13, 2, "trees")
     with pytest.raises(InvalidParamsError):
         verify_extremal(6, 2, "planar")
+    with pytest.raises(InvalidParamsError):
+        sweep(6, 0, "trees")
 
 
 def test_sigma_sentinel_no_boundary():

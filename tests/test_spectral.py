@@ -11,6 +11,7 @@ from steklov.errors import (
 )
 from steklov.graph import Role, combinatorial_graph, make_graph
 from steklov.spectral import (
+    EIG_EQ_TOL,
     dirichlet_energy,
     dirichlet_steklov_spectrum,
     dtn_matrix,
@@ -19,6 +20,7 @@ from steklov.spectral import (
     laplacian_spectrum,
     normal_derivative,
     steklov_spectrum,
+    unit_steklov_spectra,
 )
 
 from conftest import path_graph, random_weighted_graph
@@ -169,3 +171,31 @@ def test_dirichlet_spectrum_positive(seed):
     ]
     res = dirichlet_steklov_spectrum(g.with_roles(roles))
     assert res.eigenvalue(1) > 1e-12
+
+
+def test_unit_spectra_match_per_graph_oracle():
+    """The batched engine against per-graph steklov_spectrum on every class
+    it sweeps: trees n <= 12 and connected graphs n <= 7."""
+    from steklov.enumeration import (
+        _graph_codes, _tree_codes, graph_edges, graph_from_code, tree_edges,
+        tree_from_code,
+    )
+
+    classes = [(n, _tree_codes(n), tree_edges, tree_from_code) for n in range(1, 13)]
+    classes += [(n, _graph_codes(n), graph_edges, graph_from_code) for n in range(1, 8)]
+    boundary_free = 0
+    for n, codes, parse, decode in classes:
+        spectra = unit_steklov_spectra(n, [parse(c)[1] for c in codes])
+        assert spectra.shape == (len(codes), n)
+        for code, row in zip(codes, spectra):
+            g = decode(code)
+            k = len(g.boundary)
+            assert np.all(np.isinf(row[k:])), code
+            if k == 0:
+                boundary_free += 1
+                continue
+            expect = steklov_spectrum(g).eigenvalues
+            assert np.all(np.abs(row[:k] - expect)
+                          <= EIG_EQ_TOL * np.maximum(1.0, np.abs(expect))), code
+    assert boundary_free > 0  # e.g. the cycles of the connected classes
+    assert unit_steklov_spectra(4, []).shape == (0, 4)
