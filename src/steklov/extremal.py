@@ -36,7 +36,6 @@ from .enumeration import (
     tree_code,
     tree_edges,
     tree_from_code,
-    unit_tree_code,
 )
 from .errors import (
     DisconnectedError,
@@ -81,9 +80,6 @@ DEFAULT_TOL = 1e-9
 MP_DPS = 40
 GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 12
-# Classes per batch. It bounds a batch's memory, and being fixed it keeps
-# every value independent of ``jobs``.
-SWEEP_CHUNK = 64
 
 
 # -- predicted bounds -------------------------------------------------------------
@@ -300,35 +296,6 @@ class SweepResult:
     rechecked: int  # classes re-solved by the per-graph oracle
 
 
-def _class_sigmas(task) -> np.ndarray:
-    """Batch sigma_i of a chunk of stored class codes (a pool task)."""
-    graph_class, n, i, codes = task
-    parse = tree_edges if graph_class == "trees" else graph_edges
-    edge_lists = []
-    for code in codes:
-        size, edges = parse(code)
-        if size != n:
-            raise ParseError(f"class code {code!r} is not on {n} vertices")
-        edge_lists.append(edges)
-    spectra = unit_steklov_spectra(n, edge_lists)
-    return spectra[:, i - 1] if i <= n else np.full(len(codes), math.inf)
-
-
-def _table_code(graph_class: str, n: int, code: str) -> str:
-    """Canonical code of a stored class code: connected-class members that
-    are trees (n - 1 edges) are listed under their tree code."""
-    if graph_class == "trees":
-        return code
-    size, edges = graph_edges(code)
-    if len(edges) != n - 1:
-        return code
-    adj: list[list[int]] = [[] for _ in range(size)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return unit_tree_code(adj)
-
-
 def sweep(
     n: int, i: int, graph_class: str = "trees", jobs: int = 1, tol: float = DEFAULT_TOL
 ) -> SweepResult:
@@ -339,9 +306,8 @@ def sweep(
     EIG_EQ_TOL * max(1, |min|) of the batch minimum are decoded, recoded
     and re-solved one by one with :func:`sigma_value`; the minimum and the
     argmin set come from those values alone. ``rows`` keep the batch
-    values. ``jobs`` > 1 computes the batches in that many worker
-    processes; the chunks are the same for every ``jobs``, so the result is
-    too.
+    values. ``jobs`` is accepted for compatibility; every sweep runs in
+    process, since the screen costs less than starting a worker.
     """
     if i < 1:
         raise InvalidParamsError("eigenvalue index is 1-based")
@@ -350,22 +316,21 @@ def sweep(
             raise OutOfSupportedRangeError(
                 f"tree sweeps support n <= {MAX_SWEEP_TREE_N}")
         codes = enumerate_trees(n).codes
-        decode = tree_from_code
+        parse, decode = tree_edges, tree_from_code
     elif graph_class == "connected":
         codes = enumerate_connected_graphs(n).codes
-        decode = graph_from_code
+        parse, decode = graph_edges, graph_from_code
     else:
         raise InvalidParamsError(f"unknown graph class {graph_class!r}")
-    tasks = [(graph_class, n, i, codes[s:s + SWEEP_CHUNK])
-             for s in range(0, len(codes), SWEEP_CHUNK)]
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing  # here, not at import: few sweeps start a pool
-
-        with multiprocessing.get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
-            parts = pool.map(_class_sigmas, tasks)
-    else:
-        parts = [_class_sigmas(t) for t in tasks]
-    values = np.concatenate(parts)
+    edge_lists = []
+    for code in codes:
+        size, edges = parse(code)
+        if size != n:
+            raise ParseError(f"class code {code!r} is not on {n} vertices")
+        edge_lists.append(edges)
+    values = np.full(len(codes), math.inf)
+    if i <= n:
+        values = unit_steklov_spectra(n, edge_lists)[:, i - 1]
 
     screen = float(values.min())
     margin = tol + EIG_EQ_TOL * max(1.0, abs(screen))
@@ -378,8 +343,11 @@ def sweep(
     outside = [oracle[j][1] if j in oracle else v
                for j, v in enumerate(values.tolist()) if j not in argmin]
     finite = [v for v in outside if v < math.inf]
+    # connected-class members that are trees are listed under their tree code
+    recode = graph_class == "connected"
     rows = sorted(
-        (_table_code(graph_class, n, c), float(v)) for c, v in zip(codes, values)
+        (canonical_code(decode(c)) if recode and len(e) == n - 1 else c, float(v))
+        for c, e, v in zip(codes, edge_lists, values)
     )
     return SweepResult(
         rows=tuple(rows),
@@ -416,8 +384,8 @@ def verify_extremal(
     """Sweep a graph class, minimize sigma_i, and match the argmin set
     against the predicted minimizers that belong to the class."""
     t0 = time.monotonic()
-    result = sweep(n, i, graph_class, jobs=jobs, tol=tol)
     target = predicted_bound(n, i, graph_class)
+    result = sweep(n, i, graph_class, jobs=jobs, tol=tol)
     minimum, argmin = result.minimum, result.argmin_codes
     predicted = tuple(sorted(d.code for d in target.minimizers))
     if target.characterized:

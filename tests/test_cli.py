@@ -179,7 +179,7 @@ def test_sweep_csv(capsys):
 
 
 def test_sweep_csv_jobs_deterministic(capsys):
-    # 551 classes: several batches, so --jobs 2 runs a worker pool
+    # --jobs is accepted and changes nothing: every sweep runs in process
     argv = ["sweep", "--n", "12", "--i", "3", "--format", "csv"]
     code1, serial, _ = run(capsys, argv + ["--jobs", "1"])
     code2, parallel, _ = run(capsys, argv + ["--jobs", "2"])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from steklov import extremal
 from steklov.enumeration import (
     canonical_code,
     enumerate_connected_graphs,
@@ -206,13 +207,21 @@ def test_sweep_matches_per_graph_oracle(graph_class, n, i):
     assert len(argmin) <= res.rechecked < len(values)
 
 
-def test_verify_extremal_gates():
+def test_verify_extremal_gates(monkeypatch):
     with pytest.raises(OutOfSupportedRangeError):
         verify_extremal(13, 2, "trees")
     with pytest.raises(InvalidParamsError):
         verify_extremal(6, 2, "planar")
     with pytest.raises(InvalidParamsError):
         sweep(6, 0, "trees")
+
+    def no_sweep(n):
+        raise AssertionError("class enumerated before the parameters were checked")
+
+    monkeypatch.setattr(extremal, "enumerate_trees", no_sweep)
+    for n, i in ((12, 1), (12, 12), (13, 13)):
+        with pytest.raises(InvalidParamsError):
+            verify_extremal(n, i, "trees")
 
 
 def test_sigma_sentinel_no_boundary():
