@@ -2,10 +2,13 @@
 
 Everything here is a bounded exhaustive search that either returns an
 explicit witness (removed edge set, per-component clump data) or proves by
-exhaustion that no witness exists. Searches run over edge subsets ordered
-by size and then lexicographically by edge index, so results are
-deterministic. When a guarantee applies (the hypotheses of the underlying
-removal lemmas hold) and no witness is found, the run fails loudly with
+exhaustion that no witness exists. The removal searches share one walk over
+edge subsets, ordered by size and then lexicographically by edge index, and
+list components by least vertex, so results are deterministic. Each
+component's clump number comes from one subtree-size pass over plain
+adjacency lists. The type A split needs no search: it is unique when it
+exists. When a guarantee applies (the hypotheses of the underlying removal
+lemmas hold) and no witness is found, the run fails loudly with
 CertificationError instead of returning a quiet negative.
 """
 
@@ -28,24 +31,29 @@ from .geometry import (
     GeometricPoint,
     clump_lengths_at,
     clump_number,
-    clump_number_at,
     clump_rooted_tree,
+    doubled_clump_number,
+    require_unit_weights,
 )
-from .graph import WeightedBoundaryGraph
+from .graph import WeightedBoundaryGraph, heaviest_branches, subtree_sizes
 
 
 @lru_cache(maxsize=None)
-def minimal_broom_codes(k: int) -> frozenset[str]:
-    """Rooted canonical codes of all minimal brooms of total length k,
+def broom_codes(l) -> frozenset[str]:
+    """Rooted canonical codes of all minimal brooms of total length l > 0,
     rooted at the Dirichlet end."""
-    if k < 1:
-        raise InvalidParamsError("need k >= 1")
-    sol = minimal_broom_total(k)
     codes = set()
-    for p in sol.brooms:
+    for p in minimal_broom_total(l).brooms:
         fam = build_broom(p.l, p.i, p.d)
         codes.add(tree_code(fam.graph, root=fam.landmarks["o"]))
     return frozenset(codes)
+
+
+def minimal_broom_codes(k: int) -> frozenset[str]:
+    """:func:`broom_codes` of an integer total length k >= 1."""
+    if k < 1:
+        raise InvalidParamsError("need k >= 1")
+    return broom_codes(k)
 
 
 @dataclass(frozen=True)
@@ -78,16 +86,15 @@ def is_sub_k(g: WeightedBoundaryGraph, k: int) -> SubKWitness:
     if k < 1:
         raise InvalidParamsError("need k >= 1")
     cn = clump_number(g).clump_number
-    if cn < k:
-        return SubKWitness(True, k, cn, ())
-    if cn > k:
-        return SubKWitness(False, k, cn, ())
+    if cn != k:
+        return SubKWitness(cn < k, k, cn, ())
     codes = minimal_broom_codes(k)
+    heaviest = heaviest_branches(*subtree_sizes(g.adjacency))
     candidates = []
     for o in range(g.n):
-        pt = GeometricPoint.at_vertex(o)
-        if clump_number_at(g, pt) != k:
+        if heaviest[o] != k:  # the clump number at vertex o
             continue
+        pt = GeometricPoint.at_vertex(o)
         matches = []
         for clump in clump_lengths_at(g, pt):
             if clump.length != k:
@@ -124,16 +131,60 @@ class StarException:
     r: int
 
 
-def _components_after(g: WeightedBoundaryGraph, removed) -> list[WeightedBoundaryGraph]:
-    h = g.delete_edges(removed)
-    comps = h.components()
-    return [(tuple(c), h.induced_subgraph(c)) for c in comps]
+def _pieces(adj, removed):
+    """Components of the tree ``adj`` minus the ``removed`` edges, in the
+    order of :meth:`WeightedBoundaryGraph.components`: by least vertex, each
+    as its sorted vertices and a subtree-size pass rooted at that vertex."""
+    cut = set(removed) | {(v, u) for u, v in removed}
+    forest = [[u for u in adj[v] if (v, u) not in cut] for v in range(len(adj))]
+    seen: set[int] = set()
+    for root in range(len(forest)):
+        if root not in seen:
+            tree = subtree_sizes(forest, root)
+            seen.update(tree[0])
+            yield tuple(sorted(tree[0])), tree
 
 
-def _edge_subsets(g: WeightedBoundaryGraph, max_size: int):
-    pairs = [(u, v) for u, v, _ in g.edges]
-    for size in range(max_size + 1):
-        yield from itertools.combinations(pairs, size)
+def _removal_search(g: WeightedBoundaryGraph, sizes, judge):
+    """First removal of edges, taken by size in the order of ``sizes`` and
+    within a size lexicographically by edge index, that leaves every
+    component accepted by ``judge``.
+
+    ``judge(vertices, tree)`` gets a component's sorted vertices and its
+    :func:`subtree_sizes` pass, and returns the component's report or None
+    to reject the removal; components are judged by least vertex and the
+    first rejection ends the removal. A component is the subgraph its
+    vertices induce, so each vertex set is judged once per search. Returns
+    (removed, reports) or None.
+    """
+    edges = [(u, v) for u, v, _ in g.edges]
+    judged: dict[tuple[int, ...], object] = {}
+    for size in sizes:
+        for removed in itertools.combinations(edges, size):
+            reports = []
+            for verts, tree in _pieces(g.adjacency, removed):
+                if verts not in judged:
+                    judged[verts] = judge(verts, tree)
+                report = judged[verts]
+                if report is None:
+                    break
+                reports.append(report)
+            else:
+                return removed, tuple(reports)
+    return None
+
+
+def _clumps_within(bound: Fraction):
+    """Judge accepting components with clump number at most ``bound``."""
+    limit = int(2 * bound)  # bounds are whole or half numbers
+
+    def judge(verts, tree):
+        doubled = doubled_clump_number(*tree)
+        if doubled > limit:
+            return None
+        return ComponentReport(verts, Fraction(doubled, 2), None)
+
+    return judge
 
 
 def find_removal_for_clump(
@@ -151,18 +202,11 @@ def find_removal_for_clump(
         raise NotATreeError("removal search is defined for trees")
     if r < 0 or k < 1:
         raise InvalidParamsError("need r >= 0 and k >= 1")
+    require_unit_weights(g)
     bound = Fraction(k) + (Fraction(1, 2) if half else 0)
-    for removed in _edge_subsets(g, r):
-        reports = []
-        good = True
-        for verts, comp in _components_after(g, removed):
-            cn = clump_number(comp).clump_number
-            if cn > bound:
-                good = False
-                break
-            reports.append(ComponentReport(verts, cn, None))
-        if good:
-            return RemovalCertificate(tuple(removed), tuple(reports), bound)
+    found = _removal_search(g, range(r + 1), _clumps_within(bound))
+    if found is not None:
+        return RemovalCertificate(*found, bound)
     edge_budget = (r + 2) * k + r + (1 if half else 0)
     if len(g.edges) <= edge_budget:
         raise CertificationError(
@@ -203,17 +247,19 @@ def find_removal_sub_k(
         raise HypothesisViolatedError(
             f"need |E| = (r+2)k = {(r + 2) * k}, got {len(g.edges)}"
         )
-    for removed in _edge_subsets(g, r):
-        reports = []
-        good = True
-        for verts, comp in _components_after(g, removed):
-            w = is_sub_k(comp, k)
-            if not w.value:
-                good = False
-                break
-            reports.append(ComponentReport(verts, w.clump_number, w))
-        if good:
-            return RemovalCertificate(tuple(removed), tuple(reports), None)
+    require_unit_weights(g)
+
+    def judge(verts, tree):
+        cn = Fraction(doubled_clump_number(*tree), 2)
+        if cn == k:  # only then does the sub-k test look at the component
+            w = is_sub_k(g.induced_subgraph(verts), k)
+        else:
+            w = SubKWitness(cn < k, k, cn, ())
+        return ComponentReport(verts, cn, w) if w.value else None
+
+    found = _removal_search(g, range(r + 1), judge)
+    if found is not None:
+        return RemovalCertificate(*found, None)
     star = _star_exception(g, r, k)
     if star is not None:
         return star
@@ -256,42 +302,29 @@ def classify_type_AB(g: WeightedBoundaryGraph, k: int) -> TypeABClassification:
     m = len(g.edges)
     if m < k - 1:
         raise HypothesisViolatedError(f"need |E| >= k-1 = {k - 1}, got {m}")
+    require_unit_weights(g)
 
     type_a = None
     if (m + 1) % k == 0:
         r = (m + 1) // k
-        for removed in itertools.combinations(
-            [(u, v) for u, v, _ in g.edges], r - 1
-        ):
-            parts = _components_after(g, removed)
-            if all(len(verts) == k for verts, _ in parts):
-                type_a = TypeAWitness(
-                    r, tuple(removed), tuple(verts for verts, _ in parts)
-                )
-                break
+        # A split into parts of k vertices is unique when it exists: it cuts
+        # exactly the edges whose far side (from vertex 0) has a multiple of
+        # k vertices, and there must be r - 1 of them.
+        _, parent, size = subtree_sizes(g.adjacency)
+        removed = tuple(
+            (u, v) for u, v, _ in g.edges if size[v if parent[v] == u else u] % k == 0
+        )
+        if len(removed) == r - 1:
+            parts = tuple(verts for verts, _ in _pieces(g.adjacency, removed))
+            type_a = TypeAWitness(r, removed, parts)
 
     type_b = None
-    r_lo = max(2, -((m + 1) // -k))  # ceil((m+1)/k)
-    r_hi = m // k + 1
-    for r in range(r_lo, r_hi + 1):
+    r = m // k + 1  # the one r with (r-1)k <= m <= rk - 1
+    if r >= 2:
         bound = Fraction(k - 1)
-        for removed in _edge_subsets(g, r - 2):
-            if len(removed) != r - 2:
-                continue
-            reports = []
-            good = True
-            for verts, comp in _components_after(g, removed):
-                cn = clump_number(comp).clump_number
-                if cn > bound:
-                    good = False
-                    break
-                reports.append(ComponentReport(verts, cn, None))
-            if good:
-                cert = RemovalCertificate(tuple(removed), tuple(reports), bound)
-                type_b = TypeBWitness(r, cert)
-                break
-        if type_b is not None:
-            break
+        found = _removal_search(g, [r - 2], _clumps_within(bound))
+        if found is not None:
+            type_b = TypeBWitness(r, RemovalCertificate(*found, bound))
 
     if type_a and type_b:
         verdict = "Both"

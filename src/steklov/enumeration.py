@@ -27,7 +27,13 @@ from .errors import (
     OutOfSupportedRangeError,
     ParseError,
 )
-from .graph import WeightedBoundaryGraph, combinatorial_graph, make_graph
+from .graph import (
+    WeightedBoundaryGraph,
+    combinatorial_graph,
+    heaviest_branches,
+    make_graph,
+    subtree_sizes,
+)
 
 MAX_TREE_N = 16
 MAX_GRAPH_N = 7
@@ -55,32 +61,11 @@ def _rooted_code(g: WeightedBoundaryGraph, root: int) -> str:
     return rec(root, -1)
 
 
-def _centroids(g: WeightedBoundaryGraph) -> list[int]:
-    n = g.n
-    if n == 1:
-        return [0]
-    best = None
-    out: list[int] = []
-    for v in range(n):
-        sizes = []
-        seen = {v}
-        for u in g.adjacency[v]:
-            stack, cnt = [u], 0
-            local = {u} | {v}
-            while stack:
-                x = stack.pop()
-                cnt += 1
-                for y in g.adjacency[x]:
-                    if y not in local:
-                        local.add(y)
-                        stack.append(y)
-            sizes.append(cnt)
-        weight = max(sizes)
-        if best is None or weight < best:
-            best, out = weight, [v]
-        elif weight == best:
-            out.append(v)
-    return out
+def _centroids(adj) -> list[int]:
+    """Centroids of a tree from one subtree-size pass rooted at 0."""
+    heaviest = heaviest_branches(*subtree_sizes(adj))
+    best = min(heaviest.values())
+    return [v for v, h in heaviest.items() if h == best]
 
 
 def tree_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
@@ -89,27 +74,7 @@ def tree_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
         raise NotATreeError("tree codes need a tree")
     if root is not None:
         return _rooted_code(g, root)
-    return min(_rooted_code(g, c) for c in _centroids(g))
-
-
-def _unit_centroids(adj: list[list[int]]) -> list[int]:
-    """Centroids from one subtree-size pass over a tree rooted at 0."""
-    n = len(adj)
-    parent = [-1] * n
-    order = [0]
-    for v in order:  # breadth-first; ``order`` grows while it is read
-        for u in adj[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    size = [1] * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    heaviest = [n - size[v] for v in range(n)]  # the part beyond the parent
-    for v in order[1:]:
-        heaviest[parent[v]] = max(heaviest[parent[v]], size[v])
-    best = min(heaviest)
-    return [v for v in range(n) if heaviest[v] == best]
+    return min(_rooted_code(g, c) for c in _centroids(g.adjacency))
 
 
 def unit_tree_code(adj: list[list[int]]) -> str:
@@ -119,7 +84,7 @@ def unit_tree_code(adj: list[list[int]]) -> str:
     def rec(v: int, parent: int) -> str:
         return "(" + "".join(sorted(["1" + rec(u, v) for u in adj[v] if u != parent])) + ")"
 
-    return min(rec(c, -1) for c in _unit_centroids(adj))
+    return min(rec(c, -1) for c in _centroids(adj))
 
 
 def tree_edges(code: str) -> tuple[int, list[tuple[int, int]]]:

@@ -26,7 +26,7 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from .clumps import minimal_broom_codes
+from .clumps import broom_codes
 from .enumeration import (
     canonical_code,
     enumerate_connected_graphs,
@@ -734,13 +734,7 @@ def verify_steklov_clump(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     sigma2 = sigma_value(g, 2)
     holds = sigma2 >= bound - tol
     equality = abs(sigma2 - bound) <= tol
-    codes = set()
-    sol = minimal_broom_total(cn)
-    from .families import build_broom
-
-    for p in sol.brooms:
-        fam = build_broom(p.l, p.i, p.d)
-        codes.add(tree_code(fam.graph, root=fam.landmarks["o"]))
+    codes = broom_codes(cn)
     matches = 0
     for clump in rep.clumps:
         if clump.length != cn:

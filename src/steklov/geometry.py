@@ -22,7 +22,13 @@ from .errors import (
     NotATreeError,
     NotUnitWeightError,
 )
-from .graph import Role, WeightedBoundaryGraph, make_graph
+from .graph import (
+    Role,
+    WeightedBoundaryGraph,
+    heaviest_branches,
+    make_graph,
+    subtree_sizes,
+)
 from .spectral import dirichlet_steklov_spectrum, dtn_matrix
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -138,6 +144,10 @@ class ClumpReport:
 def _require_unit_tree(g: WeightedBoundaryGraph) -> None:
     if not g.is_tree():
         raise NotATreeError("clump numbers are defined for trees")
+    require_unit_weights(g)
+
+
+def require_unit_weights(g: WeightedBoundaryGraph) -> None:
     if any(w != 1 for _, _, w in g.edges):
         raise NotUnitWeightError("clump numbers need unit edge weights")
 
@@ -164,6 +174,10 @@ def clump_lengths_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[C
     at an edge point with offset t, the two sides have lengths s_u - 1 + t
     and s_v - 1 + (length - t)."""
     _require_unit_tree(g)
+    return _clumps_at(g, point)
+
+
+def _clumps_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[Clump, ...]:
     if point.is_vertex:
         p = point.vertex
         return tuple(
@@ -192,34 +206,51 @@ def clump_number_at(g: WeightedBoundaryGraph, point: GeometricPoint):
     return max((c.length for c in clumps), default=Fraction(0))
 
 
+def _doubled_clump_numbers(order, parent, size) -> tuple[dict[int, int], dict[int, int]]:
+    """Twice the clump number at every vertex and at every edge midpoint,
+    from a :func:`subtree_sizes` pass; a midpoint is keyed by the edge's end
+    away from the root.
+
+    A vertex's clumps are its branches. The two clumps at a midpoint have
+    lengths s - 1/2, for the vertex counts s of the edge's two sides.
+    """
+    n = len(order)
+    at_vertex = {v: 2 * h for v, h in heaviest_branches(order, parent, size).items()}
+    at_midpoint = {v: 2 * max(size[v], n - size[v]) - 1 for v in order[1:]}
+    return at_vertex, at_midpoint
+
+
+def doubled_clump_number(order, parent, size) -> int:
+    """Twice the clump number of the unit tree a :func:`subtree_sizes` pass
+    spans, as an integer."""
+    at_vertex, at_midpoint = _doubled_clump_numbers(order, parent, size)
+    return min([*at_vertex.values(), *at_midpoint.values()])
+
+
 def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
     """Clump number of a unit tree with its unique equilibrium point.
 
     The minimum over |K(G)| is attained at a vertex or an edge midpoint, so
-    only those candidates are scanned. Uniqueness of the argmin is asserted.
+    only those candidates are compared, all read from one subtree-size pass.
+    Uniqueness of the argmin is asserted.
     """
     _require_unit_tree(g)
-    if g.n == 1:
-        pt = GeometricPoint.at_vertex(0)
-        return ClumpReport(pt, (), Fraction(0), True)
-    candidates = [GeometricPoint.at_vertex(v) for v in range(g.n)]
-    candidates += [
-        GeometricPoint.on_edge(u, v, Fraction(1, 2)) for u, v, _ in g.edges
+    order, parent, size = subtree_sizes(g.adjacency)
+    at_vertex, at_midpoint = _doubled_clump_numbers(order, parent, size)
+    best = min([*at_vertex.values(), *at_midpoint.values()])
+    winners = [GeometricPoint.at_vertex(v) for v, d in at_vertex.items() if d == best]
+    winners += [
+        GeometricPoint.on_edge(*sorted((parent[v], v)), Fraction(1, 2))
+        for v, d in at_midpoint.items()
+        if d == best
     ]
-    best_pt = None
-    best = None
-    ties = 0
-    for pt in candidates:
-        val = clump_number_at(g, pt)
-        if best is None or val < best:
-            best, best_pt, ties = val, pt, 1
-        elif val == best:
-            ties += 1
-    if ties != 1:
+    if len(winners) != 1:
         raise CertificationError(
-            f"equilibrium point is not unique ({ties} minimizers of {best})"
+            f"equilibrium point is not unique ({len(winners)} minimizers of "
+            f"{Fraction(best, 2)})"
         )
-    return ClumpReport(best_pt, clump_lengths_at(g, best_pt), best, True)
+    pt = winners[0]
+    return ClumpReport(pt, _clumps_at(g, pt), Fraction(best, 2), True)
 
 
 def clump_rooted_tree(

@@ -41,6 +41,38 @@ def _norm_edge(x: int, y: int) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
+def subtree_sizes(adj, root: int = 0) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """One breadth-first pass over the tree holding ``root``.
+
+    ``adj[v]`` iterates the neighbours of ``v``; only the component of
+    ``root`` is visited, along a breadth-first spanning tree when the graph
+    has cycles. Returns the visit order, each vertex's parent (-1 at the
+    root) and the vertex count of its subtree.
+    """
+    parent = {root: -1}
+    order = [root]
+    for v in order:  # ``order`` grows while it is read
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return order, parent, size
+
+
+def heaviest_branches(order, parent, size) -> dict[int, int]:
+    """Vertex count of each vertex's largest branch (component of the tree
+    minus the vertex), from a :func:`subtree_sizes` pass."""
+    n = len(order)
+    heaviest = {v: n - size[v] for v in order}  # the part beyond the parent
+    for v in order[1:]:
+        if size[v] > heaviest[parent[v]]:
+            heaviest[parent[v]] = size[v]
+    return heaviest
+
+
 @dataclass(frozen=True)
 class WeightedBoundaryGraph:
     """Simple undirected graph with vertex measures, edge weights and roles.
@@ -130,10 +162,10 @@ class WeightedBoundaryGraph:
         return comps
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(subtree_sizes(self.adjacency)[0]) == self.n
 
     def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == self.n - 1
+        return len(self.edges) == self.n - 1 and self.is_connected()
 
     def is_unit_weight(self) -> bool:
         return all(w == 1 for _, _, w in self.edges) and all(

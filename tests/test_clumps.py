@@ -1,16 +1,40 @@
+import itertools
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
 from steklov.clumps import (
+    ComponentReport,
     RemovalCertificate,
     StarException,
+    SubKCandidate,
+    SubKWitness,
+    TypeABClassification,
+    TypeAWitness,
+    TypeBWitness,
     classify_type_AB,
     find_removal_for_clump,
     find_removal_sub_k,
     is_sub_k,
     minimal_broom_codes,
 )
-from steklov.enumeration import enumerate_trees
-from steklov.errors import HypothesisViolatedError, NotATreeError
+from steklov.enumeration import enumerate_trees, tree_code
+from steklov.errors import (
+    CertificationError,
+    HypothesisViolatedError,
+    InvalidParamsError,
+    NotATreeError,
+    NotUnitWeightError,
+)
+from steklov.geometry import (
+    GeometricPoint,
+    clump_lengths_at,
+    clump_number,
+    clump_number_at,
+    clump_rooted_tree,
+)
 from steklov.extremal import sigma_value
 from steklov.families import (
     build_comb,
@@ -19,6 +43,7 @@ from steklov.families import (
     lambda_value,
     rooted_path,
 )
+from steklov.graph import combinatorial_graph
 
 from conftest import path_graph
 
@@ -183,6 +208,18 @@ def test_type_ab_total_sweep():
                     )
 
 
+def test_searches_need_unit_weights():
+    from steklov.graph import make_graph
+
+    g = make_graph(3, [(0, 1, 1), (1, 2, 2)])
+    with pytest.raises(NotUnitWeightError):
+        classify_type_AB(g, 3)  # a type A split of one part, but not a unit tree
+    with pytest.raises(NotUnitWeightError):
+        find_removal_for_clump(g, 0, 1)
+    with pytest.raises(NotUnitWeightError):
+        find_removal_sub_k(g, 0, 1)
+
+
 def test_type_a_edge_count_consistency():
     # a Type A witness partitions the tree into r components of k vertices,
     # i.e. k-1 edges each
@@ -190,3 +227,198 @@ def test_type_a_edge_count_consistency():
     out = classify_type_AB(g, 3)
     assert out.type_a is not None
     assert sorted(len(c) for c in out.type_a.components) == [3, 3]
+
+
+# -- brute-force oracles for the fast searches ---------------------------------
+#
+# The oracles below walk every edge subset on graph copies (delete_edges,
+# components, induced_subgraph) and value each component with clump_number.
+# The library must return the same witnesses, errors included.
+
+
+def _components_after(g, removed):
+    h = g.delete_edges(removed)
+    for c in h.components():
+        yield tuple(c), h.induced_subgraph(c)
+
+
+def _edge_subsets(g, max_size):
+    pairs = [(u, v) for u, v, _ in g.edges]
+    for size in range(max_size + 1):
+        yield from itertools.combinations(pairs, size)
+
+
+def _first_removal(g, subsets, judge):
+    for removed in subsets:
+        reports = []
+        for verts, comp in _components_after(g, removed):
+            report = judge(verts, comp)
+            if report is None:
+                break
+            reports.append(report)
+        else:
+            return tuple(removed), tuple(reports)
+    return None
+
+
+@lru_cache(maxsize=None)  # components recur across removals
+def _clump_of(comp):
+    return clump_number(comp).clump_number
+
+
+def _clump_at_most(bound):
+    def judge(verts, comp):
+        cn = _clump_of(comp)
+        return ComponentReport(verts, cn, None) if cn <= bound else None
+
+    return judge
+
+
+@lru_cache(maxsize=None)  # a pure function of the (hashable) graph
+def oracle_is_sub_k(g, k):
+    if not g.is_tree():
+        raise NotATreeError("sub-k is defined for trees")
+    if k < 1:
+        raise InvalidParamsError("need k >= 1")
+    cn = clump_number(g).clump_number
+    if cn != k:
+        return SubKWitness(cn < k, k, cn, ())
+    codes = minimal_broom_codes(k)
+    candidates = []
+    for o in range(g.n):
+        pt = GeometricPoint.at_vertex(o)
+        if clump_number_at(g, pt) != k:
+            continue
+        matches = [
+            clump.attach
+            for clump in clump_lengths_at(g, pt)
+            if clump.length == k
+            and tree_code(*clump_rooted_tree(g, pt, clump)) in codes
+        ]
+        candidates.append(SubKCandidate(o, tuple(matches), len(matches) <= 1))
+    return SubKWitness(any(c.ok for c in candidates), k, cn, tuple(candidates))
+
+
+def oracle_removal_for_clump(g, r, k, half=False):
+    if not g.is_tree():
+        raise NotATreeError("removal search is defined for trees")
+    if r < 0 or k < 1:
+        raise InvalidParamsError("need r >= 0 and k >= 1")
+    bound = Fraction(k) + (Fraction(1, 2) if half else 0)
+    found = _first_removal(g, _edge_subsets(g, r), _clump_at_most(bound))
+    if found is not None:
+        return RemovalCertificate(*found, bound)
+    edge_budget = (r + 2) * k + r + (1 if half else 0)
+    if len(g.edges) <= edge_budget:
+        raise CertificationError(
+            f"removal guaranteed for |E| <= {edge_budget} but none found"
+        )
+    return None
+
+
+def oracle_removal_sub_k(g, r, k):
+    def judge(verts, comp):
+        w = oracle_is_sub_k(comp, k)
+        return ComponentReport(verts, w.clump_number, w) if w.value else None
+
+    found = _first_removal(g, _edge_subsets(g, r), judge)
+    if found is not None:
+        return RemovalCertificate(*found, None)
+    codes = minimal_broom_codes(k)
+    for c in range(g.n):
+        if g.degree(c) != r + 2:
+            continue
+        pt = GeometricPoint.at_vertex(c)
+        if all(
+            cl.length == k and tree_code(*clump_rooted_tree(g, pt, cl)) in codes
+            for cl in clump_lengths_at(g, pt)
+        ):
+            return StarException(center=c, k=k, r=r)
+    raise CertificationError(
+        "no sub-k removal found and the input is not the exceptional star"
+    )
+
+
+def oracle_classify_type_AB(g, k):
+    m = len(g.edges)
+    if m < k - 1:
+        raise HypothesisViolatedError(f"need |E| >= k-1 = {k - 1}, got {m}")
+    pairs = [(u, v) for u, v, _ in g.edges]
+    type_a = None
+    if (m + 1) % k == 0:
+        r = (m + 1) // k
+        for removed in itertools.combinations(pairs, r - 1):
+            parts = list(_components_after(g, removed))
+            if all(len(verts) == k for verts, _ in parts):
+                type_a = TypeAWitness(r, removed, tuple(v for v, _ in parts))
+                break
+    type_b = None
+    r_lo = max(2, -((m + 1) // -k))  # ceil((m+1)/k)
+    for r in range(r_lo, m // k + 2):
+        bound = Fraction(k - 1)
+        subsets = itertools.combinations(pairs, r - 2)
+        found = _first_removal(g, subsets, _clump_at_most(bound))
+        if found is not None:
+            type_b = TypeBWitness(r, RemovalCertificate(*found, bound))
+            break
+    if type_a and type_b:
+        verdict = "Both"
+    elif type_a or type_b:
+        verdict = "TypeA" if type_a else "TypeB"
+    else:
+        raise CertificationError(
+            f"tree with {m} edges is neither type A nor type B for k={k}"
+        )
+    return TypeABClassification(k, verdict, type_a, type_b)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # errors are compared too
+        return type(exc).__name__, str(exc)
+
+
+def _trees(n_max):
+    """Every tree up to n_max vertices, relabelled at random: stored trees
+    are numbered in preorder, so each edge would point away from vertex 0."""
+    rng = np.random.default_rng(4)
+    for n in range(1, n_max + 1):
+        for g in enumerate_trees(n):
+            label = rng.permutation(n).tolist()
+            yield combinatorial_graph(n, [(label[u], label[v]) for u, v, _ in g.edges])
+
+
+def test_type_ab_matches_brute_force():
+    for g in _trees(10):
+        for k in range(1, 6):
+            got = _outcome(classify_type_AB, g, k)
+            assert got == _outcome(oracle_classify_type_AB, g, k), (g.edges, k)
+
+
+def test_removal_for_clump_matches_brute_force():
+    for g in _trees(10):
+        for r, k, half in itertools.product(range(3), range(1, 5), (False, True)):
+            got = _outcome(find_removal_for_clump, g, r, k, half)
+            want = _outcome(oracle_removal_for_clump, g, r, k, half)
+            assert got == want, (g.edges, r, k, half)
+
+
+def test_removal_sub_k_matches_brute_force():
+    checked = 0
+    for g in _trees(10):
+        m = len(g.edges)
+        for k in range(1, m + 1):
+            r = m // k - 2
+            if r < 0 or m != (r + 2) * k:
+                continue
+            got = _outcome(find_removal_sub_k, g, r, k)
+            assert got == _outcome(oracle_removal_sub_k, g, r, k), (g.edges, r, k)
+            checked += 1
+    assert checked > 300
+
+
+def test_is_sub_k_matches_vertex_scan():
+    for g in _trees(10):
+        for k in range(1, 5):
+            assert is_sub_k(g, k) == oracle_is_sub_k(g, k), (g.edges, k)

@@ -417,6 +417,10 @@ def test_steklov_clump_p4():
     assert v.clump == Fraction(3, 2)
     assert abs(v.bound - 2.0 / 3.0) <= 1e-15
     assert v.holds and v.rigidity_consistent
+    # a single edge: clump number 1/2 at the midpoint, both halves are Br(1/2)
+    v = verify_steklov_clump(path_graph(2))
+    assert v.clump == Fraction(1, 2) and v.broom_clumps == 2
+    assert v.equality and v.rigidity_consistent
 
 
 def test_steklov_clump_sweep():

@@ -6,7 +6,9 @@ import pytest
 from steklov.enumeration import enumerate_trees
 from steklov.errors import InvalidParamsError, NotATreeError, NotUnitWeightError
 from steklov.geometry import (
+    ClumpReport,
     GeometricPoint,
+    clump_lengths_at,
     clump_number,
     clump_number_at,
     clump_rooted_tree,
@@ -82,6 +84,25 @@ def test_clump_fine_grid_oracle():
             ]
             grid = min(clump_number_at(g, p) for p in pts)
             assert grid == clump_number(g).clump_number, (n, g.edges)
+
+
+def test_clump_number_matches_candidate_scan():
+    # every vertex, then every edge midpoint, each valued by its own clumps;
+    # stored trees and the same trees with their vertex numbers reversed
+    for n in range(1, 12):
+        for stored in enumerate_trees(n):
+            flipped = [(n - 1 - u, n - 1 - v) for u, v, _ in stored.edges]
+            for g in (stored, combinatorial_graph(n, flipped)):
+                pts = [GeometricPoint.at_vertex(v) for v in range(g.n)]
+                pts += [
+                    GeometricPoint.on_edge(u, v, Fraction(1, 2)) for u, v, _ in g.edges
+                ]
+                values = [clump_number_at(g, p) for p in pts]
+                best = min(values)
+                assert values.count(best) == 1, (n, g.edges)
+                pt = pts[values.index(best)]
+                want = ClumpReport(pt, clump_lengths_at(g, pt), best, True)
+                assert clump_number(g) == want, (n, g.edges)
 
 
 def test_clump_lower_semicontinuity(rng):
