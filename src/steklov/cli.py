@@ -53,6 +53,7 @@ EXIT_USAGE = 1
 EXIT_ASSERTION = 2
 EXIT_RIGIDITY = 3
 EXIT_RANGE = 4
+JOBS_HELP = "accepted (N >= 1) and ignored: every sweep runs in one process"
 
 
 class UsageError(Exception):
@@ -292,9 +293,7 @@ def _cmd_nodal(args) -> int:
 
 def _cmd_verify(args) -> int:
     t0 = time.monotonic()
-    report = extremal.verify_extremal(
-        args.n, args.i, args.graph_class, tol=args.tol, jobs=args.jobs
-    )
+    report = extremal.verify_extremal(args.n, args.i, args.graph_class, tol=args.tol)
     payload = {
         "n": args.n,
         "i": args.i,
@@ -331,7 +330,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    pairs = extremal.sweep(args.n, args.i, args.graph_class, jobs=args.jobs).rows
+    pairs = extremal.sweep(args.n, args.i, args.graph_class).rows
     if args.format == "csv":
         sys.stdout.write("code,sigma\n")
         for code, val in pairs:
@@ -448,7 +447,7 @@ def _build_parser() -> _Parser:
     vp.add_argument("--class", dest="graph_class", default="trees",
                     choices=["trees", "connected"])
     vp.add_argument("--format", default="json", choices=["json", "csv"])
-    vp.add_argument("--jobs", type=int, default=1)
+    vp.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     vp.add_argument("--tol", type=float, default=1e-9)
     vp.add_argument("--out")
     vp.set_defaults(func=_cmd_verify)
@@ -459,7 +458,7 @@ def _build_parser() -> _Parser:
     wp.add_argument("--class", dest="graph_class", default="trees",
                     choices=["trees", "connected"])
     wp.add_argument("--format", default="json", choices=["json", "csv"])
-    wp.add_argument("--jobs", type=int, default=1)
+    wp.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     wp.add_argument("--out")
     wp.set_defaults(func=_cmd_sweep)
 

@@ -26,7 +26,7 @@ from .errors import (
     InvalidParamsError,
     NotATreeError,
 )
-from .families import build_broom, minimal_broom_total
+from .families import BroomParams, build_broom, minimal_broom_total
 from .geometry import (
     GeometricPoint,
     clump_lengths_at,
@@ -39,14 +39,19 @@ from .graph import WeightedBoundaryGraph, heaviest_branches, subtree_sizes
 
 
 @lru_cache(maxsize=None)
-def broom_codes(l) -> frozenset[str]:
-    """Rooted canonical codes of all minimal brooms of total length l > 0,
-    rooted at the Dirichlet end."""
+def rooted_broom_codes(brooms: tuple[BroomParams, ...]) -> frozenset[str]:
+    """Rooted canonical codes of the brooms, rooted at the Dirichlet end."""
     codes = set()
-    for p in minimal_broom_total(l).brooms:
+    for p in brooms:
         fam = build_broom(p.l, p.i, p.d)
         codes.add(tree_code(fam.graph, root=fam.landmarks["o"]))
     return frozenset(codes)
+
+
+def broom_codes(l) -> frozenset[str]:
+    """:func:`rooted_broom_codes` of the minimal brooms Br(l) of total
+    length l > 0."""
+    return rooted_broom_codes(minimal_broom_total(l).brooms)
 
 
 def minimal_broom_codes(k: int) -> frozenset[str]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -39,6 +40,10 @@ MAX_TREE_N = 16
 MAX_GRAPH_N = 7
 MAX_CODE_N = 10
 GENERATOR_VERSION = "v1"
+# OEIS A001349: connected simple graphs on n vertices, up to isomorphism.
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+log = logging.getLogger("steklov")
 
 
 # -- tree codes --------------------------------------------------------------------
@@ -232,58 +237,73 @@ def is_isomorphic(g1: WeightedBoundaryGraph, g2: WeightedBoundaryGraph) -> bool:
 # -- class streams -------------------------------------------------------------------
 
 
-def _cache_dir() -> Path | None:
+def _cache_path(kind: str, n: int) -> Path | None:
+    """Class file under STEKLOV_CACHE_DIR (default ``.steklov-cache``);
+    None when the variable is empty, which turns the cache off."""
     raw = os.environ.get("STEKLOV_CACHE_DIR", ".steklov-cache")
-    if raw == "":
-        return None
-    return Path(raw)
+    return Path(raw) / f"{kind}-n{n}-{GENERATOR_VERSION}.txt" if raw else None
+
+
+def _is_class(kind: str, n: int, codes: list[str]) -> bool:
+    """Whether stored codes can be the class: as many as the oracle count
+    (Otter for trees, OEIS A001349 for connected graphs), distinct, sorted,
+    and each on n vertices (a tree code has one "(" per vertex)."""
+    if kind == "trees":
+        count, sized = free_tree_count(n), all(c.count("(") == n for c in codes)
+    else:
+        count, sized = CONNECTED_COUNTS[n], all(c.startswith(f"g{n}:") for c in codes)
+    return sized and len(codes) == count and codes == sorted(set(codes))
 
 
 def _cache_load(kind: str, n: int) -> list[str] | None:
-    d = _cache_dir()
-    if d is None:
+    """Stored codes of a class, or None on a miss. A file that fails
+    :func:`_is_class` is a miss too: it is logged and the class is
+    generated again."""
+    path = _cache_path(kind, n)
+    if path is None:
         return None
-    path = d / f"{kind}-n{n}-{GENERATOR_VERSION}.txt"
     try:
         text = path.read_text(encoding="utf-8")
     except OSError:
         return None
-    return [line for line in text.splitlines() if line]
+    codes = [line for line in text.splitlines() if line]
+    if not _is_class(kind, n, codes):
+        log.warning("class cache %s does not hold the %d-vertex %s class; "
+                    "generating the class again", path, n, kind)
+        return None
+    return codes
 
 
 def _cache_store(kind: str, n: int, codes: list[str]) -> None:
-    d = _cache_dir()
-    if d is None:
+    """Write a class file through a temporary file in the same directory,
+    so a reader never sees a partial file."""
+    path = _cache_path(kind, n)
+    if path is None:
         return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        d.mkdir(parents=True, exist_ok=True)
-        path = d / f"{kind}-n{n}-{GENERATOR_VERSION}.txt"
-        path.write_text("\n".join(codes) + "\n", encoding="utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text("\n".join(codes) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
     except OSError:
-        pass  # cache is best-effort
+        tmp.unlink(missing_ok=True)  # cache is best-effort
 
 
 class GraphClassStream:
-    """Materialized stream of isomorphism-class representatives with a cursor."""
+    """Materialized isomorphism-class representatives. Every iteration
+    decodes ``codes`` afresh."""
 
     def __init__(self, kind: str, n: int, codes: list[str]):
         self.kind = kind
         self.n = n
         self.codes = codes
-        self.cursor = 0
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def __iter__(self):
         decode = tree_from_code if self.kind == "trees" else graph_from_code
-        while self.cursor < len(self.codes):
-            code = self.codes[self.cursor]
-            self.cursor += 1
-            yield decode(code)
-
-    def reset(self) -> None:
-        self.cursor = 0
+        return (decode(code) for code in self.codes)
 
 
 @lru_cache(maxsize=None)

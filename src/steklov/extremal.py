@@ -26,16 +26,14 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from .clumps import broom_codes
+from .clumps import broom_codes, rooted_broom_codes
 from .enumeration import (
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
     graph_edges,
-    graph_from_code,
     tree_code,
     tree_edges,
-    tree_from_code,
 )
 from .errors import (
     DisconnectedError,
@@ -65,7 +63,13 @@ from .geometry import (
     clump_number,
     clump_rooted_tree,
 )
-from .graph import Role, WeightedBoundaryGraph, combinatorial_graph, make_graph
+from .graph import (
+    Role,
+    WeightedBoundaryGraph,
+    combinatorial_graph,
+    make_graph,
+    subtree_sizes,
+)
 from .spectral import (
     EIG_EQ_TOL,
     dirichlet_steklov_spectrum,
@@ -95,28 +99,6 @@ def theta_value(i: int):
         return Fraction(1, 3)
     with mpmath.workdps(MP_DPS):
         return 1 / (4 * mpmath.cos(mpmath.pi / (2 * i)) ** 2)
-
-
-def lambda_value_mp(l) -> mpmath.mpf:
-    """Lambda(l) in extended precision; mirrors the exact rational case table."""
-    with mpmath.workdps(MP_DPS):
-        l = mpmath.mpf(l) if not isinstance(l, mpmath.mpf) else l
-        if l <= 0:
-            raise InvalidParamsError("need l > 0")
-        if l <= 2:
-            return 1 / l
-        fl = int(mpmath.floor(l))
-        alpha = l - fl
-        if alpha == 0:
-            m = fl // 2
-            if fl % 2 == 0:
-                return mpmath.mpf(1) / (1 + m * m)
-            return mpmath.mpf(1) / (1 + m * (m + 1))
-        if fl % 2 == 0:
-            m = fl // 2
-            return 1 / (1 + m * (m + alpha))
-        m = (fl - 1) // 2
-        return 1 / (1 + (m + alpha) * (m + 1))
 
 
 @dataclass(frozen=True)
@@ -267,7 +249,7 @@ def predicted_bound(n: int, i: int, graph_class: str = "connected") -> ExtremalT
     else:
         bound_exact = None
         with mpmath.workdps(MP_DPS):
-            val = lambda_value_mp(mpmath.mpf(m - 1) + th)
+            val = lambda_value(mpmath.mpf(m - 1) + th)
             bound_f, bound_s = float(val), mpmath.nstr(val, MP_DPS)
     return ExtremalTarget(
         n, i, "i_dividing", bound_f, bound_exact, bound_s, th,
@@ -297,17 +279,17 @@ class SweepResult:
 
 
 def sweep(
-    n: int, i: int, graph_class: str = "trees", jobs: int = 1, tol: float = DEFAULT_TOL
+    n: int, i: int, graph_class: str = "trees", tol: float = DEFAULT_TOL
 ) -> SweepResult:
     """sigma_i over every class of ``graph_class`` on n vertices.
 
-    The whole class is screened with batched float spectra
-    (:func:`unit_steklov_spectra`). Only classes within tol +
-    EIG_EQ_TOL * max(1, |min|) of the batch minimum are decoded, recoded
-    and re-solved one by one with :func:`sigma_value`; the minimum and the
-    argmin set come from those values alone. ``rows`` keep the batch
-    values. ``jobs`` is accepted for compatibility; every sweep runs in
-    process, since the screen costs less than starting a worker.
+    Each stored code is parsed once into an edge list, and the whole class
+    is screened with batched float spectra (:func:`unit_steklov_spectra`).
+    Only classes within tol + EIG_EQ_TOL * max(1, |min|) of the batch
+    minimum are re-solved one by one with :func:`sigma_value`; the minimum
+    and the argmin set come from those values alone. ``rows`` keep the
+    batch values. Classes are listed under their stored codes, except that
+    connected-class members that are trees are listed under their tree code.
     """
     if i < 1:
         raise InvalidParamsError("eigenvalue index is 1-based")
@@ -315,18 +297,18 @@ def sweep(
         if n > MAX_SWEEP_TREE_N:
             raise OutOfSupportedRangeError(
                 f"tree sweeps support n <= {MAX_SWEEP_TREE_N}")
-        codes = enumerate_trees(n).codes
-        parse, decode = tree_edges, tree_from_code
+        codes, parse = enumerate_trees(n).codes, tree_edges
     elif graph_class == "connected":
-        codes = enumerate_connected_graphs(n).codes
-        parse, decode = graph_edges, graph_from_code
+        codes, parse = enumerate_connected_graphs(n).codes, graph_edges
     else:
         raise InvalidParamsError(f"unknown graph class {graph_class!r}")
-    edge_lists = []
-    for code in codes:
+    labels, edge_lists = list(codes), []
+    for j, code in enumerate(codes):
         size, edges = parse(code)
         if size != n:
             raise ParseError(f"class code {code!r} is not on {n} vertices")
+        if graph_class == "connected" and len(edges) == n - 1:
+            labels[j] = tree_code(combinatorial_graph(n, edges))
         edge_lists.append(edges)
     values = np.full(len(codes), math.inf)
     if i <= n:
@@ -334,25 +316,18 @@ def sweep(
 
     screen = float(values.min())
     margin = tol + EIG_EQ_TOL * max(1.0, abs(screen))
-    oracle = {}
-    for j in np.flatnonzero(values <= screen + margin):
-        g = decode(codes[j])
-        oracle[int(j)] = (canonical_code(g), sigma_value(g, i))
-    minimum = min(v for _, v in oracle.values())
-    argmin = {j for j, (_, v) in oracle.items() if v <= minimum + tol}
-    outside = [oracle[j][1] if j in oracle else v
-               for j, v in enumerate(values.tolist()) if j not in argmin]
+    oracle = {
+        int(j): sigma_value(combinatorial_graph(n, edge_lists[j]), i)
+        for j in np.flatnonzero(values <= screen + margin)
+    }
+    minimum = min(oracle.values())
+    argmin = {j for j, v in oracle.items() if v <= minimum + tol}
+    outside = [oracle.get(j, v) for j, v in enumerate(values.tolist()) if j not in argmin]
     finite = [v for v in outside if v < math.inf]
-    # connected-class members that are trees are listed under their tree code
-    recode = graph_class == "connected"
-    rows = sorted(
-        (canonical_code(decode(c)) if recode and len(e) == n - 1 else c, float(v))
-        for c, e, v in zip(codes, edge_lists, values)
-    )
     return SweepResult(
-        rows=tuple(rows),
+        rows=tuple(sorted(zip(labels, values.tolist()))),
         minimum=minimum,
-        argmin_codes=tuple(sorted(oracle[j][0] for j in argmin)),
+        argmin_codes=tuple(sorted(labels[j] for j in argmin)),
         gap=min(finite) - minimum if finite else math.inf,
         rechecked=len(oracle),
     )
@@ -375,17 +350,13 @@ class ExtremalReport:
 
 
 def verify_extremal(
-    n: int,
-    i: int,
-    graph_class: str = "trees",
-    tol: float = DEFAULT_TOL,
-    jobs: int = 1,
+    n: int, i: int, graph_class: str = "trees", tol: float = DEFAULT_TOL
 ) -> ExtremalReport:
     """Sweep a graph class, minimize sigma_i, and match the argmin set
     against the predicted minimizers that belong to the class."""
     t0 = time.monotonic()
     target = predicted_bound(n, i, graph_class)
-    result = sweep(n, i, graph_class, jobs=jobs, tol=tol)
+    result = sweep(n, i, graph_class, tol)
     minimum, argmin = result.minimum, result.argmin_codes
     predicted = tuple(sorted(d.code for d in target.minimizers))
     if target.characterized:
@@ -704,13 +675,7 @@ def verify_lambda1_bound(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     equality = abs(lam1 - bound) <= tol
     structure = None
     if equality and len(g.dirichlet) == 1:
-        codes = set()
-        from .families import build_broom
-
-        for p in sol.brooms:
-            fam = build_broom(p.l, p.i, p.d)
-            codes.add(tree_code(fam.graph, root=fam.landmarks["o"]))
-        structure = tree_code(g, root=g.dirichlet[0]) in codes
+        structure = tree_code(g, root=g.dirichlet[0]) in rooted_broom_codes(sol.brooms)
     return Lambda1BoundVerdict(lam1, bound, l, n, holds, equality, structure)
 
 
@@ -784,31 +749,21 @@ class BipartiteTopVerdict:
     ok: bool
 
 
-def _bipartition(g: WeightedBoundaryGraph) -> list[int]:
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in g.adjacency[x]:
-                if color[y] == -1:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    raise NotBipartiteError("graph contains an odd cycle")
-    return color
-
-
 def verify_bipartite_top(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> BipartiteTopVerdict:
     """Top Laplacian eigenvalue of a connected bipartite graph: simple,
     eigenvector alternating across every edge, and the per-vertex
     zero-distance identity (1/m_x) sum_y w(|f(x)|+|f(y)|)/|f(x)| = mu_max."""
     if not g.is_connected():
         raise DisconnectedError("bipartite top check needs a connected graph")
-    _bipartition(g)
+    if g.edges:
+        # colour by breadth-first depth parity; a connected bipartite graph
+        # has no other 2-colouring, so an edge within a colour closes an odd cycle
+        order, parent, _ = subtree_sizes(g.adjacency)
+        side = {0: 0}
+        for v in order[1:]:
+            side[v] = 1 - side[parent[v]]
+        if any(side[u] == side[v] for u, v, _ in g.edges):
+            raise NotBipartiteError("graph contains an odd cycle")
     res = laplacian_spectrum(g)
     mu = res.eigenvalue(g.n)
     f = res.vectors[:, -1]
@@ -862,28 +817,12 @@ def verify_reg_star(
     if extension is None:
         small = True
     else:
-        ext = extension.graph
-        small = all(
-            len(branch) <= budget
-            for b in ext.adjacency[extension.root]
-            for branch in [_branch_edges(ext, b, extension.root)]
-        )
+        # a branch at the root has as many edges as its subtree has vertices
+        root = extension.root
+        _, _, size = subtree_sizes(extension.graph.adjacency, root)
+        small = all(size[b] <= budget for b in extension.graph.adjacency[root])
     equality = abs(res.eigenvalue(2) - top) <= tol if small else None
     return RegStarVerdict(r, l, sigmas, upper_ok, budget, small, equality)
-
-
-def _branch_edges(g: WeightedBoundaryGraph, start: int, blocked: int) -> list:
-    seen = {blocked, start}
-    stack = [start]
-    edges = [(blocked, start)]
-    while stack:
-        x = stack.pop()
-        for y in g.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-                edges.append((x, y))
-    return edges
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -30,7 +30,9 @@ Number = float | Fraction
 
 
 def as_number(x) -> Number:
-    """Exact Fraction for rational-like inputs (int, Fraction, 'p/q'), float otherwise."""
+    """Exact Fraction for rational-like inputs (int, Fraction, 'p/q'); other
+    reals (float, ``mpmath.mpf``) pass through, so the closed forms also
+    evaluate in the caller's precision."""
     if isinstance(x, bool):
         raise InvalidParamsError("not a number")
     if isinstance(x, Rational):
@@ -40,7 +42,7 @@ def as_number(x) -> Number:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParamsError(f"cannot interpret {x!r} as a length") from exc
-    if isinstance(x, float):
+    if isinstance(x, Real):
         return x
     raise InvalidParamsError(f"cannot interpret {x!r} as a length")
 

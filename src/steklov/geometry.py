@@ -152,21 +152,6 @@ def require_unit_weights(g: WeightedBoundaryGraph) -> None:
         raise NotUnitWeightError("clump numbers need unit edge weights")
 
 
-def _branch(g: WeightedBoundaryGraph, start: int, blocked: int) -> list[int]:
-    """Vertices reachable from ``start`` without passing through ``blocked``."""
-    seen = {blocked, start}
-    stack = [start]
-    out = [start]
-    while stack:
-        x = stack.pop()
-        for y in g.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-                out.append(y)
-    return out
-
-
 def clump_lengths_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[Clump, ...]:
     """Clumps of a unit tree with respect to an arbitrary point.
 
@@ -178,26 +163,28 @@ def clump_lengths_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[C
 
 
 def _clumps_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[Clump, ...]:
+    """Clumps at a point, ordered by attach vertex, from one subtree-size
+    pass rooted at the vertex or at the lower end of the edge."""
     if point.is_vertex:
-        p = point.vertex
-        return tuple(
-            Clump(
-                length=Fraction(len(branch)),
-                vertices=tuple(sorted(branch)),
-                attach=b,
-            )
-            for b in sorted(g.adjacency[p])
-            for branch in [_branch(g, b, p)]
-        )
-    u, v = point.edge
-    t = point.offset
-    side_u = _branch(g, u, v)
-    side_v = _branch(g, v, u)
-    lu = len(side_u) - 1 + t
-    lv = len(side_v) - 1 + (1 - t)
+        root = point.vertex
+        heads = sorted(g.adjacency[root])
+    else:
+        heads = list(point.edge)
+        root = heads[0]
+    order, parent, _ = subtree_sizes(g.adjacency, root)
+    head = dict(zip(heads, heads))  # each vertex's clump, by attach vertex
+    for x in order[1:]:
+        if x not in head:
+            head[x] = head[parent[x]]
+    members = {h: [] for h in heads}
+    for x in sorted(head):
+        members[head[x]].append(x)
+    if point.is_vertex:
+        return tuple(Clump(Fraction(len(members[b])), tuple(members[b]), b) for b in heads)
+    (u, v), t = point.edge, point.offset
     return (
-        Clump(length=lu, vertices=tuple(sorted(side_u)), attach=u),
-        Clump(length=lv, vertices=tuple(sorted(side_v)), attach=v),
+        Clump(length=len(members[u]) - 1 + t, vertices=tuple(members[u]), attach=u),
+        Clump(length=len(members[v]) - 1 + (1 - t), vertices=tuple(members[v]), attach=v),
     )
 
 

@@ -173,14 +173,12 @@ def test_unit_tree_code_matches_tree_code(rng):
         assert unit_tree_code(adj) == tree_code(g)
 
 
-def test_stream_cursor_and_reset():
+def test_stream_iterates_afresh():
+    # a stream holds no cursor: each iteration decodes every class again
     stream = enumerate_trees(5)
     first = [tree_code(g) for g in stream]
     assert len(first) == 3
-    assert list(stream) == []  # exhausted
-    stream.reset()
-    again = [tree_code(g) for g in stream]
-    assert again == first
+    assert [tree_code(g) for g in stream] == first
 
 
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
@@ -190,15 +188,41 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     fname = tmp_path / f"trees-n6-{GENERATOR_VERSION}.txt"
     assert fname.exists()
     assert fname.read_text().split() == list(codes)
+    assert [p.name for p in tmp_path.iterdir()] == [fname.name]  # no temp file left
     # a second call must read back the stored codes
     _tree_codes.cache_clear()
     assert _tree_codes(6) == codes
-    # and the cache is authoritative: seed a bogus entry and observe it
+    # the cache is checked, not authoritative: an entry with the wrong class
+    # count is a miss, and the class is generated and stored again
     bogus = tmp_path / f"trees-n3-{GENERATOR_VERSION}.txt"
     bogus.write_text("()\n")
     _tree_codes.cache_clear()
-    assert _tree_codes(3) == ("()",)
+    assert _tree_codes(3) == ("(1()1())",)
+    assert bogus.read_text() == "(1()1())\n"
     _tree_codes.cache_clear()
+
+
+@pytest.mark.parametrize("kind, n, codes", [
+    ("trees", 9, lambda: _tree_codes(9)),
+    ("connected", 5, lambda: _graph_codes(5)),
+])
+def test_corrupt_cache_entries_are_regenerated(tmp_path, monkeypatch, caplog, kind, n, codes):
+    monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
+    _tree_codes.cache_clear()
+    _graph_codes.cache_clear()
+    good = codes()
+    path = tmp_path / f"{kind}-n{n}-{GENERATOR_VERSION}.txt"
+    # truncated, duplicated and unsorted files each hold a wrong class
+    for lines in (good[:1], good[:-1] + good[:1], good[::-1]):
+        path.write_text("\n".join(lines) + "\n")
+        _tree_codes.cache_clear()
+        _graph_codes.cache_clear()
+        caplog.clear()
+        assert codes() == good
+        assert "generating the class again" in caplog.text
+        assert path.read_text().split() == list(good)
+    _tree_codes.cache_clear()
+    _graph_codes.cache_clear()
 
 
 def test_cache_disabled_by_empty_env(tmp_path, monkeypatch):

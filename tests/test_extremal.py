@@ -37,7 +37,7 @@ from steklov.extremal import (
     verify_sigma_lambda,
     verify_steklov_clump,
 )
-from steklov.families import build_broom, rooted_path
+from steklov.families import RootedTree, build_broom, rooted_path
 from steklov.graph import Role, combinatorial_graph, make_graph
 
 from conftest import path_graph, random_weighted_graph
@@ -450,6 +450,22 @@ def test_bipartite_top_examples():
         verify_bipartite_top(tri)
 
 
+def test_bipartite_gate_matches_brute_force_colouring():
+    # NotBipartiteError exactly when no 2-colouring (vertex 0 on side 0)
+    # leaves every edge across, for every connected class with n <= 7
+    for n in range(1, 8):
+        for g in enumerate_connected_graphs(n):
+            bipartite = any(
+                all((mask >> u & 1) != (mask >> v & 1) for u, v, _ in g.edges)
+                for mask in range(0, 1 << n, 2)
+            )
+            if bipartite:
+                verify_bipartite_top(g)
+            else:
+                with pytest.raises(NotBipartiteError):
+                    verify_bipartite_top(g)
+
+
 def test_bipartite_top_random_trees(rng):
     from conftest import random_unit_tree
 
@@ -475,6 +491,17 @@ def test_reg_star_with_extension():
     assert v2.branch_budget == 1
     assert not v2.branches_small and v2.equality is None
     assert v2.upper_ok
+    # extension rooted at 2 with branches of 1, 2 and 3 edges: {0}, the path
+    # {1, 4} and the fork {3, 5, 6}, which is 3 edges but only 2 deep
+    edges = [(2, 0), (2, 1), (1, 4), (2, 3), (3, 5), (3, 6)]
+    ext = RootedTree(combinatorial_graph(7, edges), 2)
+    for r, l in ((2, 4), (3, 3)):  # budget 3: every branch fits
+        v = verify_reg_star(r, l, extension=ext)
+        assert v.branch_budget == 3 and v.branches_small
+        assert v.upper_ok and v.equality
+    v = verify_reg_star(2, 2, extension=ext)  # budget 2: the fork does not
+    assert v.branch_budget == 2 and not v.branches_small
+    assert v.upper_ok and v.equality is None
 
 
 def test_sigma_lambda_strict(rng):

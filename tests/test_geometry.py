@@ -6,6 +6,7 @@ import pytest
 from steklov.enumeration import enumerate_trees
 from steklov.errors import InvalidParamsError, NotATreeError, NotUnitWeightError
 from steklov.geometry import (
+    Clump,
     ClumpReport,
     GeometricPoint,
     clump_lengths_at,
@@ -86,9 +87,26 @@ def test_clump_fine_grid_oracle():
             assert grid == clump_number(g).clump_number, (n, g.edges)
 
 
+def brute_force_clumps(g, pt):
+    """Clumps at a vertex or edge midpoint from the components of G - p or of
+    G minus the edge, found by ``components``, ordered by attach vertex."""
+    if pt.is_vertex:
+        p = pt.vertex
+        comps = g.components(set(range(g.n)) - {p})
+        attach = [next(x for x in comp if g.has_edge(x, p)) for comp in comps]
+        lengths = [Fraction(len(comp)) for comp in comps]
+    else:
+        comps = g.delete_edges([pt.edge]).components()
+        attach = [next(x for x in pt.edge if x in comp) for comp in comps]
+        lengths = [len(comp) - Fraction(1, 2) for comp in comps]
+    clumps = [Clump(l, tuple(c), a) for l, c, a in zip(lengths, comps, attach)]
+    return tuple(sorted(clumps, key=lambda c: c.attach))
+
+
 def test_clump_number_matches_candidate_scan():
-    # every vertex, then every edge midpoint, each valued by its own clumps;
-    # stored trees and the same trees with their vertex numbers reversed
+    # every vertex, then every edge midpoint, each valued by clumps found by
+    # brute force; stored trees and the same trees with their vertex numbers
+    # reversed
     for n in range(1, 12):
         for stored in enumerate_trees(n):
             flipped = [(n - 1 - u, n - 1 - v) for u, v, _ in stored.edges]
@@ -97,12 +115,13 @@ def test_clump_number_matches_candidate_scan():
                 pts += [
                     GeometricPoint.on_edge(u, v, Fraction(1, 2)) for u, v, _ in g.edges
                 ]
-                values = [clump_number_at(g, p) for p in pts]
+                clumps = [brute_force_clumps(g, p) for p in pts]
+                values = [max((c.length for c in cs), default=0) for cs in clumps]
                 best = min(values)
                 assert values.count(best) == 1, (n, g.edges)
-                pt = pts[values.index(best)]
-                want = ClumpReport(pt, clump_lengths_at(g, pt), best, True)
-                assert clump_number(g) == want, (n, g.edges)
+                j = values.index(best)
+                assert clump_number(g) == ClumpReport(pts[j], clumps[j], best, True)
+                assert all(clump_lengths_at(g, p) == cs for p, cs in zip(pts, clumps))
 
 
 def test_clump_lower_semicontinuity(rng):
