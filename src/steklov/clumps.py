@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 from .enumeration import tree_code
 from .errors import (
@@ -38,9 +39,16 @@ from .geometry import (
 from .graph import WeightedBoundaryGraph, heaviest_branches, subtree_sizes
 
 
-@lru_cache(maxsize=None)
 def rooted_broom_codes(brooms: tuple[BroomParams, ...]) -> frozenset[str]:
-    """Rooted canonical codes of the brooms, rooted at the Dirichlet end."""
+    """Rooted canonical codes of the brooms, rooted at the Dirichlet end.
+    Lengths must be rational: 3.0 == Fraction(3), but it codes as "1.0"."""
+    if not all(isinstance(p.l, Rational) for p in brooms):
+        raise InvalidParamsError("broom codes need rational lengths")
+    return _rooted_broom_codes(brooms)
+
+
+@lru_cache(maxsize=None)
+def _rooted_broom_codes(brooms: tuple[BroomParams, ...]) -> frozenset[str]:
     codes = set()
     for p in brooms:
         fam = build_broom(p.l, p.i, p.d)

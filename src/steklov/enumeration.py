@@ -6,8 +6,10 @@ Dirichlet edges compare correctly; and a minimal-adjacency code for general
 simple graphs, pruned by Weisfeiler-Lehman color refinement. Both codes are
 decodable strings, which is what the on-disk class cache stores.
 
-The main tree stream is networkx's free-tree generator; a Prufer-sequence
-enumeration and an Otter-recurrence counter act as independent oracles.
+Both classes are built from smaller pieces: free trees from the rooted
+branches at their centroids (Otter), connected graphs by joining a vertex to
+a smaller connected graph. Prufer sequences, edge subsets and the Otter
+recurrence give independent oracles.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-
-import networkx as nx
 
 from .errors import (
     InvalidParamsError,
@@ -82,12 +82,18 @@ def tree_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
     return min(_rooted_code(g, c) for c in _centroids(g.adjacency))
 
 
+def _plant(forest) -> str:
+    """Rooted unit code of a root joined by unit edges to the roots of
+    ``forest``, as :func:`tree_code` builds it."""
+    return "(" + "".join(sorted(["1" + code for code in forest])) + ")"
+
+
 def unit_tree_code(adj: list[list[int]]) -> str:
     """``tree_code`` of a unit-weight tree given by adjacency lists; builds
     no graph and no ``Fraction`` (every edge length is "1")."""
 
     def rec(v: int, parent: int) -> str:
-        return "(" + "".join(sorted(["1" + rec(u, v) for u in adj[v] if u != parent])) + ")"
+        return _plant(rec(u, v) for u in adj[v] if u != parent)
 
     return min(rec(c, -1) for c in _centroids(adj))
 
@@ -237,13 +243,6 @@ def is_isomorphic(g1: WeightedBoundaryGraph, g2: WeightedBoundaryGraph) -> bool:
 # -- class streams -------------------------------------------------------------------
 
 
-def _cache_path(kind: str, n: int) -> Path | None:
-    """Class file under STEKLOV_CACHE_DIR (default ``.steklov-cache``);
-    None when the variable is empty, which turns the cache off."""
-    raw = os.environ.get("STEKLOV_CACHE_DIR", ".steklov-cache")
-    return Path(raw) / f"{kind}-n{n}-{GENERATOR_VERSION}.txt" if raw else None
-
-
 def _is_class(kind: str, n: int, codes: list[str]) -> bool:
     """Whether stored codes can be the class: as many as the oracle count
     (Otter for trees, OEIS A001349 for connected graphs), distinct, sorted,
@@ -255,13 +254,10 @@ def _is_class(kind: str, n: int, codes: list[str]) -> bool:
     return sized and len(codes) == count and codes == sorted(set(codes))
 
 
-def _cache_load(kind: str, n: int) -> list[str] | None:
+def _cache_load(kind: str, n: int, path: Path) -> list[str] | None:
     """Stored codes of a class, or None on a miss. A file that fails
     :func:`_is_class` is a miss too: it is logged and the class is
     generated again."""
-    path = _cache_path(kind, n)
-    if path is None:
-        return None
     try:
         text = path.read_text(encoding="utf-8")
     except OSError:
@@ -274,12 +270,9 @@ def _cache_load(kind: str, n: int) -> list[str] | None:
     return codes
 
 
-def _cache_store(kind: str, n: int, codes: list[str]) -> None:
+def _cache_store(path: Path, codes: list[str]) -> None:
     """Write a class file through a temporary file in the same directory,
     so a reader never sees a partial file."""
-    path = _cache_path(kind, n)
-    if path is None:
-        return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -306,20 +299,63 @@ class GraphClassStream:
         return (decode(code) for code in self.codes)
 
 
-@lru_cache(maxsize=None)
-def _tree_codes(n: int) -> tuple[str, ...]:
-    cached = _cache_load("trees", n)
-    if cached is not None:
-        return tuple(cached)
+def _forests(pool: list[tuple[int, str]], total: int, start: int = 0):
+    """Multisets of rooted codes from ``pool[start:]`` (pairs of size and
+    code, by ascending size) whose sizes sum to ``total``."""
+    if total == 0:
+        yield ()
+    for j in range(start, len(pool)):
+        size, code = pool[j]
+        if size > total:
+            return
+        for rest in _forests(pool, total - size, j):
+            yield (code,) + rest
+
+
+def _tree_class(n: int) -> list[str]:
+    """Codes of the free trees on n vertices, each built once from its
+    centroid (Otter): a unique centroid has branches of fewer than n/2
+    vertices; two centroids split the tree into two halves of n/2."""
+    pool: list[tuple[int, str]] = []  # rooted codes on fewer than n/2 vertices
+    for size in range(1, (n + 1) // 2):
+        pool += [(size, _plant(f)) for f in _forests(pool, size - 1)]
+    codes = [_plant(f) for f in _forests(pool, n - 1)]
+    halves = [(f, _plant(f)) for f in _forests(pool, n // 2 - 1)] if n % 2 == 0 else []
+    for (fa, a), (fb, b) in itertools.combinations_with_replacement(halves, 2):
+        codes.append(min(_plant(fa + (b,)), _plant(fb + (a,))))
+    return codes
+
+
+def _connected_class(n: int) -> set[str]:
+    """Codes of the connected graphs on n vertices: removing a spanning-tree
+    leaf leaves a connected graph on n - 1, so join a vertex to its subsets."""
     if n == 1:
-        codes = ["()"]
-    else:
-        codes = [
-            tree_code(combinatorial_graph(n, t.edges()))
-            for t in nx.nonisomorphic_trees(n)
-        ]
-    codes.sort()
-    _cache_store("trees", n, codes)
+        return {"g1:0"}
+    codes = set()
+    for code in _class_codes("connected", n - 1):
+        _, edges = graph_edges(code)
+        for mask in range(1, 1 << (n - 1)):
+            joins = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
+            codes.add(graph_code(combinatorial_graph(n, edges + joins)))
+    return codes
+
+
+def _class_codes(kind: str, n: int) -> tuple[str, ...]:
+    """Sorted codes of a class, memoised per class file under
+    STEKLOV_CACHE_DIR (default ``.steklov-cache``; empty turns the cache
+    off), so that a change of it or of the working directory is honoured."""
+    raw = os.environ.get("STEKLOV_CACHE_DIR", ".steklov-cache")
+    path = Path(raw).absolute() / f"{kind}-n{n}-{GENERATOR_VERSION}.txt" if raw else None
+    return _load_class(kind, n, path)
+
+
+@lru_cache(maxsize=None)
+def _load_class(kind: str, n: int, path: Path | None) -> tuple[str, ...]:
+    codes = _cache_load(kind, n, path) if path else None
+    if codes is None:
+        codes = sorted((_tree_class if kind == "trees" else _connected_class)(n))
+        if path:
+            _cache_store(path, codes)
     return tuple(codes)
 
 
@@ -328,36 +364,7 @@ def enumerate_trees(n: int) -> GraphClassStream:
     degree-based boundary."""
     if not 1 <= n <= MAX_TREE_N:
         raise OutOfSupportedRangeError(f"tree enumeration supports 1 <= n <= {MAX_TREE_N}")
-    return GraphClassStream("trees", n, list(_tree_codes(n)))
-
-
-@lru_cache(maxsize=None)
-def _graph_codes(n: int) -> tuple[str, ...]:
-    cached = _cache_load("connected", n)
-    if cached is not None:
-        return tuple(cached)
-    # Orderly augmentation: grow the set of all graphs on n vertices (up to
-    # isomorphism) one edge at a time, then keep the connected ones.
-    layer = {graph_code(combinatorial_graph(n, []))}
-    seen = set(layer)
-    max_edges = n * (n - 1) // 2
-    for _ in range(max_edges):
-        nxt = set()
-        for code in layer:
-            g = graph_from_code(code)
-            present = {(u, v) for u, v, _ in g.edges}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if (i, j) not in present:
-                        h = combinatorial_graph(
-                            n, sorted(present | {(i, j)})
-                        )
-                        nxt.add(graph_code(h))
-        layer = nxt - seen
-        seen |= nxt
-    codes = sorted(c for c in seen if graph_from_code(c).is_connected())
-    _cache_store("connected", n, codes)
-    return tuple(codes)
+    return GraphClassStream("trees", n, list(_class_codes("trees", n)))
 
 
 def enumerate_connected_graphs(n: int) -> GraphClassStream:
@@ -366,7 +373,7 @@ def enumerate_connected_graphs(n: int) -> GraphClassStream:
         raise OutOfSupportedRangeError(
             f"connected-graph enumeration supports 1 <= n <= {MAX_GRAPH_N}"
         )
-    return GraphClassStream("connected", n, list(_graph_codes(n)))
+    return GraphClassStream("connected", n, list(_class_codes("connected", n)))
 
 
 # -- independent oracles ----------------------------------------------------------

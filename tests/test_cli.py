@@ -170,15 +170,13 @@ def test_verify_jobs_deterministic(capsys):
 def test_verify_regenerates_truncated_cache(tmp_path, monkeypatch, capsys, caplog):
     # a class file holding only the predicted dumbbell must not shrink the
     # sweep to one class: the cache is checked against the Otter count
-    from steklov.enumeration import GENERATOR_VERSION, _tree_codes
+    from steklov.enumeration import GENERATOR_VERSION
     from steklov.extremal import predicted_bound
 
     monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
     (dumbbell,) = (d.code for d in predicted_bound(9, 2, "trees").minimizers)
     (tmp_path / f"trees-n9-{GENERATOR_VERSION}.txt").write_text(dumbbell + "\n")
-    _tree_codes.cache_clear()
     code, out, _ = run(capsys, ["--cache-dir", str(tmp_path), "verify", "--n", "9", "--i", "2"])
-    _tree_codes.cache_clear()
     assert code == 0
     payload = json.loads(out)["payload"]
     assert payload["class_size"] == 47 and payload["argmin"] == [dumbbell]

@@ -14,6 +14,7 @@ from steklov.clumps import (
     TypeABClassification,
     TypeAWitness,
     TypeBWitness,
+    broom_codes,
     classify_type_AB,
     find_removal_for_clump,
     find_removal_sub_k,
@@ -55,6 +56,15 @@ def test_minimal_broom_codes_small():
     # odd length >= 3 has two minimal brooms
     assert len(minimal_broom_codes(3)) == 2
     assert len(minimal_broom_codes(4)) == 1
+
+
+def test_broom_codes_reject_float_lengths():
+    # 3.0 == Fraction(3), so a cache shared by both would hand "(1.0(...))"
+    # codes, which match no unit clump, to Fraction callers
+    with pytest.raises(InvalidParamsError):
+        broom_codes(3.0)
+    codes = broom_codes(Fraction(3))
+    assert codes == minimal_broom_codes(3) and not any("1.0" in c for c in codes)
 
 
 def test_sub_k_examples():
