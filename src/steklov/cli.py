@@ -469,6 +469,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    saved = os.environ.get("STEKLOV_CACHE_DIR")
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
@@ -494,6 +495,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"ERROR {EXIT_USAGE}: {exc}\n")
         return EXIT_USAGE
+    finally:  # --cache-dir holds for this run only
+        if saved is None:
+            os.environ.pop("STEKLOV_CACHE_DIR", None)
+        else:
+            os.environ["STEKLOV_CACHE_DIR"] = saved
 
 
 if __name__ == "__main__":  # pragma: no cover

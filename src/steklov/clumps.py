@@ -6,10 +6,11 @@ exhaustion that no witness exists. The removal searches share one walk over
 edge subsets, ordered by size and then lexicographically by edge index, and
 list components by least vertex, so results are deterministic. Each
 component's clump number comes from one subtree-size pass over plain
-adjacency lists. The type A split needs no search: it is unique when it
-exists. When a guarantee applies (the hypotheses of the underlying removal
-lemmas hold) and no witness is found, the run fails loudly with
-CertificationError instead of returning a quiet negative.
+adjacency lists, and a clump is told to be a minimal broom by its shape
+(:func:`~steklov.families.broom_shape`). The type A split needs no search:
+it is unique when it exists. When a guarantee applies (the hypotheses of
+the underlying removal lemmas hold) and no witness is found, the run fails
+loudly with CertificationError instead of returning a quiet negative.
 """
 
 from __future__ import annotations
@@ -17,56 +18,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from numbers import Rational
 
-from .enumeration import tree_code
 from .errors import (
     CertificationError,
     HypothesisViolatedError,
     InvalidParamsError,
     NotATreeError,
 )
-from .families import BroomParams, build_broom, minimal_broom_total
-from .geometry import (
-    GeometricPoint,
-    clump_lengths_at,
-    clump_number,
-    clump_rooted_tree,
-    doubled_clump_number,
-    require_unit_weights,
-)
+from .families import broom_shape, minimal_broom_total
+from .geometry import clump_number, doubled_clump_number, require_unit_weights
 from .graph import WeightedBoundaryGraph, heaviest_branches, subtree_sizes
-
-
-def rooted_broom_codes(brooms: tuple[BroomParams, ...]) -> frozenset[str]:
-    """Rooted canonical codes of the brooms, rooted at the Dirichlet end.
-    Lengths must be rational: 3.0 == Fraction(3), but it codes as "1.0"."""
-    if not all(isinstance(p.l, Rational) for p in brooms):
-        raise InvalidParamsError("broom codes need rational lengths")
-    return _rooted_broom_codes(brooms)
-
-
-@lru_cache(maxsize=None)
-def _rooted_broom_codes(brooms: tuple[BroomParams, ...]) -> frozenset[str]:
-    codes = set()
-    for p in brooms:
-        fam = build_broom(p.l, p.i, p.d)
-        codes.add(tree_code(fam.graph, root=fam.landmarks["o"]))
-    return frozenset(codes)
-
-
-def broom_codes(l) -> frozenset[str]:
-    """:func:`rooted_broom_codes` of the minimal brooms Br(l) of total
-    length l > 0."""
-    return rooted_broom_codes(minimal_broom_total(l).brooms)
-
-
-def minimal_broom_codes(k: int) -> frozenset[str]:
-    """:func:`broom_codes` of an integer total length k >= 1."""
-    if k < 1:
-        raise InvalidParamsError("need k >= 1")
-    return broom_codes(k)
 
 
 @dataclass(frozen=True)
@@ -101,21 +62,15 @@ def is_sub_k(g: WeightedBoundaryGraph, k: int) -> SubKWitness:
     cn = clump_number(g).clump_number
     if cn != k:
         return SubKWitness(cn < k, k, cn, ())
-    codes = minimal_broom_codes(k)
-    heaviest = heaviest_branches(*subtree_sizes(g.adjacency))
+    arms = minimal_broom_total(k).shapes
+    adj = g.adjacency
+    heaviest = heaviest_branches(*subtree_sizes(adj))
     candidates = []
     for o in range(g.n):
         if heaviest[o] != k:  # the clump number at vertex o
             continue
-        pt = GeometricPoint.at_vertex(o)
-        matches = []
-        for clump in clump_lengths_at(g, pt):
-            if clump.length != k:
-                continue  # a minimal broom of total length k has length k
-            rooted, root = clump_rooted_tree(g, pt, clump)
-            if tree_code(rooted, root=root) in codes:
-                matches.append(clump.attach)
-        candidates.append(SubKCandidate(o, tuple(matches), len(matches) <= 1))
+        matches = tuple(b for b in sorted(adj[o]) if broom_shape(adj, o, b, 1) in arms)
+        candidates.append(SubKCandidate(o, matches, len(matches) <= 1))
     ok = any(c.ok for c in candidates)
     return SubKWitness(ok, k, cn, tuple(candidates))
 
@@ -229,16 +184,10 @@ def find_removal_for_clump(
 
 
 def _star_exception(g: WeightedBoundaryGraph, r: int, k: int) -> StarException | None:
-    codes = minimal_broom_codes(k)
+    arms = minimal_broom_total(k).shapes
+    adj = g.adjacency
     for c in range(g.n):
-        if g.degree(c) != r + 2:
-            continue
-        pt = GeometricPoint.at_vertex(c)
-        clumps = clump_lengths_at(g, pt)
-        def is_broom(cl):
-            rooted, root = clump_rooted_tree(g, pt, cl)
-            return cl.length == k and tree_code(rooted, root=root) in codes
-        if all(is_broom(cl) for cl in clumps):
+        if len(adj[c]) == r + 2 and all(broom_shape(adj, c, b, 1) in arms for b in adj[c]):
             return StarException(center=c, k=k, r=r)
     return None
 

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .graph import (
     WeightedBoundaryGraph,
+    adjacency_sets,
     combinatorial_graph,
     heaviest_branches,
     make_graph,
@@ -55,15 +56,19 @@ def _edge_length_str(w) -> str:
     return str(Fraction(1) / Fraction(w))
 
 
-def _rooted_code(g: WeightedBoundaryGraph, root: int) -> str:
+def _rooted_code(adj, root: int, label) -> str:
+    """Rooted code of the tree ``adj``: each vertex lists its children
+    sorted, each after ``label(v, u)``, the length of the edge to it."""
+
     def rec(v: int, parent: int) -> str:
-        parts = []
-        for u in g.adjacency[v]:
-            if u != parent:
-                parts.append(_edge_length_str(g.weight(v, u)) + rec(u, v))
+        parts = [label(v, u) + rec(u, v) for u in adj[v] if u != parent]
         return "(" + "".join(sorted(parts)) + ")"
 
     return rec(root, -1)
+
+
+def _unit_length(v: int, u: int) -> str:
+    return "1"
 
 
 def _centroids(adj) -> list[int]:
@@ -77,9 +82,13 @@ def tree_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
     """Canonical code of a (metric) tree; rooted when ``root`` is given."""
     if not g.is_tree():
         raise NotATreeError("tree codes need a tree")
-    if root is not None:
-        return _rooted_code(g, root)
-    return min(_rooted_code(g, c) for c in _centroids(g.adjacency))
+    adj = g.adjacency
+
+    def label(v: int, u: int) -> str:
+        return _edge_length_str(adj[v][u])
+
+    roots = [root] if root is not None else _centroids(adj)
+    return min(_rooted_code(adj, r, label) for r in roots)
 
 
 def _plant(forest) -> str:
@@ -88,14 +97,10 @@ def _plant(forest) -> str:
     return "(" + "".join(sorted(["1" + code for code in forest])) + ")"
 
 
-def unit_tree_code(adj: list[list[int]]) -> str:
-    """``tree_code`` of a unit-weight tree given by adjacency lists; builds
-    no graph and no ``Fraction`` (every edge length is "1")."""
-
-    def rec(v: int, parent: int) -> str:
-        return _plant(rec(u, v) for u in adj[v] if u != parent)
-
-    return min(rec(c, -1) for c in _centroids(adj))
+def unit_tree_code(adj) -> str:
+    """``tree_code`` of a unit-weight tree given by neighbour lists or
+    sets; builds no graph and no ``Fraction`` (every edge length is "1")."""
+    return min(_rooted_code(adj, c, _unit_length) for c in _centroids(adj))
 
 
 def tree_edges(code: str) -> tuple[int, list[tuple[int, int]]]:
@@ -178,12 +183,16 @@ def _wl_colors(adj: list[set[int]], n: int) -> list[int]:
 def graph_code(g: WeightedBoundaryGraph) -> str:
     """Lexicographically minimal adjacency bits over WL-partition-respecting
     permutations. Exact canonical form; intended for n <= 10."""
-    n = g.n
-    if n > MAX_CODE_N:
+    if g.n > MAX_CODE_N:
         raise OutOfSupportedRangeError(f"general codes support n <= {MAX_CODE_N}")
     if any(w != 1 for _, _, w in g.edges):
         raise InvalidParamsError("general graph codes are for unit-weight graphs")
-    adj = [set(g.adjacency[v]) for v in range(n)]
+    return _adjacency_code([set(g.adjacency[v]) for v in range(g.n)])
+
+
+def _adjacency_code(adj: list[set[int]]) -> str:
+    """:func:`graph_code` of the simple graph with neighbour sets ``adj``."""
+    n = len(adj)
     colors = _wl_colors(adj, n)
     cells: dict[int, list[int]] = {}
     for v in range(n):
@@ -295,8 +304,9 @@ class GraphClassStream:
         return len(self.codes)
 
     def __iter__(self):
-        decode = tree_from_code if self.kind == "trees" else graph_from_code
-        return (decode(code) for code in self.codes)
+        if self.kind == "trees":
+            return (combinatorial_graph(*tree_edges(code)) for code in self.codes)
+        return (graph_from_code(code) for code in self.codes)
 
 
 def _forests(pool: list[tuple[int, str]], total: int, start: int = 0):
@@ -331,12 +341,13 @@ def _connected_class(n: int) -> set[str]:
     leaf leaves a connected graph on n - 1, so join a vertex to its subsets."""
     if n == 1:
         return {"g1:0"}
+    joins = [{v for v in range(n - 1) if mask >> v & 1} for mask in range(1, 1 << (n - 1))]
     codes = set()
     for code in _class_codes("connected", n - 1):
-        _, edges = graph_edges(code)
-        for mask in range(1, 1 << (n - 1)):
-            joins = [(v, n - 1) for v in range(n - 1) if mask >> v & 1]
-            codes.add(graph_code(combinatorial_graph(n, edges + joins)))
+        base = adjacency_sets(*graph_edges(code))
+        for new in joins:
+            adj = [nbrs | {n - 1} if v in new else nbrs for v, nbrs in enumerate(base)]
+            codes.add(_adjacency_code(adj + [new]))
     return codes
 
 

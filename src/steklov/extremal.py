@@ -26,14 +26,13 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from .clumps import broom_codes, rooted_broom_codes
 from .enumeration import (
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
     graph_edges,
-    tree_code,
     tree_edges,
+    unit_tree_code,
 )
 from .errors import (
     DisconnectedError,
@@ -53,19 +52,17 @@ from .families import (
     build_dumbbell,
     build_path,
     build_star,
+    broom_shape,
     lambda_value,
     minimal_broom,
     minimal_broom_total,
     rooted_path,
 )
-from .geometry import (
-    GeometricPoint,
-    clump_number,
-    clump_rooted_tree,
-)
+from .geometry import clump_number
 from .graph import (
     Role,
     WeightedBoundaryGraph,
+    adjacency_sets,
     combinatorial_graph,
     make_graph,
     subtree_sizes,
@@ -308,7 +305,7 @@ def sweep(
         if size != n:
             raise ParseError(f"class code {code!r} is not on {n} vertices")
         if graph_class == "connected" and len(edges) == n - 1:
-            labels[j] = tree_code(combinatorial_graph(n, edges))
+            labels[j] = unit_tree_code(adjacency_sets(n, edges))
         edge_lists.append(edges)
     values = np.full(len(codes), math.inf)
     if i <= n:
@@ -675,7 +672,9 @@ def verify_lambda1_bound(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     equality = abs(lam1 - bound) <= tol
     structure = None
     if equality and len(g.dirichlet) == 1:
-        structure = tree_code(g, root=g.dirichlet[0]) in rooted_broom_codes(sol.brooms)
+        o = g.dirichlet[0]
+        (attach,) = g.adjacency[o]  # o is a leaf
+        structure = broom_shape(g.adjacency, o, attach, l) in sol.shapes
     return Lambda1BoundVerdict(lam1, bound, l, n, holds, equality, structure)
 
 
@@ -699,14 +698,14 @@ def verify_steklov_clump(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     sigma2 = sigma_value(g, 2)
     holds = sigma2 >= bound - tol
     equality = abs(sigma2 - bound) <= tol
-    codes = broom_codes(cn)
+    pt, brooms = rep.point, minimal_broom_total(cn).shapes
     matches = 0
     for clump in rep.clumps:
-        if clump.length != cn:
-            continue
-        rooted, root = clump_rooted_tree(g, rep.point, clump)
-        if tree_code(rooted, root=root) in codes:
-            matches += 1
+        # from a midpoint the walk leaves the edge's other end behind; the
+        # root edge is what the clump's length adds to its unit edges
+        root = pt.vertex if pt.is_vertex else sum(pt.edge) - clump.attach
+        first = clump.length - (len(clump.vertices) - 1)
+        matches += broom_shape(g.adjacency, root, clump.attach, first) in brooms
     return ClumpBoundVerdict(
         sigma2, cn, bound, holds, equality, matches,
         rigidity_consistent=(matches >= 2) == equality,

@@ -2,7 +2,9 @@
 
 Brooms Br(l,i,d), minimal brooms Br(l,n) / Br(l) with the values
 Lambda(l,n) / Lambda(l), dumbbells, stars, regular combs, paths and
-cycles. Closed-form values are exact Fractions whenever the inputs are
+cycles. :func:`broom_shape` reads which broom, if any, a branch of a tree
+is, so a minimal broom is recognised by comparing its result with a
+solution's ``shapes``. Closed-form values are exact Fractions whenever the inputs are
 rational; numeric conformance against the spectral module is exercised in
 the tests.
 """
@@ -90,6 +92,11 @@ class MinimalBroomSolution:
     brooms: tuple[BroomParams, ...]
     split_indices: tuple[int, ...]
 
+    @property
+    def shapes(self) -> frozenset[BroomParams]:
+        """The brooms normalized, as :func:`broom_shape` reports them."""
+        return frozenset(p.normalized() for p in self.brooms)
+
 
 # -- brooms --------------------------------------------------------------------
 
@@ -113,6 +120,27 @@ def build_broom(l, i: int, d: int) -> FamilyGraph:
     landmarks.update({f"u{j + 1}": i + 2 + j for j in range(d)})
     g = make_graph(n, edges, roles=roles)
     return FamilyGraph(g, landmarks, "broom", {"l": l, "i": i, "d": d})
+
+
+def broom_shape(adj, root: int, attach: int, first) -> BroomParams | None:
+    """The broom that the branch of the tree ``adj`` through the edge from
+    ``root`` to ``attach`` is, as a rooted tree whose root edge has length
+    ``first`` and every other edge length 1; None when it is no broom.
+
+    The path runs from ``attach`` while each vertex has exactly one child,
+    and must end in a leaf or in d >= 2 leaves, so d is never 1 and the
+    result is normalized. Only the shape is read: the caller vouches for the
+    unit lengths.
+    """
+    parent, v, i = root, attach, 0
+    while True:
+        children = [u for u in adj[v] if u != parent]
+        if len(children) != 1:
+            break
+        parent, v, i = v, children[0], i + 1
+    if any(len(adj[u]) != 1 for u in children):
+        return None
+    return BroomParams(first, i, len(children))
 
 
 def broom_lambda1(l, i: int, d: int) -> Number:

@@ -240,25 +240,6 @@ def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
     return ClumpReport(pt, _clumps_at(g, pt), Fraction(best, 2), True)
 
 
-def clump_rooted_tree(
-    g: WeightedBoundaryGraph, point: GeometricPoint, clump: Clump
-) -> tuple[WeightedBoundaryGraph, int]:
-    """A clump as a rooted metric tree; the evaluation point becomes the root.
-
-    The edge from the root to the attach vertex keeps its metric length
-    (1 from a vertex point, 1/2 from a midpoint), encoded as weight 1/length.
-    """
-    verts = list(clump.vertices)
-    index = {x: k + 1 for k, x in enumerate(verts)}
-    first_len = Fraction(1) if point.is_vertex else Fraction(1, 2)
-    edges = [(0, index[clump.attach], Fraction(1) / first_len)]
-    vset = set(verts)
-    for u, v, w in g.edges:
-        if u in vset and v in vset:
-            edges.append((index[u], index[v], w))
-    return make_graph(len(verts) + 1, edges), 0
-
-
 # -- nodal domains -------------------------------------------------------------------
 
 

@@ -41,6 +41,15 @@ def _norm_edge(x: int, y: int) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
+def adjacency_sets(n: int, edges) -> list[set[int]]:
+    """Neighbour sets of the simple graph on vertices 0..n-1 with ``edges``."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def subtree_sizes(adj, root: int = 0) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """One breadth-first pass over the tree holding ``root``.
 

@@ -1,11 +1,39 @@
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from steklov.enumeration import tree_code
+from steklov.families import build_broom, minimal_broom_total
 from steklov.graph import Role, combinatorial_boundary, combinatorial_graph, make_graph
 
 
 def path_graph(n):
     return combinatorial_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def clump_rooted_tree(g, point, clump):
+    """Oracle for broom matching: a clump as a rooted metric tree whose
+    root is the evaluation point. The edge from the root to the attach
+    vertex keeps its metric length (1 from a vertex point, 1/2 from a
+    midpoint), encoded as weight 1/length. Returns (tree, root)."""
+    verts = list(clump.vertices)
+    index = {x: k + 1 for k, x in enumerate(verts)}
+    first_len = Fraction(1) if point.is_vertex else Fraction(1, 2)
+    edges = [(0, index[clump.attach], Fraction(1) / first_len)]
+    vset = set(verts)
+    edges += [(index[u], index[v], w) for u, v, w in g.edges if u in vset and v in vset]
+    return make_graph(len(verts) + 1, edges), 0
+
+
+@lru_cache(maxsize=None)
+def broom_codes(l):
+    """Oracle for broom matching: rooted codes, at the Dirichlet end, of
+    the minimal brooms of total length l (a rational; a float would code
+    its lengths as "1.0")."""
+    fams = [build_broom(p.l, p.i, p.d) for p in minimal_broom_total(l).brooms]
+    return frozenset(tree_code(f.graph, root=f.landmarks["o"]) for f in fams)
 
 
 def random_tree_edges(rng, n):

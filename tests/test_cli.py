@@ -167,6 +167,27 @@ def test_verify_jobs_deterministic(capsys):
     assert serial == parallel  # byte-identical reports
 
 
+def test_clump_cert_star_exception_float_weights(tmp_path, capsys):
+    # P5 stored with "w": 1.0 is the same unit tree, so the same verdict
+    p = tmp_path / "p5.json"
+    doc = json.loads(Path(write_path(tmp_path, 5)).read_text())
+    for e in doc["edges"]:
+        e["w"] = 1.0
+    p.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["clump-cert", str(p), "--r", "0", "--k", "2", "--sub-k"])
+    assert code == 0
+    assert json.loads(out)["payload"]["verdict"] == "star-exception"
+
+
+def test_cache_dir_flag_leaves_environment(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STEKLOV_CACHE_DIR", "X")
+    code, _, _ = run(capsys, ["--cache-dir", str(tmp_path), "selftest"])
+    assert code == 0 and os.environ["STEKLOV_CACHE_DIR"] == "X"
+    monkeypatch.delenv("STEKLOV_CACHE_DIR")
+    run(capsys, ["--cache-dir", str(tmp_path), "selftest"])
+    assert "STEKLOV_CACHE_DIR" not in os.environ
+
+
 def test_verify_regenerates_truncated_cache(tmp_path, monkeypatch, capsys, caplog):
     # a class file holding only the predicted dumbbell must not shrink the
     # sweep to one class: the cache is checked against the Otter count

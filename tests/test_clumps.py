@@ -14,12 +14,10 @@ from steklov.clumps import (
     TypeABClassification,
     TypeAWitness,
     TypeBWitness,
-    broom_codes,
     classify_type_AB,
     find_removal_for_clump,
     find_removal_sub_k,
     is_sub_k,
-    minimal_broom_codes,
 )
 from steklov.enumeration import enumerate_trees, tree_code
 from steklov.errors import (
@@ -34,7 +32,6 @@ from steklov.geometry import (
     clump_lengths_at,
     clump_number,
     clump_number_at,
-    clump_rooted_tree,
 )
 from steklov.extremal import sigma_value
 from steklov.families import (
@@ -44,27 +41,9 @@ from steklov.families import (
     lambda_value,
     rooted_path,
 )
-from steklov.graph import combinatorial_graph
+from steklov.graph import combinatorial_graph, make_graph
 
-from conftest import path_graph
-
-
-def test_minimal_broom_codes_small():
-    # total length 1 and 2: the path itself is the unique minimal broom
-    assert len(minimal_broom_codes(1)) == 1
-    assert len(minimal_broom_codes(2)) == 1
-    # odd length >= 3 has two minimal brooms
-    assert len(minimal_broom_codes(3)) == 2
-    assert len(minimal_broom_codes(4)) == 1
-
-
-def test_broom_codes_reject_float_lengths():
-    # 3.0 == Fraction(3), so a cache shared by both would hand "(1.0(...))"
-    # codes, which match no unit clump, to Fraction callers
-    with pytest.raises(InvalidParamsError):
-        broom_codes(3.0)
-    codes = broom_codes(Fraction(3))
-    assert codes == minimal_broom_codes(3) and not any("1.0" in c for c in codes)
+from conftest import broom_codes, clump_rooted_tree, path_graph
 
 
 def test_sub_k_examples():
@@ -293,7 +272,7 @@ def oracle_is_sub_k(g, k):
     cn = clump_number(g).clump_number
     if cn != k:
         return SubKWitness(cn < k, k, cn, ())
-    codes = minimal_broom_codes(k)
+    codes = broom_codes(k)
     candidates = []
     for o in range(g.n):
         pt = GeometricPoint.at_vertex(o)
@@ -334,7 +313,7 @@ def oracle_removal_sub_k(g, r, k):
     found = _first_removal(g, _edge_subsets(g, r), judge)
     if found is not None:
         return RemovalCertificate(*found, None)
-    codes = minimal_broom_codes(k)
+    codes = broom_codes(k)
     for c in range(g.n):
         if g.degree(c) != r + 2:
             continue
@@ -432,3 +411,21 @@ def test_is_sub_k_matches_vertex_scan():
     for g in _trees(10):
         for k in range(1, 5):
             assert is_sub_k(g, k) == oracle_is_sub_k(g, k), (g.edges, k)
+
+
+def _float_twin(g):
+    """The same tree with every weight stored as the float 1.0."""
+    return make_graph(g.n, [(u, v, 1.0) for u, v, _ in g.edges], roles=g.roles)
+
+
+def test_float_unit_weights_give_integer_verdicts():
+    # 1.0 == 1 passes the unit-weight checks, so the verdicts must agree too
+    for g in _trees(10):
+        h, m = _float_twin(g), len(g.edges)
+        for k in range(1, 5):
+            assert _outcome(is_sub_k, h, k) == _outcome(is_sub_k, g, k), (g.edges, k)
+        for k in range(1, m + 1):
+            r = m // k - 2
+            if r >= 0 and m == (r + 2) * k:
+                got = _outcome(find_removal_sub_k, h, r, k)
+                assert got == _outcome(find_removal_sub_k, g, r, k), (g.edges, r, k)

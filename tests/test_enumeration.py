@@ -228,6 +228,14 @@ def test_stream_iterates_afresh():
     assert [tree_code(g) for g in stream] == first
 
 
+def test_streamed_trees_equal_decoded_codes():
+    # the stream reads unit edges straight from each code; the metric
+    # decoder builds the same graph from it
+    for n in range(1, 13):
+        stream = enumerate_trees(n)
+        assert list(stream) == [tree_from_code(code) for code in stream.codes], n
+
+
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
     codes = _class_codes("trees", 6)

@@ -37,7 +37,7 @@ from steklov.extremal import (
     verify_sigma_lambda,
     verify_steklov_clump,
 )
-from steklov.families import RootedTree, build_broom, rooted_path
+from steklov.families import RootedTree, build_broom, minimal_broom, rooted_path
 from steklov.graph import Role, combinatorial_graph, make_graph
 
 from conftest import path_graph, random_weighted_graph
@@ -421,6 +421,22 @@ def test_steklov_clump_p4():
     v = verify_steklov_clump(path_graph(2))
     assert v.clump == Fraction(1, 2) and v.broom_clumps == 2
     assert v.equality and v.rigidity_consistent
+
+
+def test_lambda1_bound_float_dirichlet_length():
+    # a Dirichlet edge of float length is still the minimal broom's edge
+    for l in (2.5, 0.1):
+        for n in range(6):
+            for p in minimal_broom(l, n).brooms:
+                v = verify_lambda1_bound(build_broom(l, p.i, p.d).graph)
+                assert v.equality and v.structure_matches, (l, p)
+
+
+def test_steklov_clump_float_weights_match_integer():
+    for n in range(2, 11):
+        for g in enumerate_trees(n):
+            h = make_graph(g.n, [(u, v, 1.0) for u, v, _ in g.edges], roles=g.roles)
+            assert verify_steklov_clump(h) == verify_steklov_clump(g), g.edges
 
 
 def test_steklov_clump_sweep():

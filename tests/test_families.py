@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -5,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from steklov.enumeration import enumerate_trees, tree_code
 from steklov.errors import InvalidParamsError
 from steklov.families import (
     BroomParams,
     broom_eigenfunction,
     broom_lambda1,
+    broom_shape,
     build_broom,
     build_comb,
     build_cycle,
@@ -26,11 +29,14 @@ from steklov.families import (
     mu_max_path,
     rooted_path,
 )
+from steklov.geometry import GeometricPoint, clump_lengths_at
 from steklov.spectral import (
     dirichlet_steklov_spectrum,
     laplacian_spectrum,
     steklov_spectrum,
 )
+
+from conftest import broom_codes, clump_rooted_tree
 
 GRID_L = [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(10, 3)]
 
@@ -117,6 +123,50 @@ def test_minimal_broom_total_oracle():
         for p in sol.brooms:
             assert p.l + p.i + p.d == l
             assert broom_lambda1(p.l, p.i, p.d) == best
+
+
+def test_minimal_broom_shapes_small():
+    # total length 1 and 2: the path itself is the unique minimal broom
+    assert minimal_broom_total(1).shapes == {BroomParams(1, 0, 0)}
+    assert minimal_broom_total(2).shapes == {BroomParams(1, 1, 0)}
+    # odd length >= 3 has two minimal brooms; Br(1,1,1) reads as Br(1,2,0)
+    assert minimal_broom_total(3).shapes == {BroomParams(1, 0, 2), BroomParams(1, 2, 0)}
+    assert len(minimal_broom_total(4).shapes) == 1
+    # every broom reads back as itself from its Dirichlet end
+    for l, i, d in itertools.product(GRID_L, range(4), range(4)):
+        fam = build_broom(l, i, d)
+        got = broom_shape(fam.graph.adjacency, fam.landmarks["o"], fam.landmarks["v0"], l)
+        assert got == BroomParams(l, i, d).normalized()
+
+
+def test_broom_shape_matches_rooted_codes():
+    # every vertex and midpoint clump of every tree on 2..11 vertices: the
+    # shape is a minimal broom exactly when the clump's rooted metric code
+    # is one of the minimal broom codes of the clump's length, and any
+    # shape found is the clump's own
+    @functools.lru_cache(maxsize=None)
+    def shape_code(p):
+        fam = build_broom(p.l, p.i, p.d)
+        return tree_code(fam.graph, root=fam.landmarks["o"])
+
+    clumps = brooms = 0
+    for n in range(2, 12):
+        for g in enumerate_trees(n):
+            adj = g.adjacency
+            points = [GeometricPoint.at_vertex(v) for v in range(n)]
+            points += [GeometricPoint.on_edge(u, v, Fraction(1, 2)) for u, v, _ in g.edges]
+            for pt in points:
+                for clump in clump_lengths_at(g, pt):
+                    root = pt.vertex if pt.is_vertex else sum(pt.edge) - clump.attach
+                    first = Fraction(1) if pt.is_vertex else Fraction(1, 2)
+                    shape = broom_shape(adj, root, clump.attach, first)
+                    got = shape in minimal_broom_total(clump.length).shapes
+                    code = tree_code(*clump_rooted_tree(g, pt, clump))
+                    assert got == (code in broom_codes(clump.length)), (g.edges, pt, clump)
+                    assert shape is None or shape_code(shape) == code, (g.edges, pt, clump)
+                    clumps += 1
+                    brooms += got
+    assert clumps == 15832 and brooms > 1000
 
 
 def test_lambda_integer_closed_form():

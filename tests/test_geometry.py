@@ -12,7 +12,6 @@ from steklov.geometry import (
     clump_lengths_at,
     clump_number,
     clump_number_at,
-    clump_rooted_tree,
     metric_realization,
     nodal_domains,
     pl_value,
@@ -144,16 +143,6 @@ def test_clump_lower_semicontinuity(rng):
 def test_midpoint_equilibrium_halves():
     rep = clump_number(path_graph(4))
     assert all(c.length == Fraction(3, 2) for c in rep.clumps)
-
-
-def test_clump_rooted_tree_shape():
-    g = path_graph(4)
-    rep = clump_number(g)
-    rooted, root = clump_rooted_tree(g, rep.point, rep.clumps[0])
-    assert root == 0
-    assert rooted.n == 3
-    # first edge carries length 1/2, i.e. weight 2
-    assert rooted.weight(0, rooted.neighbors(0)[0]) == 2
 
 
 def test_nodal_domains_on_path():
