@@ -27,6 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .enumeration import (
+    _edge_length_str,
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
@@ -649,7 +650,8 @@ class Lambda1BoundVerdict:
 def verify_lambda1_bound(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> Lambda1BoundVerdict:
     """lambda_1 >= Lambda(l, n) for trees whose leaves are exactly B u B_D,
     unit weights off the Dirichlet edges, l = 1/(sum of Dirichlet edge
-    weights), n = |Omega_D| - 1. At equality the structure is matched:
+    weights, a float weight w read as the length repr(1.0 / w)),
+    n = |Omega_D| - 1. At equality the structure is matched:
     for |B_D| = 1 the tree must be a minimal broom Br(l, n)."""
     if not g.is_tree():
         raise HypothesesNotMetError("bound needs a tree")
@@ -662,7 +664,9 @@ def verify_lambda1_bound(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     for u, v, w in g.edges:
         if u not in dset and v not in dset and w != 1:
             raise HypothesesNotMetError("interior edges must have unit weight")
-    total_dw = sum(Fraction(w) for u, v, w in g.edges if u in dset or v in dset)
+    total_dw = sum(
+        1 / Fraction(_edge_length_str(w)) for u, v, w in g.edges if u in dset or v in dset
+    )
     l = Fraction(1) / total_dw
     n = len(g.dirichlet_interior) - 1
     sol = minimal_broom(l, n)

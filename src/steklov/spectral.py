@@ -5,25 +5,111 @@ The DtN map is realized as the Schur complement of the Laplacian on the
 boundary block; generalized symmetric eigenproblems are reduced to ordinary
 ones by diagonal M^{-1/2} conjugation. Dense solvers only: every graph here
 is desk scale.
+
+One assembly serves every per-graph solve: :func:`_pinned_first` checks
+that the interior block is nonsingular and builds the float Laplacian once,
+with the vertices whose values are given first and the interior last.
+:func:`dtn_matrix` is the only place that forms the Schur complement
+S = L_BB - L_IB^T L_II^{-1} L_IB. It keeps the Cholesky factor of L_II, so
+the harmonic extensions of a spectrum (``SpectralResult.extensions``) are
+solved from it the first time they are read, not with every spectrum.
+
+Two helpers call LAPACK directly, because scipy's wrappers cost several
+times the solve itself at these sizes. Each reproduces the bits of the
+scipy call it replaces (scipy 1.17):
+
+- :func:`_solve_pos` is ``scipy.linalg.solve(a, b, assume_a="pos")``:
+  ``dposv`` on the upper triangle, scipy's division for a 1x1 block, and
+  scipy's checks (non-finite input, a failed factorization, ``dpocon``
+  rcond below machine epsilon).
+- :func:`_eigh` is ``scipy.linalg.eigh(a)``: ``dsyevr`` on the lower
+  triangle with scipy's workspace query and eigenvectors always computed.
+  Any other triangle, workspace or ``compute_v`` changes the last bits of
+  the eigenvalues, and with them the printed minima.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError, LinAlgWarning, lapack
 
 from .errors import (
     InvalidParamsError,
     NoBoundaryError,
     SingularInteriorError,
 )
-from .graph import Role, WeightedBoundaryGraph
+from .graph import WeightedBoundaryGraph
 
 # Two eigenvalues count as equal when |a-b| <= EIG_EQ_TOL * max(1, |a|).
 EIG_EQ_TOL = 1e-8
+# scipy warns of an ill-conditioned solve when rcond falls below this.
+_EPS = np.finfo(float).eps
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _solve_pos(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """x with a x = b for symmetric positive definite ``a``, bit for bit as
+    ``scipy.linalg.solve(a, b, assume_a="pos")``, and the factor of ``a``
+    that :func:`_solve_factored` takes for further right-hand sides."""
+    _require_finite(a, b)
+    if len(a) == 1:  # scipy divides by a 1x1 block instead of factoring it
+        if a[0, 0] == 0:
+            raise LinAlgError("A singular matrix detected.")
+        return b / a, (a, math.inf)
+    c, x, info = lapack.dposv(a, b)
+    if info > 0:
+        raise LinAlgError("A singular matrix detected: slice(s) [0] are singular.")
+    rcond, _ = lapack.dpocon(c, lapack.dlange("1", a))
+    _warn_ill_conditioned(rcond)
+    return x, (c, rcond)
+
+
+def _solve_factored(factor: tuple, b: np.ndarray) -> np.ndarray:
+    """``_solve_pos(a, b)[0]`` from the factor that it returned for ``a``,
+    with the same checks and warning."""
+    _require_finite(b)
+    c, rcond = factor
+    if len(c) == 1:
+        return b / c
+    _warn_ill_conditioned(rcond)
+    return lapack.dpotrs(c, b)[0]
+
+
+def _warn_ill_conditioned(rcond: float) -> None:
+    if rcond < _EPS:
+        warnings.warn(
+            f"An ill-conditioned matrix detected: slice 0 has rcond = {rcond}.",
+            LinAlgWarning,
+            stacklevel=3,
+        )
+
+
+@lru_cache(maxsize=None)
+def _syevr_workspace(n: int) -> tuple[int, int]:
+    """scipy's lwork and liwork for dsyevr; past n = 32 the default
+    workspace changes the blocking, and with it the bits."""
+    lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    return int(lwork), int(liwork)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of symmetric ``a``,
+    bit for bit as ``scipy.linalg.eigh(a)``."""
+    _require_finite(a)
+    lwork, liwork = _syevr_workspace(len(a))
+    w, v, _, _, info = lapack.dsyevr(a, lower=1, lwork=lwork, liwork=liwork)
+    if info:
+        raise LinAlgError("Internal Error.")
+    return w, v
 
 
 @dataclass(frozen=True)
@@ -34,15 +120,32 @@ class LaplacianForm:
     measures: np.ndarray
 
 
-def laplacian_matrix(g: WeightedBoundaryGraph) -> LaplacianForm:
-    L = np.zeros((g.n, g.n))
+def _laplacian(g: WeightedBoundaryGraph, order) -> np.ndarray:
+    """Float Laplacian of G restricted to the vertices ``order``, in that
+    order. Degrees count every edge, including those to dropped vertices,
+    and each is summed in edge order as an entry-by-entry build would."""
+    m = len(order)
+    pos = [-1] * g.n
+    for k, v in enumerate(order):
+        pos[v] = k
+    degree = [0.0] * g.n
+    flat = [0.0] * (m * m)
     for u, v, w in g.edges:
         w = float(w)
-        L[u, u] += w
-        L[v, v] += w
-        L[u, v] -= w
-        L[v, u] -= w
-    return LaplacianForm(matrix=L, measures=np.array([float(m) for m in g.measures]))
+        degree[u] += w
+        degree[v] += w
+        p, q = pos[u], pos[v]
+        if p >= 0 and q >= 0:
+            flat[p * m + q] = flat[q * m + p] = -w
+    flat[:: m + 1] = [degree[v] for v in order]
+    return np.array(flat, dtype=float).reshape(m, m)
+
+
+def laplacian_matrix(g: WeightedBoundaryGraph) -> LaplacianForm:
+    return LaplacianForm(
+        matrix=_laplacian(g, range(g.n)),
+        measures=np.array([float(m) for m in g.measures]),
+    )
 
 
 def dirichlet_energy(g: WeightedBoundaryGraph, f: np.ndarray) -> float:
@@ -50,16 +153,26 @@ def dirichlet_energy(g: WeightedBoundaryGraph, f: np.ndarray) -> float:
     return sum(float(w) * (f[u] - f[v]) ** 2 for u, v, w in g.edges)
 
 
-def _check_interior_solvable(g: WeightedBoundaryGraph, pinned: set[int]) -> None:
-    """Every component of G minus ``pinned`` must touch a pinned vertex,
-    unless the component consists of pinned-free... i.e. raise when a whole
-    component of G has no pinned vertex at all."""
-    free = [v for v in range(g.n) if v not in pinned]
-    for comp in g.components(free):
-        if not any(any(y in pinned for y in g.adjacency[x]) for x in comp):
+def _check_interior_solvable(g: WeightedBoundaryGraph, interior) -> None:
+    """Raise unless every component of the ``interior`` vertices has an edge
+    to a vertex outside it, i.e. unless the interior block of L is
+    nonsingular."""
+    inside = set(interior)
+    for comp in g.components(interior):
+        if all(y in inside for x in comp for y in g.adjacency[x]):
             raise SingularInteriorError(
                 f"component {comp} has no path to a boundary/Dirichlet vertex"
             )
+
+
+def _pinned_first(
+    g: WeightedBoundaryGraph, head: tuple[int, ...], interior: tuple[int, ...]
+) -> np.ndarray:
+    """The one Steklov assembly: check that the interior is solvable with
+    B and B_D held fixed, then build the float Laplacian on ``head`` (the
+    vertices whose values are given) followed by the interior."""
+    _check_interior_solvable(g, interior)
+    return _laplacian(g, head + interior)
 
 
 def harmonic_extension(g: WeightedBoundaryGraph, data) -> np.ndarray:
@@ -68,7 +181,7 @@ def harmonic_extension(g: WeightedBoundaryGraph, data) -> np.ndarray:
     ``data`` is a mapping vertex -> value covering B union B_D, or a
     sequence of values in the order ``g.boundary + g.dirichlet``.
     """
-    pinned = list(g.boundary) + list(g.dirichlet)
+    pinned, interior = g.boundary + g.dirichlet, g.interior
     if not pinned:
         raise NoBoundaryError("harmonic extension needs B or B_D nonempty")
     if not isinstance(data, dict):
@@ -79,16 +192,14 @@ def harmonic_extension(g: WeightedBoundaryGraph, data) -> np.ndarray:
     if missing:
         raise InvalidParamsError(f"missing boundary data at {sorted(missing)}")
 
-    interior = [v for v in range(g.n) if v not in set(pinned)]
-    _check_interior_solvable(g, set(pinned))
+    L = _pinned_first(g, pinned, interior)
+    k = len(pinned)
     f = np.zeros(g.n)
     for v in pinned:
         f[v] = float(data[v])
     if interior:
-        L = laplacian_matrix(g).matrix
-        A = L[np.ix_(interior, interior)]
-        b = -L[np.ix_(interior, pinned)] @ f[pinned]
-        f[interior] = scipy.linalg.solve(A, b, assume_a="pos")
+        b = -L[k:, :k] @ f[list(pinned)]
+        f[list(interior)] = _solve_pos(L[k:, k:], b)[0]
     return f
 
 
@@ -108,6 +219,20 @@ class DtnOperator:
     boundary_measures: np.ndarray
     eliminated: tuple[int, ...]  # interior vertices folded into the complement
     pinned: tuple[int, ...]  # Dirichlet vertices (empty for the plain map)
+    # The interior solve, kept for harmonic extensions: |V|, L_IB and the
+    # factor of L_II (both None when nothing is eliminated).
+    _order: int = field(repr=False, compare=False)
+    _coupling: np.ndarray | None = field(repr=False, compare=False)
+    _factor: tuple | None = field(repr=False, compare=False)
+
+    def _extend(self, vectors: np.ndarray) -> np.ndarray:
+        """Harmonic extensions to V of boundary columns, zero on B_D."""
+        ext = np.zeros((self._order, vectors.shape[1]))
+        ext[list(self.boundary), :] = vectors
+        if self.eliminated:
+            rhs = -self._coupling @ vectors
+            ext[list(self.eliminated), :] = _solve_factored(self._factor, rhs)
+        return ext
 
 
 def dtn_matrix(g: WeightedBoundaryGraph, with_dirichlet: bool = False) -> DtnOperator:
@@ -117,32 +242,32 @@ def dtn_matrix(g: WeightedBoundaryGraph, with_dirichlet: bool = False) -> DtnOpe
     rows/columns of L (pinning those values to zero) and then eliminates the
     interior block.
     """
-    boundary = g.boundary
+    boundary, dirichlet, interior = g.boundary, g.dirichlet, g.interior
     if not boundary:
         raise NoBoundaryError("graph has no boundary vertices")
-    if not with_dirichlet and g.dirichlet:
+    if not with_dirichlet and dirichlet:
         raise InvalidParamsError(
             "graph has Dirichlet vertices; use with_dirichlet=True"
         )
-    pinned = set(g.dirichlet) if with_dirichlet else set()
-    interior = [v for v in range(g.n) if g.roles[v] is Role.INTERIOR]
-    _check_interior_solvable(g, set(boundary) | pinned)
-
-    L = laplacian_matrix(g).matrix
-    bidx = list(boundary)
-    S = L[np.ix_(bidx, bidx)].copy()
-    if interior:
-        A = L[np.ix_(interior, interior)]
-        C = L[np.ix_(interior, bidx)]
-        S -= C.T @ scipy.linalg.solve(A, C, assume_a="pos")
+    L = _pinned_first(g, boundary, interior)
+    k = len(boundary)
+    S = L[:k, :k].copy()
+    coupling = factor = None
+    if k < len(L):
+        # contiguous: numpy multiplies a strided one-column block with other bits
+        coupling = L[k:, :k].copy()
+        x, factor = _solve_pos(L[k:, k:], coupling)
+        S -= coupling.T @ x
     S = (S + S.T) / 2.0
-    m_b = np.array([float(g.measures[v]) for v in boundary])
     return DtnOperator(
         boundary=boundary,
         matrix=S,
-        boundary_measures=m_b,
-        eliminated=tuple(interior),
-        pinned=tuple(sorted(pinned)),
+        boundary_measures=np.array([float(g.measures[v]) for v in boundary]),
+        eliminated=interior,
+        pinned=dirichlet,
+        _order=g.n,
+        _coupling=coupling,
+        _factor=factor,
     )
 
 
@@ -158,8 +283,15 @@ class SpectralResult:
     kind: str
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    extensions: np.ndarray
     support: tuple[int, ...]
+    _dtn: DtnOperator | None = field(repr=False, compare=False)  # None: Laplacian
+
+    @cached_property
+    def extensions(self) -> np.ndarray:
+        """Harmonic extensions of ``vectors`` to V, solved on first read."""
+        if self._dtn is None:
+            return self.vectors
+        return self._dtn._extend(self.vectors)
 
     def eigenvalue(self, i: int) -> float:
         """1-based; +inf sentinel beyond |support|."""
@@ -188,40 +320,26 @@ class SpectralResult:
 def _generalized_eigh(S: np.ndarray, m: np.ndarray):
     d = 1.0 / np.sqrt(m)
     T = (S * d).T * d  # diag(d) S diag(d), symmetric
-    vals, Y = scipy.linalg.eigh((T + T.T) / 2.0)
+    vals, Y = _eigh((T + T.T) / 2.0)
     vecs = Y * d[:, None]
     return vals, vecs
 
 
-def _steklov_result(g: WeightedBoundaryGraph, op: DtnOperator, kind: str) -> SpectralResult:
+def _steklov_result(op: DtnOperator, kind: str) -> SpectralResult:
     vals, vecs = _generalized_eigh(op.matrix, op.boundary_measures)
-    # Harmonic extensions of all eigenvectors in one batch solve.
-    ext = np.zeros((g.n, len(op.boundary)))
-    bidx = list(op.boundary)
-    ext[bidx, :] = vecs
-    interior = list(op.eliminated)
-    if interior:
-        L = laplacian_matrix(g).matrix
-        A = L[np.ix_(interior, interior)]
-        rhs = -L[np.ix_(interior, bidx)] @ vecs
-        ext[interior, :] = scipy.linalg.solve(A, rhs, assume_a="pos")
     return SpectralResult(
-        kind=kind,
-        eigenvalues=vals,
-        vectors=vecs,
-        extensions=ext,
-        support=op.boundary,
+        kind=kind, eigenvalues=vals, vectors=vecs, support=op.boundary, _dtn=op
     )
 
 
 def steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
     """Spectrum of the plain DtN map Lambda on (G, B)."""
-    return _steklov_result(g, dtn_matrix(g, with_dirichlet=False), "steklov")
+    return _steklov_result(dtn_matrix(g, with_dirichlet=False), "steklov")
 
 
 def dirichlet_steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
     """Spectrum of Lambda_0 on (G, B, B_D): data vanishes on B_D."""
-    return _steklov_result(g, dtn_matrix(g, with_dirichlet=True), "dirichlet")
+    return _steklov_result(dtn_matrix(g, with_dirichlet=True), "dirichlet")
 
 
 def unit_steklov_spectra(n: int, edge_lists) -> np.ndarray:
@@ -267,6 +385,6 @@ def laplacian_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
         kind="laplacian",
         eigenvalues=vals,
         vectors=vecs,
-        extensions=vecs,
         support=tuple(range(g.n)),
+        _dtn=None,
     )

@@ -432,6 +432,14 @@ def test_lambda1_bound_float_dirichlet_length():
                 assert v.equality and v.structure_matches, (l, p)
 
 
+def test_lambda1_bound_float_length_ties_like_integer():
+    # at l = 3, n = 4 the splits i = 0 and i = 1 tie; the binary value of
+    # the float weight 1/3.0 would break the tie and lose the broom
+    v = verify_lambda1_bound(build_broom(3.0, 1, 3).graph)
+    assert v.l == 3 and v.equality and v.structure_matches
+    assert v == verify_lambda1_bound(build_broom(3, 1, 3).graph)
+
+
 def test_steklov_clump_float_weights_match_integer():
     for n in range(2, 11):
         for g in enumerate_trees(n):

@@ -1,7 +1,10 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from steklov.errors import (
@@ -198,3 +201,174 @@ def test_unit_spectra_match_per_graph_oracle():
                           <= EIG_EQ_TOL * np.maximum(1.0, np.abs(expect))), code
     assert boundary_free > 0  # e.g. the cycles of the connected classes
     assert unit_steklov_spectra(4, []).shape == (0, 4)
+
+
+# -- the scipy pipeline as a bitwise oracle ------------------------------------
+
+
+def scipy_laplacian(g):
+    """The float Laplacian built entry by entry, in edge order."""
+    L = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
+        w = float(w)
+        L[u, u] += w
+        L[v, v] += w
+        L[u, v] -= w
+        L[v, u] -= w
+    return L
+
+
+def scipy_steklov(g):
+    """S, eigenvalues, eigenvectors and harmonic extensions through
+    ``scipy.linalg.solve(assume_a="pos")`` and ``scipy.linalg.eigh``."""
+    bidx, interior = list(g.boundary), list(g.interior)
+    L = scipy_laplacian(g)
+    S = L[np.ix_(bidx, bidx)].copy()
+    if interior:
+        A = L[np.ix_(interior, interior)]
+        C = L[np.ix_(interior, bidx)]
+        S -= C.T @ scipy.linalg.solve(A, C, assume_a="pos")
+    S = (S + S.T) / 2.0
+    d = 1.0 / np.sqrt([float(g.measures[v]) for v in bidx])
+    T = (S * d).T * d
+    vals, Y = scipy.linalg.eigh((T + T.T) / 2.0)
+    vecs = Y * d[:, None]
+    ext = np.zeros((g.n, len(bidx)))
+    ext[bidx, :] = vecs
+    if interior:
+        ext[interior, :] = scipy.linalg.solve(A, -C @ vecs, assume_a="pos")
+    return S, vals, vecs, ext
+
+
+def scipy_harmonic(g, data):
+    pinned, interior = list(g.boundary + g.dirichlet), list(g.interior)
+    f = np.zeros(g.n)
+    for v in pinned:
+        f[v] = float(data[v])
+    if interior:
+        L = scipy_laplacian(g)
+        b = -L[np.ix_(interior, pinned)] @ f[pinned]
+        f[interior] = scipy.linalg.solve(L[np.ix_(interior, interior)], b, assume_a="pos")
+    return f
+
+
+def star_graph(leaves):
+    return combinatorial_graph(leaves + 1, [(0, k) for k in range(1, leaves + 1)])
+
+
+def random_dirichlet_graph(rng):
+    """A random connected graph with Fraction or float weights, non-unit
+    measures and some interior vertices turned into Dirichlet vertices."""
+    g = random_weighted_graph(rng, n_max=10)
+    roles = list(g.roles)
+    for v in g.interior:
+        if rng.random() < 0.4:
+            roles[v] = Role.DIRICHLET
+    edges = [(u, v, Fraction(w).limit_denominator(97) if rng.random() < 0.5 else w)
+             for u, v, w in g.edges]
+    return make_graph(g.n, edges, measures=g.measures, roles=roles)
+
+
+def assert_matches_scipy(g):
+    L = scipy_laplacian(g)
+    assert np.array_equal(laplacian_matrix(g).matrix, L)
+    d = 1.0 / np.sqrt([float(m) for m in g.measures])
+    T = (L * d).T * d
+    vals, Y = scipy.linalg.eigh((T + T.T) / 2.0)
+    res = laplacian_spectrum(g)
+    assert np.array_equal(res.eigenvalues, vals)
+    assert np.array_equal(res.extensions, Y * d[:, None])
+    if not g.boundary:
+        return
+    S, vals, vecs, ext = scipy_steklov(g)
+    res = (dirichlet_steklov_spectrum if g.dirichlet else steklov_spectrum)(g)
+    assert np.array_equal(dtn_matrix(g, with_dirichlet=bool(g.dirichlet)).matrix, S)
+    assert np.array_equal(res.eigenvalues, vals)
+    assert np.array_equal(res.vectors, vecs)
+    assert np.array_equal(res.extensions, ext)
+    data = {v: float(k + 1) / 3 for k, v in enumerate(g.boundary + g.dirichlet)}
+    assert np.array_equal(harmonic_extension(g, data), scipy_harmonic(g, data))
+
+
+def test_spectra_bitwise_equal_scipy_pipeline(rng):
+    """Every Laplacian, DtN matrix, Steklov spectrum, eigenvector and
+    extension has the bits of the scipy pipeline: all trees n <= 12, all connected graphs n <= 7,
+    stars up to 40 leaves (1x1 interior block; dsyevr's blocked workspace
+    past 32 boundary vertices) and random Dirichlet graphs."""
+    from steklov.enumeration import enumerate_connected_graphs, enumerate_trees
+
+    graphs = [g for n in range(1, 13) for g in enumerate_trees(n)]
+    graphs += [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    graphs += [star_graph(k) for k in range(1, 41)]
+    graphs += [random_dirichlet_graph(rng) for _ in range(300)]
+    for g in graphs:
+        assert_matches_scipy(g)
+
+
+# -- errors and warnings of the solves -------------------------------------------
+
+
+def eps_path(eps):
+    """P4 with weights (eps, 1, eps): L_II = [[1 + eps, -1], [-1, 1 + eps]]."""
+    return make_graph(4, [(0, 1, eps), (1, 2, 1), (2, 3, eps)],
+                      roles=["boundary", "interior", "interior", "boundary"])
+
+
+def test_ill_conditioned_interior_warns():
+    g = eps_path(2.3e-16)
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        steklov_spectrum(g).eigenpair(2)
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        dtn_matrix(g)
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        harmonic_extension(g, {0: 1.0, 3: 0.0})
+
+
+def test_extensions_solved_on_first_read():
+    # the spectrum warns for its Schur solve; the extensions solve, and
+    # warn, once they are read
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = steklov_spectrum(eps_path(2.3e-16))
+        assert len(caught) == 1
+        assert res.extensions is res.extensions
+        assert len(caught) == 2
+    assert all(issubclass(w.category, scipy.linalg.LinAlgWarning) for w in caught)
+
+
+def test_singular_interior_block_raises():
+    g = eps_path(1e-17)  # 1 + eps rounds to 1: L_II is singular in floats
+    for solve in (steklov_spectrum, dtn_matrix,
+                  lambda g: harmonic_extension(g, {0: 1.0, 3: 0.0})):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(g)
+
+
+def test_infinite_weight_raises_value_error():
+    # inf on an interior edge reaches the solve; between two boundary
+    # vertices it reaches the eigensolve.
+    inner = make_graph(3, [(0, 1, math.inf), (1, 2, 1)], roles=["boundary", "interior", "boundary"])
+    outer = make_graph(2, [(0, 1, math.inf)], roles=["boundary", "boundary"])
+    for g in (inner, outer):
+        with pytest.raises(ValueError):
+            steklov_spectrum(g)
+    with pytest.raises(ValueError):
+        harmonic_extension(inner, {0: 1.0, 2: 0.0})
+
+
+def test_assembly_errors_unchanged():
+    closed = path_graph(3).with_roles([Role.INTERIOR] * 3)
+    with pytest.raises(NoBoundaryError, match="graph has no boundary vertices"):
+        dtn_matrix(closed)
+    with pytest.raises(NoBoundaryError, match="needs B or B_D nonempty"):
+        harmonic_extension(closed, {})
+    pinned = make_graph(3, [(0, 1, 1), (1, 2, 1)], roles=["boundary", "interior", "dirichlet"])
+    loose = make_graph(4, [(0, 1, 1), (2, 3, 1)],
+                       roles=["boundary", "interior", "interior", "interior"])
+    with pytest.raises(SingularInteriorError, match=r"component \[2, 3\] has no path"):
+        dirichlet_steklov_spectrum(loose)
+    with pytest.raises(SingularInteriorError, match=r"component \[2, 3\] has no path"):
+        harmonic_extension(loose, {0: 1.0})
+    with pytest.raises(InvalidParamsError, match="use with_dirichlet=True"):
+        steklov_spectrum(pinned)
+    assert dirichlet_steklov_spectrum(pinned).eigenvalue(1) == 0.5
