@@ -302,6 +302,10 @@ class SpectralResult:
         return float(self.eigenvalues[i - 1])
 
     def eigenpair(self, i: int) -> tuple[float, np.ndarray]:
+        """1-based eigenvalue with its eigenvector extended to V."""
+        if not 1 <= i <= len(self.eigenvalues):
+            raise InvalidParamsError(
+                f"eigenpair index {i} outside 1..{len(self.eigenvalues)}")
         return float(self.eigenvalues[i - 1]), self.extensions[:, i - 1]
 
     def multiplicity_groups(self, tol: float = EIG_EQ_TOL) -> list[list[int]]:

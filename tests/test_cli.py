@@ -131,6 +131,15 @@ def test_nodal_command(tmp_path, capsys):
     assert len(doc["payload"]["domains"]) == 2
 
 
+@pytest.mark.parametrize("eig", ["0", "3"])
+def test_nodal_eig_out_of_range_is_usage_error(tmp_path, capsys, eig):
+    # P4 has two boundary vertices, so only --eig 1 and 2 exist
+    code, out, err = run(capsys, ["nodal", write_path(tmp_path, 4), "--eig", eig])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR 1: eigenpair index")
+
+
 def test_verify_trees(capsys):
     code, out, _ = run(capsys, ["verify", "--n", "7", "--i", "2"])
     assert code == 0

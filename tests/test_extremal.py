@@ -9,6 +9,8 @@ import pytest
 
 from steklov import extremal
 from steklov.enumeration import (
+    GraphClassStream,
+    _load_class,
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
@@ -19,6 +21,7 @@ from steklov.errors import (
     NotASubgraphError,
     NotBipartiteError,
     OutOfSupportedRangeError,
+    ParseError,
 )
 from steklov.extremal import (
     check_monotonicity,
@@ -222,6 +225,72 @@ def test_verify_extremal_gates(monkeypatch):
     for n, i in ((12, 1), (12, 12), (13, 13)):
         with pytest.raises(InvalidParamsError):
             verify_extremal(n, i, "trees")
+
+
+def counting(monkeypatch, name):
+    """Replace ``extremal.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(extremal, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(extremal, name, counted)
+    return calls
+
+
+def test_class_screened_once_for_every_i(monkeypatch):
+    extremal._screen.cache_clear()
+    calls = counting(monkeypatch, "unit_steklov_spectra")
+    for graph_class, n in (("trees", 10), ("connected", 6)):
+        before = len(calls)
+        for i in range(2, n):
+            assert verify_extremal(n, i, graph_class).match
+        assert len(calls) - before == 1, graph_class
+
+
+def test_warm_sweeps_equal_fresh_ones(tmp_path, monkeypatch):
+    """A sweep read from the memo is bit for bit the sweep of a process
+    that screens the class afresh from freshly generated codes."""
+    warm = {}
+    for graph_class, n, i in GRID:
+        sweep(n, i, graph_class)
+        warm[graph_class, n, i] = sweep(n, i, graph_class)
+    monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
+    for graph_class, n, i in GRID:
+        extremal._screen.cache_clear()
+        _load_class.cache_clear()
+        fresh = sweep(n, i, graph_class)
+        old = warm[graph_class, n, i]
+        # rows, minimum, argmin_codes, gap and rechecked; repr tells -0.0
+        assert old == fresh and repr(old) == repr(fresh), (graph_class, n, i)
+
+
+@pytest.mark.parametrize("graph_class,n,i", [("trees", 9, 4), ("connected", 6, 3)])
+def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
+    extremal._screen.cache_clear()
+    calls = counting(monkeypatch, "sigma_value")
+    cold = sweep(n, i, graph_class)
+    assert len(calls) == cold.rechecked > 0
+    warm = sweep(n, i, graph_class)
+    assert warm == cold
+    assert len(calls) == 2 * cold.rechecked
+
+
+def test_bad_stored_code_raises_on_every_sweep(monkeypatch):
+    sweep(5, 2, "trees")  # the memo holds the good class
+    calls = []
+
+    def bad_class(n):
+        calls.append(n)
+        return GraphClassStream("trees", n, ["(1()1())"])  # a 3-vertex code
+
+    monkeypatch.setattr(extremal, "enumerate_trees", bad_class)
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            sweep(5, 2, "trees")
+    assert calls == [5, 5]
 
 
 def test_sigma_sentinel_no_boundary():

@@ -82,6 +82,15 @@ def test_constant_kernel_and_sentinel():
     assert res.eigenvalue(3) == math.inf
 
 
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_eigenpair_index_out_of_range(i):
+    # P4 has |B| = 2: eigenpairs 1 and 2 only, no wrap-around from index 0
+    res = steklov_spectrum(path_graph(4))
+    with pytest.raises(InvalidParamsError):
+        res.eigenpair(i)
+    assert res.eigenpair(2)[0] == res.eigenvalue(2)
+
+
 def test_symmetry_and_psd(rng):
     for _ in range(50):
         g = random_weighted_graph(rng)
