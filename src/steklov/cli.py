@@ -144,12 +144,20 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _spec_count(spec: str, num: str) -> int:
+    """The N of a ``name:N`` family spec."""
+    try:
+        return int(num)
+    except ValueError:
+        raise UsageError(f"{spec!r}: N must be an integer") from None
+
+
 def _parse_base(spec: str):
     name, _, num = spec.partition(":")
     if name == "path":
-        return build_path(int(num)).graph
+        return build_path(_spec_count(spec, num)).graph
     if name == "cycle":
-        return build_cycle(int(num)).graph
+        return build_cycle(_spec_count(spec, num)).graph
     raise UsageError(f"unknown comb base {spec!r} (use path:N or cycle:N)")
 
 
@@ -158,7 +166,7 @@ def _parse_tooth(spec: str):
         return rooted_path(1)
     name, _, num = spec.partition(":")
     if name == "path":
-        return rooted_path(int(num))
+        return rooted_path(_spec_count(spec, num))
     raise UsageError(f"unknown tooth {spec!r} (use edge or path:N)")
 
 
@@ -477,8 +485,9 @@ def main(argv=None) -> int:
             logging.getLogger().setLevel(logging.INFO)
         if args.cache_dir is not None:
             os.environ["STEKLOV_CACHE_DIR"] = args.cache_dir
-        if getattr(args, "jobs", 1) < 1 or getattr(args, "tol", 1.0) <= 0:
-            raise UsageError("--jobs must be >= 1 and --tol positive")
+        tol = getattr(args, "tol", 1.0)
+        if getattr(args, "jobs", 1) < 1 or not (math.isfinite(tol) and tol > 0):
+            raise UsageError("--jobs must be >= 1 and --tol positive and finite")
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"ERROR {EXIT_USAGE}: {exc}\n")

@@ -27,7 +27,12 @@ from .errors import (
 )
 from .families import broom_shape, minimal_broom_total
 from .geometry import clump_number, doubled_clump_number, require_unit_weights
-from .graph import WeightedBoundaryGraph, heaviest_branches, subtree_sizes
+from .graph import (
+    WeightedBoundaryGraph,
+    component_passes,
+    heaviest_branches,
+    subtree_sizes,
+)
 
 
 @dataclass(frozen=True)
@@ -101,16 +106,10 @@ class StarException:
 
 def _pieces(adj, removed):
     """Components of the tree ``adj`` minus the ``removed`` edges, in the
-    order of :meth:`WeightedBoundaryGraph.components`: by least vertex, each
-    as its sorted vertices and a subtree-size pass rooted at that vertex."""
+    order of :func:`~steklov.graph.component_passes`."""
     cut = set(removed) | {(v, u) for u, v in removed}
     forest = [[u for u in adj[v] if (v, u) not in cut] for v in range(len(adj))]
-    seen: set[int] = set()
-    for root in range(len(forest)):
-        if root not in seen:
-            tree = subtree_sizes(forest, root)
-            seen.update(tree[0])
-            yield tuple(sorted(tree[0])), tree
+    return component_passes(forest, None)
 
 
 def _removal_search(g: WeightedBoundaryGraph, sizes, judge):

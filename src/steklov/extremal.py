@@ -20,14 +20,12 @@ The per-graph solver is never memoised and runs afresh on every sweep.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 import numpy as np
-import scipy.linalg
 
 from .enumeration import (
     _edge_length_str,
@@ -62,7 +60,7 @@ from .families import (
     minimal_broom_total,
     rooted_path,
 )
-from .geometry import clump_number
+from .geometry import DEFAULT_ZERO_TOL, clump_number
 from .graph import (
     Role,
     WeightedBoundaryGraph,
@@ -360,7 +358,6 @@ class ExtremalReport:
     match: bool
     bound_ok: bool
     tol: float
-    seconds: float
     gap: float  # best value outside the argmin set minus the minimum
     rechecked: int  # classes re-solved by the per-graph oracle
 
@@ -370,7 +367,6 @@ def verify_extremal(
 ) -> ExtremalReport:
     """Sweep a graph class, minimize sigma_i, and match the argmin set
     against the predicted minimizers that belong to the class."""
-    t0 = time.monotonic()
     target = predicted_bound(n, i, graph_class)
     result = sweep(n, i, graph_class, tol)
     minimum, argmin = result.minimum, result.argmin_codes
@@ -390,7 +386,6 @@ def verify_extremal(
         match=match,
         bound_ok=bound_ok,
         tol=tol,
-        seconds=time.monotonic() - t0,
         gap=result.gap,
         rechecked=result.rechecked,
     )
@@ -477,7 +472,6 @@ def rigidity_data(
     gt: WeightedBoundaryGraph,
     g: WeightedBoundaryGraph,
     tol: float = DEFAULT_TOL,
-    tau_zero: float = DEFAULT_TOL,
 ) -> RigidityData:
     _check_embedding(gt, g)
     basis = _h_basis(gt)
@@ -485,19 +479,14 @@ def rigidity_data(
     bt = set(gt.boundary)
     omega = [x for x in range(gt.n) if x not in bt]
     zero = tuple(
-        x for x in omega if np.all(np.abs(basis[x, :]) <= tau_zero * scale)
+        x for x in omega if np.all(np.abs(basis[x, :]) <= DEFAULT_ZERO_TOL * scale)
     )
     extra_boundary = [x for x in g.boundary if x not in bt]
     cond1 = all(x in zero for x in extra_boundary)
 
-    stripped = gt.delete_edges([(u, v) for u, v, _ in g.edges])
-    cond2 = True
-    for comp in stripped.components():
-        block = basis[comp, :]
-        spread = np.max(block, axis=0) - np.min(block, axis=0)
-        if np.any(spread > tol * scale):
-            cond2 = False
-            break
+    # The attached components G~_x: the basis must be constant on each.
+    attached = gt.delete_edges([(u, v) for u, v, _ in g.edges]).components()
+    cond2 = not any(np.any(np.ptp(basis[comp, :], axis=0) > tol * scale) for comp in attached)
 
     # Condition (3): min eig of P^T (L - sigma M_B) P over v with
     # <v,1>_B = 0 and v constant on B~.
@@ -519,11 +508,13 @@ def rigidity_data(
     for k, x in enumerate(free):
         if x in set(g.boundary):
             constraint[0, 1 + k] = float(g.measures[x])
-    N = scipy.linalg.null_space(constraint)
-    P = A @ N
+    # Null space of the one-row constraint: the right singular vectors past
+    # its rank (0 for a zero row, else 1).
+    _, s, vh = np.linalg.svd(constraint)
+    P = A @ vh[int(s[0] > 0):].T
     Q = P.T @ (L - sigma * MB) @ P
     Q = (Q + Q.T) / 2.0
-    eigs = scipy.linalg.eigvalsh(Q)
+    eigs = np.linalg.eigvalsh(Q)
     min_eig = float(eigs[0]) if len(eigs) else 0.0
     form_scale = max(1.0, float(np.max(np.abs(L))))
     cond3 = min_eig >= -tol * form_scale
@@ -533,9 +524,9 @@ def rigidity_data(
     for x in range(g.n):
         for y in range(x + 1, g.n):
             gap = float(np.max(np.abs(basis[x, :] - basis[y, :])))
-            if gap <= tau_zero * scale:
+            if gap <= DEFAULT_ZERO_TOL * scale:
                 separates = False
-            elif gap <= 10 * tau_zero * scale:
+            elif gap <= 10 * DEFAULT_ZERO_TOL * scale:
                 borderline.append((x, y))
     return RigidityData(
         basis=basis,
@@ -546,7 +537,7 @@ def rigidity_data(
         min_form_eig=min_eig,
         separates=separates,
         borderline_pairs=tuple(borderline),
-        comb=is_comb_over(gt, g),
+        comb=len(attached) == g.n,  # as is_comb_over decides it
     )
 
 

@@ -90,7 +90,6 @@ class BroomParams:
 class MinimalBroomSolution:
     value: Number
     brooms: tuple[BroomParams, ...]
-    split_indices: tuple[int, ...]
 
     @property
     def shapes(self) -> frozenset[BroomParams]:
@@ -187,10 +186,10 @@ def minimal_broom(l, n: int) -> MinimalBroomSolution:
     if n <= 1:
         # every split yields the same path of total length l + n
         value = _one_over(l + n)
-        return MinimalBroomSolution(value, (BroomParams(l, n, 0),), (n,))
+        return MinimalBroomSolution(value, (BroomParams(l, n, 0),))
     if l >= n:
         value = _one_over(1 + n * l)
-        return MinimalBroomSolution(value, (BroomParams(l, 0, n),), (0,))
+        return MinimalBroomSolution(value, (BroomParams(l, 0, n),))
     x = (n - l) / 2
     side = _halves(x)
     if side < 0:
@@ -202,7 +201,7 @@ def minimal_broom(l, n: int) -> MinimalBroomSolution:
     brooms = tuple(BroomParams(l, i, n - i) for i in splits)
     i0 = splits[0]
     value = _one_over(1 + (l + i0) * (n - i0))
-    return MinimalBroomSolution(value, brooms, tuple(splits))
+    return MinimalBroomSolution(value, brooms)
 
 
 def minimal_broom_total(l) -> MinimalBroomSolution:
@@ -212,32 +211,27 @@ def minimal_broom_total(l) -> MinimalBroomSolution:
         raise InvalidParamsError("need l > 0")
     if l <= 2:
         k = math.ceil(l - 1)  # 0 for l <= 1, 1 for 1 < l <= 2
-        return MinimalBroomSolution(
-            _one_over(l), (BroomParams(l - k, k, 0),), (k,)
-        )
+        return MinimalBroomSolution(_one_over(l), (BroomParams(l - k, k, 0),))
     fl = math.floor(l)
     alpha = l - fl
     if alpha == 0:
         one = Fraction(1) if isinstance(l, Fraction) else 1.0
         if fl % 2 == 0:
             m = fl // 2
-            return MinimalBroomSolution(
-                _one_over(1 + m * m), (BroomParams(one, m - 1, m),), (m - 1,)
-            )
+            return MinimalBroomSolution(_one_over(1 + m * m), (BroomParams(one, m - 1, m),))
         m = (fl - 1) // 2
         return MinimalBroomSolution(
             _one_over(1 + m * (m + 1)),
             (BroomParams(one, m - 1, m + 1), BroomParams(one, m, m)),
-            (m - 1, m),
         )
     if fl % 2 == 0:
         m = fl // 2
         return MinimalBroomSolution(
-            _one_over(1 + m * (m + alpha)), (BroomParams(alpha, m, m),), (m,)
+            _one_over(1 + m * (m + alpha)), (BroomParams(alpha, m, m),)
         )
     m = (fl - 1) // 2
     return MinimalBroomSolution(
-        _one_over(1 + (m + alpha) * (m + 1)), (BroomParams(alpha, m, m + 1),), (m,)
+        _one_over(1 + (m + alpha) * (m + 1)), (BroomParams(alpha, m, m + 1),)
     )
 
 

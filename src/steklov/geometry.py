@@ -25,6 +25,7 @@ from .errors import (
 from .graph import (
     Role,
     WeightedBoundaryGraph,
+    component_passes,
     heaviest_branches,
     make_graph,
     subtree_sizes,
@@ -103,13 +104,14 @@ class ZeroSet:
         return bool(self.zero_edges)
 
 
-def zero_set(g: WeightedBoundaryGraph, f, tau_zero: float | None = None) -> ZeroSet:
-    """Vertices with |f| below tolerance, plus interior zeros on sign-change edges."""
+def zero_set(g: WeightedBoundaryGraph, f) -> ZeroSet:
+    """Vertices with |f| at most ``DEFAULT_ZERO_TOL`` times max |f|, plus
+    interior zeros on sign-change edges."""
     f = np.asarray(f, dtype=float)
     scale = float(np.max(np.abs(f)))
     if scale == 0.0:
         raise AllZeroError("function is identically zero")
-    tau = DEFAULT_ZERO_TOL * scale if tau_zero is None else tau_zero * scale
+    tau = DEFAULT_ZERO_TOL * scale
     vz = frozenset(int(v) for v in range(g.n) if abs(f[v]) <= tau)
     mg = metric_realization(g)
     edge_zeros = []
@@ -138,7 +140,6 @@ class ClumpReport:
     point: GeometricPoint
     clumps: tuple[Clump, ...]
     clump_number: Fraction
-    equilibrium: bool
 
 
 def _require_unit_tree(g: WeightedBoundaryGraph) -> None:
@@ -237,7 +238,7 @@ def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
             f"{Fraction(best, 2)})"
         )
     pt = winners[0]
-    return ClumpReport(pt, _clumps_at(g, pt), Fraction(best, 2), True)
+    return ClumpReport(pt, _clumps_at(g, pt), Fraction(best, 2))
 
 
 # -- nodal domains -------------------------------------------------------------------
@@ -254,38 +255,22 @@ class NodalDomain:
     vertex_index: dict[int, int]  # original vertex -> induced id
 
 
-def nodal_domains(
-    g: WeightedBoundaryGraph, f, tau_zero: float | None = None
-) -> list[NodalDomain]:
+def nodal_domains(g: WeightedBoundaryGraph, f) -> list[NodalDomain]:
     """Nodal domains of a function on (G, B), with induced graphs.
 
     Cut points (vertex zeros on the frontier and edge-interior zeros) become
     Dirichlet vertices of measure 1; partial edges get weight 1/segment-length.
-    Fully-zero edges belong to no domain.
+    Fully-zero edges belong to no domain. Domains are the components of
+    the same-sign edges between nonzero vertices, listed by least vertex.
     """
     f = np.asarray(f, dtype=float)
-    zs = zero_set(g, f, tau_zero)
+    zs = zero_set(g, f)
     nonzero = [v for v in range(g.n) if v not in zs.vertex_zeros]
-    # Union-find over nonzero vertices: same-sign edges keep a component together.
-    parent = {v: v for v in nonzero}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in g.edges:
-        if u in parent and v in parent and f[u] * f[v] > 0:
-            parent[find(u)] = find(v)
-
-    groups: dict[int, list[int]] = {}
-    for v in nonzero:
-        groups.setdefault(find(v), []).append(v)
+    same_sign = [[u for u in g.adjacency[v] if f[u] * f[v] > 0] for v in range(g.n)]
 
     mg = metric_realization(g)
     domains = []
-    for members in sorted(groups.values()):
+    for members, _ in component_passes(same_sign, nonzero):
         mset = set(members)
         cut_points: list[GeometricPoint] = []
         cut_index: dict[GeometricPoint, int] = {}
@@ -358,7 +343,6 @@ def verify_nodal_theorem(
     sigma: float,
     f,
     tol: float = 1e-8,
-    tau_zero: float | None = None,
 ) -> NodalTheoremReport:
     """Check lambda_1(G_U) = sigma on every nodal domain of the eigenpair.
 
@@ -368,10 +352,10 @@ def verify_nodal_theorem(
     if sigma <= 0:
         raise InvalidParamsError("the nodal theorem concerns sigma > 0")
     f = np.asarray(f, dtype=float)
-    if zero_set(g, f, tau_zero).degenerate:
+    if zero_set(g, f).degenerate:
         return NodalTheoremReport(True, ())
     verdicts = []
-    for dom in nodal_domains(g, f, tau_zero):
+    for dom in nodal_domains(g, f):
         spec = dirichlet_steklov_spectrum(dom.induced)
         lam1 = spec.eigenvalue(1)
         # Residual of the restricted function as a Lambda_0 eigenfunction.

@@ -6,11 +6,17 @@ indices 0..n-1. Graphs are immutable; mutating operations return new
 values. Edge weights and vertex measures may be floats or exact
 ``fractions.Fraction`` values (closed-form family constructions use the
 latter); numeric code converts to float on demand.
+
+Every question about connected pieces goes through one walk,
+:func:`subtree_sizes`: components of a graph or of an induced subgraph
+(:func:`component_passes`), the pieces left after edge removals, nodal
+domains, and the interior components that must touch the boundary.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -51,7 +57,8 @@ def adjacency_sets(n: int, edges) -> list[set[int]]:
 
 
 def subtree_sizes(adj, root: int = 0) -> tuple[list[int], dict[int, int], dict[int, int]]:
-    """One breadth-first pass over the tree holding ``root``.
+    """One breadth-first pass over the tree holding ``root``; every
+    component walk in the package is one of these passes.
 
     ``adj[v]`` iterates the neighbours of ``v``; only the component of
     ``root`` is visited, along a breadth-first spanning tree when the graph
@@ -69,6 +76,24 @@ def subtree_sizes(adj, root: int = 0) -> tuple[list[int], dict[int, int], dict[i
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
     return order, parent, size
+
+
+def component_passes(adj, verts: Iterable[int] | None):
+    """Each component of the subgraph of ``adj`` induced on ``verts`` (on
+    vertices 0..len(adj)-1 when None), by least vertex: its sorted vertices
+    and the :func:`subtree_sizes` pass rooted at that vertex."""
+    if verts is None:
+        roots = range(len(adj))
+    else:
+        keep = set(verts)
+        adj = {v: [u for u in adj[v] if u in keep] for v in keep}
+        roots = sorted(keep)
+    seen: set[int] = set()
+    for root in roots:
+        if root not in seen:
+            tree = subtree_sizes(adj, root)
+            seen.update(tree[0])
+            yield tuple(sorted(tree[0])), tree
 
 
 def heaviest_branches(order, parent, size) -> dict[int, int]:
@@ -150,36 +175,15 @@ class WeightedBoundaryGraph:
     # -- connectivity ------------------------------------------------------
 
     def components(self, restrict: Iterable[int] | None = None) -> list[list[int]]:
-        """Connected components, optionally of the induced subgraph on ``restrict``."""
-        verts = set(range(self.n)) if restrict is None else set(restrict)
-        seen: set[int] = set()
-        comps = []
-        for start in sorted(verts):
-            if start in seen:
-                continue
-            stack = [start]
-            comp = []
-            seen.add(start)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in self.adjacency[x]:
-                    if y in verts and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(sorted(comp))
-        return comps
+        """Connected components, optionally of the induced subgraph on
+        ``restrict``, by least vertex, each as its sorted vertices."""
+        return [list(verts) for verts, _ in component_passes(self.adjacency, restrict)]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(subtree_sizes(self.adjacency)[0]) == self.n
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.is_connected()
-
-    def is_unit_weight(self) -> bool:
-        return all(w == 1 for _, _, w in self.edges) and all(
-            m == 1 for m in self.measures
-        )
 
     # -- mutation (returns new graphs) --------------------------------------
 
@@ -357,6 +361,18 @@ def graph_to_dict(g: WeightedBoundaryGraph) -> dict:
     }
 
 
+def _finite(value, what):
+    """JSON reads Infinity and NaN as floats and integers of any size; a
+    graph file may hold only numbers that a float represents."""
+    try:
+        ok = not isinstance(value, (int, float)) or math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ParseError(f"{what} must be a finite float, got {value!r}")
+    return value
+
+
 def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
     if not isinstance(data, dict) or set(data) != {"vertices", "edges"}:
         raise ParseError("expected an object with exactly 'vertices' and 'edges'")
@@ -374,7 +390,7 @@ def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
         if not isinstance(vid, int) or not (0 <= vid < n) or vid in seen_ids:
             raise ParseError(f"bad or repeated vertex id {vid!r}")
         seen_ids.add(vid)
-        measures[vid] = entry.get("measure", 1)
+        measures[vid] = _finite(entry.get("measure", 1), "vertex measure")
         try:
             roles[vid] = Role(entry.get("role", "interior"))
         except ValueError as exc:
@@ -384,9 +400,10 @@ def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
         if set(entry) - _EDGE_FIELDS:
             raise ParseError(f"unknown edge fields: {sorted(set(entry) - _EDGE_FIELDS)}")
         try:
-            edges.append((entry["u"], entry["v"], entry.get("w", 1)))
+            u, v = entry["u"], entry["v"]
         except KeyError as exc:
             raise ParseError("edge entry missing 'u' or 'v'") from exc
+        edges.append((u, v, _finite(entry.get("w", 1), "edge weight")))
     try:
         return make_graph(n, edges, measures, roles)
     except (
@@ -409,6 +426,6 @@ def load_graph(path) -> WeightedBoundaryGraph:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also too many digits, or bytes that are not UTF-8
             raise ParseError(f"invalid JSON: {exc}") from exc
     return graph_from_dict(data)

@@ -43,7 +43,7 @@ from .errors import (
     NoBoundaryError,
     SingularInteriorError,
 )
-from .graph import WeightedBoundaryGraph
+from .graph import WeightedBoundaryGraph, subtree_sizes
 
 # Two eigenvalues count as equal when |a-b| <= EIG_EQ_TOL * max(1, |a|).
 EIG_EQ_TOL = 1e-8
@@ -156,13 +156,16 @@ def dirichlet_energy(g: WeightedBoundaryGraph, f: np.ndarray) -> float:
 def _check_interior_solvable(g: WeightedBoundaryGraph, interior) -> None:
     """Raise unless every component of the ``interior`` vertices has an edge
     to a vertex outside it, i.e. unless the interior block of L is
-    nonsingular."""
+    nonsingular. One pass from a virtual root joined to every outside
+    vertex misses exactly the vertices of the components that have none."""
     inside = set(interior)
-    for comp in g.components(interior):
-        if all(y in inside for x in comp for y in g.adjacency[x]):
-            raise SingularInteriorError(
-                f"component {comp} has no path to a boundary/Dirichlet vertex"
-            )
+    adj = [*g.adjacency.values(), [v for v in range(g.n) if v not in inside]]
+    reached = subtree_sizes(adj, g.n)[0]
+    if len(reached) <= g.n:
+        comp = g.components(inside.difference(reached))[0]
+        raise SingularInteriorError(
+            f"component {comp} has no path to a boundary/Dirichlet vertex"
+        )
 
 
 def _pinned_first(

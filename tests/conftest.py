@@ -36,6 +36,25 @@ def broom_codes(l):
     return frozenset(tree_code(f.graph, root=f.landmarks["o"]) for f in fams)
 
 
+def union_find_components(edges, verts):
+    """Oracle: components of the subgraph induced on ``verts`` by union-find,
+    each sorted, listed by least vertex."""
+    root = {v: v for v in verts}
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in edges:
+        if u in root and v in root:
+            root[find(u)] = find(v)
+    groups = {}
+    for v in sorted(verts):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
 def random_tree_edges(rng, n):
     """Random labeled tree: attach vertex k to a uniform earlier vertex."""
     return [(int(rng.integers(0, k)), k) for k in range(1, n)]

@@ -140,6 +140,36 @@ def test_nodal_eig_out_of_range_is_usage_error(tmp_path, capsys, eig):
     assert err.startswith("ERROR 1: eigenpair index")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
+    for argv in (["verify", "--n", "7", "--i", "2"], ["nodal", write_path(tmp_path, 4)]):
+        code, out, err = run(capsys, [*argv, "--tol", tol])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("ERROR 1:")
+
+
+@pytest.mark.parametrize("base,tooth", [("path:x", "edge"), ("path:3", "path:"),
+                                        ("cycle:", "edge"), ("path:3", "path:2.5")])
+def test_malformed_comb_spec_is_usage_error(capsys, base, tooth):
+    code, out, err = run(capsys, ["family", "comb", "--base", base, "--tooth", tooth])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR 1:")
+
+
+@pytest.mark.parametrize("field,where", [("w", "edges"), ("measure", "vertices")])
+def test_non_finite_graph_file_is_input_error(tmp_path, capsys, field, where):
+    doc = json.loads(Path(write_path(tmp_path, 3)).read_text())
+    doc[where][0][field] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["spectrum", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR 1:")
+
+
 def test_verify_trees(capsys):
     code, out, _ = run(capsys, ["verify", "--n", "7", "--i", "2"])
     assert code == 0

@@ -119,7 +119,7 @@ def test_clump_number_matches_candidate_scan():
                 best = min(values)
                 assert values.count(best) == 1, (n, g.edges)
                 j = values.index(best)
-                assert clump_number(g) == ClumpReport(pts[j], clumps[j], best, True)
+                assert clump_number(g) == ClumpReport(pts[j], clumps[j], best)
                 assert all(clump_lengths_at(g, p) == cs for p, cs in zip(pts, clumps))
 
 

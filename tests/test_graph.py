@@ -1,6 +1,8 @@
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from steklov.graph import (
     Role,
     combinatorial_boundary,
     combinatorial_graph,
+    component_passes,
     graph_from_dict,
     graph_to_dict,
     load_graph,
@@ -25,7 +28,7 @@ from steklov.graph import (
     structurally_equal,
 )
 
-from conftest import path_graph, random_tree_edges
+from conftest import path_graph, random_tree_edges, union_find_components
 
 
 def test_basic_construction():
@@ -65,6 +68,22 @@ def test_delete_edges_and_components():
         g.delete_edges([(0, 2)])
 
 
+def test_components_match_union_find_oracle():
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.5)
+        g = make_graph(n, [(u, v, 1) for (u, v), k in zip(pairs, keep) if k])
+        verts = [v for v in range(n) if rng.random() < 0.7]
+        edges = [(u, v) for u, v, _ in g.edges]
+        assert g.components(verts) == union_find_components(edges, verts)
+        assert g.components() == union_find_components(edges, range(n))
+        for comp, (order, parent, size) in component_passes(g.adjacency, verts):
+            assert sorted(order) == list(comp) and order[0] == comp[0]
+            assert parent[comp[0]] == -1 and size[comp[0]] == len(comp)
+
+
 def test_induced_subgraph_relabels():
     g = path_graph(4)
     h = g.induced_subgraph([2, 3])
@@ -102,15 +121,31 @@ def test_json_rejects_unknown_fields(tmp_path):
     with pytest.raises(ParseError):
         graph_from_dict(doc)
     path = tmp_path / "bad.json"
-    path.write_text("not json")
+    for text in ("not json", '{"vertices": [], "edges": [{"w": 1' + "0" * 5000 + "}]}"):
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            load_graph(path)
+    path.write_bytes(b'{"vertices": [\xff]}')
+    with pytest.raises(ParseError):
+        load_graph(path)
+
+
+@pytest.mark.parametrize("field,where", [("w", "edges"), ("measure", "vertices")])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400],
+                         ids=["inf", "-inf", "nan", "int-1e400"])
+def test_json_rejects_non_finite_numbers(tmp_path, field, where, value):
+    doc = graph_to_dict(path_graph(3))
+    doc[where][0][field] = value
+    with pytest.raises(ParseError):
+        graph_from_dict(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))  # written as Infinity, NaN or 400 digits
     with pytest.raises(ParseError):
         load_graph(path)
 
 
 @given(st.integers(min_value=2, max_value=10), st.randoms(use_true_random=False))
 def test_round_trip_random_trees(n, pyrng):
-    import numpy as np
-
     rng = np.random.default_rng(pyrng.randrange(2**32))
     g = combinatorial_graph(n, random_tree_edges(rng, n))
     assert structurally_equal(g, graph_from_dict(graph_to_dict(g)))

@@ -1,12 +1,16 @@
+import ast
 import math
+import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import steklov
 from steklov.errors import (
     InvalidParamsError,
     NoBoundaryError,
@@ -26,7 +30,7 @@ from steklov.spectral import (
     unit_steklov_spectra,
 )
 
-from conftest import path_graph, random_weighted_graph
+from conftest import path_graph, random_weighted_graph, union_find_components
 
 
 def test_p2_spectrum():
@@ -381,3 +385,49 @@ def test_assembly_errors_unchanged():
     with pytest.raises(InvalidParamsError, match="use with_dirichlet=True"):
         steklov_spectrum(pinned)
     assert dirichlet_steklov_spectrum(pinned).eigenvalue(1) == 0.5
+
+
+def test_singular_interior_matches_component_oracle():
+    """The interior block is singular exactly when some component of the
+    interior has no edge leaving it; the error names the first such one."""
+    rng = np.random.default_rng(20261019)
+    kinds = (Role.INTERIOR, Role.INTERIOR, Role.BOUNDARY, Role.DIRICHLET)
+    raised = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.0, 0.5)
+        edges = [(u, v) for (u, v), k in zip(pairs, keep) if k]
+        roles = [kinds[k] for k in rng.integers(0, len(kinds), n)]
+        g = make_graph(n, [(u, v, 1) for u, v in edges], roles=roles)
+        pinned = g.boundary + g.dirichlet
+        if not pinned:
+            continue
+        inside = set(g.interior)
+        closed = [c for c in union_find_components(edges, g.interior)
+                  if all(y in inside for x in c for y in g.adjacency[x])]
+        data = dict.fromkeys(pinned, 0.0)
+        if closed:
+            raised += 1
+            with pytest.raises(SingularInteriorError, match=re.escape(f"component {closed[0]} ")):
+                harmonic_extension(g, data)
+        else:
+            harmonic_extension(g, data)
+    assert raised > 50
+
+
+def test_only_spectral_imports_scipy():
+    """scipy stays behind one module, so dropping it touches only that one."""
+    package = Path(steklov.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                importers.add(path.name)
+    assert importers == {"spectral.py"}
