@@ -8,9 +8,11 @@ list components by least vertex, so results are deterministic. Each
 component's clump number comes from one subtree-size pass over plain
 adjacency lists, and a clump is told to be a minimal broom by its shape
 (:func:`~steklov.families.broom_shape`). The type A split needs no search:
-it is unique when it exists. When a guarantee applies (the hypotheses of
-the underlying removal lemmas hold) and no witness is found, the run fails
-loudly with CertificationError instead of returning a quiet negative.
+it is unique when it exists, and it reads the tree's own walk from vertex 0
+(``WeightedBoundaryGraph.walk``), as the tree test and the sub-k test do.
+When a guarantee applies (the hypotheses of the underlying removal lemmas
+hold) and no witness is found, the run fails loudly with CertificationError
+instead of returning a quiet negative.
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ from .errors import (
 )
 from .families import broom_shape, minimal_broom_total
 from .geometry import clump_number, doubled_clump_number, require_unit_weights
-from .graph import (
-    WeightedBoundaryGraph,
-    component_passes,
-    heaviest_branches,
-    subtree_sizes,
-)
+from .graph import WeightedBoundaryGraph, component_passes, heaviest_branches
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ def is_sub_k(g: WeightedBoundaryGraph, k: int) -> SubKWitness:
         return SubKWitness(cn < k, k, cn, ())
     arms = minimal_broom_total(k).shapes
     adj = g.adjacency
-    heaviest = heaviest_branches(*subtree_sizes(adj))
+    heaviest = heaviest_branches(*g.walk)
     candidates = []
     for o in range(g.n):
         if heaviest[o] != k:  # the clump number at vertex o
@@ -118,9 +115,9 @@ def _removal_search(g: WeightedBoundaryGraph, sizes, judge):
     component accepted by ``judge``.
 
     ``judge(vertices, tree)`` gets a component's sorted vertices and its
-    :func:`subtree_sizes` pass, and returns the component's report or None
-    to reject the removal; components are judged by least vertex and the
-    first rejection ends the removal. A component is the subgraph its
+    :func:`~steklov.graph.subtree_sizes` pass, and returns the component's
+    report or None to reject the removal; components are judged by least
+    vertex and the first rejection ends the removal. A component is the subgraph its
     vertices induce, so each vertex set is judged once per search. Returns
     (removed, reports) or None.
     """
@@ -271,7 +268,7 @@ def classify_type_AB(g: WeightedBoundaryGraph, k: int) -> TypeABClassification:
         # A split into parts of k vertices is unique when it exists: it cuts
         # exactly the edges whose far side (from vertex 0) has a multiple of
         # k vertices, and there must be r - 1 of them.
-        _, parent, size = subtree_sizes(g.adjacency)
+        _, parent, size = g.walk
         removed = tuple(
             (u, v) for u, v, _ in g.edges if size[v if parent[v] == u else u] % k == 0
         )

@@ -71,9 +71,9 @@ def _unit_length(v: int, u: int) -> str:
     return "1"
 
 
-def _centroids(adj) -> list[int]:
-    """Centroids of a tree from one subtree-size pass rooted at 0."""
-    heaviest = heaviest_branches(*subtree_sizes(adj))
+def _centroids(order, parent, size) -> list[int]:
+    """Centroids of a tree from a subtree-size pass."""
+    heaviest = heaviest_branches(order, parent, size)
     best = min(heaviest.values())
     return [v for v, h in heaviest.items() if h == best]
 
@@ -87,7 +87,7 @@ def tree_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
     def label(v: int, u: int) -> str:
         return _edge_length_str(adj[v][u])
 
-    roots = [root] if root is not None else _centroids(adj)
+    roots = [root] if root is not None else _centroids(*g.walk)
     return min(_rooted_code(adj, r, label) for r in roots)
 
 
@@ -100,7 +100,8 @@ def _plant(forest) -> str:
 def unit_tree_code(adj) -> str:
     """``tree_code`` of a unit-weight tree given by neighbour lists or
     sets; builds no graph and no ``Fraction`` (every edge length is "1")."""
-    return min(_rooted_code(adj, c, _unit_length) for c in _centroids(adj))
+    centroids = _centroids(*subtree_sizes(adj))
+    return min(_rooted_code(adj, c, _unit_length) for c in centroids)
 
 
 def tree_edges(code: str) -> tuple[int, list[tuple[int, int]]]:

@@ -707,18 +707,19 @@ def verify_steklov_clump(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     the equilibrium point are minimal brooms Br(Clump(T))."""
     rep = clump_number(g)
     cn = rep.clump_number
-    bound = float(lambda_value(cn))
+    brooms = minimal_broom_total(cn)
+    bound = float(brooms.value)
     sigma2 = sigma_value(g, 2)
     holds = sigma2 >= bound - tol
     equality = abs(sigma2 - bound) <= tol
-    pt, brooms = rep.point, minimal_broom_total(cn).shapes
+    pt, shapes = rep.point, brooms.shapes
     matches = 0
     for clump in rep.clumps:
         # from a midpoint the walk leaves the edge's other end behind; the
         # root edge is what the clump's length adds to its unit edges
         root = pt.vertex if pt.is_vertex else sum(pt.edge) - clump.attach
         first = clump.length - (len(clump.vertices) - 1)
-        matches += broom_shape(g.adjacency, root, clump.attach, first) in brooms
+        matches += broom_shape(g.adjacency, root, clump.attach, first) in shapes
     return ClumpBoundVerdict(
         sigma2, cn, bound, holds, equality, matches,
         rigidity_consistent=(matches >= 2) == equality,
@@ -770,7 +771,7 @@ def verify_bipartite_top(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     if g.edges:
         # colour by breadth-first depth parity; a connected bipartite graph
         # has no other 2-colouring, so an edge within a colour closes an odd cycle
-        order, parent, _ = subtree_sizes(g.adjacency)
+        order, parent, _ = g.walk
         side = {0: 0}
         for v in order[1:]:
             side[v] = 1 - side[parent[v]]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from numbers import Rational, Real
 
 import numpy as np
@@ -91,7 +92,7 @@ class MinimalBroomSolution:
     value: Number
     brooms: tuple[BroomParams, ...]
 
-    @property
+    @cached_property
     def shapes(self) -> frozenset[BroomParams]:
         """The brooms normalized, as :func:`broom_shape` reports them."""
         return frozenset(p.normalized() for p in self.brooms)
@@ -207,6 +208,18 @@ def minimal_broom(l, n: int) -> MinimalBroomSolution:
 def minimal_broom_total(l) -> MinimalBroomSolution:
     """Br(l) and Lambda(l): minimal brooms of total length l."""
     l = as_number(l)
+    if isinstance(l, (Fraction, float)):
+        return _minimal_broom_total(l)
+    # other reals (mpmath) evaluate in the caller's precision, never memoised
+    return _minimal_broom_total.__wrapped__(l)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _minimal_broom_total(l: Number) -> MinimalBroomSolution:
+    """:func:`minimal_broom_total` of a validated length. A class of trees
+    asks for few lengths, so each solution is computed once; ``typed`` keeps
+    a float length from ever sharing an entry with an equal Fraction.
+    Solutions are frozen and shared by every caller."""
     if not l > 0:
         raise InvalidParamsError("need l > 0")
     if l <= 2:
@@ -214,14 +227,16 @@ def minimal_broom_total(l) -> MinimalBroomSolution:
         return MinimalBroomSolution(_one_over(l), (BroomParams(l - k, k, 0),))
     fl = math.floor(l)
     alpha = l - fl
-    if alpha == 0:
+    if alpha == 0:  # alpha is a zero of l's type, and so is each value
         one = Fraction(1) if isinstance(l, Fraction) else 1.0
         if fl % 2 == 0:
             m = fl // 2
-            return MinimalBroomSolution(_one_over(1 + m * m), (BroomParams(one, m - 1, m),))
+            return MinimalBroomSolution(
+                _one_over(1 + m * (m + alpha)), (BroomParams(one, m - 1, m),)
+            )
         m = (fl - 1) // 2
         return MinimalBroomSolution(
-            _one_over(1 + m * (m + 1)),
+            _one_over(1 + (m + alpha) * (m + 1)),
             (BroomParams(one, m - 1, m + 1), BroomParams(one, m, m)),
         )
     if fl % 2 == 0:

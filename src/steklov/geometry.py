@@ -223,7 +223,7 @@ def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
     Uniqueness of the argmin is asserted.
     """
     _require_unit_tree(g)
-    order, parent, size = subtree_sizes(g.adjacency)
+    order, parent, size = g.walk
     at_vertex, at_midpoint = _doubled_clump_numbers(order, parent, size)
     best = min([*at_vertex.values(), *at_midpoint.values()])
     winners = [GeometricPoint.at_vertex(v) for v, d in at_vertex.items() if d == best]

@@ -11,6 +11,12 @@ Every question about connected pieces goes through one walk,
 :func:`subtree_sizes`: components of a graph or of an induced subgraph
 (:func:`component_passes`), the pieces left after edge removals, nodal
 domains, and the interior components that must touch the boundary.
+
+A graph keeps its walk from vertex 0 (:attr:`WeightedBoundaryGraph.walk`),
+as it keeps its adjacency and its role lists: ``is_connected``, ``is_tree``
+and every caller that walks a tree from vertex 0 (clump numbers, the type A
+split, the sub-k test, the bipartite colouring) read that one pass, so a
+certificate walks its tree once. Callers must not mutate it.
 """
 
 from __future__ import annotations
@@ -152,19 +158,19 @@ class WeightedBoundaryGraph:
     def vertices_with_role(self, role: Role) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.roles[v] is role)
 
-    @property
+    @cached_property
     def boundary(self) -> tuple[int, ...]:
         return self.vertices_with_role(Role.BOUNDARY)
 
-    @property
+    @cached_property
     def dirichlet(self) -> tuple[int, ...]:
         return self.vertices_with_role(Role.DIRICHLET)
 
-    @property
+    @cached_property
     def interior(self) -> tuple[int, ...]:
         return self.vertices_with_role(Role.INTERIOR)
 
-    @property
+    @cached_property
     def dirichlet_interior(self) -> tuple[int, ...]:
         """Omega_D: every vertex that is not a Dirichlet boundary vertex."""
         return tuple(v for v in range(self.n) if self.roles[v] is not Role.DIRICHLET)
@@ -179,8 +185,14 @@ class WeightedBoundaryGraph:
         ``restrict``, by least vertex, each as its sorted vertices."""
         return [list(verts) for verts, _ in component_passes(self.adjacency, restrict)]
 
+    @cached_property
+    def walk(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
+        """The :func:`subtree_sizes` pass from vertex 0, shared by every
+        reader; needs n >= 1."""
+        return subtree_sizes(self.adjacency)
+
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(subtree_sizes(self.adjacency)[0]) == self.n
+        return self.n <= 1 or len(self.walk[0]) == self.n
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.is_connected()
@@ -362,13 +374,14 @@ def graph_to_dict(g: WeightedBoundaryGraph) -> dict:
 
 
 def _finite(value, what):
-    """JSON reads Infinity and NaN as floats and integers of any size; a
-    graph file may hold only numbers that a float represents."""
+    """JSON reads Infinity and NaN as floats, integers of any size, and
+    true and false as bools, which Python counts as integers; a graph file
+    may hold only numbers that a float represents."""
     try:
         ok = not isinstance(value, (int, float)) or math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         ok = False
-    if not ok:
+    if not ok or isinstance(value, bool):
         raise ParseError(f"{what} must be a finite float, got {value!r}")
     return value
 

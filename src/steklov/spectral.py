@@ -8,7 +8,11 @@ is desk scale.
 
 One assembly serves every per-graph solve: :func:`_pinned_first` checks
 that the interior block is nonsingular and builds the float Laplacian once,
-with the vertices whose values are given first and the interior last.
+with the vertices whose values are given first and the interior last. A
+connected graph with a vertex outside the interior passes that check with
+no walk of its own. When every measure of an eigenproblem is 1 the
+M^{-1/2} conjugation is skipped: with d = 1 it changes no bit of the
+eigenvalues or the eigenvectors.
 :func:`dtn_matrix` is the only place that forms the Schur complement
 S = L_BB - L_IB^T L_II^{-1} L_IB. It keeps the Cholesky factor of L_II, so
 the harmonic extensions of a spectrum (``SpectralResult.extensions``) are
@@ -51,8 +55,8 @@ EIG_EQ_TOL = 1e-8
 _EPS = np.finfo(float).eps
 
 
-def _require_finite(*arrays: np.ndarray) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
 
 
@@ -60,7 +64,8 @@ def _solve_pos(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
     """x with a x = b for symmetric positive definite ``a``, bit for bit as
     ``scipy.linalg.solve(a, b, assume_a="pos")``, and the factor of ``a``
     that :func:`_solve_factored` takes for further right-hand sides."""
-    _require_finite(a, b)
+    _require_finite(a)
+    _require_finite(b)
     if len(a) == 1:  # scipy divides by a 1x1 block instead of factoring it
         if a[0, 0] == 0:
             raise LinAlgError("A singular matrix detected.")
@@ -158,6 +163,11 @@ def _check_interior_solvable(g: WeightedBoundaryGraph, interior) -> None:
     to a vertex outside it, i.e. unless the interior block of L is
     nonsingular. One pass from a virtual root joined to every outside
     vertex misses exactly the vertices of the components that have none."""
+    if len(interior) < g.n and g.is_connected():
+        # In a connected graph a path runs from any interior vertex to any
+        # vertex outside, and its first step out of the interior is an edge
+        # out of that vertex's interior component: nothing to check.
+        return
     inside = set(interior)
     adj = [*g.adjacency.values(), [v for v in range(g.n) if v not in inside]]
     reached = subtree_sizes(adj, g.n)[0]
@@ -325,6 +335,9 @@ class SpectralResult:
 
 
 def _generalized_eigh(S: np.ndarray, m: np.ndarray):
+    if not (m != 1.0).any():
+        # unit measures: with d = 1 the conjugation below changes no bit
+        return _eigh((S + S.T) / 2.0)
     d = 1.0 / np.sqrt(m)
     T = (S * d).T * d  # diag(d) S diag(d), symmetric
     vals, Y = _eigh((T + T.T) / 2.0)

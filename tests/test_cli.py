@@ -140,7 +140,7 @@ def test_nodal_eig_out_of_range_is_usage_error(tmp_path, capsys, eig):
     assert err.startswith("ERROR 1: eigenpair index")
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "0.5", "1e6"])
 def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
     for argv in (["verify", "--n", "7", "--i", "2"], ["nodal", write_path(tmp_path, 4)]):
         code, out, err = run(capsys, [*argv, "--tol", tol])
@@ -168,6 +168,12 @@ def test_non_finite_graph_file_is_input_error(tmp_path, capsys, field, where):
     assert code == 1
     assert out == ""
     assert err.startswith("ERROR 1:")
+
+
+def test_largest_tol_is_accepted(capsys):
+    code, out, _ = run(capsys, ["verify", "--n", "7", "--i", "2", "--tol", "1e-6"])
+    assert code == 0
+    assert json.loads(out)["payload"]["match"]
 
 
 def test_verify_trees(capsys):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +42,7 @@ from steklov.families import (
     lambda_value,
     rooted_path,
 )
-from steklov.graph import combinatorial_graph, make_graph
+from steklov.graph import combinatorial_graph, make_graph, subtree_sizes
 
 from conftest import broom_codes, clump_rooted_tree, path_graph
 
@@ -411,6 +412,22 @@ def test_is_sub_k_matches_vertex_scan():
     for g in _trees(10):
         for k in range(1, 5):
             assert is_sub_k(g, k) == oracle_is_sub_k(g, k), (g.edges, k)
+
+
+def test_shared_walk_is_never_mutated():
+    # every reader of a tree's walk from vertex 0 shares one pass; none may
+    # change it for the next
+    for g in _trees(10):
+        walk = g.walk
+        assert walk == subtree_sizes(g.adjacency)
+        before = copy.deepcopy(walk)
+        _outcome(clump_number, g)
+        _outcome(tree_code, g)
+        for k in range(1, 5):
+            _outcome(classify_type_AB, g, k)
+            _outcome(is_sub_k, g, k)
+            _outcome(find_removal_for_clump, g, 1, k)
+        assert g.walk is walk and walk == before, g.edges
 
 
 def _float_twin(g):

@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from steklov.families import (
     build_star,
     build_star_paths,
     comb_spectrum,
+    _minimal_broom_total,
     comb_tooth_with_dirichlet_edge,
     lambda_value,
     lambda_value_ln,
@@ -167,6 +169,36 @@ def test_broom_shape_matches_rooted_codes():
                     clumps += 1
                     brooms += got
     assert clumps == 15832 and brooms > 1000
+
+
+@pytest.mark.parametrize("order", [(3.0, Fraction(3)), (Fraction(3), 3.0)],
+                         ids=["float-first", "fraction-first"])
+def test_minimal_broom_total_memo_keeps_types(order):
+    # solutions are memoised by typed key: 3.0 == Fraction(3), but a float
+    # length must give float values and a Fraction exact ones, in any order
+    _minimal_broom_total.cache_clear()
+    for l in order * 2:
+        sol = minimal_broom_total(l)
+        assert type(sol.value) is type(l), l
+        assert all(type(p.l) is type(l) for p in sol.brooms), l
+
+
+def test_minimal_broom_total_mpf_in_callers_precision():
+    # an mpmath length is never memoised: each call evaluates at the
+    # precision in force, however often the same value comes back
+    x = mpmath.mpf(5) / 2
+    with mpmath.workdps(40):
+        v40 = lambda_value(x)
+    with mpmath.workdps(15):
+        v15 = lambda_value(x)
+    assert v15 != v40
+    assert v15 == mpmath.mpf(1) / (1 + 1 * (1 + mpmath.mpf(1) / 2))
+
+
+@pytest.mark.parametrize("bad", [[3], True, "x", 0, -1], ids=repr)
+def test_minimal_broom_total_rejects_bad_lengths(bad):
+    with pytest.raises(InvalidParamsError):
+        minimal_broom_total(bad)
 
 
 def test_lambda_integer_closed_form():

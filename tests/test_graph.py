@@ -131,15 +131,16 @@ def test_json_rejects_unknown_fields(tmp_path):
 
 
 @pytest.mark.parametrize("field,where", [("w", "edges"), ("measure", "vertices")])
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400],
-                         ids=["inf", "-inf", "nan", "int-1e400"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400, True, False],
+                         ids=["inf", "-inf", "nan", "int-1e400", "true", "false"])
 def test_json_rejects_non_finite_numbers(tmp_path, field, where, value):
+    # true and false too: bool is an int in Python and True > 0
     doc = graph_to_dict(path_graph(3))
     doc[where][0][field] = value
     with pytest.raises(ParseError):
         graph_from_dict(doc)
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(doc))  # written as Infinity, NaN or 400 digits
+    path.write_text(json.dumps(doc))  # written as Infinity, NaN, 400 digits, true or false
     with pytest.raises(ParseError):
         load_graph(path)
 

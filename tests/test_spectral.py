@@ -389,10 +389,12 @@ def test_assembly_errors_unchanged():
 
 def test_singular_interior_matches_component_oracle():
     """The interior block is singular exactly when some component of the
-    interior has no edge leaving it; the error names the first such one."""
+    interior has no edge leaving it; the error names the first such one.
+    Every solve agrees: the extension, the plain DtN map and the Dirichlet
+    spectrum, on connected graphs (which skip the check) and on the rest."""
     rng = np.random.default_rng(20261019)
     kinds = (Role.INTERIOR, Role.INTERIOR, Role.BOUNDARY, Role.DIRICHLET)
-    raised = 0
+    raised, connected = 0, [0, 0]
     for _ in range(400):
         n = int(rng.integers(2, 10))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -407,13 +409,22 @@ def test_singular_interior_matches_component_oracle():
         closed = [c for c in union_find_components(edges, g.interior)
                   if all(y in inside for x in c for y in g.adjacency[x])]
         data = dict.fromkeys(pinned, 0.0)
+        solves = [lambda: harmonic_extension(g, data)]
+        if g.boundary:
+            solves.append(lambda: dirichlet_steklov_spectrum(g))
+            if not g.dirichlet:
+                solves.append(lambda: dtn_matrix(g))
+        connected[g.is_connected()] += 1
         if closed:
             raised += 1
-            with pytest.raises(SingularInteriorError, match=re.escape(f"component {closed[0]} ")):
-                harmonic_extension(g, data)
+            for solve in solves:
+                with pytest.raises(SingularInteriorError, match=re.escape(f"component {closed[0]} ")):
+                    solve()
         else:
-            harmonic_extension(g, data)
+            for solve in solves:
+                solve()
     assert raised > 50
+    assert min(connected) > 50  # both the full check and the shortcut ran
 
 
 def test_only_spectral_imports_scipy():
