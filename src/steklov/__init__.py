@@ -72,7 +72,6 @@ from .enumeration import (
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
-    is_isomorphic,
     tree_code,
 )
 from .extremal import (

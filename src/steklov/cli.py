@@ -54,11 +54,6 @@ EXIT_ASSERTION = 2
 EXIT_RIGIDITY = 3
 EXIT_RANGE = 4
 JOBS_HELP = "accepted (N >= 1) and ignored: every sweep runs in one process"
-# Largest --tol accepted, far below the gaps a tolerance must not bridge:
-# the smallest gap between a minimum and the next class is 4.3e-3 over the
-# supported pairs and 6.2e-4 at trees n = 18. A large one merges classes
-# into the argmin: --tol 0.5 puts 22 of the 23 trees at n = 8 in it.
-MAX_TOL = 1e-6
 
 
 class UsageError(Exception):
@@ -490,9 +485,9 @@ def main(argv=None) -> int:
             logging.getLogger().setLevel(logging.INFO)
         if args.cache_dir is not None:
             os.environ["STEKLOV_CACHE_DIR"] = args.cache_dir
-        tol = getattr(args, "tol", MAX_TOL)
-        if getattr(args, "jobs", 1) < 1 or not 0 < tol <= MAX_TOL:
-            raise UsageError(f"--jobs must be >= 1 and --tol in (0, {MAX_TOL:g}]")
+        tol = getattr(args, "tol", extremal.MAX_TOL)
+        if getattr(args, "jobs", 1) < 1 or not 0 < tol <= extremal.MAX_TOL:
+            raise UsageError(f"--jobs must be >= 1 and --tol in (0, {extremal.MAX_TOL:g}]")
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"ERROR {EXIT_USAGE}: {exc}\n")

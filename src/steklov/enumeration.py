@@ -3,13 +3,16 @@
 Two code flavors: a recursive sorted-subtree code for (rooted or free)
 trees, annotated with metric edge lengths so brooms with fractional
 Dirichlet edges compare correctly; and a minimal-adjacency code for general
-simple graphs, pruned by Weisfeiler-Lehman color refinement. Both codes are
+simple graphs over the vertex orders that respect the Weisfeiler-Lehman
+colour cells, found by a row-by-row search that keeps only the least rows
+(individualisation and refinement, McKay-Piperno 2014). Both codes are
 decodable strings, which is what the on-disk class cache stores.
 
 Both classes are built from smaller pieces: free trees from the rooted
 branches at their centroids (Otter), connected graphs by joining a vertex to
-a smaller connected graph. Prufer sequences, edge subsets and the Otter
-recurrence give independent oracles.
+a smaller connected graph, coding only the joins whose new vertex could be
+the canonical one to delete (McKay 1998). Prufer sequences, edge subsets and
+the Otter recurrence give independent oracles.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .graph import (
     WeightedBoundaryGraph,
     adjacency_sets,
     combinatorial_graph,
+    component_passes,
     heaviest_branches,
     make_graph,
     subtree_sizes,
@@ -168,22 +172,33 @@ def tree_from_code(code: str) -> WeightedBoundaryGraph:
 # -- general graph codes -------------------------------------------------------------
 
 
-def _wl_colors(adj: list[set[int]], n: int) -> list[int]:
-    color = [0] * n
+def _wl_colors(adj) -> list[int]:
+    """Stable Weisfeiler-Lehman colours: each round gives a vertex the rank
+    of (its colour, its neighbours' sorted colours) among all such pairs.
+
+    The first round from all-zero colours ranks the degrees, so refinement
+    starts there; it stops when a round splits no colour, that is when the
+    pairs are as many as the colours. Colours are numbered by the graph's
+    isomorphism class alone, and a larger degree gets a larger colour."""
+    nbrs = [tuple(a) for a in adj]
+    degrees = sorted({len(a) for a in nbrs})
+    rank = {d: c for c, d in enumerate(degrees)}
+    color = [rank[len(a)] for a in nbrs]
+    count = len(degrees)
     while True:
-        sig = [
-            (color[v], tuple(sorted(color[u] for u in adj[v]))) for v in range(n)
-        ]
-        order = {s: i for i, s in enumerate(sorted(set(sig)))}
-        fresh = [order[s] for s in sig]
-        if fresh == color:
+        sig = [(color[v], tuple(sorted([color[u] for u in a]))) for v, a in enumerate(nbrs)]
+        distinct = sorted(set(sig))
+        if len(distinct) == count:
             return color
-        color = fresh
+        order = {s: c for c, s in enumerate(distinct)}
+        color = [order[s] for s in sig]
+        count = len(distinct)
 
 
 def graph_code(g: WeightedBoundaryGraph) -> str:
-    """Lexicographically minimal adjacency bits over WL-partition-respecting
-    permutations. Exact canonical form; intended for n <= 10."""
+    """Canonical code of a simple unit-weight graph: the least adjacency
+    bits (the upper triangle, row by row) over the vertex orders that list
+    the WL colour cells in colour order. Exact; intended for n <= 10."""
     if g.n > MAX_CODE_N:
         raise OutOfSupportedRangeError(f"general codes support n <= {MAX_CODE_N}")
     if any(w != 1 for _, _, w in g.edges):
@@ -191,27 +206,61 @@ def graph_code(g: WeightedBoundaryGraph) -> str:
     return _adjacency_code([set(g.adjacency[v]) for v in range(g.n)])
 
 
-def _adjacency_code(adj: list[set[int]]) -> str:
-    """:func:`graph_code` of the simple graph with neighbour sets ``adj``."""
+def _adjacency_code(adj: list[set[int]], colors: list[int] | None = None) -> str:
+    """:func:`graph_code` of the simple graph with neighbour sets ``adj``
+    (and its :func:`_wl_colors`, when already known).
+
+    The code is row-major over the upper triangle, so row k is the
+    adjacency of the k-th vertex to the ones after it, and the least code
+    has the least row 0, then the least row 1 given it, and so on. The
+    search keeps, level by level, every ordered partition of the vertices
+    not yet placed that the least rows so far allow; it starts from the
+    colour cells. At level k a state places a vertex v of its first block
+    and splits every block into the non-neighbours of v, then its
+    neighbours: that is v's least row, and every order that gives it. Only
+    the children with the least row survive, and equal states merge, since
+    the rows to come depend on the partition alone. A vertex w of the same
+    block as an already placed sibling v, with N(v) - {w} = N(w) - {v}, is
+    skipped: swapping v and w is an automorphism that fixes the state, so
+    it maps v's subtree onto w's, rows included. Twins form classes, so one
+    check per placed sibling suffices."""
     n = len(adj)
-    colors = _wl_colors(adj, n)
-    cells: dict[int, list[int]] = {}
-    for v in range(n):
-        cells.setdefault(colors[v], []).append(v)
-    ordered_cells = [cells[c] for c in sorted(cells)]
+    if n == 1:
+        return "g1:0"
+    if colors is None:
+        colors = _wl_colors(adj)
     masks = [sum(1 << u for u in adj[v]) for v in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    best = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(cell) for cell in ordered_cells)
-    ):
-        p = [v for part in perm_parts for v in part]
-        bits = 0
-        for i, j in pairs:
-            bits = (bits << 1) | ((masks[p[i]] >> p[j]) & 1)
-        if best is None or bits < best:
-            best = bits
-    return f"g{n}:{best:0{max(1, n * (n - 1) // 2)}b}" if n > 1 else "g1:0"
+    cells: dict[int, int] = {}
+    for v in range(n):
+        cells[colors[v]] = cells.get(colors[v], 0) | 1 << v
+    states = {tuple(cells[c] for c in sorted(cells))}  # blocks as vertex bit masks
+    bits = 0
+    for k in range(n - 1):
+        best, survivors = -1, set()
+        for first, *rest in states:
+            placed: list[int] = []
+            todo = first
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                v = low.bit_length() - 1
+                mask = masks[v]
+                if any((mask & ~(1 << w)) == (masks[w] & ~low) for w in placed):
+                    continue
+                placed.append(v)
+                row, child = 0, []
+                for block in (first ^ low, *rest):
+                    near = block & mask
+                    far = block ^ near
+                    row = (row << block.bit_count()) | ((1 << near.bit_count()) - 1)
+                    child += [part for part in (far, near) if part]
+                if best < 0 or row < best:
+                    best, survivors = row, {tuple(child)}
+                elif row == best:
+                    survivors.add(tuple(child))
+        bits = (bits << (n - 1 - k)) | best
+        states = survivors
+    return f"g{n}:{bits:0{n * (n - 1) // 2}b}"
 
 
 def graph_edges(code: str) -> tuple[int, list[tuple[int, int]]]:
@@ -242,12 +291,6 @@ def canonical_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
     if root is not None:
         raise InvalidParamsError("rooted codes are defined for trees only")
     return graph_code(g)
-
-
-def is_isomorphic(g1: WeightedBoundaryGraph, g2: WeightedBoundaryGraph) -> bool:
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    return canonical_code(g1) == canonical_code(g2)
 
 
 # -- class streams -------------------------------------------------------------------
@@ -338,17 +381,38 @@ def _tree_class(n: int) -> list[str]:
 
 
 def _connected_class(n: int) -> set[str]:
-    """Codes of the connected graphs on n vertices: removing a spanning-tree
-    leaf leaves a connected graph on n - 1, so join a vertex to its subsets."""
+    """Codes of the connected graphs on n vertices: removing a vertex that
+    is no cut vertex leaves a connected graph on n - 1, so join a new
+    vertex to each nonempty subset of every smaller class member.
+
+    The new vertex is no cut vertex. A join is coded only when no non-cut
+    vertex has a larger WL colour than the new vertex (a larger degree, the
+    cheaper test, is checked first): colours are isomorphism invariants and
+    refine the degree order, so every class is still reached by deleting
+    its highest-colour non-cut vertex. The set drops repeats."""
     if n == 1:
         return {"g1:0"}
-    joins = [{v for v in range(n - 1) if mask >> v & 1} for mask in range(1, 1 << (n - 1))]
+    m = n - 1
     codes = set()
-    for code in _class_codes("connected", n - 1):
+    for code in _class_codes("connected", m):
         base = adjacency_sets(*graph_edges(code))
-        for new in joins:
-            adj = [nbrs | {n - 1} if v in new else nbrs for v, nbrs in enumerate(base)]
-            codes.add(_adjacency_code(adj + [new]))
+        # the components of base - x as bit masks: x is a cut vertex of the
+        # joined graph unless the new vertex meets each of them
+        pieces = [
+            [sum(1 << u for u in verts) for verts, _ in component_passes(base, set(range(m)) - {x})]
+            for x in range(m)
+        ]
+        for new in range(1, 1 << m):
+            degree = new.bit_count()
+            if any(len(base[x]) + ((new >> x) & 1) > degree
+                   and all(p & new for p in pieces[x]) for x in range(m)):
+                continue
+            adj = [nbrs | {m} if (new >> v) & 1 else nbrs for v, nbrs in enumerate(base)]
+            adj.append({v for v in range(m) if (new >> v) & 1})
+            colors = _wl_colors(adj)
+            if any(colors[x] > colors[m] and all(p & new for p in pieces[x]) for x in range(m)):
+                continue
+            codes.add(_adjacency_code(adj, colors))
     return codes
 
 

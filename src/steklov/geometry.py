@@ -28,7 +28,6 @@ from .graph import (
     component_passes,
     heaviest_branches,
     make_graph,
-    subtree_sizes,
 )
 from .spectral import dirichlet_steklov_spectrum, dtn_matrix
 
@@ -164,22 +163,29 @@ def clump_lengths_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[C
 
 
 def _clumps_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[Clump, ...]:
-    """Clumps at a point, ordered by attach vertex, from one subtree-size
-    pass rooted at the vertex or at the lower end of the edge."""
+    """Clumps at a point, ordered by attach vertex, read from the shared
+    walk: a branch at the point is the subtree of one of its children in
+    the walk, or the rest of the tree, which holds the walk's root."""
+    order, parent, _ = g.walk
     if point.is_vertex:
-        root = point.vertex
-        heads = sorted(g.adjacency[root])
+        cut = point.vertex
+        heads = sorted(g.adjacency[cut])
+        below = {h for h in heads if parent[h] == cut}
+        above = parent[cut]
     else:
-        heads = list(point.edge)
-        root = heads[0]
-    order, parent, _ = subtree_sizes(g.adjacency, root)
-    head = dict(zip(heads, heads))  # each vertex's clump, by attach vertex
-    for x in order[1:]:
-        if x not in head:
-            head[x] = head[parent[x]]
+        u, v = heads = list(point.edge)
+        child, above = (u, v) if parent[u] == v else (v, u)
+        below, cut = {child}, None
+    head = {}  # each vertex's clump, by attach vertex
+    for x in order:
+        if x in below:
+            head[x] = x
+        elif x != cut:
+            head[x] = above if parent[x] < 0 else head[parent[x]]
     members = {h: [] for h in heads}
-    for x in sorted(head):
-        members[head[x]].append(x)
+    for x in range(g.n):
+        if x in head:
+            members[head[x]].append(x)
     if point.is_vertex:
         return tuple(Clump(Fraction(len(members[b])), tuple(members[b]), b) for b in heads)
     (u, v), t = point.edge, point.offset

@@ -1,10 +1,11 @@
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from steklov.enumeration import tree_code
+from steklov.enumeration import canonical_code, tree_code
 from steklov.families import build_broom, minimal_broom_total
 from steklov.graph import Role, combinatorial_boundary, combinatorial_graph, make_graph
 
@@ -34,6 +35,50 @@ def broom_codes(l):
     its lengths as "1.0")."""
     fams = [build_broom(p.l, p.i, p.d) for p in minimal_broom_total(l).brooms]
     return frozenset(tree_code(f.graph, root=f.landmarks["o"]) for f in fams)
+
+
+def is_isomorphic(g1, g2):
+    """Whether two graphs have the same canonical code."""
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+        return False
+    return canonical_code(g1) == canonical_code(g2)
+
+
+def _brute_force_wl_colors(adj):
+    """Colour refinement from all-zero colours until a round changes none."""
+    n = len(adj)
+    color = [0] * n
+    while True:
+        sig = [(color[v], tuple(sorted(color[u] for u in adj[v]))) for v in range(n)]
+        order = {s: i for i, s in enumerate(sorted(set(sig)))}
+        fresh = [order[s] for s in sig]
+        if fresh == color:
+            return color
+        color = fresh
+
+
+def brute_force_graph_code(adj):
+    """Oracle for graph_code on neighbour sets ``adj``: the least adjacency
+    bits over every permutation of every WL cell, cells in colour order."""
+    n = len(adj)
+    colors = _brute_force_wl_colors(adj)
+    cells = {}
+    for v in range(n):
+        cells.setdefault(colors[v], []).append(v)
+    ordered_cells = [cells[c] for c in sorted(cells)]
+    masks = [sum(1 << u for u in adj[v]) for v in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    best = None
+    for perm_parts in itertools.product(
+        *(itertools.permutations(cell) for cell in ordered_cells)
+    ):
+        p = [v for part in perm_parts for v in part]
+        bits = 0
+        for i, j in pairs:
+            bits = (bits << 1) | ((masks[p[i]] >> p[j]) & 1)
+        if best is None or bits < best:
+            best = bits
+    return f"g{n}:{best:0{max(1, n * (n - 1) // 2)}b}" if n > 1 else "g1:0"
 
 
 def union_find_components(edges, verts):

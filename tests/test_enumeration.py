@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from steklov.enumeration import (
     graph_edges,
     graph_from_code,
     graph_subset_classes,
-    is_isomorphic,
     prufer_tree_classes,
     tree_code,
     tree_edges,
@@ -28,9 +28,9 @@ from steklov.enumeration import (
     unit_tree_code,
 )
 from steklov.errors import OutOfSupportedRangeError, ParseError
-from steklov.graph import combinatorial_graph, make_graph, structurally_equal
+from steklov.graph import adjacency_sets, combinatorial_graph, make_graph, structurally_equal
 
-from conftest import path_graph, random_unit_tree
+from conftest import brute_force_graph_code, is_isomorphic, path_graph, random_unit_tree
 
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # n = 1..12
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]  # n = 1..7
@@ -145,6 +145,53 @@ def test_graph_code_is_isomorphism_invariant(rng):
     )
     assert graph_code(g) == graph_code(h)
     assert is_isomorphic(g, h)
+
+
+def _graph_and_sets(n, edges):
+    return combinatorial_graph(n, edges), adjacency_sets(n, edges)
+
+
+def test_graph_code_matches_brute_force_on_labelled_graphs():
+    # every labelled graph on up to 5 vertices, connected or not
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [pair for k, pair in enumerate(pairs) if (mask >> k) & 1]
+            g, adj = _graph_and_sets(n, edges)
+            assert graph_code(g) == brute_force_graph_code(adj), (n, edges)
+
+
+def test_graph_code_matches_brute_force_on_relabelled_classes(rng):
+    for n in range(1, MAX_GRAPH_N + 1):
+        for code in _class_codes("connected", n):
+            perm = rng.permutation(n).tolist()
+            g, adj = _graph_and_sets(n, [(perm[u], perm[v]) for u, v in graph_edges(code)[1]])
+            assert graph_code(g) == brute_force_graph_code(adj) == code
+
+
+def _symmetric_graphs():
+    cycle = [(k, (k + 1) % 8) for k in range(8)]
+    complete = list(itertools.combinations(range(8), 2))
+    cube = [(u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < u ^ bit]
+    bipartite = [(u, v) for u in range(4) for v in range(4, 8)]
+    return {"C8": cycle, "K8": complete, "Q3": cube, "K4,4": bipartite}
+
+
+@pytest.mark.parametrize("name", ["C8", "K8", "Q3", "K4,4"])
+def test_graph_code_matches_brute_force_on_symmetric_graphs(name):
+    # one colour cell each: the brute force tries all 8! orders
+    g, adj = _graph_and_sets(8, _symmetric_graphs()[name])
+    assert graph_code(g) == brute_force_graph_code(adj)
+
+
+def test_petersen_code_is_relabelling_invariant(rng):
+    edges = [(k, (k + 1) % 5) for k in range(5)] + [(k, k + 5) for k in range(5)]
+    edges += [(5 + k, 5 + (k + 2) % 5) for k in range(5)]
+    code = graph_code(combinatorial_graph(10, edges))
+    assert len(graph_edges(code)[1]) == 15
+    for _ in range(20):
+        perm = rng.permutation(10).tolist()
+        assert graph_code(combinatorial_graph(10, [(perm[u], perm[v]) for u, v in edges])) == code
 
 
 def test_canonical_code_dispatch():

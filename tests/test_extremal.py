@@ -186,6 +186,21 @@ def test_verify_extremal_whole_grid():
         assert rep.gap > rep.tol
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, 2e-6, 0.5, 1e6, math.nan, math.inf, -math.inf])
+def test_sweep_rejects_tol_outside_range(tol):
+    # a large tol merges classes into the argmin: 0.5 put 22 of the 23
+    # trees at n = 8 in it and reported a match
+    with pytest.raises(InvalidParamsError):
+        sweep(8, 3, "trees", tol)
+    with pytest.raises(InvalidParamsError):
+        verify_extremal(8, 3, "trees", tol=tol)
+
+
+def test_sweep_accepts_largest_tol():
+    rep = verify_extremal(8, 3, "trees", tol=extremal.MAX_TOL)
+    assert rep.match and rep.argmin_codes == verify_extremal(8, 3, "trees").argmin_codes
+
+
 @pytest.mark.parametrize("graph_class,n,i", [
     ("trees", 7, 2), ("trees", 9, 4), ("trees", 10, 7), ("connected", 6, 3),
 ])

@@ -18,7 +18,7 @@ from steklov.geometry import (
     verify_nodal_theorem,
     zero_set,
 )
-from steklov.graph import combinatorial_graph, make_graph
+from steklov.graph import combinatorial_graph, component_passes, make_graph
 from steklov.spectral import steklov_spectrum
 
 from conftest import path_graph
@@ -121,6 +121,29 @@ def test_clump_number_matches_candidate_scan():
                 j = values.index(best)
                 assert clump_number(g) == ClumpReport(pts[j], clumps[j], best)
                 assert all(clump_lengths_at(g, p) == cs for p, cs in zip(pts, clumps))
+
+
+def test_clumps_match_component_split(rng):
+    # clumps read from the shared walk are the pieces of the tree with the
+    # point removed, wherever vertex 0 (the walk's root) lies
+    t = Fraction(1, 3)
+    for n in range(1, 11):
+        for stored in enumerate_trees(n):
+            perm = rng.permutation(n).tolist()
+            g = combinatorial_graph(n, [(perm[u], perm[v]) for u, v, _ in stored.edges])
+            adj = {x: list(g.adjacency[x]) for x in range(n)}
+            for p in range(n):
+                pieces = [c for c, _ in component_passes(adj, set(range(n)) - {p})]
+                expect = [Clump(Fraction(len(c)), c, next(x for x in c if x in adj[p]))
+                          for c in pieces]
+                expect.sort(key=lambda c: c.attach)
+                assert clump_lengths_at(g, GeometricPoint.at_vertex(p)) == tuple(expect)
+            for u, v, _ in g.edges:
+                cut = {x: [y for y in adj[x] if {x, y} != {u, v}] for x in adj}
+                side = {a: c for c, _ in component_passes(cut, None) for a in (u, v) if a in c}
+                expect = (Clump(len(side[u]) - 1 + t, side[u], u),
+                          Clump(len(side[v]) - t, side[v], v))
+                assert clump_lengths_at(g, GeometricPoint.on_edge(u, v, t)) == expect
 
 
 def test_clump_lower_semicontinuity(rng):
