@@ -8,7 +8,8 @@ eigenvalue over n-vertex graphs: i = 2 (dumbbells), i not dividing n
 (broom-armed stars), i dividing n (regular combs with correction
 theta_i = 1/(4 cos^2(pi/2i))). Irrational bounds are evaluated with mpmath
 at 40 significant digits (a local ``workdps``; the global mpmath precision is
-left alone) before any floating comparison.
+left alone) before any floating comparison. mpmath is imported only there,
+by the first irrational bound (i dividing n, i >= 4).
 
 Exhaustive sweeps screen a whole class with batched float spectra, then
 re-solve the classes near the minimum with the per-graph solver, which alone
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .enumeration import (
@@ -101,6 +101,8 @@ def theta_value(i: int):
         return Fraction(1, 2)
     if i == 3:
         return Fraction(1, 3)
+    import mpmath
+
     with mpmath.workdps(MP_DPS):
         return 1 / (4 * mpmath.cos(mpmath.pi / (2 * i)) ** 2)
 
@@ -251,6 +253,8 @@ def predicted_bound(n: int, i: int, graph_class: str = "connected") -> ExtremalT
         bound_exact = lambda_value(Fraction(m - 1) + th)
         bound_f, bound_s = float(bound_exact), str(bound_exact)
     else:
+        import mpmath
+
         bound_exact = None
         with mpmath.workdps(MP_DPS):
             val = lambda_value(mpmath.mpf(m - 1) + th)

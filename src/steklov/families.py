@@ -396,10 +396,3 @@ def build_cycle(n: int) -> FamilyGraph:
         raise InvalidParamsError("cycle needs n >= 3")
     g = combinatorial_graph(n, [(j, (j + 1) % n) for j in range(n)])
     return FamilyGraph(g, {}, "cycle", {"n": n})
-
-
-def mu_max_path(n: int) -> float:
-    """Largest Laplacian eigenvalue of the unit path P_n."""
-    if n < 2:
-        raise InvalidParamsError("path needs n >= 2")
-    return 4.0 * math.cos(math.pi / (2 * n)) ** 2

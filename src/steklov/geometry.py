@@ -157,9 +157,27 @@ def clump_lengths_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[C
 
     At a vertex, each clump has length = number of vertices in the branch;
     at an edge point with offset t, the two sides have lengths s_u - 1 + t
-    and s_v - 1 + (length - t)."""
+    and s_v - 1 + (length - t). A vertex outside ``range(g.n)``, a pair
+    that is not an edge of ``g`` or an offset outside [0, 1] raises
+    InvalidParamsError."""
     _require_unit_tree(g)
+    _require_point_of(g, point)
     return _clumps_at(g, point)
+
+
+def _require_point_of(g: WeightedBoundaryGraph, point: GeometricPoint) -> None:
+    if point.is_vertex:
+        if point.vertex not in range(g.n):
+            raise InvalidParamsError(f"vertex {point.vertex!r} is not a vertex of the graph")
+        return
+    if point.edge not in g.edge_weights:
+        raise InvalidParamsError(f"{point.edge!r} is not an edge of the graph")
+    try:
+        inside = 0 <= point.offset <= 1
+    except TypeError:
+        inside = False
+    if not inside:
+        raise InvalidParamsError(f"edge offset {point.offset!r} lies outside [0, 1]")
 
 
 def _clumps_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[Clump, ...]:

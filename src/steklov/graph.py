@@ -239,26 +239,6 @@ class WeightedBoundaryGraph:
             for u, v, w in self.edges
         )
 
-    # -- diagnostics ---------------------------------------------------------
-
-    def diagnostics(self) -> "GraphDiagnostics":
-        omega_d = self.dirichlet_interior
-        comps = self.components(omega_d)
-        return GraphDiagnostics(
-            connected=self.is_connected(),
-            dirichlet_interior_connected=len(comps) <= 1,
-            leaf_set=self.leaves(),
-            degree_sequence=tuple(sorted(self.degree(v) for v in range(self.n))),
-        )
-
-
-@dataclass(frozen=True)
-class GraphDiagnostics:
-    connected: bool
-    dirichlet_interior_connected: bool
-    leaf_set: tuple[int, ...]
-    degree_sequence: tuple[int, ...]
-
 
 # -- construction -------------------------------------------------------------
 

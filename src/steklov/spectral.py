@@ -30,6 +30,15 @@ scipy call it replaces (scipy 1.17):
   triangle with scipy's workspace query and eigenvectors always computed.
   Any other triangle, workspace or ``compute_v`` changes the last bits of
   the eigenvalues, and with them the printed minima.
+
+Both reach ``scipy.linalg.lapack`` through :func:`_lapack`, which imports
+it on the first solve rather than with the package: importing
+``scipy.linalg`` takes longer than the rest of ``import steklov``, numpy
+included, and a process that only enumerates or decodes classes never
+solves. The batched :func:`unit_steklov_spectra` needs numpy alone. A
+failed solve raises ``numpy.linalg.LinAlgError``, which is scipy's
+``LinAlgError``; scipy's ``LinAlgWarning`` is imported only when a solve
+is ill-conditioned.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, LinAlgWarning, lapack
+from numpy.linalg import LinAlgError
 
 from .errors import (
     InvalidParamsError,
@@ -53,6 +62,14 @@ from .graph import WeightedBoundaryGraph, subtree_sizes
 EIG_EQ_TOL = 1e-8
 # scipy warns of an ill-conditioned solve when rcond falls below this.
 _EPS = np.finfo(float).eps
+
+
+@lru_cache(maxsize=None)
+def _lapack():
+    """scipy's LAPACK bindings, imported by the first solve that needs them."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -70,6 +87,7 @@ def _solve_pos(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
         if a[0, 0] == 0:
             raise LinAlgError("A singular matrix detected.")
         return b / a, (a, math.inf)
+    lapack = _lapack()
     c, x, info = lapack.dposv(a, b)
     if info > 0:
         raise LinAlgError("A singular matrix detected: slice(s) [0] are singular.")
@@ -86,11 +104,13 @@ def _solve_factored(factor: tuple, b: np.ndarray) -> np.ndarray:
     if len(c) == 1:
         return b / c
     _warn_ill_conditioned(rcond)
-    return lapack.dpotrs(c, b)[0]
+    return _lapack().dpotrs(c, b)[0]
 
 
 def _warn_ill_conditioned(rcond: float) -> None:
     if rcond < _EPS:
+        from scipy.linalg import LinAlgWarning
+
         warnings.warn(
             f"An ill-conditioned matrix detected: slice 0 has rcond = {rcond}.",
             LinAlgWarning,
@@ -102,7 +122,7 @@ def _warn_ill_conditioned(rcond: float) -> None:
 def _syevr_workspace(n: int) -> tuple[int, int]:
     """scipy's lwork and liwork for dsyevr; past n = 32 the default
     workspace changes the blocking, and with it the bits."""
-    lwork, liwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    lwork, liwork, _ = _lapack().dsyevr_lwork(n, lower=1)
     return int(lwork), int(liwork)
 
 
@@ -111,7 +131,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bit for bit as ``scipy.linalg.eigh(a)``."""
     _require_finite(a)
     lwork, liwork = _syevr_workspace(len(a))
-    w, v, _, _, info = lapack.dsyevr(a, lower=1, lwork=lwork, liwork=liwork)
+    w, v, _, _, info = _lapack().dsyevr(a, lower=1, lwork=lwork, liwork=liwork)
     if info:
         raise LinAlgError("Internal Error.")
     return w, v

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -12,6 +13,11 @@ from steklov.graph import Role, combinatorial_boundary, combinatorial_graph, mak
 
 def path_graph(n):
     return combinatorial_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def mu_max_path(n):
+    """Largest Laplacian eigenvalue of the unit path P_n, 4 cos^2(pi/2n)."""
+    return 4.0 * math.cos(math.pi / (2 * n)) ** 2
 
 
 def clump_rooted_tree(g, point, clump):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -84,12 +85,47 @@ def test_class_codes_match_pinned_digests(tmp_path, monkeypatch):
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, n)
 
 
-def test_import_leaves_out_networkx():
-    code = ("import sys, steklov; steklov.enumeration.enumerate_trees(8); "
-            "print('networkx' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+COLD_START = """
+import json, runpy, sys
+import steklov
+
+def loaded():
+    return [name for name in ("scipy", "mpmath", "networkx") if name in sys.modules]
+
+seen = {"import": loaded()}
+for stream in (steklov.enumerate_trees(8), steklov.enumerate_connected_graphs(5)):
+    assert len(list(stream)) == len(stream.codes)
+seen["enumerate and decode"] = loaded()
+sys.argv = ["steklov", "--help"]
+try:
+    runpy.run_module("steklov.cli", run_name="__main__")
+except SystemExit:
+    pass
+seen["cli --help"] = loaded()
+steklov.steklov_spectrum(steklov.build_path(4).graph)
+seen["first solve"] = loaded()
+steklov.predicted_bound(8, 3)
+seen["rational bound"] = loaded()
+steklov.predicted_bound(8, 4)
+seen["irrational bound"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_scipy_and_mpmath_only_when_used():
+    # a fresh process that only enumerates and decodes classes, or prints the
+    # CLI help, loads neither; the first solve loads scipy, the first
+    # irrational bound mpmath; nothing ever loads networkx
+    out = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
                          env={**os.environ, "STEKLOV_CACHE_DIR": ""}, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout.splitlines()[-1]) == {
+        "import": [],
+        "enumerate and decode": [],
+        "cli --help": [],
+        "first solve": ["scipy"],
+        "rational bound": ["scipy"],
+        "irrational bound": ["scipy", "mpmath"],
+    }
 
 
 def test_tree_generator_matches_prufer_oracle():

@@ -28,7 +28,6 @@ from steklov.families import (
     lambda_value_ln,
     minimal_broom,
     minimal_broom_total,
-    mu_max_path,
     rooted_path,
 )
 from steklov.geometry import GeometricPoint, clump_lengths_at
@@ -38,7 +37,7 @@ from steklov.spectral import (
     steklov_spectrum,
 )
 
-from conftest import broom_codes, clump_rooted_tree
+from conftest import broom_codes, clump_rooted_tree, mu_max_path
 
 GRID_L = [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(10, 3)]
 

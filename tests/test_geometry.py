@@ -146,6 +146,26 @@ def test_clumps_match_component_split(rng):
                 assert clump_lengths_at(g, GeometricPoint.on_edge(u, v, t)) == expect
 
 
+def test_clumps_at_a_point_off_the_tree_raise():
+    g = path_graph(4)  # 0-1-2-3
+    bad = [
+        GeometricPoint.on_edge(0, 3, Fraction(1, 2)),  # not an edge of g
+        GeometricPoint.on_edge(0, 1, -1),
+        GeometricPoint.on_edge(0, 1, Fraction(3, 2)),
+        GeometricPoint.on_edge(0, 1, float("nan")),
+        GeometricPoint.on_edge(0, 1, None),
+        GeometricPoint.at_vertex(7),
+        GeometricPoint.at_vertex(-1),
+    ]
+    for point in bad:
+        for fn in (clump_lengths_at, clump_number_at):
+            with pytest.raises(InvalidParamsError):
+                fn(g, point)
+    # the ends of an edge's offset range are points of it
+    for t in (0, 1, 1.0):
+        assert len(clump_lengths_at(g, GeometricPoint.on_edge(0, 1, t))) == 2
+
+
 def test_clump_lower_semicontinuity(rng):
     # values at nearby edge points never undercut the vertex value by much:
     # approaching a vertex along an edge, Clump(G, x) >= Clump(G, p) - eps

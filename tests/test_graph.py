@@ -150,14 +150,3 @@ def test_round_trip_random_trees(n, pyrng):
     rng = np.random.default_rng(pyrng.randrange(2**32))
     g = combinatorial_graph(n, random_tree_edges(rng, n))
     assert structurally_equal(g, graph_from_dict(graph_to_dict(g)))
-
-
-def test_diagnostics():
-    g = make_graph(
-        3,
-        [(0, 1, 1), (1, 2, 1)],
-        roles=[Role.BOUNDARY, Role.DIRICHLET, Role.BOUNDARY],
-    )
-    d = g.diagnostics()
-    assert d.connected
-    assert not d.dirichlet_interior_connected

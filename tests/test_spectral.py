@@ -427,18 +427,31 @@ def test_singular_interior_matches_component_oracle():
     assert min(connected) > 50  # both the full check and the shortcut ran
 
 
+def _absolute_imports(node, in_function=False):
+    """(top-level package, inside a function) for each absolute import
+    below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            for alias in child.names:
+                yield alias.name.split(".")[0], in_function
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            yield (child.module or "").split(".")[0], in_function
+        deferred = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        yield from _absolute_imports(child, in_function or deferred)
+
+
 def test_only_spectral_imports_scipy():
-    """scipy stays behind one module, so dropping it touches only that one."""
+    """scipy stays behind one module, so dropping it touches only that one;
+    scipy and mpmath are imported inside functions only, so importing the
+    package loads neither."""
     package = Path(steklov.__file__).parent
-    importers = set()
+    importers, eager = set(), set()
     for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, in_function in _absolute_imports(tree):
+            if name == "scipy":
                 importers.add(path.name)
+            if name in ("scipy", "mpmath") and not in_function:
+                eager.add((path.name, name))
     assert importers == {"spectral.py"}
+    assert eager == set()
