@@ -48,7 +48,6 @@ from .families import (
     build_star_paths,
     comb_spectrum,
     lambda_value,
-    lambda_value_ln,
     minimal_broom,
     minimal_broom_total,
     rooted_path,
@@ -57,7 +56,6 @@ from .geometry import (
     GeometricPoint,
     clump_number,
     clump_number_at,
-    metric_realization,
     nodal_domains,
     verify_nodal_theorem,
     zero_set,

@@ -21,7 +21,7 @@ The per-graph solver is never memoised and runs afresh on every sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,7 +47,6 @@ from .errors import (
     ParseError,
 )
 from .families import (
-    FamilyGraph,
     RootedTree,
     build_comb,
     build_cycle,
@@ -71,8 +70,8 @@ from .graph import (
 )
 from .spectral import (
     EIG_EQ_TOL,
+    SpectralResult,
     dirichlet_steklov_spectrum,
-    dtn_matrix,
     laplacian_matrix,
     laplacian_spectrum,
     steklov_spectrum,
@@ -454,22 +453,19 @@ class RigidityData:
     comb: bool  # G~ is a comb over G
 
 
-def _h_basis(gt: WeightedBoundaryGraph) -> np.ndarray:
+def _h_basis(big: SpectralResult) -> np.ndarray:
     """Basis of H(G~) = {harmonic on Omega, mean-zero on B~}: harmonic
-    extensions of a basis of mean-zero boundary data."""
-    b = list(gt.boundary)
-    if len(b) < 2:
+    extensions of a basis of mean-zero boundary data, all solved from the
+    interior factor of G~'s Steklov operator."""
+    op = big.operator
+    k = len(op.boundary)
+    if k < 2:
         raise InvalidParamsError("rigidity needs |B~| >= 2")
-    from .spectral import harmonic_extension
-
-    m = [float(gt.measures[x]) for x in b]
-    cols = []
-    for j in range(1, len(b)):
-        data = {x: 0.0 for x in b}
-        data[b[j]] = 1.0
-        data[b[0]] = -m[j] / m[0]
-        cols.append(harmonic_extension(gt, data))
-    return np.column_stack(cols)
+    m = op.boundary_measures
+    data = np.zeros((k, k - 1))
+    data[1:, :] = np.eye(k - 1)
+    data[0, :] = -m[1:] / m[0]
+    return op._extend(data)
 
 
 def is_comb_over(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> bool:
@@ -483,10 +479,13 @@ def is_comb_over(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> bool:
 def rigidity_data(
     gt: WeightedBoundaryGraph,
     g: WeightedBoundaryGraph,
+    big: SpectralResult,
     tol: float = DEFAULT_TOL,
 ) -> RigidityData:
+    """Conditions (1)-(3), separation and the comb test for G inside G~,
+    read from ``big``, the Steklov spectrum of G~."""
     _check_embedding(gt, g)
-    basis = _h_basis(gt)
+    basis = _h_basis(big)
     scale = max(1.0, float(np.max(np.abs(basis))))
     bt = set(gt.boundary)
     omega = [x for x in range(gt.n) if x not in bt]
@@ -502,7 +501,7 @@ def rigidity_data(
 
     # Condition (3): min eig of P^T (L - sigma M_B) P over v with
     # <v,1>_B = 0 and v constant on B~.
-    sigma = steklov_spectrum(gt).eigenvalue(len(gt.boundary))
+    sigma = big.eigenvalue(len(gt.boundary))
     L = laplacian_matrix(g).matrix
     MB = np.zeros((g.n, g.n))
     for x in g.boundary:
@@ -568,8 +567,8 @@ def check_rigidity_equivalence(
     """Conditions (1)-(3) hold iff sigma_i(G~,B~) = sigma_i(G,B) for all
     i up to |B~|; additionally, with B = B~ and H separating V(G), equality
     holds iff G~ is a comb over G."""
-    data = rigidity_data(gt, g, tol=tol)
     big = steklov_spectrum(gt)
+    data = rigidity_data(gt, g, big, tol=tol)
     small = steklov_spectrum(g)
     k = len(gt.boundary)
     equal = all(

@@ -255,11 +255,6 @@ def lambda_value(l) -> Number:
     return minimal_broom_total(l).value
 
 
-def lambda_value_ln(l, n: int) -> Number:
-    """Lambda(l, n)."""
-    return minimal_broom(l, n).value
-
-
 # -- dumbbells, stars, combs -----------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Geometric representation of weighted graphs and nodal-domain machinery.
 
-A weighted graph is realized as a metric graph with edge lengths 1/w.
+A weighted graph is read as a metric graph with edge lengths 1/w.
 Eigenfunctions extend piecewise linearly along edges; their zero sets cut
 the metric graph into nodal domains, and each domain induces a weighted
 graph with Dirichlet boundary at the cut points. Clump numbers are the
@@ -9,7 +9,6 @@ unit-tree branch statistics used by the removal lemmas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .graph import (
     heaviest_branches,
     make_graph,
 )
-from .spectral import dirichlet_steklov_spectrum, dtn_matrix
+from .spectral import dirichlet_steklov_spectrum
 
 DEFAULT_ZERO_TOL = 1e-9
 
@@ -57,36 +56,10 @@ class GeometricPoint:
         return self.vertex is not None
 
 
-@dataclass(frozen=True)
-class MetricGraph:
-    graph: WeightedBoundaryGraph
-    lengths: dict[tuple[int, int], object]
-
-    def length(self, u: int, v: int):
-        return self.lengths[(u, v) if u < v else (v, u)]
-
-    def total_length(self):
-        return sum(self.lengths.values())
-
-
-def metric_realization(g: WeightedBoundaryGraph) -> MetricGraph:
-    """Edge lengths are the reciprocals of the weights (exact when rational)."""
-    lengths = {}
-    for u, v, w in g.edges:
-        lengths[(u, v)] = Fraction(1) / w if not isinstance(w, float) else 1.0 / w
-    return MetricGraph(g, lengths)
-
-
-def pl_value(mg: MetricGraph, f, point: GeometricPoint):
-    """Piecewise-linear extension of vertex values, evaluated at a point."""
-    if point.is_vertex:
-        return f[point.vertex]
-    u, v = point.edge
-    ell = mg.lengths[(u, v)]
-    t = point.offset
-    if not 0 <= t <= ell:
-        raise InvalidParamsError("offset outside the edge")
-    return f[u] + (f[v] - f[u]) * t / ell
+def _length(w) -> float:
+    """Metric length 1/w of an edge; for a rational weight, the exact
+    reciprocal rounded once."""
+    return 1.0 / w if isinstance(w, float) else float(Fraction(1) / w)
 
 
 # -- zero sets ---------------------------------------------------------------------
@@ -112,14 +85,13 @@ def zero_set(g: WeightedBoundaryGraph, f) -> ZeroSet:
         raise AllZeroError("function is identically zero")
     tau = DEFAULT_ZERO_TOL * scale
     vz = frozenset(int(v) for v in range(g.n) if abs(f[v]) <= tau)
-    mg = metric_realization(g)
     edge_zeros = []
     zero_edges = []
-    for u, v, _ in g.edges:
+    for u, v, w in g.edges:
         if u in vz and v in vz:
             zero_edges.append((u, v))
         elif u not in vz and v not in vz and f[u] * f[v] < 0:
-            t = abs(f[u]) / (abs(f[u]) + abs(f[v])) * float(mg.lengths[(u, v)])
+            t = abs(f[u]) / (abs(f[u]) + abs(f[v])) * _length(w)
             edge_zeros.append(GeometricPoint.on_edge(u, v, t))
     return ZeroSet(vz, tuple(edge_zeros), tuple(zero_edges))
 
@@ -270,13 +242,14 @@ def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
 
 @dataclass(frozen=True)
 class NodalDomain:
-    """A connected component of |K(G)| minus the zero set, with its induced graph."""
+    """A connected component of |K(G)| minus the zero set, with its induced
+    graph: induced vertex k < len(vertices) is ``vertices[k]``, and the cut
+    points follow in order."""
 
     vertices: tuple[int, ...]  # original vertices where f != 0 inside the domain
     cut_points: tuple[GeometricPoint, ...]
     sign: int
     induced: WeightedBoundaryGraph
-    vertex_index: dict[int, int]  # original vertex -> induced id
 
 
 def nodal_domains(g: WeightedBoundaryGraph, f) -> list[NodalDomain]:
@@ -288,11 +261,14 @@ def nodal_domains(g: WeightedBoundaryGraph, f) -> list[NodalDomain]:
     the same-sign edges between nonzero vertices, listed by least vertex.
     """
     f = np.asarray(f, dtype=float)
-    zs = zero_set(g, f)
+    return _nodal_domains(g, f, zero_set(g, f))
+
+
+def _nodal_domains(g: WeightedBoundaryGraph, f: np.ndarray, zs: ZeroSet) -> list[NodalDomain]:
+    """:func:`nodal_domains` of a float array ``f`` with its zero set."""
     nonzero = [v for v in range(g.n) if v not in zs.vertex_zeros]
     same_sign = [[u for u in g.adjacency[v] if f[u] * f[v] > 0] for v in range(g.n)]
 
-    mg = metric_realization(g)
     domains = []
     for members, _ in component_passes(same_sign, nonzero):
         mset = set(members)
@@ -324,7 +300,7 @@ def nodal_domains(g: WeightedBoundaryGraph, f) -> list[NodalDomain]:
                     # frontier at the far vertex; full metric length
                     edges.append((index[x], cut_id(GeometricPoint.at_vertex(y)), w))
                 elif f[u] * f[v] < 0:
-                    ell = float(mg.lengths[(u, v)])
+                    ell = _length(w)
                     seg = abs(f[x]) / (abs(f[u]) + abs(f[v])) * ell
                     t = seg if x == u else ell - seg
                     pt = GeometricPoint.on_edge(u, v, t)
@@ -337,7 +313,6 @@ def nodal_domains(g: WeightedBoundaryGraph, f) -> list[NodalDomain]:
                 cut_points=tuple(cut_points),
                 sign=1 if f[members[0]] > 0 else -1,
                 induced=induced,
-                vertex_index=index,
             )
         )
     return domains
@@ -376,22 +351,20 @@ def verify_nodal_theorem(
     if sigma <= 0:
         raise InvalidParamsError("the nodal theorem concerns sigma > 0")
     f = np.asarray(f, dtype=float)
-    if zero_set(g, f).degenerate:
+    zs = zero_set(g, f)
+    if zs.degenerate:
         return NodalTheoremReport(True, ())
     verdicts = []
-    for dom in nodal_domains(g, f):
+    for dom in _nodal_domains(g, f, zs):
         spec = dirichlet_steklov_spectrum(dom.induced)
         lam1 = spec.eigenvalue(1)
-        # Residual of the restricted function as a Lambda_0 eigenfunction.
-        op = dtn_matrix(dom.induced, with_dirichlet=True)
-        # op.boundary indexes induced ids; map back to original values
-        inv = {k: orig for orig, k in dom.vertex_index.items()}
-        u = np.array([f[inv[b]] for b in op.boundary])
+        # Residual of the restricted function as a Lambda_0 eigenfunction;
+        # the boundary of the domain lies among its first len(vertices) ids.
+        op = spec.operator
+        u = f[[dom.vertices[b] for b in op.boundary]]
         res = np.linalg.norm(op.matrix @ u - sigma * op.boundary_measures * u)
         scale = np.linalg.norm(op.matrix) + abs(sigma)
-        one_signed = all(
-            f[inv[k]] * dom.sign > 0 for k in range(len(dom.vertices))
-        )
+        one_signed = all(f[x] * dom.sign > 0 for x in dom.vertices)
         ok = abs(lam1 - sigma) <= tol and res <= tol * scale and one_signed
         verdicts.append(DomainVerdict(lam1, sigma, res, one_signed, ok))
     return NodalTheoremReport(False, tuple(verdicts))

@@ -34,6 +34,7 @@ from .errors import (
     DuplicateEdgeError,
     EdgeNotFoundError,
     IndexOutOfRangeError,
+    InvalidParamsError,
     NonPositiveMeasureError,
     NonPositiveWeightError,
     ParseError,
@@ -311,30 +312,24 @@ def combinatorial_graph(
     return g.with_roles(combinatorial_boundary(g))
 
 
-def structurally_equal(a: WeightedBoundaryGraph, b: WeightedBoundaryGraph) -> bool:
-    """Equality up to numeric type of weights/measures (Fraction 1 == float 1.0)."""
-    return (
-        a.n == b.n
-        and a.roles == b.roles
-        and len(a.edges) == len(b.edges)
-        and all(
-            ea[:2] == eb[:2] and float(ea[2]) == float(eb[2])
-            for ea, eb in zip(a.edges, b.edges)
-        )
-        and all(float(x) == float(y) for x, y in zip(a.measures, b.measures))
-    )
-
-
 # -- serialization -------------------------------------------------------------
 
 _VERTEX_FIELDS = {"id", "measure", "role"}
 _EDGE_FIELDS = {"u", "v", "w"}
 
 
-def _num_to_json(x: Weight):
-    if isinstance(x, Rational) and not isinstance(x, int) and x.denominator != 1:
-        return float(x)
-    return int(x) if isinstance(x, Rational) and x.denominator == 1 else float(x)
+def _num_to_json(x: Weight, what: str):
+    """An integer stays an integer and anything else becomes a float; a
+    value that a graph file could not read back as a positive finite float
+    (one that rounds to 0 or overflows) raises InvalidParamsError."""
+    try:
+        as_float = float(x)
+    except OverflowError:  # an integer or fraction beyond the float range
+        as_float = math.inf
+    if not 0 < as_float < math.inf:
+        raise InvalidParamsError(
+            f"{what} is {as_float!r} as a float; a graph file needs a positive finite one")
+    return int(x) if isinstance(x, Rational) and x.denominator == 1 else as_float
 
 
 def graph_to_dict(g: WeightedBoundaryGraph) -> dict:
@@ -342,13 +337,13 @@ def graph_to_dict(g: WeightedBoundaryGraph) -> dict:
         "vertices": [
             {
                 "id": v,
-                "measure": _num_to_json(g.measures[v]),
+                "measure": _num_to_json(g.measures[v], "vertex measure"),
                 "role": g.roles[v].value,
             }
             for v in range(g.n)
         ],
         "edges": [
-            {"u": u, "v": v, "w": _num_to_json(w)} for u, v, w in g.edges
+            {"u": u, "v": v, "w": _num_to_json(w, "edge weight")} for u, v, w in g.edges
         ],
     }
 
@@ -410,8 +405,10 @@ def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
 
 
 def save_graph(g: WeightedBoundaryGraph, path) -> None:
+    """Write ``g`` as JSON; a graph that has no file form writes nothing."""
+    data = graph_to_dict(g)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=1)
+        json.dump(data, fh, indent=1)
         fh.write("\n")
 
 

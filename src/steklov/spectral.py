@@ -17,6 +17,10 @@ eigenvalues or the eigenvectors.
 S = L_BB - L_IB^T L_II^{-1} L_IB. It keeps the Cholesky factor of L_II, so
 the harmonic extensions of a spectrum (``SpectralResult.extensions``) are
 solved from it the first time they are read, not with every spectrum.
+A Steklov spectrum keeps the operator it was solved from
+(``SpectralResult.operator``), so a caller that also needs the DtN matrix,
+its boundary measures or further harmonic extensions reads them there
+instead of assembling the graph again.
 
 Two helpers call LAPACK directly, because scipy's wrappers cost several
 times the solve itself at these sizes. Each reproduces the bits of the
@@ -310,21 +314,22 @@ class SpectralResult:
 
     ``vectors`` columns live on ``support`` (boundary vertices for Steklov
     kinds, all of V for the Laplacian); ``extensions`` columns live on V.
-    Indices past the operator rank domain read as +inf.
+    ``operator`` is the DtN map the spectrum was solved from (None for the
+    Laplacian). Indices past the operator rank domain read as +inf.
     """
 
     kind: str
     eigenvalues: np.ndarray
     vectors: np.ndarray
     support: tuple[int, ...]
-    _dtn: DtnOperator | None = field(repr=False, compare=False)  # None: Laplacian
+    operator: DtnOperator | None = field(repr=False, compare=False)
 
     @cached_property
     def extensions(self) -> np.ndarray:
         """Harmonic extensions of ``vectors`` to V, solved on first read."""
-        if self._dtn is None:
+        if self.operator is None:
             return self.vectors
-        return self._dtn._extend(self.vectors)
+        return self.operator._extend(self.vectors)
 
     def eigenvalue(self, i: int) -> float:
         """1-based; +inf sentinel beyond |support|."""
@@ -368,7 +373,7 @@ def _generalized_eigh(S: np.ndarray, m: np.ndarray):
 def _steklov_result(op: DtnOperator, kind: str) -> SpectralResult:
     vals, vecs = _generalized_eigh(op.matrix, op.boundary_measures)
     return SpectralResult(
-        kind=kind, eigenvalues=vals, vectors=vecs, support=op.boundary, _dtn=op
+        kind=kind, eigenvalues=vals, vectors=vecs, support=op.boundary, operator=op
     )
 
 
@@ -426,5 +431,5 @@ def laplacian_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
         eigenvalues=vals,
         vectors=vecs,
         support=tuple(range(g.n)),
-        _dtn=None,
+        operator=None,
     )

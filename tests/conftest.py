@@ -11,6 +11,34 @@ from steklov.families import build_broom, minimal_broom_total
 from steklov.graph import Role, combinatorial_boundary, combinatorial_graph, make_graph
 
 
+def structurally_equal(a, b):
+    """Equality up to numeric type of weights/measures (Fraction 1 == float 1.0)."""
+    return (
+        a.n == b.n
+        and a.roles == b.roles
+        and len(a.edges) == len(b.edges)
+        and all(
+            ea[:2] == eb[:2] and float(ea[2]) == float(eb[2])
+            for ea, eb in zip(a.edges, b.edges)
+        )
+        and all(float(x) == float(y) for x, y in zip(a.measures, b.measures))
+    )
+
+
+def counting_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records the first argument
+    of each call; returns the list it records into."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def path_graph(n):
     return combinatorial_graph(n, [(i, i + 1) for i in range(n - 1)])
 

@@ -77,6 +77,21 @@ def test_family_round_trip(tmp_path, capsys):
     assert abs(lam1 - 0.2) <= 1e-9
 
 
+@pytest.mark.parametrize("length", ["1e400", "1e-400"])
+def test_family_refuses_weights_a_graph_file_cannot_hold(tmp_path, capsys, length):
+    # 1/l rounds to 0.0 as a float, or is an integer beyond the float range:
+    # a file written with either would not load again.
+    out_file = tmp_path / "broom.json"
+    code, out, err = run(
+        capsys,
+        ["family", "broom", "--l", length, "--i", "1", "--d", "2",
+         "--out", str(out_file)],
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("ERROR 1:")
+    assert not out_file.exists()
+
+
 def test_family_comb(capsys):
     code, out, _ = run(
         capsys, ["family", "comb", "--base", "path:3", "--tooth", "edge"]

@@ -29,7 +29,7 @@ from steklov.enumeration import (
     unit_tree_code,
 )
 from steklov.errors import OutOfSupportedRangeError, ParseError
-from steklov.graph import adjacency_sets, combinatorial_graph, make_graph, structurally_equal
+from steklov.graph import adjacency_sets, combinatorial_graph, make_graph
 
 from conftest import brute_force_graph_code, is_isomorphic, path_graph, random_unit_tree
 

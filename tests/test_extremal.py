@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from steklov import extremal
+from steklov import extremal, spectral
 from steklov.enumeration import (
     GraphClassStream,
     _load_class,
@@ -16,6 +16,7 @@ from steklov.enumeration import (
     enumerate_trees,
 )
 from steklov.errors import (
+    DisconnectedError,
     HypothesesNotMetError,
     InvalidParamsError,
     NotASubgraphError,
@@ -43,7 +44,7 @@ from steklov.extremal import (
 from steklov.families import RootedTree, build_broom, minimal_broom, rooted_path
 from steklov.graph import Role, combinatorial_graph, make_graph
 
-from conftest import path_graph, random_weighted_graph
+from conftest import counting_calls, path_graph, random_weighted_graph
 
 # every supported (n, i, class): trees n <= 12, connected graphs n <= 7
 GRID_PAIRS = [(n, i) for n in range(3, 13) for i in range(2, n)]
@@ -411,6 +412,29 @@ def test_rigidity_triangle_with_pendant():
     assert v.agree
 
 
+def test_rigidity_check_assembles_the_host_once(rng, monkeypatch):
+    # G~ is assembled once, for its Steklov spectrum; the H basis is solved
+    # from that operator's interior factor, not by one harmonic extension
+    # per column.
+    hosts = []
+    for _ in range(30):
+        g = random_weighted_graph(rng, n_max=5)
+        if len(g.boundary) >= 2:
+            hosts += [(_comb_host(g), g), (_random_host(rng, g), g)]
+    checked = 0
+    for gt, g in hosts:
+        if len(gt.boundary) < 2:
+            continue
+        with monkeypatch.context() as m:
+            assemblies = counting_calls(m, spectral, "_laplacian")
+            extensions = counting_calls(m, spectral, "harmonic_extension")
+            check_rigidity_equivalence(gt, g)
+        assert sum(h is gt for h in assemblies) == 1
+        assert extensions == []
+        checked += 1
+    assert checked > 20
+
+
 # -- statement-level checks ----------------------------------------------------------
 
 
@@ -545,6 +569,15 @@ def test_sigma2_tree_sweep():
             assert v.holds, (n, g.edges)
             if v.equality:
                 assert v.dumbbell_match
+
+
+def test_connected_statements_reject_disconnected_graphs():
+    roles = [Role.BOUNDARY, Role.DIRICHLET, Role.BOUNDARY, Role.DIRICHLET]
+    two_edges = make_graph(4, [(0, 1, 1), (2, 3, 1)], roles=roles)
+    with pytest.raises(DisconnectedError):
+        verify_positivity(two_edges)
+    with pytest.raises(DisconnectedError):
+        verify_bipartite_top(two_edges)
 
 
 def test_bipartite_top_examples():

@@ -25,7 +25,6 @@ from steklov.families import (
     _minimal_broom_total,
     comb_tooth_with_dirichlet_edge,
     lambda_value,
-    lambda_value_ln,
     minimal_broom,
     minimal_broom_total,
     rooted_path,
@@ -37,7 +36,7 @@ from steklov.spectral import (
     steklov_spectrum,
 )
 
-from conftest import broom_codes, clump_rooted_tree, mu_max_path
+from conftest import broom_codes, clump_rooted_tree, mu_max_path, structurally_equal
 
 GRID_L = [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(10, 3)]
 
@@ -74,8 +73,6 @@ def test_broom_eigenfunction_is_exact():
 def test_broom_normalization():
     a = build_broom(1, 1, 1).graph
     b = build_broom(1, 2, 0).graph
-    from steklov.graph import structurally_equal
-
     assert structurally_equal(a, b)
 
 
@@ -207,7 +204,7 @@ def test_lambda_integer_closed_form():
 
 def test_lambda_ln_monotone_in_n():
     for l in GRID_L:
-        vals = [lambda_value_ln(l, n) for n in range(8)]
+        vals = [minimal_broom(l, n).value for n in range(8)]
         assert all(vals[k + 1] <= vals[k] for k in range(len(vals) - 1))
 
 

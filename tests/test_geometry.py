@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from steklov import geometry, spectral
 from steklov.enumeration import enumerate_trees
-from steklov.errors import InvalidParamsError, NotATreeError, NotUnitWeightError
+from steklov.errors import AllZeroError, InvalidParamsError, NotATreeError, NotUnitWeightError
 from steklov.geometry import (
     Clump,
     ClumpReport,
@@ -12,30 +13,14 @@ from steklov.geometry import (
     clump_lengths_at,
     clump_number,
     clump_number_at,
-    metric_realization,
     nodal_domains,
-    pl_value,
     verify_nodal_theorem,
     zero_set,
 )
 from steklov.graph import combinatorial_graph, component_passes, make_graph
 from steklov.spectral import steklov_spectrum
 
-from conftest import path_graph
-
-
-def test_metric_realization_lengths():
-    g = make_graph(2, [(0, 1, Fraction(1, 2))])
-    mg = metric_realization(g)
-    assert mg.length(0, 1) == Fraction(2)
-    assert mg.total_length() == 2
-
-
-def test_pl_value_interpolates():
-    g = path_graph(2)
-    mg = metric_realization(g)
-    pt = GeometricPoint.on_edge(0, 1, Fraction(1, 4))
-    assert pl_value(mg, [0.0, 1.0], pt) == pytest.approx(0.25)
+from conftest import counting_calls, path_graph
 
 
 def test_zero_set_simple():
@@ -47,6 +32,11 @@ def test_zero_set_simple():
     assert len(zs2.edge_zeros) == 2
     zs3 = zero_set(g, np.array([0.0, 0.0, 1.0]))
     assert zs3.degenerate
+
+
+def test_zero_set_of_the_zero_function_raises():
+    with pytest.raises(AllZeroError):
+        zero_set(path_graph(3), np.zeros(3))
 
 
 def test_clump_requires_unit_tree():
@@ -220,3 +210,22 @@ def test_nodal_rejects_nonpositive_sigma():
     g = path_graph(3)
     with pytest.raises(InvalidParamsError):
         verify_nodal_theorem(g, 0.0, np.ones(3))
+
+
+def test_nodal_check_builds_each_object_once(monkeypatch):
+    # One zero set per eigenpair, and one DtN assembly per nodal domain:
+    # the residual reads the operator the domain's spectrum was solved from.
+    checked = 0
+    for n in (5, 6, 7):
+        for g in enumerate_trees(n):
+            res = steklov_spectrum(g)
+            for i in range(2, len(res.eigenvalues) + 1):
+                sigma, f = res.eigenpair(i)
+                with monkeypatch.context() as m:
+                    zero_sets = counting_calls(m, geometry, "zero_set")
+                    assemblies = counting_calls(m, spectral, "dtn_matrix")
+                    report = verify_nodal_theorem(g, sigma, f)
+                assert len(zero_sets) == 1
+                assert len(assemblies) == len(report.verdicts)
+                checked += not report.degenerate
+    assert checked > 20

@@ -17,7 +17,6 @@ from steklov.errors import (
 )
 from steklov.graph import (
     Role,
-    combinatorial_boundary,
     combinatorial_graph,
     component_passes,
     graph_from_dict,
@@ -25,10 +24,9 @@ from steklov.graph import (
     load_graph,
     make_graph,
     save_graph,
-    structurally_equal,
 )
 
-from conftest import path_graph, random_tree_edges, union_find_components
+from conftest import path_graph, random_tree_edges, structurally_equal, union_find_components
 
 
 def test_basic_construction():

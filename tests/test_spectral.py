@@ -455,3 +455,35 @@ def test_only_spectral_imports_scipy():
                 eager.add((path.name, name))
     assert importers == {"spectral.py"}
     assert eager == set()
+
+
+def _unread_module_imports(tree):
+    """Names bound by a module-level import that nothing in the module reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return {(name, line) for name, line in bound.items() if name not in read}
+
+
+def test_no_unread_module_imports():
+    """Every module-level import is read somewhere in its module, in the
+    package (whose ``__init__`` only re-exports) and in the tests."""
+    package = Path(steklov.__file__).parent
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    files += Path(__file__).parent.glob("*.py")
+    unread = {
+        (path.name, name, line)
+        for path in files
+        for name, line in _unread_module_imports(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert unread == set()
