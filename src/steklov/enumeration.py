@@ -36,6 +36,7 @@ from .graph import (
     adjacency_sets,
     combinatorial_graph,
     component_passes,
+    degree_roles,
     heaviest_branches,
     make_graph,
     subtree_sizes,
@@ -57,6 +58,8 @@ log = logging.getLogger("steklov")
 def _edge_length_str(w) -> str:
     if isinstance(w, float):
         return repr(1.0 / w)
+    if w == 1:  # an exact unit weight, as on every combinatorial edge
+        return "1"
     return str(Fraction(1) / Fraction(w))
 
 
@@ -163,10 +166,7 @@ def tree_from_code(code: str) -> WeightedBoundaryGraph:
         raise ParseError(f"malformed tree code: {code!r}") from exc
     if pos != len(code):
         raise ParseError("trailing characters in tree code")
-    g = make_graph(counter[0], edges)
-    from .graph import combinatorial_boundary
-
-    return g.with_roles(combinatorial_boundary(g))
+    return make_graph(counter[0], edges, roles=degree_roles(counter[0], edges))
 
 
 # -- general graph codes -------------------------------------------------------------

@@ -288,9 +288,10 @@ class SweepResult:
 @lru_cache(maxsize=None)
 def _screen(graph_class: str, n: int, codes: tuple[str, ...]):
     """Labels, edge lists and the read-only :func:`unit_steklov_spectra`
-    matrix of a class, given by its stored ``codes``. The memo is keyed on
-    the codes themselves, so it cannot disagree with them; an exception is
-    not memoised, so a bad code raises on every call."""
+    matrix of a class, given by its stored ``codes``, then the (distinct)
+    labels sorted and the read-only row order that sorts them. The memo is
+    keyed on the codes themselves, so it cannot disagree with them; an
+    exception is not memoised, so a bad code raises on every call."""
     parse = tree_edges if graph_class == "trees" else graph_edges
     labels, edge_lists = list(codes), []
     for j, code in enumerate(codes):
@@ -302,7 +303,9 @@ def _screen(graph_class: str, n: int, codes: tuple[str, ...]):
         edge_lists.append(tuple(edges))
     spectra = unit_steklov_spectra(n, edge_lists)
     spectra.flags.writeable = False
-    return tuple(labels), tuple(edge_lists), spectra
+    order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
+    order.flags.writeable = False
+    return tuple(labels), tuple(edge_lists), spectra, tuple(labels[j] for j in order), order
 
 
 def sweep(
@@ -312,16 +315,18 @@ def sweep(
 
     The class is screened with batched float spectra
     (:func:`unit_steklov_spectra`) once per process and shared by every i:
-    its stored codes are parsed into edge lists and the whole spectrum of
-    every class is kept, so each sweep reads column i. The memo holds about
-    1.5 MB for the 15 classes of all supported pairs (0.7 MB for connected
-    n = 7, 0.5 MB for trees n = 12), mostly edge lists. Only classes within
-    tol + EIG_EQ_TOL * max(1, |min|) of the batch minimum are re-solved,
-    afresh on every call, with :func:`sigma_value`; the minimum and the
-    argmin set come from those values alone. ``rows`` keep the batch
-    values. Classes are listed under their stored codes, except that
-    connected-class members that are trees are listed under their tree code.
-    ``tol`` must lie in (0, MAX_TOL].
+    the memo holds each class's labels, its stored codes parsed into edge
+    lists, the whole spectrum of every class, so each sweep reads column i,
+    and the row order that sorts the labels, so no sweep sorts the rows.
+    It holds about 1.6 MB for the 15 classes of all supported pairs
+    (0.7 MB for connected n = 7, 0.5 MB for trees n = 12), mostly edge
+    lists. Only classes within tol + EIG_EQ_TOL * max(1, |min|) of the
+    batch minimum are re-solved, afresh on every call, with
+    :func:`sigma_value` on a graph built from their edge list in one
+    construction; the minimum and the argmin set come from those values
+    alone. ``rows`` keep the batch values. Classes are listed under their
+    stored codes, except that connected-class members that are trees are
+    listed under their tree code. ``tol`` must lie in (0, MAX_TOL].
     """
     if i < 1:
         raise InvalidParamsError("eigenvalue index is 1-based")
@@ -336,7 +341,8 @@ def sweep(
         stream = enumerate_connected_graphs(n)
     else:
         raise InvalidParamsError(f"unknown graph class {graph_class!r}")
-    labels, edge_lists, spectra = _screen(graph_class, n, tuple(stream.codes))
+    labels, edge_lists, spectra, row_labels, order = _screen(
+        graph_class, n, tuple(stream.codes))
     values = spectra[:, i - 1] if i <= n else np.full(len(labels), math.inf)
 
     screen = float(values.min())
@@ -346,14 +352,18 @@ def sweep(
         for j in np.flatnonzero(values <= screen + margin)
     }
     minimum = min(oracle.values())
-    argmin = {j for j, v in oracle.items() if v <= minimum + tol}
-    outside = [oracle.get(j, v) for j, v in enumerate(values.tolist()) if j not in argmin]
-    finite = [v for v in outside if v < math.inf]
+    argmin = [j for j, v in oracle.items() if v <= minimum + tol]
+    # the best value outside the argmin set: oracle values where there are
+    # any, batch values elsewhere
+    outside = values.copy()
+    outside[list(oracle)] = list(oracle.values())
+    outside[argmin] = math.inf
+    best = float(outside.min())
     return SweepResult(
-        rows=tuple(sorted(zip(labels, values.tolist()))),
+        rows=tuple(zip(row_labels, values[order].tolist())),
         minimum=minimum,
         argmin_codes=tuple(sorted(labels[j] for j in argmin)),
-        gap=min(finite) - minimum if finite else math.inf,
+        gap=best - minimum if best < math.inf else math.inf,
         rechecked=len(oracle),
     )
 

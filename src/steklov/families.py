@@ -23,8 +23,8 @@ from .errors import InvalidParamsError
 from .graph import (
     Role,
     WeightedBoundaryGraph,
-    combinatorial_boundary,
     combinatorial_graph,
+    degree_roles,
     make_graph,
 )
 from .spectral import dirichlet_steklov_spectrum, laplacian_spectrum
@@ -289,8 +289,7 @@ def build_star(arms: list[RootedTree]) -> FamilyGraph:
                 index[v] = next_id
                 next_id += 1
         edges += [(index[u], index[v], w) for u, v, w in arm.graph.edges]
-    g = make_graph(next_id, edges)
-    g = g.with_roles(combinatorial_boundary(g))
+    g = make_graph(next_id, edges, roles=degree_roles(next_id, edges))
     return FamilyGraph(g, {"center": 0}, "star", {"arms": len(arms)})
 
 
@@ -341,11 +340,8 @@ def comb_tooth_with_dirichlet_edge(tooth: RootedTree, weight: float) -> Weighted
     edges = [(u + 1, v + 1, w) for u, v, w in tooth.graph.edges] + [
         (0, tooth.root + 1, weight)
     ]
-    g = make_graph(nt + 1, edges)
-    roles = [Role.DIRICHLET] + [
-        Role.BOUNDARY if g.degree(v + 1) <= 1 else Role.INTERIOR for v in range(nt)
-    ]
-    return g.with_roles(roles)
+    roles = (Role.DIRICHLET,) + degree_roles(nt + 1, edges)[1:]
+    return make_graph(nt + 1, edges, roles=roles)
 
 
 def comb_spectrum(base: WeightedBoundaryGraph, tooth: RootedTree):

@@ -78,8 +78,14 @@ class ZeroSet:
 
 def zero_set(g: WeightedBoundaryGraph, f) -> ZeroSet:
     """Vertices with |f| at most ``DEFAULT_ZERO_TOL`` times max |f|, plus
-    interior zeros on sign-change edges."""
+    interior zeros on sign-change edges. ``f`` holds one finite value per
+    vertex."""
     f = np.asarray(f, dtype=float)
+    if f.shape != (g.n,):
+        raise InvalidParamsError(
+            f"function has shape {f.shape}; the graph has {g.n} vertices")
+    if not np.isfinite(f).all():
+        raise InvalidParamsError("function values must be finite")
     scale = float(np.max(np.abs(f)))
     if scale == 0.0:
         raise AllZeroError("function is identically zero")

@@ -16,7 +16,15 @@ A graph keeps its walk from vertex 0 (:attr:`WeightedBoundaryGraph.walk`),
 as it keeps its adjacency and its role lists: ``is_connected``, ``is_tree``
 and every caller that walks a tree from vertex 0 (clump numbers, the type A
 split, the sub-k test, the bipartite colouring) read that one pass, so a
-certificate walks its tree once. Callers must not mutate it.
+certificate walks its tree once. Callers must not mutate it. The boundary,
+Dirichlet and interior lists come from one pass over the roles.
+
+A graph with the combinatorial boundary (degree <= 1 means boundary) is
+built in one :func:`make_graph` call, with the roles that
+:func:`degree_roles` reads off its edge list: :func:`combinatorial_graph`,
+``enumeration.tree_from_code`` and ``families.build_star`` build no
+all-interior graph first. ``make_graph`` checks only the measures and roles
+a caller passes; the defaults need no check.
 """
 
 from __future__ import annotations
@@ -48,6 +56,9 @@ class Role(Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
     DIRICHLET = "dirichlet"
+
+
+_BOUNDARY, _INTERIOR = Role.BOUNDARY, Role.INTERIOR
 
 
 def _norm_edge(x: int, y: int) -> tuple[int, int]:
@@ -156,20 +167,33 @@ class WeightedBoundaryGraph:
     def has_edge(self, x: int, y: int) -> bool:
         return _norm_edge(x, y) in self.edge_weights
 
-    def vertices_with_role(self, role: Role) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.roles[v] is role)
-
     @cached_property
+    def _role_lists(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """The boundary, Dirichlet and interior vertices, each ascending,
+        from one pass over ``roles``."""
+        boundary: list[int] = []
+        dirichlet: list[int] = []
+        interior: list[int] = []
+        for v, role in enumerate(self.roles):
+            if role is _BOUNDARY:
+                boundary.append(v)
+            elif role is _INTERIOR:
+                interior.append(v)
+            else:
+                dirichlet.append(v)
+        return tuple(boundary), tuple(dirichlet), tuple(interior)
+
+    @property
     def boundary(self) -> tuple[int, ...]:
-        return self.vertices_with_role(Role.BOUNDARY)
+        return self._role_lists[0]
 
-    @cached_property
+    @property
     def dirichlet(self) -> tuple[int, ...]:
-        return self.vertices_with_role(Role.DIRICHLET)
+        return self._role_lists[1]
 
-    @cached_property
+    @property
     def interior(self) -> tuple[int, ...]:
-        return self.vertices_with_role(Role.INTERIOR)
+        return self._role_lists[2]
 
     @cached_property
     def dirichlet_interior(self) -> tuple[int, ...]:
@@ -261,22 +285,25 @@ def make_graph(
 ) -> WeightedBoundaryGraph:
     """Build a validated graph.
 
-    ``measures`` defaults to all ones and ``roles`` to all-interior.
-    Roles may be given as :class:`Role` values or their string names.
+    ``measures`` defaults to all ones and ``roles`` to all-interior; only
+    the ones a caller passes are checked. Roles may be given as
+    :class:`Role` values or their string names.
     """
     if n < 0:
         raise IndexOutOfRangeError("vertex count must be nonnegative")
-    if measures is None:
-        measures = [1] * n
-    if roles is None:
-        roles = [Role.INTERIOR] * n
-    if len(measures) != n:
+    if measures is not None and len(measures) != n:
         raise IndexOutOfRangeError("measure list has wrong length")
-    if len(roles) != n:
+    if roles is not None and len(roles) != n:
         raise IndexOutOfRangeError("role list has wrong length")
-    for m in measures:
-        _check_positive(m, NonPositiveMeasureError, "vertex measure")
-    role_values = tuple(r if isinstance(r, Role) else Role(r) for r in roles)
+    if measures is None:
+        measures = (1,) * n
+    else:
+        for m in measures:
+            _check_positive(m, NonPositiveMeasureError, "vertex measure")
+    if roles is None:
+        role_values = (_INTERIOR,) * n
+    else:
+        role_values = tuple([r if isinstance(r, Role) else Role(r) for r in roles])
 
     seen: set[tuple[int, int]] = set()
     normalized = []
@@ -291,25 +318,40 @@ def make_graph(
         seen.add(key)
         _check_positive(w, NonPositiveWeightError, "edge weight")
         normalized.append((key[0], key[1], w))
-    normalized.sort(key=lambda e: (e[0], e[1]))
+    normalized.sort()  # the (u, v) pairs are distinct, so no weight is compared
     return WeightedBoundaryGraph(
         n=n, edges=tuple(normalized), measures=tuple(measures), roles=role_values
     )
 
 
+def degree_roles(n: int, edges: Sequence[tuple[int, int, Weight]]) -> tuple[Role, ...]:
+    """Roles of the combinatorial boundary (degree <= 1 means boundary) of
+    the graph on 0..n-1 with ``edges``.
+
+    Degrees are counted on the edges as given, so that a graph can be built
+    with its roles in one :func:`make_graph` call. An edge list on which the
+    count is wrong (an edge out of range, a loop or a repeat) is one that
+    make_graph rejects."""
+    degree = [0] * n
+    for x, y, _ in edges:
+        if 0 <= x < n and 0 <= y < n:
+            degree[x] += 1
+            degree[y] += 1
+    return tuple([_BOUNDARY if d <= 1 else _INTERIOR for d in degree])
+
+
 def combinatorial_boundary(g: WeightedBoundaryGraph) -> tuple[Role, ...]:
     """Role assignment of a combinatorial graph: degree <= 1 means boundary."""
-    return tuple(
-        Role.BOUNDARY if g.degree(v) <= 1 else Role.INTERIOR for v in range(g.n)
-    )
+    return degree_roles(g.n, g.edges)
 
 
 def combinatorial_graph(
     n: int, edges: Iterable[tuple[int, int]]
 ) -> WeightedBoundaryGraph:
-    """Unit-weight simple graph with the degree-based boundary."""
-    g = make_graph(n, [(x, y, 1) for x, y in edges])
-    return g.with_roles(combinatorial_boundary(g))
+    """Unit-weight simple graph with the degree-based boundary, built in one
+    :func:`make_graph` call."""
+    unit = [(x, y, 1) for x, y in edges]
+    return make_graph(n, unit, roles=degree_roles(n, unit))
 
 
 # -- serialization -------------------------------------------------------------

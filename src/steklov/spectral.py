@@ -12,9 +12,12 @@ with the vertices whose values are given first and the interior last. A
 connected graph with a vertex outside the interior passes that check with
 no walk of its own. When every measure of an eigenproblem is 1 the
 M^{-1/2} conjugation is skipped: with d = 1 it changes no bit of the
-eigenvalues or the eigenvectors.
+eigenvalues or the eigenvectors, and the matrix is not symmetrised again.
 :func:`dtn_matrix` is the only place that forms the Schur complement
-S = L_BB - L_IB^T L_II^{-1} L_IB. It keeps the Cholesky factor of L_II, so
+S = L_BB - L_IB^T L_II^{-1} L_IB, and it symmetrises S once. It checks
+that the assembled Laplacian is finite once, since L_II and L_IB are
+blocks of it, and solves with :func:`_posv`, the LAPACK core of
+:func:`_solve_pos` without its checks. It keeps the Cholesky factor of L_II, so
 the harmonic extensions of a spectrum (``SpectralResult.extensions``) are
 solved from it the first time they are read, not with every spectrum.
 A Steklov spectrum keeps the operator it was solved from
@@ -87,6 +90,12 @@ def _solve_pos(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
     that :func:`_solve_factored` takes for further right-hand sides."""
     _require_finite(a)
     _require_finite(b)
+    return _posv(a, b)
+
+
+def _posv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """:func:`_solve_pos` without its finiteness checks, for blocks of a
+    matrix that the caller has checked whole."""
     if len(a) == 1:  # scipy divides by a 1x1 block instead of factoring it
         if a[0, 0] == 0:
             raise LinAlgError("A singular matrix detected.")
@@ -287,13 +296,14 @@ def dtn_matrix(g: WeightedBoundaryGraph, with_dirichlet: bool = False) -> DtnOpe
             "graph has Dirichlet vertices; use with_dirichlet=True"
         )
     L = _pinned_first(g, boundary, interior)
+    _require_finite(L)  # once for every block below
     k = len(boundary)
     S = L[:k, :k].copy()
     coupling = factor = None
     if k < len(L):
         # contiguous: numpy multiplies a strided one-column block with other bits
         coupling = L[k:, :k].copy()
-        x, factor = _solve_pos(L[k:, k:], coupling)
+        x, factor = _posv(L[k:, k:], coupling)
         S -= coupling.T @ x
     S = (S + S.T) / 2.0
     return DtnOperator(
@@ -360,9 +370,11 @@ class SpectralResult:
 
 
 def _generalized_eigh(S: np.ndarray, m: np.ndarray):
+    """Eigenpairs of S u = lambda M u for symmetric S and M = diag(m)."""
     if not (m != 1.0).any():
-        # unit measures: with d = 1 the conjugation below changes no bit
-        return _eigh((S + S.T) / 2.0)
+        # unit measures: with d = 1 the conjugation below changes no bit,
+        # and S is already symmetric
+        return _eigh(S)
     d = 1.0 / np.sqrt(m)
     T = (S * d).T * d  # diag(d) S diag(d), symmetric
     vals, Y = _eigh((T + T.T) / 2.0)

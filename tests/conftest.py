@@ -25,6 +25,15 @@ def structurally_equal(a, b):
     )
 
 
+def two_step_graph(n, edges):
+    """Oracle for the builders that give a graph its degree-based roles in
+    one construction: the graph with all-interior roles, then the roles
+    read from its adjacency and set by ``with_roles``."""
+    g = make_graph(n, edges)
+    return g.with_roles(
+        [Role.BOUNDARY if len(g.adjacency[v]) <= 1 else Role.INTERIOR for v in range(n)])
+
+
 def counting_calls(monkeypatch, module, name):
     """Replace ``module.name`` by a wrapper that records the first argument
     of each call; returns the list it records into."""

@@ -31,7 +31,13 @@ from steklov.enumeration import (
 from steklov.errors import OutOfSupportedRangeError, ParseError
 from steklov.graph import adjacency_sets, combinatorial_graph, make_graph
 
-from conftest import brute_force_graph_code, is_isomorphic, path_graph, random_unit_tree
+from conftest import (
+    brute_force_graph_code,
+    is_isomorphic,
+    path_graph,
+    random_unit_tree,
+    two_step_graph,
+)
 
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # n = 1..12
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]  # n = 1..7
@@ -158,6 +164,34 @@ def test_tree_code_preserves_edge_lengths():
     h = tree_from_code(code)
     lengths = sorted(Fraction(1) / Fraction(w) for _, _, w in h.edges)
     assert lengths == [Fraction(1, 2), Fraction(3)]
+
+
+def test_tree_from_code_equals_the_two_step_build():
+    # unit codes give Fraction(1) weights, numbered as tree_edges numbers them
+    for n in range(1, 11):
+        for code in enumerate_trees(n).codes:
+            size, edges = tree_edges(code)
+            oracle = two_step_graph(size, [(x, y, Fraction(1)) for x, y in edges])
+            g = tree_from_code(code)
+            assert g == oracle and repr(g) == repr(oracle), code
+    for code in ("(1(1())1/2())", "(3/2(2()))", "(1/3()1/3()1/3())"):
+        g = tree_from_code(code)
+        assert repr(g) == repr(two_step_graph(g.n, g.edges)), code
+        assert tree_code(g, root=0) == code
+
+
+@pytest.mark.parametrize("one", [1, Fraction(1)])
+def test_tree_code_labels_of_exact_and_float_weights(one):
+    # an exact unit weight is labelled "1", a float one "1.0", any other
+    # exact weight by the Fraction of its length
+    edges = [(0, 1), (1, 2), (1, 3), (3, 4)]
+    exact = make_graph(5, [(x, y, one) for x, y in edges])
+    assert tree_code(exact) == "(1()1()1(1()))"
+    assert tree_code(exact) == unit_tree_code(exact.adjacency)
+    floats = make_graph(5, [(x, y, 1.0) for x, y in edges])
+    assert tree_code(floats) == "(1.0()1.0()1.0(1.0()))"
+    mixed = make_graph(5, [(0, 1, one), (1, 2, 2), (1, 3, Fraction(2, 3)), (3, 4, 0.5)])
+    assert tree_code(mixed) == "(1()1/2()3/2(2.0()))"
 
 
 def test_rooted_code_distinguishes_roots():

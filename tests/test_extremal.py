@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from steklov import extremal, spectral
+from steklov import graph as graph_mod
 from steklov.enumeration import (
     GraphClassStream,
     _load_class,
@@ -292,6 +293,41 @@ def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     warm = sweep(n, i, graph_class)
     assert warm == cold
     assert len(calls) == 2 * cold.rechecked
+
+
+@pytest.mark.parametrize("graph_class,n,i", [
+    ("trees", 12, 8), ("trees", 7, 1), ("trees", 6, 9), ("connected", 7, 4), ("connected", 6, 2),
+])
+def test_sweep_equals_its_loop_reference(graph_class, n, i):
+    """Rows from the memo's row order and the gap from one numpy reduction
+    equal, bit for bit, the sorted pairs and the Python scans they replace."""
+    res = sweep(n, i, graph_class)
+    stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
+    labels, edge_lists, spectra, _, _ = extremal._screen(graph_class, n, tuple(stream.codes))
+    values = spectra[:, i - 1].tolist() if i <= n else [math.inf] * len(labels)
+    screen = min(values)
+    margin = extremal.DEFAULT_TOL + spectral.EIG_EQ_TOL * max(1.0, abs(screen))
+    oracle = {
+        j: sigma_value(combinatorial_graph(n, edge_lists[j]), i)
+        for j, v in enumerate(values) if v <= screen + margin
+    }
+    minimum = min(oracle.values())
+    argmin = {j for j, v in oracle.items() if v <= minimum + extremal.DEFAULT_TOL}
+    outside = [oracle.get(j, v) for j, v in enumerate(values) if j not in argmin]
+    finite = [v for v in outside if v < math.inf]
+    assert res.rows == tuple(sorted(zip(labels, values)))
+    assert res.minimum == minimum and res.rechecked == len(oracle)
+    assert res.argmin_codes == tuple(sorted(labels[j] for j in argmin))
+    assert repr(res.gap) == repr(min(finite) - minimum if finite else math.inf)
+
+
+@pytest.mark.parametrize("graph_class,n,i", [("trees", 12, 8), ("connected", 7, 4)])
+def test_each_resolved_class_is_built_and_assembled_once(monkeypatch, graph_class, n, i):
+    sweep(n, i, graph_class)  # the memo holds the class
+    builds = counting_calls(monkeypatch, graph_mod, "make_graph")
+    assemblies = counting_calls(monkeypatch, spectral, "_laplacian")
+    result = sweep(n, i, graph_class)
+    assert len(builds) == len(assemblies) == result.rechecked > 1
 
 
 def test_bad_stored_code_raises_on_every_sweep(monkeypatch):

@@ -11,6 +11,7 @@ from steklov.enumeration import enumerate_trees, tree_code
 from steklov.errors import InvalidParamsError
 from steklov.families import (
     BroomParams,
+    RootedTree,
     broom_eigenfunction,
     broom_lambda1,
     broom_shape,
@@ -30,13 +31,20 @@ from steklov.families import (
     rooted_path,
 )
 from steklov.geometry import GeometricPoint, clump_lengths_at
+from steklov.graph import Role
 from steklov.spectral import (
     dirichlet_steklov_spectrum,
     laplacian_spectrum,
     steklov_spectrum,
 )
 
-from conftest import broom_codes, clump_rooted_tree, mu_max_path, structurally_equal
+from conftest import (
+    broom_codes,
+    clump_rooted_tree,
+    mu_max_path,
+    structurally_equal,
+    two_step_graph,
+)
 
 GRID_L = [Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 2, 3, Fraction(10, 3)]
 
@@ -225,6 +233,22 @@ def test_dumbbell_and_star_shapes():
     assert st.n == 7 and st.degree(0) == 3
     with pytest.raises(InvalidParamsError):
         build_star([rooted_path(1)])
+
+
+def test_stars_equal_the_two_step_build():
+    # a star gets its degree roles in one construction
+    arms = [rooted_path(1), rooted_path(3)]
+    arms += [RootedTree(build_broom(l, i, d).graph, build_broom(l, i, d).landmarks["o"])
+             for l, i, d in ((1, 1, 2), (Fraction(1, 2), 0, 3), (Fraction(5, 3), 2, 1))]
+    for count in range(2, len(arms) + 1):
+        for chosen in itertools.combinations(arms, count):
+            g = build_star(list(chosen)).graph
+            assert repr(g) == repr(two_step_graph(g.n, g.edges))
+    tooth = RootedTree(build_broom(1, 1, 2).graph, 1)
+    t_i = comb_tooth_with_dirichlet_edge(tooth, 0.75)
+    oracle = two_step_graph(t_i.n, t_i.edges)
+    oracle = oracle.with_roles((Role.DIRICHLET,) + oracle.roles[1:])
+    assert repr(t_i) == repr(oracle)
 
 
 def test_comb_structure():

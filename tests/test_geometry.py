@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,29 @@ def test_zero_set_simple():
 def test_zero_set_of_the_zero_function_raises():
     with pytest.raises(AllZeroError):
         zero_set(path_graph(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_functions_are_rejected(bad):
+    # an infinite value made every vertex a zero and the check pass
+    # without a verdict; a NaN raised NoBoundaryError
+    g = path_graph(3)
+    f = [1.0, bad, -1.0]
+    for check in (lambda: zero_set(g, f), lambda: nodal_domains(g, f),
+                  lambda: verify_nodal_theorem(g, 1.0, f)):
+        with pytest.raises(InvalidParamsError, match="finite"):
+            check()
+
+
+@pytest.mark.parametrize("f", [[1.0, -1.0], [1.0, -1.0, 1.0, 7.0], [[1.0, -1.0, 1.0]]])
+def test_functions_of_the_wrong_length_are_rejected(f):
+    # a short one raised IndexError; a long one was read, its extra
+    # entries setting the zero tolerance
+    g = path_graph(3)
+    for check in (lambda: zero_set(g, f), lambda: nodal_domains(g, f),
+                  lambda: verify_nodal_theorem(g, 1.0, f)):
+        with pytest.raises(InvalidParamsError, match="3 vertices"):
+            check()
 
 
 def test_clump_requires_unit_tree():

@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from steklov.enumeration import (
+    enumerate_connected_graphs,
+    enumerate_trees,
+    graph_edges,
+    tree_edges,
+)
 from steklov.errors import (
     DuplicateEdgeError,
     EdgeNotFoundError,
@@ -17,6 +23,7 @@ from steklov.errors import (
 )
 from steklov.graph import (
     Role,
+    combinatorial_boundary,
     combinatorial_graph,
     component_passes,
     graph_from_dict,
@@ -26,7 +33,13 @@ from steklov.graph import (
     save_graph,
 )
 
-from conftest import path_graph, random_tree_edges, structurally_equal, union_find_components
+from conftest import (
+    path_graph,
+    random_tree_edges,
+    structurally_equal,
+    two_step_graph,
+    union_find_components,
+)
 
 
 def test_basic_construction():
@@ -56,6 +69,39 @@ def test_combinatorial_boundary_is_low_degree():
     g = combinatorial_graph(4, [(0, 1), (1, 2), (1, 3)])
     assert set(g.boundary) == {0, 2, 3}
     assert g.roles[1] is Role.INTERIOR
+
+
+def test_combinatorial_graph_equals_the_two_step_build():
+    # one construction gives the graph (weights, measures and roles, with
+    # their types) that the all-interior graph given its degree roles is
+    classes = [(tree_edges, enumerate_trees(n)) for n in range(1, 11)]
+    classes += [(graph_edges, enumerate_connected_graphs(n)) for n in range(1, 8)]
+    checked = 0
+    for parse, stream in classes:
+        for code in stream.codes:
+            n, edges = parse(code)
+            g = combinatorial_graph(n, edges)
+            oracle = two_step_graph(n, [(x, y, 1) for x, y in edges])
+            assert g == oracle and repr(g) == repr(oracle), code
+            assert combinatorial_boundary(g) == g.roles
+            assert (g.boundary, g.dirichlet, g.interior) == tuple(
+                tuple(v for v in range(n) if g.roles[v] is role)
+                for role in (Role.BOUNDARY, Role.DIRICHLET, Role.INTERIOR))
+            checked += 1
+    assert checked == 201 + 996  # trees n <= 10, connected graphs n <= 7
+
+
+@pytest.mark.parametrize("edges,error", [
+    ([(0, 3)], IndexOutOfRangeError),
+    ([(0, -1)], IndexOutOfRangeError),
+    ([(1, 1)], SelfLoopError),
+    ([(0, 1), (1, 0)], DuplicateEdgeError),
+    ([(0, 1), (0, 1)], DuplicateEdgeError),
+])
+def test_combinatorial_graph_rejects_bad_edges(edges, error):
+    # the degree count behind the roles never runs ahead of validation
+    with pytest.raises(error):
+        combinatorial_graph(3, edges)
 
 
 def test_delete_edges_and_components():
