@@ -35,6 +35,7 @@ from .spectral import (
     normal_derivative,
     steklov_spectrum,
 )
+from .exact import QuadraticSurd, inertia_counts
 from .families import (
     BroomParams,
     RootedTree,

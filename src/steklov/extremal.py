@@ -8,14 +8,16 @@ eigenvalue over n-vertex graphs: i = 2 (dumbbells), i not dividing n
 (broom-armed stars), i dividing n (regular combs with correction
 theta_i = 1/(4 cos^2(pi/2i))). Irrational bounds are evaluated with mpmath
 at 40 significant digits (a local ``workdps``; the global mpmath precision is
-left alone) before any floating comparison. mpmath is imported only there,
-by the first irrational bound (i dividing n, i >= 4).
+left alone) for their float and decimal string. mpmath is imported only there,
+by the first irrational bound (i dividing n, i >= 4). For i = 4, 5, 6 the
+bound is also held exactly, as a :class:`QuadraticSurd` p + q sqrt(d).
 
-Exhaustive sweeps screen a whole class with batched float spectra, then
-re-solve the classes near the minimum with the per-graph solver, which alone
-decides the certified minimum and argmin set. The screen does not depend on
-i: each class is parsed and screened once per process and shared by every i.
-The per-graph solver is never memoised and runs afresh on every sweep.
+Exhaustive sweeps screen a whole class with batched float spectra. The
+screen does not depend on i: each class is parsed and screened once per
+process and shared by every i. :func:`verify_extremal` then decides every
+class that screens within tol of the bound b exactly, afresh on every call,
+by the counts #{sigma_j < b} and #{sigma_j = b} of
+:func:`~steklov.exact.inertia_counts`; no class is solved again.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .errors import (
     OutOfSupportedRangeError,
     ParseError,
 )
+from .exact import QuadraticSurd, inertia_counts
 from .families import (
     RootedTree,
     build_comb,
@@ -69,7 +72,6 @@ from .graph import (
     subtree_sizes,
 )
 from .spectral import (
-    EIG_EQ_TOL,
     SpectralResult,
     dirichlet_steklov_spectrum,
     laplacian_matrix,
@@ -87,6 +89,12 @@ MAX_TOL = 1e-6
 MP_DPS = 40
 GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 12
+# theta_i as an exact p + q sqrt(d) where cos(pi/i) is quadratic
+QUADRATIC_THETA = {
+    4: QuadraticSurd(1, Fraction(-1, 2), 2),  # (2 - sqrt 2) / 2
+    5: QuadraticSurd(Fraction(1, 2), Fraction(-1, 10), 5),  # (5 - sqrt 5) / 10
+    6: QuadraticSurd(2, -1, 3),  # 2 - sqrt 3
+}
 
 
 # -- predicted bounds -------------------------------------------------------------
@@ -120,7 +128,7 @@ class ExtremalTarget:
     i: int
     case: str  # "sigma2" | "i_not_dividing" | "i_dividing"
     bound: float
-    bound_exact: Fraction | None
+    bound_exact: Fraction | QuadraticSurd | None  # None for i >= 7 dividing n
     bound_str: str  # exact rational or 40-digit decimal
     theta: object | None
     characterized: bool  # predicted minimizers are the complete equality set
@@ -254,7 +262,7 @@ def predicted_bound(n: int, i: int, graph_class: str = "connected") -> ExtremalT
     else:
         import mpmath
 
-        bound_exact = None
+        bound_exact = lambda_value(m - 1 + QUADRATIC_THETA[i]) if i in QUADRATIC_THETA else None
         with mpmath.workdps(MP_DPS):
             val = lambda_value(mpmath.mpf(m - 1) + th)
             bound_f, bound_s = float(val), mpmath.nstr(val, MP_DPS)
@@ -278,11 +286,14 @@ def sigma_value(g: WeightedBoundaryGraph, i: int) -> float:
 
 @dataclass(frozen=True)
 class SweepResult:
-    rows: tuple[tuple[str, float], ...]  # (canonical code, batch sigma_i), by code
-    minimum: float  # per-graph oracle
-    argmin_codes: tuple[str, ...]  # oracle values within tol of the minimum
+    """The float screen of a class: the batched sigma_i of every class, its
+    minimum, the classes within tol of that minimum and the gap to the
+    rest. No class is solved again and nothing here is exact."""
+
+    rows: tuple[tuple[str, float], ...]  # (canonical code, screened sigma_i), by code
+    minimum: float  # the screen's minimum
+    argmin_codes: tuple[str, ...]  # screened values within tol of the minimum
     gap: float  # best value outside the argmin minus the minimum; inf if none
-    rechecked: int  # classes re-solved by the per-graph oracle
 
 
 @lru_cache(maxsize=None)
@@ -308,26 +319,9 @@ def _screen(graph_class: str, n: int, codes: tuple[str, ...]):
     return tuple(labels), tuple(edge_lists), spectra, tuple(labels[j] for j in order), order
 
 
-def sweep(
-    n: int, i: int, graph_class: str = "trees", tol: float = DEFAULT_TOL
-) -> SweepResult:
-    """sigma_i over every class of ``graph_class`` on n vertices.
-
-    The class is screened with batched float spectra
-    (:func:`unit_steklov_spectra`) once per process and shared by every i:
-    the memo holds each class's labels, its stored codes parsed into edge
-    lists, the whole spectrum of every class, so each sweep reads column i,
-    and the row order that sorts the labels, so no sweep sorts the rows.
-    It holds about 1.6 MB for the 15 classes of all supported pairs
-    (0.7 MB for connected n = 7, 0.5 MB for trees n = 12), mostly edge
-    lists. Only classes within tol + EIG_EQ_TOL * max(1, |min|) of the
-    batch minimum are re-solved, afresh on every call, with
-    :func:`sigma_value` on a graph built from their edge list in one
-    construction; the minimum and the argmin set come from those values
-    alone. ``rows`` keep the batch values. Classes are listed under their
-    stored codes, except that connected-class members that are trees are
-    listed under their tree code. ``tol`` must lie in (0, MAX_TOL].
-    """
+def _screened(n: int, i: int, graph_class: str, tol: float):
+    """The memoised screen of a class and its column of sigma_i values
+    (+inf where i exceeds n), after the parameters are checked."""
     if i < 1:
         raise InvalidParamsError("eigenvalue index is 1-based")
     if not 0 < tol <= MAX_TOL:
@@ -341,35 +335,62 @@ def sweep(
         stream = enumerate_connected_graphs(n)
     else:
         raise InvalidParamsError(f"unknown graph class {graph_class!r}")
-    labels, edge_lists, spectra, row_labels, order = _screen(
-        graph_class, n, tuple(stream.codes))
-    values = spectra[:, i - 1] if i <= n else np.full(len(labels), math.inf)
+    memo = _screen(graph_class, n, tuple(stream.codes))
+    values = memo[2][:, i - 1] if i <= n else np.full(len(memo[0]), math.inf)
+    return memo, values
 
-    screen = float(values.min())
-    margin = tol + EIG_EQ_TOL * max(1.0, abs(screen))
-    oracle = {
-        int(j): sigma_value(combinatorial_graph(n, edge_lists[j]), i)
-        for j in np.flatnonzero(values <= screen + margin)
-    }
-    minimum = min(oracle.values())
-    argmin = [j for j, v in oracle.items() if v <= minimum + tol]
-    # the best value outside the argmin set: oracle values where there are
-    # any, batch values elsewhere
+
+def _screen_minimum(values: np.ndarray, tol: float):
+    """The screen's minimum and the rows within ``tol`` of it."""
+    minimum = float(values.min())
+    return minimum, np.flatnonzero(values <= minimum + tol)
+
+
+def _gap(values: np.ndarray, argmin, minimum: float) -> float:
+    """The best value outside the ``argmin`` rows less ``minimum``."""
     outside = values.copy()
-    outside[list(oracle)] = list(oracle.values())
     outside[argmin] = math.inf
     best = float(outside.min())
+    return best - minimum if best < math.inf else math.inf
+
+
+def sweep(
+    n: int, i: int, graph_class: str = "trees", tol: float = DEFAULT_TOL
+) -> SweepResult:
+    """The float screen of sigma_i over every class of ``graph_class`` on n
+    vertices.
+
+    The class is screened with batched float spectra
+    (:func:`unit_steklov_spectra`) once per process and shared by every i:
+    the memo holds each class's labels, its stored codes parsed into edge
+    lists, the whole spectrum of every class, so each sweep reads column i,
+    and the row order that sorts the labels, so no sweep sorts the rows.
+    It holds about 1.6 MB for the 15 classes of all supported pairs
+    (0.7 MB for connected n = 7, 0.5 MB for trees n = 12), mostly edge
+    lists. The minimum, the argmin set (screened values within ``tol`` of
+    it) and the gap are read off the screen; no class is solved again, so
+    they are floats, not certificates (:func:`verify_extremal` decides
+    those exactly). Classes are listed under their stored codes, except
+    that connected-class members that are trees are listed under their
+    tree code. ``tol`` must lie in (0, MAX_TOL].
+    """
+    (labels, _, _, row_labels, order), values = _screened(n, i, graph_class, tol)
+    minimum, argmin = _screen_minimum(values, tol)
     return SweepResult(
         rows=tuple(zip(row_labels, values[order].tolist())),
         minimum=minimum,
         argmin_codes=tuple(sorted(labels[j] for j in argmin)),
-        gap=best - minimum if best < math.inf else math.inf,
-        rechecked=len(oracle),
+        gap=_gap(values, argmin, minimum),
     )
 
 
 @dataclass(frozen=True)
 class ExtremalReport:
+    """A sweep decided against the predicted bound b. When the exact counts
+    certify the minimum, ``minimum`` is ``target.bound`` (the correctly
+    rounded b) and ``argmin_codes`` are the classes with sigma_i = b;
+    otherwise both are the float screen's and ``match`` is False."""
+
     target: ExtremalTarget
     graph_class: str
     class_size: int
@@ -379,36 +400,58 @@ class ExtremalReport:
     match: bool
     bound_ok: bool
     tol: float
-    gap: float  # best value outside the argmin set minus the minimum
-    rechecked: int  # classes re-solved by the per-graph oracle
+    gap: float  # best screened value outside the argmin set minus the minimum
+    rechecked: int  # candidates decided exactly by their eigenvalue counts
 
 
 def verify_extremal(
     n: int, i: int, graph_class: str = "trees", tol: float = DEFAULT_TOL
 ) -> ExtremalReport:
     """Sweep a graph class, minimize sigma_i, and match the argmin set
-    against the predicted minimizers that belong to the class."""
+    against the predicted minimizers that belong to the class.
+
+    The candidates are the classes whose screened sigma_i is at most
+    float(b) + tol for the predicted bound b. Each is decided exactly, afresh
+    on every call, by :func:`inertia_counts`: #{sigma_j < b} and
+    #{sigma_j = b}. The bound holds iff no candidate has i or more
+    eigenvalues below b (every other class screens above b + tol), and a
+    candidate attains it iff it also has at least i at or below b. When the
+    bound holds and some candidate attains it, those candidates are the
+    argmin set and the minimum is b; otherwise the report falls back to the
+    screen's minimum and argmin set, with ``match`` False."""
     target = predicted_bound(n, i, graph_class)
-    result = sweep(n, i, graph_class, tol)
-    minimum, argmin = result.minimum, result.argmin_codes
+    b = target.bound_exact
+    if b is None:
+        raise OutOfSupportedRangeError(f"no exact bound for i = {i} dividing n")
+    (labels, edge_lists, _, _, _), values = _screened(n, i, graph_class, tol)
+    counts = {
+        int(j): inertia_counts(n, edge_lists[j], b)
+        for j in np.flatnonzero(values <= target.bound + tol)
+    }
+    bound_ok = all(neg < i for neg, _ in counts.values())
+    attained = [j for j, (neg, zero) in counts.items() if neg < i <= neg + zero]
     predicted = tuple(sorted(d.code for d in target.minimizers))
-    if target.characterized:
-        match = argmin == predicted and abs(minimum - target.bound) <= tol
+    if bound_ok and attained:
+        minimum, argmin = target.bound, tuple(sorted(labels[j] for j in attained))
+        if target.characterized:
+            match = argmin == predicted
+        else:
+            match = set(predicted) <= set(argmin)
     else:
-        match = set(predicted) <= set(argmin) and abs(minimum - target.bound) <= tol
-    bound_ok = minimum >= target.bound - tol
+        minimum, attained = _screen_minimum(values, tol)
+        argmin, match = tuple(sorted(labels[j] for j in attained)), False
     return ExtremalReport(
         target=target,
         graph_class=graph_class,
-        class_size=len(result.rows),
+        class_size=len(labels),
         minimum=minimum,
         argmin_codes=argmin,
         predicted_codes=predicted,
         match=match,
         bound_ok=bound_ok,
         tol=tol,
-        gap=result.gap,
-        rechecked=result.rechecked,
+        gap=_gap(values, attained, minimum),
+        rechecked=len(counts),
     )
 
 

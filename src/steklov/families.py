@@ -20,6 +20,7 @@ from numbers import Rational, Real
 import numpy as np
 
 from .errors import InvalidParamsError
+from .exact import QuadraticSurd
 from .graph import (
     Role,
     WeightedBoundaryGraph,
@@ -34,8 +35,8 @@ Number = float | Fraction
 
 def as_number(x) -> Number:
     """Exact Fraction for rational-like inputs (int, Fraction, 'p/q'); other
-    reals (float, ``mpmath.mpf``) pass through, so the closed forms also
-    evaluate in the caller's precision."""
+    reals (float, ``mpmath.mpf``, an exact :class:`QuadraticSurd`) pass
+    through, so the closed forms also evaluate in the caller's precision."""
     if isinstance(x, bool):
         raise InvalidParamsError("not a number")
     if isinstance(x, Rational):
@@ -45,13 +46,13 @@ def as_number(x) -> Number:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidParamsError(f"cannot interpret {x!r} as a length") from exc
-    if isinstance(x, Real):
+    if isinstance(x, (Real, QuadraticSurd)):
         return x
     raise InvalidParamsError(f"cannot interpret {x!r} as a length")
 
 
 def _one_over(x: Number) -> Number:
-    return Fraction(1) / x if isinstance(x, Rational) else 1.0 / x
+    return Fraction(1) / x if isinstance(x, (Rational, QuadraticSurd)) else 1.0 / x
 
 
 @dataclass(frozen=True)

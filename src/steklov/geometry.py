@@ -9,6 +9,7 @@ unit-tree branch statistics used by the removal lemmas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -354,8 +355,8 @@ def verify_nodal_theorem(
     Degenerate zero sets (an entire edge vanishing) are reported and skipped
     rather than interpreted.
     """
-    if sigma <= 0:
-        raise InvalidParamsError("the nodal theorem concerns sigma > 0")
+    if not 0 < sigma < math.inf:  # False for NaN
+        raise InvalidParamsError("the nodal theorem concerns finite sigma > 0")
     f = np.asarray(f, dtype=float)
     zs = zero_set(g, f)
     if zs.degenerate:

@@ -130,7 +130,7 @@ class WeightedBoundaryGraph:
     """Simple undirected graph with vertex measures, edge weights and roles.
 
     Invariants (enforced by :func:`make_graph`): no loops, no duplicate
-    edges, strictly positive weights and measures, one role per vertex.
+    edges, positive finite weights and measures, one role per vertex.
     """
 
     n: int
@@ -270,11 +270,11 @@ class WeightedBoundaryGraph:
 
 def _check_positive(value, exc, what):
     try:
-        ok = value > 0
+        ok = 0 < value < math.inf  # False for NaN
     except TypeError:
         ok = False
     if not ok:
-        raise exc(f"{what} must be a positive number, got {value!r}")
+        raise exc(f"{what} must be a positive finite number, got {value!r}")
 
 
 def make_graph(

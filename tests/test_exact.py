@@ -1,0 +1,157 @@
+import math
+import random
+from fractions import Fraction
+
+import mpmath
+import numpy as np
+import pytest
+
+from steklov.enumeration import enumerate_connected_graphs, enumerate_trees
+from steklov.errors import DisconnectedError, InvalidParamsError, NoBoundaryError
+from steklov.exact import (
+    QuadraticSurd,
+    dense_inertia_counts,
+    inertia_counts,
+    tree_inertia_counts,
+)
+from steklov.extremal import QUADRATIC_THETA, predicted_bound, theta_value
+from steklov.graph import adjacency_sets, combinatorial_graph
+from steklov.spectral import steklov_spectrum
+
+IRRATIONAL_PAIRS = [(8, 4), (10, 5), (12, 4), (12, 6)]
+
+
+def mp(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def edge_pairs(g):
+    return [(u, v) for u, v, _ in g.edges]
+
+
+def shift_away_from(rng, eigenvalues):
+    """A seeded rational b at least 1e-6 from every eigenvalue."""
+    while True:
+        b = Fraction(rng.randrange(1, 4000), rng.randrange(1, 1000))
+        if np.all(np.abs(eigenvalues - float(b)) >= 1e-6):
+            return b
+
+
+def test_counts_match_eigvalsh_counts():
+    # every tree n <= 10 and every connected graph n <= 6 with a boundary,
+    # three seeded shifts each: #{sigma_j < b} from the float spectrum, and
+    # no eigenvalue at b
+    rng = random.Random(16)
+    graphs = [g for n in range(1, 11) for g in enumerate_trees(n)]
+    graphs += [g for n in range(2, 7) for g in enumerate_connected_graphs(n) if g.boundary]
+    for g in graphs:
+        eigenvalues = steklov_spectrum(g).eigenvalues
+        for _ in range(3):
+            b = shift_away_from(rng, eigenvalues)
+            expect = (int(np.sum(eigenvalues < float(b))), 0)
+            assert inertia_counts(g.n, edge_pairs(g), b) == expect, (g.edges, b)
+    assert len(graphs) == 201 + 66  # trees, then connected graphs with a boundary
+
+
+def test_counts_at_an_eigenvalue():
+    # the path 0-1-2 has the DtN spectrum {0, 1}, the star K_{1,3} {0, 1, 1}
+    path = [(0, 1), (1, 2)]
+    assert inertia_counts(3, path, Fraction(1)) == (1, 1)
+    assert inertia_counts(3, path, Fraction(1, 2)) == (1, 0)
+    assert inertia_counts(3, path, 0) == (0, 1)
+    assert inertia_counts(4, [(0, 1), (0, 2), (0, 3)], 1) == (1, 2)
+
+
+def test_tree_walk_matches_dense_factorization():
+    # Jacobs-Trevisan against the dense LDL^T on every tree n <= 10, at each
+    # grid bound and at b = 1, where every leaf's value starts at 0
+    bounds = {predicted_bound(n, i, "trees").bound_exact
+              for n in range(3, 13) for i in range(2, n)}
+    bounds.add(Fraction(1))
+    zero_counts = 0
+    for n in range(1, 11):
+        for g in enumerate_trees(n):
+            adj = adjacency_sets(n, edge_pairs(g))
+            for b in bounds:
+                counts = tree_inertia_counts(adj, b)
+                assert counts == dense_inertia_counts(adj, b), (g.edges, b)
+                zero_counts += counts[1] > 0
+    assert zero_counts > 0
+
+
+@pytest.mark.parametrize("n,edges,b", [
+    (2, [(0, 1)], Fraction(1)),
+    (4, [(0, 3), (1, 2), (2, 3)], Fraction(1, 2)),
+    (6, [(0, 5), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5)], Fraction(1, 2)),
+])
+def test_dense_factorization_with_two_by_two_pivots(n, edges, b):
+    # on these inputs every diagonal entry left after the 1x1 pivots is 0
+    # (on the path 0-3-2-1 at b = 1/2: pivots 1/2, 1/2, then [[0, -1],
+    # [-1, 0]]); the counts are those of the float spectrum
+    adj = adjacency_sets(n, edges)
+    eigenvalues = steklov_spectrum(combinatorial_graph(n, edges)).eigenvalues
+    expect = (int(np.sum(eigenvalues < float(b) - 1e-9)),
+              int(np.sum(np.abs(eigenvalues - float(b)) <= 1e-9)))
+    assert dense_inertia_counts(adj, b) == expect
+
+
+def test_graphs_without_counts_are_refused():
+    with pytest.raises(NoBoundaryError):
+        inertia_counts(3, [(0, 1), (1, 2), (0, 2)], Fraction(1))
+    # a triangle, whose vertices are all interior, beside an edge (n - 1
+    # edges, walked as a tree) or beside a triangle with a pendant
+    # (factored densely)
+    with pytest.raises(DisconnectedError):
+        inertia_counts(5, [(0, 1), (1, 2), (0, 2), (3, 4)], Fraction(1))
+    with pytest.raises(DisconnectedError):
+        inertia_counts(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (5, 6)], Fraction(1))
+
+
+@pytest.mark.parametrize("n,i", IRRATIONAL_PAIRS)
+def test_surd_bound_rounds_to_the_target(n, i):
+    t = predicted_bound(n, i, "trees")
+    assert isinstance(t.bound_exact, QuadraticSurd)
+    assert float(t.bound_exact) == t.bound
+    b = t.bound_exact
+    with mpmath.workdps(60):
+        assert abs(mpmath.mpf(t.bound_str) - mp(b.p) - mp(b.q) * mpmath.sqrt(b.d)) < 1e-39
+
+
+def test_quadratic_theta_is_theta():
+    for i, th in QUADRATIC_THETA.items():
+        with mpmath.workdps(50):
+            assert abs(mp(th.p) + mp(th.q) * mpmath.sqrt(th.d) - theta_value(i)) < 1e-38
+        assert float(th) == float(theta_value(i))
+
+
+def test_surd_sign_agrees_with_mpmath():
+    # a seeded sample, then convergents of sqrt 2 and sqrt 3, where p and
+    # q sqrt(d) cancel to within 1e-6 or less
+    rng = random.Random(1616)
+    cases = [(Fraction(rng.randrange(-60, 61), rng.randrange(1, 30)),
+              Fraction(rng.randrange(-60, 61), rng.randrange(1, 30)),
+              rng.choice([2, 3, 5, 7])) for _ in range(2000)]
+    cases += [(Fraction(s * a), Fraction(-s * b), d) for s in (1, -1)
+              for a, b, d in ((577, 408, 2), (665857, 470832, 2), (1351, 780, 3), (18817, 10864, 3))]
+    for p, q, d in cases:
+        x = QuadraticSurd(p, q, d)
+        with mpmath.workdps(40):
+            v = mp(p) + mp(q) * mpmath.sqrt(d)
+        assert x.sign() == (v > 0) - (v < 0), x
+        assert float(x) == float(v), x
+
+
+def test_surd_arithmetic():
+    r2 = QuadraticSurd(0, 1, 2)
+    assert r2 * r2 == 2 and 2 == r2 * r2
+    assert (1 + r2) * (1 - r2) == -1
+    assert 1 / (1 + r2) == r2 - 1
+    assert (r2 + Fraction(1, 2)) / r2 == 1 + r2 / 4
+    assert math.floor(r2) == 1 and math.ceil(r2) == 2 and math.floor(-r2) == -2
+    assert r2 < Fraction(3, 2) and r2 > Fraction(7, 5) and r2 >= r2 and r2 <= r2
+    assert hash(QuadraticSurd(Fraction(1, 2), 0, 2)) == hash(Fraction(1, 2))
+    assert (r2 == 1.4142135623730951) is False  # floats are not exact numbers here
+    with pytest.raises(InvalidParamsError):
+        r2 + QuadraticSurd(0, 1, 3)
+    with pytest.raises(ZeroDivisionError):
+        1 / (r2 - r2)

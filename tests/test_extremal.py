@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -20,6 +21,7 @@ from steklov.errors import (
     DisconnectedError,
     HypothesesNotMetError,
     InvalidParamsError,
+    NoBoundaryError,
     NotASubgraphError,
     NotBipartiteError,
     OutOfSupportedRangeError,
@@ -42,8 +44,10 @@ from steklov.extremal import (
     verify_sigma_lambda,
     verify_steklov_clump,
 )
+from steklov.exact import QuadraticSurd
 from steklov.families import RootedTree, build_broom, minimal_broom, rooted_path
 from steklov.graph import Role, combinatorial_graph, make_graph
+from steklov.spectral import steklov_spectrum
 
 from conftest import counting_calls, path_graph, random_weighted_graph
 
@@ -97,7 +101,8 @@ def test_predicted_bound_dividing():
     # odd i admits both the path-based and the cycle-based comb
     assert len(t.minimizers) == 2
     t2 = predicted_bound(8, 4)
-    assert t2.bound_exact is None
+    assert t2.bound_exact == QuadraticSurd(Fraction(4, 7), Fraction(1, 7), 2)
+    assert predicted_bound(14, 7, "trees").bound_exact is None  # cos(pi/7) is cubic
     assert abs(t2.bound - 0.7734590803390136) < 1e-15
     assert t2.bound_str.startswith("0.773459080339013")
 
@@ -137,7 +142,7 @@ def test_bound_str_independent_of_global_precision():
         with mpmath.workdps(dps):
             for n, i in sorted(pairs):
                 t = predicted_bound(n, i, "trees")
-                if t.bound_exact is None:
+                if not isinstance(t.bound_exact, Fraction):
                     assert t.bound_str == IRRATIONAL_BOUND_STR[(n, i)], (n, i, dps)
                 else:
                     assert t.bound_str == str(t.bound_exact)
@@ -203,28 +208,44 @@ def test_sweep_accepts_largest_tol():
     assert rep.match and rep.argmin_codes == verify_extremal(8, 3, "trees").argmin_codes
 
 
-@pytest.mark.parametrize("graph_class,n,i", [
-    ("trees", 7, 2), ("trees", 9, 4), ("trees", 10, 7), ("connected", 6, 3),
-])
-def test_sweep_matches_per_graph_oracle(graph_class, n, i):
-    """Screen-then-oracle gives the minimum, argmin set and gap that the
-    per-graph solver gives on the whole class."""
+@lru_cache(maxsize=None)
+def per_graph_spectra(graph_class, n):
+    """Each class's code and its whole Steklov spectrum from the per-graph
+    solver (empty when the class has no boundary)."""
     stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
-    values = {canonical_code(g): sigma_value(g, i) for g in stream}
+    out = {}
+    for g in stream:
+        try:
+            out[canonical_code(g)] = steklov_spectrum(g).eigenvalues
+        except NoBoundaryError:
+            out[canonical_code(g)] = ()
+    return out
+
+
+@pytest.mark.parametrize("graph_class,n,i", GRID)
+def test_sweep_matches_per_graph_oracle(graph_class, n, i):
+    """On every supported pair the exact certificate gives the argmin set
+    that the per-graph solver gives within tol on the whole class, and the
+    minimum float(b); the screen's rows, argmin set and gap agree with it."""
+    values = {c: ev[i - 1] if i <= len(ev) else math.inf
+              for c, ev in per_graph_spectra(graph_class, n).items()}
     minimum = min(values.values())
-    argmin = tuple(sorted(c for c, v in values.items() if v <= minimum + 1e-9))
-    outside = [v for c, v in values.items() if c not in argmin and v < math.inf]
+    argmin = tuple(sorted(c for c, v in values.items() if v <= minimum + extremal.DEFAULT_TOL))
+    rep = verify_extremal(n, i, graph_class)
+    assert rep.argmin_codes == argmin
+    assert rep.minimum == rep.target.bound and abs(rep.minimum - minimum) <= 1e-12
     res = sweep(n, i, graph_class)
-    assert res.minimum == minimum
     assert res.argmin_codes == argmin
     assert [c for c, _ in res.rows] == sorted(values)
     for code, v in res.rows:
         assert v == values[code] or abs(v - values[code]) <= 1e-12 * max(1.0, v)
+    outside = [v for c, v in values.items() if c not in argmin and v < math.inf]
     if outside:
         assert abs(res.gap - (min(outside) - minimum)) <= 1e-12
+        assert abs(rep.gap - res.gap) <= 1e-12
     else:
-        assert res.gap == math.inf
-    assert len(argmin) <= res.rechecked < len(values)
+        assert res.gap == rep.gap == math.inf
+    assert len(argmin) <= rep.rechecked <= len(values)
 
 
 def test_verify_extremal_gates(monkeypatch):
@@ -242,6 +263,18 @@ def test_verify_extremal_gates(monkeypatch):
     for n, i in ((12, 1), (12, 12), (13, 13)):
         with pytest.raises(InvalidParamsError):
             verify_extremal(n, i, "trees")
+
+
+def test_verify_needs_an_exact_bound(monkeypatch):
+    # theta_7 is cubic, so (14, 7) has no exact bound: refused before the
+    # class is enumerated, even with the tree gate moved past n = 14
+    def no_sweep(n):
+        raise AssertionError("class enumerated for a pair with no exact bound")
+
+    monkeypatch.setattr(extremal, "MAX_SWEEP_TREE_N", 14)
+    monkeypatch.setattr(extremal, "enumerate_trees", no_sweep)
+    with pytest.raises(OutOfSupportedRangeError, match="no exact bound"):
+        verify_extremal(14, 7, "trees")
 
 
 def counting(monkeypatch, name):
@@ -280,54 +313,85 @@ def test_warm_sweeps_equal_fresh_ones(tmp_path, monkeypatch):
         _load_class.cache_clear()
         fresh = sweep(n, i, graph_class)
         old = warm[graph_class, n, i]
-        # rows, minimum, argmin_codes, gap and rechecked; repr tells -0.0
+        # rows, minimum, argmin_codes and gap; repr tells -0.0
         assert old == fresh and repr(old) == repr(fresh), (graph_class, n, i)
 
 
 @pytest.mark.parametrize("graph_class,n,i", [("trees", 9, 4), ("connected", 6, 3)])
 def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
+    """The exact counts decide the candidates afresh on every call: as many
+    on a warm call as on a cold one, one per candidate, and no per-graph
+    solve."""
     extremal._screen.cache_clear()
-    calls = counting(monkeypatch, "sigma_value")
-    cold = sweep(n, i, graph_class)
-    assert len(calls) == cold.rechecked > 0
-    warm = sweep(n, i, graph_class)
+    counts = counting(monkeypatch, "inertia_counts")
+    solves = counting(monkeypatch, "sigma_value")
+    cold = verify_extremal(n, i, graph_class)
+    assert len(counts) == cold.rechecked > 0
+    warm = verify_extremal(n, i, graph_class)
     assert warm == cold
-    assert len(calls) == 2 * cold.rechecked
+    assert len(counts) == 2 * cold.rechecked
+    assert solves == []
 
 
 @pytest.mark.parametrize("graph_class,n,i", [
     ("trees", 12, 8), ("trees", 7, 1), ("trees", 6, 9), ("connected", 7, 4), ("connected", 6, 2),
 ])
 def test_sweep_equals_its_loop_reference(graph_class, n, i):
-    """Rows from the memo's row order and the gap from one numpy reduction
-    equal, bit for bit, the sorted pairs and the Python scans they replace."""
+    """Rows from the memo's row order, the argmin set from one comparison
+    and the gap from one numpy reduction equal, bit for bit, the sorted
+    pairs and the Python scans they replace."""
     res = sweep(n, i, graph_class)
     stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
-    labels, edge_lists, spectra, _, _ = extremal._screen(graph_class, n, tuple(stream.codes))
+    labels, _, spectra, _, _ = extremal._screen(graph_class, n, tuple(stream.codes))
     values = spectra[:, i - 1].tolist() if i <= n else [math.inf] * len(labels)
-    screen = min(values)
-    margin = extremal.DEFAULT_TOL + spectral.EIG_EQ_TOL * max(1.0, abs(screen))
-    oracle = {
-        j: sigma_value(combinatorial_graph(n, edge_lists[j]), i)
-        for j, v in enumerate(values) if v <= screen + margin
-    }
-    minimum = min(oracle.values())
-    argmin = {j for j, v in oracle.items() if v <= minimum + extremal.DEFAULT_TOL}
-    outside = [oracle.get(j, v) for j, v in enumerate(values) if j not in argmin]
-    finite = [v for v in outside if v < math.inf]
+    minimum = min(values)
+    argmin = {j for j, v in enumerate(values) if v <= minimum + extremal.DEFAULT_TOL}
+    finite = [v for j, v in enumerate(values) if j not in argmin and v < math.inf]
     assert res.rows == tuple(sorted(zip(labels, values)))
-    assert res.minimum == minimum and res.rechecked == len(oracle)
+    assert repr(res.minimum) == repr(minimum)
     assert res.argmin_codes == tuple(sorted(labels[j] for j in argmin))
     assert repr(res.gap) == repr(min(finite) - minimum if finite else math.inf)
 
 
 @pytest.mark.parametrize("graph_class,n,i", [("trees", 12, 8), ("connected", 7, 4)])
 def test_each_resolved_class_is_built_and_assembled_once(monkeypatch, graph_class, n, i):
-    sweep(n, i, graph_class)  # the memo holds the class
+    """No class is solved again: over a held class, a sweep builds no
+    graph, and neither a sweep nor a verify assembles a Laplacian or makes
+    a Steklov solve (a verify builds only the predicted minimizers)."""
+    verify_extremal(n, i, graph_class)  # the memo holds the class
     builds = counting_calls(monkeypatch, graph_mod, "make_graph")
     assemblies = counting_calls(monkeypatch, spectral, "_laplacian")
-    result = sweep(n, i, graph_class)
-    assert len(builds) == len(assemblies) == result.rechecked > 1
+    solves = counting(monkeypatch, "steklov_spectrum")
+    sweep(n, i, graph_class)
+    assert builds == []
+    assert verify_extremal(n, i, graph_class).rechecked > 1
+    assert assemblies == [] and solves == []
+
+
+def test_verify_decides_by_counts_and_falls_back_to_the_screen(monkeypatch):
+    # counts that put one candidate below b break the bound; counts that
+    # certify no candidate leave the screen's minimum and argmin set
+    exact = verify_extremal(7, 2, "trees")
+    screen = sweep(7, 2, "trees")
+    for fake, bound_ok in (((3, 0), False), ((0, 0), True)):
+        monkeypatch.setattr(extremal, "inertia_counts", lambda n, edges, b, c=fake: c)
+        rep = verify_extremal(7, 2, "trees")
+        assert rep.bound_ok is bound_ok and not rep.match
+        assert (rep.minimum, rep.argmin_codes, rep.gap) == (
+            screen.minimum, screen.argmin_codes, screen.gap)
+        assert rep.rechecked == exact.rechecked
+    assert exact.match and exact.minimum == exact.target.bound != screen.minimum
+
+
+def test_verify_loads_no_scipy():
+    # the exact counts need no LAPACK: a fresh process verifies a rational
+    # and an irrational pair without importing scipy
+    code = ("import sys, steklov; "
+            "r = [steklov.verify_extremal(9, 4, 'trees'), steklov.verify_extremal(8, 4, 'trees')]; "
+            "print(all(x.match and x.bound_ok for x in r), 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "STEKLOV_CACHE_DIR": ""}, timeout=120, check=True)
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_bad_stored_code_raises_on_every_sweep(monkeypatch):

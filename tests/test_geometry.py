@@ -236,6 +236,14 @@ def test_nodal_rejects_nonpositive_sigma():
         verify_nodal_theorem(g, 0.0, np.ones(3))
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_nodal_rejects_non_finite_sigma(sigma):
+    # NaN and inf gave two failed domain verdicts with a NaN or infinite
+    # residual instead of an error
+    with pytest.raises(InvalidParamsError, match="finite"):
+        verify_nodal_theorem(path_graph(3), sigma, [1.0, 0.0, -1.0])
+
+
 def test_nodal_check_builds_each_object_once(monkeypatch):
     # One zero set per eigenpair, and one DtN assembly per nodal domain:
     # the residual reads the operator the domain's spectrum was solved from.

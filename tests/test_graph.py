@@ -65,6 +65,19 @@ def test_validation_errors():
         make_graph(2, [(0, 1, 1)], measures=[1, 0])
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(np.inf)],
+                         ids=["inf", "-inf", "nan", "np-inf"])
+def test_non_finite_weights_and_measures_are_rejected(value):
+    # an infinite measure was accepted, and the path 0-1-2 with boundary
+    # {0, 2} and measures [inf, 1, 1] gave the spectrum [0, 0.5]; an
+    # infinite weight reached the solver and raised a bare ValueError
+    roles = ["boundary", "interior", "boundary"]
+    with pytest.raises(NonPositiveWeightError, match="finite"):
+        make_graph(3, [(0, 1, value), (1, 2, 1)], roles=roles)
+    with pytest.raises(NonPositiveMeasureError, match="finite"):
+        make_graph(3, [(0, 1, 1), (1, 2, 1)], measures=[value, 1, 1], roles=roles)
+
+
 def test_combinatorial_boundary_is_low_degree():
     g = combinatorial_graph(4, [(0, 1), (1, 2), (1, 3)])
     assert set(g.boundary) == {0, 2, 3}

@@ -16,7 +16,7 @@ from steklov.errors import (
     NoBoundaryError,
     SingularInteriorError,
 )
-from steklov.graph import Role, combinatorial_graph, make_graph
+from steklov.graph import Role, WeightedBoundaryGraph, combinatorial_graph, make_graph
 from steklov.spectral import (
     EIG_EQ_TOL,
     dirichlet_energy,
@@ -358,10 +358,13 @@ def test_singular_interior_block_raises():
 
 
 def test_infinite_weight_raises_value_error():
-    # inf on an interior edge reaches the solve; between two boundary
-    # vertices it reaches the eigensolve.
-    inner = make_graph(3, [(0, 1, math.inf), (1, 2, 1)], roles=["boundary", "interior", "boundary"])
-    outer = make_graph(2, [(0, 1, math.inf)], roles=["boundary", "boundary"])
+    # make_graph rejects an infinite weight, so these graphs are built
+    # around it: the solver's own finiteness check still holds. inf on an
+    # interior edge reaches the solve; between two boundary vertices it
+    # reaches the eigensolve.
+    b, i = Role.BOUNDARY, Role.INTERIOR
+    inner = WeightedBoundaryGraph(3, ((0, 1, math.inf), (1, 2, 1)), (1, 1, 1), (b, i, b))
+    outer = WeightedBoundaryGraph(2, ((0, 1, math.inf),), (1, 1), (b, b))
     for g in (inner, outer):
         with pytest.raises(ValueError):
             steklov_spectrum(g)
