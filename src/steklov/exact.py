@@ -9,16 +9,23 @@ Algebra Appl. 1, 1968), M has exactly #{sigma_j < b} negative and
 off a diagonal congruence of M in exact arithmetic:
 
 - on a tree, by the Jacobs-Trevisan walk from the leaves up ("Locating the
-  eigenvalues of trees", Linear Algebra Appl. 434, 2011), O(n) steps on
-  integers after scaling by the denominator of b;
+  eigenvalues of trees", Linear Algebra Appl. 434, 2011): one pass over
+  the edges reads them as a parent array (each edge (u, v) with u < v,
+  every v >= 1 the larger end of exactly one), as every stored tree's
+  edges are; any other tree is walked in the order of one
+  :func:`~steklov.graph.subtree_sizes` pass. The walk folds each vertex,
+  leaves first, into its parent in Python integers: num/den after
+  scaling by the denominator of a rational b, (x + y sqrt(d)) / z reduced
+  by the gcd for a surd b;
 - on any other graph, by a dense LDL^T with 1x1 pivots, and a 2x2 pivot
   [[0, x], [x, 0]] (one negative and one positive eigenvalue) when every
   remaining diagonal entry is 0 (Bunch and Parlett, SIAM J. Numer. Anal. 8,
   1971).
 
 b is a Fraction (or an int) or a :class:`QuadraticSurd` p + q sqrt(d), the
-number type of the irrational bounds theta_i for i = 4, 5, 6. Its sign is
-decided exactly, by comparing p^2 with q^2 d, so every count is exact.
+number type of the irrational bounds theta_i for i = 4, 5, 6; any other b
+is refused. Signs in Z[sqrt(d)] are decided exactly by :func:`surd_sign`,
+which compares x^2 with y^2 d, so every count is exact.
 Nothing here is memoised.
 """
 
@@ -28,8 +35,27 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import DisconnectedError, InvalidParamsError, NoBoundaryError
+from .errors import (
+    DisconnectedError,
+    DuplicateEdgeError,
+    IndexOutOfRangeError,
+    InvalidParamsError,
+    NoBoundaryError,
+    SelfLoopError,
+)
 from .graph import adjacency_sets, subtree_sizes
+
+
+def surd_sign(x: int, y: int, d: int) -> int:
+    """-1, 0 or 1: the sign of x + y sqrt(d) for integers x and y and a
+    non-square d > 1, decided exactly. When x and y differ in sign, the
+    larger of x^2 and y^2 d decides."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx == sy or sy == 0:
+        return sx
+    if sx == 0:
+        return sy
+    return sx if x * x > y * y * d else sy
 
 
 class QuadraticSurd:
@@ -92,14 +118,10 @@ class QuadraticSurd:
         return NotImplemented if self._parts(other) is None else self._inverse() * other
 
     def sign(self) -> int:
-        """-1, 0 or 1, decided exactly: p + q sqrt(d) has the sign of the
-        larger of p^2 and q^2 d when p and q differ in sign."""
-        sp, sq = (self.p > 0) - (self.p < 0), (self.q > 0) - (self.q < 0)
-        if sp == sq or sq == 0:
-            return sp
-        if sp == 0:
-            return sq
-        return sp if self.p * self.p > self.q * self.q * self.d else sq
+        """-1, 0 or 1, decided exactly by :func:`surd_sign` on the integers
+        p and q times the product of their denominators."""
+        p, q = self.p, self.q
+        return surd_sign(p.numerator * q.denominator, q.numerator * p.denominator, self.d)
 
     def _cmp(self, other) -> int | None:
         return None if self._parts(other) is None else (self - other).sign()
@@ -157,19 +179,54 @@ def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
     measures and the degree <= 1 boundary, decided exactly.
 
     A tree (n - 1 edges) is walked by Jacobs-Trevisan; any other graph is
-    factored densely. Raises NoBoundaryError when no vertex has degree <= 1
-    (such a graph has no Steklov spectrum) and DisconnectedError for a
-    disconnected graph, whose interior block can be singular."""
-    adj = adjacency_sets(n, edges)
+    factored densely. Raises InvalidParamsError for a b that is not exact
+    (a float, a bool), IndexOutOfRangeError, SelfLoopError and
+    DuplicateEdgeError for a malformed edge list, NoBoundaryError when no
+    vertex has degree <= 1 (such a graph has no Steklov spectrum) and
+    DisconnectedError for a disconnected graph, whose interior block can be
+    singular."""
+    if isinstance(b, bool) or not isinstance(b, (Rational, QuadraticSurd)):
+        raise InvalidParamsError(f"exact counts need a rational or QuadraticSurd b, not {b!r}")
+    parent, degree = _parent_array(n, edges)
+    if parent is not None:
+        return tree_inertia_counts(range(n), parent, degree, b)
+    adj = _adjacency(n, edges)
     if all(len(a) > 1 for a in adj):
         raise NoBoundaryError("graph has no boundary vertices")
-    if len(edges) == n - 1:
-        return tree_inertia_counts(adj, b)
-    return dense_inertia_counts(adj, b)
+    if len(edges) != n - 1:
+        return dense_inertia_counts(adj, b)
+    order, parent = _walk(adj)
+    return tree_inertia_counts(order, parent, [len(a) for a in adj], b)
 
 
-def _counts(values) -> tuple[int, int]:
-    return sum(1 for x in values if x < 0), sum(1 for x in values if x == 0)
+def _parent_array(n: int, edges) -> tuple[list[int], list[int]] | tuple[None, None]:
+    """Parents (-1 at vertex 0) and degrees when ``edges`` is a parent
+    array: n - 1 pairs (u, v) with 0 <= u < v < n, each v >= 1 the larger
+    end of exactly one, as :func:`~steklov.enumeration.tree_edges` numbers
+    every stored tree. Such edges form a tree. (None, None) otherwise."""
+    if len(edges) != n - 1:
+        return None, None
+    parent, degree = [-1] * n, [0] + [1] * (n - 1)
+    for u, v in edges:
+        if not 0 <= u < v < n or parent[v] >= 0:
+            return None, None
+        parent[v] = u
+        degree[u] += 1
+    return parent, degree
+
+
+def _adjacency(n: int, edges) -> list[set[int]]:
+    """Neighbour sets of ``edges``, which must be distinct pairs of
+    distinct vertices in 0..n-1."""
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexOutOfRangeError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+    adj = adjacency_sets(n, edges)
+    if sum(map(len, adj)) != 2 * len(edges):
+        raise DuplicateEdgeError("an edge is listed twice")
+    return adj
 
 
 def _walk(adj) -> tuple[list[int], dict[int, int]]:
@@ -181,47 +238,85 @@ def _walk(adj) -> tuple[list[int], dict[int, int]]:
     return order, parent
 
 
-def tree_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
-    """Counts of :func:`inertia_counts` on the tree with neighbour sets
-    ``adj``, by Jacobs-Trevisan on q L - p E_B for b = p / q with q > 0
-    (q = 1 for a surd): each vertex's value num/den (den > 0) is its
-    diagonal entry less w^2 / value over its children, w = -q. When a
-    child's value is 0, that child is set positive, the vertex negative,
-    and the vertex's edge to its parent is cut."""
-    if isinstance(b, Rational):
-        p, q = b.numerator, b.denominator
-    else:
-        p, q = b, 1
-    qq = q * q
-    order, parent = _walk(adj)
-    num, den = [0] * len(adj), [1] * len(adj)
-    cut = [False] * len(adj)
-    for v in reversed(order):
-        top = len(adj[v]) * q - (p if len(adj[v]) <= 1 else 0)
-        bottom = 1
-        for c in adj[v]:
-            if c == parent[v] or cut[c]:
-                continue
-            if num[c] == 0:
-                num[c], cut[v] = 1, True
-                top, bottom = -1, 1
-                break
-            t = qq * den[c]  # top/bottom - t/num[c], kept over a positive denominator
-            if num[c] < 0:
-                top, bottom = top * -num[c] + t * bottom, bottom * -num[c]
-            else:
-                top, bottom = top * num[c] - t * bottom, bottom * num[c]
-        num[v], den[v] = top, bottom
+def _counts(values) -> tuple[int, int]:
+    return sum(1 for x in values if x < 0), values.count(0)
+
+
+def tree_inertia_counts(order, parent, degree: list[int], b: Exact | int) -> tuple[int, int]:
+    """Counts of :func:`inertia_counts` on the tree with vertex degrees
+    ``degree`` and parents ``parent`` (indexed by vertex), whose vertices
+    ``order`` lists root first and each after its parent: range(n) for a
+    parent array. By Jacobs-Trevisan on c L - c b E_B, with c > 0 clearing
+    the denominators of b and every off-diagonal entry -c.
+
+    Each vertex v but the root, taken in reverse ``order``, has its value
+    final when it is reached, and is folded into its parent u:
+    value(u) -= c^2 / value(v). When value(v) is 0, v is set positive, u
+    negative, and the edge from u to its parent is cut; u's other children
+    are left as they are. The values are integers num/den (den > 0) for a
+    rational b = p / c, and (x + y sqrt(d)) / z (z > 0, reduced by the
+    gcd) for a surd b, whose signs :func:`surd_sign` decides."""
+    if isinstance(b, QuadraticSurd):
+        return _surd_tree_counts(order, parent, degree, b)
+    p, c = b.numerator, b.denominator
+    cc = c * c
+    num = [k * c - p if k <= 1 else k * c for k in degree]
+    den = [1] * len(degree)
+    cut = [False] * len(degree)
+    for v in order[:0:-1]:
+        u = parent[v]
+        if cut[v] or cut[u]:
+            continue
+        x = num[v]
+        if x == 0:
+            num[v], num[u], den[u], cut[u] = 1, -1, 1, True
+        elif x > 0:
+            num[u], den[u] = num[u] * x - cc * den[v] * den[u], den[u] * x
+        else:
+            num[u], den[u] = cc * den[v] * den[u] - num[u] * x, -den[u] * x
     return _counts(num)
+
+
+def _surd_tree_counts(order, parent, degree: list[int], b: QuadraticSurd) -> tuple[int, int]:
+    """:func:`tree_inertia_counts` for b = (s + t sqrt(d)) / c, with each
+    division rationalised by the conjugate."""
+    d = b.d
+    c = math.lcm(b.p.denominator, b.q.denominator)
+    s, t = b.p.numerator * (c // b.p.denominator), b.q.numerator * (c // b.q.denominator)
+    cc = c * c
+    x = [k * c - s if k <= 1 else k * c for k in degree]
+    y = [-t if k <= 1 else 0 for k in degree]
+    z = [1] * len(degree)
+    cut = [False] * len(degree)
+    for v in order[:0:-1]:
+        u = parent[v]
+        if cut[v] or cut[u]:
+            continue
+        xv, yv = x[v], y[v]
+        if xv == 0 and yv == 0:
+            x[v], x[u], y[u], z[u], cut[u] = 1, -1, 0, 1, True
+            continue
+        # c^2 / value(v) = c^2 z[v] (xv - yv sqrt(d)) / norm
+        norm = xv * xv - d * yv * yv
+        k = cc * z[v] * z[u]
+        xu, yu, zu = x[u] * norm - k * xv, y[u] * norm + k * yv, z[u] * norm
+        if norm < 0:
+            xu, yu, zu = -xu, -yu, -zu
+        g = math.gcd(xu, yu, zu)
+        x[u], y[u], z[u] = xu // g, yu // g, zu // g
+    return _counts([surd_sign(xv, yv, d) for xv, yv in zip(x, y)])
 
 
 def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
     """Counts of :func:`inertia_counts` on the graph with neighbour sets
     ``adj``, by a dense LDL^T of L - b E_B with 1x1 pivots, and a 2x2
-    pivot [[0, x], [x, 0]] when every remaining diagonal entry is 0."""
+    pivot [[0, x], [x, 0]] when every remaining diagonal entry is 0. The
+    matrix stays exactly symmetric, so a 1x1 pivot updates only the rows
+    and columns where its row is nonzero."""
     _walk(adj)
     n = len(adj)
-    a = [[Fraction(-1) if c in adj[r] else Fraction(0) for c in range(n)] for r in range(n)]
+    edge, zero = Fraction(-1), Fraction(0)
+    a = [[edge if c in adj[r] else zero for c in range(n)] for r in range(n)]
     for v in range(n):
         a[v][v] = Fraction(len(adj[v])) - (b if len(adj[v]) <= 1 else 0)
     rest, pivots = list(range(n)), []
@@ -229,12 +324,13 @@ def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
         k = next((k for k in rest if a[k][k] != 0), None)
         if k is not None:
             rest.remove(k)
-            pivots.append(a[k][k])
-            for r in rest:
-                if a[r][k] != 0:
-                    f = a[r][k] / a[k][k]
-                    for c in rest:
-                        a[r][c] -= f * a[k][c]
+            pivot = a[k][k]
+            pivots.append(pivot)
+            row = [(c, a[k][c]) for c in rest if a[k][c] != 0]
+            for r, f in row:
+                f /= pivot
+                for c, x in row:
+                    a[r][c] -= f * x
             continue
         pair = next(((j, k) for j in rest for k in rest if j < k and a[j][k] != 0), None)
         if pair is None:  # the rest is zero

@@ -2,13 +2,20 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 import numpy as np
 import pytest
 
 from steklov.enumeration import canonical_code, tree_code
 from steklov.families import build_broom, minimal_broom_total
-from steklov.graph import Role, combinatorial_boundary, combinatorial_graph, make_graph
+from steklov.graph import (
+    Role,
+    combinatorial_boundary,
+    combinatorial_graph,
+    make_graph,
+    subtree_sizes,
+)
 
 
 def structurally_equal(a, b):
@@ -122,6 +129,43 @@ def brute_force_graph_code(adj):
         if best is None or bits < best:
             best = bits
     return f"g{n}:{best:0{max(1, n * (n - 1) // 2)}b}" if n > 1 else "g1:0"
+
+
+def jacobs_trevisan_counts(adj, b):
+    """Oracle for the tree walk of ``steklov.exact.inertia_counts``: the
+    counts (#{sigma_j < b}, #{sigma_j = b}) on the tree with neighbour sets
+    ``adj``, by Jacobs-Trevisan on q L - p E_B for b = p / q with q > 0
+    (q = 1 and p = b for a QuadraticSurd), walked from the leaves of a
+    breadth-first order from vertex 0. Each vertex's value num/den
+    (den > 0) is its diagonal entry less q^2 / value over its children;
+    when a child's value is 0, that child is set positive, the vertex
+    negative, and the vertex's edge to its parent is cut."""
+    if isinstance(b, Rational):
+        p, q = b.numerator, b.denominator
+    else:
+        p, q = b, 1
+    qq = q * q
+    order, parent, _ = subtree_sizes(adj)
+    assert len(order) == len(adj), "not connected"
+    num, den = [0] * len(adj), [1] * len(adj)
+    cut = [False] * len(adj)
+    for v in reversed(order):
+        top = len(adj[v]) * q - (p if len(adj[v]) <= 1 else 0)
+        bottom = 1
+        for c in adj[v]:
+            if c == parent[v] or cut[c]:
+                continue
+            if num[c] == 0:
+                num[c], cut[v] = 1, True
+                top, bottom = -1, 1
+                break
+            t = qq * den[c]  # top/bottom - t/num[c], kept over a positive denominator
+            if num[c] < 0:
+                top, bottom = top * -num[c] + t * bottom, bottom * -num[c]
+            else:
+                top, bottom = top * num[c] - t * bottom, bottom * num[c]
+        num[v], den[v] = top, bottom
+    return sum(1 for x in num if x < 0), sum(1 for x in num if x == 0)
 
 
 def union_find_components(edges, verts):

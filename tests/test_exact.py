@@ -6,19 +6,26 @@ import mpmath
 import numpy as np
 import pytest
 
+from steklov import exact
 from steklov.enumeration import enumerate_connected_graphs, enumerate_trees
-from steklov.errors import DisconnectedError, InvalidParamsError, NoBoundaryError
-from steklov.exact import (
-    QuadraticSurd,
-    dense_inertia_counts,
-    inertia_counts,
-    tree_inertia_counts,
+from steklov.errors import (
+    DisconnectedError,
+    DuplicateEdgeError,
+    IndexOutOfRangeError,
+    InvalidParamsError,
+    NoBoundaryError,
+    SelfLoopError,
 )
-from steklov.extremal import QUADRATIC_THETA, predicted_bound, theta_value
+from steklov.exact import QuadraticSurd, dense_inertia_counts, inertia_counts, surd_sign
+from steklov.extremal import QUADRATIC_THETA, predicted_bound, theta_value, verify_extremal
 from steklov.graph import adjacency_sets, combinatorial_graph
 from steklov.spectral import steklov_spectrum
 
+from conftest import counting_calls, jacobs_trevisan_counts
+
 IRRATIONAL_PAIRS = [(8, 4), (10, 5), (12, 4), (12, 6)]
+GRID_BOUNDS = {predicted_bound(n, i, "trees").bound_exact
+               for n in range(3, 13) for i in range(2, n)}
 
 
 def mp(x: Fraction):
@@ -65,18 +72,70 @@ def test_counts_at_an_eigenvalue():
 def test_tree_walk_matches_dense_factorization():
     # Jacobs-Trevisan against the dense LDL^T on every tree n <= 10, at each
     # grid bound and at b = 1, where every leaf's value starts at 0
-    bounds = {predicted_bound(n, i, "trees").bound_exact
-              for n in range(3, 13) for i in range(2, n)}
-    bounds.add(Fraction(1))
+    bounds = GRID_BOUNDS | {Fraction(1)}
     zero_counts = 0
     for n in range(1, 11):
         for g in enumerate_trees(n):
-            adj = adjacency_sets(n, edge_pairs(g))
+            edges = edge_pairs(g)
+            adj = adjacency_sets(n, edges)
             for b in bounds:
-                counts = tree_inertia_counts(adj, b)
+                counts = inertia_counts(n, edges, b)
                 assert counts == dense_inertia_counts(adj, b), (g.edges, b)
                 zero_counts += counts[1] > 0
     assert zero_counts > 0
+
+
+def relabelled(rng, n, edges):
+    """``edges`` under a seeded permutation of 0..n-1, each pair in a
+    random orientation, in a random order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]) for u, v in edges]
+    rng.shuffle(out)
+    return out
+
+
+def test_tree_walk_matches_its_oracle():
+    # the parent-array walk against the adjacency-set walk it replaced, on
+    # every tree n <= 10 as stored (a parent array) and renumbered, at each
+    # grid bound, at b = 0 and b = 1 and at seeded rationals and surds
+    rng = random.Random(1717)
+    bounds = GRID_BOUNDS | {Fraction(0), Fraction(1)}
+    bounds |= {Fraction(rng.randrange(-50, 400), rng.randrange(1, 60)) for _ in range(4)}
+    bounds |= {QuadraticSurd(Fraction(rng.randrange(1, 40), rng.randrange(1, 12)),
+                             Fraction(rng.randrange(-9, 10), rng.randrange(1, 12)), d)
+               for d in (2, 3, 5)}
+    renumbered = zero_counts = surd_zero_counts = 0
+    for n in range(1, 11):
+        for g in enumerate_trees(n):
+            stored = edge_pairs(g)
+            other = relabelled(rng, n, stored)
+            renumbered += exact._parent_array(n, other)[0] is None
+            for edges in (stored, other):
+                adj = adjacency_sets(n, edges)
+                for b in bounds:
+                    counts = inertia_counts(n, edges, b)
+                    assert counts == jacobs_trevisan_counts(adj, b), (edges, b)
+                    zero_counts += counts[1] > 0
+                    surd_zero_counts += counts[1] > 0 and isinstance(b, QuadraticSurd)
+    assert renumbered > 150 and zero_counts > 0 and surd_zero_counts > 0
+
+
+def test_stored_trees_are_parent_arrays():
+    # every stored tree of the ten tree classes is walked with no renumbering
+    for n in range(3, 13):
+        for g in enumerate_trees(n):
+            parent, degree = exact._parent_array(n, edge_pairs(g))
+            assert parent is not None and sum(degree) == 2 * (n - 1)
+
+
+def test_verify_over_a_tree_class_makes_no_subtree_walk(monkeypatch):
+    calls = counting_calls(monkeypatch, exact, "subtree_sizes")
+    for n, i in ((12, 4), (11, 3)):
+        assert verify_extremal(n, i, "trees").rechecked > 0
+    assert calls == []
+    verify_extremal(7, 4, "connected")  # its non-tree candidates are checked connected
+    assert calls
 
 
 @pytest.mark.parametrize("n,edges,b", [
@@ -107,6 +166,27 @@ def test_graphs_without_counts_are_refused():
         inertia_counts(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (5, 6)], Fraction(1))
 
 
+@pytest.mark.parametrize("b", [0.5, float("nan"), float("inf"), np.float64(1.0), 1j, True, False, "1/2"])
+def test_inexact_bounds_are_refused(b):
+    with pytest.raises(InvalidParamsError):
+        inertia_counts(4, [(0, 1), (1, 2), (1, 3)], b)
+
+
+@pytest.mark.parametrize("n,edges,error", [
+    (4, [(0, 1), (1, 2), (1, 4)], IndexOutOfRangeError),
+    (4, [(0, 1), (1, 2), (-1, 3)], IndexOutOfRangeError),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 4)], IndexOutOfRangeError),
+    (3, [(0, 1), (1, 1)], SelfLoopError),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 3)], SelfLoopError),
+    (3, [(0, 1), (0, 1)], DuplicateEdgeError),
+    (3, [(0, 1), (1, 0)], DuplicateEdgeError),
+    (4, [(0, 1), (1, 2), (2, 3), (2, 3)], DuplicateEdgeError),
+])
+def test_malformed_edge_lists_are_refused(n, edges, error):
+    with pytest.raises(error):
+        inertia_counts(n, edges, Fraction(1, 2))
+
+
 @pytest.mark.parametrize("n,i", IRRATIONAL_PAIRS)
 def test_surd_bound_rounds_to_the_target(n, i):
     t = predicted_bound(n, i, "trees")
@@ -126,7 +206,8 @@ def test_quadratic_theta_is_theta():
 
 def test_surd_sign_agrees_with_mpmath():
     # a seeded sample, then convergents of sqrt 2 and sqrt 3, where p and
-    # q sqrt(d) cancel to within 1e-6 or less
+    # q sqrt(d) cancel to within 1e-6 or less; the integer helper on the
+    # integer cases and on a seeded sample of large integers
     rng = random.Random(1616)
     cases = [(Fraction(rng.randrange(-60, 61), rng.randrange(1, 30)),
               Fraction(rng.randrange(-60, 61), rng.randrange(1, 30)),
@@ -139,6 +220,14 @@ def test_surd_sign_agrees_with_mpmath():
             v = mp(p) + mp(q) * mpmath.sqrt(d)
         assert x.sign() == (v > 0) - (v < 0), x
         assert float(x) == float(v), x
+    integers = [(int(p), int(q), d) for p, q, d in cases if p.denominator == q.denominator == 1]
+    integers += [(rng.randrange(-10**30, 10**30), rng.randrange(-10**30, 10**30),
+                  rng.choice([2, 3, 5, 7])) for _ in range(500)]
+    integers += [(0, 0, 2), (0, -3, 5), (7, 0, 3)]
+    for x, y, d in integers:
+        with mpmath.workdps(80):
+            v = x + y * mpmath.sqrt(d)
+        assert surd_sign(x, y, d) == (v > 0) - (v < 0), (x, y, d)
 
 
 def test_surd_arithmetic():
