@@ -59,7 +59,8 @@ def surd_sign(x: int, y: int, d: int) -> int:
 
 
 class QuadraticSurd:
-    """p + q sqrt(d) with rational p, q and a square-free integer d > 1.
+    """p + q sqrt(d) with rational p, q and an integer d > 1 that is not a
+    square; any other d raises InvalidParamsError.
 
     Arithmetic with ints, Fractions and surds of the same d is exact.
     """
@@ -67,6 +68,8 @@ class QuadraticSurd:
     __slots__ = ("p", "q", "d")
 
     def __init__(self, p, q, d: int):
+        if isinstance(d, bool) or not isinstance(d, int) or d < 2 or math.isqrt(d) ** 2 == d:
+            raise InvalidParamsError(f"sqrt({d!r}) must be irrational: d an integer > 1, no square")
         self.p, self.q, self.d = Fraction(p), Fraction(q), d
 
     def _parts(self, other):

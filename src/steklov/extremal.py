@@ -298,21 +298,27 @@ class SweepResult:
 
 @lru_cache(maxsize=None)
 def _screen(graph_class: str, n: int, codes: tuple[str, ...]):
-    """Labels, edge lists and the read-only :func:`unit_steklov_spectra`
+    """Labels, edge lists (a tree of the connected class as the parent array
+    of its tree code) and the read-only :func:`unit_steklov_spectra`
     matrix of a class, given by its stored ``codes``, then the (distinct)
     labels sorted and the read-only row order that sorts them. The memo is
     keyed on the codes themselves, so it cannot disagree with them; an
     exception is not memoised, so a bad code raises on every call."""
     parse = tree_edges if graph_class == "trees" else graph_edges
-    labels, edge_lists = list(codes), []
+    labels, edge_lists, trees = list(codes), [], []
     for j, code in enumerate(codes):
         size, edges = parse(code)
         if size != n:
             raise ParseError(f"class code {code!r} is not on {n} vertices")
         if graph_class == "connected" and len(edges) == n - 1:
             labels[j] = unit_tree_code(adjacency_sets(n, edges))
+            trees.append(j)
         edge_lists.append(tuple(edges))
     spectra = unit_steklov_spectra(n, edge_lists)
+    # screened from the stored edges; the exact counts then walk each tree
+    # member of the connected class as the parent array of its tree code
+    for j in trees:
+        edge_lists[j] = tuple(tree_edges(labels[j])[1])
     spectra.flags.writeable = False
     order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
     order.flags.writeable = False

@@ -3,49 +3,27 @@
 All operators live in measure-weighted inner products: <f,g>_A = sum_A f g m.
 The DtN map is realized as the Schur complement of the Laplacian on the
 boundary block; generalized symmetric eigenproblems are reduced to ordinary
-ones by diagonal M^{-1/2} conjugation. Dense solvers only: every graph here
-is desk scale.
+ones by diagonal M^{-1/2} conjugation. Dense ``numpy.linalg`` solvers only:
+every graph here is desk scale.
 
 One assembly serves every per-graph solve: :func:`_pinned_first` checks
 that the interior block is nonsingular and builds the float Laplacian once,
 with the vertices whose values are given first and the interior last. A
 connected graph with a vertex outside the interior passes that check with
 no walk of its own. When every measure of an eigenproblem is 1 the
-M^{-1/2} conjugation is skipped: with d = 1 it changes no bit of the
-eigenvalues or the eigenvectors, and the matrix is not symmetrised again.
-:func:`dtn_matrix` is the only place that forms the Schur complement
-S = L_BB - L_IB^T L_II^{-1} L_IB, and it symmetrises S once. It checks
-that the assembled Laplacian is finite once, since L_II and L_IB are
-blocks of it, and solves with :func:`_posv`, the LAPACK core of
-:func:`_solve_pos` without its checks. It keeps the Cholesky factor of L_II, so
-the harmonic extensions of a spectrum (``SpectralResult.extensions``) are
-solved from it the first time they are read, not with every spectrum.
-A Steklov spectrum keeps the operator it was solved from
-(``SpectralResult.operator``), so a caller that also needs the DtN matrix,
-its boundary measures or further harmonic extensions reads them there
-instead of assembling the graph again.
+M^{-1/2} conjugation is skipped. :func:`dtn_matrix` is the only place that
+forms the Schur complement S = L_BB - L_IB^T L_II^{-1} L_IB, and it
+symmetrises S once. It inverts L_II once and keeps the inverse, so the
+harmonic extensions of a spectrum (``SpectralResult.extensions``) are one
+product, made the first time they are read. A Steklov spectrum keeps the
+operator it was solved from (``SpectralResult.operator``), so a caller that
+also needs the DtN matrix, its boundary measures or further harmonic
+extensions reads them there instead of assembling the graph again.
 
-Two helpers call LAPACK directly, because scipy's wrappers cost several
-times the solve itself at these sizes. Each reproduces the bits of the
-scipy call it replaces (scipy 1.17):
-
-- :func:`_solve_pos` is ``scipy.linalg.solve(a, b, assume_a="pos")``:
-  ``dposv`` on the upper triangle, scipy's division for a 1x1 block, and
-  scipy's checks (non-finite input, a failed factorization, ``dpocon``
-  rcond below machine epsilon).
-- :func:`_eigh` is ``scipy.linalg.eigh(a)``: ``dsyevr`` on the lower
-  triangle with scipy's workspace query and eigenvectors always computed.
-  Any other triangle, workspace or ``compute_v`` changes the last bits of
-  the eigenvalues, and with them the printed minima.
-
-Both reach ``scipy.linalg.lapack`` through :func:`_lapack`, which imports
-it on the first solve rather than with the package: importing
-``scipy.linalg`` takes longer than the rest of ``import steklov``, numpy
-included, and a process that only enumerates or decodes classes never
-solves. The batched :func:`unit_steklov_spectra` needs numpy alone. A
-failed solve raises ``numpy.linalg.LinAlgError``, which is scipy's
-``LinAlgError``; scipy's ``LinAlgWarning`` is imported only when a solve
-is ill-conditioned.
+A solve refuses infinite or NaN input with ``ValueError`` and a singular
+interior block with ``numpy.linalg.LinAlgError``. It warns
+(``RuntimeWarning``) when the 1-norm reciprocal condition number of the
+block falls below machine epsilon (:func:`_invert`).
 """
 
 from __future__ import annotations
@@ -53,10 +31,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .errors import (
     InvalidParamsError,
@@ -67,16 +44,8 @@ from .graph import WeightedBoundaryGraph, subtree_sizes
 
 # Two eigenvalues count as equal when |a-b| <= EIG_EQ_TOL * max(1, |a|).
 EIG_EQ_TOL = 1e-8
-# scipy warns of an ill-conditioned solve when rcond falls below this.
-_EPS = np.finfo(float).eps
-
-
-@lru_cache(maxsize=None)
-def _lapack():
-    """scipy's LAPACK bindings, imported by the first solve that needs them."""
-    from scipy.linalg import lapack
-
-    return lapack
+# A solve warns of an ill-conditioned block when rcond falls below this.
+_EPS = float(np.finfo(float).eps)
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -84,70 +53,29 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def _solve_pos(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """x with a x = b for symmetric positive definite ``a``, bit for bit as
-    ``scipy.linalg.solve(a, b, assume_a="pos")``, and the factor of ``a``
-    that :func:`_solve_factored` takes for further right-hand sides."""
-    _require_finite(a)
-    _require_finite(b)
-    return _posv(a, b)
-
-
-def _posv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """:func:`_solve_pos` without its finiteness checks, for blocks of a
-    matrix that the caller has checked whole."""
-    if len(a) == 1:  # scipy divides by a 1x1 block instead of factoring it
-        if a[0, 0] == 0:
-            raise LinAlgError("A singular matrix detected.")
-        return b / a, (a, math.inf)
-    lapack = _lapack()
-    c, x, info = lapack.dposv(a, b)
-    if info > 0:
-        raise LinAlgError("A singular matrix detected: slice(s) [0] are singular.")
-    rcond, _ = lapack.dpocon(c, lapack.dlange("1", a))
-    _warn_ill_conditioned(rcond)
-    return x, (c, rcond)
-
-
-def _solve_factored(factor: tuple, b: np.ndarray) -> np.ndarray:
-    """``_solve_pos(a, b)[0]`` from the factor that it returned for ``a``,
-    with the same checks and warning."""
-    _require_finite(b)
-    c, rcond = factor
-    if len(c) == 1:
-        return b / c
-    _warn_ill_conditioned(rcond)
-    return _lapack().dpotrs(c, b)[0]
+def _invert(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The inverse of the finite interior block ``a`` = L_II and its 1-norm
+    reciprocal condition number 1 / (|a|_1 |a^-1|_1), warning when that
+    falls below machine epsilon. Positive weights and a solvable interior
+    make ``a`` and its inverse symmetric positive definite, and
+    |x|_1 <= m tr(x) for such an m x m matrix x. So the 1-norms are summed
+    only when the traces leave rcond below 1000 eps possible; any other
+    block reports rcond = inf."""
+    inverse = np.linalg.inv(a)
+    rcond = math.inf
+    if len(a) ** 2 * a.trace() * inverse.trace() * _EPS >= 1e-3:
+        rcond = 1.0 / (np.abs(a).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max())
+        _warn_ill_conditioned(rcond)
+    return inverse, rcond
 
 
 def _warn_ill_conditioned(rcond: float) -> None:
     if rcond < _EPS:
-        from scipy.linalg import LinAlgWarning
-
         warnings.warn(
             f"An ill-conditioned matrix detected: slice 0 has rcond = {rcond}.",
-            LinAlgWarning,
+            RuntimeWarning,
             stacklevel=3,
         )
-
-
-@lru_cache(maxsize=None)
-def _syevr_workspace(n: int) -> tuple[int, int]:
-    """scipy's lwork and liwork for dsyevr; past n = 32 the default
-    workspace changes the blocking, and with it the bits."""
-    lwork, liwork, _ = _lapack().dsyevr_lwork(n, lower=1)
-    return int(lwork), int(liwork)
-
-
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors of symmetric ``a``,
-    bit for bit as ``scipy.linalg.eigh(a)``."""
-    _require_finite(a)
-    lwork, liwork = _syevr_workspace(len(a))
-    w, v, _, _, info = _lapack().dsyevr(a, lower=1, lwork=lwork, liwork=liwork)
-    if info:
-        raise LinAlgError("Internal Error.")
-    return w, v
 
 
 @dataclass(frozen=True)
@@ -244,8 +172,10 @@ def harmonic_extension(g: WeightedBoundaryGraph, data) -> np.ndarray:
     for v in pinned:
         f[v] = float(data[v])
     if interior:
-        b = -L[k:, :k] @ f[list(pinned)]
-        f[list(interior)] = _solve_pos(L[k:, k:], b)[0]
+        A, b = L[k:, k:], -L[k:, :k] @ f[list(pinned)]
+        _require_finite(A)
+        _require_finite(b)
+        f[list(interior)] = _invert(A)[0] @ b
     return f
 
 
@@ -266,18 +196,19 @@ class DtnOperator:
     eliminated: tuple[int, ...]  # interior vertices folded into the complement
     pinned: tuple[int, ...]  # Dirichlet vertices (empty for the plain map)
     # The interior solve, kept for harmonic extensions: |V|, L_IB and the
-    # factor of L_II (both None when nothing is eliminated).
+    # inverse of L_II with its rcond (both None when nothing is eliminated).
     _order: int = field(repr=False, compare=False)
     _coupling: np.ndarray | None = field(repr=False, compare=False)
-    _factor: tuple | None = field(repr=False, compare=False)
+    _inverse: tuple[np.ndarray, float] | None = field(repr=False, compare=False)
 
     def _extend(self, vectors: np.ndarray) -> np.ndarray:
         """Harmonic extensions to V of boundary columns, zero on B_D."""
         ext = np.zeros((self._order, vectors.shape[1]))
         ext[list(self.boundary), :] = vectors
         if self.eliminated:
-            rhs = -self._coupling @ vectors
-            ext[list(self.eliminated), :] = _solve_factored(self._factor, rhs)
+            inverse, rcond = self._inverse
+            _warn_ill_conditioned(rcond)  # as the Schur complement did
+            ext[list(self.eliminated), :] = inverse @ (-self._coupling @ vectors)
         return ext
 
 
@@ -298,13 +229,12 @@ def dtn_matrix(g: WeightedBoundaryGraph, with_dirichlet: bool = False) -> DtnOpe
     L = _pinned_first(g, boundary, interior)
     _require_finite(L)  # once for every block below
     k = len(boundary)
-    S = L[:k, :k].copy()
-    coupling = factor = None
+    S = L[:k, :k]
+    coupling = inverse = None
     if k < len(L):
-        # contiguous: numpy multiplies a strided one-column block with other bits
-        coupling = L[k:, :k].copy()
-        x, factor = _posv(L[k:, k:], coupling)
-        S -= coupling.T @ x
+        coupling = L[k:, :k]
+        inverse = _invert(L[k:, k:])
+        S = S - coupling.T @ (inverse[0] @ coupling)
     S = (S + S.T) / 2.0
     return DtnOperator(
         boundary=boundary,
@@ -314,7 +244,7 @@ def dtn_matrix(g: WeightedBoundaryGraph, with_dirichlet: bool = False) -> DtnOpe
         pinned=dirichlet,
         _order=g.n,
         _coupling=coupling,
-        _factor=factor,
+        _inverse=inverse,
     )
 
 
@@ -372,14 +302,15 @@ class SpectralResult:
 def _generalized_eigh(S: np.ndarray, m: np.ndarray):
     """Eigenpairs of S u = lambda M u for symmetric S and M = diag(m)."""
     if not (m != 1.0).any():
-        # unit measures: with d = 1 the conjugation below changes no bit,
-        # and S is already symmetric
-        return _eigh(S)
+        # unit measures: the conjugation would multiply by 1
+        _require_finite(S)
+        return np.linalg.eigh(S)
     d = 1.0 / np.sqrt(m)
     T = (S * d).T * d  # diag(d) S diag(d), symmetric
-    vals, Y = _eigh((T + T.T) / 2.0)
-    vecs = Y * d[:, None]
-    return vals, vecs
+    T = (T + T.T) / 2.0
+    _require_finite(T)
+    vals, Y = np.linalg.eigh(T)
+    return vals, Y * d[:, None]
 
 
 def _steklov_result(op: DtnOperator, kind: str) -> SpectralResult:

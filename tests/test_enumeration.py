@@ -93,10 +93,13 @@ def test_class_codes_match_pinned_digests(tmp_path, monkeypatch):
 
 COLD_START = """
 import json, runpy, sys
+before = set(sys.modules)
 import steklov
 
 def loaded():
-    return [name for name in ("scipy", "mpmath", "networkx") if name in sys.modules]
+    # third-party packages loaded since start-up, other than numpy
+    tops = {name.partition(".")[0] for name in set(sys.modules) - before}
+    return sorted(tops - sys.stdlib_module_names - {"steklov", "numpy"})
 
 seen = {"import": loaded()}
 for stream in (steklov.enumerate_trees(8), steklov.enumerate_connected_graphs(5)):
@@ -108,8 +111,16 @@ try:
 except SystemExit:
     pass
 seen["cli --help"] = loaded()
-steklov.steklov_spectrum(steklov.build_path(4).graph)
+g = steklov.build_path(5).graph
+res = steklov.steklov_spectrum(g)
 seen["first solve"] = loaded()
+assert res.extensions.shape == (5, 2)
+assert steklov.verify_nodal_theorem(g, *res.eigenpair(2)).ok
+roles = ["boundary", "interior", "interior", "boundary"]
+small = steklov.make_graph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1)], roles=roles)
+host = steklov.make_graph(5, [*small.edges, (1, 4, 1)], roles=roles + ["interior"])
+assert steklov.check_rigidity_equivalence(host, small).agree
+seen["extensions, nodal and rigidity"] = loaded()
 steklov.predicted_bound(8, 3)
 seen["rational bound"] = loaded()
 steklov.predicted_bound(8, 4)
@@ -118,19 +129,21 @@ print(json.dumps(seen))
 """
 
 
-def test_cold_start_loads_scipy_and_mpmath_only_when_used():
-    # a fresh process that only enumerates and decodes classes, or prints the
-    # CLI help, loads neither; the first solve loads scipy, the first
-    # irrational bound mpmath; nothing ever loads networkx
+def test_cold_start_loads_mpmath_only_when_used():
+    # a fresh process loads no third-party package besides numpy until the
+    # first irrational bound loads mpmath: not to enumerate and decode
+    # classes, print the CLI help, solve a spectrum, read its extensions,
+    # check the nodal theorem or rigidity, or form a rational bound
     out = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
                          env={**os.environ, "STEKLOV_CACHE_DIR": ""}, timeout=120, check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == {
         "import": [],
         "enumerate and decode": [],
         "cli --help": [],
-        "first solve": ["scipy"],
-        "rational bound": ["scipy"],
-        "irrational bound": ["scipy", "mpmath"],
+        "first solve": [],
+        "extensions, nodal and rigidity": [],
+        "rational bound": [],
+        "irrational bound": ["mpmath"],
     }
 
 

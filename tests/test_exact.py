@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from steklov import exact
+from steklov import exact, extremal
 from steklov.enumeration import enumerate_connected_graphs, enumerate_trees
 from steklov.errors import (
     DisconnectedError,
@@ -134,8 +134,15 @@ def test_verify_over_a_tree_class_makes_no_subtree_walk(monkeypatch):
     for n, i in ((12, 4), (11, 3)):
         assert verify_extremal(n, i, "trees").rechecked > 0
     assert calls == []
-    verify_extremal(7, 4, "connected")  # its non-tree candidates are checked connected
-    assert calls
+    # over a connected class the tree candidates are walked as parent
+    # arrays, and each other candidate once, to check it connected
+    for n, i in ((6, 3), (7, 4)):
+        calls.clear()
+        rep = verify_extremal(n, i, "connected")
+        (_, edge_lists, _, _, _), values = extremal._screened(n, i, "connected", rep.tol)
+        sizes = [len(edge_lists[j]) for j in np.flatnonzero(values <= rep.target.bound + rep.tol)]
+        assert len(sizes) == rep.rechecked and n - 1 in sizes
+        assert len(calls) == sum(size != n - 1 for size in sizes) > 0
 
 
 @pytest.mark.parametrize("n,edges,b", [
@@ -244,3 +251,11 @@ def test_surd_arithmetic():
         r2 + QuadraticSurd(0, 1, 3)
     with pytest.raises(ZeroDivisionError):
         1 / (r2 - r2)
+
+
+@pytest.mark.parametrize("d", [4, 1, 0, -3, True, 2.0, Fraction(2), "2"])
+def test_surd_refuses_a_rational_or_malformed_root(d):
+    # QuadraticSurd(-2, 1, 4) is 0 and sqrt(-3) is not real; signs and
+    # equality are only decided for an irrational sqrt(d)
+    with pytest.raises(InvalidParamsError, match="must be irrational"):
+        QuadraticSurd(-2, 1, d)

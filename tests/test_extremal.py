@@ -383,15 +383,18 @@ def test_verify_decides_by_counts_and_falls_back_to_the_screen(monkeypatch):
     assert exact.match and exact.minimum == exact.target.bound != screen.minimum
 
 
-def test_verify_loads_no_scipy():
-    # the exact counts need no LAPACK: a fresh process verifies a rational
-    # and an irrational pair without importing scipy
-    code = ("import sys, steklov; "
+def test_verify_loads_numpy_and_mpmath_only():
+    # the exact counts need no linear algebra package: a fresh process
+    # verifies a rational and an irrational pair loading no third-party
+    # package but numpy and, for the irrational bound, mpmath
+    code = ("import sys; before = set(sys.modules); import steklov; "
             "r = [steklov.verify_extremal(9, 4, 'trees'), steklov.verify_extremal(8, 4, 'trees')]; "
-            "print(all(x.match and x.bound_ok for x in r), 'scipy' in sys.modules)")
+            "tops = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "print(all(x.match and x.bound_ok for x in r), "
+            "*sorted(tops - sys.stdlib_module_names - {'steklov'}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "STEKLOV_CACHE_DIR": ""}, timeout=120, check=True)
-    assert out.stdout.split() == ["True", "False"]
+    assert out.stdout.split() == ["True", "mpmath", "numpy"]
 
 
 def test_bad_stored_code_raises_on_every_sweep(monkeypatch):
