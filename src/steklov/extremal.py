@@ -67,6 +67,7 @@ from .graph import (
     Role,
     WeightedBoundaryGraph,
     adjacency_sets,
+    combinatorial_boundary,
     combinatorial_graph,
     make_graph,
     subtree_sizes,
@@ -536,13 +537,11 @@ def is_comb_over(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> bool:
 
 
 def rigidity_data(
-    gt: WeightedBoundaryGraph,
-    g: WeightedBoundaryGraph,
-    big: SpectralResult,
-    tol: float = DEFAULT_TOL,
+    gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
 ) -> RigidityData:
     """Conditions (1)-(3), separation and the comb test for G inside G~,
-    read from ``big``, the Steklov spectrum of G~."""
+    read from the Steklov spectrum of G~."""
+    big = steklov_spectrum(gt)
     _check_embedding(gt, g)
     basis = _h_basis(big)
     scale = max(1.0, float(np.max(np.abs(basis))))
@@ -626,9 +625,8 @@ def check_rigidity_equivalence(
     """Conditions (1)-(3) hold iff sigma_i(G~,B~) = sigma_i(G,B) for all
     i up to |B~|; additionally, with B = B~ and H separating V(G), equality
     holds iff G~ is a comb over G."""
-    big = steklov_spectrum(gt)
-    data = rigidity_data(gt, g, big, tol=tol)
-    small = steklov_spectrum(g)
+    data = rigidity_data(gt, g, tol=tol)
+    big, small = steklov_spectrum(gt), steklov_spectrum(g)
     k = len(gt.boundary)
     equal = all(
         abs(big.eigenvalue(i) - small.eigenvalue(i))
@@ -761,6 +759,18 @@ def verify_lambda1_bound(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     return Lambda1BoundVerdict(lam1, bound, l, n, holds, equality, structure)
 
 
+def _require_leaf_boundary_tree(g: WeightedBoundaryGraph) -> None:
+    """The hypotheses shared by the sigma_2 bounds of trees: a tree with at
+    least one edge, unit measures, no B_D and B exactly its leaves. Each
+    bound checks the unit weights itself."""
+    if not g.edges or not g.is_tree():
+        raise HypothesesNotMetError("bound needs a tree with at least one edge")
+    if any(m != 1 for m in g.measures):
+        raise HypothesesNotMetError("bound needs unit vertex measures")
+    if g.roles != combinatorial_boundary(g):
+        raise HypothesesNotMetError("bound needs B to be exactly the leaves, and no B_D")
+
+
 @dataclass(frozen=True)
 class ClumpBoundVerdict:
     sigma2: float
@@ -774,7 +784,10 @@ class ClumpBoundVerdict:
 
 def verify_steklov_clump(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> ClumpBoundVerdict:
     """sigma_2(T) >= Lambda(Clump(T)); equality iff at least two clumps at
-    the equilibrium point are minimal brooms Br(Clump(T))."""
+    the equilibrium point are minimal brooms Br(Clump(T)). T is a tree with
+    at least one edge, unit measures, no B_D and B exactly its leaves, else
+    HypothesesNotMetError; a weight other than 1 raises NotUnitWeightError."""
+    _require_leaf_boundary_tree(g)
     rep = clump_number(g)
     cn = rep.clump_number
     brooms = minimal_broom_total(cn)
@@ -806,9 +819,12 @@ class Sigma2TreeVerdict:
 
 
 def verify_sigma2_tree(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> Sigma2TreeVerdict:
-    """sigma_2(T) >= Lambda(|E|/2) with the dumbbell equality list."""
-    if not g.is_tree():
-        raise HypothesesNotMetError("tree bound needs a tree")
+    """sigma_2(T) >= Lambda(|E|/2) with the dumbbell equality list. T is a
+    tree with at least one edge, unit weights and measures, no B_D and B
+    exactly its leaves, else HypothesesNotMetError."""
+    _require_leaf_boundary_tree(g)
+    if any(w != 1 for _, _, w in g.edges):
+        raise HypothesesNotMetError("tree bound needs unit edge weights")
     bound = float(lambda_value(Fraction(len(g.edges), 2)))
     sigma2 = sigma_value(g, 2)
     holds = sigma2 >= bound - tol
@@ -819,7 +835,7 @@ def verify_sigma2_tree(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> Si
             match = True  # single edge: the degenerate dumbbell is the path
         else:
             predicted = {d.code for d in predicted_bound(g.n, 2).minimizers}
-            match = canonical_code(g) in predicted
+            match = unit_tree_code(g.adjacency) in predicted  # 1.0 reads as 1
     return Sigma2TreeVerdict(sigma2, bound, holds, equality, match)
 
 

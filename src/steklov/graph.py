@@ -17,7 +17,9 @@ as it keeps its adjacency and its role lists: ``is_connected``, ``is_tree``
 and every caller that walks a tree from vertex 0 (clump numbers, the type A
 split, the sub-k test, the bipartite colouring) read that one pass, so a
 certificate walks its tree once. Callers must not mutate it. The boundary,
-Dirichlet and interior lists come from one pass over the roles.
+Dirichlet and interior lists come from one pass over the roles. In the same
+way a graph keeps the Steklov spectra solved from it (``spectral`` fills
+that memo), so every statement checked on one graph object shares one solve.
 
 A graph with the combinatorial boundary (degree <= 1 means boundary) is
 built in one :func:`make_graph` call, with the roles that
@@ -194,6 +196,12 @@ class WeightedBoundaryGraph:
     @property
     def interior(self) -> tuple[int, ...]:
         return self._role_lists[2]
+
+    @cached_property
+    def _spectra(self) -> dict:
+        """The Steklov spectra solved from this object, by kind; filled and
+        read by ``spectral`` alone. An equal graph has a memo of its own."""
+        return {}
 
     @cached_property
     def dirichlet_interior(self) -> tuple[int, ...]:

@@ -24,6 +24,17 @@ A solve refuses infinite or NaN input with ``ValueError`` and a singular
 interior block with ``numpy.linalg.LinAlgError``. It warns
 (``RuntimeWarning``) when the 1-norm reciprocal condition number of the
 block falls below machine epsilon (:func:`_invert`).
+
+Each graph object is solved once per kind: :func:`steklov_spectrum` and
+:func:`dirichlet_steklov_spectrum` keep the ``SpectralResult`` on the graph
+(:func:`_memoised`) and hand the same one to every later call, so the
+statement checks run on one graph share one solve. The memo goes by object,
+not by equality: an equal graph built afresh is solved again. A call that
+raises stores nothing, so it raises again on every call, and a call that
+reads a stored spectrum repeats the ill-conditioning warning of its solve.
+Because a spectrum is shared, every array of a DtN operator and of a
+Steklov spectrum (eigenvalues, vectors, extensions, the DtN matrix, the
+boundary measures, the kept coupling and inverse) is read-only.
 """
 
 from __future__ import annotations
@@ -67,6 +78,11 @@ def _invert(a: np.ndarray) -> tuple[np.ndarray, float]:
         rcond = 1.0 / (np.abs(a).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max())
         _warn_ill_conditioned(rcond)
     return inverse, rcond
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _warn_ill_conditioned(rcond: float) -> None:
@@ -235,11 +251,15 @@ def dtn_matrix(g: WeightedBoundaryGraph, with_dirichlet: bool = False) -> DtnOpe
         coupling = L[k:, :k]
         inverse = _invert(L[k:, k:])
         S = S - coupling.T @ (inverse[0] @ coupling)
+        coupling = coupling.copy()  # a view would keep all of L alive
+        _read_only(coupling, inverse[0])
     S = (S + S.T) / 2.0
+    measures = np.array([float(g.measures[v]) for v in boundary])
+    _read_only(S, measures)
     return DtnOperator(
         boundary=boundary,
         matrix=S,
-        boundary_measures=np.array([float(g.measures[v]) for v in boundary]),
+        boundary_measures=measures,
         eliminated=interior,
         pinned=dirichlet,
         _order=g.n,
@@ -269,7 +289,9 @@ class SpectralResult:
         """Harmonic extensions of ``vectors`` to V, solved on first read."""
         if self.operator is None:
             return self.vectors
-        return self.operator._extend(self.vectors)
+        ext = self.operator._extend(self.vectors)
+        _read_only(ext)
+        return ext
 
     def eigenvalue(self, i: int) -> float:
         """1-based; +inf sentinel beyond |support|."""
@@ -315,19 +337,35 @@ def _generalized_eigh(S: np.ndarray, m: np.ndarray):
 
 def _steklov_result(op: DtnOperator, kind: str) -> SpectralResult:
     vals, vecs = _generalized_eigh(op.matrix, op.boundary_measures)
+    _read_only(vals, vecs)
     return SpectralResult(
         kind=kind, eigenvalues=vals, vectors=vecs, support=op.boundary, operator=op
     )
 
 
+def _memoised(g: WeightedBoundaryGraph, kind: str) -> SpectralResult:
+    """The ``kind`` spectrum of ``g``, solved on the first call and kept on
+    the graph object; a later call repeats the solve's ill-conditioning
+    warning from the stored rcond."""
+    res = g._spectra.get(kind)
+    if res is None:
+        res = _steklov_result(dtn_matrix(g, with_dirichlet=kind == "dirichlet"), kind)
+        g._spectra[kind] = res
+    elif res.operator._inverse is not None:
+        _warn_ill_conditioned(res.operator._inverse[1])
+    return res
+
+
 def steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
-    """Spectrum of the plain DtN map Lambda on (G, B)."""
-    return _steklov_result(dtn_matrix(g, with_dirichlet=False), "steklov")
+    """Spectrum of the plain DtN map Lambda on (G, B), solved once per
+    graph object."""
+    return _memoised(g, "steklov")
 
 
 def dirichlet_steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
-    """Spectrum of Lambda_0 on (G, B, B_D): data vanishes on B_D."""
-    return _steklov_result(dtn_matrix(g, with_dirichlet=True), "dirichlet")
+    """Spectrum of Lambda_0 on (G, B, B_D): data vanishes on B_D. Solved
+    once per graph object."""
+    return _memoised(g, "dirichlet")
 
 
 def unit_steklov_spectra(n: int, edge_lists) -> np.ndarray:

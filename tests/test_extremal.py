@@ -24,6 +24,7 @@ from steklov.errors import (
     NoBoundaryError,
     NotASubgraphError,
     NotBipartiteError,
+    NotUnitWeightError,
     OutOfSupportedRangeError,
     ParseError,
 )
@@ -652,10 +653,13 @@ def test_lambda1_bound_float_length_ties_like_integer():
 
 
 def test_steklov_clump_float_weights_match_integer():
+    # both tree bounds read a weight stored as 1.0 as the unit weight, also
+    # in the dumbbell match at equality
     for n in range(2, 11):
         for g in enumerate_trees(n):
             h = make_graph(g.n, [(u, v, 1.0) for u, v, _ in g.edges], roles=g.roles)
             assert verify_steklov_clump(h) == verify_steklov_clump(g), g.edges
+            assert verify_sigma2_tree(h) == verify_sigma2_tree(g), g.edges
 
 
 def test_steklov_clump_sweep():
@@ -672,6 +676,46 @@ def test_sigma2_tree_sweep():
             assert v.holds, (n, g.edges)
             if v.equality:
                 assert v.dumbbell_match
+
+
+def test_tree_bounds_refuse_graphs_outside_their_hypotheses():
+    # both bounds hold for unit trees with at least one edge, unit measures,
+    # no B_D and B exactly the leaves; any other graph is refused, not
+    # reported as a counterexample
+    b, i, d = "boundary", "interior", "dirichlet"
+    p3 = [(0, 1, 1), (1, 2, 1)]
+    refused = [
+        make_graph(1, roles=[b]),  # a single vertex
+        make_graph(3, p3, measures=[100, 1, 100], roles=[b, i, b]),
+        make_graph(3, p3, roles=[b, i, d]),
+        make_graph(3, p3, roles=[b, b, b]),
+        make_graph(3, p3, roles=[b, i, i]),
+        combinatorial_graph(3, [(0, 1), (1, 2), (0, 2)]),
+        make_graph(4, [(0, 1, 1), (2, 3, 1)], roles=[b] * 4),
+    ]
+    refused += [g.with_roles([Role.BOUNDARY] * n) for n in range(3, 9) for g in enumerate_trees(n)]
+    for g in refused:
+        for verify in (verify_steklov_clump, verify_sigma2_tree):
+            with pytest.raises(HypothesesNotMetError):
+                verify(g)
+    light = make_graph(3, [(0, 1, Fraction(1, 100)), (1, 2, Fraction(1, 100))], roles=[b, i, b])
+    with pytest.raises(HypothesesNotMetError):
+        verify_sigma2_tree(light)
+    with pytest.raises(NotUnitWeightError):
+        verify_steklov_clump(light)
+
+
+def test_tree_bounds_share_one_solve(monkeypatch):
+    # the two bounds read one Steklov solve of each tree object, and asking
+    # again solves nothing
+    for n in range(2, 10):
+        for g in enumerate_trees(n):
+            with monkeypatch.context() as m:
+                assemblies = counting_calls(m, spectral, "dtn_matrix")
+                first = verify_steklov_clump(g), verify_sigma2_tree(g)
+                assert len(assemblies) == 1, g.edges
+                assert (verify_steklov_clump(g), verify_sigma2_tree(g)) == first
+                assert len(assemblies) == 1, g.edges
 
 
 def test_connected_statements_reject_disconnected_graphs():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import steklov
+from steklov import spectral
 from steklov.errors import (
     InvalidParamsError,
     NoBoundaryError,
@@ -30,7 +31,7 @@ from steklov.spectral import (
     unit_steklov_spectra,
 )
 
-from conftest import path_graph, random_weighted_graph, union_find_components
+from conftest import counting_calls, path_graph, random_weighted_graph, union_find_components
 
 
 def test_p2_spectrum():
@@ -322,6 +323,54 @@ def test_spectra_match_numpy_oracle(rng):
         assert_matches_oracle(g)
 
 
+def test_memoised_spectra_equal_a_fresh_solve(rng):
+    """The spectrum kept on a graph has the bits of a solve made afresh,
+    eigenvalues, vectors and extensions, on the first call and on a repeat.
+    Trees n <= 10, connected graphs n <= 6 and random Dirichlet graphs, each
+    with a boundary."""
+    from steklov.enumeration import enumerate_connected_graphs, enumerate_trees
+
+    graphs = [g for n in range(2, 11) for g in enumerate_trees(n)]
+    graphs += [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
+    graphs += [random_dirichlet_graph(rng) for _ in range(100)]
+    for g in filter(lambda g: g.boundary, graphs):
+        kind = "dirichlet" if g.dirichlet else "steklov"
+        solve = dirichlet_steklov_spectrum if g.dirichlet else steklov_spectrum
+        fresh = spectral._steklov_result(dtn_matrix(g, with_dirichlet=bool(g.dirichlet)), kind)
+        for res in (solve(g), solve(g)):
+            for got, expect in ((res.eigenvalues, fresh.eigenvalues),
+                                (res.vectors, fresh.vectors),
+                                (res.extensions, fresh.extensions)):
+                assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+def test_spectrum_memo_contract(monkeypatch):
+    g = path_graph(5)
+    assemblies = counting_calls(monkeypatch, spectral, "dtn_matrix")
+    res = steklov_spectrum(g)
+    assert steklov_spectrum(g) is res and len(assemblies) == 1
+    # the memo goes by object: an equal graph built afresh is solved again
+    assert steklov_spectrum(path_graph(5)) is not res and len(assemblies) == 2
+    op = res.operator
+    shared = (res.eigenvalues, res.vectors, res.extensions, op.matrix,
+              op.boundary_measures, op._coupling, op._inverse[0])
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # a call that raises stores nothing, so it raises on every call
+    closed = path_graph(3).with_roles([Role.INTERIOR] * 3)
+    for _ in range(2):
+        for solve in (steklov_spectrum, dirichlet_steklov_spectrum):
+            with pytest.raises(NoBoundaryError):
+                solve(closed)
+    pinned = make_graph(3, [(0, 1, 1), (1, 2, 1)], roles=["boundary", "interior", "dirichlet"])
+    dirichlet = dirichlet_steklov_spectrum(pinned)
+    for _ in range(2):
+        with pytest.raises(InvalidParamsError, match="use with_dirichlet=True"):
+            steklov_spectrum(pinned)
+        assert dirichlet_steklov_spectrum(pinned) is dirichlet
+
+
 # -- errors and warnings of the solves -------------------------------------------
 
 
@@ -335,6 +384,9 @@ def test_ill_conditioned_interior_warns():
     g = eps_path(2.3e-16)
     with pytest.warns(RuntimeWarning, match="ill-conditioned matrix"):
         steklov_spectrum(g).eigenpair(2)
+    for _ in range(3):  # a spectrum read from the memo warns as its solve did
+        with pytest.warns(RuntimeWarning, match="ill-conditioned matrix"):
+            steklov_spectrum(g)
     with pytest.warns(RuntimeWarning, match="ill-conditioned matrix"):
         dtn_matrix(g)
     with pytest.warns(RuntimeWarning, match="ill-conditioned matrix"):
