@@ -8,9 +8,12 @@ eigenvalue over n-vertex graphs: i = 2 (dumbbells), i not dividing n
 (broom-armed stars), i dividing n (regular combs with correction
 theta_i = 1/(4 cos^2(pi/2i))). Irrational bounds are evaluated with mpmath
 at 40 significant digits (a local ``workdps``; the global mpmath precision is
-left alone) for their float and decimal string. mpmath is imported only there,
-by the first irrational bound (i dividing n, i >= 4). For i = 4, 5, 6 the
-bound is also held exactly, as a :class:`QuadraticSurd` p + q sqrt(d).
+left alone) for their float and decimal string. mpmath is loaded only by an
+irrational bound (i dividing n, i >= 4): theta_i is computed in that case
+alone, so a rational bound, i = 2 or i not dividing n, never loads it. For
+i = 4, 5, 6 the bound is also held exactly, as a :class:`QuadraticSurd`
+p + q sqrt(d). Each (n, i, class) target, minimizer graphs and codes
+included, is built once per process and shared by every caller.
 
 Exhaustive sweeps screen a whole class with batched float spectra. The
 screen does not depend on i: each class is parsed and screened once per
@@ -26,6 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
+from types import MappingProxyType
 
 import numpy as np
 
@@ -118,7 +123,7 @@ def theta_value(i: int):
 @dataclass(frozen=True)
 class MinimizerDescriptor:
     family: str
-    params: dict
+    params: MappingProxyType  # read-only
     graph: WeightedBoundaryGraph
     code: str
 
@@ -133,7 +138,8 @@ class ExtremalTarget:
     bound_str: str  # exact rational or 40-digit decimal
     theta: object | None
     characterized: bool  # predicted minimizers are the complete equality set
-    minimizers: tuple[MinimizerDescriptor, ...]
+    minimizers: tuple[MinimizerDescriptor, ...]  # by code
+    predicted_codes: tuple[str, ...]  # the minimizers' codes, sorted
 
 
 def _class_members(candidates, graph_class: str) -> tuple[MinimizerDescriptor, ...]:
@@ -147,7 +153,7 @@ def _class_members(candidates, graph_class: str) -> tuple[MinimizerDescriptor, .
     seen = {}
     for family, params, g in candidates:
         if member(g):
-            d = MinimizerDescriptor(family, params, g, canonical_code(g))
+            d = MinimizerDescriptor(family, MappingProxyType(params), g, canonical_code(g))
             seen.setdefault(d.code, d)
     return tuple(seen[c] for c in sorted(seen))
 
@@ -222,55 +228,68 @@ def _comb_minimizers(n: int, i: int) -> list:
     return out
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an int, refusing a bool and any non-integral type (a
+    float 6.0 included), which the memo would key like the int."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidParamsError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def predicted_bound(n: int, i: int, graph_class: str = "connected") -> ExtremalTarget:
     """Predicted lower bound for sigma_i over connected graphs on n vertices,
     with the known minimizer families that belong to ``graph_class``
-    ("connected", or "trees", which drops the cycle-based comb)."""
+    ("connected", or "trees", which drops the cycle-based comb).
+
+    The target is built once per process per (n, i, class) and shared: every
+    call with equal arguments returns the identical, immutable target.
+    Arguments are checked before the memo is consulted, and a call that
+    raises stores nothing."""
+    n, i = _index(n, "n"), _index(i, "i")
     if n < 2 or i < 2 or i >= n:
         raise InvalidParamsError("need n >= 2 and 2 <= i < n")
     if graph_class not in GRAPH_CLASSES:
         raise InvalidParamsError(f"unknown graph class {graph_class!r}")
+    return _predicted(n, i, graph_class)
+
+
+@lru_cache(maxsize=None)
+def _predicted(n: int, i: int, graph_class: str) -> ExtremalTarget:
+    """The target of checked arguments (see :func:`predicted_bound`)."""
+    m, theta, characterized, bound_str = n // i, None, True, None
     if i == 2:
-        bound = lambda_value(Fraction(n - 1, 2))
-        return ExtremalTarget(
-            n, 2, "sigma2", float(bound), bound, str(bound), None,
-            characterized=True,
-            minimizers=_class_members(_sigma2_minimizers(n), graph_class),
-        )
-    th = theta_value(i)
-    if n % i != 0:
-        m = n // i
-        bound = lambda_value(m)
+        case, bound_exact = "sigma2", lambda_value(Fraction(n - 1, 2))
+        candidates = _sigma2_minimizers(n)
+    elif n % i != 0:
+        case, bound_exact = "i_not_dividing", lambda_value(m)
         characterized = n == i * m + 1
         if characterized:
-            mins = _star_minimizers(n, i, m)
+            candidates = _star_minimizers(n, i, m)
         else:
             # example family: degree i+s-1 star, i broom arms and s-1 edges
             s = n - i * m
             forms = minimal_broom_total(m).brooms
             arms = [_broom_arm(forms[0])] * i + [rooted_path(1)] * (s - 1)
-            mins = [("star", {"i": i, "m": m, "extra_edges": s - 1},
-                     build_star(arms).graph)]
-        return ExtremalTarget(
-            n, i, "i_not_dividing", float(bound), bound, str(bound), None,
-            characterized=characterized,
-            minimizers=_class_members(mins, graph_class),
-        )
-    m = n // i
-    if isinstance(th, Fraction):
-        bound_exact = lambda_value(Fraction(m - 1) + th)
-        bound_f, bound_s = float(bound_exact), str(bound_exact)
+            candidates = [("star", {"i": i, "m": m, "extra_edges": s - 1},
+                           build_star(arms).graph)]
     else:
-        import mpmath
+        case, theta = "i_dividing", theta_value(i)
+        candidates = _comb_minimizers(n, i)
+        if isinstance(theta, Fraction):
+            bound_exact = lambda_value(Fraction(m - 1) + theta)
+        else:
+            import mpmath
 
-        bound_exact = lambda_value(m - 1 + QUADRATIC_THETA[i]) if i in QUADRATIC_THETA else None
-        with mpmath.workdps(MP_DPS):
-            val = lambda_value(mpmath.mpf(m - 1) + th)
-            bound_f, bound_s = float(val), mpmath.nstr(val, MP_DPS)
+            bound_exact = lambda_value(m - 1 + QUADRATIC_THETA[i]) if i in QUADRATIC_THETA else None
+            with mpmath.workdps(MP_DPS):
+                val = lambda_value(mpmath.mpf(m - 1) + theta)
+                bound, bound_str = float(val), mpmath.nstr(val, MP_DPS)
+    if bound_str is None:
+        bound, bound_str = float(bound_exact), str(bound_exact)
+    minimizers = _class_members(candidates, graph_class)
     return ExtremalTarget(
-        n, i, "i_dividing", bound_f, bound_exact, bound_s, th,
-        characterized=True,
-        minimizers=_class_members(_comb_minimizers(n, i), graph_class),
+        n, i, case, bound, bound_exact, bound_str, theta, characterized,
+        minimizers, tuple(d.code for d in minimizers),
     )
 
 
@@ -417,7 +436,9 @@ def verify_extremal(
     """Sweep a graph class, minimize sigma_i, and match the argmin set
     against the predicted minimizers that belong to the class.
 
-    The candidates are the classes whose screened sigma_i is at most
+    The screen and the prediction are each built once per process (see
+    :func:`sweep` and :func:`predicted_bound`); the arguments are checked
+    first. The candidates are the classes whose screened sigma_i is at most
     float(b) + tol for the predicted bound b. Each is decided exactly, afresh
     on every call, by :func:`inertia_counts`: #{sigma_j < b} and
     #{sigma_j = b}. The bound holds iff no candidate has i or more
@@ -427,7 +448,7 @@ def verify_extremal(
     argmin set and the minimum is b; otherwise the report falls back to the
     screen's minimum and argmin set, with ``match`` False."""
     target = predicted_bound(n, i, graph_class)
-    b = target.bound_exact
+    n, i, b = target.n, target.i, target.bound_exact
     if b is None:
         raise OutOfSupportedRangeError(f"no exact bound for i = {i} dividing n")
     (labels, edge_lists, _, _, _), values = _screened(n, i, graph_class, tol)
@@ -437,7 +458,7 @@ def verify_extremal(
     }
     bound_ok = all(neg < i for neg, _ in counts.values())
     attained = [j for j, (neg, zero) in counts.items() if neg < i <= neg + zero]
-    predicted = tuple(sorted(d.code for d in target.minimizers))
+    predicted = target.predicted_codes
     if bound_ok and attained:
         minimum, argmin = target.bound, tuple(sorted(labels[j] for j in attained))
         if target.characterized:

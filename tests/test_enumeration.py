@@ -122,6 +122,7 @@ host = steklov.make_graph(5, [*small.edges, (1, 4, 1)], roles=roles + ["interior
 assert steklov.check_rigidity_equivalence(host, small).agree
 seen["extensions, nodal and rigidity"] = loaded()
 steklov.predicted_bound(8, 3)
+steklov.predicted_bound(9, 4)
 seen["rational bound"] = loaded()
 steklov.predicted_bound(8, 4)
 seen["irrational bound"] = loaded()
@@ -133,7 +134,8 @@ def test_cold_start_loads_mpmath_only_when_used():
     # a fresh process loads no third-party package besides numpy until the
     # first irrational bound loads mpmath: not to enumerate and decode
     # classes, print the CLI help, solve a spectrum, read its extensions,
-    # check the nodal theorem or rigidity, or form a rational bound
+    # check the nodal theorem or rigidity, or form a rational bound (i = 2,
+    # or i not dividing n, which computes no theta_i)
     out = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
                          env={**os.environ, "STEKLOV_CACHE_DIR": ""}, timeout=120, check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == {

@@ -6,9 +6,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 import pytest
 
-from steklov import extremal, spectral
+from steklov import extremal, families, spectral
 from steklov import graph as graph_mod
 from steklov.enumeration import (
     GraphClassStream,
@@ -157,6 +158,83 @@ def test_import_leaves_mpmath_precision():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=dict(os.environ), timeout=120, check=True)
     assert out.stdout.strip() == "23"
+
+
+def test_prediction_is_built_once_and_shared():
+    t = predicted_bound(9, 4, "trees")
+    assert predicted_bound(9, 4, "trees") is t
+    assert predicted_bound(n=9, i=4, graph_class="trees") is t
+    assert predicted_bound(np.int64(9), np.int64(4), "trees") is t
+    assert type(t.n) is int and type(t.i) is int
+    connected = predicted_bound(9, 3, "connected")
+    assert predicted_bound(9, 3) is connected and predicted_bound(n=9, i=3) is connected
+    assert connected != predicted_bound(9, 3, "trees")
+    assert t.predicted_codes == tuple(sorted(d.code for d in t.minimizers))
+
+
+def test_shared_prediction_is_read_only():
+    t = predicted_bound(7, 3, "trees")
+    d = t.minimizers[0]
+    assert dict(d.params) == {"i": 3, "m": 2, "mix": 0}
+    with pytest.raises(TypeError):
+        d.params["m"] = 3
+    with pytest.raises(AttributeError):
+        t.bound = 0.0
+    with pytest.raises(AttributeError):
+        d.code = ""
+    assert predicted_bound(7, 3, "trees").minimizers[0].params["m"] == 2
+
+
+def test_failed_prediction_caches_nothing(monkeypatch):
+    expected = predicted_bound(9, 2, "trees")
+    extremal._predicted.cache_clear()
+
+    def broken(n):
+        raise InvalidParamsError("no dumbbell")
+
+    with monkeypatch.context() as m:
+        m.setattr(extremal, "_sigma2_minimizers", broken)
+        for _ in range(2):
+            with pytest.raises(InvalidParamsError, match="no dumbbell"):
+                predicted_bound(9, 2, "trees")
+    assert extremal._predicted.cache_info().currsize == 0
+    assert predicted_bound(9, 2, "trees") == expected
+
+
+@pytest.mark.parametrize("args", [
+    (7, 3.0), (6.0, 3), (np.float64(6.0), 3), (6, 3, ["trees"]), (True, 2), (6, True),
+    (6, 3, "planar"),
+])
+def test_bad_arguments_fail_before_the_memo(monkeypatch, args):
+    # a float would share the int's memo key, a list cannot be a key, and
+    # neither may reach the class enumeration
+    def no_sweep(n):
+        raise AssertionError("class enumerated before the parameters were checked")
+
+    monkeypatch.setattr(extremal, "enumerate_trees", no_sweep)
+    monkeypatch.setattr(extremal, "enumerate_connected_graphs", no_sweep)
+    before = extremal._predicted.cache_info()
+    for fn in (predicted_bound, verify_extremal):
+        for _ in range(2):
+            with pytest.raises(InvalidParamsError):
+                fn(*args)
+    assert extremal._predicted.cache_info() == before
+
+
+def test_memoised_predictions_equal_fresh_builds():
+    pairs = GRID + [("trees", n, i) for n, i in IRRATIONAL_BOUND_STR]
+    for graph_class, n, i in pairs:
+        memo = predicted_bound(n, i, graph_class)
+        fresh = extremal._predicted.__wrapped__(n, i, graph_class)
+        assert fresh is not memo
+        assert (repr(memo.bound), memo.bound_str, memo.case, memo.bound_exact,
+                memo.characterized) == (
+            repr(fresh.bound), fresh.bound_str, fresh.case, fresh.bound_exact,
+            fresh.characterized), (graph_class, n, i)
+        assert memo.predicted_codes == fresh.predicted_codes == tuple(
+            d.code for d in fresh.minimizers), (graph_class, n, i)
+        for d, e in zip(memo.minimizers, fresh.minimizers, strict=True):
+            assert (d.family, dict(d.params), d.graph) == (e.family, dict(e.params), e.graph)
 
 
 # -- sweeps -------------------------------------------------------------------------
@@ -332,6 +410,29 @@ def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     assert warm == cold
     assert len(counts) == 2 * cold.rechecked
     assert solves == []
+
+
+@pytest.mark.parametrize("graph_class,n,i", [
+    ("trees", 9, 4), ("trees", 8, 4), ("trees", 11, 3), ("connected", 6, 3), ("connected", 7, 2),
+])
+def test_second_verify_builds_no_prediction(monkeypatch, graph_class, n, i):
+    """The first verify builds and codes the predicted minimizers; a second
+    builds and codes nothing, and still decides every candidate exactly."""
+    extremal._predicted.cache_clear()
+    codes = counting(monkeypatch, "canonical_code")
+    builds = [counting_calls(monkeypatch, module, "make_graph")
+              for module in (graph_mod, families, extremal)]
+    counts = counting(monkeypatch, "inertia_counts")
+    first = verify_extremal(n, i, graph_class)
+    assert codes and any(builds)
+    assert len(counts) == first.rechecked > 0
+    codes.clear()
+    for calls in builds:
+        calls.clear()
+    second = verify_extremal(n, i, graph_class)
+    assert codes == [] and not any(builds)
+    assert len(counts) == 2 * first.rechecked
+    assert second == first and second.target is first.target
 
 
 @pytest.mark.parametrize("graph_class,n,i", [
