@@ -4,6 +4,7 @@ Commands: spectrum, family, clump, clump-cert, nodal, verify, sweep,
 selftest. Reports go to stdout as JSON (CSV available for sweep tables);
 logging goes to stderr. Exit codes: 0 ok/certified, 1 usage error,
 2 assertion/bound failure, 3 rigidity mismatch, 4 unsupported range.
+``verify`` decides exactly and takes no tolerance; ``nodal --tol`` lies in (0, 1e-6].
 Floats are printed with 17 significant digits and exact rationals as
 "p/q" alongside their decimal value, so identical inputs give
 byte-identical reports regardless of --jobs.
@@ -273,6 +274,8 @@ def _cmd_clump_cert(args) -> int:
 
 
 def _cmd_nodal(args) -> int:
+    if not 0 < args.tol <= 1e-6:
+        raise UsageError("--tol must be in (0, 1e-06]")
     g = load_graph(args.graph)
     res = dirichlet_steklov_spectrum(g) if g.dirichlet else steklov_spectrum(g)
     sigma, f = res.eigenpair(args.eig)
@@ -301,7 +304,7 @@ def _cmd_nodal(args) -> int:
 
 def _cmd_verify(args) -> int:
     t0 = time.monotonic()
-    report = extremal.verify_extremal(args.n, args.i, args.graph_class, tol=args.tol)
+    report = extremal.verify_extremal(args.n, args.i, args.graph_class)
     payload = {
         "n": args.n,
         "i": args.i,
@@ -319,16 +322,10 @@ def _cmd_verify(args) -> int:
         "seconds": round(time.monotonic() - t0, 3),
     }
     if args.format == "csv":
-        lines = ["field,value"]
-        for k, v in payload.items():
-            if k == "seconds":
-                continue
-            lines.append(f"{k},{v}")
+        lines = ["field,value"] + [f"{k},{v}" for k, v in payload.items() if k != "seconds"]
         sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        payload_out = dict(payload)
-        payload_out["seconds"] = 0.0  # timestamp-normalized for reproducibility
-        _emit(_report("verify", payload_out), args.out)
+    else:  # timestamp-normalized for reproducibility
+        _emit(_report("verify", {**payload, "seconds": 0.0}), args.out)
         log.info("verify finished in %.3fs", payload["seconds"])
     if not report.bound_ok:
         return EXIT_ASSERTION
@@ -456,7 +453,6 @@ def _build_parser() -> _Parser:
                     choices=["trees", "connected"])
     vp.add_argument("--format", default="json", choices=["json", "csv"])
     vp.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    vp.add_argument("--tol", type=float, default=1e-9)
     vp.add_argument("--out")
     vp.set_defaults(func=_cmd_verify)
 
@@ -485,9 +481,8 @@ def main(argv=None) -> int:
             logging.getLogger().setLevel(logging.INFO)
         if args.cache_dir is not None:
             os.environ["STEKLOV_CACHE_DIR"] = args.cache_dir
-        tol = getattr(args, "tol", extremal.MAX_TOL)
-        if getattr(args, "jobs", 1) < 1 or not 0 < tol <= extremal.MAX_TOL:
-            raise UsageError(f"--jobs must be >= 1 and --tol in (0, {extremal.MAX_TOL:g}]")
+        if getattr(args, "jobs", 1) < 1:
+            raise UsageError("--jobs must be >= 1")
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"ERROR {EXIT_USAGE}: {exc}\n")

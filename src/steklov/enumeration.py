@@ -23,6 +23,7 @@ import logging
 import os
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 from pathlib import Path
 
 from .errors import (
@@ -435,9 +436,19 @@ def _load_class(kind: str, n: int, path: Path | None) -> tuple[str, ...]:
     return tuple(codes)
 
 
+def _index(value, name: str) -> int:
+    """``value`` as an int, refusing a bool and any non-integral type (a
+    float 6.0 included): a memo keys them like the int, a class file name
+    does not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidParamsError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def enumerate_trees(n: int) -> GraphClassStream:
     """All free trees on n vertices up to isomorphism, unit weight,
     degree-based boundary."""
+    n = _index(n, "n")
     if not 1 <= n <= MAX_TREE_N:
         raise OutOfSupportedRangeError(f"tree enumeration supports 1 <= n <= {MAX_TREE_N}")
     return GraphClassStream("trees", n, list(_class_codes("trees", n)))
@@ -445,6 +456,7 @@ def enumerate_trees(n: int) -> GraphClassStream:
 
 def enumerate_connected_graphs(n: int) -> GraphClassStream:
     """All connected simple graphs on n vertices up to isomorphism."""
+    n = _index(n, "n")
     if not 1 <= n <= MAX_GRAPH_N:
         raise OutOfSupportedRangeError(
             f"connected-graph enumeration supports 1 <= n <= {MAX_GRAPH_N}"

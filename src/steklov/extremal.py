@@ -18,8 +18,8 @@ included, is built once per process and shared by every caller.
 Exhaustive sweeps screen a whole class with batched float spectra. The
 screen does not depend on i: each class is parsed and screened once per
 process and shared by every i. :func:`verify_extremal` then decides every
-class that screens within tol of the bound b exactly, afresh on every call,
-by the counts #{sigma_j < b} and #{sigma_j = b} of
+class that screens within SCREEN_MARGIN of the bound b exactly, afresh on
+every call, by the counts #{sigma_j < b} and #{sigma_j = b} of
 :func:`~steklov.exact.inertia_counts`; no class is solved again.
 """
 
@@ -29,13 +29,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 from types import MappingProxyType
 
 import numpy as np
 
 from .enumeration import (
     _edge_length_str,
+    _index,
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
@@ -87,11 +87,11 @@ from .spectral import (
 )
 
 DEFAULT_TOL = 1e-9
-# Largest sweep tol, far below the gaps a tolerance must not bridge: the
-# smallest gap between a minimum and the next class is 4.3e-3 over the
-# supported pairs and 6.2e-4 at trees n = 18. A large one merges classes
-# into the argmin: tol = 0.5 puts 22 of the 23 trees at n = 8 in it.
-MAX_TOL = 1e-6
+# How far above float(b), or a sweep's minimum, a class is still a candidate:
+# over the 70 supported pairs the screen errs by at most 1.8e-15 at a class
+# attaining b, and the nearest other class lies 4.3e-3 above b (6.2e-4 at
+# trees n = 18), so no minimizer is missed and no other class merged.
+SCREEN_MARGIN = 1e-9
 MP_DPS = 40
 GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 12
@@ -228,14 +228,6 @@ def _comb_minimizers(n: int, i: int) -> list:
     return out
 
 
-def _index(value, name: str) -> int:
-    """``value`` as an int, refusing a bool and any non-integral type (a
-    float 6.0 included), which the memo would key like the int."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InvalidParamsError(f"{name} must be an integer, not {value!r}")
-    return int(value)
-
-
 def predicted_bound(n: int, i: int, graph_class: str = "connected") -> ExtremalTarget:
     """Predicted lower bound for sigma_i over connected graphs on n vertices,
     with the known minimizer families that belong to ``graph_class``
@@ -307,12 +299,12 @@ def sigma_value(g: WeightedBoundaryGraph, i: int) -> float:
 @dataclass(frozen=True)
 class SweepResult:
     """The float screen of a class: the batched sigma_i of every class, its
-    minimum, the classes within tol of that minimum and the gap to the
-    rest. No class is solved again and nothing here is exact."""
+    minimum, the classes within SCREEN_MARGIN of that minimum and the gap to
+    the rest. No class is solved again and nothing here is exact."""
 
     rows: tuple[tuple[str, float], ...]  # (canonical code, screened sigma_i), by code
     minimum: float  # the screen's minimum
-    argmin_codes: tuple[str, ...]  # screened values within tol of the minimum
+    argmin_codes: tuple[str, ...]  # screened values within SCREEN_MARGIN of the minimum
     gap: float  # best value outside the argmin minus the minimum; inf if none
 
 
@@ -345,13 +337,12 @@ def _screen(graph_class: str, n: int, codes: tuple[str, ...]):
     return tuple(labels), tuple(edge_lists), spectra, tuple(labels[j] for j in order), order
 
 
-def _screened(n: int, i: int, graph_class: str, tol: float):
+def _screened(n: int, i: int, graph_class: str):
     """The memoised screen of a class and its column of sigma_i values
     (+inf where i exceeds n), after the parameters are checked."""
+    n, i = _index(n, "n"), _index(i, "i")
     if i < 1:
         raise InvalidParamsError("eigenvalue index is 1-based")
-    if not 0 < tol <= MAX_TOL:
-        raise InvalidParamsError(f"tol must be in (0, {MAX_TOL:g}]")
     if graph_class == "trees":
         if n > MAX_SWEEP_TREE_N:
             raise OutOfSupportedRangeError(
@@ -366,10 +357,10 @@ def _screened(n: int, i: int, graph_class: str, tol: float):
     return memo, values
 
 
-def _screen_minimum(values: np.ndarray, tol: float):
-    """The screen's minimum and the rows within ``tol`` of it."""
+def _screen_minimum(values: np.ndarray):
+    """The screen's minimum and the rows within SCREEN_MARGIN of it."""
     minimum = float(values.min())
-    return minimum, np.flatnonzero(values <= minimum + tol)
+    return minimum, np.flatnonzero(values <= minimum + SCREEN_MARGIN)
 
 
 def _gap(values: np.ndarray, argmin, minimum: float) -> float:
@@ -380,9 +371,7 @@ def _gap(values: np.ndarray, argmin, minimum: float) -> float:
     return best - minimum if best < math.inf else math.inf
 
 
-def sweep(
-    n: int, i: int, graph_class: str = "trees", tol: float = DEFAULT_TOL
-) -> SweepResult:
+def sweep(n: int, i: int, graph_class: str = "trees") -> SweepResult:
     """The float screen of sigma_i over every class of ``graph_class`` on n
     vertices.
 
@@ -393,15 +382,15 @@ def sweep(
     and the row order that sorts the labels, so no sweep sorts the rows.
     It holds about 1.6 MB for the 15 classes of all supported pairs
     (0.7 MB for connected n = 7, 0.5 MB for trees n = 12), mostly edge
-    lists. The minimum, the argmin set (screened values within ``tol`` of
-    it) and the gap are read off the screen; no class is solved again, so
-    they are floats, not certificates (:func:`verify_extremal` decides
-    those exactly). Classes are listed under their stored codes, except
-    that connected-class members that are trees are listed under their
-    tree code. ``tol`` must lie in (0, MAX_TOL].
+    lists. The minimum, the argmin set (screened values within
+    SCREEN_MARGIN of it) and the gap are read off the screen; no class is
+    solved again, so they are floats, not certificates
+    (:func:`verify_extremal` decides those exactly). Classes are listed
+    under their stored codes, except that connected-class members that are
+    trees are listed under their tree code.
     """
-    (labels, _, _, row_labels, order), values = _screened(n, i, graph_class, tol)
-    minimum, argmin = _screen_minimum(values, tol)
+    (labels, _, _, row_labels, order), values = _screened(n, i, graph_class)
+    minimum, argmin = _screen_minimum(values)
     return SweepResult(
         rows=tuple(zip(row_labels, values[order].tolist())),
         minimum=minimum,
@@ -425,36 +414,34 @@ class ExtremalReport:
     predicted_codes: tuple[str, ...]
     match: bool
     bound_ok: bool
-    tol: float
+    tol: float  # the screen's fixed SCREEN_MARGIN
     gap: float  # best screened value outside the argmin set minus the minimum
     rechecked: int  # candidates decided exactly by their eigenvalue counts
 
 
-def verify_extremal(
-    n: int, i: int, graph_class: str = "trees", tol: float = DEFAULT_TOL
-) -> ExtremalReport:
+def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalReport:
     """Sweep a graph class, minimize sigma_i, and match the argmin set
     against the predicted minimizers that belong to the class.
 
     The screen and the prediction are each built once per process (see
     :func:`sweep` and :func:`predicted_bound`); the arguments are checked
     first. The candidates are the classes whose screened sigma_i is at most
-    float(b) + tol for the predicted bound b. Each is decided exactly, afresh
-    on every call, by :func:`inertia_counts`: #{sigma_j < b} and
-    #{sigma_j = b}. The bound holds iff no candidate has i or more
-    eigenvalues below b (every other class screens above b + tol), and a
-    candidate attains it iff it also has at least i at or below b. When the
-    bound holds and some candidate attains it, those candidates are the
-    argmin set and the minimum is b; otherwise the report falls back to the
-    screen's minimum and argmin set, with ``match`` False."""
+    float(b) + SCREEN_MARGIN for the predicted bound b. Each is decided
+    exactly, afresh on every call, by :func:`inertia_counts`: #{sigma_j < b}
+    and #{sigma_j = b}. The bound holds iff no candidate has i or more
+    eigenvalues below b (every other class screens above b + SCREEN_MARGIN),
+    and a candidate attains it iff it also has at least i at or below b.
+    When the bound holds and some candidate attains it, those candidates
+    are the argmin set and the minimum is b; otherwise the report falls
+    back to the screen's minimum and argmin set, with ``match`` False."""
     target = predicted_bound(n, i, graph_class)
     n, i, b = target.n, target.i, target.bound_exact
     if b is None:
         raise OutOfSupportedRangeError(f"no exact bound for i = {i} dividing n")
-    (labels, edge_lists, _, _, _), values = _screened(n, i, graph_class, tol)
+    (labels, edge_lists, _, _, _), values = _screened(n, i, graph_class)
     counts = {
         int(j): inertia_counts(n, edge_lists[j], b)
-        for j in np.flatnonzero(values <= target.bound + tol)
+        for j in np.flatnonzero(values <= target.bound + SCREEN_MARGIN)
     }
     bound_ok = all(neg < i for neg, _ in counts.values())
     attained = [j for j, (neg, zero) in counts.items() if neg < i <= neg + zero]
@@ -466,7 +453,7 @@ def verify_extremal(
         else:
             match = set(predicted) <= set(argmin)
     else:
-        minimum, attained = _screen_minimum(values, tol)
+        minimum, attained = _screen_minimum(values)
         argmin, match = tuple(sorted(labels[j] for j in attained)), False
     return ExtremalReport(
         target=target,
@@ -477,7 +464,7 @@ def verify_extremal(
         predicted_codes=predicted,
         match=match,
         bound_ok=bound_ok,
-        tol=tol,
+        tol=SCREEN_MARGIN,
         gap=_gap(values, attained, minimum),
         rechecked=len(counts),
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -13,6 +14,7 @@ from steklov import cli
 from steklov.graph import Role, save_graph
 
 from conftest import path_graph
+from test_extremal import GRID
 
 
 def run(capsys, argv):
@@ -157,11 +159,20 @@ def test_nodal_eig_out_of_range_is_usage_error(tmp_path, capsys, eig):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "0.5", "1e6"])
 def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
-    for argv in (["verify", "--n", "7", "--i", "2"], ["nodal", write_path(tmp_path, 4)]):
-        code, out, err = run(capsys, [*argv, "--tol", tol])
-        assert code == 1
-        assert out == ""
-        assert err.startswith("ERROR 1:")
+    code, out, err = run(capsys, ["nodal", write_path(tmp_path, 4), "--tol", tol])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR 1:") and "--tol" in err
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-9"])
+def test_verify_takes_no_tol(capsys, tol):
+    # verify's margin is fixed: --tol 1e-16 used to report a false
+    # rigidity mismatch at (8, 6)
+    code, out, err = run(capsys, ["verify", "--n", "8", "--i", "6", "--tol", tol])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR 1:") and "--tol" in err
 
 
 @pytest.mark.parametrize("base,tooth", [("path:x", "edge"), ("path:3", "path:"),
@@ -183,12 +194,6 @@ def test_non_finite_graph_file_is_input_error(tmp_path, capsys, field, where):
     assert code == 1
     assert out == ""
     assert err.startswith("ERROR 1:")
-
-
-def test_largest_tol_is_accepted(capsys):
-    code, out, _ = run(capsys, ["verify", "--n", "7", "--i", "2", "--tol", "1e-6"])
-    assert code == 0
-    assert json.loads(out)["payload"]["match"]
 
 
 def test_verify_trees(capsys):
@@ -217,8 +222,29 @@ def test_verify_out_of_range(capsys):
 
 
 def test_verify_bad_jobs(capsys):
-    code, _, err = run(capsys, ["verify", "--n", "6", "--i", "2", "--jobs", "0"])
+    code, out, err = run(capsys, ["verify", "--n", "6", "--i", "2", "--jobs", "0"])
     assert code == 1
+    assert out == ""
+    assert err == "ERROR 1: --jobs must be >= 1\n"
+
+
+# SHA-256 of the 70 verify reports with default flags, each as printed, in
+# GRID order: every exit code, argmin set and number is pinned byte for byte
+VERIFY_DIGESTS = {
+    "json": "5589272454fbe7f07352a18d23ebf3d5634dc2c52c663beed95a1e14e31c17d2",
+    "csv": "16c7ac261aac3a7b64fa38a5d7c9a921ba56b2e7070594cab1cced3c5bcf8258",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_DIGESTS))
+def test_verify_reports_are_pinned(capsys, fmt):
+    digest = hashlib.sha256()
+    for graph_class, n, i in GRID:
+        argv = ["verify", "--n", str(n), "--i", str(i), "--class", graph_class, "--format", fmt]
+        code, out, _ = run(capsys, argv)
+        assert code == 0, (graph_class, n, i)
+        digest.update(out.encode())
+    assert digest.hexdigest() == VERIFY_DIGESTS[fmt]
 
 
 def test_verify_jobs_deterministic(capsys):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from steklov.enumeration import (
@@ -28,7 +29,7 @@ from steklov.enumeration import (
     tree_from_code,
     unit_tree_code,
 )
-from steklov.errors import OutOfSupportedRangeError, ParseError
+from steklov.errors import InvalidParamsError, OutOfSupportedRangeError, ParseError
 from steklov.graph import adjacency_sets, combinatorial_graph, make_graph
 
 from conftest import (
@@ -304,6 +305,21 @@ def test_range_gates():
         enumerate_trees(0)
     with pytest.raises(OutOfSupportedRangeError):
         enumerate_connected_graphs(MAX_GRAPH_N + 1)
+
+
+@pytest.mark.parametrize("n", [True, False, 6.0, Fraction(6), np.float64(6.0), "6"],
+                         ids=["True", "False", "float", "Fraction", "float64", "str"])
+def test_enumerators_refuse_non_integer_n(tmp_path, monkeypatch, n):
+    # True used to return the 1-vertex class and store trees-nTrue (and
+    # connected-nTrue) in the class cache; 6.0 raised a bare TypeError
+    monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
+    for enumerate_class in (enumerate_trees, enumerate_connected_graphs):
+        with pytest.raises(InvalidParamsError, match="must be an integer"):
+            enumerate_class(n)
+    assert list(tmp_path.iterdir()) == []
+    stream = enumerate_trees(np.int64(6))
+    assert (stream.n, len(stream)) == (6, 6) and type(stream.n) is int
+    assert [p.name for p in tmp_path.iterdir()] == [f"trees-n6-{GENERATOR_VERSION}.txt"]
 
 
 def test_parse_errors():

@@ -46,7 +46,7 @@ from steklov.extremal import (
     verify_sigma_lambda,
     verify_steklov_clump,
 )
-from steklov.exact import QuadraticSurd
+from steklov.exact import QuadraticSurd, inertia_counts
 from steklov.families import RootedTree, build_broom, minimal_broom, rooted_path
 from steklov.graph import Role, combinatorial_graph, make_graph
 from steklov.spectral import steklov_spectrum
@@ -274,17 +274,51 @@ def test_verify_extremal_whole_grid():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, 2e-6, 0.5, 1e6, math.nan, math.inf, -math.inf])
 def test_sweep_rejects_tol_outside_range(tol):
-    # a large tol merges classes into the argmin: 0.5 put 22 of the 23
-    # trees at n = 8 in it and reported a match
-    with pytest.raises(InvalidParamsError):
+    # the screen's margin is fixed: a tol of any value, one the old range
+    # refused included, is no argument of either call (a large one merged
+    # classes into the argmin, 0.5 put 22 of the 23 trees at n = 8 in it)
+    with pytest.raises(TypeError):
         sweep(8, 3, "trees", tol)
-    with pytest.raises(InvalidParamsError):
+    with pytest.raises(TypeError):
         verify_extremal(8, 3, "trees", tol=tol)
+    assert not hasattr(extremal, "MAX_TOL")
 
 
-def test_sweep_accepts_largest_tol():
-    rep = verify_extremal(8, 3, "trees", tol=extremal.MAX_TOL)
-    assert rep.match and rep.argmin_codes == verify_extremal(8, 3, "trees").argmin_codes
+@pytest.mark.parametrize("args", [(6, True), (6.0, 3), (7, 3.0), (True, 2), (np.float64(6.0), 3)],
+                         ids=["i-True", "n-float", "i-float", "n-True", "n-float64"])
+def test_sweep_refuses_non_integer_arguments(monkeypatch, tmp_path, args):
+    # (6, True) used to return the sigma_1 screen, (6.0, 3) and (7, 3.0)
+    # raised a bare TypeError and IndexError, and (True, 2) stored the
+    # class file trees-nTrue before it failed
+    monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        sweep(*args, "trees")
+    assert list(tmp_path.iterdir()) == []
+    assert sweep(np.int64(7), np.int64(3)) == sweep(7, 3)
+
+
+def test_exact_oracle_pins_the_screen_margin():
+    """Every class with a boundary vertex is counted exactly at b, on all
+    70 pairs, with no tolerance: none has i eigenvalues below b, the
+    classes attaining b are the certified argmin set, and each screens
+    within 1e-12 of float(b), far inside SCREEN_MARGIN."""
+    for graph_class, n, i in GRID:
+        rep = verify_extremal(n, i, graph_class)
+        b = rep.target.bound_exact
+        stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
+        labels, edge_lists, spectra, _, _ = extremal._screen(graph_class, n, tuple(stream.codes))
+        attained = set()
+        for label, edges, spectrum in zip(labels, edge_lists, spectra, strict=True):
+            degree = np.bincount(np.ravel(edges), minlength=n)
+            if degree.min() > 1:
+                continue
+            below, equal = inertia_counts(n, edges, b)
+            assert below < i, (graph_class, n, i, label)
+            if i <= below + equal:
+                attained.add(label)
+                assert abs(spectrum[i - 1] - rep.target.bound) <= 1e-12, (graph_class, n, i)
+        assert tuple(sorted(attained)) == rep.argmin_codes, (graph_class, n, i)
+        assert 1e-12 < extremal.SCREEN_MARGIN < rep.gap
 
 
 @lru_cache(maxsize=None)
@@ -304,12 +338,13 @@ def per_graph_spectra(graph_class, n):
 @pytest.mark.parametrize("graph_class,n,i", GRID)
 def test_sweep_matches_per_graph_oracle(graph_class, n, i):
     """On every supported pair the exact certificate gives the argmin set
-    that the per-graph solver gives within tol on the whole class, and the
-    minimum float(b); the screen's rows, argmin set and gap agree with it."""
+    that the per-graph solver gives within SCREEN_MARGIN on the whole class,
+    and the minimum float(b); the screen's rows, argmin set and gap agree
+    with it."""
     values = {c: ev[i - 1] if i <= len(ev) else math.inf
               for c, ev in per_graph_spectra(graph_class, n).items()}
     minimum = min(values.values())
-    argmin = tuple(sorted(c for c, v in values.items() if v <= minimum + extremal.DEFAULT_TOL))
+    argmin = tuple(sorted(c for c, v in values.items() if v <= minimum + extremal.SCREEN_MARGIN))
     rep = verify_extremal(n, i, graph_class)
     assert rep.argmin_codes == argmin
     assert rep.minimum == rep.target.bound and abs(rep.minimum - minimum) <= 1e-12
@@ -447,7 +482,7 @@ def test_sweep_equals_its_loop_reference(graph_class, n, i):
     labels, _, spectra, _, _ = extremal._screen(graph_class, n, tuple(stream.codes))
     values = spectra[:, i - 1].tolist() if i <= n else [math.inf] * len(labels)
     minimum = min(values)
-    argmin = {j for j, v in enumerate(values) if v <= minimum + extremal.DEFAULT_TOL}
+    argmin = {j for j, v in enumerate(values) if v <= minimum + extremal.SCREEN_MARGIN}
     finite = [v for j, v in enumerate(values) if j not in argmin and v < math.inf]
     assert res.rows == tuple(sorted(zip(labels, values)))
     assert repr(res.minimum) == repr(minimum)
