@@ -4,7 +4,8 @@ Commands: spectrum, family, clump, clump-cert, nodal, verify, sweep,
 selftest. Reports go to stdout as JSON (CSV available for sweep tables);
 logging goes to stderr. Exit codes: 0 ok/certified, 1 usage error,
 2 assertion/bound failure, 3 rigidity mismatch, 4 unsupported range.
-``verify`` decides exactly and takes no tolerance; ``nodal --tol`` lies in (0, 1e-6].
+No command takes a tolerance: ``verify`` decides exactly, and ``nodal``
+checks each domain within the fixed ``geometry.NODAL_TOL`` (1e-8).
 Floats are printed with 17 significant digits and exact rationals as
 "p/q" alongside their decimal value, so identical inputs give
 byte-identical reports regardless of --jobs.
@@ -274,12 +275,10 @@ def _cmd_clump_cert(args) -> int:
 
 
 def _cmd_nodal(args) -> int:
-    if not 0 < args.tol <= 1e-6:
-        raise UsageError("--tol must be in (0, 1e-06]")
     g = load_graph(args.graph)
     res = dirichlet_steklov_spectrum(g) if g.dirichlet else steklov_spectrum(g)
     sigma, f = res.eigenpair(args.eig)
-    report = verify_nodal_theorem(g, sigma, f, tol=args.tol)
+    report = verify_nodal_theorem(g, sigma, f)
     domains = []
     for v in report.verdicts:
         domains.append(
@@ -442,7 +441,6 @@ def _build_parser() -> _Parser:
     np_ = sub.add_parser("nodal", help="nodal-domain theorem for one eigenpair")
     np_.add_argument("graph")
     np_.add_argument("--eig", type=int, default=2)
-    np_.add_argument("--tol", type=float, default=1e-8)
     np_.add_argument("--out")
     np_.set_defaults(func=_cmd_nodal)
 

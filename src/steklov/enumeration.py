@@ -470,6 +470,7 @@ def enumerate_connected_graphs(n: int) -> GraphClassStream:
 def prufer_tree_classes(n: int) -> set[str]:
     """Brute-force oracle: canonical codes of all labeled trees via Prufer
     sequences. Exponential; intended for n <= 8."""
+    n = _index(n, "n")
     if n < 1:
         raise OutOfSupportedRangeError("n >= 1")
     if n == 1:
@@ -498,6 +499,7 @@ def prufer_tree_classes(n: int) -> set[str]:
 
 def free_tree_count(n: int) -> int:
     """Otter-recurrence count of free trees; independent of any generator."""
+    n = _index(n, "n")
     if n < 1:
         raise OutOfSupportedRangeError("n >= 1")
     r = [0, 1]  # rooted tree counts, 1-indexed
@@ -517,6 +519,7 @@ def free_tree_count(n: int) -> int:
 def graph_subset_classes(n: int) -> set[str]:
     """Brute-force oracle: all connected graphs via every edge subset.
     Exponential; intended for n <= 6."""
+    n = _index(n, "n")
     if n < 1:
         raise OutOfSupportedRangeError("n >= 1")
     all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -86,7 +86,9 @@ from .spectral import (
     unit_steklov_spectra,
 )
 
-DEFAULT_TOL = 1e-9
+# The float verdicts of the per-graph checks: two values agree, and a value
+# is nonzero, within VERDICT_TOL (relative wherever a scale is at hand).
+VERDICT_TOL = 1e-9
 # How far above float(b), or a sweep's minimum, a class is still a candidate:
 # over the 70 supported pairs the screen errs by at most 1.8e-15 at a class
 # attaining b, and the nearest other class lies 4.3e-3 above b (6.2e-4 at
@@ -493,9 +495,7 @@ class MonotonicityVerdict:
     slacks: tuple[float, ...]  # sigma_i(host) - sigma_i(subgraph), i = 1..|B~|
 
 
-def check_monotonicity(
-    gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
-) -> MonotonicityVerdict:
+def check_monotonicity(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> MonotonicityVerdict:
     """sigma_i(G~, B~) >= sigma_i(G, B) for i = 1..|B~| when G is a subgraph
     of G~ carrying a larger boundary."""
     _check_embedding(gt, g)
@@ -505,7 +505,7 @@ def check_monotonicity(
         big.eigenvalue(i) - small.eigenvalue(i)
         for i in range(1, len(gt.boundary) + 1)
     )
-    return MonotonicityVerdict(all(s >= -tol for s in slacks), slacks)
+    return MonotonicityVerdict(all(s >= -VERDICT_TOL for s in slacks), slacks)
 
 
 @dataclass(frozen=True)
@@ -544,9 +544,7 @@ def is_comb_over(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> bool:
     return len(stripped.components()) == g.n
 
 
-def rigidity_data(
-    gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
-) -> RigidityData:
+def rigidity_data(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> RigidityData:
     """Conditions (1)-(3), separation and the comb test for G inside G~,
     read from the Steklov spectrum of G~."""
     big = steklov_spectrum(gt)
@@ -563,7 +561,9 @@ def rigidity_data(
 
     # The attached components G~_x: the basis must be constant on each.
     attached = gt.delete_edges([(u, v) for u, v, _ in g.edges]).components()
-    cond2 = not any(np.any(np.ptp(basis[comp, :], axis=0) > tol * scale) for comp in attached)
+    cond2 = not any(
+        np.any(np.ptp(basis[comp, :], axis=0) > VERDICT_TOL * scale) for comp in attached
+    )
 
     # Condition (3): min eig of P^T (L - sigma M_B) P over v with
     # <v,1>_B = 0 and v constant on B~.
@@ -594,7 +594,7 @@ def rigidity_data(
     eigs = np.linalg.eigvalsh(Q)
     min_eig = float(eigs[0]) if len(eigs) else 0.0
     form_scale = max(1.0, float(np.max(np.abs(L))))
-    cond3 = min_eig >= -tol * form_scale
+    cond3 = min_eig >= -VERDICT_TOL * form_scale
 
     separates = True
     borderline = []
@@ -628,17 +628,17 @@ class RigidityVerdict:
 
 
 def check_rigidity_equivalence(
-    gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL
+    gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph
 ) -> RigidityVerdict:
     """Conditions (1)-(3) hold iff sigma_i(G~,B~) = sigma_i(G,B) for all
     i up to |B~|; additionally, with B = B~ and H separating V(G), equality
     holds iff G~ is a comb over G."""
-    data = rigidity_data(gt, g, tol=tol)
+    data = rigidity_data(gt, g)
     big, small = steklov_spectrum(gt), steklov_spectrum(g)
     k = len(gt.boundary)
     equal = all(
         abs(big.eigenvalue(i) - small.eigenvalue(i))
-        <= tol * max(1.0, abs(big.eigenvalue(i)))
+        <= VERDICT_TOL * max(1.0, abs(big.eigenvalue(i)))
         for i in range(1, k + 1)
     )
     conditions = data.cond1 and data.cond2 and data.cond3
@@ -673,7 +673,7 @@ class PositivityVerdict:
         return self.simple and self.one_signed and self.higher_change_sign
 
 
-def verify_positivity(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> PositivityVerdict:
+def verify_positivity(g: WeightedBoundaryGraph) -> PositivityVerdict:
     """First Dirichlet-Steklov eigenfunction is one-signed on Omega_D and
     lambda_1 is simple, when G[Omega_D] is connected; otherwise the spectrum
     decomposes over the components of G[Omega_D]."""
@@ -698,24 +698,23 @@ def verify_positivity(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> Pos
         union = np.sort(
             np.concatenate([dirichlet_steklov_spectrum(p).eigenvalues for p in pieces])
         )[: len(res.eigenvalues)]
-        ok = bool(
-            np.all(np.abs(union - res.eigenvalues) <= tol * np.maximum(1.0, np.abs(res.eigenvalues)))
-        )
+        scale = np.maximum(1.0, np.abs(res.eigenvalues))
+        ok = bool(np.all(np.abs(union - res.eigenvalues) <= VERDICT_TOL * scale))
         return PositivityVerdict(True, res.eigenvalue(1), False, False, False, ok)
     lam1, f1 = res.eigenpair(1)
     vals = f1[list(omega_d)]
-    one_signed = bool(np.all(vals > tol * np.max(np.abs(vals))) or np.all(
-        vals < -tol * np.max(np.abs(vals))
-    ))
+    eps = VERDICT_TOL * np.max(np.abs(vals))
+    one_signed = bool(np.all(vals > eps) or np.all(vals < -eps))
     simple = (
         len(res.eigenvalues) < 2
-        or res.eigenvalue(2) - lam1 > tol * max(1.0, abs(lam1))
+        or res.eigenvalue(2) - lam1 > VERDICT_TOL * max(1.0, abs(lam1))
     )
     higher = True
     for i in range(2, len(res.eigenvalues) + 1):
         _, fi = res.eigenpair(i)
         b = fi[list(g.boundary)]
-        if not (b.min() < -tol * np.max(np.abs(b)) and b.max() > tol * np.max(np.abs(b))):
+        eps = VERDICT_TOL * np.max(np.abs(b))
+        if not (b.min() < -eps and b.max() > eps):
             higher = False
             break
     return PositivityVerdict(False, lam1, simple, one_signed, higher, None)
@@ -732,7 +731,7 @@ class Lambda1BoundVerdict:
     structure_matches: bool | None
 
 
-def verify_lambda1_bound(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> Lambda1BoundVerdict:
+def verify_lambda1_bound(g: WeightedBoundaryGraph) -> Lambda1BoundVerdict:
     """lambda_1 >= Lambda(l, n) for trees whose leaves are exactly B u B_D,
     unit weights off the Dirichlet edges, l = 1/(sum of Dirichlet edge
     weights, a float weight w read as the length repr(1.0 / w)),
@@ -757,8 +756,8 @@ def verify_lambda1_bound(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     sol = minimal_broom(l, n)
     bound = float(sol.value)
     lam1 = dirichlet_steklov_spectrum(g).eigenvalue(1)
-    holds = lam1 >= bound - tol
-    equality = abs(lam1 - bound) <= tol
+    holds = lam1 >= bound - VERDICT_TOL
+    equality = abs(lam1 - bound) <= VERDICT_TOL
     structure = None
     if equality and len(g.dirichlet) == 1:
         o = g.dirichlet[0]
@@ -790,7 +789,7 @@ class ClumpBoundVerdict:
     rigidity_consistent: bool  # equality <=> at least two broom clumps
 
 
-def verify_steklov_clump(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> ClumpBoundVerdict:
+def verify_steklov_clump(g: WeightedBoundaryGraph) -> ClumpBoundVerdict:
     """sigma_2(T) >= Lambda(Clump(T)); equality iff at least two clumps at
     the equilibrium point are minimal brooms Br(Clump(T)). T is a tree with
     at least one edge, unit measures, no B_D and B exactly its leaves, else
@@ -801,8 +800,8 @@ def verify_steklov_clump(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     brooms = minimal_broom_total(cn)
     bound = float(brooms.value)
     sigma2 = sigma_value(g, 2)
-    holds = sigma2 >= bound - tol
-    equality = abs(sigma2 - bound) <= tol
+    holds = sigma2 >= bound - VERDICT_TOL
+    equality = abs(sigma2 - bound) <= VERDICT_TOL
     pt, shapes = rep.point, brooms.shapes
     matches = 0
     for clump in rep.clumps:
@@ -826,7 +825,7 @@ class Sigma2TreeVerdict:
     dumbbell_match: bool | None  # at equality: tree is in the predicted list
 
 
-def verify_sigma2_tree(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> Sigma2TreeVerdict:
+def verify_sigma2_tree(g: WeightedBoundaryGraph) -> Sigma2TreeVerdict:
     """sigma_2(T) >= Lambda(|E|/2) with the dumbbell equality list. T is a
     tree with at least one edge, unit weights and measures, no B_D and B
     exactly its leaves, else HypothesesNotMetError."""
@@ -835,8 +834,8 @@ def verify_sigma2_tree(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> Si
         raise HypothesesNotMetError("tree bound needs unit edge weights")
     bound = float(lambda_value(Fraction(len(g.edges), 2)))
     sigma2 = sigma_value(g, 2)
-    holds = sigma2 >= bound - tol
-    equality = abs(sigma2 - bound) <= tol
+    holds = sigma2 >= bound - VERDICT_TOL
+    equality = abs(sigma2 - bound) <= VERDICT_TOL
     match = None
     if equality:
         if g.n <= 2:
@@ -856,7 +855,7 @@ class BipartiteTopVerdict:
     ok: bool
 
 
-def verify_bipartite_top(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> BipartiteTopVerdict:
+def verify_bipartite_top(g: WeightedBoundaryGraph) -> BipartiteTopVerdict:
     """Top Laplacian eigenvalue of a connected bipartite graph: simple,
     eigenvector alternating across every edge, and the per-vertex
     zero-distance identity (1/m_x) sum_y w(|f(x)|+|f(y)|)/|f(x)| = mu_max."""
@@ -874,10 +873,10 @@ def verify_bipartite_top(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
     res = laplacian_spectrum(g)
     mu = res.eigenvalue(g.n)
     f = res.vectors[:, -1]
-    simple = g.n < 2 or mu - res.eigenvalue(g.n - 1) > tol * max(1.0, mu)
+    simple = g.n < 2 or mu - res.eigenvalue(g.n - 1) > VERDICT_TOL * max(1.0, mu)
     scale = float(np.max(np.abs(f)))
     alternating = all(
-        abs(f[u]) > tol * scale and abs(f[v]) > tol * scale and f[u] * f[v] < 0
+        abs(f[u]) > VERDICT_TOL * scale and abs(f[v]) > VERDICT_TOL * scale and f[u] * f[v] < 0
         for u, v, _ in g.edges
     )
     max_res = 0.0
@@ -889,7 +888,7 @@ def verify_bipartite_top(g: WeightedBoundaryGraph, tol: float = DEFAULT_TOL) -> 
                 for y in ([v] if u == x else [u] if v == x else [])
             )
             max_res = max(max_res, abs(total / float(g.measures[x]) - mu))
-    ok = simple and alternating and max_res <= tol * max(1.0, mu)
+    ok = simple and alternating and max_res <= VERDICT_TOL * max(1.0, mu)
     return BipartiteTopVerdict(mu, simple, alternating, max_res, ok)
 
 
@@ -904,9 +903,7 @@ class RegStarVerdict:
     equality: bool | None  # sigma_2 == 1/l when branches are small
 
 
-def verify_reg_star(
-    r: int, l: int, extension: RootedTree | None = None, tol: float = DEFAULT_TOL
-) -> RegStarVerdict:
+def verify_reg_star(r: int, l: int, extension: RootedTree | None = None) -> RegStarVerdict:
     """sigma_i <= 1/l for i = 2..r on a star of r length-l path arms with an
     optional rooted tree grown at the center; when every branch of the
     extension has at most floor(sqrt(4(l-1)+1)) edges, sigma_2 = 1/l."""
@@ -919,7 +916,7 @@ def verify_reg_star(
     res = steklov_spectrum(g)
     sigmas = tuple(res.eigenvalue(i) for i in range(2, r + 1))
     top = 1.0 / l
-    upper_ok = all(s <= top + tol for s in sigmas)
+    upper_ok = all(s <= top + VERDICT_TOL for s in sigmas)
     budget = math.isqrt(4 * (l - 1) + 1)
     if extension is None:
         small = True
@@ -928,7 +925,7 @@ def verify_reg_star(
         root = extension.root
         _, _, size = subtree_sizes(extension.graph.adjacency, root)
         small = all(size[b] <= budget for b in extension.graph.adjacency[root])
-    equality = abs(res.eigenvalue(2) - top) <= tol if small else None
+    equality = abs(res.eigenvalue(2) - top) <= VERDICT_TOL if small else None
     return RegStarVerdict(r, l, sigmas, upper_ok, budget, small, equality)
 
 
@@ -939,9 +936,7 @@ class SigmaLambdaVerdict:
     strict: bool
 
 
-def verify_sigma_lambda(
-    g: WeightedBoundaryGraph, z: int, w=1, tol: float = DEFAULT_TOL
-) -> SigmaLambdaVerdict:
+def verify_sigma_lambda(g: WeightedBoundaryGraph, z: int, w=1) -> SigmaLambdaVerdict:
     """Attaching a Dirichlet edge of weight w at interior-or-boundary vertex
     z gives lambda_1 strictly below sigma_2 of the original graph."""
     if not 0 <= z < g.n:
@@ -954,5 +949,5 @@ def verify_sigma_lambda(
     gt = make_graph(g.n + 1, edges, measures=measures, roles=roles)
     lam1 = dirichlet_steklov_spectrum(gt).eigenvalue(1)
     sigma2 = steklov_spectrum(g).eigenvalue(2)
-    # strictness up to solver accuracy, not the classification tolerance
+    # strictness up to solver accuracy, not VERDICT_TOL
     return SigmaLambdaVerdict(lam1, sigma2, sigma2 - lam1 > 1e-12)

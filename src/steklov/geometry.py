@@ -32,6 +32,9 @@ from .graph import (
 from .spectral import dirichlet_steklov_spectrum
 
 DEFAULT_ZERO_TOL = 1e-9
+# verify_nodal_theorem's bound on |lambda_1 - sigma| of each nodal domain and
+# on the restricted eigenvector's residual relative to the operator's scale.
+NODAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -344,12 +347,7 @@ class NodalTheoremReport:
         return self.degenerate or all(v.ok for v in self.verdicts)
 
 
-def verify_nodal_theorem(
-    g: WeightedBoundaryGraph,
-    sigma: float,
-    f,
-    tol: float = 1e-8,
-) -> NodalTheoremReport:
+def verify_nodal_theorem(g: WeightedBoundaryGraph, sigma: float, f) -> NodalTheoremReport:
     """Check lambda_1(G_U) = sigma on every nodal domain of the eigenpair.
 
     Degenerate zero sets (an entire edge vanishing) are reported and skipped
@@ -372,6 +370,6 @@ def verify_nodal_theorem(
         res = np.linalg.norm(op.matrix @ u - sigma * op.boundary_measures * u)
         scale = np.linalg.norm(op.matrix) + abs(sigma)
         one_signed = all(f[x] * dom.sign > 0 for x in dom.vertices)
-        ok = abs(lam1 - sigma) <= tol and res <= tol * scale and one_signed
+        ok = abs(lam1 - sigma) <= NODAL_TOL and res <= NODAL_TOL * scale and one_signed
         verdicts.append(DomainVerdict(lam1, sigma, res, one_signed, ok))
     return NodalTheoremReport(False, tuple(verdicts))

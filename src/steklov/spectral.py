@@ -308,11 +308,11 @@ class SpectralResult:
                 f"eigenpair index {i} outside 1..{len(self.eigenvalues)}")
         return float(self.eigenvalues[i - 1]), self.extensions[:, i - 1]
 
-    def multiplicity_groups(self, tol: float = EIG_EQ_TOL) -> list[list[int]]:
-        """Indices (0-based) grouped by eigenvalue equality threshold."""
+    def multiplicity_groups(self) -> list[list[int]]:
+        """Indices (0-based) grouped by eigenvalue, equal within EIG_EQ_TOL."""
         groups: list[list[int]] = []
         for idx, val in enumerate(self.eigenvalues):
-            if groups and abs(val - self.eigenvalues[groups[-1][0]]) <= tol * max(
+            if groups and abs(val - self.eigenvalues[groups[-1][0]]) <= EIG_EQ_TOL * max(
                 1.0, abs(val)
             ):
                 groups[-1].append(idx)

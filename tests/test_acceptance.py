@@ -144,7 +144,7 @@ def _green_identity(rng, trials=200, tol=1e-10):
     return True
 
 
-def _nodal_all_trees(tol=1e-8):
+def _nodal_all_trees():
     for n in range(2, 10):
         for g in enumerate_trees(n):
             res = steklov_spectrum(g)
@@ -152,7 +152,7 @@ def _nodal_all_trees(tol=1e-8):
                 sigma, f = res.eigenpair(i)
                 if sigma <= 1e-10:
                     continue
-                report = verify_nodal_theorem(g, sigma, f, tol=tol)
+                report = verify_nodal_theorem(g, sigma, f)
                 if not report.degenerate and not report.ok:
                     return False
     return True
@@ -163,7 +163,7 @@ def _monotonicity(rng, trials=500):
     while done < trials:
         g = random_weighted_graph(rng, n_max=6)
         gt = _random_host(rng, g)
-        if not check_monotonicity(gt, g, tol=1e-9).ok:
+        if not check_monotonicity(gt, g).ok:
             return False
         done += 1
     return True
@@ -196,7 +196,7 @@ def _bipartite(rng, trials=200):
             [(u, v, float(rng.uniform(0.2, 3.0))) for u, v in edges],
             measures=[float(rng.uniform(0.5, 2.0)) for _ in range(n)],
         )
-        v = verify_bipartite_top(g, tol=1e-9)
+        v = verify_bipartite_top(g)
         if not v.simple:
             continue  # identity needs a simple top eigenvalue
         if not v.ok:

@@ -1,6 +1,10 @@
+import argparse
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import shutil
 import site
 import subprocess
@@ -10,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import steklov
 from steklov import cli
 from steklov.graph import Role, save_graph
 
@@ -157,22 +162,43 @@ def test_nodal_eig_out_of_range_is_usage_error(tmp_path, capsys, eig):
     assert err.startswith("ERROR 1: eigenpair index")
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "0.5", "1e6"])
-def test_tol_must_be_positive_and_finite(tmp_path, capsys, tol):
-    code, out, err = run(capsys, ["nodal", write_path(tmp_path, 4), "--tol", tol])
+@pytest.mark.parametrize("command,tol", [
+    pytest.param("verify", "1e-16", id="1e-16"),
+    pytest.param("verify", "1e-9", id="1e-9"),
+    pytest.param("nodal", "1e-9", id="nodal-1e-9"),
+    pytest.param("nodal", "-inf", id="nodal--inf"),
+])
+def test_verify_takes_no_tol(tmp_path, capsys, command, tol):
+    # no command takes a tolerance: verify --tol 1e-16 used to report a
+    # false rigidity mismatch at (8, 6), and nodal --tol -inf used to fail
+    # with argparse's "expected one argument"
+    args = ["--n", "8", "--i", "6"] if command == "verify" else [write_path(tmp_path, 4)]
+    code, out, err = run(capsys, [command, *args, "--tol", tol])
     assert code == 1
     assert out == ""
     assert err.startswith("ERROR 1:") and "--tol" in err
 
 
-@pytest.mark.parametrize("tol", ["1e-16", "1e-9"])
-def test_verify_takes_no_tol(capsys, tol):
-    # verify's margin is fixed: --tol 1e-16 used to report a false
-    # rigidity mismatch at (8, 6)
-    code, out, err = run(capsys, ["verify", "--n", "8", "--i", "6", "--tol", tol])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("ERROR 1:") and "--tol" in err
+def test_nothing_takes_a_tolerance():
+    """Every tolerance is a module constant: no function or method of the
+    package has a ``tol`` parameter, and no command a ``--tol`` option."""
+    modules = [steklov, *(importlib.import_module(f"steklov.{m.name}")
+                          for m in pkgutil.iter_modules(steklov.__path__))]
+    takes_tol = []
+    for module in modules:
+        for name, obj in vars(module).items():
+            if not getattr(obj, "__module__", "").startswith("steklov"):
+                continue
+            # a class is checked by its methods: ExtremalReport keeps a tol field
+            members = ([getattr(obj, k) for k in vars(obj) if not k.startswith("__")]
+                       if inspect.isclass(obj) else [obj])
+            takes_tol += [f"{module.__name__}.{name}" for f in members
+                          if callable(f) and "tol" in inspect.signature(f).parameters]
+    assert takes_tol == []
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in [parser, *commands.choices.values()]:
+        assert "--tol" not in command._option_string_actions, command.prog
 
 
 @pytest.mark.parametrize("base,tooth", [("path:x", "edge"), ("path:3", "path:"),

@@ -311,12 +311,15 @@ def test_range_gates():
                          ids=["True", "False", "float", "Fraction", "float64", "str"])
 def test_enumerators_refuse_non_integer_n(tmp_path, monkeypatch, n):
     # True used to return the 1-vertex class and store trees-nTrue (and
-    # connected-nTrue) in the class cache; 6.0 raised a bare TypeError
+    # connected-nTrue) in the class cache, and the three oracles' 1-vertex
+    # answer; 6.0 raised a bare TypeError
     monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
-    for enumerate_class in (enumerate_trees, enumerate_connected_graphs):
+    for enumerate_class in (enumerate_trees, enumerate_connected_graphs,
+                            prufer_tree_classes, free_tree_count, graph_subset_classes):
         with pytest.raises(InvalidParamsError, match="must be an integer"):
             enumerate_class(n)
     assert list(tmp_path.iterdir()) == []
+    assert free_tree_count(np.int64(6)) == len(prufer_tree_classes(np.int64(6))) == 6
     stream = enumerate_trees(np.int64(6))
     assert (stream.n, len(stream)) == (6, 6) and type(stream.n) is int
     assert [p.name for p in tmp_path.iterdir()] == [f"trees-n6-{GENERATOR_VERSION}.txt"]
