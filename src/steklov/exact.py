@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 from numbers import Rational
 
 from .errors import (
@@ -58,6 +59,7 @@ def surd_sign(x: int, y: int, d: int) -> int:
     return sx if x * x > y * y * d else sy
 
 
+@total_ordering
 class QuadraticSurd:
     """p + q sqrt(d) with rational p, q and an integer d > 1 that is not a
     square; any other d raises InvalidParamsError.
@@ -120,11 +122,17 @@ class QuadraticSurd:
     def __rtruediv__(self, other):
         return NotImplemented if self._parts(other) is None else self._inverse() * other
 
-    def sign(self) -> int:
-        """-1, 0 or 1, decided exactly by :func:`surd_sign` on the integers
-        p and q times the product of their denominators."""
+    def _integers(self) -> tuple[int, int, int]:
+        """(s, t, c) with self = (s + t sqrt(d)) / c and c > 0 the least
+        common denominator of p and q."""
         p, q = self.p, self.q
-        return surd_sign(p.numerator * q.denominator, q.numerator * p.denominator, self.d)
+        c = math.lcm(p.denominator, q.denominator)
+        return p.numerator * (c // p.denominator), q.numerator * (c // q.denominator), c
+
+    def sign(self) -> int:
+        """-1, 0 or 1, decided exactly by :func:`surd_sign`."""
+        s, t, _ = self._integers()
+        return surd_sign(s, t, self.d)
 
     def _cmp(self, other) -> int | None:
         return None if self._parts(other) is None else (self - other).sign()
@@ -137,18 +145,6 @@ class QuadraticSurd:
         c = self._cmp(other)
         return NotImplemented if c is None else c < 0
 
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
-
     def __hash__(self):
         return hash(self.p) if self.q == 0 else hash((self.p, self.q, self.d))
 
@@ -159,12 +155,10 @@ class QuadraticSurd:
         return float(self.p + Fraction(root if a >= 0 else -root, c << 200))
 
     def __floor__(self) -> int:
-        f = math.floor(float(self))
-        while self < f:
-            f -= 1
-        while self >= f + 1:
-            f += 1
-        return f
+        """(s + floor(t sqrt(d))) // c: t sqrt(d) is an integer only at t = 0."""
+        s, t, c = self._integers()
+        root = math.isqrt(t * t * self.d)
+        return (s + (root if t >= 0 else -root - 1)) // c
 
     def __ceil__(self) -> int:
         return -math.floor(-self)
@@ -183,17 +177,20 @@ def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
 
     A tree (n - 1 edges) is walked by Jacobs-Trevisan; any other graph is
     factored densely. Raises InvalidParamsError for a b that is not exact
-    (a float, a bool), IndexOutOfRangeError, SelfLoopError and
-    DuplicateEdgeError for a malformed edge list, NoBoundaryError when no
-    vertex has degree <= 1 (such a graph has no Steklov spectrum) and
-    DisconnectedError for a disconnected graph, whose interior block can be
-    singular."""
+    (a float, a bool), IndexOutOfRangeError (also for a vertex label that
+    is not an integer), SelfLoopError and DuplicateEdgeError for a
+    malformed edge list, NoBoundaryError when no vertex has degree <= 1
+    (such a graph has no Steklov spectrum) and DisconnectedError for a
+    disconnected graph, whose interior block can be singular."""
     if isinstance(b, bool) or not isinstance(b, (Rational, QuadraticSurd)):
         raise InvalidParamsError(f"exact counts need a rational or QuadraticSurd b, not {b!r}")
-    parent, degree = _parent_array(n, edges)
+    try:  # a label that is not an integer fails as a list index
+        parent, degree = _parent_array(n, edges)
+        adj = None if parent is not None else _adjacency(n, edges)
+    except TypeError as exc:
+        raise IndexOutOfRangeError(f"vertex labels must be integers in 0..{n - 1}") from exc
     if parent is not None:
         return tree_inertia_counts(range(n), parent, degree, b)
-    adj = _adjacency(n, edges)
     if all(len(a) > 1 for a in adj):
         raise NoBoundaryError("graph has no boundary vertices")
     if len(edges) != n - 1:
@@ -284,8 +281,7 @@ def _surd_tree_counts(order, parent, degree: list[int], b: QuadraticSurd) -> tup
     """:func:`tree_inertia_counts` for b = (s + t sqrt(d)) / c, with each
     division rationalised by the conjugate."""
     d = b.d
-    c = math.lcm(b.p.denominator, b.q.denominator)
-    s, t = b.p.numerator * (c // b.p.denominator), b.q.numerator * (c // b.q.denominator)
+    s, t, c = b._integers()
     cc = c * c
     x = [k * c - s if k <= 1 else k * c for k in degree]
     y = [-t if k <= 1 else 0 for k in degree]

@@ -6,14 +6,12 @@ first-eigenvalue bounds, clump bounds, bipartite identities).
 Predicted bounds follow the three-case main result for the i-th Steklov
 eigenvalue over n-vertex graphs: i = 2 (dumbbells), i not dividing n
 (broom-armed stars), i dividing n (regular combs with correction
-theta_i = 1/(4 cos^2(pi/2i))). Irrational bounds are evaluated with mpmath
-at 40 significant digits (a local ``workdps``; the global mpmath precision is
-left alone) for their float and decimal string. mpmath is loaded only by an
-irrational bound (i dividing n, i >= 4): theta_i is computed in that case
-alone, so a rational bound, i = 2 or i not dividing n, never loads it. For
-i = 4, 5, 6 the bound is also held exactly, as a :class:`QuadraticSurd`
-p + q sqrt(d). Each (n, i, class) target, minimizer graphs and codes
-included, is built once per process and shared by every caller.
+theta_i = 1/(4 cos^2(pi/2i))). Every bound b is exact: a Fraction, or a
+:class:`QuadraticSurd` p + q sqrt(d) for i = 4, 5, 6 dividing n; a pair
+with i >= 7 dividing n has no exact theta_i and is refused. A target's
+float and string are rendered from b: str(b), or b correctly rounded to 40
+significant digits for a surd. Each (n, i, class) target, minimizer graphs
+and codes included, is built once per process and shared by every caller.
 
 Exhaustive sweeps screen a whole class with batched float spectra. The
 screen does not depend on i: each class is parsed and screened once per
@@ -94,11 +92,12 @@ VERDICT_TOL = 1e-9
 # attaining b, and the nearest other class lies 4.3e-3 above b (6.2e-4 at
 # trees n = 18), so no minimizer is missed and no other class merged.
 SCREEN_MARGIN = 1e-9
-MP_DPS = 40
 GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 12
-# theta_i as an exact p + q sqrt(d) where cos(pi/i) is quadratic
-QUADRATIC_THETA = {
+# theta_i = 1/(2 + 2 cos(pi/i)), exact where cos(pi/i) is rational or quadratic
+THETA = {
+    2: Fraction(1, 2),
+    3: Fraction(1, 3),
     4: QuadraticSurd(1, Fraction(-1, 2), 2),  # (2 - sqrt 2) / 2
     5: QuadraticSurd(Fraction(1, 2), Fraction(-1, 10), 5),  # (5 - sqrt 5) / 10
     6: QuadraticSurd(2, -1, 3),  # 2 - sqrt 3
@@ -108,18 +107,27 @@ QUADRATIC_THETA = {
 # -- predicted bounds -------------------------------------------------------------
 
 
-def theta_value(i: int):
-    """theta_i = 1/(4 cos^2(pi/2i)): Fraction when rational (i <= 3), else mpf."""
+def theta_value(i: int) -> Fraction | QuadraticSurd:
+    """theta_i = 1/(4 cos^2(pi/2i)), exactly: a Fraction for i <= 3 and a
+    :class:`QuadraticSurd` for i = 4, 5, 6. cos(pi/i) is cubic or worse for
+    i >= 7, which raises OutOfSupportedRangeError."""
     if i < 2:
         raise InvalidParamsError("need i >= 2")
-    if i == 2:
-        return Fraction(1, 2)
-    if i == 3:
-        return Fraction(1, 3)
-    import mpmath
+    if i not in THETA:
+        raise OutOfSupportedRangeError(f"no exact bound for i = {i} dividing n")
+    return THETA[i]
 
-    with mpmath.workdps(MP_DPS):
-        return 1 / (4 * mpmath.cos(mpmath.pi / (2 * i)) ** 2)
+
+def _bound_str(b: Fraction | QuadraticSurd) -> str:
+    """str(b) for a Fraction; a surd bound, 0 < b < 0.9, correctly rounded to
+    40 significant digits without trailing zeros (as mpmath's ``nstr``)."""
+    if isinstance(b, Fraction):
+        return str(b)
+    k = 41 - math.floor(math.log10(b))  # x gets 41 to 43 digits
+    x = math.floor(b * 10**k)
+    s = len(str(x)) - 40  # x rounds off its last s digits as b * 10**k does
+    rounded = (x + 5 * 10 ** (s - 1)) // 10**s * 10**s
+    return "0." + str(rounded).rjust(k, "0").rstrip("0")
 
 
 @dataclass(frozen=True)
@@ -136,9 +144,9 @@ class ExtremalTarget:
     i: int
     case: str  # "sigma2" | "i_not_dividing" | "i_dividing"
     bound: float
-    bound_exact: Fraction | QuadraticSurd | None  # None for i >= 7 dividing n
-    bound_str: str  # exact rational or 40-digit decimal
-    theta: object | None
+    bound_exact: Fraction | QuadraticSurd
+    bound_str: str  # exact rational, or correctly rounded 40-digit decimal
+    theta: Fraction | QuadraticSurd | None  # None unless i divides n
     characterized: bool  # predicted minimizers are the complete equality set
     minimizers: tuple[MinimizerDescriptor, ...]  # by code
     predicted_codes: tuple[str, ...]  # the minimizers' codes, sorted
@@ -250,7 +258,7 @@ def predicted_bound(n: int, i: int, graph_class: str = "connected") -> ExtremalT
 @lru_cache(maxsize=None)
 def _predicted(n: int, i: int, graph_class: str) -> ExtremalTarget:
     """The target of checked arguments (see :func:`predicted_bound`)."""
-    m, theta, characterized, bound_str = n // i, None, True, None
+    m, theta, characterized = n // i, None, True
     if i == 2:
         case, bound_exact = "sigma2", lambda_value(Fraction(n - 1, 2))
         candidates = _sigma2_minimizers(n)
@@ -268,22 +276,12 @@ def _predicted(n: int, i: int, graph_class: str) -> ExtremalTarget:
                            build_star(arms).graph)]
     else:
         case, theta = "i_dividing", theta_value(i)
+        bound_exact = lambda_value(m - 1 + theta)
         candidates = _comb_minimizers(n, i)
-        if isinstance(theta, Fraction):
-            bound_exact = lambda_value(Fraction(m - 1) + theta)
-        else:
-            import mpmath
-
-            bound_exact = lambda_value(m - 1 + QUADRATIC_THETA[i]) if i in QUADRATIC_THETA else None
-            with mpmath.workdps(MP_DPS):
-                val = lambda_value(mpmath.mpf(m - 1) + theta)
-                bound, bound_str = float(val), mpmath.nstr(val, MP_DPS)
-    if bound_str is None:
-        bound, bound_str = float(bound_exact), str(bound_exact)
     minimizers = _class_members(candidates, graph_class)
     return ExtremalTarget(
-        n, i, case, bound, bound_exact, bound_str, theta, characterized,
-        minimizers, tuple(d.code for d in minimizers),
+        n, i, case, float(bound_exact), bound_exact, _bound_str(bound_exact), theta,
+        characterized, minimizers, tuple(d.code for d in minimizers),
     )
 
 
@@ -438,8 +436,6 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     back to the screen's minimum and argmin set, with ``match`` False."""
     target = predicted_bound(n, i, graph_class)
     n, i, b = target.n, target.i, target.bound_exact
-    if b is None:
-        raise OutOfSupportedRangeError(f"no exact bound for i = {i} dividing n")
     (labels, edge_lists, _, _, _), values = _screened(n, i, graph_class)
     counts = {
         int(j): inertia_counts(n, edge_lists[j], b)

@@ -34,9 +34,10 @@ Number = float | Fraction
 
 
 def as_number(x) -> Number:
-    """Exact Fraction for rational-like inputs (int, Fraction, 'p/q'); other
-    reals (float, ``mpmath.mpf``, an exact :class:`QuadraticSurd`) pass
-    through, so the closed forms also evaluate in the caller's precision."""
+    """Exact Fraction for rational-like inputs (int, Fraction, 'p/q'); a
+    :class:`QuadraticSurd` or any other ``numbers.Real`` (a float, or an
+    ``mpmath.mpf``, which is never imported here) passes through, so the
+    closed forms also evaluate in the caller's number type."""
     if isinstance(x, bool):
         raise InvalidParamsError("not a number")
     if isinstance(x, Rational):
@@ -211,7 +212,7 @@ def minimal_broom_total(l) -> MinimalBroomSolution:
     l = as_number(l)
     if isinstance(l, (Fraction, float)):
         return _minimal_broom_total(l)
-    # other reals (mpmath) evaluate in the caller's precision, never memoised
+    # a surd or another real evaluates in its own type, never memoised
     return _minimal_broom_total.__wrapped__(l)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -285,6 +285,12 @@ def _check_positive(value, exc, what):
         raise exc(f"{what} must be a positive finite number, got {value!r}")
 
 
+def _is_label(x) -> bool:
+    """An integer that is not a bool: a float 1.0 or True keys a dict
+    like the int, but is no vertex label."""
+    return type(x) is int or isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def make_graph(
     n: int,
     edges: Iterable[tuple[int, int, Weight]] = (),
@@ -316,7 +322,7 @@ def make_graph(
     seen: set[tuple[int, int]] = set()
     normalized = []
     for x, y, w in edges:
-        if not (0 <= x < n and 0 <= y < n):
+        if not (_is_label(x) and _is_label(y) and 0 <= x < n and 0 <= y < n):
             raise IndexOutOfRangeError(f"edge ({x},{y}) out of range for n={n}")
         if x == y:
             raise SelfLoopError(f"self-loop at vertex {x}")
@@ -338,11 +344,11 @@ def degree_roles(n: int, edges: Sequence[tuple[int, int, Weight]]) -> tuple[Role
 
     Degrees are counted on the edges as given, so that a graph can be built
     with its roles in one :func:`make_graph` call. An edge list on which the
-    count is wrong (an edge out of range, a loop or a repeat) is one that
-    make_graph rejects."""
+    count is wrong (an endpoint out of range or not an integer, a loop or a
+    repeat) is one that make_graph rejects."""
     degree = [0] * n
     for x, y, _ in edges:
-        if 0 <= x < n and 0 <= y < n:
+        if _is_label(x) and _is_label(y) and 0 <= x < n and 0 <= y < n:
             degree[x] += 1
             degree[y] += 1
     return tuple([_BOUNDARY if d <= 1 else _INTERIOR for d in degree])
@@ -425,7 +431,7 @@ def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
         if "id" not in entry:
             raise ParseError("vertex entry missing 'id'")
         vid = entry["id"]
-        if not isinstance(vid, int) or not (0 <= vid < n) or vid in seen_ids:
+        if not _is_label(vid) or not (0 <= vid < n) or vid in seen_ids:
             raise ParseError(f"bad or repeated vertex id {vid!r}")
         seen_ids.add(vid)
         measures[vid] = _finite(entry.get("measure", 1), "vertex measure")

@@ -222,6 +222,20 @@ def test_non_finite_graph_file_is_input_error(tmp_path, capsys, field, where):
     assert err.startswith("ERROR 1:")
 
 
+@pytest.mark.parametrize("field,where,value", [
+    ("u", "edges", 0.5), ("v", "edges", 1.0), ("id", "vertices", True),
+])
+def test_non_integer_vertex_label_is_input_error(tmp_path, capsys, field, where, value):
+    doc = json.loads(Path(write_path(tmp_path, 3)).read_text())
+    doc[where][1 if where == "vertices" else 0][field] = value
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["spectrum", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ERROR 1:")
+
+
 def test_verify_trees(capsys):
     code, out, _ = run(capsys, ["verify", "--n", "7", "--i", "2"])
     assert code == 0

@@ -131,12 +131,12 @@ print(json.dumps(seen))
 """
 
 
-def test_cold_start_loads_mpmath_only_when_used():
-    # a fresh process loads no third-party package besides numpy until the
-    # first irrational bound loads mpmath: not to enumerate and decode
-    # classes, print the CLI help, solve a spectrum, read its extensions,
-    # check the nodal theorem or rigidity, or form a rational bound (i = 2,
-    # or i not dividing n, which computes no theta_i)
+def test_cold_start_loads_numpy_only():
+    # a fresh process loads no third-party package besides numpy: not to
+    # enumerate and decode classes, print the CLI help, solve a spectrum,
+    # read its extensions, check the nodal theorem or rigidity, or form a
+    # rational bound (i = 2, or i not dividing n) or an irrational one
+    # (i = 4 dividing n, rendered from its exact value)
     out = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
                          env={**os.environ, "STEKLOV_CACHE_DIR": ""}, timeout=120, check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == {
@@ -146,7 +146,7 @@ def test_cold_start_loads_mpmath_only_when_used():
         "first solve": [],
         "extensions, nodal and rigidity": [],
         "rational bound": [],
-        "irrational bound": ["mpmath"],
+        "irrational bound": [],
     }
 
 

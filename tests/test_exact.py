@@ -14,10 +14,12 @@ from steklov.errors import (
     IndexOutOfRangeError,
     InvalidParamsError,
     NoBoundaryError,
+    OutOfSupportedRangeError,
     SelfLoopError,
 )
 from steklov.exact import QuadraticSurd, dense_inertia_counts, inertia_counts, surd_sign
-from steklov.extremal import QUADRATIC_THETA, predicted_bound, theta_value, verify_extremal
+from steklov.extremal import THETA, _bound_str, predicted_bound, theta_value, verify_extremal
+from steklov.families import lambda_value
 from steklov.graph import adjacency_sets, combinatorial_graph
 from steklov.spectral import steklov_spectrum
 
@@ -188,6 +190,13 @@ def test_inexact_bounds_are_refused(b):
     (3, [(0, 1), (0, 1)], DuplicateEdgeError),
     (3, [(0, 1), (1, 0)], DuplicateEdgeError),
     (4, [(0, 1), (1, 2), (2, 3), (2, 3)], DuplicateEdgeError),
+    # a label that is not an integer: in a parent array, in other tree
+    # edges, in a graph with a cycle
+    (3, [(0, 1.0), (1, 2)], IndexOutOfRangeError),
+    (3, [(0, 1), (1, 2.0)], IndexOutOfRangeError),
+    (3, [(0, 1), (2, 1.0)], IndexOutOfRangeError),
+    (3, [(0, 1), (1, 2), (2, 0.5)], IndexOutOfRangeError),
+    (3, [(0, 1), ("1", 2)], IndexOutOfRangeError),
 ])
 def test_malformed_edge_lists_are_refused(n, edges, error):
     with pytest.raises(error):
@@ -204,11 +213,55 @@ def test_surd_bound_rounds_to_the_target(n, i):
         assert abs(mpmath.mpf(t.bound_str) - mp(b.p) - mp(b.q) * mpmath.sqrt(b.d)) < 1e-39
 
 
+def surd_mp(x):
+    """x, a Fraction or a QuadraticSurd, as an mpf in the current precision."""
+    if isinstance(x, Fraction):
+        return mp(x)
+    return mp(x.p) + mp(x.q) * mpmath.sqrt(x.d)
+
+
 def test_quadratic_theta_is_theta():
-    for i, th in QUADRATIC_THETA.items():
+    # the exact table against 1/(4 cos^2(pi/2i)) evaluated in mpmath
+    assert sorted(THETA) == [2, 3, 4, 5, 6]
+    for i, th in THETA.items():
+        assert theta_value(i) is th
+        assert isinstance(th, Fraction if i <= 3 else QuadraticSurd)
         with mpmath.workdps(50):
-            assert abs(mp(th.p) + mp(th.q) * mpmath.sqrt(th.d) - theta_value(i)) < 1e-38
-        assert float(th) == float(theta_value(i))
+            ref = 1 / (4 * mpmath.cos(mpmath.pi / (2 * i)) ** 2)
+            assert abs(surd_mp(th) - ref) < mpmath.mpf(10) ** -48, i
+        assert float(th) == float(ref), i
+    with pytest.raises(OutOfSupportedRangeError, match="no exact bound for i = 7"):
+        theta_value(7)
+
+
+def test_bound_str_is_correctly_rounded():
+    # every irrational bound with n <= 400, built from lambda_value alone
+    # (no minimizer graph), against mpmath at 80 digits rounded to 40
+    # significant digits; the grid's pairs through predicted_bound too
+    checked = 0
+    for i in (4, 5, 6):
+        with mpmath.workdps(80):
+            theta = 1 / (4 * mpmath.cos(mpmath.pi / (2 * i)) ** 2)
+        for n in range(2 * i, 401, i):
+            b = lambda_value(n // i - 1 + theta_value(i))
+            with mpmath.workdps(80):
+                ref = mpmath.nstr(lambda_value(n // i - 1 + theta), 40)
+            assert _bound_str(b) == ref, (n, i)
+            if n <= 16:
+                assert predicted_bound(n, i, "trees").bound_str == ref, (n, i)
+            checked += 1
+    assert checked == 99 + 79 + 65
+    # just above and below each power of ten, where the float of b can
+    # put its leading digit one place off, and a seeded sample in (0, 0.9)
+    rng = random.Random(4040)
+    near = [QuadraticSurd(Fraction(1, 10**j), Fraction(sign, 10**(j + e)), 2)
+            for j in range(1, 12) for sign in (1, -1) for e in (20, 39, 41, 60)]
+    near += [QuadraticSurd(Fraction(rng.randrange(5 * 10**4, 85 * 10**4), 10**6),
+                           Fraction(rng.randrange(-10**6, 10**6), 10**8), rng.choice([2, 3, 5]))
+             for _ in range(500)]
+    for b in near:
+        with mpmath.workdps(80):
+            assert _bound_str(b) == mpmath.nstr(surd_mp(b), 40), b
 
 
 def test_surd_sign_agrees_with_mpmath():
@@ -237,6 +290,27 @@ def test_surd_sign_agrees_with_mpmath():
         assert surd_sign(x, y, d) == (v > 0) - (v < 0), (x, y, d)
 
 
+def test_surd_floor_and_ceil_are_exact():
+    # far beyond a float's 53 bits, against isqrt; then a seeded sample
+    # against mpmath at 80 digits, with p and q of both signs
+    big = 10**30
+    assert math.floor(QuadraticSurd(0, big, 2)) == math.isqrt(2 * big * big)
+    assert math.ceil(QuadraticSurd(0, big, 2)) == math.isqrt(2 * big * big) + 1
+    assert math.floor(QuadraticSurd(0, -big, 2)) == -math.isqrt(2 * big * big) - 1
+    # 1/3 + (10^31 / 7) sqrt 5 = (7 + 3 10^31 sqrt 5) / 21
+    x = QuadraticSurd(Fraction(1, 3), Fraction(10 * big, 7), 5)
+    assert math.floor(x) == (7 + math.isqrt(5 * (3 * 10 * big) ** 2)) // 21
+    assert math.floor(x - math.floor(x)) == 0 and math.ceil(x - math.floor(x)) == 1
+    rng = random.Random(2323)
+    for _ in range(2000):
+        p = Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**6))
+        q = Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**6))
+        x = QuadraticSurd(p, q, rng.choice([2, 3, 5, 7]))
+        with mpmath.workdps(80):
+            v = surd_mp(x)
+            assert (math.floor(x), math.ceil(x)) == (int(mpmath.floor(v)), int(mpmath.ceil(v))), x
+
+
 def test_surd_arithmetic():
     r2 = QuadraticSurd(0, 1, 2)
     assert r2 * r2 == 2 and 2 == r2 * r2
@@ -244,6 +318,7 @@ def test_surd_arithmetic():
     assert 1 / (1 + r2) == r2 - 1
     assert (r2 + Fraction(1, 2)) / r2 == 1 + r2 / 4
     assert math.floor(r2) == 1 and math.ceil(r2) == 2 and math.floor(-r2) == -2
+    assert math.floor(QuadraticSurd(3, 0, 2)) == math.ceil(QuadraticSurd(3, 0, 2)) == 3
     assert r2 < Fraction(3, 2) and r2 > Fraction(7, 5) and r2 >= r2 and r2 <= r2
     assert hash(QuadraticSurd(Fraction(1, 2), 0, 2)) == hash(Fraction(1, 2))
     assert (r2 == 1.4142135623730951) is False  # floats are not exact numbers here

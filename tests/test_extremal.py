@@ -68,6 +68,9 @@ def test_theta_values():
     assert theta_value(3) == Fraction(1, 3)
     t4 = float(theta_value(4))
     assert abs(t4 - 1.0 / (2.0 + math.sqrt(2.0))) < 1e-15
+    for i in (7, 8, 9):  # cos(pi/i) is cubic or quartic
+        with pytest.raises(OutOfSupportedRangeError, match="no exact bound"):
+            theta_value(i)
 
 
 def test_predicted_bound_sigma2():
@@ -104,7 +107,8 @@ def test_predicted_bound_dividing():
     assert len(t.minimizers) == 2
     t2 = predicted_bound(8, 4)
     assert t2.bound_exact == QuadraticSurd(Fraction(4, 7), Fraction(1, 7), 2)
-    assert predicted_bound(14, 7, "trees").bound_exact is None  # cos(pi/7) is cubic
+    with pytest.raises(OutOfSupportedRangeError, match="no exact bound"):
+        predicted_bound(14, 7, "trees")  # cos(pi/7) is cubic
     assert abs(t2.bound - 0.7734590803390136) < 1e-15
     assert t2.bound_str.startswith("0.773459080339013")
 
@@ -127,8 +131,8 @@ def test_predicted_minimizers_belong_to_the_class():
         assert all(d.graph.is_tree() for d in mins)
 
 
-# 40-digit strings of the irrational bounds, as computed under a global
-# mpmath precision of 40 digits.
+# 40-digit strings of the irrational bounds, correctly rounded; the
+# rendering uses no mpmath, so no global mpmath precision can move them.
 IRRATIONAL_BOUND_STR = {
     (8, 4): "0.7734590803390135784002412463156711540814",
     (10, 5): "0.7834576353408995316549624394877852834291",
@@ -520,18 +524,20 @@ def test_verify_decides_by_counts_and_falls_back_to_the_screen(monkeypatch):
     assert exact.match and exact.minimum == exact.target.bound != screen.minimum
 
 
-def test_verify_loads_numpy_and_mpmath_only():
-    # the exact counts need no linear algebra package: a fresh process
-    # verifies a rational and an irrational pair loading no third-party
-    # package but numpy and, for the irrational bound, mpmath
+def test_verify_loads_numpy_only():
+    # the exact counts need no linear algebra package and the exact bounds
+    # no mpmath: a fresh process verifies a rational and an irrational
+    # pair, then every supported pair, loading no third-party package but
+    # numpy
     code = ("import sys; before = set(sys.modules); import steklov; "
             "r = [steklov.verify_extremal(9, 4, 'trees'), steklov.verify_extremal(8, 4, 'trees')]; "
+            f"[steklov.verify_extremal(n, i, c) for c, n, i in {GRID!r}]; "
             "tops = {m.partition('.')[0] for m in set(sys.modules) - before}; "
             "print(all(x.match and x.bound_ok for x in r), "
             "*sorted(tops - sys.stdlib_module_names - {'steklov'}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "STEKLOV_CACHE_DIR": ""}, timeout=120, check=True)
-    assert out.stdout.split() == ["True", "mpmath", "numpy"]
+    assert out.stdout.split() == ["True", "numpy"]
 
 
 def test_bad_stored_code_raises_on_every_sweep(monkeypatch):

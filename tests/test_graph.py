@@ -65,6 +65,21 @@ def test_validation_errors():
         make_graph(2, [(0, 1, 1)], measures=[1, 0])
 
 
+@pytest.mark.parametrize("edge", [(0, 0.5, 1), (1.0, 2, 1), (0, True, 1), (False, 1, 1),
+                                  (0, "1", 1), (0, Fraction(1), 1)],
+                         ids=["half", "float-1", "true", "false", "str", "fraction"])
+def test_non_integer_endpoints_are_rejected(edge):
+    # a float or a bool keys the adjacency like the int it equals, or not
+    # at all (0.5), so the graph would break only when first read
+    with pytest.raises(IndexOutOfRangeError):
+        make_graph(3, [edge])
+
+
+def test_integer_endpoints_of_any_integral_type_are_accepted():
+    g = make_graph(3, [(np.int64(0), np.int64(1), 1), (1, 2, 1)])
+    assert g.edges == ((0, 1, 1), (1, 2, 1)) and g.adjacency[1] == {0: 1, 2: 1}
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(np.inf)],
                          ids=["inf", "-inf", "nan", "np-inf"])
 def test_non_finite_weights_and_measures_are_rejected(value):
@@ -110,6 +125,9 @@ def test_combinatorial_graph_equals_the_two_step_build():
     ([(1, 1)], SelfLoopError),
     ([(0, 1), (1, 0)], DuplicateEdgeError),
     ([(0, 1), (0, 1)], DuplicateEdgeError),
+    ([(0, 0.5)], IndexOutOfRangeError),
+    ([(0, 1.0), (1, 2)], IndexOutOfRangeError),
+    ([(0, "1")], IndexOutOfRangeError),
 ])
 def test_combinatorial_graph_rejects_bad_edges(edges, error):
     # the degree count behind the roles never runs ahead of validation
@@ -198,6 +216,21 @@ def test_json_rejects_non_finite_numbers(tmp_path, field, where, value):
         graph_from_dict(doc)
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))  # written as Infinity, NaN, 400 digits, true or false
+    with pytest.raises(ParseError):
+        load_graph(path)
+
+
+@pytest.mark.parametrize("field,where,value", [
+    ("id", "vertices", True), ("id", "vertices", 1.0),
+    ("u", "edges", 0.5), ("v", "edges", 1.0), ("u", "edges", False), ("v", "edges", "1"),
+], ids=["id-true", "id-float", "u-half", "v-float", "u-false", "v-str"])
+def test_json_rejects_non_integer_labels(tmp_path, field, where, value):
+    doc = graph_to_dict(path_graph(3))
+    doc[where][1 if where == "vertices" else 0][field] = value
+    with pytest.raises(ParseError):
+        graph_from_dict(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
     with pytest.raises(ParseError):
         load_graph(path)
 

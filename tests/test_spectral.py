@@ -506,40 +506,37 @@ def test_singular_interior_matches_component_oracle():
     assert min(connected) > 50  # both the full check and the shortcut ran
 
 
-def _absolute_imports(node, in_function=False):
-    """(top-level package, inside a function) for each absolute import
-    below ``node``."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            for alias in child.names:
-                yield alias.name.split(".")[0], in_function
-        elif isinstance(child, ast.ImportFrom) and child.level == 0:
-            yield (child.module or "").split(".")[0], in_function
-        deferred = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        yield from _absolute_imports(child, in_function or deferred)
+def _absolute_imports(tree):
+    """The top-level package of each absolute import in ``tree``, at any
+    depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield (node.module or "").split(".")[0]
 
 
 def _third_party_imports(paths, local=("steklov",)):
-    """(file name, top-level package, inside a function) for each import in
-    ``paths`` of a package outside the standard library and ``local``."""
+    """The packages outside the standard library and ``local`` that the
+    files ``paths`` import."""
     return {
-        (path.name, name, in_function)
+        name
         for path in paths
-        for name, in_function in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for name in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
         if name not in sys.stdlib_module_names and name not in local
     }
 
 
 def test_third_party_imports_are_numpy_mpmath_and_test_tools():
-    """The package and the tests import no third-party package besides
-    numpy, mpmath and the test tools; mpmath is imported inside functions
-    only, so importing the package does not load it."""
+    """The package imports no third-party package besides numpy, and the
+    tests none besides numpy, the test tools and mpmath, their independent
+    oracle for the exact bounds."""
     package, tests = Path(steklov.__file__).parent, Path(__file__).parent
     local = {"steklov", *(path.stem for path in tests.glob("*.py"))}
-    imports = _third_party_imports([*package.glob("*.py"), *tests.glob("*.py")], local)
-    assert {name for _, name, _ in imports} == {"numpy", "mpmath", "pytest", "hypothesis"}
-    assert {(f, name) for f, name, deferred in _third_party_imports(package.glob("*.py"))
-            if name == "mpmath" and not deferred} == set()
+    assert _third_party_imports(package.glob("*.py")) == {"numpy"}
+    assert _third_party_imports(tests.glob("*.py"), local) == {
+        "numpy", "mpmath", "pytest", "hypothesis"}
 
 
 def test_dependencies_match_package_imports():
@@ -551,7 +548,7 @@ def test_dependencies_match_package_imports():
     declared = {re.match(r"[A-Za-z0-9_.-]+", item).group(0)
                 for item in re.findall(r'"([^"]*)"', body)}
     imports = _third_party_imports(Path(steklov.__file__).parent.glob("*.py"))
-    assert declared == {name for _, name, _ in imports} == {"numpy", "mpmath"}
+    assert declared == imports == {"numpy"}
 
 
 def _unread_module_imports(tree):
