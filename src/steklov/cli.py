@@ -81,7 +81,7 @@ def _fmt_float(x: float) -> str:
 def _jsonify(obj) -> str:
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, Fraction):
         return _jsonify({"exact": str(obj), "value": float(obj)})

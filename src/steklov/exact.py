@@ -44,7 +44,7 @@ from .errors import (
     NoBoundaryError,
     SelfLoopError,
 )
-from .graph import adjacency_sets, subtree_sizes
+from .graph import _is_label, adjacency_sets, subtree_sizes
 
 
 def surd_sign(x: int, y: int, d: int) -> int:
@@ -178,19 +178,24 @@ def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
     A tree (n - 1 edges) is walked by Jacobs-Trevisan; any other graph is
     factored densely. Raises InvalidParamsError for a b that is not exact
     (a float, a bool), IndexOutOfRangeError (also for a vertex label that
-    is not an integer), SelfLoopError and DuplicateEdgeError for a
-    malformed edge list, NoBoundaryError when no vertex has degree <= 1
-    (such a graph has no Steklov spectrum) and DisconnectedError for a
-    disconnected graph, whose interior block can be singular."""
+    is not an integer, a bool included), SelfLoopError and
+    DuplicateEdgeError for a malformed edge list, NoBoundaryError when no
+    vertex has degree <= 1 (such a graph has no Steklov spectrum) and
+    DisconnectedError for a disconnected graph, whose interior block can be
+    singular."""
     if isinstance(b, bool) or not isinstance(b, (Rational, QuadraticSurd)):
         raise InvalidParamsError(f"exact counts need a rational or QuadraticSurd b, not {b!r}")
-    try:  # a label that is not an integer fails as a list index
-        parent, degree = _parent_array(n, edges)
-        adj = None if parent is not None else _adjacency(n, edges)
-    except TypeError as exc:
-        raise IndexOutOfRangeError(f"vertex labels must be integers in 0..{n - 1}") from exc
+    if not all(_is_label(u) and _is_label(v) for u, v in edges):
+        raise IndexOutOfRangeError(f"vertex labels must be integers in 0..{n - 1}")
+    return _inertia_counts(n, edges, b)
+
+
+def _inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
+    """:func:`inertia_counts` with b and the labels unchecked: exact and ints."""
+    parent, degree = _parent_array(n, edges)
     if parent is not None:
         return tree_inertia_counts(range(n), parent, degree, b)
+    adj = _adjacency(n, edges)
     if all(len(a) > 1 for a in adj):
         raise NoBoundaryError("graph has no boundary vertices")
     if len(edges) != n - 1:

@@ -51,9 +51,10 @@ from .errors import (
     OutOfSupportedRangeError,
     ParseError,
 )
-from .exact import QuadraticSurd, inertia_counts
+from .exact import QuadraticSurd, _inertia_counts
 from .families import (
     RootedTree,
+    build_broom,
     build_comb,
     build_cycle,
     build_dumbbell,
@@ -71,7 +72,6 @@ from .graph import (
     WeightedBoundaryGraph,
     adjacency_sets,
     combinatorial_boundary,
-    combinatorial_graph,
     make_graph,
     subtree_sizes,
 )
@@ -188,14 +188,11 @@ def _sigma2_minimizers(n: int) -> list:
 
 
 def _broom_arm(params) -> RootedTree:
-    from .families import build_broom
-
     fam = build_broom(params.l, params.i, params.d)
     return RootedTree(fam.graph, fam.landmarks["o"])
 
 
-def _star_minimizers(n: int, i: int, m: int) -> list:
-    forms = minimal_broom_total(m).brooms
+def _star_minimizers(i: int, m: int, forms) -> list:
     out = []
     for a in range(i + 1):
         if len(forms) == 1 and a > 0:
@@ -208,32 +205,24 @@ def _star_minimizers(n: int, i: int, m: int) -> list:
     return out
 
 
-def _comb_tooth(m: int) -> RootedTree | None:
-    """Shape of Br(m-1+theta) with the Dirichlet vertex removed, rooted at
-    its neighbor. The shape depends only on m (theta is strictly between 0
-    and 1), so a rational stand-in picks the same broom parameters."""
-    proxy = Fraction(m - 1) + Fraction(1, 3)
-    p = minimal_broom_total(proxy).brooms[0]
+def _comb_tooth(p) -> RootedTree | None:
+    """The minimal broom p of Br(m-1+theta) with unit edges and its Dirichlet
+    vertex removed, rooted at v0; None for the one-vertex tooth, whose comb
+    is the base graph itself."""
     if p.i == 0 and p.d == 0:
-        return None  # trivial tooth: the comb is the base graph itself
-    size = p.i + 1 + p.d
-    edges = [(j, j + 1) for j in range(p.i)]
-    edges += [(p.i, p.i + 1 + j) for j in range(p.d)]
-    return RootedTree(combinatorial_graph(size, edges), 0)
+        return None
+    fam = build_broom(1, p.i, p.d)
+    tooth = fam.graph.induced_subgraph(range(1, fam.graph.n))
+    return RootedTree(tooth, fam.landmarks["v0"] - 1)
 
 
-def _comb_minimizers(n: int, i: int) -> list:
-    m = n // i
-    tooth = _comb_tooth(m)
+def _comb_minimizers(i: int, m: int, tooth: RootedTree | None) -> list:
     bases = [("path", build_path(i))]
     if i % 2 == 1:
         bases.append(("cycle", build_cycle(i)))
     out = []
     for name, fam in bases:
-        if tooth is None:
-            g = fam.graph
-        else:
-            g = build_comb(fam.graph, tooth).graph
+        g = fam.graph if tooth is None else build_comb(fam.graph, tooth).graph
         out.append(("comb", {"base": name, "i": i, "m": m}, g))
     return out
 
@@ -263,21 +252,22 @@ def _predicted(n: int, i: int, graph_class: str) -> ExtremalTarget:
         case, bound_exact = "sigma2", lambda_value(Fraction(n - 1, 2))
         candidates = _sigma2_minimizers(n)
     elif n % i != 0:
-        case, bound_exact = "i_not_dividing", lambda_value(m)
+        case, sol = "i_not_dividing", minimal_broom_total(m)
+        bound_exact = sol.value
         characterized = n == i * m + 1
         if characterized:
-            candidates = _star_minimizers(n, i, m)
+            candidates = _star_minimizers(i, m, sol.brooms)
         else:
             # example family: degree i+s-1 star, i broom arms and s-1 edges
             s = n - i * m
-            forms = minimal_broom_total(m).brooms
-            arms = [_broom_arm(forms[0])] * i + [rooted_path(1)] * (s - 1)
+            arms = [_broom_arm(sol.brooms[0])] * i + [rooted_path(1)] * (s - 1)
             candidates = [("star", {"i": i, "m": m, "extra_edges": s - 1},
                            build_star(arms).graph)]
     else:
         case, theta = "i_dividing", theta_value(i)
-        bound_exact = lambda_value(m - 1 + theta)
-        candidates = _comb_minimizers(n, i)
+        sol = minimal_broom_total(m - 1 + theta)
+        bound_exact = sol.value
+        candidates = _comb_minimizers(i, m, _comb_tooth(sol.brooms[0]))
     minimizers = _class_members(candidates, graph_class)
     return ExtremalTarget(
         n, i, case, float(bound_exact), bound_exact, _bound_str(bound_exact), theta,
@@ -438,7 +428,7 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     n, i, b = target.n, target.i, target.bound_exact
     (labels, edge_lists, _, _, _), values = _screened(n, i, graph_class)
     counts = {
-        int(j): inertia_counts(n, edge_lists[j], b)
+        int(j): _inertia_counts(n, edge_lists[j], b)
         for j in np.flatnonzero(values <= target.bound + SCREEN_MARGIN)
     }
     bound_ok = all(neg < i for neg, _ in counts.values())

@@ -2,7 +2,9 @@
 
 Brooms Br(l,i,d), minimal brooms Br(l,n) / Br(l) with the values
 Lambda(l,n) / Lambda(l), dumbbells, stars, regular combs, paths and
-cycles. :func:`broom_shape` reads which broom, if any, a branch of a tree
+cycles. Br(l,n) is the one minimal-broom table: Br(l), of total length l,
+is Br(l - n, n) with n = ceil(l) - 1, so its Dirichlet edge keeps a length
+in (0, 1]. :func:`broom_shape` reads which broom, if any, a branch of a tree
 is, so a minimal broom is recognised by comparing its result with a
 solution's ``shapes``. Closed-form values are exact Fractions whenever the inputs are
 rational; numeric conformance against the spectral module is exercised in
@@ -171,14 +173,8 @@ def broom_eigenfunction(l, i: int, d: int) -> dict[int, Number]:
 
 def _halves(x: Number) -> int:
     """-1 / 0 / +1 as {x} is below / at / above one half."""
-    fl = math.floor(x)
-    frac = x - fl
-    half = Fraction(1, 2)
-    if frac < half:
-        return -1
-    if frac > half:
-        return 1
-    return 0
+    twice = 2 * (x - math.floor(x))  # an mpf compares with ints, not Fractions
+    return int(twice > 1) - int(twice < 1)
 
 
 def minimal_broom(l, n: int) -> MinimalBroomSolution:
@@ -224,32 +220,9 @@ def _minimal_broom_total(l: Number) -> MinimalBroomSolution:
     Solutions are frozen and shared by every caller."""
     if not l > 0:
         raise InvalidParamsError("need l > 0")
-    if l <= 2:
-        k = math.ceil(l - 1)  # 0 for l <= 1, 1 for 1 < l <= 2
-        return MinimalBroomSolution(_one_over(l), (BroomParams(l - k, k, 0),))
-    fl = math.floor(l)
-    alpha = l - fl
-    if alpha == 0:  # alpha is a zero of l's type, and so is each value
-        one = Fraction(1) if isinstance(l, Fraction) else 1.0
-        if fl % 2 == 0:
-            m = fl // 2
-            return MinimalBroomSolution(
-                _one_over(1 + m * (m + alpha)), (BroomParams(one, m - 1, m),)
-            )
-        m = (fl - 1) // 2
-        return MinimalBroomSolution(
-            _one_over(1 + (m + alpha) * (m + 1)),
-            (BroomParams(one, m - 1, m + 1), BroomParams(one, m, m)),
-        )
-    if fl % 2 == 0:
-        m = fl // 2
-        return MinimalBroomSolution(
-            _one_over(1 + m * (m + alpha)), (BroomParams(alpha, m, m),)
-        )
-    m = (fl - 1) // 2
-    return MinimalBroomSolution(
-        _one_over(1 + (m + alpha) * (m + 1)), (BroomParams(alpha, m, m + 1),)
-    )
+    # Br(l) = Br(l - n, n): the Dirichlet edge keeps a length in (0, 1]
+    n = math.ceil(l) - 1
+    return minimal_broom(l - n, n)
 
 
 def lambda_value(l) -> Number:

@@ -370,6 +370,6 @@ def verify_nodal_theorem(g: WeightedBoundaryGraph, sigma: float, f) -> NodalTheo
         res = np.linalg.norm(op.matrix @ u - sigma * op.boundary_measures * u)
         scale = np.linalg.norm(op.matrix) + abs(sigma)
         one_signed = all(f[x] * dom.sign > 0 for x in dom.vertices)
-        ok = abs(lam1 - sigma) <= NODAL_TOL and res <= NODAL_TOL * scale and one_signed
+        ok = bool(abs(lam1 - sigma) <= NODAL_TOL and res <= NODAL_TOL * scale and one_signed)
         verdicts.append(DomainVerdict(lam1, sigma, res, one_signed, ok))
     return NodalTheoremReport(False, tuple(verdicts))

@@ -303,8 +303,8 @@ def make_graph(
     the ones a caller passes are checked. Roles may be given as
     :class:`Role` values or their string names.
     """
-    if n < 0:
-        raise IndexOutOfRangeError("vertex count must be nonnegative")
+    if not (_is_label(n) and n >= 0):
+        raise IndexOutOfRangeError(f"vertex count must be a nonnegative integer, got {n!r}")
     if measures is not None and len(measures) != n:
         raise IndexOutOfRangeError("measure list has wrong length")
     if roles is not None and len(roles) != n:
@@ -343,9 +343,11 @@ def degree_roles(n: int, edges: Sequence[tuple[int, int, Weight]]) -> tuple[Role
     the graph on 0..n-1 with ``edges``.
 
     Degrees are counted on the edges as given, so that a graph can be built
-    with its roles in one :func:`make_graph` call. An edge list on which the
-    count is wrong (an endpoint out of range or not an integer, a loop or a
-    repeat) is one that make_graph rejects."""
+    with its roles in one :func:`make_graph` call. An n or an edge list on
+    which the count is wrong (n not an integer; an endpoint out of range or
+    not an integer, a loop or a repeat) is one that make_graph rejects."""
+    if not _is_label(n):
+        return ()  # a count that make_graph rejects
     degree = [0] * n
     for x, y, _ in edges:
         if _is_label(x) and _is_label(y) and 0 <= x < n and 0 <= y < n:

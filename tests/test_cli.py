@@ -12,6 +12,7 @@ import sys
 import venv
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steklov
@@ -151,6 +152,13 @@ def test_nodal_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["payload"]["ok"]
     assert len(doc["payload"]["domains"]) == 2
+
+
+def test_numpy_bools_print_as_json_bools():
+    # a numpy.bool_ fell through to json.dumps(str(obj)) and printed "False"
+    doc = cli._jsonify({"ok": np.False_, "flags": [np.True_, False]})
+    assert doc == '{"ok": false, "flags": [true, false]}'
+    assert json.loads(doc) == {"ok": False, "flags": [True, False]}
 
 
 @pytest.mark.parametrize("eig", ["0", "3"])

@@ -197,10 +197,20 @@ def test_inexact_bounds_are_refused(b):
     (3, [(0, 1), (2, 1.0)], IndexOutOfRangeError),
     (3, [(0, 1), (1, 2), (2, 0.5)], IndexOutOfRangeError),
     (3, [(0, 1), ("1", 2)], IndexOutOfRangeError),
+    # a bool label keys a list like the int it equals
+    (3, [(0, True), (1, 2)], IndexOutOfRangeError),
+    (3, [(False, 1), (1, 2)], IndexOutOfRangeError),
+    (3, [(0, 1), (True, 2), (2, 0)], IndexOutOfRangeError),
 ])
 def test_malformed_edge_lists_are_refused(n, edges, error):
     with pytest.raises(error):
         inertia_counts(n, edges, Fraction(1, 2))
+
+
+def test_integer_labels_of_any_integral_type_are_counted():
+    path = [(0, 1), (1, 2)]
+    for edges in ([(np.int64(u), np.int64(v)) for u, v in path], [(0, 1), (2, 1)]):
+        assert inertia_counts(3, edges, Fraction(1, 2)) == (1, 0)
 
 
 @pytest.mark.parametrize("n,i", IRRATIONAL_PAIRS)

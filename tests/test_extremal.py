@@ -30,6 +30,7 @@ from steklov.errors import (
     ParseError,
 )
 from steklov.extremal import (
+    THETA,
     check_monotonicity,
     check_rigidity_equivalence,
     is_comb_over,
@@ -129,6 +130,22 @@ def test_predicted_minimizers_belong_to_the_class():
         mins = predicted_bound(n, i, "trees").minimizers
         assert [d.params["base"] for d in mins] == ["path"], (n, i)
         assert all(d.graph.is_tree() for d in mins)
+
+
+def test_predicted_minimizers_attain_the_bound():
+    # past the sweep gates too (codes of non-trees stop at n = 10): a comb
+    # tooth rooted at its far end, not at v0, gives combs above the bound
+    # at (20, 4) and (24, 4)
+    checked = 0
+    for n in range(3, 25):
+        for i in range(2, n):
+            if n % i == 0 and i not in THETA:
+                continue  # no exact bound
+            t = predicted_bound(n, i, "connected" if n <= 10 else "trees")
+            for d in t.minimizers:
+                assert abs(sigma_value(d.graph, i) - t.bound) <= 1e-9, (n, i, dict(d.params))
+                checked += 1
+    assert checked == 293
 
 
 # 40-digit strings of the irrational bounds, correctly rounded; the
@@ -441,7 +458,7 @@ def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     on a warm call as on a cold one, one per candidate, and no per-graph
     solve."""
     extremal._screen.cache_clear()
-    counts = counting(monkeypatch, "inertia_counts")
+    counts = counting(monkeypatch, "_inertia_counts")
     solves = counting(monkeypatch, "sigma_value")
     cold = verify_extremal(n, i, graph_class)
     assert len(counts) == cold.rechecked > 0
@@ -461,7 +478,7 @@ def test_second_verify_builds_no_prediction(monkeypatch, graph_class, n, i):
     codes = counting(monkeypatch, "canonical_code")
     builds = [counting_calls(monkeypatch, module, "make_graph")
               for module in (graph_mod, families, extremal)]
-    counts = counting(monkeypatch, "inertia_counts")
+    counts = counting(monkeypatch, "_inertia_counts")
     first = verify_extremal(n, i, graph_class)
     assert codes and any(builds)
     assert len(counts) == first.rechecked > 0
@@ -515,7 +532,7 @@ def test_verify_decides_by_counts_and_falls_back_to_the_screen(monkeypatch):
     exact = verify_extremal(7, 2, "trees")
     screen = sweep(7, 2, "trees")
     for fake, bound_ok in (((3, 0), False), ((0, 0), True)):
-        monkeypatch.setattr(extremal, "inertia_counts", lambda n, edges, b, c=fake: c)
+        monkeypatch.setattr(extremal, "_inertia_counts", lambda n, edges, b, c=fake: c)
         rep = verify_extremal(7, 2, "trees")
         assert rep.bound_ok is bound_ok and not rep.match
         assert (rep.minimum, rep.argmin_codes, rep.gap) == (

@@ -9,6 +9,8 @@ import pytest
 
 from steklov.enumeration import enumerate_trees, tree_code
 from steklov.errors import InvalidParamsError
+from steklov.exact import QuadraticSurd
+from steklov.extremal import THETA
 from steklov.families import (
     BroomParams,
     RootedTree,
@@ -113,22 +115,42 @@ def test_minimal_broom_brute_force_oracle():
 
 
 def test_minimal_broom_total_oracle():
-    # Lambda(l) = min over i+d <= budget of lambda_1(Br(l0, i, d)) with
-    # total length l; scan all decompositions with the same total length
-    for l in [1, 2, 3, 4, 5, Fraction(3, 2), Fraction(10, 3), Fraction(7, 2)]:
+    # Lambda(l) = min of lambda_1(Br(l0, i, d)) over all l0 > 0 with total
+    # length l0 + i + d = l. The minimizers are read with l0 in (0, 1]: a
+    # longer Dirichlet edge re-describes the same path, as Br(l0 - 1, i + 1, 0)
+    lengths = [Fraction(k, 6) for k in range(1, 73)]
+    lengths += [m - 1 + THETA[i] for i in (4, 5, 6) for m in range(1, 9)]
+    for l in lengths:
         sol = minimal_broom_total(l)
-        best = None
+        scan = {}
         for i in range(0, math.floor(l) + 1):
             for d in range(0, math.floor(l) + 1):
                 l0 = l - i - d
-                if l0 <= 0:
-                    continue
-                v = broom_lambda1(l0, i, d)
-                best = v if best is None else min(best, v)
+                if l0 > 0:
+                    scan[BroomParams(l0, i, d)] = broom_lambda1(l0, i, d)
+        best = min(scan.values())
         assert sol.value == best, l
+        assert sol.shapes == {p.normalized() for p, v in scan.items() if v == best and p.l <= 1}, l
         for p in sol.brooms:
             assert p.l + p.i + p.d == l
             assert broom_lambda1(p.l, p.i, p.d) == best
+
+
+def test_integer_surd_length_keeps_its_type():
+    # an integer-valued surd length once gave brooms with the float l = 1.0
+    l = QuadraticSurd(3, 0, 2)
+    sol = minimal_broom_total(l)
+    assert sol.value == Fraction(1, 3)
+    assert [(type(p.l), p.l, p.i, p.d) for p in sol.brooms] == [
+        (QuadraticSurd, 1, 0, 2), (QuadraticSurd, 1, 1, 1)]
+
+
+def test_minimal_broom_of_an_mpf_length():
+    # an mpmath length once raised TypeError against Fraction(1, 2)
+    l = mpmath.mpf(1) / 2
+    sol = minimal_broom(l, 4)
+    assert sol.value == mpmath.mpf(1) / 6 == min(broom_lambda1(l, i, 4 - i) for i in range(5))
+    assert sol.brooms == (BroomParams(l, 2, 2),) and type(sol.brooms[0].l) is mpmath.mpf
 
 
 def test_minimal_broom_shapes_small():

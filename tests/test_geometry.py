@@ -230,6 +230,18 @@ def test_nodal_theorem_all_trees_small():
     assert checked > 100
 
 
+def test_nodal_verdicts_are_python_bools():
+    # the residual term of a domain's verdict is a numpy comparison: with
+    # the eigenfunction nudged off, the first domain's ok was numpy.False_
+    g = combinatorial_graph(7, [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)])
+    sigma, f = steklov_spectrum(g).eigenpair(2)
+    f = np.array(f)
+    f[0] += 1e-5
+    report = verify_nodal_theorem(g, sigma, f)
+    assert report.verdicts[0].ok is False
+    assert all(type(v.ok) is bool and type(v.one_signed) is bool for v in report.verdicts)
+
+
 def test_nodal_rejects_nonpositive_sigma():
     g = path_graph(3)
     with pytest.raises(InvalidParamsError):

@@ -78,6 +78,18 @@ def test_non_integer_endpoints_are_rejected(edge):
 def test_integer_endpoints_of_any_integral_type_are_accepted():
     g = make_graph(3, [(np.int64(0), np.int64(1), 1), (1, 2, 1)])
     assert g.edges == ((0, 1, 1), (1, 2, 1)) and g.adjacency[1] == {0: 1, 2: 1}
+    assert make_graph(np.int64(3), g.edges) == g
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, 3.5, "2"], ids=repr)
+def test_non_integer_vertex_count_is_rejected(n):
+    # True built a graph with n=True; the float and string counts raised a
+    # bare TypeError
+    with pytest.raises(IndexOutOfRangeError):
+        make_graph(n, [])
+    for edges in ([], [(0, 1)]):
+        with pytest.raises(IndexOutOfRangeError):
+            combinatorial_graph(n, edges)
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(np.inf)],
