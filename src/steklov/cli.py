@@ -23,30 +23,12 @@ import time
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     CertificationError,
     OutOfSupportedRangeError,
     SteklovError,
 )
-from .families import (
-    build_broom,
-    build_comb,
-    build_cycle,
-    build_dumbbell,
-    build_path,
-    build_star_paths,
-    comb_spectrum,
-    lambda_value,
-    rooted_path,
-)
-from .geometry import clump_number, verify_nodal_theorem
-from .graph import graph_to_dict, load_graph, save_graph
-from .spectral import dirichlet_steklov_spectrum, steklov_spectrum
-from . import clumps as clumps_mod
-from . import extremal
 
 log = logging.getLogger("steklov")
 
@@ -81,23 +63,23 @@ def _fmt_float(x: float) -> str:
 def _jsonify(obj) -> str:
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, Fraction):
         return _jsonify({"exact": str(obj), "value": float(obj)})
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, np.floating):
-        return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_jsonify(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_jsonify(v) for v in obj) + "]"
+    if hasattr(obj, "tolist"):  # a numpy scalar or array, as Python values
+        return _jsonify(obj.tolist())
     if is_dataclass(obj):
         return _jsonify(asdict(obj))
     return json.dumps(str(obj))
@@ -124,9 +106,14 @@ def _number(value) -> object:
 
 
 # -- command handlers --------------------------------------------------------------
+# Each imports the layers it runs when it runs, so --help and usage errors
+# load no numpy and no computing layer.
 
 
 def _cmd_spectrum(args) -> int:
+    from .graph import load_graph
+    from .spectral import dirichlet_steklov_spectrum, steklov_spectrum
+
     g = load_graph(args.graph)
     if g.dirichlet:
         res = dirichlet_steklov_spectrum(g)
@@ -155,6 +142,8 @@ def _spec_count(spec: str, num: str) -> int:
 
 
 def _parse_base(spec: str):
+    from .families import build_cycle, build_path
+
     name, _, num = spec.partition(":")
     if name == "path":
         return build_path(_spec_count(spec, num)).graph
@@ -164,6 +153,8 @@ def _parse_base(spec: str):
 
 
 def _parse_tooth(spec: str):
+    from .families import rooted_path
+
     if spec == "edge":
         return rooted_path(1)
     name, _, num = spec.partition(":")
@@ -173,6 +164,17 @@ def _parse_tooth(spec: str):
 
 
 def _cmd_family(args) -> int:
+    from .families import (
+        build_broom,
+        build_comb,
+        build_cycle,
+        build_dumbbell,
+        build_path,
+        build_star_paths,
+        comb_spectrum,
+    )
+    from .graph import graph_to_dict, save_graph
+
     if args.family == "broom":
         fam = build_broom(args.l, args.i, args.d)
         params = {"l": args.l, "i": args.i, "d": args.d}
@@ -210,6 +212,9 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_clump(args) -> int:
+    from .geometry import clump_number
+    from .graph import load_graph
+
     g = load_graph(args.graph)
     rep = clump_number(g)
     point = (
@@ -250,6 +255,9 @@ def _certificate_payload(cert) -> dict:
 
 
 def _cmd_clump_cert(args) -> int:
+    from . import clumps as clumps_mod
+    from .graph import load_graph
+
     g = load_graph(args.graph)
     if args.sub_k:
         result = clumps_mod.find_removal_sub_k(g, args.r, args.k)
@@ -275,6 +283,10 @@ def _cmd_clump_cert(args) -> int:
 
 
 def _cmd_nodal(args) -> int:
+    from .geometry import verify_nodal_theorem
+    from .graph import load_graph
+    from .spectral import dirichlet_steklov_spectrum, steklov_spectrum
+
     g = load_graph(args.graph)
     res = dirichlet_steklov_spectrum(g) if g.dirichlet else steklov_spectrum(g)
     sigma, f = res.eigenpair(args.eig)
@@ -302,6 +314,8 @@ def _cmd_nodal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import extremal
+
     t0 = time.monotonic()
     report = extremal.verify_extremal(args.n, args.i, args.graph_class)
     payload = {
@@ -334,6 +348,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import extremal
+
     pairs = extremal.sweep(args.n, args.i, args.graph_class).rows
     if args.format == "csv":
         sys.stdout.write("code,sigma\n")
@@ -357,6 +373,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import clumps as clumps_mod
+    from . import extremal
+    from .families import build_path, comb_spectrum, lambda_value, rooted_path
+    from .geometry import clump_number
+
     checks = []
 
     def check(name, fn):

@@ -88,12 +88,12 @@ from .spectral import (
 # is nonzero, within VERDICT_TOL (relative wherever a scale is at hand).
 VERDICT_TOL = 1e-9
 # How far above float(b), or a sweep's minimum, a class is still a candidate:
-# over the 70 supported pairs the screen errs by at most 1.8e-15 at a class
-# attaining b, and the nearest other class lies 4.3e-3 above b (6.2e-4 at
+# over the 118 pairs that certify the screen errs by at most 2.7e-15 at a class
+# attaining b, and the nearest other class lies 1.3e-3 above b (6.2e-4 at
 # trees n = 18), so no minimizer is missed and no other class merged.
 SCREEN_MARGIN = 1e-9
 GRAPH_CLASSES = ("trees", "connected")
-MAX_SWEEP_TREE_N = 12
+MAX_SWEEP_TREE_N = 16
 # theta_i = 1/(2 + 2 cos(pi/i)), exact where cos(pi/i) is rational or quadratic
 THETA = {
     2: Fraction(1, 2),
@@ -135,7 +135,7 @@ class MinimizerDescriptor:
     family: str
     params: MappingProxyType  # read-only
     graph: WeightedBoundaryGraph
-    code: str
+    code: str | None  # None for a non-tree too large for a general code
 
 
 @dataclass(frozen=True)
@@ -148,24 +148,31 @@ class ExtremalTarget:
     bound_str: str  # exact rational, or correctly rounded 40-digit decimal
     theta: Fraction | QuadraticSurd | None  # None unless i divides n
     characterized: bool  # predicted minimizers are the complete equality set
-    minimizers: tuple[MinimizerDescriptor, ...]  # by code
-    predicted_codes: tuple[str, ...]  # the minimizers' codes, sorted
+    minimizers: tuple[MinimizerDescriptor, ...]  # by code, those with none last
+    predicted_codes: tuple[str, ...]  # the minimizers' codes, sorted; None left out
 
 
 def _class_members(candidates, graph_class: str) -> tuple[MinimizerDescriptor, ...]:
     """Descriptors of the (family, params, graph) candidates that belong to
-    the class, one per canonical code. Membership is decided before any
-    code is computed: a large non-tree has no supported code."""
+    the class: one per canonical code, by code, then each non-tree too
+    large for a general code (``code`` None), in candidate order."""
     member = (
         WeightedBoundaryGraph.is_tree if graph_class == "trees"
         else WeightedBoundaryGraph.is_connected
     )
-    seen = {}
+    seen, uncoded = {}, []
     for family, params, g in candidates:
         if member(g):
-            d = MinimizerDescriptor(family, MappingProxyType(params), g, canonical_code(g))
-            seen.setdefault(d.code, d)
-    return tuple(seen[c] for c in sorted(seen))
+            try:
+                code = canonical_code(g)
+            except OutOfSupportedRangeError:
+                code = None
+            d = MinimizerDescriptor(family, MappingProxyType(params), g, code)
+            if code is None:
+                uncoded.append(d)
+            else:
+                seen.setdefault(code, d)
+    return tuple(seen[c] for c in sorted(seen)) + tuple(uncoded)
 
 
 def _sigma2_minimizers(n: int) -> list:
@@ -271,7 +278,7 @@ def _predicted(n: int, i: int, graph_class: str) -> ExtremalTarget:
     minimizers = _class_members(candidates, graph_class)
     return ExtremalTarget(
         n, i, case, float(bound_exact), bound_exact, _bound_str(bound_exact), theta,
-        characterized, minimizers, tuple(d.code for d in minimizers),
+        characterized, minimizers, tuple(d.code for d in minimizers if d.code is not None),
     )
 
 

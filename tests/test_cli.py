@@ -161,6 +161,13 @@ def test_numpy_bools_print_as_json_bools():
     assert json.loads(doc) == {"ok": False, "flags": [True, False]}
 
 
+def test_numpy_values_print_as_python_values():
+    doc = cli._jsonify([np.int64(3), np.float32(0.1), np.float64(0.25), np.inf,
+                        np.array([[1.0, -np.inf], [np.nan, 2.5]]), np.arange(2)])
+    assert doc == ('[3, 0.10000000149011612, 0.25, "inf", '
+                   '[[1, "-inf"], ["nan", 2.5]], [0, 1]]')
+
+
 @pytest.mark.parametrize("eig", ["0", "3"])
 def test_nodal_eig_out_of_range_is_usage_error(tmp_path, capsys, eig):
     # P4 has two boundary vertices, so only --eig 1 and 2 exist

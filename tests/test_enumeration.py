@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import steklov
 from steklov.enumeration import (
     GENERATOR_VERSION,
     MAX_GRAPH_N,
@@ -98,9 +100,15 @@ before = set(sys.modules)
 import steklov
 
 def loaded():
-    # third-party packages loaded since start-up, other than numpy
-    tops = {name.partition(".")[0] for name in set(sys.modules) - before}
-    return sorted(tops - sys.stdlib_module_names - {"steklov", "numpy"})
+    # the steklov submodules and third-party packages loaded since
+    # start-up, the latter other than numpy, and whether numpy is
+    new = set(sys.modules) - before
+    tops = {name.partition(".")[0] for name in new}
+    return {
+        "steklov": sorted(name for name in new if name.startswith("steklov.")),
+        "numpy": "numpy" in tops,
+        "others": sorted(tops - sys.stdlib_module_names - {"steklov", "numpy"}),
+    }
 
 seen = {"import": loaded()}
 for stream in (steklov.enumerate_trees(8), steklov.enumerate_connected_graphs(5)):
@@ -112,6 +120,9 @@ try:
 except SystemExit:
     pass
 seen["cli --help"] = loaded()
+from steklov import cli
+assert cli.main(["verify", "--n", "6"]) == cli.EXIT_USAGE
+seen["cli usage error"] = loaded()
 g = steklov.build_path(5).graph
 res = steklov.steklov_spectrum(g)
 seen["first solve"] = loaded()
@@ -136,18 +147,74 @@ def test_cold_start_loads_numpy_only():
     # enumerate and decode classes, print the CLI help, solve a spectrum,
     # read its extensions, check the nodal theorem or rigidity, or form a
     # rational bound (i = 2, or i not dividing n) or an irrational one
-    # (i = 4 dividing n, rendered from its exact value)
+    # (i = 4 dividing n, rendered from its exact value). Importing the
+    # package loads no submodule, and numpy and the layers past
+    # enumeration load only with the first spectrum: the CLI's help and
+    # usage errors need none of them
     out = subprocess.run([sys.executable, "-c", COLD_START], capture_output=True, text=True,
                          env={**os.environ, "STEKLOV_CACHE_DIR": ""}, timeout=120, check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == {
-        "import": [],
-        "enumerate and decode": [],
-        "cli --help": [],
-        "first solve": [],
-        "extensions, nodal and rigidity": [],
-        "rational bound": [],
-        "irrational bound": [],
+    seen = json.loads(out.stdout.splitlines()[-1])
+    light = ["steklov.enumeration", "steklov.errors", "steklov.graph"]
+    solve = sorted([*light, "steklov.cli", "steklov.exact", "steklov.families",
+                    "steklov.spectral"])
+    checks = sorted([*solve, "steklov.extremal", "steklov.geometry"])
+    assert seen == {
+        "import": {"steklov": [], "numpy": False, "others": []},
+        "enumerate and decode": {"steklov": light, "numpy": False, "others": []},
+        "cli --help": {"steklov": light, "numpy": False, "others": []},
+        "cli usage error": {"steklov": sorted([*light, "steklov.cli"]), "numpy": False,
+                            "others": []},
+        "first solve": {"steklov": solve, "numpy": True, "others": []},
+        "extensions, nodal and rigidity": {"steklov": checks, "numpy": True, "others": []},
+        "rational bound": {"steklov": checks, "numpy": True, "others": []},
+        "irrational bound": {"steklov": checks, "numpy": True, "others": []},
     }
+
+
+# every name the package exported when it imported all its layers eagerly:
+# its functions and classes, and the layers themselves
+PUBLIC_NAMES = [
+    "BroomParams", "CertificationError", "GeometricPoint", "GraphError",
+    "HypothesesNotMetError", "HypothesisViolatedError", "InvalidParamsError",
+    "NoBoundaryError", "NotASubgraphError", "NotATreeError", "NotBipartiteError",
+    "OutOfSupportedRangeError", "ParseError", "QuadraticSurd", "Role", "RootedTree",
+    "SteklovError", "WeightedBoundaryGraph", "broom_lambda1", "build_broom",
+    "build_comb", "build_cycle", "build_dumbbell", "build_path", "build_star",
+    "build_star_paths", "canonical_code", "check_monotonicity",
+    "check_rigidity_equivalence", "classify_type_AB", "clump_number", "clump_number_at",
+    "clumps", "comb_spectrum", "combinatorial_boundary", "combinatorial_graph",
+    "dirichlet_steklov_spectrum", "dtn_matrix", "enumerate_connected_graphs",
+    "enumerate_trees", "enumeration", "errors", "exact", "extremal", "families",
+    "find_removal_for_clump", "find_removal_sub_k", "geometry", "graph",
+    "graph_from_dict", "graph_to_dict", "harmonic_extension", "inertia_counts",
+    "is_sub_k", "lambda_value", "laplacian_spectrum", "load_graph", "make_graph",
+    "minimal_broom", "minimal_broom_total", "nodal_domains", "normal_derivative",
+    "predicted_bound", "rooted_path", "save_graph", "spectral", "steklov_spectrum",
+    "tree_code", "verify_bipartite_top", "verify_extremal", "verify_lambda1_bound",
+    "verify_nodal_theorem", "verify_positivity", "verify_reg_star",
+    "verify_sigma2_tree", "verify_sigma_lambda", "verify_steklov_clump", "zero_set",
+]
+
+
+def test_package_namespace_is_unchanged():
+    layers = {"clumps", "enumeration", "errors", "exact", "extremal", "families", "geometry",
+              "graph", "spectral"}
+    assert sorted(steklov.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(steklov))
+    for name in PUBLIC_NAMES:
+        value = getattr(steklov, name)
+        if name in layers:
+            assert value is importlib.import_module(f"steklov.{name}"), name
+        else:
+            module = importlib.import_module(value.__module__)
+            assert module.__name__ in {f"steklov.{m}" for m in layers}, name
+            assert value is getattr(module, name), name
+    star = {}
+    exec("from steklov import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == PUBLIC_NAMES
+    assert all(star[name] is getattr(steklov, name) for name in PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        steklov.cli_main
 
 
 def test_tree_generator_matches_prufer_oracle():

@@ -132,6 +132,22 @@ def test_predicted_minimizers_belong_to_the_class():
         assert all(d.graph.is_tree() for d in mins)
 
 
+def test_connected_bounds_past_the_code_range():
+    # non-trees have codes up to n = 10: past it the odd-cycle comb is kept
+    # with code None, left out of predicted_codes, and the bound is returned
+    pairs = [(n, i) for n in range(11, 25) for i in (3, 5) if n % i == 0]
+    assert pairs == [(12, 3), (15, 3), (15, 5), (18, 3), (20, 5), (21, 3), (24, 3)]
+    for n, i in pairs:
+        t, tree = predicted_bound(n, i), predicted_bound(n, i, "trees")
+        assert t.bound_exact == tree.bound_exact and t.bound_str == tree.bound_str
+        path, cycle = t.minimizers
+        assert (path.params["base"], cycle.params["base"]) == ("path", "cycle")
+        assert path.code == tree.minimizers[0].code and cycle.code is None
+        assert t.predicted_codes == tree.predicted_codes == (path.code,)
+        assert not cycle.graph.is_tree() and cycle.graph.n == n
+        assert abs(sigma_value(cycle.graph, i) - t.bound) <= 1e-9, (n, i)
+
+
 def test_predicted_minimizers_attain_the_bound():
     # past the sweep gates too (codes of non-trees stop at n = 10): a comb
     # tooth rooted at its far end, not at v0, gives combs above the bound
@@ -384,8 +400,8 @@ def test_sweep_matches_per_graph_oracle(graph_class, n, i):
 
 
 def test_verify_extremal_gates(monkeypatch):
-    with pytest.raises(OutOfSupportedRangeError):
-        verify_extremal(13, 2, "trees")
+    with pytest.raises(OutOfSupportedRangeError, match="tree sweeps support n <= 16"):
+        verify_extremal(17, 2, "trees")
     with pytest.raises(InvalidParamsError):
         verify_extremal(6, 2, "planar")
     with pytest.raises(InvalidParamsError):
@@ -402,14 +418,39 @@ def test_verify_extremal_gates(monkeypatch):
 
 def test_verify_needs_an_exact_bound(monkeypatch):
     # theta_7 is cubic, so (14, 7) has no exact bound: refused before the
-    # class is enumerated, even with the tree gate moved past n = 14
+    # class is enumerated, although n = 14 is inside the tree gate
     def no_sweep(n):
         raise AssertionError("class enumerated for a pair with no exact bound")
 
-    monkeypatch.setattr(extremal, "MAX_SWEEP_TREE_N", 14)
+    assert extremal.MAX_SWEEP_TREE_N >= 14
     monkeypatch.setattr(extremal, "enumerate_trees", no_sweep)
     with pytest.raises(OutOfSupportedRangeError, match="no exact bound"):
         verify_extremal(14, 7, "trees")
+
+
+def test_tree_sweeps_reach_16():
+    # every tree pair with 13 <= n <= 16 certifies, except the two pairs
+    # whose i >= 7 divides n and so has no exact bound; pinned with the
+    # size of each argmin set
+    argmin_sizes = {
+        13: [1, 1, 5, 21, 1, 641, 316, 114, 31, 6, 1],
+        14: [1, 7, 27, 98, 5, None, 1097, 471, 153, 37, 7, 1],
+        15: [3, 1, 131, 1, 26, 1, 3558, 1771, 676, 194, 43, 7, 1],
+        16: [1, 4, 1, 6, 138, 5, None, 6276, 2781, 947, 249, 50, 8, 1],
+    }
+    try:
+        for n, sizes in argmin_sizes.items():
+            for i, size in enumerate(sizes, start=2):
+                if size is None:
+                    with pytest.raises(OutOfSupportedRangeError, match="no exact bound"):
+                        verify_extremal(n, i, "trees")
+                    continue
+                rep = verify_extremal(n, i, "trees")
+                assert rep.match and rep.bound_ok, (n, i)
+                assert rep.class_size == len(enumerate_trees(n)), (n, i)
+                assert len(rep.argmin_codes) == size, (n, i)
+    finally:
+        extremal._screen.cache_clear()  # the n = 16 screen holds 19,320 spectra
 
 
 def counting(monkeypatch, name):
