@@ -21,8 +21,9 @@ import heapq
 import itertools
 import logging
 import os
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral
 from pathlib import Path
 
@@ -152,6 +153,8 @@ def tree_from_code(code: str) -> WeightedBoundaryGraph:
         next_id[0] += 1
         if parent is not None:
             length = Fraction(length_str)
+            if length <= 0:
+                raise ParseError(f"non-positive edge length in tree code {code!r}")
             edges.append((parent, me, Fraction(1) / length))
         while code[pos] != ")":
             start = pos
@@ -309,14 +312,15 @@ def _is_class(kind: str, n: int, codes: list[str]) -> bool:
 
 
 def _cache_load(kind: str, n: int, path: Path) -> list[str] | None:
-    """Stored codes of a class, or None on a miss. A file that fails
-    :func:`_is_class` is a miss too: it is logged and the class is
-    generated again."""
+    """Stored codes of a class, or None on a miss. A file that is not
+    UTF-8 or fails :func:`_is_class` is a miss too: it is logged and the
+    class is generated again."""
     try:
-        text = path.read_text(encoding="utf-8")
+        codes = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
     except OSError:
         return None
-    codes = [line for line in text.splitlines() if line]
+    except UnicodeDecodeError:
+        codes = []
     if not _is_class(kind, n, codes):
         log.warning("class cache %s does not hold the %d-vertex %s class; "
                     "generating the class again", path, n, kind)
@@ -336,22 +340,34 @@ def _cache_store(path: Path, codes: list[str]) -> None:
         tmp.unlink(missing_ok=True)  # cache is best-effort
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class GraphClassStream:
-    """Materialized isomorphism-class representatives. Every iteration
-    decodes ``codes`` afresh."""
+    """One isomorphism class, held once per class file: its sorted stored
+    ``codes`` and their ``edges``, parsed once on first read. Every
+    iteration builds fresh graphs from that parse."""
 
-    def __init__(self, kind: str, n: int, codes: list[str]):
-        self.kind = kind
-        self.n = n
-        self.codes = codes
+    kind: str
+    n: int
+    codes: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.codes)
 
+    @cached_property
+    def edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each code's edges, numbered as its decoder numbers them; while a
+        code is bad or not on n vertices, every read raises ParseError."""
+        parse = tree_edges if self.kind == "trees" else graph_edges
+        edge_lists = []
+        for code in self.codes:
+            size, edges = parse(code)
+            if size != self.n:
+                raise ParseError(f"class code {code!r} is not on {self.n} vertices")
+            edge_lists.append(tuple(edges))
+        return tuple(edge_lists)
+
     def __iter__(self):
-        if self.kind == "trees":
-            return (combinatorial_graph(*tree_edges(code)) for code in self.codes)
-        return (graph_from_code(code) for code in self.codes)
+        return (combinatorial_graph(self.n, edges) for edges in self.edges)
 
 
 def _forests(pool: list[tuple[int, str]], total: int, start: int = 0):
@@ -395,8 +411,8 @@ def _connected_class(n: int) -> set[str]:
         return {"g1:0"}
     m = n - 1
     codes = set()
-    for code in _class_codes("connected", m):
-        base = adjacency_sets(*graph_edges(code))
+    for edges in _class("connected", m).edges:
+        base = adjacency_sets(m, edges)
         # the components of base - x as bit masks: x is a cut vertex of the
         # joined graph unless the new vertex meets each of them
         pieces = [
@@ -417,23 +433,27 @@ def _connected_class(n: int) -> set[str]:
     return codes
 
 
-def _class_codes(kind: str, n: int) -> tuple[str, ...]:
-    """Sorted codes of a class, memoised per class file under
-    STEKLOV_CACHE_DIR (default ``.steklov-cache``; empty turns the cache
-    off), so that a change of it or of the working directory is honoured."""
+def _class(kind: str, n: int) -> GraphClassStream:
+    """The one object of a class on a checked n, memoised per class file
+    under STEKLOV_CACHE_DIR (default ``.steklov-cache``; empty turns the
+    cache off), so a change of it or of the working directory is honoured."""
+    n, top = _index(n, "n"), MAX_TREE_N if kind == "trees" else MAX_GRAPH_N
+    if not 1 <= n <= top:
+        name = "tree" if kind == "trees" else "connected-graph"
+        raise OutOfSupportedRangeError(f"{name} enumeration supports 1 <= n <= {top}")
     raw = os.environ.get("STEKLOV_CACHE_DIR", ".steklov-cache")
     path = Path(raw).absolute() / f"{kind}-n{n}-{GENERATOR_VERSION}.txt" if raw else None
     return _load_class(kind, n, path)
 
 
 @lru_cache(maxsize=None)
-def _load_class(kind: str, n: int, path: Path | None) -> tuple[str, ...]:
+def _load_class(kind: str, n: int, path: Path | None) -> GraphClassStream:
     codes = _cache_load(kind, n, path) if path else None
     if codes is None:
         codes = sorted((_tree_class if kind == "trees" else _connected_class)(n))
         if path:
             _cache_store(path, codes)
-    return tuple(codes)
+    return GraphClassStream(kind, n, tuple(codes))
 
 
 def _index(value, name: str) -> int:
@@ -448,20 +468,12 @@ def _index(value, name: str) -> int:
 def enumerate_trees(n: int) -> GraphClassStream:
     """All free trees on n vertices up to isomorphism, unit weight,
     degree-based boundary."""
-    n = _index(n, "n")
-    if not 1 <= n <= MAX_TREE_N:
-        raise OutOfSupportedRangeError(f"tree enumeration supports 1 <= n <= {MAX_TREE_N}")
-    return GraphClassStream("trees", n, list(_class_codes("trees", n)))
+    return _class("trees", n)
 
 
 def enumerate_connected_graphs(n: int) -> GraphClassStream:
     """All connected simple graphs on n vertices up to isomorphism."""
-    n = _index(n, "n")
-    if not 1 <= n <= MAX_GRAPH_N:
-        raise OutOfSupportedRangeError(
-            f"connected-graph enumeration supports 1 <= n <= {MAX_GRAPH_N}"
-        )
-    return GraphClassStream("connected", n, list(_class_codes("connected", n)))
+    return _class("connected", n)
 
 
 # -- independent oracles ----------------------------------------------------------

@@ -14,11 +14,12 @@ significant digits for a surd. Each (n, i, class) target, minimizer graphs
 and codes included, is built once per process and shared by every caller.
 
 Exhaustive sweeps screen a whole class with batched float spectra. The
-screen does not depend on i: each class is parsed and screened once per
-process and shared by every i. :func:`verify_extremal` then decides every
-class that screens within SCREEN_MARGIN of the bound b exactly, afresh on
-every call, by the counts #{sigma_j < b} and #{sigma_j = b} of
-:func:`~steklov.exact.inertia_counts`; no class is solved again.
+screen does not depend on i: it is built from the class object's one parse
+and held with that object for every i. :func:`verify_extremal` then
+decides every class that screens within SCREEN_MARGIN of the bound b
+exactly, afresh on every call, by the counts #{sigma_j < b} and
+#{sigma_j = b} of :func:`~steklov.exact.inertia_counts`; no class is
+solved again.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .enumeration import (
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
-    graph_edges,
     tree_edges,
     unit_tree_code,
 )
@@ -49,7 +50,6 @@ from .errors import (
     NotASubgraphError,
     NotBipartiteError,
     OutOfSupportedRangeError,
-    ParseError,
 )
 from .exact import QuadraticSurd, _inertia_counts
 from .families import (
@@ -94,6 +94,7 @@ VERDICT_TOL = 1e-9
 SCREEN_MARGIN = 1e-9
 GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 16
+_screens: WeakKeyDictionary = WeakKeyDictionary()  # class object -> its _screen
 # theta_i = 1/(2 + 2 cos(pi/i)), exact where cos(pi/i) is rational or quadratic
 THETA = {
     2: Fraction(1, 2),
@@ -305,33 +306,27 @@ class SweepResult:
     gap: float  # best value outside the argmin minus the minimum; inf if none
 
 
-@lru_cache(maxsize=None)
-def _screen(graph_class: str, n: int, codes: tuple[str, ...]):
+def _screen(stream):
     """Labels, edge lists (a tree of the connected class as the parent array
     of its tree code) and the read-only :func:`unit_steklov_spectra`
-    matrix of a class, given by its stored ``codes``, then the (distinct)
-    labels sorted and the read-only row order that sorts them. The memo is
-    keyed on the codes themselves, so it cannot disagree with them; an
-    exception is not memoised, so a bad code raises on every call."""
-    parse = tree_edges if graph_class == "trees" else graph_edges
-    labels, edge_lists, trees = list(codes), [], []
-    for j, code in enumerate(codes):
-        size, edges = parse(code)
-        if size != n:
-            raise ParseError(f"class code {code!r} is not on {n} vertices")
-        if graph_class == "connected" and len(edges) == n - 1:
-            labels[j] = unit_tree_code(adjacency_sets(n, edges))
-            trees.append(j)
-        edge_lists.append(tuple(edges))
-    spectra = unit_steklov_spectra(n, edge_lists)
-    # screened from the stored edges; the exact counts then walk each tree
-    # member of the connected class as the parent array of its tree code
-    for j in trees:
-        edge_lists[j] = tuple(tree_edges(labels[j])[1])
-    spectra.flags.writeable = False
-    order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
-    order.flags.writeable = False
-    return tuple(labels), tuple(edge_lists), spectra, tuple(labels[j] for j in order), order
+    matrix of a class object, then the (distinct) labels sorted and the
+    read-only row order that sorts them; built from the object's one parse
+    and freed with it. A bad code is not held, so it raises on every call."""
+    if stream not in _screens:
+        n, labels, edge_lists = stream.n, list(stream.codes), list(stream.edges)
+        spectra = unit_steklov_spectra(n, stream.edges)
+        spectra.flags.writeable = False
+        # screened from the stored edges; the exact counts then walk each tree
+        # member of the connected class as the parent array of its tree code
+        for j, edges in enumerate(stream.edges):
+            if stream.kind == "connected" and len(edges) == n - 1:
+                labels[j] = unit_tree_code(adjacency_sets(n, edges))
+                edge_lists[j] = tuple(tree_edges(labels[j])[1])
+        order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
+        order.flags.writeable = False
+        _screens[stream] = (tuple(labels), tuple(edge_lists), spectra,
+                            tuple(labels[j] for j in order), order)
+    return _screens[stream]
 
 
 def _screened(n: int, i: int, graph_class: str):
@@ -340,16 +335,12 @@ def _screened(n: int, i: int, graph_class: str):
     n, i = _index(n, "n"), _index(i, "i")
     if i < 1:
         raise InvalidParamsError("eigenvalue index is 1-based")
-    if graph_class == "trees":
-        if n > MAX_SWEEP_TREE_N:
-            raise OutOfSupportedRangeError(
-                f"tree sweeps support n <= {MAX_SWEEP_TREE_N}")
-        stream = enumerate_trees(n)
-    elif graph_class == "connected":
-        stream = enumerate_connected_graphs(n)
-    else:
+    if graph_class not in GRAPH_CLASSES:
         raise InvalidParamsError(f"unknown graph class {graph_class!r}")
-    memo = _screen(graph_class, n, tuple(stream.codes))
+    if graph_class == "trees" and n > MAX_SWEEP_TREE_N:
+        raise OutOfSupportedRangeError(f"tree sweeps support n <= {MAX_SWEEP_TREE_N}")
+    stream = (enumerate_trees if graph_class == "trees" else enumerate_connected_graphs)(n)
+    memo = _screen(stream)
     values = memo[2][:, i - 1] if i <= n else np.full(len(memo[0]), math.inf)
     return memo, values
 
@@ -372,14 +363,11 @@ def sweep(n: int, i: int, graph_class: str = "trees") -> SweepResult:
     """The float screen of sigma_i over every class of ``graph_class`` on n
     vertices.
 
-    The class is screened with batched float spectra
-    (:func:`unit_steklov_spectra`) once per process and shared by every i:
-    the memo holds each class's labels, its stored codes parsed into edge
-    lists, the whole spectrum of every class, so each sweep reads column i,
-    and the row order that sorts the labels, so no sweep sorts the rows.
-    It holds about 1.6 MB for the 15 classes of all supported pairs
-    (0.7 MB for connected n = 7, 0.5 MB for trees n = 12), mostly edge
-    lists. The minimum, the argmin set (screened values within
+    The class object is screened from its one parse with batched float
+    spectra (:func:`unit_steklov_spectra`), and the screen is held with the
+    object for every i: the labels, the edge lists, the whole spectrum of
+    every class (each sweep reads column i) and the row order that sorts
+    the labels. The minimum, the argmin set (screened values within
     SCREEN_MARGIN of it) and the gap are read off the screen; no class is
     solved again, so they are floats, not certificates
     (:func:`verify_extremal` decides those exactly). Classes are listed
@@ -420,9 +408,9 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     """Sweep a graph class, minimize sigma_i, and match the argmin set
     against the predicted minimizers that belong to the class.
 
-    The screen and the prediction are each built once per process (see
-    :func:`sweep` and :func:`predicted_bound`); the arguments are checked
-    first. The candidates are the classes whose screened sigma_i is at most
+    The screen is held with the class object and the prediction built once
+    per process (see :func:`sweep` and :func:`predicted_bound`); the
+    arguments are checked first. The candidates are the classes whose screened sigma_i is at most
     float(b) + SCREEN_MARGIN for the predicted bound b. Each is decided
     exactly, afresh on every call, by :func:`inertia_counts`: #{sigma_j < b}
     and #{sigma_j = b}. The bound holds iff no candidate has i or more

@@ -15,7 +15,7 @@ from steklov.enumeration import (
     GENERATOR_VERSION,
     MAX_GRAPH_N,
     MAX_TREE_N,
-    _class_codes,
+    _class,
     _load_class,
     canonical_code,
     enumerate_connected_graphs,
@@ -90,7 +90,7 @@ def test_class_codes_match_pinned_digests(tmp_path, monkeypatch):
     # generated afresh, not read from a cache file
     monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
     for (kind, n), digest in CLASS_DIGESTS.items():
-        text = "\n".join(_class_codes(kind, n)) + "\n"
+        text = "\n".join(_class(kind, n).codes) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (kind, n)
 
 
@@ -219,7 +219,7 @@ def test_package_namespace_is_unchanged():
 
 def test_tree_generator_matches_prufer_oracle():
     for n in range(1, 9):
-        assert set(_class_codes("trees", n)) == prufer_tree_classes(n), n
+        assert set(_class("trees", n).codes) == prufer_tree_classes(n), n
 
 
 def test_connected_counts_match_known_table():
@@ -229,7 +229,7 @@ def test_connected_counts_match_known_table():
 
 def test_connected_generator_matches_subset_oracle():
     for n in range(1, 6):
-        assert set(_class_codes("connected", n)) == graph_subset_classes(n), n
+        assert set(_class("connected", n).codes) == graph_subset_classes(n), n
 
 
 def test_tree_code_round_trip(rng):
@@ -316,7 +316,7 @@ def test_graph_code_matches_brute_force_on_labelled_graphs():
 
 def test_graph_code_matches_brute_force_on_relabelled_classes(rng):
     for n in range(1, MAX_GRAPH_N + 1):
-        for code in _class_codes("connected", n):
+        for code in _class("connected", n).codes:
             perm = rng.permutation(n).tolist()
             g, adj = _graph_and_sets(n, [(perm[u], perm[v]) for u, v in graph_edges(code)[1]])
             assert graph_code(g) == brute_force_graph_code(adj) == code
@@ -360,7 +360,7 @@ def test_non_isomorphic_detected():
 
 def test_codes_are_sorted_and_distinct():
     for n in (6, 7):
-        codes = list(_class_codes("trees", n))
+        codes = list(_class("trees", n).codes)
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)
 
@@ -393,8 +393,10 @@ def test_enumerators_refuse_non_integer_n(tmp_path, monkeypatch, n):
 
 
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        tree_from_code("(1(")
+    # an unreadable or non-positive edge length is a parse error too
+    for bad in ("(1(", "(-1())", "(0())", "(x())", "(1/0())"):
+        with pytest.raises(ParseError):
+            tree_from_code(bad)
     with pytest.raises(ParseError):
         graph_from_code("g3:zz")
     # the fast parser takes unit-length tree codes only
@@ -408,8 +410,8 @@ def test_parse_errors():
 def test_fast_parsers_match_decoders():
     """tree_edges / graph_edges give the edge sets, and the vertex numbering,
     of tree_from_code / graph_from_code on every stored code."""
-    classes = [(_class_codes("trees", n), tree_edges, tree_from_code) for n in range(1, 13)]
-    classes += [(_class_codes("connected", n), graph_edges, graph_from_code) for n in range(1, 8)]
+    classes = [(_class("trees", n).codes, tree_edges, tree_from_code) for n in range(1, 13)]
+    classes += [(_class("connected", n).codes, graph_edges, graph_from_code) for n in range(1, 8)]
     for codes, parse, decode in classes:
         for code in codes:
             n, edges = parse(code)
@@ -421,10 +423,10 @@ def test_fast_parsers_match_decoders():
 def test_stored_codes_are_canonical():
     """The sweep engine reports stored codes as canonical codes."""
     for n in range(1, 13):
-        for code in _class_codes("trees", n):
+        for code in _class("trees", n).codes:
             assert canonical_code(tree_from_code(code)) == code
     for n in range(1, 8):
-        for code in _class_codes("connected", n):
+        for code in _class("connected", n).codes:
             g = graph_from_code(code)
             if not g.is_tree():
                 assert canonical_code(g) == code
@@ -439,11 +441,14 @@ def test_unit_tree_code_matches_tree_code(rng):
 
 
 def test_stream_iterates_afresh():
-    # a stream holds no cursor: each iteration decodes every class again
+    # a stream holds no cursor: each iteration builds fresh graphs, from
+    # the one parse of its codes
     stream = enumerate_trees(5)
-    first = [tree_code(g) for g in stream]
-    assert len(first) == 3
-    assert [tree_code(g) for g in stream] == first
+    first = list(stream)
+    assert [tree_code(g) for g in first] == list(stream.codes)
+    second = list(stream)
+    assert second == first and all(a is not b for a, b in zip(first, second))
+    assert stream.edges is stream.edges
 
 
 def test_streamed_trees_equal_decoded_codes():
@@ -456,29 +461,34 @@ def test_streamed_trees_equal_decoded_codes():
 
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
-    codes = _class_codes("trees", 6)
+    codes = _class("trees", 6).codes
     fname = tmp_path / f"trees-n6-{GENERATOR_VERSION}.txt"
     assert fname.exists()
     assert fname.read_text().split() == list(codes)
     assert [p.name for p in tmp_path.iterdir()] == [fname.name]  # no temp file left
     # a second call must read back the stored codes
     _load_class.cache_clear()
-    assert _class_codes("trees", 6) == codes
+    assert _class("trees", 6).codes == codes
     # the cache is checked, not authoritative: an entry with the wrong class
     # count is a miss, and the class is generated and stored again
     bogus = tmp_path / f"trees-n3-{GENERATOR_VERSION}.txt"
     bogus.write_text("()\n")
-    assert _class_codes("trees", 3) == ("(1()1())",)
+    assert _class("trees", 3).codes == ("(1()1())",)
     assert bogus.read_text() == "(1()1())\n"
 
 
 def test_class_memo_follows_cache_dir(tmp_path, monkeypatch):
-    # a class read in one cache directory is stored again in the next
+    # one object per class file, its codes a tuple: a class read in one
+    # cache directory is a new object, stored again, in the next
     name = f"trees-n6-{GENERATOR_VERSION}.txt"
+    held = []
     for sub in ("a", "b"):
         monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path / sub))
-        assert len(enumerate_trees(6)) == 6
+        held.append(enumerate_trees(6))
+        assert enumerate_trees(6) is held[-1] and type(held[-1].codes) is tuple
+        assert len(held[-1]) == 6
         assert (tmp_path / sub / name).exists(), sub
+    assert held[0] is not held[1] and held[0].codes == held[1].codes
     # a relative directory follows the working directory
     monkeypatch.setenv("STEKLOV_CACHE_DIR", "cache")
     for sub in ("c", "d"):
@@ -489,16 +499,19 @@ def test_class_memo_follows_cache_dir(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("kind, n, codes", [
-    ("trees", 9, lambda: _class_codes("trees", 9)),
-    ("connected", 5, lambda: _class_codes("connected", 5)),
+    ("trees", 9, lambda: _class("trees", 9).codes),
+    ("connected", 5, lambda: _class("connected", 5).codes),
 ])
 def test_corrupt_cache_entries_are_regenerated(tmp_path, monkeypatch, caplog, kind, n, codes):
     monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
     good = codes()
     path = tmp_path / f"{kind}-n{n}-{GENERATOR_VERSION}.txt"
-    # truncated, duplicated and unsorted files each hold a wrong class
-    for lines in (good[:1], good[:-1] + good[:1], good[::-1]):
-        path.write_text("\n".join(lines) + "\n")
+    # truncated, duplicated and unsorted files each hold a wrong class, and
+    # the class written in UTF-16 is no UTF-8 file
+    wrong = [(good[:1], "utf-8"), (good[:-1] + good[:1], "utf-8"), (good[::-1], "utf-8"),
+             (good, "utf-16")]
+    for lines, encoding in wrong:
+        path.write_text("\n".join(lines) + "\n", encoding=encoding)
         _load_class.cache_clear()
         caplog.clear()
         assert codes() == good
@@ -509,5 +522,5 @@ def test_corrupt_cache_entries_are_regenerated(tmp_path, monkeypatch, caplog, ki
 def test_cache_disabled_by_empty_env(tmp_path, monkeypatch):
     monkeypatch.setenv("STEKLOV_CACHE_DIR", "")
     monkeypatch.chdir(tmp_path)
-    assert len(_class_codes("trees", 5)) == 3
+    assert len(_class("trees", 5).codes) == 3
     assert not any(tmp_path.iterdir())

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from steklov import extremal, families, spectral
+from steklov import enumeration, extremal, families, spectral
 from steklov import graph as graph_mod
 from steklov.enumeration import (
     GraphClassStream,
@@ -343,7 +344,7 @@ def test_exact_oracle_pins_the_screen_margin():
         rep = verify_extremal(n, i, graph_class)
         b = rep.target.bound_exact
         stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
-        labels, edge_lists, spectra, _, _ = extremal._screen(graph_class, n, tuple(stream.codes))
+        labels, edge_lists, spectra, _, _ = extremal._screen(stream)
         attained = set()
         for label, edges, spectrum in zip(labels, edge_lists, spectra, strict=True):
             degree = np.bincount(np.ravel(edges), minlength=n)
@@ -450,7 +451,7 @@ def test_tree_sweeps_reach_16():
                 assert rep.class_size == len(enumerate_trees(n)), (n, i)
                 assert len(rep.argmin_codes) == size, (n, i)
     finally:
-        extremal._screen.cache_clear()  # the n = 16 screen holds 19,320 spectra
+        _load_class.cache_clear()  # the n = 16 class holds 19,320 spectra
 
 
 def counting(monkeypatch, name):
@@ -467,13 +468,37 @@ def counting(monkeypatch, name):
 
 
 def test_class_screened_once_for_every_i(monkeypatch):
-    extremal._screen.cache_clear()
+    _load_class.cache_clear()
     calls = counting(monkeypatch, "unit_steklov_spectra")
     for graph_class, n in (("trees", 10), ("connected", 6)):
         before = len(calls)
         for i in range(2, n):
             assert verify_extremal(n, i, graph_class).match
         assert len(calls) - before == 1, graph_class
+
+
+def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
+    # iteration, the screen and the exact counts of every i read one parse
+    _load_class.cache_clear()
+    parses = counting_calls(monkeypatch, enumeration, "tree_edges")
+    monkeypatch.setattr(extremal, "tree_edges", enumeration.tree_edges)
+    assert len(list(enumerate_trees(12))) == 551
+    for i in range(2, 12):
+        sweep(12, i, "trees")
+        assert verify_extremal(12, i, "trees").match
+    assert len(parses) == 551
+
+
+def test_one_clear_frees_the_class_and_its_screen():
+    # the class object holds its codes and parse; its screen's spectra and
+    # row order go with it
+    stream = enumerate_trees(9)
+    screen = extremal._screen(stream)
+    assert sweep(9, 2, "trees").rows and extremal._screen(stream) is screen
+    held = [weakref.ref(x) for x in (stream, screen[2], screen[4])]
+    del stream, screen
+    _load_class.cache_clear()
+    assert [ref() for ref in held] == [None] * 3
 
 
 def test_warm_sweeps_equal_fresh_ones(tmp_path, monkeypatch):
@@ -485,7 +510,6 @@ def test_warm_sweeps_equal_fresh_ones(tmp_path, monkeypatch):
         warm[graph_class, n, i] = sweep(n, i, graph_class)
     monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
     for graph_class, n, i in GRID:
-        extremal._screen.cache_clear()
         _load_class.cache_clear()
         fresh = sweep(n, i, graph_class)
         old = warm[graph_class, n, i]
@@ -498,7 +522,7 @@ def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     """The exact counts decide the candidates afresh on every call: as many
     on a warm call as on a cold one, one per candidate, and no per-graph
     solve."""
-    extremal._screen.cache_clear()
+    _load_class.cache_clear()
     counts = counting(monkeypatch, "_inertia_counts")
     solves = counting(monkeypatch, "sigma_value")
     cold = verify_extremal(n, i, graph_class)
@@ -541,7 +565,7 @@ def test_sweep_equals_its_loop_reference(graph_class, n, i):
     pairs and the Python scans they replace."""
     res = sweep(n, i, graph_class)
     stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
-    labels, _, spectra, _, _ = extremal._screen(graph_class, n, tuple(stream.codes))
+    labels, _, spectra, _, _ = extremal._screen(stream)
     values = spectra[:, i - 1].tolist() if i <= n else [math.inf] * len(labels)
     minimum = min(values)
     argmin = {j for j, v in enumerate(values) if v <= minimum + extremal.SCREEN_MARGIN}
@@ -604,7 +628,7 @@ def test_bad_stored_code_raises_on_every_sweep(monkeypatch):
 
     def bad_class(n):
         calls.append(n)
-        return GraphClassStream("trees", n, ["(1()1())"])  # a 3-vertex code
+        return GraphClassStream("trees", n, ("(1()1())",))  # a 3-vertex code
 
     monkeypatch.setattr(extremal, "enumerate_trees", bad_class)
     for _ in range(2):

@@ -194,11 +194,11 @@ def test_unit_spectra_match_per_graph_oracle():
     """The batched engine against per-graph steklov_spectrum on every class
     it sweeps: trees n <= 12 and connected graphs n <= 7."""
     from steklov.enumeration import (
-        _class_codes, graph_edges, graph_from_code, tree_edges, tree_from_code,
+        _class, graph_edges, graph_from_code, tree_edges, tree_from_code,
     )
 
-    classes = [(n, _class_codes("trees", n), tree_edges, tree_from_code) for n in range(1, 13)]
-    classes += [(n, _class_codes("connected", n), graph_edges, graph_from_code) for n in range(1, 8)]
+    classes = [(n, _class("trees", n).codes, tree_edges, tree_from_code) for n in range(1, 13)]
+    classes += [(n, _class("connected", n).codes, graph_edges, graph_from_code) for n in range(1, 8)]
     boundary_free = 0
     for n, codes, parse, decode in classes:
         spectra = unit_steklov_spectra(n, [parse(c)[1] for c in codes])
