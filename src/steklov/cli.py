@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: spectrum, family, clump, clump-cert, nodal, verify, sweep,
-selftest. Reports go to stdout as JSON (CSV available for sweep tables);
+selftest. Reports are JSON (CSV available for verify and sweep), written to
+stdout or to the file --out names (family's --out is its graph file);
 logging goes to stderr. Exit codes: 0 ok/certified, 1 usage error,
 2 assertion/bound failure, 3 rigidity mismatch, 4 unsupported range.
 No command takes a tolerance: ``verify`` decides exactly, and ``nodal``
@@ -85,8 +86,8 @@ def _jsonify(obj) -> str:
     return json.dumps(str(obj))
 
 
-def _emit(report: dict, out_path: str | None = None) -> None:
-    text = _jsonify(report) + "\n"
+def _write(text: str, out_path: str | None) -> None:
+    """The one report writer: to the file ``out_path`` when given, else stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -94,8 +95,9 @@ def _emit(report: dict, out_path: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _report(command: str, payload: dict) -> dict:
-    return {"command": command, "version": __version__, "payload": payload}
+def _emit(command: str, payload: dict, out_path: str | None = None) -> None:
+    report = {"command": command, "version": __version__, "payload": payload}
+    _write(_jsonify(report) + "\n", out_path)
 
 
 def _number(value) -> object:
@@ -120,14 +122,12 @@ def _cmd_spectrum(args) -> int:
     else:
         res = steklov_spectrum(g)
     _emit(
-        _report(
-            "spectrum",
-            {
-                "kind": res.kind,
-                "boundary": list(res.support),
-                "eigenvalues": [float(v) for v in res.eigenvalues],
-            },
-        ),
+        "spectrum",
+        {
+            "kind": res.kind,
+            "boundary": list(res.support),
+            "eigenvalues": [float(v) for v in res.eigenvalues],
+        },
         args.out,
     )
     return EXIT_OK
@@ -185,7 +185,8 @@ def _cmd_family(args) -> int:
         fam = build_star_paths(args.r, args.arm_length)
         params = {"r": args.r, "l": args.arm_length}
     elif args.family == "comb":
-        fam = build_comb(_parse_base(args.base), _parse_tooth(args.tooth))
+        base, tooth = _parse_base(args.base), _parse_tooth(args.tooth)
+        fam = build_comb(base, tooth)
         params = {"base": args.base, "tooth": args.tooth}
     elif args.family == "path":
         fam = build_path(args.n)
@@ -204,10 +205,9 @@ def _cmd_family(args) -> int:
         "graph": graph_to_dict(fam.graph),
     }
     if args.family == "comb":
-        base = _parse_base(args.base)
-        vals, _ = comb_spectrum(base, _parse_tooth(args.tooth))
+        vals, _ = comb_spectrum(base, tooth)
         payload["closed_form_spectrum"] = [float(v) for v in vals]
-    _emit(_report("family", payload))
+    _emit("family", payload)
     return EXIT_OK
 
 
@@ -223,17 +223,15 @@ def _cmd_clump(args) -> int:
         else {"edge": list(rep.point.edge), "offset": _number(rep.point.offset)}
     )
     _emit(
-        _report(
-            "clump",
-            {
-                "clump_number": _number(rep.clump_number),
-                "equilibrium_point": point,
-                "clumps": [
-                    {"length": _number(c.length), "vertices": list(c.vertices)}
-                    for c in rep.clumps
-                ],
-            },
-        ),
+        "clump",
+        {
+            "clump_number": _number(rep.clump_number),
+            "equilibrium_point": point,
+            "clumps": [
+                {"length": _number(c.length), "vertices": list(c.vertices)}
+                for c in rep.clumps
+            ],
+        },
         args.out,
     )
     return EXIT_OK
@@ -262,23 +260,16 @@ def _cmd_clump_cert(args) -> int:
     if args.sub_k:
         result = clumps_mod.find_removal_sub_k(g, args.r, args.k)
         if isinstance(result, clumps_mod.StarException):
-            _emit(
-                _report(
-                    "clump-cert",
-                    {"verdict": "star-exception", "center": result.center,
-                     "r": result.r, "k": result.k},
-                )
-            )
+            _emit("clump-cert", {"verdict": "star-exception", "center": result.center,
+                                 "r": result.r, "k": result.k})
             return EXIT_OK
-        _emit(_report("clump-cert", {"verdict": "removal",
-                                     "certificate": _certificate_payload(result)}))
+        _emit("clump-cert", {"verdict": "removal", "certificate": _certificate_payload(result)})
         return EXIT_OK
     cert = clumps_mod.find_removal_for_clump(g, args.r, args.k, half=args.half)
     if cert is None:
-        _emit(_report("clump-cert", {"verdict": "not-found"}))
+        _emit("clump-cert", {"verdict": "not-found"})
         return EXIT_ASSERTION
-    _emit(_report("clump-cert", {"verdict": "removal",
-                                 "certificate": _certificate_payload(cert)}))
+    _emit("clump-cert", {"verdict": "removal", "certificate": _certificate_payload(cert)})
     return EXIT_OK
 
 
@@ -291,25 +282,14 @@ def _cmd_nodal(args) -> int:
     res = dirichlet_steklov_spectrum(g) if g.dirichlet else steklov_spectrum(g)
     sigma, f = res.eigenpair(args.eig)
     report = verify_nodal_theorem(g, sigma, f)
-    domains = []
-    for v in report.verdicts:
-        domains.append(
-            {
-                "lambda1": v.lambda1,
-                "sigma": v.sigma,
-                "residual": v.residual,
-                "one_signed": v.one_signed,
-                "ok": v.ok,
-            }
-        )
     payload = {
         "eig_index": args.eig,
         "sigma": float(sigma),
         "degenerate_zero_set": report.degenerate,
-        "domains": domains,
+        "domains": report.verdicts,
         "ok": report.ok,
     }
-    _emit(_report("nodal", payload), args.out)
+    _emit("nodal", payload, args.out)
     return EXIT_OK if report.ok or report.degenerate else EXIT_ASSERTION
 
 
@@ -332,14 +312,12 @@ def _cmd_verify(args) -> int:
         "characterized": report.target.characterized,
         "bound_ok": report.bound_ok,
         "match": report.match,
-        "seconds": round(time.monotonic() - t0, 3),
     }
     if args.format == "csv":
-        lines = ["field,value"] + [f"{k},{v}" for k, v in payload.items() if k != "seconds"]
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write("field,value\n" + "".join(f"{k},{v}\n" for k, v in payload.items()), args.out)
     else:  # timestamp-normalized for reproducibility
-        _emit(_report("verify", {**payload, "seconds": 0.0}), args.out)
-        log.info("verify finished in %.3fs", payload["seconds"])
+        _emit("verify", {**payload, "seconds": 0.0}, args.out)
+    log.info("verify finished in %.3fs", time.monotonic() - t0)
     if not report.bound_ok:
         return EXIT_ASSERTION
     if not report.match:
@@ -352,21 +330,18 @@ def _cmd_sweep(args) -> int:
 
     pairs = extremal.sweep(args.n, args.i, args.graph_class).rows
     if args.format == "csv":
-        sys.stdout.write("code,sigma\n")
-        for code, val in pairs:
-            sval = "inf" if math.isinf(val) else format(val, ".17g")
-            sys.stdout.write(f"{code},{sval}\n")
+        rows = "".join(f"{code},{'inf' if math.isinf(val) else format(val, '.17g')}\n"
+                       for code, val in pairs)
+        _write("code,sigma\n" + rows, args.out)
     else:
         _emit(
-            _report(
-                "sweep",
-                {
-                    "n": args.n,
-                    "i": args.i,
-                    "class": args.graph_class,
-                    "rows": [{"code": c, "sigma": v} for c, v in pairs],
-                },
-            ),
+            "sweep",
+            {
+                "n": args.n,
+                "i": args.i,
+                "class": args.graph_class,
+                "rows": [{"code": c, "sigma": v} for c, v in pairs],
+            },
             args.out,
         )
     return EXIT_OK
@@ -405,7 +380,7 @@ def _cmd_selftest(args) -> int:
         build_path(4).graph, 2
     ).verdict == "TypeA")
     ok = all(c["ok"] for c in checks)
-    _emit(_report("selftest", {"checks": checks, "ok": ok}))
+    _emit("selftest", {"checks": checks, "ok": ok})
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
@@ -465,25 +440,17 @@ def _build_parser() -> _Parser:
     np_.add_argument("--out")
     np_.set_defaults(func=_cmd_nodal)
 
-    vp = sub.add_parser("verify", help="certify an extremal sweep")
-    vp.add_argument("--n", type=int, required=True)
-    vp.add_argument("--i", type=int, required=True)
-    vp.add_argument("--class", dest="graph_class", default="trees",
-                    choices=["trees", "connected"])
-    vp.add_argument("--format", default="json", choices=["json", "csv"])
-    vp.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    vp.add_argument("--out")
-    vp.set_defaults(func=_cmd_verify)
-
-    wp = sub.add_parser("sweep", help="emit the per-class eigenvalue table")
-    wp.add_argument("--n", type=int, required=True)
-    wp.add_argument("--i", type=int, required=True)
-    wp.add_argument("--class", dest="graph_class", default="trees",
-                    choices=["trees", "connected"])
-    wp.add_argument("--format", default="json", choices=["json", "csv"])
-    wp.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    wp.add_argument("--out")
-    wp.set_defaults(func=_cmd_sweep)
+    for name, help_, func in (("verify", "certify an extremal sweep", _cmd_verify),
+                              ("sweep", "emit the per-class eigenvalue table", _cmd_sweep)):
+        q = sub.add_parser(name, help=help_)
+        q.add_argument("--n", type=int, required=True)
+        q.add_argument("--i", type=int, required=True)
+        q.add_argument("--class", dest="graph_class", default="trees",
+                       choices=["trees", "connected"])
+        q.add_argument("--format", default="json", choices=["json", "csv"])
+        q.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+        q.add_argument("--out")
+        q.set_defaults(func=func)
 
     st = sub.add_parser("selftest", help="quick battery of internal checks")
     st.set_defaults(func=_cmd_selftest)

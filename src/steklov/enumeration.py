@@ -113,64 +113,57 @@ def unit_tree_code(adj) -> str:
     return min(_rooted_code(adj, c, _unit_length) for c in centroids)
 
 
-def tree_edges(code: str) -> tuple[int, list[tuple[int, int]]]:
-    """Vertex count and edges of a unit-length tree code, numbered as
-    :func:`tree_from_code` numbers them (preorder). Codes with any other
-    edge length are rejected."""
+def _tree_grammar(code: str) -> tuple[int, list[tuple[int, int]], list[str]]:
+    """Vertex count, edges and edge-length strings of a tree code: "(",
+    then each child as the length of the edge to it and its own code, then
+    ")". Vertices are numbered in preorder, each edge from parent to child."""
     edges: list[tuple[int, int]] = []
+    lengths: list[str] = []
     stack: list[int] = []
-    n = 0
+    n = start = 0  # start: where the text since the last bracket begins
     for pos, ch in enumerate(code):
         if ch == "(":
             if stack:
-                if code[pos - 1] != "1":
-                    raise ParseError(f"not a unit tree code at {pos}: {code!r}")
                 edges.append((stack[-1], n))
+                lengths.append(code[start:pos])
             elif pos:
                 raise ParseError(f"trailing characters in tree code {code!r}")
             stack.append(n)
             n += 1
-        elif ch == ")" and stack:
+            start = pos + 1
+        elif ch == ")":
+            if not stack or start != pos:
+                raise ParseError(f"malformed tree code at {pos}: {code!r}")
             stack.pop()
-        elif ch != "1" or code[pos + 1 : pos + 2] != "(":
-            raise ParseError(f"not a unit tree code at {pos}: {code!r}")
-    if stack or not n:
+            start = pos + 1
+    if stack or not n or start != len(code):
         raise ParseError(f"malformed tree code: {code!r}")
+    return n, edges, lengths
+
+
+def tree_edges(code: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and edges of a unit-length tree code, numbered as
+    :func:`tree_from_code` numbers them (preorder). Codes with any other
+    edge length are rejected."""
+    n, edges, lengths = _tree_grammar(code)
+    if lengths.count("1") != len(lengths):
+        raise ParseError(f"not a unit tree code: {code!r}")
     return n, edges
 
 
 def tree_from_code(code: str) -> WeightedBoundaryGraph:
     """Rebuild a combinatorial tree from its code (weights = 1/length)."""
+    n, pairs, lengths = _tree_grammar(code)
     edges = []
-    pos = 0
-
-    def parse(parent: int | None, length_str: str, next_id: list[int]) -> None:
-        nonlocal pos
-        if code[pos] != "(":
-            raise ParseError(f"bad tree code at {pos}")
-        pos += 1
-        me = next_id[0]
-        next_id[0] += 1
-        if parent is not None:
-            length = Fraction(length_str)
-            if length <= 0:
-                raise ParseError(f"non-positive edge length in tree code {code!r}")
-            edges.append((parent, me, Fraction(1) / length))
-        while code[pos] != ")":
-            start = pos
-            while code[pos] != "(":
-                pos += 1
-            parse(me, code[start:pos], next_id)
-        pos += 1
-
-    counter = [0]
-    try:
-        parse(None, "", counter)
-    except (IndexError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"malformed tree code: {code!r}") from exc
-    if pos != len(code):
-        raise ParseError("trailing characters in tree code")
-    return make_graph(counter[0], edges, roles=degree_roles(counter[0], edges))
+    for (u, v), text in zip(pairs, lengths):
+        try:
+            length = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad edge length {text!r} in tree code {code!r}") from exc
+        if length <= 0:
+            raise ParseError(f"non-positive edge length in tree code {code!r}")
+        edges.append((u, v, Fraction(1) / length))
+    return make_graph(n, edges, roles=degree_roles(n, edges))
 
 
 # -- general graph codes -------------------------------------------------------------
@@ -300,35 +293,38 @@ def canonical_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
 # -- class streams -------------------------------------------------------------------
 
 
-def _is_class(kind: str, n: int, codes: list[str]) -> bool:
+def _is_class(kind: str, n: int, codes: tuple[str, ...]) -> bool:
     """Whether stored codes can be the class: as many as the oracle count
-    (Otter for trees, OEIS A001349 for connected graphs), distinct, sorted,
-    and each on n vertices (a tree code has one "(" per vertex)."""
-    if kind == "trees":
-        count, sized = free_tree_count(n), all(c.count("(") == n for c in codes)
-    else:
-        count, sized = CONNECTED_COUNTS[n], all(c.startswith(f"g{n}:") for c in codes)
-    return sized and len(codes) == count and codes == sorted(set(codes))
+    (Otter for trees, OEIS A001349 for connected graphs), distinct and
+    sorted."""
+    count = free_tree_count(n) if kind == "trees" else CONNECTED_COUNTS[n]
+    return len(codes) == count and list(codes) == sorted(set(codes))
 
 
-def _cache_load(kind: str, n: int, path: Path) -> list[str] | None:
-    """Stored codes of a class, or None on a miss. A file that is not
-    UTF-8 or fails :func:`_is_class` is a miss too: it is logged and the
-    class is generated again."""
+def _cache_load(kind: str, n: int, path: Path) -> GraphClassStream | None:
+    """The class stored at ``path``, or None on a miss. The file is the
+    class only if it is UTF-8, passes :func:`_is_class` and every code
+    parses on n vertices (the class object's own parse, done here); any
+    other file is a miss too: it is logged and the class is generated
+    again."""
     try:
-        codes = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+        text = path.read_text(encoding="utf-8")
     except OSError:
         return None
     except UnicodeDecodeError:
-        codes = []
-    if not _is_class(kind, n, codes):
-        log.warning("class cache %s does not hold the %d-vertex %s class; "
-                    "generating the class again", path, n, kind)
-        return None
-    return codes
+        text = ""
+    stream = GraphClassStream(kind, n, tuple(line for line in text.splitlines() if line))
+    try:
+        if _is_class(kind, n, stream.codes) and stream.edges:
+            return stream
+    except ParseError:
+        pass
+    log.warning("class cache %s does not hold the %d-vertex %s class; "
+                "generating the class again", path, n, kind)
+    return None
 
 
-def _cache_store(path: Path, codes: list[str]) -> None:
+def _cache_store(path: Path, codes: tuple[str, ...]) -> None:
     """Write a class file through a temporary file in the same directory,
     so a reader never sees a partial file."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -343,8 +339,9 @@ def _cache_store(path: Path, codes: list[str]) -> None:
 @dataclass(frozen=True, eq=False, repr=False)
 class GraphClassStream:
     """One isomorphism class, held once per class file: its sorted stored
-    ``codes`` and their ``edges``, parsed once on first read. Every
-    iteration builds fresh graphs from that parse."""
+    ``codes`` and their ``edges``, parsed once: when the class is read from
+    its file (the parse is part of the file's check), else on first read.
+    Every iteration builds fresh graphs from that parse."""
 
     kind: str
     n: int
@@ -448,12 +445,13 @@ def _class(kind: str, n: int) -> GraphClassStream:
 
 @lru_cache(maxsize=None)
 def _load_class(kind: str, n: int, path: Path | None) -> GraphClassStream:
-    codes = _cache_load(kind, n, path) if path else None
-    if codes is None:
+    stream = _cache_load(kind, n, path) if path else None
+    if stream is None:
         codes = sorted((_tree_class if kind == "trees" else _connected_class)(n))
+        stream = GraphClassStream(kind, n, tuple(codes))
         if path:
-            _cache_store(path, codes)
-    return GraphClassStream(kind, n, tuple(codes))
+            _cache_store(path, stream.codes)
+    return stream
 
 
 def _index(value, name: str) -> int:

@@ -345,6 +345,40 @@ def test_verify_regenerates_truncated_cache(tmp_path, monkeypatch, capsys, caplo
     assert "generating the class again" in caplog.text
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--n", "8", "--i", "3"],
+     "5e4ebd6509b55d01620cf1cf4306371400ef34618d7fce2f01056e822bcd90eb"),
+    (["verify", "--n", "5", "--i", "2", "--class", "connected"],
+     "91af87048c047b846810e3ca3acb0d447f78e7b2cd16c7982d3c0ebeb82f5dd9"),
+    (["sweep", "--n", "7", "--i", "2"],
+     "0d92a1f27225b5088b82e27deeec071e1c4f7294579a17eb67396d12287b9f6a"),
+], ids=["verify-trees", "verify-connected", "sweep"])
+def test_csv_reports_honour_out(tmp_path, capsys, argv, digest):
+    # --out takes the CSV table as it takes a JSON report: the file holds
+    # the bytes that stdout holds without it, and nothing is printed
+    argv = argv + ["--format", "csv"]
+    code, printed, _ = run(capsys, argv)
+    assert code == 0 and hashlib.sha256(printed.encode()).hexdigest() == digest
+    out_file = tmp_path / "report.csv"
+    code, out, err = run(capsys, argv + ["--out", str(out_file)])
+    assert code == 0 and out == "" and err == ""
+    assert out_file.read_bytes() == printed.encode()
+
+
+def test_sweep_regenerates_a_class_file_with_a_bad_code(tmp_path, capsys, caplog):
+    # the right count and order, but the path's code has trailing junk: the
+    # file is no class, so it is logged once, rewritten and the sweep runs
+    from steklov.enumeration import GENERATOR_VERSION
+
+    path = tmp_path / f"trees-n4-{GENERATOR_VERSION}.txt"
+    path.write_text("(1()1()1())\n(1(1(1())))x\n")
+    argv = ["--cache-dir", str(tmp_path), "sweep", "--n", "4", "--i", "2", "--format", "csv"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.startswith("code,sigma\n(1()1()1()),")
+    assert caplog.text.count("generating the class again") == 1
+    assert path.read_text() == "(1()1()1())\n(1()1(1()))\n"
+
+
 def test_sweep_csv(capsys):
     code, out, _ = run(
         capsys, ["sweep", "--n", "4", "--i", "2", "--format", "csv"]

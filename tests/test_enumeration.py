@@ -392,19 +392,36 @@ def test_enumerators_refuse_non_integer_n(tmp_path, monkeypatch, n):
     assert [p.name for p in tmp_path.iterdir()] == [f"trees-n6-{GENERATOR_VERSION}.txt"]
 
 
-def test_parse_errors():
+def test_parse_errors(rng):
+    # one grammar: both tree parsers refuse what breaks it, an empty edge
+    # length and trailing junk included
+    for bad in ("", "(", ")", "(1(", "(1())(", "()()", "(1()1)", "(())", "()x", "(1())x",
+                "x()", "(1()))"):
+        for parse in (tree_from_code, tree_edges):
+            with pytest.raises(ParseError):
+                parse(bad)
     # an unreadable or non-positive edge length is a parse error too
-    for bad in ("(1(", "(-1())", "(0())", "(x())", "(1/0())"):
+    for bad in ("(-1())", "(0())", "(x())", "(1/0())"):
         with pytest.raises(ParseError):
             tree_from_code(bad)
     with pytest.raises(ParseError):
         graph_from_code("g3:zz")
-    # the fast parser takes unit-length tree codes only
-    for bad in ("", "(1(", "(1())(", "()()", "(2())", "(1/2())", "(11())", "(1()1)"):
+    # the unit parser takes unit-length tree codes only
+    for bad in ("(2())", "(1/2())", "(11())", "(-1())"):
         with pytest.raises(ParseError):
             tree_edges(bad)
     with pytest.raises(ParseError):
         graph_edges("g3:0101")
+    # every code that tree_code gives on a tree with fractional lengths
+    # decodes to a tree with that code
+    assert tree_code(tree_from_code("(1()1/2()3/2(2()))")) == "(1()1/2()3/2(2()))"
+    lengths = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(5, 3)]
+    for n in range(2, 10):
+        for _ in range(20):
+            edges = [(int(rng.integers(v)), v, 1 / lengths[rng.integers(len(lengths))])
+                     for v in range(1, n)]
+            code = tree_code(make_graph(n, edges))
+            assert tree_code(tree_from_code(code)) == code
 
 
 def test_fast_parsers_match_decoders():
@@ -506,10 +523,15 @@ def test_corrupt_cache_entries_are_regenerated(tmp_path, monkeypatch, caplog, ki
     monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
     good = codes()
     path = tmp_path / f"{kind}-n{n}-{GENERATOR_VERSION}.txt"
-    # truncated, duplicated and unsorted files each hold a wrong class, and
-    # the class written in UTF-16 is no UTF-8 file
+    # truncated, duplicated and unsorted files each hold a wrong class, the
+    # class written in UTF-16 is no UTF-8 file, and a file of the right
+    # count and order whose last code does not parse (a tree code with
+    # trailing junk, a graph code with the right "g5:" prefix and a bad bit)
+    # is no class either
+    corrupt = good[:-1] + (good[-1] + "x" if kind == "trees" else good[-1][:-1] + "2",)
+    assert corrupt == tuple(sorted(set(corrupt)))
     wrong = [(good[:1], "utf-8"), (good[:-1] + good[:1], "utf-8"), (good[::-1], "utf-8"),
-             (good, "utf-16")]
+             (good, "utf-16"), (corrupt, "utf-8")]
     for lines, encoding in wrong:
         path.write_text("\n".join(lines) + "\n", encoding=encoding)
         _load_class.cache_clear()
