@@ -6,7 +6,8 @@ Dirichlet edges compare correctly; and a minimal-adjacency code for general
 simple graphs over the vertex orders that respect the Weisfeiler-Lehman
 colour cells, found by a row-by-row search that keeps only the least rows
 (individualisation and refinement, McKay-Piperno 2014). Both codes are
-decodable strings, which is what the on-disk class cache stores.
+decodable strings, and each class member is stored (on disk too) under its
+:func:`canonical_code`: the tree code of a tree, else its graph code.
 
 Both classes are built from smaller pieces: free trees from the rooted
 branches at their centroids (Otter), connected graphs by joining a vertex to
@@ -47,7 +48,7 @@ from .graph import (
 MAX_TREE_N = 16
 MAX_GRAPH_N = 7
 MAX_CODE_N = 10
-GENERATOR_VERSION = "v1"
+GENERATOR_VERSION = "v2"
 # OEIS A001349: connected simple graphs on n vertices, up to isomorphism.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
@@ -338,10 +339,11 @@ def _cache_store(path: Path, codes: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class GraphClassStream:
-    """One isomorphism class, held once per class file: its sorted stored
-    ``codes`` and their ``edges``, parsed once: when the class is read from
-    its file (the parse is part of the file's check), else on first read.
-    Every iteration builds fresh graphs from that parse."""
+    """One isomorphism class, held once per class file: its members'
+    :func:`canonical_code` strings, sorted, as ``codes``, and their
+    ``edges``, parsed once: when the class is read from its file (the parse
+    is part of the file's check), else on first read. Every iteration
+    builds fresh graphs from that parse."""
 
     kind: str
     n: int
@@ -352,12 +354,13 @@ class GraphClassStream:
 
     @cached_property
     def edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each code's edges, numbered as its decoder numbers them; while a
-        code is bad or not on n vertices, every read raises ParseError."""
-        parse = tree_edges if self.kind == "trees" else graph_edges
+        """Each code's edges, numbered as its decoder numbers them (a tree
+        code's as a parent array); while a code is bad or not on n
+        vertices, every read raises ParseError."""
         edge_lists = []
         for code in self.codes:
-            size, edges = parse(code)
+            tree = self.kind == "trees" or code.startswith("(")
+            size, edges = (tree_edges if tree else graph_edges)(code)
             if size != self.n:
                 raise ParseError(f"class code {code!r} is not on {self.n} vertices")
             edge_lists.append(tuple(edges))
@@ -403,9 +406,11 @@ def _connected_class(n: int) -> set[str]:
     vertex has a larger WL colour than the new vertex (a larger degree, the
     cheaper test, is checked first): colours are isomorphism invariants and
     refine the degree order, so every class is still reached by deleting
-    its highest-colour non-cut vertex. The set drops repeats."""
+    its highest-colour non-cut vertex. A join is a tree when a tree base
+    gains one edge, and is coded as one (:func:`canonical_code`). The set
+    drops repeats."""
     if n == 1:
-        return {"g1:0"}
+        return {"()"}
     m = n - 1
     codes = set()
     for edges in _class("connected", m).edges:
@@ -426,7 +431,8 @@ def _connected_class(n: int) -> set[str]:
             colors = _wl_colors(adj)
             if any(colors[x] > colors[m] and all(p & new for p in pieces[x]) for x in range(m)):
                 continue
-            codes.add(_adjacency_code(adj, colors))
+            tree = len(edges) == m - 1 and degree == 1
+            codes.add(unit_tree_code(adj) if tree else _adjacency_code(adj, colors))
     return codes
 
 
@@ -527,8 +533,8 @@ def free_tree_count(n: int) -> int:
 
 
 def graph_subset_classes(n: int) -> set[str]:
-    """Brute-force oracle: all connected graphs via every edge subset.
-    Exponential; intended for n <= 6."""
+    """Brute-force oracle: canonical codes of all connected graphs via every
+    edge subset. Exponential; intended for n <= 6."""
     n = _index(n, "n")
     if n < 1:
         raise OutOfSupportedRangeError("n >= 1")
@@ -538,5 +544,5 @@ def graph_subset_classes(n: int) -> set[str]:
         edges = [all_pairs[k] for k in range(len(all_pairs)) if (mask >> k) & 1]
         g = combinatorial_graph(n, edges)
         if g.is_connected():
-            codes.add(graph_code(g))
+            codes.add(canonical_code(g))
     return codes

@@ -12,7 +12,7 @@ off a diagonal congruence of M in exact arithmetic:
   eigenvalues of trees", Linear Algebra Appl. 434, 2011): one pass over
   the edges reads them as a parent array (each edge (u, v) with u < v,
   every v >= 1 the larger end of exactly one), as every stored tree's
-  edges are; any other tree is walked in the order of one
+  edges are, in both classes; any other tree is walked in the order of one
   :func:`~steklov.graph.subtree_sizes` pass. The walk folds each vertex,
   leaves first, into its parent in Python integers: num/den after
   scaling by the denominator of a rational b, (x + y sqrt(d)) / z reduced

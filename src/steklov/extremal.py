@@ -14,8 +14,9 @@ significant digits for a surd. Each (n, i, class) target, minimizer graphs
 and codes included, is built once per process and shared by every caller.
 
 Exhaustive sweeps screen a whole class with batched float spectra. The
-screen does not depend on i: it is built from the class object's one parse
-and held with that object for every i. :func:`verify_extremal` then
+screen does not depend on i: it is the spectra alone, built from the class
+object's one parse and held with that object for every i. Rows are the
+stored codes, which are canonical and sorted. :func:`verify_extremal` then
 decides every class that screens within SCREEN_MARGIN of the bound b
 exactly, afresh on every call, by the counts #{sigma_j < b} and
 #{sigma_j = b} of :func:`~steklov.exact.inertia_counts`; no class is
@@ -39,7 +40,6 @@ from .enumeration import (
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
-    tree_edges,
     unit_tree_code,
 )
 from .errors import (
@@ -70,7 +70,6 @@ from .geometry import DEFAULT_ZERO_TOL, clump_number
 from .graph import (
     Role,
     WeightedBoundaryGraph,
-    adjacency_sets,
     combinatorial_boundary,
     make_graph,
     subtree_sizes,
@@ -307,31 +306,19 @@ class SweepResult:
 
 
 def _screen(stream):
-    """Labels, edge lists (a tree of the connected class as the parent array
-    of its tree code) and the read-only :func:`unit_steklov_spectra`
-    matrix of a class object, then the (distinct) labels sorted and the
-    read-only row order that sorts them; built from the object's one parse
-    and freed with it. A bad code is not held, so it raises on every call."""
+    """The read-only :func:`unit_steklov_spectra` matrix of a class object,
+    one row per stored code, built from the object's one parse and freed
+    with it. A bad code is not held, so it raises on every call."""
     if stream not in _screens:
-        n, labels, edge_lists = stream.n, list(stream.codes), list(stream.edges)
-        spectra = unit_steklov_spectra(n, stream.edges)
+        spectra = unit_steklov_spectra(stream.n, stream.edges)
         spectra.flags.writeable = False
-        # screened from the stored edges; the exact counts then walk each tree
-        # member of the connected class as the parent array of its tree code
-        for j, edges in enumerate(stream.edges):
-            if stream.kind == "connected" and len(edges) == n - 1:
-                labels[j] = unit_tree_code(adjacency_sets(n, edges))
-                edge_lists[j] = tuple(tree_edges(labels[j])[1])
-        order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
-        order.flags.writeable = False
-        _screens[stream] = (tuple(labels), tuple(edge_lists), spectra,
-                            tuple(labels[j] for j in order), order)
+        _screens[stream] = spectra
     return _screens[stream]
 
 
 def _screened(n: int, i: int, graph_class: str):
-    """The memoised screen of a class and its column of sigma_i values
-    (+inf where i exceeds n), after the parameters are checked."""
+    """The class object and its column of screened sigma_i values (+inf
+    where i exceeds n), after the parameters are checked."""
     n, i = _index(n, "n"), _index(i, "i")
     if i < 1:
         raise InvalidParamsError("eigenvalue index is 1-based")
@@ -340,9 +327,8 @@ def _screened(n: int, i: int, graph_class: str):
     if graph_class == "trees" and n > MAX_SWEEP_TREE_N:
         raise OutOfSupportedRangeError(f"tree sweeps support n <= {MAX_SWEEP_TREE_N}")
     stream = (enumerate_trees if graph_class == "trees" else enumerate_connected_graphs)(n)
-    memo = _screen(stream)
-    values = memo[2][:, i - 1] if i <= n else np.full(len(memo[0]), math.inf)
-    return memo, values
+    values = _screen(stream)[:, i - 1] if i <= n else np.full(len(stream), math.inf)
+    return stream, values
 
 
 def _screen_minimum(values: np.ndarray):
@@ -364,22 +350,21 @@ def sweep(n: int, i: int, graph_class: str = "trees") -> SweepResult:
     vertices.
 
     The class object is screened from its one parse with batched float
-    spectra (:func:`unit_steklov_spectra`), and the screen is held with the
-    object for every i: the labels, the edge lists, the whole spectrum of
-    every class (each sweep reads column i) and the row order that sorts
-    the labels. The minimum, the argmin set (screened values within
+    spectra (:func:`unit_steklov_spectra`), and the screen, the whole
+    spectrum of every class (each sweep reads column i), is held with the
+    object for every i. The minimum, the argmin set (screened values within
     SCREEN_MARGIN of it) and the gap are read off the screen; no class is
     solved again, so they are floats, not certificates
     (:func:`verify_extremal` decides those exactly). Classes are listed
-    under their stored codes, except that connected-class members that are
-    trees are listed under their tree code.
+    under their stored codes, which are canonical codes and sorted, so a
+    tree reads the same in either class.
     """
-    (labels, _, _, row_labels, order), values = _screened(n, i, graph_class)
+    stream, values = _screened(n, i, graph_class)
     minimum, argmin = _screen_minimum(values)
     return SweepResult(
-        rows=tuple(zip(row_labels, values[order].tolist())),
+        rows=tuple(zip(stream.codes, values.tolist())),
         minimum=minimum,
-        argmin_codes=tuple(sorted(labels[j] for j in argmin)),
+        argmin_codes=tuple(stream.codes[j] for j in argmin),
         gap=_gap(values, argmin, minimum),
     )
 
@@ -421,27 +406,27 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     back to the screen's minimum and argmin set, with ``match`` False."""
     target = predicted_bound(n, i, graph_class)
     n, i, b = target.n, target.i, target.bound_exact
-    (labels, edge_lists, _, _, _), values = _screened(n, i, graph_class)
+    stream, values = _screened(n, i, graph_class)
     counts = {
-        int(j): _inertia_counts(n, edge_lists[j], b)
+        int(j): _inertia_counts(n, stream.edges[j], b)
         for j in np.flatnonzero(values <= target.bound + SCREEN_MARGIN)
     }
     bound_ok = all(neg < i for neg, _ in counts.values())
     attained = [j for j, (neg, zero) in counts.items() if neg < i <= neg + zero]
     predicted = target.predicted_codes
     if bound_ok and attained:
-        minimum, argmin = target.bound, tuple(sorted(labels[j] for j in attained))
+        minimum, argmin = target.bound, tuple(stream.codes[j] for j in attained)
         if target.characterized:
             match = argmin == predicted
         else:
             match = set(predicted) <= set(argmin)
     else:
         minimum, attained = _screen_minimum(values)
-        argmin, match = tuple(sorted(labels[j] for j in attained)), False
+        argmin, match = tuple(stream.codes[j] for j in attained), False
     return ExtremalReport(
         target=target,
         graph_class=graph_class,
-        class_size=len(labels),
+        class_size=len(stream),
         minimum=minimum,
         argmin_codes=argmin,
         predicted_codes=predicted,

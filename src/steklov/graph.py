@@ -422,7 +422,10 @@ def _finite(value, what):
 def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
     if not isinstance(data, dict) or set(data) != {"vertices", "edges"}:
         raise ParseError("expected an object with exactly 'vertices' and 'edges'")
-    verts = data["vertices"]
+    verts, edge_entries = data["vertices"], data["edges"]
+    if not (isinstance(verts, list) and isinstance(edge_entries, list)
+            and all(isinstance(entry, dict) for entry in verts + edge_entries)):
+        raise ParseError("'vertices' and 'edges' must be lists of objects")
     n = len(verts)
     measures: list[Weight] = [1] * n
     roles: list[Role] = [Role.INTERIOR] * n
@@ -442,7 +445,7 @@ def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
         except ValueError as exc:
             raise ParseError(f"unknown role {entry.get('role')!r}") from exc
     edges = []
-    for entry in data["edges"]:
+    for entry in edge_entries:
         if set(entry) - _EDGE_FIELDS:
             raise ParseError(f"unknown edge fields: {sorted(set(entry) - _EDGE_FIELDS)}")
         try:

@@ -7,7 +7,14 @@ from numbers import Rational
 import numpy as np
 import pytest
 
-from steklov.enumeration import canonical_code, tree_code
+from steklov.enumeration import (
+    canonical_code,
+    graph_edges,
+    graph_from_code,
+    tree_code,
+    tree_edges,
+    tree_from_code,
+)
 from steklov.families import build_broom, minimal_broom_total
 from steklov.graph import (
     Role,
@@ -53,6 +60,14 @@ def counting_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def code_decoders(code):
+    """The fast parser and the decoder of a stored code: the tree ones for
+    a tree code, the graph ones for a graph code."""
+    if code.startswith("("):
+        return tree_edges, tree_from_code
+    return graph_edges, graph_from_code
 
 
 def path_graph(n):

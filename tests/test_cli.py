@@ -352,7 +352,9 @@ def test_verify_regenerates_truncated_cache(tmp_path, monkeypatch, capsys, caplo
      "91af87048c047b846810e3ca3acb0d447f78e7b2cd16c7982d3c0ebeb82f5dd9"),
     (["sweep", "--n", "7", "--i", "2"],
      "0d92a1f27225b5088b82e27deeec071e1c4f7294579a17eb67396d12287b9f6a"),
-], ids=["verify-trees", "verify-connected", "sweep"])
+    (["sweep", "--n", "7", "--i", "3", "--class", "connected"],
+     "8decd24c2086662b54ae6d8ba6ee2b1119c7bbcab7855b3fb2b2bf8a3ec90c54"),
+], ids=["verify-trees", "verify-connected", "sweep", "sweep-connected"])
 def test_csv_reports_honour_out(tmp_path, capsys, argv, digest):
     # --out takes the CSV table as it takes a JSON report: the file holds
     # the bytes that stdout holds without it, and nothing is printed

@@ -36,6 +36,7 @@ from steklov.graph import adjacency_sets, combinatorial_graph, make_graph
 
 from conftest import (
     brute_force_graph_code,
+    code_decoders,
     is_isomorphic,
     path_graph,
     random_unit_tree,
@@ -45,7 +46,10 @@ from conftest import (
 TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # n = 1..12
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]  # n = 1..7
 # SHA-256 of each class file (sorted codes, one per line) as generator
-# version v1 writes it; existing cache files stay valid while these hold.
+# version v2 writes it. The tree files are those of v1. The connected digests
+# were derived independently from the v1 connected classes, which stored
+# every member under its graph code: sort canonical_code(graph_from_code(c))
+# over each class and hash the lines.
 CLASS_DIGESTS = {
     ("trees", 1): "71d200d8ffab1b98ab940769da680c27d48873242f3f141a4910e6e10766e84b",
     ("trees", 2): "19b03f00fc8654cb9cd64c53f179ebc5aad7b94bf51eca39ee31cb06030acad5",
@@ -63,13 +67,13 @@ CLASS_DIGESTS = {
     ("trees", 14): "8a3c95be6cf3cffe604f0bb905b545405063c44601eaeb76f44363c446b9183e",
     ("trees", 15): "5bb72cde8f8fd8afd325617cc03d27569fafed38bedaf235ca745847bc1e175c",
     ("trees", 16): "9133bd685c8f92cb27b0742f0a9e85d189931bf2afe803deeabc8efba6d1bd9b",
-    ("connected", 1): "fc896bc94cfe0b163938fd27d50c48f04057e39a91fe9816c939f8b0ab64eea8",
-    ("connected", 2): "6e93bcddb5c94bc1e2861186f87edf2fe7f6d9eaee44fc1ee5dcf4e105bd350a",
-    ("connected", 3): "c7e47b183a962489ec1d243ce068ad8599453bd2e282d98d795813cc78244648",
-    ("connected", 4): "1fed161e75da3b530f3de0a1a79d6d1d2804e7c264a5ce4c15a011b036432800",
-    ("connected", 5): "31373ca9fe62c180c807d4dd579f3003a4597764503582705613cfcbd4c65f40",
-    ("connected", 6): "61492a1f81a1916b9efcd310238a8696e07a9473fa9c87bb2ba30a7a51e33cef",
-    ("connected", 7): "ca5d2b7f6bdb6147e767493e218f5a03d725ccaafa5c23025206dee6d427ce47",
+    ("connected", 1): "71d200d8ffab1b98ab940769da680c27d48873242f3f141a4910e6e10766e84b",
+    ("connected", 2): "19b03f00fc8654cb9cd64c53f179ebc5aad7b94bf51eca39ee31cb06030acad5",
+    ("connected", 3): "7c0cf075608c58dcade3c94374378f12a5e7df11cfff04cd52d106176b30e540",
+    ("connected", 4): "c4e86c18bf5b9e8dec258ab576982e8034c3cb52b5a67d529f3ac587c320af58",
+    ("connected", 5): "af52cdce798d6fc785d436c8c20a78faa4069ed2c61dedfa23ea54fde7f2871e",
+    ("connected", 6): "6a271111a193eb115c1bacdb9e4ba2d758cd73548380bec82d933221de829f6a",
+    ("connected", 7): "ed314f5423c19bdc71f9ba7c147076dcb41934d9f4e5e8600bbe78a17702827d",
 }
 
 
@@ -232,6 +236,13 @@ def test_connected_generator_matches_subset_oracle():
         assert set(_class("connected", n).codes) == graph_subset_classes(n), n
 
 
+def test_connected_class_stores_its_trees_under_tree_codes():
+    # the members that are trees are the tree class, code for code
+    for n in range(1, MAX_GRAPH_N + 1):
+        codes = _class("connected", n).codes
+        assert tuple(c for c in codes if c.startswith("(")) == _class("trees", n).codes, n
+
+
 def test_tree_code_round_trip(rng):
     for _ in range(100):
         g = random_unit_tree(rng, int(rng.integers(1, 12)))
@@ -315,11 +326,14 @@ def test_graph_code_matches_brute_force_on_labelled_graphs():
 
 
 def test_graph_code_matches_brute_force_on_relabelled_classes(rng):
+    # tree members too, decoded from their tree codes
     for n in range(1, MAX_GRAPH_N + 1):
         for code in _class("connected", n).codes:
             perm = rng.permutation(n).tolist()
-            g, adj = _graph_and_sets(n, [(perm[u], perm[v]) for u, v in graph_edges(code)[1]])
-            assert graph_code(g) == brute_force_graph_code(adj) == code
+            edges = code_decoders(code)[0](code)[1]
+            g, adj = _graph_and_sets(n, [(perm[u], perm[v]) for u, v in edges])
+            assert graph_code(g) == brute_force_graph_code(adj)
+            assert canonical_code(g) == code
 
 
 def _symmetric_graphs():
@@ -426,15 +440,20 @@ def test_parse_errors(rng):
 
 def test_fast_parsers_match_decoders():
     """tree_edges / graph_edges give the edge sets, and the vertex numbering,
-    of tree_from_code / graph_from_code on every stored code."""
-    classes = [(_class("trees", n).codes, tree_edges, tree_from_code) for n in range(1, 13)]
-    classes += [(_class("connected", n).codes, graph_edges, graph_from_code) for n in range(1, 8)]
-    for codes, parse, decode in classes:
-        for code in codes:
+    of tree_from_code / graph_from_code on every stored code, and the class
+    object's parse is theirs."""
+    classes = [_class("trees", n) for n in range(1, 13)]
+    classes += [_class("connected", n) for n in range(1, 8)]
+    graph_codes = 0
+    for stream in classes:
+        for code, parsed in zip(stream.codes, stream.edges, strict=True):
+            parse, decode = code_decoders(code)
             n, edges = parse(code)
             g = decode(code)
-            assert n == g.n
+            assert n == g.n == stream.n and tuple(edges) == parsed
             assert sorted(edges) == [(u, v) for u, v, _ in g.edges], code
+            graph_codes += parse is graph_edges
+    assert graph_codes == sum(CONNECTED_COUNTS) - sum(TREE_COUNTS[:7])
 
 
 def test_stored_codes_are_canonical():
@@ -444,9 +463,7 @@ def test_stored_codes_are_canonical():
             assert canonical_code(tree_from_code(code)) == code
     for n in range(1, 8):
         for code in _class("connected", n).codes:
-            g = graph_from_code(code)
-            if not g.is_tree():
-                assert canonical_code(g) == code
+            assert canonical_code(code_decoders(code)[1](code)) == code
 
 
 def test_unit_tree_code_matches_tree_code(rng):

@@ -141,8 +141,8 @@ def test_verify_over_a_tree_class_makes_no_subtree_walk(monkeypatch):
     for n, i in ((6, 3), (7, 4)):
         calls.clear()
         rep = verify_extremal(n, i, "connected")
-        (_, edge_lists, _, _, _), values = extremal._screened(n, i, "connected")
-        sizes = [len(edge_lists[j]) for j in np.flatnonzero(values <= rep.target.bound + rep.tol)]
+        stream, values = extremal._screened(n, i, "connected")
+        sizes = [len(stream.edges[j]) for j in np.flatnonzero(values <= rep.target.bound + rep.tol)]
         assert len(sizes) == rep.rechecked and n - 1 in sizes
         assert len(calls) == sum(size != n - 1 for size in sizes) > 0
 

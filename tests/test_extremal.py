@@ -344,9 +344,9 @@ def test_exact_oracle_pins_the_screen_margin():
         rep = verify_extremal(n, i, graph_class)
         b = rep.target.bound_exact
         stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
-        labels, edge_lists, spectra, _, _ = extremal._screen(stream)
+        spectra = extremal._screen(stream)
         attained = set()
-        for label, edges, spectrum in zip(labels, edge_lists, spectra, strict=True):
+        for label, edges, spectrum in zip(stream.codes, stream.edges, spectra, strict=True):
             degree = np.bincount(np.ravel(edges), minlength=n)
             if degree.min() > 1:
                 continue
@@ -357,6 +357,17 @@ def test_exact_oracle_pins_the_screen_margin():
                 assert abs(spectrum[i - 1] - rep.target.bound) <= 1e-12, (graph_class, n, i)
         assert tuple(sorted(attained)) == rep.argmin_codes, (graph_class, n, i)
         assert 1e-12 < extremal.SCREEN_MARGIN < rep.gap
+
+
+def test_a_tree_sweeps_alike_in_both_classes():
+    """Each tree row of a connected sweep is, repr for repr, the row of the
+    tree sweep with the same code: both classes store a tree under its tree
+    code and screen it from that code's one numbering."""
+    for n in range(3, 8):
+        for i in range(1, n + 1):
+            trees = sweep(n, i, "trees").rows
+            rows = tuple(row for row in sweep(n, i, "connected").rows if row[0].startswith("("))
+            assert repr(rows) == repr(trees), (n, i)
 
 
 @lru_cache(maxsize=None)
@@ -478,27 +489,36 @@ def test_class_screened_once_for_every_i(monkeypatch):
 
 
 def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
-    # iteration, the screen and the exact counts of every i read one parse
-    _load_class.cache_clear()
-    parses = counting_calls(monkeypatch, enumeration, "tree_edges")
-    monkeypatch.setattr(extremal, "tree_edges", enumeration.tree_edges)
-    assert len(list(enumerate_trees(12))) == 551
-    for i in range(2, 12):
-        sweep(12, i, "trees")
-        assert verify_extremal(12, i, "trees").match
-    assert len(parses) == 551
+    # iteration, the screen and the exact counts of every i read one parse,
+    # made when the class is read from its file; the tree members of the
+    # connected class are parsed as tree codes
+    for graph_class, n in (("trees", 12), ("connected", 7)):
+        enumerate_class = enumerate_trees if graph_class == "trees" else enumerate_connected_graphs
+        enumerate_class(n)  # writes the class file
+        _load_class.cache_clear()
+        with monkeypatch.context() as m:
+            trees, graphs = (counting_calls(m, enumeration, name)
+                             for name in ("tree_edges", "graph_edges"))
+            stream = enumerate_class(n)
+            assert len(list(stream)) == len(stream)
+            for i in range(2, n):
+                sweep(n, i, graph_class)
+                assert verify_extremal(n, i, graph_class).match
+        assert trees == [c for c in stream.codes if c.startswith("(")]
+        assert graphs == [c for c in stream.codes if c.startswith("g")]
+        assert len(trees) == len(enumerate_trees(n))
 
 
 def test_one_clear_frees_the_class_and_its_screen():
-    # the class object holds its codes and parse; its screen's spectra and
-    # row order go with it
+    # the class object holds its codes and parse; its screen, the spectra
+    # array, goes with it
     stream = enumerate_trees(9)
     screen = extremal._screen(stream)
     assert sweep(9, 2, "trees").rows and extremal._screen(stream) is screen
-    held = [weakref.ref(x) for x in (stream, screen[2], screen[4])]
+    held = [weakref.ref(x) for x in (stream, screen)]
     del stream, screen
     _load_class.cache_clear()
-    assert [ref() for ref in held] == [None] * 3
+    assert [ref() for ref in held] == [None] * 2
 
 
 def test_warm_sweeps_equal_fresh_ones(tmp_path, monkeypatch):
@@ -560,12 +580,12 @@ def test_second_verify_builds_no_prediction(monkeypatch, graph_class, n, i):
     ("trees", 12, 8), ("trees", 7, 1), ("trees", 6, 9), ("connected", 7, 4), ("connected", 6, 2),
 ])
 def test_sweep_equals_its_loop_reference(graph_class, n, i):
-    """Rows from the memo's row order, the argmin set from one comparison
-    and the gap from one numpy reduction equal, bit for bit, the sorted
-    pairs and the Python scans they replace."""
+    """Rows in stored-code order, the argmin set from one comparison and
+    the gap from one numpy reduction equal, bit for bit, the sorted pairs
+    and the Python scans they replace."""
     res = sweep(n, i, graph_class)
     stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
-    labels, _, spectra, _, _ = extremal._screen(stream)
+    labels, spectra = stream.codes, extremal._screen(stream)
     values = spectra[:, i - 1].tolist() if i <= n else [math.inf] * len(labels)
     minimum = min(values)
     argmin = {j for j, v in enumerate(values) if v <= minimum + extremal.SCREEN_MARGIN}

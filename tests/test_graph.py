@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from steklov.enumeration import (
-    enumerate_connected_graphs,
-    enumerate_trees,
-    graph_edges,
-    tree_edges,
-)
+from steklov.enumeration import enumerate_connected_graphs, enumerate_trees
 from steklov.errors import (
     DuplicateEdgeError,
     EdgeNotFoundError,
@@ -34,6 +29,7 @@ from steklov.graph import (
 )
 
 from conftest import (
+    code_decoders,
     path_graph,
     random_tree_edges,
     structurally_equal,
@@ -114,12 +110,12 @@ def test_combinatorial_boundary_is_low_degree():
 def test_combinatorial_graph_equals_the_two_step_build():
     # one construction gives the graph (weights, measures and roles, with
     # their types) that the all-interior graph given its degree roles is
-    classes = [(tree_edges, enumerate_trees(n)) for n in range(1, 11)]
-    classes += [(graph_edges, enumerate_connected_graphs(n)) for n in range(1, 8)]
+    classes = [enumerate_trees(n) for n in range(1, 11)]
+    classes += [enumerate_connected_graphs(n) for n in range(1, 8)]
     checked = 0
-    for parse, stream in classes:
+    for stream in classes:
         for code in stream.codes:
-            n, edges = parse(code)
+            n, edges = code_decoders(code)[0](code)
             g = combinatorial_graph(n, edges)
             oracle = two_step_graph(n, [(x, y, 1) for x, y in edges])
             assert g == oracle and repr(g) == repr(oracle), code
@@ -208,7 +204,12 @@ def test_json_rejects_unknown_fields(tmp_path):
     with pytest.raises(ParseError):
         graph_from_dict(doc)
     path = tmp_path / "bad.json"
-    for text in ("not json", '{"vertices": [], "edges": [{"w": 1' + "0" * 5000 + "}]}"):
+    # an entry that is no object, or a field that is no list, used to raise
+    # a bare TypeError
+    for text in ("not json", '{"vertices": [], "edges": [{"w": 1' + "0" * 5000 + "}]}",
+                 '{"vertices": [5], "edges": []}', '{"vertices": [], "edges": ["uv"]}',
+                 '{"vertices": [{"id": 0}, [1]], "edges": []}', '{"vertices": null, "edges": []}',
+                 '{"vertices": [], "edges": {"u": 0}}', '{"vertices": "ab", "edges": []}'):
         path.write_text(text)
         with pytest.raises(ParseError):
             load_graph(path)

@@ -31,7 +31,13 @@ from steklov.spectral import (
     unit_steklov_spectra,
 )
 
-from conftest import counting_calls, path_graph, random_weighted_graph, union_find_components
+from conftest import (
+    code_decoders,
+    counting_calls,
+    path_graph,
+    random_weighted_graph,
+    union_find_components,
+)
 
 
 def test_p2_spectrum():
@@ -193,18 +199,16 @@ def test_dirichlet_spectrum_positive(seed):
 def test_unit_spectra_match_per_graph_oracle():
     """The batched engine against per-graph steklov_spectrum on every class
     it sweeps: trees n <= 12 and connected graphs n <= 7."""
-    from steklov.enumeration import (
-        _class, graph_edges, graph_from_code, tree_edges, tree_from_code,
-    )
+    from steklov.enumeration import _class
 
-    classes = [(n, _class("trees", n).codes, tree_edges, tree_from_code) for n in range(1, 13)]
-    classes += [(n, _class("connected", n).codes, graph_edges, graph_from_code) for n in range(1, 8)]
+    classes = [(n, _class("trees", n).codes) for n in range(1, 13)]
+    classes += [(n, _class("connected", n).codes) for n in range(1, 8)]
     boundary_free = 0
-    for n, codes, parse, decode in classes:
-        spectra = unit_steklov_spectra(n, [parse(c)[1] for c in codes])
+    for n, codes in classes:
+        spectra = unit_steklov_spectra(n, [code_decoders(c)[0](c)[1] for c in codes])
         assert spectra.shape == (len(codes), n)
         for code, row in zip(codes, spectra):
-            g = decode(code)
+            g = code_decoders(code)[1](code)
             k = len(g.boundary)
             assert np.all(np.isinf(row[k:])), code
             if k == 0:
