@@ -7,7 +7,11 @@ simple graphs over the vertex orders that respect the Weisfeiler-Lehman
 colour cells, found by a row-by-row search that keeps only the least rows
 (individualisation and refinement, McKay-Piperno 2014). Both codes are
 decodable strings, and each class member is stored (on disk too) under its
-:func:`canonical_code`: the tree code of a tree, else its graph code.
+:func:`canonical_code`: the tree code of a tree, else its graph code. A
+class object parses its codes once into one store: a tree-coded member as
+its parent and degree arrays (``bytes``, by vertex in preorder), which the
+exact counts read directly, any other member as its edge tuple; edge lists
+are derived from that store.
 
 Both classes are built from smaller pieces: free trees from the rooted
 branches at their centroids (Otter), connected graphs by joining a vertex to
@@ -114,49 +118,68 @@ def unit_tree_code(adj) -> str:
     return min(_rooted_code(adj, c, _unit_length) for c in centroids)
 
 
-def _tree_grammar(code: str) -> tuple[int, list[tuple[int, int]], list[str]]:
-    """Vertex count, edges and edge-length strings of a tree code: "(",
-    then each child as the length of the edge to it and its own code, then
-    ")". Vertices are numbered in preorder, each edge from parent to child."""
-    edges: list[tuple[int, int]] = []
+def _tree_grammar(code: str) -> tuple[list[int], list[int], list[str]]:
+    """Parents, degrees and edge-length strings of a tree code: "(", then
+    each child as the length of the edge to it and its own code, then ")".
+    Vertices are numbered in preorder: each one's parent is the top of the
+    stack when it opens, and the root, vertex 0, is its own parent. The
+    lengths are listed by child, from vertex 1 on."""
+    parent: list[int] = []
+    degree: list[int] = []
     lengths: list[str] = []
     stack: list[int] = []
-    n = start = 0  # start: where the text since the last bracket begins
+    start = 0  # where the text since the last bracket begins
     for pos, ch in enumerate(code):
         if ch == "(":
             if stack:
-                edges.append((stack[-1], n))
+                up = stack[-1]
+                degree[up] += 1
                 lengths.append(code[start:pos])
             elif pos:
                 raise ParseError(f"trailing characters in tree code {code!r}")
-            stack.append(n)
-            n += 1
+            else:
+                up = 0  # the root
+            stack.append(len(parent))
+            parent.append(up)
+            degree.append(1 if pos else 0)  # the edge to its parent
             start = pos + 1
         elif ch == ")":
             if not stack or start != pos:
                 raise ParseError(f"malformed tree code at {pos}: {code!r}")
             stack.pop()
             start = pos + 1
-    if stack or not n or start != len(code):
+    if stack or not parent or start != len(code):
         raise ParseError(f"malformed tree code: {code!r}")
-    return n, edges, lengths
+    return parent, degree, lengths
+
+
+def _parent_edges(parent) -> list[tuple[int, int]]:
+    """The edges (parent, child) of a preorder parent array, by child."""
+    return [(parent[v], v) for v in range(1, len(parent))]
+
+
+def _unit_tree(code: str) -> tuple[list[int], list[int]]:
+    """Parents and degrees of a unit-length tree code; codes with any other
+    edge length are rejected."""
+    parent, degree, lengths = _tree_grammar(code)
+    if lengths.count("1") != len(lengths):
+        raise ParseError(f"not a unit tree code: {code!r}")
+    return parent, degree
 
 
 def tree_edges(code: str) -> tuple[int, list[tuple[int, int]]]:
     """Vertex count and edges of a unit-length tree code, numbered as
-    :func:`tree_from_code` numbers them (preorder). Codes with any other
-    edge length are rejected."""
-    n, edges, lengths = _tree_grammar(code)
-    if lengths.count("1") != len(lengths):
-        raise ParseError(f"not a unit tree code: {code!r}")
-    return n, edges
+    :func:`tree_from_code` numbers them (preorder), each edge from parent
+    to child. Codes with any other edge length are rejected."""
+    parent, _ = _unit_tree(code)
+    return len(parent), _parent_edges(parent)
 
 
 def tree_from_code(code: str) -> WeightedBoundaryGraph:
     """Rebuild a combinatorial tree from its code (weights = 1/length)."""
-    n, pairs, lengths = _tree_grammar(code)
-    edges = []
-    for (u, v), text in zip(pairs, lengths):
+    parent, _, lengths = _tree_grammar(code)
+    n, edges = len(parent), []
+    for (u, v), text in zip(_parent_edges(parent), lengths):
         try:
             length = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -316,7 +339,7 @@ def _cache_load(kind: str, n: int, path: Path) -> GraphClassStream | None:
         text = ""
     stream = GraphClassStream(kind, n, tuple(line for line in text.splitlines() if line))
     try:
-        if _is_class(kind, n, stream.codes) and stream.edges:
+        if _is_class(kind, n, stream.codes) and stream.members:
             return stream
     except ParseError:
         pass
@@ -340,10 +363,11 @@ def _cache_store(path: Path, codes: tuple[str, ...]) -> None:
 @dataclass(frozen=True, eq=False, repr=False)
 class GraphClassStream:
     """One isomorphism class, held once per class file: its members'
-    :func:`canonical_code` strings, sorted, as ``codes``, and their
-    ``edges``, parsed once: when the class is read from its file (the parse
-    is part of the file's check), else on first read. Every iteration
-    builds fresh graphs from that parse."""
+    :func:`canonical_code` strings, sorted, as ``codes``, and the one store
+    of their parse, ``members``, filled once: when the class is read from
+    its file (the parse is part of the file's check), else on first read.
+    Edge lists, and the fresh graphs of every iteration, are derived from
+    that store."""
 
     kind: str
     n: int
@@ -353,21 +377,35 @@ class GraphClassStream:
         return len(self.codes)
 
     @cached_property
-    def edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each code's edges, numbered as its decoder numbers them (a tree
-        code's as a parent array); while a code is bad or not on n
-        vertices, every read raises ParseError."""
-        edge_lists = []
+    def members(self) -> tuple:
+        """Each code parsed. A tree-coded member (a code that opens with
+        "(", as every code of a tree class must) is held as its parent and
+        degree arrays, a pair of ``bytes`` indexed by vertex in preorder,
+        the root vertex 0 its own parent; any other member as its edge
+        tuple. While a code is bad or not on n vertices, every read raises
+        ParseError."""
+        held = []
         for code in self.codes:
             tree = self.kind == "trees" or code.startswith("(")
-            size, edges = (tree_edges if tree else graph_edges)(code)
+            if tree:
+                parent, degree = _unit_tree(code)
+                size = len(parent)
+            else:
+                size, edges = graph_edges(code)
             if size != self.n:
                 raise ParseError(f"class code {code!r} is not on {self.n} vertices")
-            edge_lists.append(tuple(edges))
-        return tuple(edge_lists)
+            held.append((bytes(parent), bytes(degree)) if tree else tuple(edges))
+        return tuple(held)
+
+    def edge_lists(self) -> list:
+        """Each member's edges, derived afresh from the store and numbered
+        as its decoder numbers them: a tree-coded member's as (parent,
+        child) pairs by child, as :func:`tree_edges` gives them."""
+        return [_parent_edges(member[0]) if code[0] == "(" else member
+                for code, member in zip(self.codes, self.members)]
 
     def __iter__(self):
-        return (combinatorial_graph(self.n, edges) for edges in self.edges)
+        return (combinatorial_graph(self.n, edges) for edges in self.edge_lists())
 
 
 def _forests(pool: list[tuple[int, str]], total: int, start: int = 0):
@@ -413,7 +451,7 @@ def _connected_class(n: int) -> set[str]:
         return {"()"}
     m = n - 1
     codes = set()
-    for edges in _class("connected", m).edges:
+    for edges in _class("connected", m).edge_lists():
         base = adjacency_sets(m, edges)
         # the components of base - x as bit masks: x is a cut vertex of the
         # joined graph unless the new vertex meets each of them
@@ -445,12 +483,15 @@ def _class(kind: str, n: int) -> GraphClassStream:
         name = "tree" if kind == "trees" else "connected-graph"
         raise OutOfSupportedRangeError(f"{name} enumeration supports 1 <= n <= {top}")
     raw = os.environ.get("STEKLOV_CACHE_DIR", ".steklov-cache")
-    path = Path(raw).absolute() / f"{kind}-n{n}-{GENERATOR_VERSION}.txt" if raw else None
-    return _load_class(kind, n, path)
+    file = f"{kind}-n{n}-{GENERATOR_VERSION}.txt"
+    return _load_class(kind, n, os.path.join(os.path.abspath(raw), file) if raw else "")
 
 
 @lru_cache(maxsize=None)
-def _load_class(kind: str, n: int, path: Path | None) -> GraphClassStream:
+def _load_class(kind: str, n: int, file: str) -> GraphClassStream:
+    """The class object of ``file``, an absolute path ("" for no file): a
+    string keys the memo, and a Path is made only on a miss."""
+    path = Path(file) if file else None
     stream = _cache_load(kind, n, path) if path else None
     if stream is None:
         codes = sorted((_tree_class if kind == "trees" else _connected_class)(n))

@@ -9,10 +9,12 @@ Algebra Appl. 1, 1968), M has exactly #{sigma_j < b} negative and
 off a diagonal congruence of M in exact arithmetic:
 
 - on a tree, by the Jacobs-Trevisan walk from the leaves up ("Locating the
-  eigenvalues of trees", Linear Algebra Appl. 434, 2011): one pass over
-  the edges reads them as a parent array (each edge (u, v) with u < v,
-  every v >= 1 the larger end of exactly one), as every stored tree's
-  edges are, in both classes; any other tree is walked in the order of one
+  eigenvalues of trees", Linear Algebra Appl. 434, 2011). A class member
+  is walked straight from the parent and degree arrays its class object
+  stores (:func:`tree_inertia_counts`). An edge list is read as a parent
+  array in one pass when it is one (each edge (u, v) with u < v, every
+  v >= 1 the larger end of exactly one), as the edges of every stored tree
+  are; any other tree is walked in the order of one
   :func:`~steklov.graph.subtree_sizes` pass. The walk folds each vertex,
   leaves first, into its parent in Python integers: num/den after
   scaling by the denominator of a rational b, (x + y sqrt(d)) / z reduced
@@ -247,12 +249,13 @@ def _counts(values) -> tuple[int, int]:
     return sum(1 for x in values if x < 0), values.count(0)
 
 
-def tree_inertia_counts(order, parent, degree: list[int], b: Exact | int) -> tuple[int, int]:
+def tree_inertia_counts(order, parent, degree, b: Exact | int) -> tuple[int, int]:
     """Counts of :func:`inertia_counts` on the tree with vertex degrees
-    ``degree`` and parents ``parent`` (indexed by vertex), whose vertices
-    ``order`` lists root first and each after its parent: range(n) for a
-    parent array. By Jacobs-Trevisan on c L - c b E_B, with c > 0 clearing
-    the denominators of b and every off-diagonal entry -c.
+    ``degree`` and parents ``parent`` (int sequences indexed by vertex,
+    lists or ``bytes``), whose vertices ``order`` lists root first and each
+    after its parent: range(n) for a parent array. The root's own entry in
+    ``parent`` is never read. By Jacobs-Trevisan on c L - c b E_B, with
+    c > 0 clearing the denominators of b and every off-diagonal entry -c.
 
     Each vertex v but the root, taken in reverse ``order``, has its value
     final when it is reached, and is folded into its parent u:
@@ -282,7 +285,7 @@ def tree_inertia_counts(order, parent, degree: list[int], b: Exact | int) -> tup
     return _counts(num)
 
 
-def _surd_tree_counts(order, parent, degree: list[int], b: QuadraticSurd) -> tuple[int, int]:
+def _surd_tree_counts(order, parent, degree, b: QuadraticSurd) -> tuple[int, int]:
     """:func:`tree_inertia_counts` for b = (s + t sqrt(d)) / c, with each
     division rationalised by the conjugate."""
     d = b.d

@@ -14,13 +14,14 @@ significant digits for a surd. Each (n, i, class) target, minimizer graphs
 and codes included, is built once per process and shared by every caller.
 
 Exhaustive sweeps screen a whole class with batched float spectra. The
-screen does not depend on i: it is the spectra alone, built from the class
-object's one parse and held with that object for every i. Rows are the
-stored codes, which are canonical and sorted. :func:`verify_extremal` then
-decides every class that screens within SCREEN_MARGIN of the bound b
-exactly, afresh on every call, by the counts #{sigma_j < b} and
-#{sigma_j = b} of :func:`~steklov.exact.inertia_counts`; no class is
-solved again.
+screen does not depend on i: it is the spectra alone, built from the edge
+lists of the class object's one store and held with that object for every
+i. Rows are the stored codes, which are canonical and sorted.
+:func:`verify_extremal` then decides every class that screens within
+SCREEN_MARGIN of the bound b exactly, afresh on every call, by the counts
+#{sigma_j < b} and #{sigma_j = b} of :func:`~steklov.exact.inertia_counts`:
+a tree member's straight from its stored parent and degree arrays, any
+other member from its stored edges. No class is solved again.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
     NotBipartiteError,
     OutOfSupportedRangeError,
 )
-from .exact import QuadraticSurd, _inertia_counts
+from .exact import QuadraticSurd, _inertia_counts, tree_inertia_counts
 from .families import (
     RootedTree,
     build_broom,
@@ -307,10 +308,11 @@ class SweepResult:
 
 def _screen(stream):
     """The read-only :func:`unit_steklov_spectra` matrix of a class object,
-    one row per stored code, built from the object's one parse and freed
-    with it. A bad code is not held, so it raises on every call."""
+    one row per stored code, built from the edge lists of the object's one
+    store and freed with it. A bad code is not held, so it raises on every
+    call."""
     if stream not in _screens:
-        spectra = unit_steklov_spectra(stream.n, stream.edges)
+        spectra = unit_steklov_spectra(stream.n, stream.edge_lists())
         spectra.flags.writeable = False
         _screens[stream] = spectra
     return _screens[stream]
@@ -349,7 +351,7 @@ def sweep(n: int, i: int, graph_class: str = "trees") -> SweepResult:
     """The float screen of sigma_i over every class of ``graph_class`` on n
     vertices.
 
-    The class object is screened from its one parse with batched float
+    The class object is screened from its one store with batched float
     spectra (:func:`unit_steklov_spectra`), and the screen, the whole
     spectrum of every class (each sweep reads column i), is held with the
     object for every i. The minimum, the argmin set (screened values within
@@ -389,6 +391,17 @@ class ExtremalReport:
     rechecked: int  # candidates decided exactly by their eigenvalue counts
 
 
+def _member_counts(stream, j, b) -> tuple[int, int]:
+    """:func:`~steklov.exact.inertia_counts` at b of member j of a class
+    object, read from its store: a tree-coded member's parent and degree
+    arrays go straight to the tree walk, any other member's edges to the
+    dense path."""
+    member = stream.members[j]
+    if stream.codes[j][0] == "(":
+        return tree_inertia_counts(range(stream.n), *member, b)
+    return _inertia_counts(stream.n, member, b)
+
+
 def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalReport:
     """Sweep a graph class, minimize sigma_i, and match the argmin set
     against the predicted minimizers that belong to the class.
@@ -397,8 +410,9 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     per process (see :func:`sweep` and :func:`predicted_bound`); the
     arguments are checked first. The candidates are the classes whose screened sigma_i is at most
     float(b) + SCREEN_MARGIN for the predicted bound b. Each is decided
-    exactly, afresh on every call, by :func:`inertia_counts`: #{sigma_j < b}
-    and #{sigma_j = b}. The bound holds iff no candidate has i or more
+    exactly, afresh on every call, by its counts #{sigma_j < b} and
+    #{sigma_j = b}, read from the class object's store
+    (:func:`_member_counts`). The bound holds iff no candidate has i or more
     eigenvalues below b (every other class screens above b + SCREEN_MARGIN),
     and a candidate attains it iff it also has at least i at or below b.
     When the bound holds and some candidate attains it, those candidates
@@ -408,8 +422,8 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     n, i, b = target.n, target.i, target.bound_exact
     stream, values = _screened(n, i, graph_class)
     counts = {
-        int(j): _inertia_counts(n, stream.edges[j], b)
-        for j in np.flatnonzero(values <= target.bound + SCREEN_MARGIN)
+        j: _member_counts(stream, j, b)
+        for j in np.flatnonzero(values <= target.bound + SCREEN_MARGIN).tolist()
     }
     bound_ok = all(neg < i for neg, _ in counts.values())
     attained = [j for j, (neg, zero) in counts.items() if neg < i <= neg + zero]

@@ -357,8 +357,11 @@ def degree_roles(n: int, edges: Sequence[tuple[int, int, Weight]]) -> tuple[Role
 
 
 def combinatorial_boundary(g: WeightedBoundaryGraph) -> tuple[Role, ...]:
-    """Role assignment of a combinatorial graph: degree <= 1 means boundary."""
-    return degree_roles(g.n, g.edges)
+    """Role assignment of a combinatorial graph: degree <= 1 means boundary.
+    The degrees are read off the graph's kept adjacency: its edges are
+    already checked, so no endpoint needs the guards of :func:`degree_roles`."""
+    adj = g.adjacency
+    return tuple([_BOUNDARY if len(adj[v]) <= 1 else _INTERIOR for v in range(g.n)])
 
 
 def combinatorial_graph(

@@ -440,17 +440,17 @@ def test_parse_errors(rng):
 
 def test_fast_parsers_match_decoders():
     """tree_edges / graph_edges give the edge sets, and the vertex numbering,
-    of tree_from_code / graph_from_code on every stored code, and the class
-    object's parse is theirs."""
+    of tree_from_code / graph_from_code on every stored code, and the edge
+    lists derived from the class object's store are theirs."""
     classes = [_class("trees", n) for n in range(1, 13)]
     classes += [_class("connected", n) for n in range(1, 8)]
     graph_codes = 0
     for stream in classes:
-        for code, parsed in zip(stream.codes, stream.edges, strict=True):
+        for code, parsed in zip(stream.codes, stream.edge_lists(), strict=True):
             parse, decode = code_decoders(code)
             n, edges = parse(code)
             g = decode(code)
-            assert n == g.n == stream.n and tuple(edges) == parsed
+            assert n == g.n == stream.n and tuple(edges) == tuple(parsed)
             assert sorted(edges) == [(u, v) for u, v, _ in g.edges], code
             graph_codes += parse is graph_edges
     assert graph_codes == sum(CONNECTED_COUNTS) - sum(TREE_COUNTS[:7])
@@ -476,13 +476,13 @@ def test_unit_tree_code_matches_tree_code(rng):
 
 def test_stream_iterates_afresh():
     # a stream holds no cursor: each iteration builds fresh graphs, from
-    # the one parse of its codes
+    # the one store of its parsed codes
     stream = enumerate_trees(5)
     first = list(stream)
     assert [tree_code(g) for g in first] == list(stream.codes)
     second = list(stream)
     assert second == first and all(a is not b for a, b in zip(first, second))
-    assert stream.edges is stream.edges
+    assert stream.members is stream.members
 
 
 def test_streamed_trees_equal_decoded_codes():

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from steklov import exact, extremal
-from steklov.enumeration import enumerate_connected_graphs, enumerate_trees
+from steklov.enumeration import (
+    enumerate_connected_graphs,
+    enumerate_trees,
+    free_tree_count,
+    graph_edges,
+    tree_edges,
+)
 from steklov.errors import (
     DisconnectedError,
     DuplicateEdgeError,
@@ -123,6 +129,46 @@ def test_tree_walk_matches_its_oracle():
     assert renumbered > 150 and zero_counts > 0 and surd_zero_counts > 0
 
 
+def test_store_counts_match_both_oracles():
+    # every tree class 3 <= n <= 12 and every tree member of the connected
+    # classes n <= 7, counted from the class store's parent and degree
+    # arrays as verify_extremal counts them: the counts of inertia_counts
+    # on the code's edges and of the Jacobs-Trevisan oracle, at every grid
+    # bound, at b = 0 and b = 1 and at a seeded rational and surd. The
+    # edges derived from the store are those of the code's parser.
+    rng = random.Random(2929)
+    bounds = GRID_BOUNDS | {predicted_bound(n, i, "connected").bound_exact
+                            for n in range(3, 8) for i in range(2, n)}
+    bounds |= {Fraction(0), Fraction(1),
+               Fraction(rng.randrange(-50, 400), rng.randrange(1, 60)),
+               QuadraticSurd(Fraction(rng.randrange(1, 40), rng.randrange(1, 12)),
+                             Fraction(rng.randrange(1, 10), rng.randrange(1, 12)),
+                             rng.choice((2, 3, 5)))}
+    streams = [enumerate_trees(n) for n in range(3, 13)]
+    streams += [enumerate_connected_graphs(n) for n in range(3, 8)]
+    trees = zero_counts = 0
+    for stream in streams:
+        n = stream.n
+        for j, (code, derived) in enumerate(zip(stream.codes, stream.edge_lists(), strict=True)):
+            tree = code.startswith("(")
+            size, edges = (tree_edges if tree else graph_edges)(code)
+            assert size == n and list(derived) == edges, code
+            if not tree:
+                continue
+            trees += 1
+            adj = adjacency_sets(n, edges)
+            parent, degree = stream.members[j]
+            assert parent == bytes([0] + [u for u, _ in edges]), code
+            assert degree == bytes(len(a) for a in adj), code
+            for b in bounds:
+                counts = extremal._member_counts(stream, j, b)
+                assert counts == inertia_counts(n, edges, b), (code, b)
+                assert counts == jacobs_trevisan_counts(adj, b), (code, b)
+                zero_counts += counts[1] > 0
+    assert trees == sum(map(free_tree_count, [*range(3, 13), *range(3, 8)]))
+    assert zero_counts > 0
+
+
 def test_stored_trees_are_parent_arrays():
     # every stored tree of the ten tree classes is walked with no renumbering
     for n in range(3, 13):
@@ -142,7 +188,8 @@ def test_verify_over_a_tree_class_makes_no_subtree_walk(monkeypatch):
         calls.clear()
         rep = verify_extremal(n, i, "connected")
         stream, values = extremal._screened(n, i, "connected")
-        sizes = [len(stream.edges[j]) for j in np.flatnonzero(values <= rep.target.bound + rep.tol)]
+        edge_lists = stream.edge_lists()
+        sizes = [len(edge_lists[j]) for j in np.flatnonzero(values <= rep.target.bound + rep.tol)]
         assert len(sizes) == rep.rechecked and n - 1 in sizes
         assert len(calls) == sum(size != n - 1 for size in sizes) > 0
 

@@ -346,7 +346,7 @@ def test_exact_oracle_pins_the_screen_margin():
         stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
         spectra = extremal._screen(stream)
         attained = set()
-        for label, edges, spectrum in zip(stream.codes, stream.edges, spectra, strict=True):
+        for label, edges, spectrum in zip(stream.codes, stream.edge_lists(), spectra, strict=True):
             degree = np.bincount(np.ravel(edges), minlength=n)
             if degree.min() > 1:
                 continue
@@ -489,8 +489,8 @@ def test_class_screened_once_for_every_i(monkeypatch):
 
 
 def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
-    # iteration, the screen and the exact counts of every i read one parse,
-    # made when the class is read from its file; the tree members of the
+    # iteration, the screen and the exact counts of every i read one store,
+    # filled when the class is read from its file; the tree members of the
     # connected class are parsed as tree codes
     for graph_class, n in (("trees", 12), ("connected", 7)):
         enumerate_class = enumerate_trees if graph_class == "trees" else enumerate_connected_graphs
@@ -498,7 +498,7 @@ def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
         _load_class.cache_clear()
         with monkeypatch.context() as m:
             trees, graphs = (counting_calls(m, enumeration, name)
-                             for name in ("tree_edges", "graph_edges"))
+                             for name in ("_unit_tree", "graph_edges"))
             stream = enumerate_class(n)
             assert len(list(stream)) == len(stream)
             for i in range(2, n):
@@ -543,13 +543,14 @@ def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     on a warm call as on a cold one, one per candidate, and no per-graph
     solve."""
     _load_class.cache_clear()
-    counts = counting(monkeypatch, "_inertia_counts")
+    counts = counting(monkeypatch, "_member_counts")
     solves = counting(monkeypatch, "sigma_value")
     cold = verify_extremal(n, i, graph_class)
-    assert len(counts) == cold.rechecked > 0
+    members = [j for _, j, _ in counts]
+    assert len(set(members)) == len(members) == cold.rechecked > 0
     warm = verify_extremal(n, i, graph_class)
     assert warm == cold
-    assert len(counts) == 2 * cold.rechecked
+    assert [j for _, j, _ in counts] == 2 * members
     assert solves == []
 
 
@@ -563,16 +564,17 @@ def test_second_verify_builds_no_prediction(monkeypatch, graph_class, n, i):
     codes = counting(monkeypatch, "canonical_code")
     builds = [counting_calls(monkeypatch, module, "make_graph")
               for module in (graph_mod, families, extremal)]
-    counts = counting(monkeypatch, "_inertia_counts")
+    counts = counting(monkeypatch, "_member_counts")
     first = verify_extremal(n, i, graph_class)
     assert codes and any(builds)
-    assert len(counts) == first.rechecked > 0
+    members = [j for _, j, _ in counts]
+    assert len(set(members)) == len(members) == first.rechecked > 0
     codes.clear()
     for calls in builds:
         calls.clear()
     second = verify_extremal(n, i, graph_class)
     assert codes == [] and not any(builds)
-    assert len(counts) == 2 * first.rechecked
+    assert [j for _, j, _ in counts] == 2 * members
     assert second == first and second.target is first.target
 
 
@@ -617,7 +619,7 @@ def test_verify_decides_by_counts_and_falls_back_to_the_screen(monkeypatch):
     exact = verify_extremal(7, 2, "trees")
     screen = sweep(7, 2, "trees")
     for fake, bound_ok in (((3, 0), False), ((0, 0), True)):
-        monkeypatch.setattr(extremal, "_inertia_counts", lambda n, edges, b, c=fake: c)
+        monkeypatch.setattr(extremal, "_member_counts", lambda stream, j, b, c=fake: c)
         rep = verify_extremal(7, 2, "trees")
         assert rep.bound_ok is bound_ok and not rep.match
         assert (rep.minimum, rep.argmin_codes, rep.gap) == (

@@ -21,6 +21,7 @@ from steklov.graph import (
     combinatorial_boundary,
     combinatorial_graph,
     component_passes,
+    degree_roles,
     graph_from_dict,
     graph_to_dict,
     load_graph,
@@ -105,6 +106,11 @@ def test_combinatorial_boundary_is_low_degree():
     g = combinatorial_graph(4, [(0, 1), (1, 2), (1, 3)])
     assert set(g.boundary) == {0, 2, 3}
     assert g.roles[1] is Role.INTERIOR
+    # read off the kept adjacency, the roles are those degree_roles gives
+    # the edge list, with any weights and isolated vertices
+    h = make_graph(5, [(2, 0, 2.0), (0, 1, Fraction(1, 3)), (1, 2, 1), (2, 3, 1)])
+    assert combinatorial_boundary(h) == degree_roles(5, h.edges)
+    assert combinatorial_boundary(h) == (Role.INTERIOR,) * 3 + (Role.BOUNDARY,) * 2
 
 
 def test_combinatorial_graph_equals_the_two_step_build():
