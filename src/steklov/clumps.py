@@ -4,12 +4,15 @@ Everything here is a bounded exhaustive search that either returns an
 explicit witness (removed edge set, per-component clump data) or proves by
 exhaustion that no witness exists. The removal searches share one walk over
 edge subsets, ordered by size and then lexicographically by edge index, and
-list components by least vertex, so results are deterministic. Each
-component's clump number comes from one subtree-size pass over plain
-adjacency lists, and a clump is told to be a minimal broom by its shape
-(:func:`~steklov.families.broom_shape`). The type A split needs no search:
-it is unique when it exists, and it reads the tree's own walk from vertex 0
-(``WeightedBoundaryGraph.walk``), as the tree test and the sub-k test do.
+list components by least vertex, each sorted, so results are deterministic.
+Every removal is judged by one integer fold (:func:`_fold`) over the tree's
+own walk from vertex 0 (``WeightedBoundaryGraph.walk``): a removal is the
+set of far ends of its edges, and two passes give each piece's vertices and
+twice its clump number, min(2 h, N - 1) for a piece of N vertices whose
+centroid's heaviest branch has h. The type A split needs no search: it is
+unique when it exists, and it reads the same walk and the same fold, as the
+tree test and the sub-k test read the walk. A clump is told to be a minimal
+broom by its shape (:func:`~steklov.families.broom_shape`).
 When a guarantee applies (the hypotheses of the underlying removal lemmas
 hold) and no witness is found, the run fails loudly with CertificationError
 instead of returning a quiet negative.
@@ -28,8 +31,8 @@ from .errors import (
     NotATreeError,
 )
 from .families import broom_shape, minimal_broom_total
-from .geometry import clump_number, doubled_clump_number, require_unit_weights
-from .graph import WeightedBoundaryGraph, component_passes, heaviest_branches
+from .geometry import clump_number, require_unit_weights
+from .graph import WeightedBoundaryGraph, heaviest_branches
 
 
 @dataclass(frozen=True)
@@ -101,54 +104,95 @@ class StarException:
     r: int
 
 
-def _pieces(adj, removed):
-    """Components of the tree ``adj`` minus the ``removed`` edges, in the
-    order of :func:`~steklov.graph.component_passes`."""
-    cut = set(removed) | {(v, u) for u, v in removed}
-    forest = [[u for u in adj[v] if (v, u) not in cut] for v in range(len(adj))]
-    return component_passes(forest, None)
+def _fold(walk, cuts):
+    """Fold the tree that ``walk`` (a graph's
+    :attr:`~steklov.graph.WeightedBoundaryGraph.walk`) spans, less the edges
+    above the vertices in ``cuts``. Returns each vertex's piece, named by
+    the piece's top vertex, and twice the clump number of each piece, by
+    top.
+
+    One reverse pass gives every vertex's subtree size within its piece
+    and its heaviest child there; one forward pass gives its piece's top
+    and its heaviest branch. Twice the clump number of a piece of N
+    vertices is min(2 h, N - 1), for the least heaviest branch h in the
+    piece (at its centroid): an edge midpoint with sides s > N - s is
+    beaten by the vertex on the larger side, whose branches have fewer than
+    s vertices, so a midpoint wins only at an even split, with N - 1.
+    """
+    order, parent, _ = walk
+    n = len(order)
+    size = [1] * n
+    heavy = [0] * n
+    for v in order[:0:-1]:
+        if v not in cuts:
+            p, s = parent[v], size[v]
+            size[p] += s
+            if s > heavy[p]:
+                heavy[p] = s
+    root = order[0]
+    top = [root] * n
+    least = {root: heavy[root]}  # least heaviest branch in each piece
+    for v in order[1:]:
+        if v in cuts:
+            top[v] = v
+            least[v] = heavy[v]
+        else:
+            t = top[v] = top[parent[v]]
+            h = size[t] - size[v]  # the branch through the parent
+            if heavy[v] > h:
+                h = heavy[v]
+            if h < least[t]:
+                least[t] = h
+    return top, {t: 2 * h if 2 * h < size[t] else size[t] - 1 for t, h in least.items()}
 
 
-def _removal_search(g: WeightedBoundaryGraph, sizes, judge):
+def _pieces(top) -> list[tuple[int, ...]]:
+    """The vertices of each piece of a fold, sorted, by least vertex."""
+    pieces: dict[int, list[int]] = {}
+    for v, t in enumerate(top):
+        pieces.setdefault(t, []).append(v)
+    return [tuple(verts) for verts in pieces.values()]
+
+
+def _far_ends(g: WeightedBoundaryGraph) -> list[int]:
+    """The end of each edge of the tree ``g`` away from vertex 0, the vertex
+    whose piece its removal cuts off."""
+    parent = g.walk[1]
+    return [v if parent[v] == u else u for u, v, _ in g.edges]
+
+
+def _removal_search(g: WeightedBoundaryGraph, sizes, limit: int, judge):
     """First removal of edges, taken by size in the order of ``sizes`` and
     within a size lexicographically by edge index, that leaves every
-    component accepted by ``judge``.
+    component with clump number at most ``limit / 2`` and accepted by
+    ``judge``.
 
-    ``judge(vertices, tree)`` gets a component's sorted vertices and its
-    :func:`~steklov.graph.subtree_sizes` pass, and returns the component's
-    report or None to reject the removal; components are judged by least
-    vertex and the first rejection ends the removal. A component is the subgraph its
-    vertices induce, so each vertex set is judged once per search. Returns
-    (removed, reports) or None.
+    ``judge(vertices, doubled)`` gets a component's sorted vertices and
+    twice its clump number, and returns the component's report or None to
+    reject the removal; components are judged by least vertex and the first
+    rejection ends the removal. Returns (removed, reports) or None.
     """
+    walk = g.walk
     edges = [(u, v) for u, v, _ in g.edges]
-    judged: dict[tuple[int, ...], object] = {}
+    far = _far_ends(g)
     for size in sizes:
-        for removed in itertools.combinations(edges, size):
+        for picked in itertools.combinations(range(len(edges)), size):
+            top, doubled = _fold(walk, {far[i] for i in picked})
+            if max(doubled.values()) > limit:
+                continue
             reports = []
-            for verts, tree in _pieces(g.adjacency, removed):
-                if verts not in judged:
-                    judged[verts] = judge(verts, tree)
-                report = judged[verts]
+            for verts in _pieces(top):
+                report = judge(verts, doubled[top[verts[0]]])
                 if report is None:
                     break
                 reports.append(report)
             else:
-                return removed, tuple(reports)
+                return tuple(edges[i] for i in picked), tuple(reports)
     return None
 
 
-def _clumps_within(bound: Fraction):
-    """Judge accepting components with clump number at most ``bound``."""
-    limit = int(2 * bound)  # bounds are whole or half numbers
-
-    def judge(verts, tree):
-        doubled = doubled_clump_number(*tree)
-        if doubled > limit:
-            return None
-        return ComponentReport(verts, Fraction(doubled, 2), None)
-
-    return judge
+def _clump_report(verts, doubled) -> ComponentReport:
+    return ComponentReport(verts, Fraction(doubled, 2), None)
 
 
 def find_removal_for_clump(
@@ -168,7 +212,7 @@ def find_removal_for_clump(
         raise InvalidParamsError("need r >= 0 and k >= 1")
     require_unit_weights(g)
     bound = Fraction(k) + (Fraction(1, 2) if half else 0)
-    found = _removal_search(g, range(r + 1), _clumps_within(bound))
+    found = _removal_search(g, range(r + 1), int(2 * bound), _clump_report)
     if found is not None:
         return RemovalCertificate(*found, bound)
     edge_budget = (r + 2) * k + r + (1 if half else 0)
@@ -207,15 +251,19 @@ def find_removal_sub_k(
         )
     require_unit_weights(g)
 
-    def judge(verts, tree):
-        cn = Fraction(doubled_clump_number(*tree), 2)
-        if cn == k:  # only then does the sub-k test look at the component
-            w = is_sub_k(g.induced_subgraph(verts), k)
-        else:
-            w = SubKWitness(cn < k, k, cn, ())
+    tested: dict[tuple[int, ...], SubKWitness] = {}  # components recur across removals
+
+    def judge(verts, doubled):
+        cn = Fraction(doubled, 2)
+        if doubled < 2 * k:
+            w = SubKWitness(True, k, cn, ())
+        else:  # only at clump number k does the sub-k test look at the component
+            if verts not in tested:
+                tested[verts] = is_sub_k(g.induced_subgraph(verts), k)
+            w = tested[verts]
         return ComponentReport(verts, cn, w) if w.value else None
 
-    found = _removal_search(g, range(r + 1), judge)
+    found = _removal_search(g, range(r + 1), 2 * k, judge)
     if found is not None:
         return RemovalCertificate(*found, None)
     star = _star_exception(g, r, k)
@@ -268,19 +316,19 @@ def classify_type_AB(g: WeightedBoundaryGraph, k: int) -> TypeABClassification:
         # A split into parts of k vertices is unique when it exists: it cuts
         # exactly the edges whose far side (from vertex 0) has a multiple of
         # k vertices, and there must be r - 1 of them.
-        _, parent, size = g.walk
-        removed = tuple(
-            (u, v) for u, v, _ in g.edges if size[v if parent[v] == u else u] % k == 0
-        )
-        if len(removed) == r - 1:
-            parts = tuple(verts for verts, _ in _pieces(g.adjacency, removed))
-            type_a = TypeAWitness(r, removed, parts)
+        size = g.walk[2]
+        far = _far_ends(g)
+        picked = [i for i, c in enumerate(far) if size[c] % k == 0]
+        if len(picked) == r - 1:
+            top, _ = _fold(g.walk, {far[i] for i in picked})
+            removed = tuple(g.edges[i][:2] for i in picked)
+            type_a = TypeAWitness(r, removed, tuple(_pieces(top)))
 
     type_b = None
     r = m // k + 1  # the one r with (r-1)k <= m <= rk - 1
     if r >= 2:
         bound = Fraction(k - 1)
-        found = _removal_search(g, [r - 2], _clumps_within(bound))
+        found = _removal_search(g, [r - 2], int(2 * bound), _clump_report)
         if found is not None:
             type_b = TypeBWitness(r, RemovalCertificate(*found, bound))
 

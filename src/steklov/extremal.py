@@ -95,6 +95,9 @@ SCREEN_MARGIN = 1e-9
 GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 16
 _screens: WeakKeyDictionary = WeakKeyDictionary()  # class object -> its _screen
+# The root edge of a clump at the equilibrium point: a whole edge from a
+# vertex, half an edge from a midpoint.
+_ROOT_EDGE_AT_VERTEX, _ROOT_EDGE_AT_MIDPOINT = Fraction(1), Fraction(1, 2)
 # theta_i = 1/(2 + 2 cos(pi/i)), exact where cos(pi/i) is rational or quadratic
 THETA = {
     2: Fraction(1, 2),
@@ -782,14 +785,13 @@ def verify_steklov_clump(g: WeightedBoundaryGraph) -> ClumpBoundVerdict:
     sigma2 = sigma_value(g, 2)
     holds = sigma2 >= bound - VERDICT_TOL
     equality = abs(sigma2 - bound) <= VERDICT_TOL
-    pt, shapes = rep.point, brooms.shapes
+    pt, shapes, adj = rep.point, brooms.shapes, g.adjacency
+    first = _ROOT_EDGE_AT_VERTEX if pt.is_vertex else _ROOT_EDGE_AT_MIDPOINT
     matches = 0
     for clump in rep.clumps:
-        # from a midpoint the walk leaves the edge's other end behind; the
-        # root edge is what the clump's length adds to its unit edges
+        # from a midpoint the walk leaves the edge's other end behind
         root = pt.vertex if pt.is_vertex else sum(pt.edge) - clump.attach
-        first = clump.length - (len(clump.vertices) - 1)
-        matches += broom_shape(g.adjacency, root, clump.attach, first) in shapes
+        matches += broom_shape(adj, root, clump.attach, first) in shapes
     return ClumpBoundVerdict(
         sigma2, cn, bound, holds, equality, matches,
         rigidity_consistent=(matches >= 2) == equality,

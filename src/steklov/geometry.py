@@ -214,13 +214,6 @@ def _doubled_clump_numbers(order, parent, size) -> tuple[dict[int, int], dict[in
     return at_vertex, at_midpoint
 
 
-def doubled_clump_number(order, parent, size) -> int:
-    """Twice the clump number of the unit tree a :func:`subtree_sizes` pass
-    spans, as an integer."""
-    at_vertex, at_midpoint = _doubled_clump_numbers(order, parent, size)
-    return min([*at_vertex.values(), *at_midpoint.values()])
-
-
 def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
     """Clump number of a unit tree with its unique equilibrium point.
 

@@ -9,13 +9,15 @@ latter); numeric code converts to float on demand.
 
 Every question about connected pieces goes through one walk,
 :func:`subtree_sizes`: components of a graph or of an induced subgraph
-(:func:`component_passes`), the pieces left after edge removals, nodal
-domains, and the interior components that must touch the boundary.
+(:func:`component_passes`), nodal domains, and the interior components that
+must touch the boundary. The pieces a tree leaves after edge removals are
+folded from the tree's own walk instead (:mod:`steklov.clumps`).
 
 A graph keeps its walk from vertex 0 (:attr:`WeightedBoundaryGraph.walk`),
 as it keeps its adjacency and its role lists: ``is_connected``, ``is_tree``
-and every caller that walks a tree from vertex 0 (clump numbers, the type A
-split, the sub-k test, the bipartite colouring) read that one pass, so a
+and every caller that walks a tree from vertex 0 (clump numbers, the removal
+searches and the type A split, the sub-k test, the bipartite colouring) read
+that one pass, so a
 certificate walks its tree once. Callers must not mutate it. The boundary,
 Dirichlet and interior lists come from one pass over the roles. In the same
 way a graph keeps the Steklov spectra solved from it (``spectral`` fills

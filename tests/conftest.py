@@ -146,41 +146,52 @@ def brute_force_graph_code(adj):
     return f"g{n}:{best:0{max(1, n * (n - 1) // 2)}b}" if n > 1 else "g1:0"
 
 
+def _surd_sign(x, y, d):
+    """Sign of the real number x + y sqrt(d), for integers x and y and an
+    integer d >= 0 that is no square unless y is 0."""
+    if x >= 0 and y >= 0 or x <= 0 and y <= 0:
+        return (x > 0 or y > 0) - (x < 0 or y < 0)
+    return (1 if x > 0 else -1) if x * x > d * y * y else (1 if y > 0 else -1)
+
+
 def jacobs_trevisan_counts(adj, b):
     """Oracle for the tree walk of ``steklov.exact.inertia_counts``: the
     counts (#{sigma_j < b}, #{sigma_j = b}) on the tree with neighbour sets
-    ``adj``, by Jacobs-Trevisan on q L - p E_B for b = p / q with q > 0
-    (q = 1 and p = b for a QuadraticSurd), walked from the leaves of a
-    breadth-first order from vertex 0. Each vertex's value num/den
-    (den > 0) is its diagonal entry less q^2 / value over its children;
-    when a child's value is 0, that child is set positive, the vertex
-    negative, and the vertex's edge to its parent is cut."""
+    ``adj``, by Jacobs-Trevisan on L - b E_B, walked from the leaves of a
+    breadth-first order from vertex 0. ``b`` is a rational or a surd with
+    rational parts ``b.p + b.q sqrt(b.d)``; every value is an integer triple
+    (x, y, z) for (x + y sqrt(d)) / z with z > 0, kept in lowest terms.
+    Each vertex's value is its diagonal entry less 1 / value over its
+    children; when a child's value is 0, that child is set positive, the
+    vertex negative, and the vertex's edge to its parent is cut."""
     if isinstance(b, Rational):
-        p, q = b.numerator, b.denominator
+        bx, by, bz, d = b.numerator, 0, b.denominator, 0
     else:
-        p, q = b, 1
-    qq = q * q
+        bz = math.lcm(b.p.denominator, b.q.denominator)
+        bx, by, d = int(b.p * bz), int(b.q * bz), b.d
     order, parent, _ = subtree_sizes(adj)
     assert len(order) == len(adj), "not connected"
-    num, den = [0] * len(adj), [1] * len(adj)
+    value = [None] * len(adj)
     cut = [False] * len(adj)
     for v in reversed(order):
-        top = len(adj[v]) * q - (p if len(adj[v]) <= 1 else 0)
-        bottom = 1
+        leaf = len(adj[v]) <= 1
+        x, y, z = len(adj[v]) * bz - (bx if leaf else 0), -by if leaf else 0, bz
         for c in adj[v]:
             if c == parent[v] or cut[c]:
                 continue
-            if num[c] == 0:
-                num[c], cut[v] = 1, True
-                top, bottom = -1, 1
+            cx, cy, cz = value[c]
+            if cx == 0 and cy == 0:
+                value[c], cut[v] = (1, 0, 1), True
+                x, y, z = -1, 0, 1
                 break
-            t = qq * den[c]  # top/bottom - t/num[c], kept over a positive denominator
-            if num[c] < 0:
-                top, bottom = top * -num[c] + t * bottom, bottom * -num[c]
-            else:
-                top, bottom = top * num[c] - t * bottom, bottom * num[c]
-        num[v], den[v] = top, bottom
-    return sum(1 for x in num if x < 0), sum(1 for x in num if x == 0)
+            norm = cx * cx - d * cy * cy  # 1/c = cz (cx - cy sqrt(d)) / norm
+            ix, iy, iz = (cz * cx, -cz * cy, norm) if norm > 0 else (-cz * cx, cz * cy, -norm)
+            x, y, z = x * iz - ix * z, y * iz - iy * z, z * iz
+            common = math.gcd(x, y, z)
+            x, y, z = x // common, y // common, z // common
+        value[v] = (x, y, z)
+    signs = [_surd_sign(x, y, d) for x, y, _ in value]
+    return signs.count(-1), signs.count(0)
 
 
 def union_find_components(edges, verts):

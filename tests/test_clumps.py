@@ -6,6 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from steklov import clumps, graph
 from steklov.clumps import (
     ComponentReport,
     RemovalCertificate,
@@ -44,7 +45,7 @@ from steklov.families import (
 )
 from steklov.graph import combinatorial_graph, make_graph, subtree_sizes
 
-from conftest import broom_codes, clump_rooted_tree, path_graph
+from conftest import broom_codes, clump_rooted_tree, counting_calls, path_graph
 
 
 def test_sub_k_examples():
@@ -392,6 +393,68 @@ def test_removal_for_clump_matches_brute_force():
             got = _outcome(find_removal_for_clump, g, r, k, half)
             want = _outcome(oracle_removal_for_clump, g, r, k, half)
             assert got == want, (g.edges, r, k, half)
+
+
+def _sample_trees(n, count, seed):
+    """A seeded sample of ``count`` trees on n vertices, relabelled at random."""
+    rng = np.random.default_rng(seed)
+    stored = list(enumerate_trees(n))
+    for j in rng.choice(len(stored), count, replace=False):
+        label = rng.permutation(n).tolist()
+        edges = [(label[u], label[v]) for u, v, _ in stored[j].edges]
+        yield combinatorial_graph(n, edges)
+
+
+def test_searches_match_brute_force_at_the_benchmark_size():
+    # the certificate workload classifies trees n = 12 with k = 4; the
+    # exhaustive comparisons above stop at n = 10
+    for n, seed in ((11, 1111), (12, 1212)):
+        for g in _sample_trees(n, 40, seed):
+            got = _outcome(classify_type_AB, g, 4)
+            assert got == _outcome(oracle_classify_type_AB, g, 4), g.edges
+            got = _outcome(find_removal_for_clump, g, 1, 3)
+            assert got == _outcome(oracle_removal_for_clump, g, 1, 3), g.edges
+
+
+def test_fold_matches_clump_numbers_of_the_pieces():
+    # each piece left by a seeded random set of cut edges has twice the
+    # clump number of the subgraph its vertices induce
+    rng = np.random.default_rng(30)
+    pieces = 0
+    for g in _trees(10):
+        far = clumps._far_ends(g)
+        for _ in range(5):
+            cuts = {c for c in far if rng.random() < 0.3}
+            top, doubled = clumps._fold(g.walk, cuts)
+            parts = clumps._pieces(top)
+            assert sorted(v for verts in parts for v in verts) == list(range(g.n))
+            assert [verts[0] for verts in parts] == sorted(verts[0] for verts in parts)
+            assert len(parts) == len(cuts) + 1 == len(doubled)
+            for verts in parts:
+                want = 2 * clump_number(g.induced_subgraph(verts)).clump_number
+                assert doubled[top[verts[0]]] == want, (g.edges, cuts, verts)
+                pieces += 1
+    assert pieces > 3000
+
+
+def test_searches_make_no_component_walk(monkeypatch):
+    # a tree's removals are folded from its one walk: no search walks a
+    # component again, through any module that holds the walk helpers
+    trees = list(_trees(10))
+    for g in trees:
+        g.walk
+    spies = [
+        counting_calls(monkeypatch, module, name)
+        for name in ("subtree_sizes", "component_passes")
+        for module in (graph, clumps)
+        if hasattr(module, name)
+    ]
+    for g in trees:
+        for k in range(1, 5):
+            _outcome(classify_type_AB, g, k)
+        for r, k in ((0, 1), (1, 2), (2, 2), (1, 3)):
+            _outcome(find_removal_for_clump, g, r, k)
+    assert spies == [[]] * len(spies)
 
 
 def test_removal_sub_k_matches_brute_force():
