@@ -28,6 +28,12 @@ b is a Fraction (or an int) or a :class:`QuadraticSurd` p + q sqrt(d), the
 number type of the irrational bounds theta_i for i = 4, 5, 6; any other b
 is refused. Signs in Z[sqrt(d)] are decided exactly by :func:`surd_sign`,
 which compares x^2 with y^2 d, so every count is exact.
+
+At b = 1 the counts need no congruence at all: on a connected graph with
+n >= 3 vertices they are (s, L - s), for L leaves and s distinct support
+vertices (:func:`leaf_counts`, which reads a class member as its class
+object stores it, and carries the proof). :func:`inertia_counts` does not
+take that path, so it stays an independent oracle for the rule.
 Nothing here is memoised.
 """
 
@@ -312,6 +318,44 @@ def _surd_tree_counts(order, parent, degree, b: QuadraticSurd) -> tuple[int, int
         g = math.gcd(xu, yu, zu)
         x[u], y[u], z[u] = xu // g, yu // g, zu // g
     return _counts([surd_sign(xv, yv, d) for xv, yv in zip(x, y)])
+
+
+def leaf_counts(n: int, member) -> tuple[int, int]:
+    """Counts of :func:`inertia_counts` at b = 1, (s, L - s), for a class
+    member on n >= 3 vertices as a class object stores it: a tree's parent
+    and degree ``bytes`` (vertex 0 the root, every other vertex after its
+    parent, so vertex 1 is a child of 0), or any other member's edge
+    tuple. L is the number of leaves and s the number of distinct support
+    vertices, those next to a leaf. No walk, factorization or Fraction.
+
+    Proof. With unit measures, B the leaves and I the other vertices, no
+    two leaves are adjacent in a connected graph on n >= 3 vertices, so
+    L_BB = I_B and L_BI = -E, where row l of E marks the support vertex of
+    leaf l. Then S = I_B - E L_II^-1 E^T. L_II is positive definite on a
+    connected graph with a boundary, so E L_II^-1 E^T is positive
+    semidefinite with rank(E L_II^-1 E^T) = rank(E) = s: E's rows are unit
+    vectors, one distinct row per support vertex. So S has s eigenvalues
+    below 1 and L - s at 1. A member with no leaf gives (0, 0), the counts
+    of its empty spectrum.
+
+    The rule is false on n <= 2: on K_2 both vertices are leaves, so it
+    would give (2, 0), but sigma = 0, 2 gives (1, 0). Such an n raises
+    InvalidParamsError. The member is otherwise taken as stored: connected,
+    on 0..n-1, with no check."""
+    if n < 3:
+        raise InvalidParamsError(f"the leaf rule needs n >= 3, not n = {n}")
+    if isinstance(member[0], bytes):
+        parent, degree = member
+        supports = {parent[v] if v else 1 for v, k in enumerate(degree) if k == 1}
+    else:
+        degree = [0] * n
+        for u, v in member:
+            degree[u] += 1
+            degree[v] += 1
+        supports = {v for u, v in member if degree[u] == 1}
+        supports |= {u for u, v in member if degree[v] == 1}
+    leaves = degree.count(1)
+    return len(supports), leaves - len(supports)
 
 
 def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:

@@ -20,8 +20,11 @@ i. Rows are the stored codes, which are canonical and sorted.
 :func:`verify_extremal` then decides every class that screens within
 SCREEN_MARGIN of the bound b exactly, afresh on every call, by the counts
 #{sigma_j < b} and #{sigma_j = b} of :func:`~steklov.exact.inertia_counts`:
-a tree member's straight from its stored parent and degree arrays, any
-other member from its stored edges. No class is solved again.
+at b = 1 (every pair with i > n/2) by the leaf rule of
+:func:`~steklov.exact.leaf_counts`, (s, L - s) for s support vertices and L
+leaves; at any other b a tree member's straight from its stored parent and
+degree arrays, any other member from its stored edges. No class is solved
+again.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .errors import (
     NotBipartiteError,
     OutOfSupportedRangeError,
 )
-from .exact import QuadraticSurd, _inertia_counts, tree_inertia_counts
+from .exact import QuadraticSurd, _inertia_counts, leaf_counts, tree_inertia_counts
 from .families import (
     RootedTree,
     build_broom,
@@ -394,12 +397,17 @@ class ExtremalReport:
     rechecked: int  # candidates decided exactly by their eigenvalue counts
 
 
-def _member_counts(stream, j, b) -> tuple[int, int]:
+def _member_counts(stream, j, b, at_one: bool) -> tuple[int, int]:
     """:func:`~steklov.exact.inertia_counts` at b of member j of a class
-    object, read from its store: a tree-coded member's parent and degree
-    arrays go straight to the tree walk, any other member's edges to the
-    dense path."""
+    object, read from its store. ``at_one`` says b is the rational 1, as
+    the caller decides once per call: then the counts are (s, L - s) by the
+    leaf rule (:func:`~steklov.exact.leaf_counts`: s support vertices, L
+    leaves), with no walk. At any other b a tree-coded member's parent and
+    degree arrays go straight to the tree walk, any other member's edges to
+    the dense path."""
     member = stream.members[j]
+    if at_one:
+        return leaf_counts(stream.n, member)
     if stream.codes[j][0] == "(":
         return tree_inertia_counts(range(stream.n), *member, b)
     return _inertia_counts(stream.n, member, b)
@@ -415,7 +423,8 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     float(b) + SCREEN_MARGIN for the predicted bound b. Each is decided
     exactly, afresh on every call, by its counts #{sigma_j < b} and
     #{sigma_j = b}, read from the class object's store
-    (:func:`_member_counts`). The bound holds iff no candidate has i or more
+    (:func:`_member_counts`; whether b is 1, where the leaf rule counts, is
+    decided once per call). The bound holds iff no candidate has i or more
     eigenvalues below b (every other class screens above b + SCREEN_MARGIN),
     and a candidate attains it iff it also has at least i at or below b.
     When the bound holds and some candidate attains it, those candidates
@@ -424,8 +433,12 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     target = predicted_bound(n, i, graph_class)
     n, i, b = target.n, target.i, target.bound_exact
     stream, values = _screened(n, i, graph_class)
+    # only a rational b takes the leaf rule: comparing a QuadraticSurd with 1
+    # costs about what the walk of its candidate costs, and the walk counts
+    # any b exactly
+    at_one = isinstance(b, Fraction) and b == 1
     counts = {
-        j: _member_counts(stream, j, b)
+        j: _member_counts(stream, j, b, at_one)
         for j in np.flatnonzero(values <= target.bound + SCREEN_MARGIN).tolist()
     }
     bound_ok = all(neg < i for neg, _ in counts.values())

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import steklov
+from steklov import enumeration
 from steklov.enumeration import (
     GENERATOR_VERSION,
     MAX_GRAPH_N,
@@ -224,6 +226,22 @@ def test_package_namespace_is_unchanged():
 def test_tree_generator_matches_prufer_oracle():
     for n in range(1, 9):
         assert set(_class("trees", n).codes) == prufer_tree_classes(n), n
+
+
+def test_prufer_forms_match_tree_codes():
+    # the oracle's integer forms against unit_tree_code on seeded random
+    # Prufer sequences, 2 <= n <= 14: equal forms iff equal codes
+    rng = random.Random(3131)
+    for n in range(2, 15):
+        ids, forms, codes = {(): 0}, {}, {}
+        for _ in range(300):
+            seq = [rng.randrange(n) for _ in range(n - 2)]
+            order, parent = enumeration._prufer_tree(n, seq)
+            assert sorted(order) == list(range(n)) and order[-1] == n - 1
+            form = enumeration._ahu_form(order, parent, ids)
+            code = unit_tree_code(adjacency_sets(n, [(parent[v], v) for v in range(n - 1)]))
+            assert forms.setdefault(form, code) == code and codes.setdefault(code, form) == form
+        assert len(forms) > 1 or n <= 3
 
 
 def test_connected_counts_match_known_table():

@@ -161,12 +161,77 @@ def test_store_counts_match_both_oracles():
             assert parent == bytes([0] + [u for u, _ in edges]), code
             assert degree == bytes(len(a) for a in adj), code
             for b in bounds:
-                counts = extremal._member_counts(stream, j, b)
+                counts = extremal._member_counts(stream, j, b, b == 1)
                 assert counts == inertia_counts(n, edges, b), (code, b)
                 assert counts == jacobs_trevisan_counts(adj, b), (code, b)
                 zero_counts += counts[1] > 0
     assert trees == sum(map(free_tree_count, [*range(3, 13), *range(3, 8)]))
     assert zero_counts > 0
+
+
+def preorder_arrays(adj, root):
+    """Parent and degree bytes of the tree with neighbour sets ``adj``,
+    renumbered in a depth-first preorder from ``root`` (new vertex 0)."""
+    number, parent, stack = {}, [], [(root, None)]
+    while stack:
+        v, up = stack.pop()
+        number[v] = len(number)
+        parent.append(0 if up is None else number[up])
+        stack += [(c, v) for c in sorted(adj[v], reverse=True) if c != up]
+    degree = [0] * len(adj)
+    for v, k in number.items():
+        degree[k] = len(adj[v])
+    return bytes(parent), bytes(degree)
+
+
+def test_leaf_rule_matches_both_oracles():
+    # at b = 1 every member with a boundary of the tree classes 3 <= n <= 12
+    # and the connected classes 3 <= n <= 7, as stored and as its edges:
+    # (s, L - s) equals the counts of inertia_counts on the member's edges,
+    # and of the Jacobs-Trevisan oracle on a tree member; every tree n <= 10
+    # rooted at a leaf too, where vertex 0 is a leaf whose support is 1
+    one = Fraction(1)
+    streams = [enumerate_trees(n) for n in range(3, 13)]
+    streams += [enumerate_connected_graphs(n) for n in range(3, 8)]
+    members = below_one = at_one = 0
+    for stream in streams:
+        n = stream.n
+        for member, edges in zip(stream.members, stream.edge_lists(), strict=True):
+            adj = adjacency_sets(n, edges)
+            if all(len(a) > 1 for a in adj):
+                continue
+            counts = exact.leaf_counts(n, member)
+            assert counts == exact.leaf_counts(n, edges) == inertia_counts(n, edges, one), edges
+            if len(edges) == n - 1:
+                assert counts == jacobs_trevisan_counts(adj, one), edges
+            members += 1
+            below_one += counts[0]
+            at_one += counts[1]
+    assert members == 1396 and below_one > 0 and at_one > 0
+    rooted_at_leaves = 0
+    for n in range(3, 11):
+        for g in enumerate_trees(n):
+            adj = adjacency_sets(n, edge_pairs(g))
+            leaf = next(v for v, a in enumerate(adj) if len(a) == 1)
+            parent, degree = preorder_arrays(adj, leaf)
+            edges = [(u, v) for v, u in enumerate(parent) if v]
+            assert degree[0] == 1 and exact._parent_array(n, edges)[0] is not None
+            assert exact.leaf_counts(n, (parent, degree)) == inertia_counts(n, edges, one)
+            rooted_at_leaves += 1
+    assert rooted_at_leaves == sum(map(free_tree_count, range(3, 11)))
+
+
+@pytest.mark.parametrize("n,member", [
+    (2, (bytes([0, 0]), bytes([1, 1]))),
+    (2, ((0, 1),)),
+    (1, (bytes([0]), bytes([0]))),
+])
+def test_leaf_rule_refuses_n_below_three(n, member):
+    # on K_2 both vertices are leaves and the rule would give (2, 0), but
+    # sigma = 0, 2 gives (1, 0)
+    assert inertia_counts(2, [(0, 1)], Fraction(1)) == (1, 0)
+    with pytest.raises(InvalidParamsError, match="n >= 3"):
+        exact.leaf_counts(n, member)
 
 
 def test_stored_trees_are_parent_arrays():
@@ -184,14 +249,41 @@ def test_verify_over_a_tree_class_makes_no_subtree_walk(monkeypatch):
     assert calls == []
     # over a connected class the tree candidates are walked as parent
     # arrays, and each other candidate once, to check it connected
-    for n, i in ((6, 3), (7, 4)):
-        calls.clear()
-        rep = verify_extremal(n, i, "connected")
-        stream, values = extremal._screened(n, i, "connected")
-        edge_lists = stream.edge_lists()
-        sizes = [len(edge_lists[j]) for j in np.flatnonzero(values <= rep.target.bound + rep.tol)]
-        assert len(sizes) == rep.rechecked and n - 1 in sizes
-        assert len(calls) == sum(size != n - 1 for size in sizes) > 0
+    n, i = 6, 3
+    calls.clear()
+    rep = verify_extremal(n, i, "connected")
+    stream, values = extremal._screened(n, i, "connected")
+    edge_lists = stream.edge_lists()
+    sizes = [len(edge_lists[j]) for j in np.flatnonzero(values <= rep.target.bound + rep.tol)]
+    assert len(sizes) == rep.rechecked and n - 1 in sizes
+    assert len(calls) == sum(size != n - 1 for size in sizes) > 0
+
+
+def test_verify_at_b_one_makes_no_walk_and_no_factorization(monkeypatch):
+    # at b = 1 (m = 1) the leaf rule counts every candidate: no tree walk,
+    # no dense LDL^T and no subtree walk, over trees and over a connected
+    # class with candidates that are not trees
+    walks = counting_calls(monkeypatch, extremal, "tree_inertia_counts")
+    dense = counting_calls(monkeypatch, exact, "dense_inertia_counts")
+    subtree = counting_calls(monkeypatch, exact, "subtree_sizes")
+    for graph_class, n, i in (("trees", 12, 7), ("trees", 11, 6), ("connected", 7, 4)):
+        rep = verify_extremal(n, i, graph_class)
+        assert rep.target.bound_exact == 1 and rep.match and rep.bound_ok
+        stream, values = extremal._screened(n, i, graph_class)
+        candidates = np.flatnonzero(values <= rep.target.bound + rep.tol)
+        assert len(candidates) == rep.rechecked > 0
+    assert any(stream.codes[j][0] != "(" for j in candidates)
+    assert walks == dense == subtree == []
+
+
+@pytest.mark.parametrize("n,i", IRRATIONAL_PAIRS)
+def test_surd_bound_is_never_compared_with_one(monkeypatch, n, i):
+    # whether b is 1 is decided once per call, from b's type for a surd b:
+    # no exact comparison, in verify_extremal or while a candidate is counted
+    verify_extremal(n, i, "trees")  # the class and the prediction are held
+    compared = counting_calls(monkeypatch, QuadraticSurd, "_cmp")
+    assert verify_extremal(n, i, "trees").rechecked == 1
+    assert compared == []
 
 
 @pytest.mark.parametrize("n,edges,b", [

@@ -537,20 +537,24 @@ def test_warm_sweeps_equal_fresh_ones(tmp_path, monkeypatch):
         assert old == fresh and repr(old) == repr(fresh), (graph_class, n, i)
 
 
-@pytest.mark.parametrize("graph_class,n,i", [("trees", 9, 4), ("connected", 6, 3)])
+@pytest.mark.parametrize("graph_class,n,i", [
+    ("trees", 9, 4), ("connected", 6, 3), ("connected", 7, 4),
+])
 def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     """The exact counts decide the candidates afresh on every call: as many
     on a warm call as on a cold one, one per candidate, and no per-graph
-    solve."""
+    solve. b == 1 is decided once per call (at connected (7, 4), b = 1, the
+    leaf rule counts every candidate)."""
     _load_class.cache_clear()
     counts = counting(monkeypatch, "_member_counts")
     solves = counting(monkeypatch, "sigma_value")
     cold = verify_extremal(n, i, graph_class)
-    members = [j for _, j, _ in counts]
+    members = [args[1] for args in counts]
     assert len(set(members)) == len(members) == cold.rechecked > 0
+    assert {args[3] for args in counts} == {cold.target.bound_exact == 1}
     warm = verify_extremal(n, i, graph_class)
     assert warm == cold
-    assert [j for _, j, _ in counts] == 2 * members
+    assert [args[1] for args in counts] == 2 * members
     assert solves == []
 
 
@@ -567,14 +571,14 @@ def test_second_verify_builds_no_prediction(monkeypatch, graph_class, n, i):
     counts = counting(monkeypatch, "_member_counts")
     first = verify_extremal(n, i, graph_class)
     assert codes and any(builds)
-    members = [j for _, j, _ in counts]
+    members = [args[1] for args in counts]
     assert len(set(members)) == len(members) == first.rechecked > 0
     codes.clear()
     for calls in builds:
         calls.clear()
     second = verify_extremal(n, i, graph_class)
     assert codes == [] and not any(builds)
-    assert [j for _, j, _ in counts] == 2 * members
+    assert [args[1] for args in counts] == 2 * members
     assert second == first and second.target is first.target
 
 
@@ -619,7 +623,7 @@ def test_verify_decides_by_counts_and_falls_back_to_the_screen(monkeypatch):
     exact = verify_extremal(7, 2, "trees")
     screen = sweep(7, 2, "trees")
     for fake, bound_ok in (((3, 0), False), ((0, 0), True)):
-        monkeypatch.setattr(extremal, "_member_counts", lambda stream, j, b, c=fake: c)
+        monkeypatch.setattr(extremal, "_member_counts", lambda *args, c=fake: c)
         rep = verify_extremal(7, 2, "trees")
         assert rep.bound_ok is bound_ok and not rep.match
         assert (rep.minimum, rep.argmin_codes, rep.gap) == (
