@@ -41,10 +41,10 @@ from .errors import (
 from .graph import (
     WeightedBoundaryGraph,
     adjacency_sets,
+    centroids,
     combinatorial_graph,
     component_passes,
     degree_roles,
-    heaviest_branches,
     make_graph,
     subtree_sizes,
 )
@@ -85,13 +85,6 @@ def _unit_length(v: int, u: int) -> str:
     return "1"
 
 
-def _centroids(order, parent, size) -> list[int]:
-    """Centroids of a tree from a subtree-size pass."""
-    heaviest = heaviest_branches(order, parent, size)
-    best = min(heaviest.values())
-    return [v for v, h in heaviest.items() if h == best]
-
-
 def tree_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
     """Canonical code of a (metric) tree; rooted when ``root`` is given."""
     if not g.is_tree():
@@ -101,7 +94,7 @@ def tree_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
     def label(v: int, u: int) -> str:
         return _edge_length_str(adj[v][u])
 
-    roots = [root] if root is not None else _centroids(*g.walk)
+    roots = [root] if root is not None else centroids(*g.walk)
     return min(_rooted_code(adj, r, label) for r in roots)
 
 
@@ -114,8 +107,7 @@ def _plant(forest) -> str:
 def unit_tree_code(adj) -> str:
     """``tree_code`` of a unit-weight tree given by neighbour lists or
     sets; builds no graph and no ``Fraction`` (every edge length is "1")."""
-    centroids = _centroids(*subtree_sizes(adj))
-    return min(_rooted_code(adj, c, _unit_length) for c in centroids)
+    return min(_rooted_code(adj, c, _unit_length) for c in centroids(*subtree_sizes(adj)))
 
 
 def _tree_grammar(code: str) -> tuple[list[int], list[int], list[str]]:

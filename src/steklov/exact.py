@@ -5,24 +5,24 @@ diagonal that marks B and put M = L - b E_B. The interior block L_II is
 positive definite, and its Schur complement in M is Lambda - b I, where
 Lambda is the DtN matrix. By Haynsworth's inertia additivity (Linear
 Algebra Appl. 1, 1968), M has exactly #{sigma_j < b} negative and
-#{sigma_j = b} zero eigenvalues. :func:`inertia_counts` reads both counts
-off a diagonal congruence of M in exact arithmetic:
+#{sigma_j = b} zero eigenvalues. Each input form has one entry:
+:func:`inertia_counts` takes an edge list, which it checks by building the
+graph, and :func:`member_counts` a class member as its class object stores
+it, unchecked. Both read the counts off a diagonal congruence of M in
+exact arithmetic:
 
 - on a tree, by the Jacobs-Trevisan walk from the leaves up ("Locating the
-  eigenvalues of trees", Linear Algebra Appl. 434, 2011). A class member
-  is walked straight from the parent and degree arrays its class object
-  stores (:func:`tree_inertia_counts`). An edge list is read as a parent
-  array in one pass when it is one (each edge (u, v) with u < v, every
-  v >= 1 the larger end of exactly one), as the edges of every stored tree
-  are; any other tree is walked in the order of one
-  :func:`~steklov.graph.subtree_sizes` pass. The walk folds each vertex,
-  leaves first, into its parent in Python integers: num/den after
-  scaling by the denominator of a rational b, (x + y sqrt(d)) / z reduced
-  by the gcd for a surd b;
+  eigenvalues of trees", Linear Algebra Appl. 434, 2011;
+  :func:`tree_inertia_counts`). An edge list's tree is walked in the
+  order of its graph's one walk from vertex 0, a stored tree straight from
+  its parent and degree arrays. The walk folds each vertex, leaves first,
+  into its parent in Python integers: num/den after scaling by the
+  denominator of a rational b, (x + y sqrt(d)) / z reduced by the gcd for
+  a surd b;
 - on any other graph, by a dense LDL^T with 1x1 pivots, and a 2x2 pivot
   [[0, x], [x, 0]] (one negative and one positive eigenvalue) when every
   remaining diagonal entry is 0 (Bunch and Parlett, SIAM J. Numer. Anal. 8,
-  1971).
+  1971; :func:`dense_inertia_counts`).
 
 b is a Fraction (or an int) or a :class:`QuadraticSurd` p + q sqrt(d), the
 number type of the irrational bounds theta_i for i = 4, 5, 6; any other b
@@ -31,9 +31,9 @@ which compares x^2 with y^2 d, so every count is exact.
 
 At b = 1 the counts need no congruence at all: on a connected graph with
 n >= 3 vertices they are (s, L - s), for L leaves and s distinct support
-vertices (:func:`leaf_counts`, which reads a class member as its class
-object stores it, and carries the proof). :func:`inertia_counts` does not
-take that path, so it stays an independent oracle for the rule.
+vertices (:func:`leaf_counts`, which carries the proof), and
+:func:`member_counts` takes that path. :func:`inertia_counts` does not, so
+it stays an independent oracle for the rule.
 Nothing here is memoised.
 """
 
@@ -44,15 +44,8 @@ from fractions import Fraction
 from functools import total_ordering
 from numbers import Rational
 
-from .errors import (
-    DisconnectedError,
-    DuplicateEdgeError,
-    IndexOutOfRangeError,
-    InvalidParamsError,
-    NoBoundaryError,
-    SelfLoopError,
-)
-from .graph import _is_label, adjacency_sets, subtree_sizes
+from .errors import DisconnectedError, InvalidParamsError, NoBoundaryError
+from .graph import adjacency_sets, combinatorial_graph
 
 
 def surd_sign(x: int, y: int, d: int) -> int:
@@ -146,6 +139,8 @@ class QuadraticSurd:
         return None if self._parts(other) is None else (self - other).sign()
 
     def __eq__(self, other):
+        if isinstance(other, Rational):
+            return self.q == 0 and self.p == other
         c = self._cmp(other)
         return NotImplemented if c is None else c == 0
 
@@ -183,72 +178,46 @@ def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
     connected unit-weight graph on 0..n-1 with ``edges`` (pairs), unit
     measures and the degree <= 1 boundary, decided exactly.
 
-    A tree (n - 1 edges) is walked by Jacobs-Trevisan; any other graph is
+    The edges are checked by building the graph
+    (:func:`~steklov.graph.combinatorial_graph`). A tree (n - 1 edges) is
+    walked by Jacobs-Trevisan along the graph's
+    :attr:`~steklov.graph.WeightedBoundaryGraph.walk`; any other graph is
     factored densely. Raises InvalidParamsError for a b that is not exact
-    (a float, a bool), IndexOutOfRangeError (also for a vertex label that
-    is not an integer, a bool included), SelfLoopError and
-    DuplicateEdgeError for a malformed edge list, NoBoundaryError when no
-    vertex has degree <= 1 (such a graph has no Steklov spectrum) and
-    DisconnectedError for a disconnected graph, whose interior block can be
-    singular."""
+    (a float, a bool), the errors of :func:`~steklov.graph.make_graph`
+    for a malformed n or edge list (IndexOutOfRangeError for an n that is
+    not a nonnegative integer or a vertex label that is not an integer in
+    0..n-1, a bool included; SelfLoopError; DuplicateEdgeError),
+    NoBoundaryError when no vertex has degree <= 1 (such a graph has no
+    Steklov spectrum) and DisconnectedError for a disconnected graph, whose
+    interior block can be singular."""
     if isinstance(b, bool) or not isinstance(b, (Rational, QuadraticSurd)):
         raise InvalidParamsError(f"exact counts need a rational or QuadraticSurd b, not {b!r}")
-    if not all(_is_label(u) and _is_label(v) for u, v in edges):
-        raise IndexOutOfRangeError(f"vertex labels must be integers in 0..{n - 1}")
-    return _inertia_counts(n, edges, b)
-
-
-def _inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
-    """:func:`inertia_counts` with b and the labels unchecked: exact and ints."""
-    parent, degree = _parent_array(n, edges)
-    if parent is not None:
-        return tree_inertia_counts(range(n), parent, degree, b)
-    adj = _adjacency(n, edges)
-    if all(len(a) > 1 for a in adj):
+    g = combinatorial_graph(n, edges)
+    if not g.boundary:
         raise NoBoundaryError("graph has no boundary vertices")
-    if len(edges) != n - 1:
-        return dense_inertia_counts(adj, b)
-    order, parent = _walk(adj)
-    return tree_inertia_counts(order, parent, [len(a) for a in adj], b)
-
-
-def _parent_array(n: int, edges) -> tuple[list[int], list[int]] | tuple[None, None]:
-    """Parents (-1 at vertex 0) and degrees when ``edges`` is a parent
-    array: n - 1 pairs (u, v) with 0 <= u < v < n, each v >= 1 the larger
-    end of exactly one, as :func:`~steklov.enumeration.tree_edges` numbers
-    every stored tree. Such edges form a tree. (None, None) otherwise."""
-    if len(edges) != n - 1:
-        return None, None
-    parent, degree = [-1] * n, [0] + [1] * (n - 1)
-    for u, v in edges:
-        if not 0 <= u < v < n or parent[v] >= 0:
-            return None, None
-        parent[v] = u
-        degree[u] += 1
-    return parent, degree
-
-
-def _adjacency(n: int, edges) -> list[set[int]]:
-    """Neighbour sets of ``edges``, which must be distinct pairs of
-    distinct vertices in 0..n-1."""
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRangeError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-    adj = adjacency_sets(n, edges)
-    if sum(map(len, adj)) != 2 * len(edges):
-        raise DuplicateEdgeError("an edge is listed twice")
-    return adj
-
-
-def _walk(adj) -> tuple[list[int], dict[int, int]]:
-    """The :func:`subtree_sizes` order and parents from vertex 0, which
-    must reach every vertex."""
-    order, parent, _ = subtree_sizes(adj)
-    if len(order) < len(adj):
+    if not g.is_connected():
         raise DisconnectedError("exact counts need a connected graph")
-    return order, parent
+    adj = g.adjacency
+    if len(g.edges) != n - 1:
+        return dense_inertia_counts(adj, b)
+    order, parent, _ = g.walk
+    return tree_inertia_counts(order, parent, [len(adj[v]) for v in range(n)], b)
+
+
+def member_counts(n: int, member, b: Exact | int, at_one: bool) -> tuple[int, int]:
+    """Counts of :func:`inertia_counts` at b for a class member on n >= 3
+    vertices as a class object stores it: a tree's parent and degree
+    ``bytes``, or any other member's edge tuple. The member is taken as
+    stored: connected, with a boundary, with no check. ``at_one`` says b
+    is 1, as the caller decides once for all its members: then the leaf
+    rule counts (:func:`leaf_counts`), with no walk. At any other b a
+    tree's arrays go straight to :func:`tree_inertia_counts`, any other
+    member's edges to :func:`dense_inertia_counts`."""
+    if at_one:
+        return leaf_counts(n, member)
+    if isinstance(member[0], bytes):
+        return tree_inertia_counts(range(n), *member, b)
+    return dense_inertia_counts(adjacency_sets(n, member), b)
 
 
 def _counts(values) -> tuple[int, int]:
@@ -363,8 +332,8 @@ def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
     ``adj``, by a dense LDL^T of L - b E_B with 1x1 pivots, and a 2x2
     pivot [[0, x], [x, 0]] when every remaining diagonal entry is 0. The
     matrix stays exactly symmetric, so a 1x1 pivot updates only the rows
-    and columns where its row is nonzero."""
-    _walk(adj)
+    and columns where its row is nonzero. The graph must be connected, as
+    :func:`inertia_counts` checks and every stored member is."""
     n = len(adj)
     edge, zero = Fraction(-1), Fraction(0)
     a = [[edge if c in adj[r] else zero for c in range(n)] for r in range(n)]

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     AllZeroError,
-    CertificationError,
     InvalidParamsError,
     NotATreeError,
     NotUnitWeightError,
@@ -25,8 +24,8 @@ from .errors import (
 from .graph import (
     Role,
     WeightedBoundaryGraph,
+    centroids,
     component_passes,
-    heaviest_branches,
     make_graph,
 )
 from .spectral import dirichlet_steklov_spectrum
@@ -200,44 +199,29 @@ def clump_number_at(g: WeightedBoundaryGraph, point: GeometricPoint):
     return max((c.length for c in clumps), default=Fraction(0))
 
 
-def _doubled_clump_numbers(order, parent, size) -> tuple[dict[int, int], dict[int, int]]:
-    """Twice the clump number at every vertex and at every edge midpoint,
-    from a :func:`subtree_sizes` pass; a midpoint is keyed by the edge's end
-    away from the root.
-
-    A vertex's clumps are its branches. The two clumps at a midpoint have
-    lengths s - 1/2, for the vertex counts s of the edge's two sides.
-    """
-    n = len(order)
-    at_vertex = {v: 2 * h for v, h in heaviest_branches(order, parent, size).items()}
-    at_midpoint = {v: 2 * max(size[v], n - size[v]) - 1 for v in order[1:]}
-    return at_vertex, at_midpoint
-
-
 def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
-    """Clump number of a unit tree with its unique equilibrium point.
+    """Clump number of a unit tree with its unique equilibrium point, read
+    off the centroid(s) of the tree's walk.
 
-    The minimum over |K(G)| is attained at a vertex or an edge midpoint, so
-    only those candidates are compared, all read from one subtree-size pass.
-    Uniqueness of the argmin is asserted.
+    The minimum over |K(G)| is attained at a vertex or an edge midpoint. A
+    vertex's clumps are its branches, so the least value at a vertex is h,
+    the heaviest branch of a centroid. The midpoint of an edge whose sides
+    have s >= N - s vertices has clumps s - 1/2 and N - s - 1/2 long; when
+    s > N - s the vertex on the larger side, whose branches have fewer than
+    s vertices, beats it. So a midpoint wins only at an even split,
+    which exists iff the tree has two centroids, the ends of that edge,
+    with h = N/2: the point is that midpoint, with clump number h - 1/2.
+    Otherwise the one centroid is the point, with clump number h. Either
+    way the point is unique.
     """
     _require_unit_tree(g)
-    order, parent, size = g.walk
-    at_vertex, at_midpoint = _doubled_clump_numbers(order, parent, size)
-    best = min([*at_vertex.values(), *at_midpoint.values()])
-    winners = [GeometricPoint.at_vertex(v) for v, d in at_vertex.items() if d == best]
-    winners += [
-        GeometricPoint.on_edge(*sorted((parent[v], v)), Fraction(1, 2))
-        for v, d in at_midpoint.items()
-        if d == best
-    ]
-    if len(winners) != 1:
-        raise CertificationError(
-            f"equilibrium point is not unique ({len(winners)} minimizers of "
-            f"{Fraction(best, 2)})"
-        )
-    pt = winners[0]
-    return ClumpReport(pt, _clumps_at(g, pt), Fraction(best, 2))
+    tops = centroids(*g.walk)
+    if len(tops) == 1:
+        pt = GeometricPoint.at_vertex(tops[0])
+    else:
+        pt = GeometricPoint.on_edge(*sorted(tops), Fraction(1, 2))
+    clumps = _clumps_at(g, pt)
+    return ClumpReport(pt, clumps, max((c.length for c in clumps), default=Fraction(0)))
 
 
 # -- nodal domains -------------------------------------------------------------------

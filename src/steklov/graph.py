@@ -129,6 +129,14 @@ def heaviest_branches(order, parent, size) -> dict[int, int]:
     return heaviest
 
 
+def centroids(order, parent, size) -> list[int]:
+    """The centroid of a tree, or its two adjacent centroids: the vertices
+    whose largest branch is least, from a :func:`subtree_sizes` pass."""
+    heaviest = heaviest_branches(order, parent, size)
+    best = min(heaviest.values())
+    return [v for v, h in heaviest.items() if h == best]
+
+
 @dataclass(frozen=True)
 class WeightedBoundaryGraph:
     """Simple undirected graph with vertex measures, edge weights and roles.

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from steklov import exact, extremal
+from steklov import exact, extremal, graph
 from steklov.enumeration import (
     enumerate_connected_graphs,
     enumerate_trees,
@@ -104,9 +104,9 @@ def relabelled(rng, n, edges):
 
 
 def test_tree_walk_matches_its_oracle():
-    # the parent-array walk against the adjacency-set walk it replaced, on
-    # every tree n <= 10 as stored (a parent array) and renumbered, at each
-    # grid bound, at b = 0 and b = 1 and at seeded rationals and surds
+    # the walk along the graph's walk against the adjacency-set walk, on
+    # every tree n <= 10 as stored and renumbered, at each grid bound, at
+    # b = 0 and b = 1 and at seeded rationals and surds
     rng = random.Random(1717)
     bounds = GRID_BOUNDS | {Fraction(0), Fraction(1)}
     bounds |= {Fraction(rng.randrange(-50, 400), rng.randrange(1, 60)) for _ in range(4)}
@@ -118,7 +118,7 @@ def test_tree_walk_matches_its_oracle():
         for g in enumerate_trees(n):
             stored = edge_pairs(g)
             other = relabelled(rng, n, stored)
-            renumbered += exact._parent_array(n, other)[0] is None
+            renumbered += other != stored
             for edges in (stored, other):
                 adj = adjacency_sets(n, edges)
                 for b in bounds:
@@ -161,7 +161,7 @@ def test_store_counts_match_both_oracles():
             assert parent == bytes([0] + [u for u, _ in edges]), code
             assert degree == bytes(len(a) for a in adj), code
             for b in bounds:
-                counts = extremal._member_counts(stream, j, b, b == 1)
+                counts = exact.member_counts(n, stream.members[j], b, b == 1)
                 assert counts == inertia_counts(n, edges, b), (code, b)
                 assert counts == jacobs_trevisan_counts(adj, b), (code, b)
                 zero_counts += counts[1] > 0
@@ -215,7 +215,7 @@ def test_leaf_rule_matches_both_oracles():
             leaf = next(v for v, a in enumerate(adj) if len(a) == 1)
             parent, degree = preorder_arrays(adj, leaf)
             edges = [(u, v) for v, u in enumerate(parent) if v]
-            assert degree[0] == 1 and exact._parent_array(n, edges)[0] is not None
+            assert degree[0] == 1 and all(u < v for u, v in edges)
             assert exact.leaf_counts(n, (parent, degree)) == inertia_counts(n, edges, one)
             rooted_at_leaves += 1
     assert rooted_at_leaves == sum(map(free_tree_count, range(3, 11)))
@@ -234,39 +234,41 @@ def test_leaf_rule_refuses_n_below_three(n, member):
         exact.leaf_counts(n, member)
 
 
-def test_stored_trees_are_parent_arrays():
-    # every stored tree of the ten tree classes is walked with no renumbering
-    for n in range(3, 13):
-        for g in enumerate_trees(n):
-            parent, degree = exact._parent_array(n, edge_pairs(g))
-            assert parent is not None and sum(degree) == 2 * (n - 1)
-
-
 def test_verify_over_a_tree_class_makes_no_subtree_walk(monkeypatch):
-    calls = counting_calls(monkeypatch, exact, "subtree_sizes")
-    for n, i in ((12, 4), (11, 3)):
-        assert verify_extremal(n, i, "trees").rechecked > 0
-    assert calls == []
-    # over a connected class the tree candidates are walked as parent
-    # arrays, and each other candidate once, to check it connected
+    # the counts read each candidate as its class stores it: no subtree
+    # walk, over a tree class or a connected one, where the tree candidates
+    # go to the tree walk as parent arrays and each other candidate once to
+    # the dense LDL^T
+    pairs = (("trees", 12, 4), ("trees", 11, 3), ("connected", 6, 3))
+    for graph_class, n, i in pairs:
+        verify_extremal(n, i, graph_class)  # the class and the prediction are held
+    calls = counting_calls(monkeypatch, graph, "subtree_sizes")
+    for graph_class, n, i in pairs[:2]:
+        assert verify_extremal(n, i, graph_class).rechecked > 0
+    walks = counting_calls(monkeypatch, exact, "tree_inertia_counts")
+    dense = counting_calls(monkeypatch, exact, "dense_inertia_counts")
     n, i = 6, 3
-    calls.clear()
     rep = verify_extremal(n, i, "connected")
+    assert calls == []
     stream, values = extremal._screened(n, i, "connected")
     edge_lists = stream.edge_lists()
     sizes = [len(edge_lists[j]) for j in np.flatnonzero(values <= rep.target.bound + rep.tol)]
     assert len(sizes) == rep.rechecked and n - 1 in sizes
-    assert len(calls) == sum(size != n - 1 for size in sizes) > 0
+    assert len(walks) == sizes.count(n - 1)
+    assert len(dense) == sum(size != n - 1 for size in sizes) > 0
 
 
 def test_verify_at_b_one_makes_no_walk_and_no_factorization(monkeypatch):
     # at b = 1 (m = 1) the leaf rule counts every candidate: no tree walk,
     # no dense LDL^T and no subtree walk, over trees and over a connected
     # class with candidates that are not trees
-    walks = counting_calls(monkeypatch, extremal, "tree_inertia_counts")
+    pairs = (("trees", 12, 7), ("trees", 11, 6), ("connected", 7, 4))
+    for graph_class, n, i in pairs:
+        verify_extremal(n, i, graph_class)  # the class and the prediction are held
+    walks = counting_calls(monkeypatch, exact, "tree_inertia_counts")
     dense = counting_calls(monkeypatch, exact, "dense_inertia_counts")
-    subtree = counting_calls(monkeypatch, exact, "subtree_sizes")
-    for graph_class, n, i in (("trees", 12, 7), ("trees", 11, 6), ("connected", 7, 4)):
+    subtree = counting_calls(monkeypatch, graph, "subtree_sizes")
+    for graph_class, n, i in pairs:
         rep = verify_extremal(n, i, graph_class)
         assert rep.target.bound_exact == 1 and rep.match and rep.bound_ok
         stream, values = extremal._screened(n, i, graph_class)
@@ -340,6 +342,10 @@ def test_inexact_bounds_are_refused(b):
     (3, [(0, True), (1, 2)], IndexOutOfRangeError),
     (3, [(False, 1), (1, 2)], IndexOutOfRangeError),
     (3, [(0, 1), (True, 2), (2, 0)], IndexOutOfRangeError),
+    # a vertex count that is not a nonnegative integer
+    (3.0, [(0, 1), (1, 2)], IndexOutOfRangeError),
+    (True, [], IndexOutOfRangeError),
+    (-1, [], IndexOutOfRangeError),
 ])
 def test_malformed_edge_lists_are_refused(n, edges, error):
     with pytest.raises(error):

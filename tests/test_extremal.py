@@ -546,7 +546,7 @@ def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     solve. b == 1 is decided once per call (at connected (7, 4), b = 1, the
     leaf rule counts every candidate)."""
     _load_class.cache_clear()
-    counts = counting(monkeypatch, "_member_counts")
+    counts = counting(monkeypatch, "member_counts")
     solves = counting(monkeypatch, "sigma_value")
     cold = verify_extremal(n, i, graph_class)
     members = [args[1] for args in counts]
@@ -568,7 +568,7 @@ def test_second_verify_builds_no_prediction(monkeypatch, graph_class, n, i):
     codes = counting(monkeypatch, "canonical_code")
     builds = [counting_calls(monkeypatch, module, "make_graph")
               for module in (graph_mod, families, extremal)]
-    counts = counting(monkeypatch, "_member_counts")
+    counts = counting(monkeypatch, "member_counts")
     first = verify_extremal(n, i, graph_class)
     assert codes and any(builds)
     members = [args[1] for args in counts]
@@ -623,7 +623,7 @@ def test_verify_decides_by_counts_and_falls_back_to_the_screen(monkeypatch):
     exact = verify_extremal(7, 2, "trees")
     screen = sweep(7, 2, "trees")
     for fake, bound_ok in (((3, 0), False), ((0, 0), True)):
-        monkeypatch.setattr(extremal, "_member_counts", lambda *args, c=fake: c)
+        monkeypatch.setattr(extremal, "member_counts", lambda *args, c=fake: c)
         rep = verify_extremal(7, 2, "trees")
         assert rep.bound_ok is bound_ok and not rep.match
         assert (rep.minimum, rep.argmin_codes, rep.gap) == (
