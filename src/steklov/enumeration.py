@@ -11,7 +11,8 @@ decodable strings, and each class member is stored (on disk too) under its
 class object parses its codes once into one store: a tree-coded member as
 its parent and degree arrays (``bytes``, by vertex in preorder), which the
 exact counts read directly, any other member as its edge tuple; edge lists
-are derived from that store.
+are derived from that store. The class object also holds its screen, the
+float spectra of every member, built from those edge lists on first read.
 
 Both classes are built from smaller pieces: free trees from the rooted
 branches at their centroids (Otter), connected graphs by joining a vertex to
@@ -358,8 +359,8 @@ class GraphClassStream:
     :func:`canonical_code` strings, sorted, as ``codes``, and the one store
     of their parse, ``members``, filled once: when the class is read from
     its file (the parse is part of the file's check), else on first read.
-    Edge lists, and the fresh graphs of every iteration, are derived from
-    that store."""
+    Edge lists, the fresh graphs of every iteration and the screen
+    ``spectra`` are derived from that store."""
 
     kind: str
     n: int
@@ -388,6 +389,18 @@ class GraphClassStream:
                 raise ParseError(f"class code {code!r} is not on {self.n} vertices")
             held.append((bytes(parent), bytes(degree)) if tree else tuple(edges))
         return tuple(held)
+
+    @cached_property
+    def spectra(self):
+        """The screen: the read-only :func:`~steklov.spectral.unit_steklov_spectra`
+        matrix, one row per stored code, built from :meth:`edge_lists` on
+        first read (so enumerating alone loads no numpy) and freed with the
+        object. While a code is bad, every read raises ParseError."""
+        from .spectral import unit_steklov_spectra
+
+        spectra = unit_steklov_spectra(self.n, self.edge_lists())
+        spectra.flags.writeable = False
+        return spectra
 
     def edge_lists(self) -> list:
         """Each member's edges, derived afresh from the store and numbered

@@ -7,9 +7,9 @@ Lambda is the DtN matrix. By Haynsworth's inertia additivity (Linear
 Algebra Appl. 1, 1968), M has exactly #{sigma_j < b} negative and
 #{sigma_j = b} zero eigenvalues. Each input form has one entry:
 :func:`inertia_counts` takes an edge list, which it checks by building the
-graph, and :func:`member_counts` a class member as its class object stores
-it, unchecked. Both read the counts off a diagonal congruence of M in
-exact arithmetic:
+graph, and :func:`member_counts` a list of class members as their class
+object stores them, unchecked. Both read the counts off a diagonal
+congruence of M in exact arithmetic:
 
 - on a tree, by the Jacobs-Trevisan walk from the leaves up ("Locating the
   eigenvalues of trees", Linear Algebra Appl. 434, 2011;
@@ -32,8 +32,8 @@ which compares x^2 with y^2 d, so every count is exact.
 At b = 1 the counts need no congruence at all: on a connected graph with
 n >= 3 vertices they are (s, L - s), for L leaves and s distinct support
 vertices (:func:`leaf_counts`, which carries the proof), and
-:func:`member_counts` takes that path. :func:`inertia_counts` does not, so
-it stays an independent oracle for the rule.
+:func:`member_counts` takes that path when b == 1. :func:`inertia_counts`
+does not, so it stays an independent oracle for the rule.
 Nothing here is memoised.
 """
 
@@ -63,9 +63,11 @@ def surd_sign(x: int, y: int, d: int) -> int:
 @total_ordering
 class QuadraticSurd:
     """p + q sqrt(d) with rational p, q and an integer d > 1 that is not a
-    square; any other d raises InvalidParamsError.
-
-    Arithmetic with ints, Fractions and surds of the same d is exact.
+    square; any other d raises InvalidParamsError. d is held squarefree, so
+    sqrt(8) is 2 sqrt(2), and two surds are equal iff their (p, q, d) match
+    or both q are 0 and their p match. Arithmetic and ordering with ints,
+    Fractions and surds of the same d are exact; across two d they raise
+    InvalidParamsError.
     """
 
     __slots__ = ("p", "q", "d")
@@ -73,7 +75,8 @@ class QuadraticSurd:
     def __init__(self, p, q, d: int):
         if isinstance(d, bool) or not isinstance(d, int) or d < 2 or math.isqrt(d) ** 2 == d:
             raise InvalidParamsError(f"sqrt({d!r}) must be irrational: d an integer > 1, no square")
-        self.p, self.q, self.d = Fraction(p), Fraction(q), d
+        k = next(k for k in range(math.isqrt(d), 0, -1) if d % (k * k) == 0)  # d = k^2 d0
+        self.p, self.q, self.d = Fraction(p), Fraction(q) * k, d // (k * k)
 
     def _parts(self, other):
         if isinstance(other, QuadraticSurd):
@@ -139,10 +142,11 @@ class QuadraticSurd:
         return None if self._parts(other) is None else (self - other).sign()
 
     def __eq__(self, other):
+        if isinstance(other, QuadraticSurd):
+            return self.p == other.p and self.q == other.q and (self.q == 0 or self.d == other.d)
         if isinstance(other, Rational):
             return self.q == 0 and self.p == other
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
+        return NotImplemented
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -204,20 +208,19 @@ def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
     return tree_inertia_counts(order, parent, [len(adj[v]) for v in range(n)], b)
 
 
-def member_counts(n: int, member, b: Exact | int, at_one: bool) -> tuple[int, int]:
-    """Counts of :func:`inertia_counts` at b for a class member on n >= 3
-    vertices as a class object stores it: a tree's parent and degree
-    ``bytes``, or any other member's edge tuple. The member is taken as
-    stored: connected, with a boundary, with no check. ``at_one`` says b
-    is 1, as the caller decides once for all its members: then the leaf
-    rule counts (:func:`leaf_counts`), with no walk. At any other b a
-    tree's arrays go straight to :func:`tree_inertia_counts`, any other
-    member's edges to :func:`dense_inertia_counts`."""
-    if at_one:
-        return leaf_counts(n, member)
-    if isinstance(member[0], bytes):
-        return tree_inertia_counts(range(n), *member, b)
-    return dense_inertia_counts(adjacency_sets(n, member), b)
+def member_counts(n: int, members, b: Exact | int) -> list[tuple[int, int]]:
+    """Counts of :func:`inertia_counts` at b for each of ``members``, in
+    order: class members on n >= 3 vertices as a class object stores them,
+    a tree's parent and degree ``bytes`` or any other member's edge tuple.
+    Each is taken as stored: connected, with a boundary, with no check.
+    Whether b is 1 is decided once: then the leaf rule counts every member
+    (:func:`leaf_counts`), with no walk. At any other b a tree's arrays go
+    straight to :func:`tree_inertia_counts`, any other member's edges to
+    :func:`dense_inertia_counts`."""
+    if b == 1:
+        return [leaf_counts(n, member) for member in members]
+    return [tree_inertia_counts(range(n), *member, b) if isinstance(member[0], bytes)
+            else dense_inertia_counts(adjacency_sets(n, member), b) for member in members]
 
 
 def _counts(values) -> tuple[int, int]:

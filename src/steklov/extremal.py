@@ -14,17 +14,18 @@ significant digits for a surd. Each (n, i, class) target, minimizer graphs
 and codes included, is built once per process and shared by every caller.
 
 Exhaustive sweeps screen a whole class with batched float spectra. The
-screen does not depend on i: it is the spectra alone, built from the edge
-lists of the class object's one store and held with that object for every
-i. Rows are the stored codes, which are canonical and sorted.
-:func:`verify_extremal` then decides every class that screens within
-SCREEN_MARGIN of the bound b exactly, afresh on every call, by the counts
-#{sigma_j < b} and #{sigma_j = b} of its stored member, which
-:func:`~steklov.exact.member_counts` reads by the member's own form: at
-b = 1 (every pair with i > n/2) by the leaf rule, (s, L - s) for s support
-vertices and L leaves; at any other b a tree member by the walk of its
-stored parent and degree arrays, any other member by a dense LDL^T of its
-stored edges. No class is solved again.
+screen does not depend on i: it is the class object's own
+:attr:`~steklov.enumeration.GraphClassStream.spectra`, built from the edge
+lists of its one store and held with it for every i. Rows are the stored
+codes, which are canonical and sorted. :func:`verify_extremal` then
+decides every class that screens within SCREEN_MARGIN of the bound b
+exactly, afresh on every call, by the counts #{sigma_j < b} and
+#{sigma_j = b} of its stored member, all in one
+:func:`~steklov.exact.member_counts` call, which reads each member by its
+own form: at b = 1 (every pair with i > n/2) by the leaf rule, (s, L - s)
+for s support vertices and L leaves; at any other b a tree member by the
+walk of its stored parent and degree arrays, any other member by a dense
+LDL^T of its stored edges. No class is solved again.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -84,7 +84,6 @@ from .spectral import (
     laplacian_matrix,
     laplacian_spectrum,
     steklov_spectrum,
-    unit_steklov_spectra,
 )
 
 # The float verdicts of the per-graph checks: two values agree, and a value
@@ -97,7 +96,6 @@ VERDICT_TOL = 1e-9
 SCREEN_MARGIN = 1e-9
 GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 16
-_screens: WeakKeyDictionary = WeakKeyDictionary()  # class object -> its _screen
 # The root edge of a clump at the equilibrium point: a whole edge from a
 # vertex, half an edge from a midpoint.
 _ROOT_EDGE_AT_VERTEX, _ROOT_EDGE_AT_MIDPOINT = Fraction(1), Fraction(1, 2)
@@ -312,18 +310,6 @@ class SweepResult:
     gap: float  # best value outside the argmin minus the minimum; inf if none
 
 
-def _screen(stream):
-    """The read-only :func:`unit_steklov_spectra` matrix of a class object,
-    one row per stored code, built from the edge lists of the object's one
-    store and freed with it. A bad code is not held, so it raises on every
-    call."""
-    if stream not in _screens:
-        spectra = unit_steklov_spectra(stream.n, stream.edge_lists())
-        spectra.flags.writeable = False
-        _screens[stream] = spectra
-    return _screens[stream]
-
-
 def _screened(n: int, i: int, graph_class: str):
     """The class object and its column of screened sigma_i values (+inf
     where i exceeds n), after the parameters are checked."""
@@ -335,7 +321,7 @@ def _screened(n: int, i: int, graph_class: str):
     if graph_class == "trees" and n > MAX_SWEEP_TREE_N:
         raise OutOfSupportedRangeError(f"tree sweeps support n <= {MAX_SWEEP_TREE_N}")
     stream = (enumerate_trees if graph_class == "trees" else enumerate_connected_graphs)(n)
-    values = _screen(stream)[:, i - 1] if i <= n else np.full(len(stream), math.inf)
+    values = stream.spectra[:, i - 1] if i <= n else np.full(len(stream), math.inf)
     return stream, values
 
 
@@ -357,15 +343,15 @@ def sweep(n: int, i: int, graph_class: str = "trees") -> SweepResult:
     """The float screen of sigma_i over every class of ``graph_class`` on n
     vertices.
 
-    The class object is screened from its one store with batched float
-    spectra (:func:`unit_steklov_spectra`), and the screen, the whole
-    spectrum of every class (each sweep reads column i), is held with the
-    object for every i. The minimum, the argmin set (screened values within
-    SCREEN_MARGIN of it) and the gap are read off the screen; no class is
-    solved again, so they are floats, not certificates
-    (:func:`verify_extremal` decides those exactly). Classes are listed
-    under their stored codes, which are canonical codes and sorted, so a
-    tree reads the same in either class.
+    The screen is the class object's
+    :attr:`~steklov.enumeration.GraphClassStream.spectra`, the batched
+    float spectra of every class built from its one store (each sweep
+    reads column i) and held with the object for every i. The minimum,
+    the argmin set (screened values within SCREEN_MARGIN of it) and the
+    gap are read off the screen; no class is solved again, so they are
+    floats, not certificates (:func:`verify_extremal` decides those
+    exactly). Classes are listed under their stored codes, which are
+    canonical codes and sorted, so a tree reads the same in either class.
     """
     stream, values = _screened(n, i, graph_class)
     minimum, argmin = _screen_minimum(values)
@@ -403,26 +389,22 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
 
     The screen is held with the class object and the prediction built once
     per process (see :func:`sweep` and :func:`predicted_bound`); the
-    arguments are checked first. The candidates are the classes whose screened sigma_i is at most
-    float(b) + SCREEN_MARGIN for the predicted bound b. Each is decided
-    exactly, afresh on every call, by its counts #{sigma_j < b} and
-    #{sigma_j = b}, read from the class object's store
-    (:func:`~steklov.exact.member_counts`; whether b is 1, where the leaf
-    rule counts, is decided once per call). The bound holds iff no
-    candidate has i or more eigenvalues below b (every other class screens
-    above b + SCREEN_MARGIN), and a candidate attains it iff it also has at
-    least i at or below b.
+    arguments are checked first. The candidates are the classes whose
+    screened sigma_i is at most float(b) + SCREEN_MARGIN for the predicted
+    bound b. Each is decided exactly, afresh on every call, by its counts
+    #{sigma_j < b} and #{sigma_j = b}, read from the class object's store
+    by one :func:`~steklov.exact.member_counts` call. The bound holds iff
+    no candidate has i or more eigenvalues below b (every other class
+    screens above b + SCREEN_MARGIN), and a candidate attains it iff it
+    also has at least i at or below b.
     When the bound holds and some candidate attains it, those candidates
     are the argmin set and the minimum is b; otherwise the report falls
     back to the screen's minimum and argmin set, with ``match`` False."""
     target = predicted_bound(n, i, graph_class)
     n, i, b = target.n, target.i, target.bound_exact
     stream, values = _screened(n, i, graph_class)
-    at_one = b == 1
-    counts = {
-        j: member_counts(n, stream.members[j], b, at_one)
-        for j in np.flatnonzero(values <= target.bound + SCREEN_MARGIN).tolist()
-    }
+    candidates = np.flatnonzero(values <= target.bound + SCREEN_MARGIN).tolist()
+    counts = dict(zip(candidates, member_counts(n, [stream.members[j] for j in candidates], b)))
     bound_ok = all(neg < i for neg, _ in counts.values())
     attained = [j for j, (neg, zero) in counts.items() if neg < i <= neg + zero]
     predicted = target.predicted_codes
@@ -861,8 +843,7 @@ def verify_bipartite_top(g: WeightedBoundaryGraph) -> BipartiteTopVerdict:
         for x in range(g.n):
             total = sum(
                 float(w) * (abs(f[x]) + abs(f[y])) / abs(f[x])
-                for (u, v, w) in g.edges
-                for y in ([v] if u == x else [u] if v == x else [])
+                for y, w in g.adjacency[x].items()
             )
             max_res = max(max_res, abs(total / float(g.measures[x]) - mu))
     ok = simple and alternating and max_res <= VERDICT_TOL * max(1.0, mu)

@@ -54,10 +54,6 @@ def as_number(x) -> Number:
     raise InvalidParamsError(f"cannot interpret {x!r} as a length")
 
 
-def _one_over(x: Number) -> Number:
-    return Fraction(1) / x if isinstance(x, (Rational, QuadraticSurd)) else 1.0 / x
-
-
 @dataclass(frozen=True)
 class RootedTree:
     graph: WeightedBoundaryGraph
@@ -113,7 +109,7 @@ def build_broom(l, i: int, d: int) -> FamilyGraph:
     p = BroomParams(as_number(l), i, d).normalized()
     l, i, d = p.l, p.i, p.d
     n = 1 + (i + 1) + d
-    edges = [(0, 1, _one_over(l))]
+    edges = [(0, 1, 1 / l)]
     edges += [(j, j + 1, 1) for j in range(1, i + 1)]
     edges += [(i + 1, i + 2 + j, 1) for j in range(d)]
     roles = [Role.DIRICHLET] + [Role.INTERIOR] * (i + 1) + [Role.BOUNDARY] * d
@@ -150,8 +146,8 @@ def broom_shape(adj, root: int, attach: int, first) -> BroomParams | None:
 def broom_lambda1(l, i: int, d: int) -> Number:
     p = BroomParams(as_number(l), i, d).normalized()
     if p.d == 0:
-        return _one_over(p.l + p.i)
-    return _one_over(1 + (p.l + p.i) * p.d)
+        return 1 / (p.l + p.i)
+    return 1 / (1 + (p.l + p.i) * p.d)
 
 
 def broom_eigenfunction(l, i: int, d: int) -> dict[int, Number]:
@@ -184,10 +180,10 @@ def minimal_broom(l, n: int) -> MinimalBroomSolution:
         raise InvalidParamsError("need l > 0 and n >= 0")
     if n <= 1:
         # every split yields the same path of total length l + n
-        value = _one_over(l + n)
+        value = 1 / (l + n)
         return MinimalBroomSolution(value, (BroomParams(l, n, 0),))
     if l >= n:
-        value = _one_over(1 + n * l)
+        value = 1 / (1 + n * l)
         return MinimalBroomSolution(value, (BroomParams(l, 0, n),))
     x = (n - l) / 2
     side = _halves(x)
@@ -199,7 +195,7 @@ def minimal_broom(l, n: int) -> MinimalBroomSolution:
         splits = [math.floor(x), math.ceil(x)]
     brooms = tuple(BroomParams(l, i, n - i) for i in splits)
     i0 = splits[0]
-    value = _one_over(1 + (l + i0) * (n - i0))
+    value = 1 / (1 + (l + i0) * (n - i0))
     return MinimalBroomSolution(value, brooms)
 
 

@@ -288,7 +288,7 @@ class WeightedBoundaryGraph:
 
 def _check_positive(value, exc, what):
     try:
-        ok = 0 < value < math.inf  # False for NaN
+        ok = not isinstance(value, bool) and 0 < value < math.inf  # False for NaN
     except TypeError:
         ok = False
     if not ok:

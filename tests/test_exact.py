@@ -132,7 +132,8 @@ def test_tree_walk_matches_its_oracle():
 def test_store_counts_match_both_oracles():
     # every tree class 3 <= n <= 12 and every tree member of the connected
     # classes n <= 7, counted from the class store's parent and degree
-    # arrays as verify_extremal counts them: the counts of inertia_counts
+    # arrays as verify_extremal counts them, one member_counts call per
+    # class and bound, in the members' order: the counts of inertia_counts
     # on the code's edges and of the Jacobs-Trevisan oracle, at every grid
     # bound, at b = 0 and b = 1 and at a seeded rational and surd. The
     # edges derived from the store are those of the code's parser.
@@ -148,7 +149,7 @@ def test_store_counts_match_both_oracles():
     streams += [enumerate_connected_graphs(n) for n in range(3, 8)]
     trees = zero_counts = 0
     for stream in streams:
-        n = stream.n
+        n, held = stream.n, []  # each tree member's code, edges, neighbour sets and store
         for j, (code, derived) in enumerate(zip(stream.codes, stream.edge_lists(), strict=True)):
             tree = code.startswith("(")
             size, edges = (tree_edges if tree else graph_edges)(code)
@@ -160,8 +161,10 @@ def test_store_counts_match_both_oracles():
             parent, degree = stream.members[j]
             assert parent == bytes([0] + [u for u, _ in edges]), code
             assert degree == bytes(len(a) for a in adj), code
-            for b in bounds:
-                counts = exact.member_counts(n, stream.members[j], b, b == 1)
+            held.append((code, edges, adj, stream.members[j]))
+        for b in bounds:
+            counted = exact.member_counts(n, [member for *_, member in held], b)
+            for (code, edges, adj, _), counts in zip(held, counted, strict=True):
                 assert counts == inertia_counts(n, edges, b), (code, b)
                 assert counts == jacobs_trevisan_counts(adj, b), (code, b)
                 zero_counts += counts[1] > 0
@@ -481,6 +484,20 @@ def test_surd_arithmetic():
         r2 + QuadraticSurd(0, 1, 3)
     with pytest.raises(ZeroDivisionError):
         1 / (r2 - r2)
+    # the radicand is held squarefree, so equality answers for any two surds
+    r8 = QuadraticSurd(0, 1, 8)
+    assert (r8.p, r8.q, r8.d) == (0, 2, 2) and repr(r8) == "QuadraticSurd(0, 2, 2)"
+    assert r8 == QuadraticSurd(0, 2, 2) and hash(r8) == hash(QuadraticSurd(0, 2, 2))
+    assert QuadraticSurd(1, 3, 12) == 1 + 6 * QuadraticSurd(0, 1, 3)
+    assert r8 + r2 == QuadraticSurd(0, 3, 2) and r8 / r2 == 2 and r8 > r2
+    assert QuadraticSurd(1, 0, 2) == QuadraticSurd(1, 0, 3) == 1
+    assert hash(QuadraticSurd(1, 0, 2)) == hash(QuadraticSurd(1, 0, 3))
+    assert QuadraticSurd(0, 1, 2) not in [QuadraticSurd(0, 1, 3)]
+    assert r2 != QuadraticSurd(0, 1, 3) and QuadraticSurd(1, 0, 2) != QuadraticSurd(0, 1, 3)
+    # arithmetic and ordering across two reduced radicands still raise
+    for op in (lambda x, y: x * y, lambda x, y: x - y, lambda x, y: x < y):
+        with pytest.raises(InvalidParamsError, match="do not mix"):
+            op(r8, QuadraticSurd(0, 1, 12))
 
 
 @pytest.mark.parametrize("d", [4, 1, 0, -3, True, 2.0, Fraction(2), "2"])

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from steklov import enumeration, extremal, families, spectral
+from steklov import enumeration, exact, extremal, families, spectral
 from steklov import graph as graph_mod
 from steklov.enumeration import (
     GraphClassStream,
@@ -344,7 +344,7 @@ def test_exact_oracle_pins_the_screen_margin():
         rep = verify_extremal(n, i, graph_class)
         b = rep.target.bound_exact
         stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
-        spectra = extremal._screen(stream)
+        spectra = stream.spectra
         attained = set()
         for label, edges, spectrum in zip(stream.codes, stream.edge_lists(), spectra, strict=True):
             degree = np.bincount(np.ravel(edges), minlength=n)
@@ -480,7 +480,7 @@ def counting(monkeypatch, name):
 
 def test_class_screened_once_for_every_i(monkeypatch):
     _load_class.cache_clear()
-    calls = counting(monkeypatch, "unit_steklov_spectra")
+    calls = counting_calls(monkeypatch, spectral, "unit_steklov_spectra")
     for graph_class, n in (("trees", 10), ("connected", 6)):
         before = len(calls)
         for i in range(2, n):
@@ -510,13 +510,17 @@ def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
 
 
 def test_one_clear_frees_the_class_and_its_screen():
-    # the class object holds its codes and parse; its screen, the spectra
-    # array, goes with it
+    # the class object holds its codes, its parse and its screen, the
+    # read-only spectra array: the memo's reference to the object keeps
+    # the screen alive, and clearing the memo frees both
     stream = enumerate_trees(9)
-    screen = extremal._screen(stream)
-    assert sweep(9, 2, "trees").rows and extremal._screen(stream) is screen
+    screen = stream.spectra
+    assert not screen.flags.writeable
+    assert sweep(9, 2, "trees").rows and stream.spectra is screen
     held = [weakref.ref(x) for x in (stream, screen)]
     del stream, screen
+    assert all(ref() is not None for ref in held)
+    assert enumerate_trees(9).spectra is held[1]()
     _load_class.cache_clear()
     assert [ref() for ref in held] == [None] * 2
 
@@ -541,20 +545,22 @@ def test_warm_sweeps_equal_fresh_ones(tmp_path, monkeypatch):
     ("trees", 9, 4), ("connected", 6, 3), ("connected", 7, 4),
 ])
 def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
-    """The exact counts decide the candidates afresh on every call: as many
-    on a warm call as on a cold one, one per candidate, and no per-graph
-    solve. b == 1 is decided once per call (at connected (7, 4), b = 1, the
-    leaf rule counts every candidate)."""
+    """The exact counts decide the candidates afresh on every call, in one
+    count call: as many on a warm call as on a cold one, one per
+    candidate, and no per-graph solve. The leaf rule counts every
+    candidate iff b == 1 (at connected (7, 4))."""
     _load_class.cache_clear()
     counts = counting(monkeypatch, "member_counts")
+    leaves = counting_calls(monkeypatch, exact, "leaf_counts")
     solves = counting(monkeypatch, "sigma_value")
     cold = verify_extremal(n, i, graph_class)
-    members = [args[1] for args in counts]
+    ((_, members, _),) = counts
     assert len(set(members)) == len(members) == cold.rechecked > 0
-    assert {args[3] for args in counts} == {cold.target.bound_exact == 1}
+    assert len(leaves) == (len(members) if cold.target.bound_exact == 1 else 0)
     warm = verify_extremal(n, i, graph_class)
     assert warm == cold
-    assert [args[1] for args in counts] == 2 * members
+    assert [args[1] for args in counts] == 2 * [members]
+    assert len(leaves) == (2 * len(members) if cold.target.bound_exact == 1 else 0)
     assert solves == []
 
 
@@ -571,14 +577,14 @@ def test_second_verify_builds_no_prediction(monkeypatch, graph_class, n, i):
     counts = counting(monkeypatch, "member_counts")
     first = verify_extremal(n, i, graph_class)
     assert codes and any(builds)
-    members = [args[1] for args in counts]
+    ((_, members, _),) = counts
     assert len(set(members)) == len(members) == first.rechecked > 0
     codes.clear()
     for calls in builds:
         calls.clear()
     second = verify_extremal(n, i, graph_class)
     assert codes == [] and not any(builds)
-    assert [args[1] for args in counts] == 2 * members
+    assert [args[1] for args in counts] == 2 * [members]
     assert second == first and second.target is first.target
 
 
@@ -591,7 +597,7 @@ def test_sweep_equals_its_loop_reference(graph_class, n, i):
     and the Python scans they replace."""
     res = sweep(n, i, graph_class)
     stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
-    labels, spectra = stream.codes, extremal._screen(stream)
+    labels, spectra = stream.codes, stream.spectra
     values = spectra[:, i - 1].tolist() if i <= n else [math.inf] * len(labels)
     minimum = min(values)
     argmin = {j for j, v in enumerate(values) if v <= minimum + extremal.SCREEN_MARGIN}
@@ -623,7 +629,8 @@ def test_verify_decides_by_counts_and_falls_back_to_the_screen(monkeypatch):
     exact = verify_extremal(7, 2, "trees")
     screen = sweep(7, 2, "trees")
     for fake, bound_ok in (((3, 0), False), ((0, 0), True)):
-        monkeypatch.setattr(extremal, "member_counts", lambda *args, c=fake: c)
+        monkeypatch.setattr(extremal, "member_counts",
+                            lambda n, members, b, c=fake: [c] * len(members))
         rep = verify_extremal(7, 2, "trees")
         assert rep.bound_ok is bound_ok and not rep.match
         assert (rep.minimum, rep.argmin_codes, rep.gap) == (

@@ -89,12 +89,13 @@ def test_non_integer_vertex_count_is_rejected(n):
             combinatorial_graph(n, edges)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(np.inf)],
-                         ids=["inf", "-inf", "nan", "np-inf"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(np.inf), True, False],
+                         ids=["inf", "-inf", "nan", "np-inf", "true", "false"])
 def test_non_finite_weights_and_measures_are_rejected(value):
     # an infinite measure was accepted, and the path 0-1-2 with boundary
     # {0, 2} and measures [inf, 1, 1] gave the spectrum [0, 0.5]; an
-    # infinite weight reached the solver and raised a bare ValueError
+    # infinite weight reached the solver and raised a bare ValueError; a
+    # bool weight or measure built a graph, True read as 1
     roles = ["boundary", "interior", "boundary"]
     with pytest.raises(NonPositiveWeightError, match="finite"):
         make_graph(3, [(0, 1, value), (1, 2, 1)], roles=roles)

@@ -535,9 +535,10 @@ def _third_party_imports(paths, local=("steklov",)):
 def test_third_party_imports_are_numpy_mpmath_and_test_tools():
     """The package imports no third-party package besides numpy, and the
     tests none besides numpy, the test tools and mpmath, their independent
-    oracle for the exact bounds."""
+    oracle for the exact bounds. The benchmark's own modules are local."""
     package, tests = Path(steklov.__file__).parent, Path(__file__).parent
-    local = {"steklov", *(path.stem for path in tests.glob("*.py"))}
+    local = {"steklov", *(path.stem for path in tests.glob("*.py")),
+             *(path.stem for path in (tests.parent / "bench").glob("*.py"))}
     assert _third_party_imports(package.glob("*.py")) == {"numpy"}
     assert _third_party_imports(tests.glob("*.py"), local) == {
         "numpy", "mpmath", "pytest", "hypothesis"}
