@@ -100,13 +100,6 @@ def _emit(command: str, payload: dict, out_path: str | None = None) -> None:
     _write(_jsonify(report) + "\n", out_path)
 
 
-def _number(value) -> object:
-    """Rational -> {"exact", "value"}; everything else stays a float."""
-    if isinstance(value, Fraction):
-        return value
-    return float(value)
-
-
 # -- command handlers --------------------------------------------------------------
 # Each imports the layers it runs when it runs, so --help and usage errors
 # load no numpy and no computing layer.
@@ -191,11 +184,9 @@ def _cmd_family(args) -> int:
     elif args.family == "path":
         fam = build_path(args.n)
         params = {"n": args.n}
-    elif args.family == "cycle":
+    else:  # "cycle": argparse requires one of these families
         fam = build_cycle(args.n)
         params = {"n": args.n}
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown family {args.family!r}")
     if args.out:
         save_graph(fam.graph, args.out)
     payload = {
@@ -220,15 +211,15 @@ def _cmd_clump(args) -> int:
     point = (
         {"vertex": rep.point.vertex}
         if rep.point.is_vertex
-        else {"edge": list(rep.point.edge), "offset": _number(rep.point.offset)}
+        else {"edge": list(rep.point.edge), "offset": rep.point.offset}
     )
     _emit(
         "clump",
         {
-            "clump_number": _number(rep.clump_number),
+            "clump_number": rep.clump_number,
             "equilibrium_point": point,
             "clumps": [
-                {"length": _number(c.length), "vertices": list(c.vertices)}
+                {"length": c.length, "vertices": list(c.vertices)}
                 for c in rep.clumps
             ],
         },
@@ -240,11 +231,11 @@ def _cmd_clump(args) -> int:
 def _certificate_payload(cert) -> dict:
     return {
         "removed_edges": [list(e) for e in cert.removed],
-        "bound": None if cert.bound is None else _number(cert.bound),
+        "bound": cert.bound,
         "components": [
             {
                 "vertices": list(c.vertices),
-                "clump_number": _number(c.clump_number),
+                "clump_number": c.clump_number,
                 "sub_k": None if c.sub_k is None else c.sub_k.value,
             }
             for c in cert.components

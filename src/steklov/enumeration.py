@@ -1,10 +1,10 @@
 """Exhaustive enumeration up to isomorphism and canonical codes.
 
 Two code flavors: a recursive sorted-subtree code for (rooted or free)
-trees, annotated with metric edge lengths so brooms with fractional
-Dirichlet edges compare correctly; and a minimal-adjacency code for general
-simple graphs over the vertex orders that respect the Weisfeiler-Lehman
-colour cells, found by a row-by-row search that keeps only the least rows
+trees, each edge annotated with its metric length 1/w (every edge of a
+class member reads "1"); and a minimal-adjacency code for general simple
+graphs over the vertex orders that respect the Weisfeiler-Lehman colour
+cells, found by a row-by-row search that keeps only the least rows
 (individualisation and refinement, McKay-Piperno 2014). Both codes are
 decodable strings, and each class member is stored (on disk too) under its
 :func:`canonical_code`: the tree code of a tree, else its graph code. A
@@ -298,13 +298,9 @@ def graph_from_code(code: str) -> WeightedBoundaryGraph:
     return combinatorial_graph(*graph_edges(code))
 
 
-def canonical_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
-    """Tree code when the graph is a tree (optionally rooted), else graph code."""
-    if g.is_tree():
-        return tree_code(g, root)
-    if root is not None:
-        raise InvalidParamsError("rooted codes are defined for trees only")
-    return graph_code(g)
+def canonical_code(g: WeightedBoundaryGraph) -> str:
+    """Tree code when the graph is a tree, else graph code."""
+    return tree_code(g) if g.is_tree() else graph_code(g)
 
 
 # -- class streams -------------------------------------------------------------------
@@ -404,10 +400,11 @@ class GraphClassStream:
 
     def edge_lists(self) -> list:
         """Each member's edges, derived afresh from the store and numbered
-        as its decoder numbers them: a tree-coded member's as (parent,
-        child) pairs by child, as :func:`tree_edges` gives them."""
-        return [_parent_edges(member[0]) if code[0] == "(" else member
-                for code, member in zip(self.codes, self.members)]
+        as its decoder numbers them: a tree member's (its pair of ``bytes``)
+        as (parent, child) pairs by child, as :func:`tree_edges` gives them;
+        any other member's edge tuple, which may be empty, as it is held."""
+        return [_parent_edges(member[0]) if member and isinstance(member[0], bytes)
+                else member for member in self.members]
 
     def __iter__(self):
         return (combinatorial_graph(self.n, edges) for edges in self.edge_lists())

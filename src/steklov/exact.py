@@ -66,8 +66,9 @@ class QuadraticSurd:
     square; any other d raises InvalidParamsError. d is held squarefree, so
     sqrt(8) is 2 sqrt(2), and two surds are equal iff their (p, q, d) match
     or both q are 0 and their p match. Arithmetic and ordering with ints,
-    Fractions and surds of the same d are exact; across two d they raise
-    InvalidParamsError.
+    Fractions and other surds are exact, and a result lies in the field of
+    the operand whose q is nonzero; two surds whose q are both nonzero and
+    whose d differ do not mix and raise InvalidParamsError.
     """
 
     __slots__ = ("p", "q", "d")
@@ -79,25 +80,26 @@ class QuadraticSurd:
         self.p, self.q, self.d = Fraction(p), Fraction(q) * k, d // (k * k)
 
     def _parts(self, other):
+        """(p, q, d): ``other`` as p + q sqrt(d), d the radicand of a result
+        with it, which is other's when only other has q != 0, else self's.
+        None for a type that does not mix; two radicands raise when both
+        q are nonzero."""
         if isinstance(other, QuadraticSurd):
-            if other.d != self.d:
+            if other.d != self.d and other.q and self.q:
                 raise InvalidParamsError(f"sqrt({self.d}) and sqrt({other.d}) do not mix")
-            return other.p, other.q
+            return other.p, other.q, other.d if other.q else self.d
         if isinstance(other, Rational):
-            return other, 0
+            return other, 0, self.d
         return None
-
-    def _new(self, p, q) -> QuadraticSurd:
-        return QuadraticSurd(p, q, self.d)
 
     def __add__(self, other):
         o = self._parts(other)
-        return NotImplemented if o is None else self._new(self.p + o[0], self.q + o[1])
+        return NotImplemented if o is None else QuadraticSurd(self.p + o[0], self.q + o[1], o[2])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new(-self.p, -self.q)
+        return QuadraticSurd(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
         return self + -other
@@ -109,7 +111,8 @@ class QuadraticSurd:
         o = self._parts(other)
         if o is None:
             return NotImplemented
-        return self._new(self.p * o[0] + self.q * o[1] * self.d, self.p * o[1] + self.q * o[0])
+        p, q, d = o
+        return QuadraticSurd(self.p * p + self.q * q * d, self.p * q + self.q * p, d)
 
     __rmul__ = __mul__
 
@@ -117,11 +120,11 @@ class QuadraticSurd:
         norm = self.p * self.p - self.q * self.q * self.d  # nonzero unless self is 0
         if norm == 0:
             raise ZeroDivisionError("division by zero")
-        return self._new(self.p / norm, -self.q / norm)
+        return QuadraticSurd(self.p / norm, -self.q / norm, self.d)
 
     def __truediv__(self, other):
         o = self._parts(other)
-        return NotImplemented if o is None else self * self._new(*o)._inverse()
+        return NotImplemented if o is None else self * QuadraticSurd(*o)._inverse()
 
     def __rtruediv__(self, other):
         return NotImplemented if self._parts(other) is None else self._inverse() * other

@@ -217,25 +217,23 @@ def _star_minimizers(i: int, m: int, forms) -> list:
     return out
 
 
-def _comb_tooth(p) -> RootedTree | None:
+def _comb_tooth(p) -> RootedTree:
     """The minimal broom p of Br(m-1+theta) with unit edges and its Dirichlet
-    vertex removed, rooted at v0; None for the one-vertex tooth, whose comb
-    is the base graph itself."""
-    if p.i == 0 and p.d == 0:
-        return None
+    vertex removed, rooted at v0. It has an edge: i | n with i < n gives
+    m >= 2, so the length l = m - 1 + theta exceeds 1 and the broom has
+    i + d = ceil(l) - 1 >= 1 unit edges."""
     fam = build_broom(1, p.i, p.d)
     tooth = fam.graph.induced_subgraph(range(1, fam.graph.n))
     return RootedTree(tooth, fam.landmarks["v0"] - 1)
 
 
-def _comb_minimizers(i: int, m: int, tooth: RootedTree | None) -> list:
+def _comb_minimizers(i: int, m: int, tooth: RootedTree) -> list:
     bases = [("path", build_path(i))]
     if i % 2 == 1:
         bases.append(("cycle", build_cycle(i)))
     out = []
     for name, fam in bases:
-        g = fam.graph if tooth is None else build_comb(fam.graph, tooth).graph
-        out.append(("comb", {"base": name, "i": i, "m": m}, g))
+        out.append(("comb", {"base": name, "i": i, "m": m}, build_comb(fam.graph, tooth).graph))
     return out
 
 

@@ -6,19 +6,21 @@ boundary block; generalized symmetric eigenproblems are reduced to ordinary
 ones by diagonal M^{-1/2} conjugation. Dense ``numpy.linalg`` solvers only:
 every graph here is desk scale.
 
-One assembly serves every per-graph solve: :func:`_pinned_first` checks
-that the interior block is nonsingular and builds the float Laplacian once,
-with the vertices whose values are given first and the interior last. A
-connected graph with a vertex outside the interior passes that check with
-no walk of its own. When every measure of an eigenproblem is 1 the
-M^{-1/2} conjugation is skipped. :func:`dtn_matrix` is the only place that
-forms the Schur complement S = L_BB - L_IB^T L_II^{-1} L_IB, and it
-symmetrises S once. It inverts L_II once and keeps the inverse, so the
-harmonic extensions of a spectrum (``SpectralResult.extensions``) are one
-product, made the first time they are read. A Steklov spectrum keeps the
-operator it was solved from (``SpectralResult.operator``), so a caller that
-also needs the DtN matrix, its boundary measures or further harmonic
-extensions reads them there instead of assembling the graph again.
+Every per-graph solve assembles the same way: :func:`_check_interior_solvable`
+checks that the interior block is nonsingular, and :func:`_laplacian`
+builds the float Laplacian once, with the vertices whose values are given
+first and the interior last. A connected graph with a vertex outside the
+interior passes that check with no walk of its own. When every measure of
+an eigenproblem is 1 the M^{-1/2} conjugation is skipped. :func:`dtn_matrix`
+forms one graph's Schur complement S = L_BB - L_IB^T L_II^{-1} L_IB and
+symmetrises it once; :func:`unit_steklov_spectra` forms the stacked
+complements of many unit graphs, without eigenvectors. :func:`dtn_matrix`
+inverts L_II once and keeps the inverse, so the harmonic extensions of a
+spectrum (``SpectralResult.extensions``) are one product, made the first
+time they are read. A Steklov spectrum keeps the operator it was solved
+from (``SpectralResult.operator``), so a caller that also needs the DtN
+matrix, its boundary measures or further harmonic extensions reads them
+there instead of assembling the graph again.
 
 A solve refuses infinite or NaN input with ``ValueError`` and a singular
 interior block with ``numpy.linalg.LinAlgError``. It warns
@@ -155,16 +157,6 @@ def _check_interior_solvable(g: WeightedBoundaryGraph, interior) -> None:
         )
 
 
-def _pinned_first(
-    g: WeightedBoundaryGraph, head: tuple[int, ...], interior: tuple[int, ...]
-) -> np.ndarray:
-    """The one Steklov assembly: check that the interior is solvable with
-    B and B_D held fixed, then build the float Laplacian on ``head`` (the
-    vertices whose values are given) followed by the interior."""
-    _check_interior_solvable(g, interior)
-    return _laplacian(g, head + interior)
-
-
 def harmonic_extension(g: WeightedBoundaryGraph, data) -> np.ndarray:
     """Extend boundary data harmonically to all of V.
 
@@ -182,7 +174,8 @@ def harmonic_extension(g: WeightedBoundaryGraph, data) -> np.ndarray:
     if missing:
         raise InvalidParamsError(f"missing boundary data at {sorted(missing)}")
 
-    L = _pinned_first(g, pinned, interior)
+    _check_interior_solvable(g, interior)
+    L = _laplacian(g, pinned + interior)
     k = len(pinned)
     f = np.zeros(g.n)
     for v in pinned:
@@ -242,7 +235,8 @@ def dtn_matrix(g: WeightedBoundaryGraph, with_dirichlet: bool = False) -> DtnOpe
         raise InvalidParamsError(
             "graph has Dirichlet vertices; use with_dirichlet=True"
         )
-    L = _pinned_first(g, boundary, interior)
+    _check_interior_solvable(g, interior)
+    L = _laplacian(g, boundary + interior)
     _require_finite(L)  # once for every block below
     k = len(boundary)
     S = L[:k, :k]

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -17,7 +18,8 @@ import pytest
 
 import steklov
 from steklov import cli
-from steklov.graph import Role, save_graph
+from steklov.families import build_cycle, build_dumbbell, build_path, build_star_paths
+from steklov.graph import Role, graph_to_dict, load_graph, save_graph
 
 from conftest import path_graph
 from test_extremal import GRID
@@ -111,6 +113,26 @@ def test_family_comb(capsys):
     assert any(abs(v - 0.75) <= 1e-9 for v in vals)
 
 
+@pytest.mark.parametrize("argv,build,params", [
+    (["dumbbell", "--d0", "2", "--i", "3", "--d1", "1"],
+     lambda: build_dumbbell(2, 3, 1), {"d0": 2, "i": 3, "d1": 1}),
+    (["star", "--r", "3", "--arm-length", "2"], lambda: build_star_paths(3, 2), {"r": 3, "l": 2}),
+    (["path", "--n", "5"], lambda: build_path(5), {"n": 5}),
+    (["cycle", "--n", "5"], lambda: build_cycle(5), {"n": 5}),
+], ids=["dumbbell", "star", "path", "cycle"])
+def test_family_prints_and_saves_the_builders_graph(tmp_path, capsys, argv, build, params):
+    fam = build()
+    code, out, err = run(capsys, ["family", *argv])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"command": "family", "version": steklov.__version__, "payload": {
+        "family": fam.family, "params": params, "landmarks": fam.landmarks,
+        "graph": graph_to_dict(fam.graph)}}
+    # --out writes the graph file and leaves stdout as it was
+    out_file = tmp_path / "family.json"
+    assert run(capsys, ["family", *argv, "--out", str(out_file)]) == (0, out, "")
+    assert load_graph(out_file) == fam.graph
+
+
 def test_clump_command(tmp_path, capsys):
     code, out, _ = run(capsys, ["clump", write_path(tmp_path, 4)])
     assert code == 0
@@ -144,6 +166,21 @@ def test_clump_cert_star_exception(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["payload"]["verdict"] == "star-exception"
+
+
+def test_clump_cert_sub_k_removal(tmp_path, capsys):
+    # P7 at r = 1, k = 2: one cut leaves P3 and P4, each sub-2
+    code, out, err = run(
+        capsys, ["clump-cert", write_path(tmp_path, 7), "--r", "1", "--k", "2", "--sub-k"],
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"command": "clump-cert", "version": "%s", "payload": {"verdict": "removal", '
+        '"certificate": {"removed_edges": [[2, 3]], "bound": null, "components": ['
+        '{"vertices": [0, 1, 2], "clump_number": {"exact": "1", "value": 1}, "sub_k": true}, '
+        '{"vertices": [3, 4, 5, 6], "clump_number": {"exact": "3/2", "value": 1.5}, '
+        '"sub_k": true}]}}}\n' % steklov.__version__
+    )
 
 
 def test_nodal_command(tmp_path, capsys):
@@ -274,6 +311,27 @@ def test_verify_out_of_range(capsys):
     code, _, err = run(capsys, ["verify", "--n", "20", "--i", "2"])
     assert code == 4
     assert err.startswith("ERROR 4:")
+
+
+@pytest.mark.parametrize("failed,exit_code", [
+    (("bound_ok",), 2), (("bound_ok", "match"), 2), (("match",), 3),
+], ids=["bound", "bound-and-match", "match"])
+def test_verify_exit_code_of_a_failed_report(monkeypatch, capsys, failed, exit_code):
+    # a report whose bound fails exits 2, whatever match says; one whose
+    # bound holds but whose argmin set differs exits 3; each still prints
+    from steklov import extremal
+
+    _, passed, _ = run(capsys, ["verify", "--n", "7", "--i", "2"])
+    report = extremal.verify_extremal(7, 2, "trees")
+    monkeypatch.setattr(extremal, "verify_extremal",
+                        lambda n, i, graph_class: dataclasses.replace(
+                            report, **dict.fromkeys(failed, False)))
+    code, out, err = run(capsys, ["verify", "--n", "7", "--i", "2"])
+    assert (code, err) == (exit_code, "")
+    expect = json.loads(passed)
+    assert expect["payload"]["bound_ok"] is expect["payload"]["match"] is True
+    expect["payload"].update(dict.fromkeys(failed, False))
+    assert json.loads(out) == expect
 
 
 def test_verify_bad_jobs(capsys):

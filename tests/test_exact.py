@@ -283,12 +283,15 @@ def test_verify_at_b_one_makes_no_walk_and_no_factorization(monkeypatch):
 
 @pytest.mark.parametrize("n,i", IRRATIONAL_PAIRS)
 def test_surd_bound_is_never_compared_with_one(monkeypatch, n, i):
-    # whether b is 1 is decided once per call, from b's type for a surd b:
-    # no exact comparison, in verify_extremal or while a candidate is counted
+    # whether b is 1 is decided once per call, from b's q for a surd b: no
+    # surd subtraction or comparison, in verify_extremal or while a
+    # candidate is counted, and no leaf rule
     verify_extremal(n, i, "trees")  # the class and the prediction are held
-    compared = counting_calls(monkeypatch, QuadraticSurd, "_cmp")
+    calls = [counting_calls(monkeypatch, QuadraticSurd, "__sub__"),
+             counting_calls(monkeypatch, QuadraticSurd, "_cmp"),
+             counting_calls(monkeypatch, exact, "leaf_counts")]
     assert verify_extremal(n, i, "trees").rechecked == 1
-    assert compared == []
+    assert calls == [[], [], []]
 
 
 @pytest.mark.parametrize("n,edges,b", [
@@ -494,6 +497,13 @@ def test_surd_arithmetic():
     assert hash(QuadraticSurd(1, 0, 2)) == hash(QuadraticSurd(1, 0, 3))
     assert QuadraticSurd(0, 1, 2) not in [QuadraticSurd(0, 1, 3)]
     assert r2 != QuadraticSurd(0, 1, 3) and QuadraticSurd(1, 0, 2) != QuadraticSurd(0, 1, 3)
+    # a surd with q = 0 is rational: it mixes with any radicand, and the
+    # result lies in the field of the operand with q != 0
+    assert QuadraticSurd(1, 0, 2) < QuadraticSurd(2, 0, 3)
+    assert QuadraticSurd(1, 0, 2) + QuadraticSurd(1, 0, 3) == 2
+    assert repr(QuadraticSurd(1, 0, 3) + r2) == "QuadraticSurd(1, 1, 2)"
+    assert repr(QuadraticSurd(2, 0, 3) * (1 + r2)) == "QuadraticSurd(2, 2, 2)"
+    assert (1 + r2) / QuadraticSurd(2, 0, 3) == (1 + r2) / 2
     # arithmetic and ordering across two reduced radicands still raise
     for op in (lambda x, y: x * y, lambda x, y: x - y, lambda x, y: x < y):
         with pytest.raises(InvalidParamsError, match="do not mix"):

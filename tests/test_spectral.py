@@ -61,6 +61,24 @@ def test_harmonic_extension_requires_full_data():
         harmonic_extension(path_graph(3), {0: 1.0})
 
 
+def test_harmonic_extension_takes_data_as_a_sequence(rng):
+    # values in g.boundary + g.dirichlet order extend bit for bit as the
+    # mapping of the same values does; a sequence of another length raises
+    solved = 0
+    for _ in range(60):
+        g = random_dirichlet_graph(rng)
+        pinned = g.boundary + g.dirichlet
+        values = rng.standard_normal(len(pinned)).tolist()
+        f = harmonic_extension(g, values)
+        assert np.array_equal(f, harmonic_extension(g, dict(zip(pinned, values))))
+        assert f[list(pinned)].tolist() == values
+        solved += bool(g.dirichlet and g.interior)
+        for wrong in (values[:-1], values + [0.0]):
+            with pytest.raises(InvalidParamsError, match="wrong length"):
+                harmonic_extension(g, wrong)
+    assert solved > 0
+
+
 def test_no_boundary_raises():
     g = path_graph(3).with_roles([Role.INTERIOR] * 3)
     with pytest.raises(NoBoundaryError):
