@@ -389,12 +389,30 @@ class GraphClassStream:
     @cached_property
     def spectra(self):
         """The screen: the read-only :func:`~steklov.spectral.unit_steklov_spectra`
-        matrix, one row per stored code, built from :meth:`edge_lists` on
-        first read (so enumerating alone loads no numpy) and freed with the
-        object. While a code is bad, every read raises ParseError."""
-        from .spectral import unit_steklov_spectra
+        matrix, one row per stored code, built from the store on first read
+        (so enumerating alone loads no numpy) and freed with the object.
+        The edges go to :func:`~steklov.spectral.stacked_steklov_spectra`
+        as arrays: a tree member's straight from its parent ``bytes``
+        (``np.frombuffer``), the edges (parent, child) of :meth:`edge_lists`
+        with no tuple built; any other member's from its edge tuple. While
+        a code is bad, every read raises ParseError."""
+        import numpy as np
 
-        spectra = unit_steklov_spectra(self.n, self.edge_lists())
+        from .spectral import stacked_steklov_spectra
+
+        n, members = self.n, self.members
+        tree = [bool(m) and isinstance(m[0], bytes) for m in members]
+        rest = [m for m, t in zip(members, tree) if not t]
+        # tree member j has the edges (parent[v], v), v = 1..n-1, row j of parents
+        parents = np.frombuffer(b"".join([m[0] for m, t in zip(members, tree) if t]), np.uint8)
+        parents = parents.reshape(-1, n)[:, 1:]
+        children = np.broadcast_to(np.arange(1, n, dtype=np.uint8), parents.shape)
+        tree = np.array(tree, dtype=bool)
+        owner = np.concatenate([np.repeat(np.flatnonzero(tree), n - 1),
+                                np.repeat(np.flatnonzero(~tree), [len(m) for m in rest])])
+        ends = np.concatenate([np.stack([parents, children], axis=2).reshape(-1, 2),
+                               np.array([p for m in rest for p in m], np.uint8).reshape(-1, 2)])
+        spectra = stacked_steklov_spectra(n, len(members), owner, ends)
         spectra.flags.writeable = False
         return spectra
 
@@ -437,18 +455,45 @@ def _tree_class(n: int) -> list[str]:
     return codes
 
 
+def _automorphisms(adj, colors) -> list[list[int]]:
+    """Every automorphism of the graph with neighbour sets ``adj``, each as
+    the list of vertex images, found by backtracking: vertex v is mapped,
+    in order, to an unused vertex of its own WL colour (``colors``) whose
+    adjacency to the images of 0..v-1 is v's own."""
+    n = len(adj)
+    found: list[list[int]] = []
+    image: list[int] = []
+
+    def extend(v: int) -> None:
+        if v == n:
+            found.append(image.copy())
+            return
+        for w in range(n):
+            if (colors[w] == colors[v] and w not in image
+                    and all((u in adj[v]) == (image[u] in adj[w]) for u in range(v))):
+                image.append(w)
+                extend(v + 1)
+                image.pop()
+
+    extend(0)
+    return found
+
+
 def _connected_class(n: int) -> set[str]:
     """Codes of the connected graphs on n vertices: removing a vertex that
     is no cut vertex leaves a connected graph on n - 1, so join a new
     vertex to each nonempty subset of every smaller class member.
 
-    The new vertex is no cut vertex. A join is coded only when no non-cut
-    vertex has a larger WL colour than the new vertex (a larger degree, the
-    cheaper test, is checked first): colours are isomorphism invariants and
-    refine the degree order, so every class is still reached by deleting
-    its highest-colour non-cut vertex. A join is a tree when a tree base
-    gains one edge, and is coded as one (:func:`canonical_code`). The set
-    drops repeats."""
+    The new vertex is no cut vertex. Joins to subsets in one orbit of the
+    base's automorphisms are isomorphic, so only the least subset of each
+    orbit is joined. A join is coded only when no non-cut vertex has a
+    larger WL colour than the new vertex (a larger degree, the cheaper
+    test, is checked first): colours are isomorphism invariants and refine
+    the degree order, so every class is still reached by deleting its
+    highest-colour non-cut vertex, and these tests give every subset of an
+    orbit one answer. A join is a tree when a tree base gains one edge, and
+    is coded as one (:func:`canonical_code`). The set drops the repeats
+    left: joins to two bases that are each a highest-colour deletion."""
     if n == 1:
         return {"()"}
     m = n - 1
@@ -461,7 +506,14 @@ def _connected_class(n: int) -> set[str]:
             [sum(1 << u for u in verts) for verts, _ in component_passes(base, set(range(m)) - {x})]
             for x in range(m)
         ]
+        autos = _automorphisms(base, _wl_colors(base))[1:]  # the identity is first
+        seen: set[int] = set()
         for new in range(1, 1 << m):
+            if new in seen:
+                continue
+            if autos:  # mark the rest of new's orbit, whose subsets are all larger
+                bits = [v for v in range(m) if (new >> v) & 1]
+                seen.update(sum(1 << a[v] for v in bits) for a in autos)
             degree = new.bit_count()
             if any(len(base[x]) + ((new >> x) & 1) > degree
                    and all(p & new for p in pieces[x]) for x in range(m)):
@@ -506,7 +558,10 @@ def _load_class(kind: str, n: int, file: str) -> GraphClassStream:
 def _index(value, name: str) -> int:
     """``value`` as an int, refusing a bool and any non-integral type (a
     float 6.0 included): a memo keys them like the int, a class file name
-    does not."""
+    does not. An exact ``int`` is returned at once; any other value (a
+    numpy integer, say) takes the ``numbers.Integral`` check."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise InvalidParamsError(f"{name} must be an integer, not {value!r}")
     return int(value)

@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import total_ordering
+from itertools import compress
 from numbers import Rational
 
 from .errors import DisconnectedError, InvalidParamsError, NoBoundaryError
@@ -178,6 +179,8 @@ class QuadraticSurd:
 
 
 Exact = Fraction | QuadraticSurd
+# bytes.translate table of a degree array: 1 at a leaf (degree 1), else 0
+_LEAF = bytes(k == 1 for k in range(256))
 
 
 def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
@@ -301,7 +304,11 @@ def leaf_counts(n: int, member) -> tuple[int, int]:
     and degree ``bytes`` (vertex 0 the root, every other vertex after its
     parent, so vertex 1 is a child of 0), or any other member's edge
     tuple. L is the number of leaves and s the number of distinct support
-    vertices, those next to a leaf. No walk, factorization or Fraction.
+    vertices, those next to a leaf. No walk, factorization or Fraction: a
+    tree member's leaves are marked by one ``bytes.translate`` of its
+    degrees, its supports picked from its parents by
+    :func:`itertools.compress` and L read by ``bytes.count``, with no Python
+    loop over its vertices.
 
     Proof. With unit measures, B the leaves and I the other vertices, no
     two leaves are adjacent in a connected graph on n >= 3 vertices, so
@@ -321,7 +328,12 @@ def leaf_counts(n: int, member) -> tuple[int, int]:
         raise InvalidParamsError(f"the leaf rule needs n >= 3, not n = {n}")
     if isinstance(member[0], bytes):
         parent, degree = member
-        supports = {parent[v] if v else 1 for v, k in enumerate(degree) if k == 1}
+        leaf = degree.translate(_LEAF)
+        if leaf[0]:  # a leaf root is its own parent; its support is vertex 1
+            supports = set(compress(parent[1:], leaf[1:]))
+            supports.add(1)
+        else:
+            supports = set(compress(parent, leaf))
     else:
         degree = [0] * n
         for u, v in member:

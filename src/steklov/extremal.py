@@ -316,6 +316,12 @@ def _screened(n: int, i: int, graph_class: str):
         raise InvalidParamsError("eigenvalue index is 1-based")
     if graph_class not in GRAPH_CLASSES:
         raise InvalidParamsError(f"unknown graph class {graph_class!r}")
+    return _column(n, i, graph_class)
+
+
+def _column(n: int, i: int, graph_class: str):
+    """:func:`_screened` of an int n, an int i >= 1 and a known class, with
+    no check of them: only the tree sweep's range is checked here."""
     if graph_class == "trees" and n > MAX_SWEEP_TREE_N:
         raise OutOfSupportedRangeError(f"tree sweeps support n <= {MAX_SWEEP_TREE_N}")
     stream = (enumerate_trees if graph_class == "trees" else enumerate_connected_graphs)(n)
@@ -386,12 +392,14 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     against the predicted minimizers that belong to the class.
 
     The screen is held with the class object and the prediction built once
-    per process (see :func:`sweep` and :func:`predicted_bound`); the
-    arguments are checked first. The candidates are the classes whose
-    screened sigma_i is at most float(b) + SCREEN_MARGIN for the predicted
-    bound b. Each is decided exactly, afresh on every call, by its counts
-    #{sigma_j < b} and #{sigma_j = b}, read from the class object's store
-    by one :func:`~steklov.exact.member_counts` call. The bound holds iff
+    per process (see :func:`sweep` and :func:`predicted_bound`). The
+    arguments are checked once, first, by :func:`predicted_bound`; the
+    screen column is then read with no second check. The candidates are
+    the classes whose screened sigma_i is at most float(b) + SCREEN_MARGIN
+    for the predicted bound b. Each is decided exactly, afresh on every
+    call, by its counts #{sigma_j < b} and #{sigma_j = b}, read from the
+    class object's store, looked up once per call, by one
+    :func:`~steklov.exact.member_counts` call. The bound holds iff
     no candidate has i or more eigenvalues below b (every other class
     screens above b + SCREEN_MARGIN), and a candidate attains it iff it
     also has at least i at or below b.
@@ -400,21 +408,22 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     back to the screen's minimum and argmin set, with ``match`` False."""
     target = predicted_bound(n, i, graph_class)
     n, i, b = target.n, target.i, target.bound_exact
-    stream, values = _screened(n, i, graph_class)
+    stream, values = _column(n, i, graph_class)
     candidates = np.flatnonzero(values <= target.bound + SCREEN_MARGIN).tolist()
-    counts = dict(zip(candidates, member_counts(n, [stream.members[j] for j in candidates], b)))
-    bound_ok = all(neg < i for neg, _ in counts.values())
-    attained = [j for j, (neg, zero) in counts.items() if neg < i <= neg + zero]
+    members, codes = stream.members, stream.codes
+    counts = member_counts(n, [members[j] for j in candidates], b)
+    bound_ok = all(neg < i for neg, _ in counts)
+    attained = [j for j, (neg, zero) in zip(candidates, counts) if neg < i <= neg + zero]
     predicted = target.predicted_codes
     if bound_ok and attained:
-        minimum, argmin = target.bound, tuple(stream.codes[j] for j in attained)
+        minimum, argmin = target.bound, tuple([codes[j] for j in attained])
         if target.characterized:
             match = argmin == predicted
         else:
             match = set(predicted) <= set(argmin)
     else:
         minimum, attained = _screen_minimum(values)
-        argmin, match = tuple(stream.codes[j] for j in attained), False
+        argmin, match = tuple([codes[j] for j in attained]), False
     return ExtremalReport(
         target=target,
         graph_class=graph_class,

@@ -14,8 +14,9 @@ interior passes that check with no walk of its own. When every measure of
 an eigenproblem is 1 the M^{-1/2} conjugation is skipped. :func:`dtn_matrix`
 forms one graph's Schur complement S = L_BB - L_IB^T L_II^{-1} L_IB and
 symmetrises it once; :func:`unit_steklov_spectra` forms the stacked
-complements of many unit graphs, without eigenvectors. :func:`dtn_matrix`
-inverts L_II once and keeps the inverse, so the harmonic extensions of a
+complements of many unit graphs, without eigenvectors, from their edge
+lists, and :func:`stacked_steklov_spectra` from their edges as arrays.
+:func:`dtn_matrix` inverts L_II once and keeps the inverse, so the harmonic extensions of a
 spectrum (``SpectralResult.extensions``) are one product, made the first
 time they are read. A Steklov spectrum keeps the operator it was solved
 from (``SpectralResult.operator``), so a caller that also needs the DtN
@@ -370,12 +371,21 @@ def unit_steklov_spectra(n: int, edge_lists) -> np.ndarray:
     its |B|; a graph without boundary gets a row of +inf. Graphs with equal
     |B| share one stacked Schur-complement solve and one stacked
     ``eigvalsh``. Per graph this is ``steklov_spectrum`` up to rounding,
-    without eigenvectors or harmonic extensions.
+    without eigenvectors or harmonic extensions. The edge lists are
+    flattened into the arrays of :func:`stacked_steklov_spectra`, which
+    solves them.
     """
-    count = len(edge_lists)
-    out = np.full((count, n), np.inf)
-    owner = np.repeat(np.arange(count), [len(e) for e in edge_lists])
+    owner = np.repeat(np.arange(len(edge_lists)), [len(e) for e in edge_lists])
     ends = np.array([p for e in edge_lists for p in e], dtype=np.intp).reshape(-1, 2)
+    return stacked_steklov_spectra(n, len(edge_lists), owner, ends)
+
+
+def stacked_steklov_spectra(n: int, count: int, owner, ends) -> np.ndarray:
+    """:func:`unit_steklov_spectra` of ``count`` graphs on n vertices given
+    as integer arrays, in any edge order: edge k of them joins ``ends[k, 0]``
+    and ``ends[k, 1]`` in graph ``owner[k]``. Each graph's Laplacian, and so
+    its row, depends only on its set of edges."""
+    out = np.full((count, n), np.inf)
     L = np.zeros((count, n, n))
     L[owner, ends[:, 0], ends[:, 1]] = 1.0
     L[owner, ends[:, 1], ends[:, 0]] = 1.0

@@ -39,6 +39,7 @@ from steklov.graph import adjacency_sets, combinatorial_graph, make_graph
 from conftest import (
     brute_force_graph_code,
     code_decoders,
+    counting_calls,
     is_isomorphic,
     path_graph,
     random_unit_tree,
@@ -259,6 +260,28 @@ def test_connected_class_stores_its_trees_under_tree_codes():
     for n in range(1, MAX_GRAPH_N + 1):
         codes = _class("connected", n).codes
         assert tuple(c for c in codes if c.startswith("(")) == _class("trees", n).codes, n
+
+
+def test_automorphisms_match_brute_force():
+    # every vertex permutation that keeps the adjacency, over connected n <= 6
+    for n in range(1, 7):
+        for edges in _class("connected", n).edge_lists():
+            adj = adjacency_sets(n, edges)
+            brute = [list(p) for p in itertools.permutations(range(n))
+                     if all(p[v] in adj[p[u]] for u, v in edges)]
+            assert enumeration._automorphisms(adj, enumeration._wl_colors(adj)) == brute, edges
+
+
+def test_connected_generator_codes_each_orbit_once(monkeypatch):
+    # joins to subsets in one orbit of the base's automorphisms are coded
+    # once: 854 codes for the 853 classes at n = 7 (1,395 when every subset
+    # was joined)
+    classes = _class("connected", 7).codes  # the n = 6 base class is held too
+    calls = [counting_calls(monkeypatch, enumeration, name)
+             for name in ("_adjacency_code", "unit_tree_code")]
+    codes = enumeration._connected_class(7)
+    assert sorted(codes) == list(classes)
+    assert sum(map(len, calls)) <= 854
 
 
 def test_tree_code_round_trip(rng):

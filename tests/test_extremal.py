@@ -335,6 +335,16 @@ def test_sweep_refuses_non_integer_arguments(monkeypatch, tmp_path, args):
     assert sweep(np.int64(7), np.int64(3)) == sweep(7, 3)
 
 
+@pytest.mark.parametrize("args", [(6, True), (6.0, 3), ("6", 3), (True, 2)],
+                         ids=["i-True", "n-float", "n-str", "n-True"])
+def test_verify_checks_its_arguments_once(args):
+    # an exact int is taken at once, a numpy integer through the Integral
+    # check; anything else is refused before the class is read
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        verify_extremal(*args, "trees")
+    assert verify_extremal(np.int64(9), np.int64(4), "trees") == verify_extremal(9, 4, "trees")
+
+
 def test_exact_oracle_pins_the_screen_margin():
     """Every class with a boundary vertex is counted exactly at b, on all
     70 pairs, with no tolerance: none has i eigenvalues below b, the
@@ -480,7 +490,7 @@ def counting(monkeypatch, name):
 
 def test_class_screened_once_for_every_i(monkeypatch):
     _load_class.cache_clear()
-    calls = counting_calls(monkeypatch, spectral, "unit_steklov_spectra")
+    calls = counting_calls(monkeypatch, spectral, "stacked_steklov_spectra")
     for graph_class, n in (("trees", 10), ("connected", 6)):
         before = len(calls)
         for i in range(2, n):

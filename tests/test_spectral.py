@@ -239,6 +239,17 @@ def test_unit_spectra_match_per_graph_oracle():
     assert unit_steklov_spectra(4, []).shape == (0, 4)
 
 
+def test_class_screen_from_the_store_equals_the_edge_list_build():
+    """A class object's screen, built from its parent bytes and edge tuples,
+    is bitwise the batched engine on its edge lists."""
+    from steklov.enumeration import _class
+
+    classes = [_class("trees", n) for n in range(3, 13)]
+    classes += [_class("connected", n) for n in range(1, 8)]
+    for stream in classes:
+        assert np.array_equal(stream.spectra, unit_steklov_spectra(stream.n, stream.edge_lists()))
+
+
 # -- a numpy oracle for the per-graph solves ----------------------------------
 
 
