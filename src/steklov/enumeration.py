@@ -12,7 +12,9 @@ class object parses its codes once into one store: a tree-coded member as
 its parent and degree arrays (``bytes``, by vertex in preorder), which the
 exact counts read directly, any other member as its edge tuple; edge lists
 are derived from that store. The class object also holds its screen, the
-float spectra of every member, built from those edge lists on first read.
+float spectra of every member, and its leaf table, the exact counts of
+every member at b = 1, each built on first read from stacked edge arrays
+that are derived from the store and not kept.
 
 Both classes are built from smaller pieces: free trees from the rooted
 branches at their centroids (Otter), connected graphs by joining a vertex to
@@ -355,8 +357,9 @@ class GraphClassStream:
     :func:`canonical_code` strings, sorted, as ``codes``, and the one store
     of their parse, ``members``, filled once: when the class is read from
     its file (the parse is part of the file's check), else on first read.
-    Edge lists, the fresh graphs of every iteration and the screen
-    ``spectra`` are derived from that store."""
+    Edge lists, the fresh graphs of every iteration, the screen
+    ``spectra`` and the exact ``leaf_table`` at b = 1 are derived from
+    that store; the last two are held with the object, read-only."""
 
     kind: str
     n: int
@@ -386,19 +389,14 @@ class GraphClassStream:
             held.append((bytes(parent), bytes(degree)) if tree else tuple(edges))
         return tuple(held)
 
-    @cached_property
-    def spectra(self):
-        """The screen: the read-only :func:`~steklov.spectral.unit_steklov_spectra`
-        matrix, one row per stored code, built from the store on first read
-        (so enumerating alone loads no numpy) and freed with the object.
-        The edges go to :func:`~steklov.spectral.stacked_steklov_spectra`
-        as arrays: a tree member's straight from its parent ``bytes``
+    def _edge_arrays(self):
+        """The stacked edge arrays (``owner``, ``ends``) of
+        :func:`~steklov.spectral.stacked_steklov_spectra`, built afresh from
+        the store for :attr:`spectra` and :attr:`leaf_table`, so neither
+        keeps them: a tree member's straight from its parent ``bytes``
         (``np.frombuffer``), the edges (parent, child) of :meth:`edge_lists`
-        with no tuple built; any other member's from its edge tuple. While
-        a code is bad, every read raises ParseError."""
+        with no tuple built; any other member's from its edge tuple."""
         import numpy as np
-
-        from .spectral import stacked_steklov_spectra
 
         n, members = self.n, self.members
         tree = [bool(m) and isinstance(m[0], bytes) for m in members]
@@ -412,9 +410,35 @@ class GraphClassStream:
                                 np.repeat(np.flatnonzero(~tree), [len(m) for m in rest])])
         ends = np.concatenate([np.stack([parents, children], axis=2).reshape(-1, 2),
                                np.array([p for m in rest for p in m], np.uint8).reshape(-1, 2)])
-        spectra = stacked_steklov_spectra(n, len(members), owner, ends)
+        return owner, ends
+
+    @cached_property
+    def spectra(self):
+        """The screen: the read-only :func:`~steklov.spectral.unit_steklov_spectra`
+        matrix, one row per stored code, built from the store on first read
+        (so enumerating alone loads no numpy) and freed with the object.
+        The edges go to :func:`~steklov.spectral.stacked_steklov_spectra`
+        as the arrays of :meth:`_edge_arrays`. While a code is bad, every
+        read raises ParseError."""
+        from .spectral import stacked_steklov_spectra
+
+        spectra = stacked_steklov_spectra(self.n, len(self), *self._edge_arrays())
         spectra.flags.writeable = False
         return spectra
+
+    @cached_property
+    def leaf_table(self):
+        """The exact counts at b = 1: the read-only
+        :func:`~steklov.exact.leaf_table` of the class, one row (s, L) per
+        stored code, for s support vertices and L leaves, built from the
+        arrays of :meth:`_edge_arrays` on first read and freed with the
+        object, as :attr:`spectra` is. Refused (InvalidParamsError) for
+        n < 3, where the leaf rule is false."""
+        from .exact import leaf_table
+
+        table = leaf_table(self.n, *self._edge_arrays())
+        table.flags.writeable = False
+        return table
 
     def edge_lists(self) -> list:
         """Each member's edges, derived afresh from the store and numbered
@@ -537,8 +561,19 @@ def _class(kind: str, n: int) -> GraphClassStream:
         name = "tree" if kind == "trees" else "connected-graph"
         raise OutOfSupportedRangeError(f"{name} enumeration supports 1 <= n <= {top}")
     raw = os.environ.get("STEKLOV_CACHE_DIR", ".steklov-cache")
-    file = f"{kind}-n{n}-{GENERATOR_VERSION}.txt"
-    return _load_class(kind, n, os.path.join(os.path.abspath(raw), file) if raw else "")
+    cwd = os.getcwd() if raw and not os.path.isabs(raw) else ""
+    return _load_class(kind, n, _class_file(kind, n, raw, cwd))
+
+
+@lru_cache(maxsize=None)
+def _class_file(kind: str, n: int, raw: str, cwd: str) -> str:
+    """The absolute path of a class file under the cache directory ``raw``
+    as given, resolved against ``cwd`` when it is relative ("" for no
+    cache), memoised on both."""
+    if not raw:
+        return ""
+    return os.path.join(os.path.normpath(os.path.join(cwd, raw)),
+                        f"{kind}-n{n}-{GENERATOR_VERSION}.txt")
 
 
 @lru_cache(maxsize=None)
@@ -663,17 +698,25 @@ def _ahu_form(order, parent, ids: dict[tuple[int, ...], int]) -> tuple[int, ...]
 
 
 def free_tree_count(n: int) -> int:
-    """Otter-recurrence count of free trees; independent of any generator."""
+    """Otter-recurrence count of free trees; independent of any generator.
+    Counted once per process per n: n is checked first (a bool or a
+    non-integral type raises InvalidParamsError), and a call that raises
+    stores nothing."""
     n = _index(n, "n")
     if n < 1:
         raise OutOfSupportedRangeError("n >= 1")
-    r = [0, 1]  # rooted tree counts, 1-indexed
+    return _free_tree_count(n)
+
+
+@lru_cache(maxsize=None)
+def _free_tree_count(n: int) -> int:
+    """:func:`free_tree_count` of a checked n. The rooted counts follow
+    r(m) = sum_{j<m} c(j) r(m - j) / (m - 1), with each divisor sum
+    c(j) = sum_{d | j} d r(d) taken once."""
+    r, c = [0, 1], [0]  # rooted tree counts and divisor sums, 1-indexed
     for m in range(2, n + 1):
-        total = 0
-        for j in range(1, m):
-            c = sum(d * r[d] for d in range(1, j + 1) if j % d == 0)
-            total += c * r[m - j]
-        r.append(total // (m - 1))
+        c.append(sum(d * r[d] for d in range(1, m) if (m - 1) % d == 0))
+        r.append(sum(c[j] * r[m - j] for j in range(1, m)) // (m - 1))
     pair = sum(r[i] * r[n - i] for i in range(1, n))
     middle = r[n // 2] if n % 2 == 0 else 0
     two_t = 2 * r[n] - pair + middle

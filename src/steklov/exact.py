@@ -31,10 +31,11 @@ which compares x^2 with y^2 d, so every count is exact.
 
 At b = 1 the counts need no congruence at all: on a connected graph with
 n >= 3 vertices they are (s, L - s), for L leaves and s distinct support
-vertices (:func:`leaf_counts`, which carries the proof), and
-:func:`member_counts` takes that path when b == 1. :func:`inertia_counts`
-does not, so it stays an independent oracle for the rule.
-Nothing here is memoised.
+vertices. :func:`leaf_table` (which carries the proof) reads s and L for a
+whole class at once, off the stacked edge arrays its screen is built from;
+a class object holds that table. :func:`inertia_counts` and
+:func:`member_counts` do not use the rule, so they stay independent oracles
+for it. Nothing here is memoised.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import total_ordering
-from itertools import compress
 from numbers import Rational
 
 from .errors import DisconnectedError, InvalidParamsError, NoBoundaryError
@@ -179,8 +179,6 @@ class QuadraticSurd:
 
 
 Exact = Fraction | QuadraticSurd
-# bytes.translate table of a degree array: 1 at a leaf (degree 1), else 0
-_LEAF = bytes(k == 1 for k in range(256))
 
 
 def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
@@ -216,15 +214,11 @@ def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
 
 def member_counts(n: int, members, b: Exact | int) -> list[tuple[int, int]]:
     """Counts of :func:`inertia_counts` at b for each of ``members``, in
-    order: class members on n >= 3 vertices as a class object stores them,
-    a tree's parent and degree ``bytes`` or any other member's edge tuple.
-    Each is taken as stored: connected, with a boundary, with no check.
-    Whether b is 1 is decided once: then the leaf rule counts every member
-    (:func:`leaf_counts`), with no walk. At any other b a tree's arrays go
+    order: class members as a class object stores them, a tree's parent and
+    degree ``bytes`` or any other member's edge tuple. Each is taken as
+    stored: connected, with a boundary, with no check. A tree's arrays go
     straight to :func:`tree_inertia_counts`, any other member's edges to
-    :func:`dense_inertia_counts`."""
-    if b == 1:
-        return [leaf_counts(n, member) for member in members]
+    :func:`dense_inertia_counts`, at every b, 1 included."""
     return [tree_inertia_counts(range(n), *member, b) if isinstance(member[0], bytes)
             else dense_inertia_counts(adjacency_sets(n, member), b) for member in members]
 
@@ -298,17 +292,17 @@ def _surd_tree_counts(order, parent, degree, b: QuadraticSurd) -> tuple[int, int
     return _counts([surd_sign(xv, yv, d) for xv, yv in zip(x, y)])
 
 
-def leaf_counts(n: int, member) -> tuple[int, int]:
-    """Counts of :func:`inertia_counts` at b = 1, (s, L - s), for a class
-    member on n >= 3 vertices as a class object stores it: a tree's parent
-    and degree ``bytes`` (vertex 0 the root, every other vertex after its
-    parent, so vertex 1 is a child of 0), or any other member's edge
-    tuple. L is the number of leaves and s the number of distinct support
-    vertices, those next to a leaf. No walk, factorization or Fraction: a
-    tree member's leaves are marked by one ``bytes.translate`` of its
-    degrees, its supports picked from its parents by
-    :func:`itertools.compress` and L read by ``bytes.count``, with no Python
-    loop over its vertices.
+def leaf_table(n: int, owner, ends):
+    """The counts at b = 1 of a stacked class, as one integer array with a
+    row (s, L) per graph: graph j's counts of :func:`inertia_counts` at
+    b = 1 are (s, L - s). The graphs are given as the integer arrays of
+    :func:`~steklov.spectral.stacked_steklov_spectra`: edge k joins
+    ``ends[k, 0]`` and ``ends[k, 1]`` in graph ``owner[k]``, and the rows run
+    from graph 0 to the largest owner. L is a graph's number of leaves
+    (vertices of degree 1) and s its number of distinct support vertices,
+    those next to a leaf: the degrees are one ``np.bincount`` over the
+    stacked ends, and an edge with one end of degree 1 marks its other end,
+    with no Python loop over the graphs or their edges.
 
     Proof. With unit measures, B the leaves and I the other vertices, no
     two leaves are adjacent in a connected graph on n >= 3 vertices, so
@@ -317,32 +311,27 @@ def leaf_counts(n: int, member) -> tuple[int, int]:
     connected graph with a boundary, so E L_II^-1 E^T is positive
     semidefinite with rank(E L_II^-1 E^T) = rank(E) = s: E's rows are unit
     vectors, one distinct row per support vertex. So S has s eigenvalues
-    below 1 and L - s at 1. A member with no leaf gives (0, 0), the counts
+    below 1 and L - s at 1. A graph with no leaf gives (0, 0), the counts
     of its empty spectrum.
 
     The rule is false on n <= 2: on K_2 both vertices are leaves, so it
     would give (2, 0), but sigma = 0, 2 gives (1, 0). Such an n raises
-    InvalidParamsError. The member is otherwise taken as stored: connected,
-    on 0..n-1, with no check."""
+    InvalidParamsError. Each graph is otherwise taken as given: connected,
+    on 0..n-1, with no repeated edge, with no check."""
     if n < 3:
         raise InvalidParamsError(f"the leaf rule needs n >= 3, not n = {n}")
-    if isinstance(member[0], bytes):
-        parent, degree = member
-        leaf = degree.translate(_LEAF)
-        if leaf[0]:  # a leaf root is its own parent; its support is vertex 1
-            supports = set(compress(parent[1:], leaf[1:]))
-            supports.add(1)
-        else:
-            supports = set(compress(parent, leaf))
-    else:
-        degree = [0] * n
-        for u, v in member:
-            degree[u] += 1
-            degree[v] += 1
-        supports = {v for u, v in member if degree[u] == 1}
-        supports |= {u for u, v in member if degree[v] == 1}
-    leaves = degree.count(1)
-    return len(supports), leaves - len(supports)
+    import numpy as np
+
+    owner = np.asarray(owner, dtype=np.intp)
+    rows = int(owner.max()) + 1 if len(owner) else 0
+    u = owner * n + ends[:, 0]  # vertex ends[k, 0] of graph owner[k], flattened
+    v = owner * n + ends[:, 1]
+    leaf = np.bincount(np.concatenate([u, v]), minlength=rows * n) == 1
+    support = np.zeros(rows * n, dtype=bool)
+    support[v[leaf[u]]] = True
+    support[u[leaf[v]]] = True
+    return np.stack([support.reshape(rows, n).sum(axis=1), leaf.reshape(rows, n).sum(axis=1)],
+                    axis=1)
 
 
 def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:

@@ -19,13 +19,17 @@ screen does not depend on i: it is the class object's own
 lists of its one store and held with it for every i. Rows are the stored
 codes, which are canonical and sorted. :func:`verify_extremal` then
 decides every class that screens within SCREEN_MARGIN of the bound b
-exactly, afresh on every call, by the counts #{sigma_j < b} and
-#{sigma_j = b} of its stored member, all in one
+exactly, by the counts #{sigma_j < b} and #{sigma_j = b} of its stored
+member. Whether b is 1 (every pair with i > n/2) is decided once per call.
+At b = 1 the counts are (s, L - s), for s support vertices and L leaves,
+read off the class object's own
+:attr:`~steklov.enumeration.GraphClassStream.leaf_table`, held with it as
+the screen is, by two numpy comparisons over the candidates' rows. At any
+other b they are counted afresh on every call, all in one
 :func:`~steklov.exact.member_counts` call, which reads each member by its
-own form: at b = 1 (every pair with i > n/2) by the leaf rule, (s, L - s)
-for s support vertices and L leaves; at any other b a tree member by the
-walk of its stored parent and degree arrays, any other member by a dense
-LDL^T of its stored edges. No class is solved again.
+own form: a tree member by the walk of its stored parent and degree
+arrays, any other member by a dense LDL^T of its stored edges. No class is
+solved again.
 """
 
 from __future__ import annotations
@@ -396,9 +400,13 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     arguments are checked once, first, by :func:`predicted_bound`; the
     screen column is then read with no second check. The candidates are
     the classes whose screened sigma_i is at most float(b) + SCREEN_MARGIN
-    for the predicted bound b. Each is decided exactly, afresh on every
-    call, by its counts #{sigma_j < b} and #{sigma_j = b}, read from the
-    class object's store, looked up once per call, by one
+    for the predicted bound b. Each is decided exactly by its counts
+    #{sigma_j < b} and #{sigma_j = b}; whether b == 1 is decided once, so a
+    surd b sees no arithmetic. At b = 1 they are (s, L - s), read off the
+    class object's :attr:`~steklov.enumeration.GraphClassStream.leaf_table`
+    (s support vertices, L leaves), which is held with the class as the
+    screen is, with no Python call per candidate. At any other b they are
+    counted afresh on every call, from the class object's store, by one
     :func:`~steklov.exact.member_counts` call. The bound holds iff
     no candidate has i or more eigenvalues below b (every other class
     screens above b + SCREEN_MARGIN), and a candidate attains it iff it
@@ -409,14 +417,23 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     target = predicted_bound(n, i, graph_class)
     n, i, b = target.n, target.i, target.bound_exact
     stream, values = _column(n, i, graph_class)
-    candidates = np.flatnonzero(values <= target.bound + SCREEN_MARGIN).tolist()
-    members, codes = stream.members, stream.codes
-    counts = member_counts(n, [members[j] for j in candidates], b)
-    bound_ok = all(neg < i for neg, _ in counts)
-    attained = [j for j, (neg, zero) in zip(candidates, counts) if neg < i <= neg + zero]
+    candidates = np.flatnonzero(values <= target.bound + SCREEN_MARGIN)
+    if b == 1:
+        supports, leaves = stream.leaf_table[candidates].T
+        below = supports < i  # #{sigma_j < 1} = s, #{sigma_j <= 1} = L
+        bound_ok = bool(below.all())
+        attained = candidates[below & (leaves >= i)]
+        rows = attained.tolist()
+    else:
+        members = stream.members
+        counts = member_counts(n, [members[j] for j in candidates.tolist()], b)
+        bound_ok = all(neg < i for neg, _ in counts)
+        attained = rows = [j for j, (neg, zero) in zip(candidates.tolist(), counts)
+                           if neg < i <= neg + zero]
+    codes = stream.codes
     predicted = target.predicted_codes
-    if bound_ok and attained:
-        minimum, argmin = target.bound, tuple([codes[j] for j in attained])
+    if bound_ok and rows:
+        minimum, argmin = target.bound, tuple([codes[j] for j in rows])
         if target.characterized:
             match = argmin == predicted
         else:
@@ -435,7 +452,7 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
         bound_ok=bound_ok,
         tol=SCREEN_MARGIN,
         gap=_gap(values, attained, minimum),
-        rechecked=len(counts),
+        rechecked=len(candidates),
     )
 
 

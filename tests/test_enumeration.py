@@ -93,6 +93,23 @@ def test_tree_counts_match_counting_recurrence():
         assert len(enumerate_trees(n)) == free_tree_count(n), n
 
 
+def test_tree_count_is_counted_once_per_n():
+    # a second call does no recurrence work; a refused n stores nothing, a
+    # numpy integer shares the int's entry
+    enumeration._free_tree_count.cache_clear()
+    for n in [*range(1, 13), 16]:
+        expect = 19320 if n == 16 else TREE_COUNTS[n - 1]
+        assert free_tree_count(n) == expect
+        misses = enumeration._free_tree_count.cache_info().misses
+        assert free_tree_count(n) == free_tree_count(np.int64(n)) == expect
+        assert enumeration._free_tree_count.cache_info().misses == misses
+    size = enumeration._free_tree_count.cache_info().currsize
+    for bad in (0, -3, True, 6.0):
+        with pytest.raises((InvalidParamsError, OutOfSupportedRangeError)):
+            free_tree_count(bad)
+    assert enumeration._free_tree_count.cache_info().currsize == size == 13
+
+
 def test_class_codes_match_pinned_digests(tmp_path, monkeypatch):
     # generated afresh, not read from a cache file
     monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
@@ -571,6 +588,22 @@ def test_class_memo_follows_cache_dir(tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path / sub)
         assert len(enumerate_connected_graphs(5)) == 21
         assert (tmp_path / sub / "cache" / f"connected-n5-{GENERATOR_VERSION}.txt").exists(), sub
+
+
+def test_class_file_memo_resolves_as_abspath(tmp_path, monkeypatch):
+    # the memoised path of a class file is the one os.path.abspath gives,
+    # for an absolute directory and, from two working directories, for a
+    # relative one, ".." and "." parts included
+    for sub in ("c", "d"):
+        (tmp_path / sub).mkdir()
+        monkeypatch.chdir(tmp_path / sub)
+        for raw in (str(tmp_path / "x" / ".." / "y"), "cache", "a/../b", "./c/", ".."):
+            monkeypatch.setenv("STEKLOV_CACHE_DIR", raw)
+            file = f"trees-n5-{GENERATOR_VERSION}.txt"
+            expect = os.path.join(os.path.abspath(raw), file)
+            assert _class("trees", 5) is _load_class("trees", 5, expect), (sub, raw)
+    monkeypatch.setenv("STEKLOV_CACHE_DIR", "")
+    assert _class("trees", 5) is _load_class("trees", 5, "")
 
 
 @pytest.mark.parametrize("kind, n, codes", [

@@ -8,6 +8,7 @@ import pytest
 
 from steklov import exact, extremal, graph
 from steklov.enumeration import (
+    _load_class,
     enumerate_connected_graphs,
     enumerate_trees,
     free_tree_count,
@@ -187,54 +188,68 @@ def preorder_arrays(adj, root):
     return bytes(parent), bytes(degree)
 
 
+def stacked(edge_lists):
+    """The (owner, ends) arrays of ``edge_lists``, graph j owning its edges."""
+    owner = np.repeat(np.arange(len(edge_lists)), [len(e) for e in edge_lists])
+    ends = np.array([pair for edges in edge_lists for pair in edges], np.intp).reshape(-1, 2)
+    return owner, ends
+
+
 def test_leaf_rule_matches_both_oracles():
     # at b = 1 every member with a boundary of the tree classes 3 <= n <= 12
-    # and the connected classes 3 <= n <= 7, as stored and as its edges:
-    # (s, L - s) equals the counts of inertia_counts on the member's edges,
-    # and of the Jacobs-Trevisan oracle on a tree member; every tree n <= 10
-    # rooted at a leaf too, where vertex 0 is a leaf whose support is 1
+    # and the connected classes 3 <= n <= 7, in its class's table: (s, L - s)
+    # equals the counts of inertia_counts on the member's edges, and of the
+    # Jacobs-Trevisan oracle on a tree member; a member with no leaf reads
+    # (0, 0). The table of the edge lists, each reversed with its pairs
+    # swapped, is the class's. Every tree n <= 10 rooted at a leaf too,
+    # where vertex 0 is a leaf whose support is 1
     one = Fraction(1)
     streams = [enumerate_trees(n) for n in range(3, 13)]
     streams += [enumerate_connected_graphs(n) for n in range(3, 8)]
-    members = below_one = at_one = 0
+    members = below_one = at_one = leafless = 0
     for stream in streams:
-        n = stream.n
-        for member, edges in zip(stream.members, stream.edge_lists(), strict=True):
+        n, edge_lists, table = stream.n, stream.edge_lists(), stream.leaf_table
+        assert table.shape == (len(stream), 2)
+        flipped = [[(v, u) for u, v in reversed(edges)] for edges in edge_lists]
+        assert np.array_equal(exact.leaf_table(n, *stacked(flipped)), table)
+        for (supports, leaves), edges in zip(table.tolist(), edge_lists, strict=True):
             adj = adjacency_sets(n, edges)
             if all(len(a) > 1 for a in adj):
+                assert (supports, leaves) == (0, 0), edges
+                leafless += 1
                 continue
-            counts = exact.leaf_counts(n, member)
-            assert counts == exact.leaf_counts(n, edges) == inertia_counts(n, edges, one), edges
+            counts = (supports, leaves - supports)
+            assert counts == inertia_counts(n, edges, one), edges
             if len(edges) == n - 1:
                 assert counts == jacobs_trevisan_counts(adj, one), edges
             members += 1
             below_one += counts[0]
             at_one += counts[1]
-    assert members == 1396 and below_one > 0 and at_one > 0
+    assert members == 1396 and below_one > 0 and at_one > 0 and leafless > 0
     rooted_at_leaves = 0
     for n in range(3, 11):
+        edge_lists = []
         for g in enumerate_trees(n):
             adj = adjacency_sets(n, edge_pairs(g))
             leaf = next(v for v, a in enumerate(adj) if len(a) == 1)
             parent, degree = preorder_arrays(adj, leaf)
             edges = [(u, v) for v, u in enumerate(parent) if v]
             assert degree[0] == 1 and all(u < v for u, v in edges)
-            assert exact.leaf_counts(n, (parent, degree)) == inertia_counts(n, edges, one)
+            edge_lists.append(edges)
+        table = exact.leaf_table(n, *stacked(edge_lists))
+        for (supports, leaves), edges in zip(table.tolist(), edge_lists, strict=True):
+            assert (supports, leaves - supports) == inertia_counts(n, edges, one)
             rooted_at_leaves += 1
     assert rooted_at_leaves == sum(map(free_tree_count, range(3, 11)))
 
 
-@pytest.mark.parametrize("n,member", [
-    (2, (bytes([0, 0]), bytes([1, 1]))),
-    (2, ((0, 1),)),
-    (1, (bytes([0]), bytes([0]))),
-])
+@pytest.mark.parametrize("n,member", [(2, [(0, 1)]), (2, [(1, 0)]), (1, [])])
 def test_leaf_rule_refuses_n_below_three(n, member):
-    # on K_2 both vertices are leaves and the rule would give (2, 0), but
-    # sigma = 0, 2 gives (1, 0)
+    # the leaf table of one member's edges: on K_2 both vertices are leaves
+    # and the rule would give (2, 0), but sigma = 0, 2 gives (1, 0)
     assert inertia_counts(2, [(0, 1)], Fraction(1)) == (1, 0)
     with pytest.raises(InvalidParamsError, match="n >= 3"):
-        exact.leaf_counts(n, member)
+        exact.leaf_table(n, *stacked([member]))
 
 
 def test_verify_over_a_tree_class_makes_no_subtree_walk(monkeypatch):
@@ -262,9 +277,9 @@ def test_verify_over_a_tree_class_makes_no_subtree_walk(monkeypatch):
 
 
 def test_verify_at_b_one_makes_no_walk_and_no_factorization(monkeypatch):
-    # at b = 1 (m = 1) the leaf rule counts every candidate: no tree walk,
-    # no dense LDL^T and no subtree walk, over trees and over a connected
-    # class with candidates that are not trees
+    # at b = 1 (m = 1) the class's leaf table decides every candidate: no
+    # tree walk, no dense LDL^T and no subtree walk, over trees and over a
+    # connected class with candidates that are not trees
     pairs = (("trees", 12, 7), ("trees", 11, 6), ("connected", 7, 4))
     for graph_class, n, i in pairs:
         verify_extremal(n, i, graph_class)  # the class and the prediction are held
@@ -285,13 +300,16 @@ def test_verify_at_b_one_makes_no_walk_and_no_factorization(monkeypatch):
 def test_surd_bound_is_never_compared_with_one(monkeypatch, n, i):
     # whether b is 1 is decided once per call, from b's q for a surd b: no
     # surd subtraction or comparison, in verify_extremal or while a
-    # candidate is counted, and no leaf rule
-    verify_extremal(n, i, "trees")  # the class and the prediction are held
+    # candidate is counted, and no leaf table, over a class object that
+    # holds none yet
+    verify_extremal(n, i, "trees")  # the prediction is held
+    _load_class.cache_clear()
     calls = [counting_calls(monkeypatch, QuadraticSurd, "__sub__"),
              counting_calls(monkeypatch, QuadraticSurd, "_cmp"),
-             counting_calls(monkeypatch, exact, "leaf_counts")]
+             counting_calls(monkeypatch, exact, "leaf_table")]
     assert verify_extremal(n, i, "trees").rechecked == 1
     assert calls == [[], [], []]
+    assert "leaf_table" not in vars(enumerate_trees(n))
 
 
 @pytest.mark.parametrize("n,edges,b", [

@@ -535,6 +535,29 @@ def test_one_clear_frees_the_class_and_its_screen():
     assert [ref() for ref in held] == [None] * 2
 
 
+def test_leaf_table_is_built_once_per_class_and_freed_with_it(monkeypatch):
+    # the class object holds its leaf table, read-only, as it holds its
+    # screen: built on the first b = 1 verify, shared by every later one,
+    # and freed by one clear; the object keeps no edge arrays
+    _load_class.cache_clear()
+    builds = counting_calls(monkeypatch, exact, "leaf_table")
+    for i in (7, 8, 7, 9):
+        assert verify_extremal(12, i, "trees").match
+    stream = enumerate_trees(12)
+    table = stream.leaf_table
+    assert builds == [12] and not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert {k for k, v in vars(stream).items() if isinstance(v, np.ndarray)} == {
+        "spectra", "leaf_table"}
+    held = weakref.ref(table)
+    del stream, table
+    assert held() is not None
+    _load_class.cache_clear()
+    assert held() is None
+    assert verify_extremal(12, 7, "trees").match and builds == [12, 12]
+
+
 def test_warm_sweeps_equal_fresh_ones(tmp_path, monkeypatch):
     """A sweep read from the memo is bit for bit the sweep of a process
     that screens the class afresh from freshly generated codes."""
@@ -555,22 +578,27 @@ def test_warm_sweeps_equal_fresh_ones(tmp_path, monkeypatch):
     ("trees", 9, 4), ("connected", 6, 3), ("connected", 7, 4),
 ])
 def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
-    """The exact counts decide the candidates afresh on every call, in one
-    count call: as many on a warm call as on a cold one, one per
-    candidate, and no per-graph solve. The leaf rule counts every
-    candidate iff b == 1 (at connected (7, 4))."""
+    """The exact counts decide the candidates afresh on every call, as many
+    on a warm call as on a cold one and no per-graph solve. At b != 1 that
+    is one count call, one member per candidate; at b == 1 (connected
+    (7, 4)) the class's leaf table decides them, with no count call, tree
+    walk or dense LDL^T."""
     _load_class.cache_clear()
     counts = counting(monkeypatch, "member_counts")
-    leaves = counting_calls(monkeypatch, exact, "leaf_counts")
+    walks = counting_calls(monkeypatch, exact, "tree_inertia_counts")
+    dense = counting_calls(monkeypatch, exact, "dense_inertia_counts")
     solves = counting(monkeypatch, "sigma_value")
     cold = verify_extremal(n, i, graph_class)
-    ((_, members, _),) = counts
-    assert len(set(members)) == len(members) == cold.rechecked > 0
-    assert len(leaves) == (len(members) if cold.target.bound_exact == 1 else 0)
+    stream, values = extremal._screened(n, i, graph_class)
+    candidates = np.flatnonzero(values <= cold.target.bound + cold.tol).tolist()
+    assert cold.rechecked == len(candidates) > 0
     warm = verify_extremal(n, i, graph_class)
     assert warm == cold
-    assert [args[1] for args in counts] == 2 * [members]
-    assert len(leaves) == (2 * len(members) if cold.target.bound_exact == 1 else 0)
+    if cold.target.bound_exact == 1:
+        assert counts == walks == dense == []
+    else:
+        members = [stream.members[j] for j in candidates]
+        assert [args[1] for args in counts] == 2 * [members]
     assert solves == []
 
 
