@@ -133,11 +133,12 @@ def test_tree_walk_matches_its_oracle():
 def test_store_counts_match_both_oracles():
     # every tree class 3 <= n <= 12 and every tree member of the connected
     # classes n <= 7, counted from the class store's parent and degree
-    # arrays as verify_extremal counts them, one member_counts call per
-    # class and bound, in the members' order: the counts of inertia_counts
-    # on the code's edges and of the Jacobs-Trevisan oracle, at every grid
-    # bound, at b = 0 and b = 1 and at a seeded rational and surd. The
-    # edges derived from the store are those of the code's parser.
+    # arrays as verify_extremal counts them at b != 1, one member_counts
+    # call per class and bound (b = 1 included), in the members' order:
+    # the counts of inertia_counts on the code's edges and of the
+    # Jacobs-Trevisan oracle, at every grid bound, at b = 0 and b = 1 and
+    # at a seeded rational and surd. The edges derived from the store are
+    # those of the code's parser.
     rng = random.Random(2929)
     bounds = GRID_BOUNDS | {predicted_bound(n, i, "connected").bound_exact
                             for n in range(3, 8) for i in range(2, n)}
