@@ -423,14 +423,12 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
         below = supports < i  # #{sigma_j < 1} = s, #{sigma_j <= 1} = L
         bound_ok = bool(below.all())
         attained = candidates[below & (leaves >= i)]
-        rows = attained.tolist()
     else:
         members = stream.members
         counts = member_counts(n, [members[j] for j in candidates.tolist()], b)
         bound_ok = all(neg < i for neg, _ in counts)
-        attained = rows = [j for j, (neg, zero) in zip(candidates.tolist(), counts)
-                           if neg < i <= neg + zero]
-    codes = stream.codes
+        attained = candidates[[neg < i <= neg + zero for neg, zero in counts]]
+    codes, rows = stream.codes, attained.tolist()
     predicted = target.predicted_codes
     if bound_ok and rows:
         minimum, argmin = target.bound, tuple([codes[j] for j in rows])
