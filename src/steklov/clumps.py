@@ -15,7 +15,9 @@ tree test and the sub-k test read the walk. A clump is told to be a minimal
 broom by its shape (:func:`~steklov.families.broom_shape`).
 When a guarantee applies (the hypotheses of the underlying removal lemmas
 hold) and no witness is found, the run fails loudly with CertificationError
-instead of returning a quiet negative.
+instead of returning a quiet negative. Every search takes k and r as
+integers: a bool, a float (6.0 included) or any other non-integral value is
+refused with InvalidParamsError, and a numpy integer is accepted.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .enumeration import _index
 from .errors import (
     CertificationError,
     HypothesisViolatedError,
@@ -62,6 +65,7 @@ def is_sub_k(g: WeightedBoundaryGraph, k: int) -> SubKWitness:
     """
     if not g.is_tree():
         raise NotATreeError("sub-k is defined for trees")
+    k = _index(k, "k")
     if k < 1:
         raise InvalidParamsError("need k >= 1")
     cn = clump_number(g).clump_number
@@ -208,6 +212,7 @@ def find_removal_for_clump(
     """
     if not g.is_tree():
         raise NotATreeError("removal search is defined for trees")
+    r, k = _index(r, "r"), _index(k, "k")
     if r < 0 or k < 1:
         raise InvalidParamsError("need r >= 0 and k >= 1")
     require_unit_weights(g)
@@ -243,6 +248,7 @@ def find_removal_sub_k(
     """
     if not g.is_tree():
         raise NotATreeError("sub-k removal is defined for trees")
+    r, k = _index(r, "r"), _index(k, "k")
     if r < 0 or k < 1:
         raise InvalidParamsError("need r >= 0 and k >= 1")
     if len(g.edges) != (r + 2) * k:
@@ -303,6 +309,7 @@ def classify_type_AB(g: WeightedBoundaryGraph, k: int) -> TypeABClassification:
     """
     if not g.is_tree():
         raise NotATreeError("type A/B classification is defined for trees")
+    k = _index(k, "k")
     if k < 1:
         raise InvalidParamsError("need k >= 1")
     m = len(g.edges)

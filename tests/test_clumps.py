@@ -211,6 +211,37 @@ def test_searches_need_unit_weights():
         find_removal_sub_k(g, 0, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: classify_type_AB(g, 2.0),
+    lambda g: classify_type_AB(g, True),
+    lambda g: find_removal_for_clump(g, 1.0, 2),
+    lambda g: find_removal_for_clump(g, 1, 2.5),
+    lambda g: find_removal_for_clump(g, 1, Fraction(5, 2), half=True),
+    lambda g: find_removal_sub_k(g, 0.0, 2.5),
+    lambda g: find_removal_sub_k(g, False, 3),
+    lambda g: is_sub_k(g, 2.5),
+    lambda g: is_sub_k(g, "2"),
+], ids=["typeab-float", "typeab-bool", "removal-float-r", "removal-float-k",
+        "removal-fraction-k", "sub-k-removal-floats", "sub-k-removal-bool-r",
+        "sub-k-float", "sub-k-str"])
+def test_searches_refuse_non_integer_k_and_r(call):
+    # every search reads k and r as integers; a bool, a float (integral or
+    # not), a Fraction or a string is refused, never run or half-run
+    with pytest.raises(InvalidParamsError):
+        call(path_graph(6))
+
+
+def test_searches_accept_numpy_integers():
+    g = path_graph(6)
+    i64 = np.int64
+    assert classify_type_AB(g, i64(2)) == classify_type_AB(g, 2)
+    assert find_removal_for_clump(g, i64(1), i64(2), half=True) == find_removal_for_clump(
+        g, 1, 2, half=True)
+    assert find_removal_sub_k(path_graph(7), i64(1), np.int32(2)) == find_removal_sub_k(
+        path_graph(7), 1, 2)
+    assert is_sub_k(path_graph(5), i64(2)) == is_sub_k(path_graph(5), 2)
+
+
 def test_type_a_edge_count_consistency():
     # a Type A witness partitions the tree into r components of k vertices,
     # i.e. k-1 edges each
