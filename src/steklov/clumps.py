@@ -11,8 +11,12 @@ set of far ends of its edges, and two passes give each piece's vertices and
 twice its clump number, min(2 h, N - 1) for a piece of N vertices whose
 centroid's heaviest branch has h. The type A split needs no search: it is
 unique when it exists, and it reads the same walk and the same fold, as the
-tree test and the sub-k test read the walk. A clump is told to be a minimal
-broom by its shape (:func:`~steklov.families.broom_shape`).
+tree test and the sub-k test read the walk. Clump numbers and limits are
+held in integer halves: the sub-k test and the star exception read the
+equilibrium point and twice the clump number from ``geometry._centre``, and
+tell a clump of k vertices to be the minimal broom Br(k) by looking its
+(i, d) shape (``families._arm``) up in the solution's ``arms``; Fractions
+appear only in the reports.
 When a guarantee applies (the hypotheses of the underlying removal lemmas
 hold) and no witness is found, the run fails loudly with CertificationError
 instead of returning a quiet negative. Every search takes k and r as
@@ -33,9 +37,14 @@ from .errors import (
     InvalidParamsError,
     NotATreeError,
 )
-from .families import broom_shape, minimal_broom_total
-from .geometry import clump_number, require_unit_weights
-from .graph import WeightedBoundaryGraph, heaviest_branches
+from .families import _arm, minimal_broom_halves
+from .geometry import _centre, clump_number, require_unit_weights
+from .graph import WeightedBoundaryGraph
+
+# No search calls clump_number, but bench/layers.py times the geometry layer
+# by wrapping this module's binding of it, so the binding stays until the
+# benchmark wraps geometry._centre instead.
+_BENCH_WRAPPED = (clump_number,)
 
 
 @dataclass(frozen=True)
@@ -62,26 +71,23 @@ def is_sub_k(g: WeightedBoundaryGraph, k: int) -> SubKWitness:
     with vertex clump number k has at most one clump isomorphic, as a
     rooted metric tree with root o, to a minimal broom of total length k.
     All qualifying vertices are recorded, not just the first success.
+
+    A whole clump number k is attained at one vertex only, the tree's one
+    centroid (two centroids give k - 1/2), so that is the one candidate.
+    Only its branches of k vertices can be Br(k), whose root edge is 1.
     """
     if not g.is_tree():
         raise NotATreeError("sub-k is defined for trees")
     k = _index(k, "k")
     if k < 1:
         raise InvalidParamsError("need k >= 1")
-    cn = clump_number(g).clump_number
-    if cn != k:
-        return SubKWitness(cn < k, k, cn, ())
-    arms = minimal_broom_total(k).shapes
-    adj = g.adjacency
-    heaviest = heaviest_branches(*g.walk)
-    candidates = []
-    for o in range(g.n):
-        if heaviest[o] != k:  # the clump number at vertex o
-            continue
-        matches = tuple(b for b in sorted(adj[o]) if broom_shape(adj, o, b, 1) in arms)
-        candidates.append(SubKCandidate(o, matches, len(matches) <= 1))
-    ok = any(c.ok for c in candidates)
-    return SubKWitness(ok, k, cn, tuple(candidates))
+    (o, *_), twice, heavy = _centre(g)
+    if twice != 2 * k:
+        return SubKWitness(twice < 2 * k, k, Fraction(twice, 2), ())
+    adj, arms = g.adjacency, minimal_broom_halves(twice).arms
+    matches = tuple(b for _, b in heavy if _arm(adj, o, b) in arms)
+    ok = len(matches) <= 1
+    return SubKWitness(ok, k, Fraction(k), (SubKCandidate(o, matches, ok),))
 
 
 @dataclass(frozen=True)
@@ -165,11 +171,11 @@ def _far_ends(g: WeightedBoundaryGraph) -> list[int]:
     return [v if parent[v] == u else u for u, v, _ in g.edges]
 
 
-def _removal_search(g: WeightedBoundaryGraph, sizes, limit: int, judge):
+def _removal_search(g: WeightedBoundaryGraph, far, sizes, limit: int, judge):
     """First removal of edges, taken by size in the order of ``sizes`` and
     within a size lexicographically by edge index, that leaves every
     component with clump number at most ``limit / 2`` and accepted by
-    ``judge``.
+    ``judge``; ``far`` is :func:`_far_ends` of ``g``.
 
     ``judge(vertices, doubled)`` gets a component's sorted vertices and
     twice its clump number, and returns the component's report or None to
@@ -178,7 +184,6 @@ def _removal_search(g: WeightedBoundaryGraph, sizes, limit: int, judge):
     """
     walk = g.walk
     edges = [(u, v) for u, v, _ in g.edges]
-    far = _far_ends(g)
     for size in sizes:
         for picked in itertools.combinations(range(len(edges)), size):
             top, doubled = _fold(walk, {far[i] for i in picked})
@@ -216,11 +221,12 @@ def find_removal_for_clump(
     if r < 0 or k < 1:
         raise InvalidParamsError("need r >= 0 and k >= 1")
     require_unit_weights(g)
-    bound = Fraction(k) + (Fraction(1, 2) if half else 0)
-    found = _removal_search(g, range(r + 1), int(2 * bound), _clump_report)
+    extra = 1 if half else 0
+    limit = 2 * k + extra
+    found = _removal_search(g, _far_ends(g), range(r + 1), limit, _clump_report)
     if found is not None:
-        return RemovalCertificate(*found, bound)
-    edge_budget = (r + 2) * k + r + (1 if half else 0)
+        return RemovalCertificate(*found, Fraction(limit, 2))
+    edge_budget = (r + 2) * k + r + extra
     if len(g.edges) <= edge_budget:
         raise CertificationError(
             f"removal guaranteed for |E| <= {edge_budget} but none found"
@@ -229,11 +235,16 @@ def find_removal_for_clump(
 
 
 def _star_exception(g: WeightedBoundaryGraph, r: int, k: int) -> StarException | None:
-    arms = minimal_broom_total(k).shapes
-    adj = g.adjacency
-    for c in range(g.n):
-        if len(adj[c]) == r + 2 and all(broom_shape(adj, c, b, 1) in arms for b in adj[c]):
-            return StarException(center=c, k=k, r=r)
+    """The star exception of a tree with (r + 2) k edges: a centre of
+    degree r + 2 whose every branch is Br(k). Such a vertex has r + 2
+    branches of k vertices, so it is the one centroid, with clump number k,
+    and they are all its branches."""
+    (c, *_), twice, heavy = _centre(g)
+    if twice != 2 * k or len(heavy) != r + 2:
+        return None
+    adj, arms = g.adjacency, minimal_broom_halves(twice).arms
+    if all(_arm(adj, c, b) in arms for _, b in heavy):
+        return StarException(center=c, k=k, r=r)
     return None
 
 
@@ -269,7 +280,7 @@ def find_removal_sub_k(
             w = tested[verts]
         return ComponentReport(verts, cn, w) if w.value else None
 
-    found = _removal_search(g, range(r + 1), 2 * k, judge)
+    found = _removal_search(g, _far_ends(g), range(r + 1), 2 * k, judge)
     if found is not None:
         return RemovalCertificate(*found, None)
     star = _star_exception(g, r, k)
@@ -316,6 +327,7 @@ def classify_type_AB(g: WeightedBoundaryGraph, k: int) -> TypeABClassification:
     if m < k - 1:
         raise HypothesisViolatedError(f"need |E| >= k-1 = {k - 1}, got {m}")
     require_unit_weights(g)
+    far = _far_ends(g)
 
     type_a = None
     if (m + 1) % k == 0:
@@ -324,7 +336,6 @@ def classify_type_AB(g: WeightedBoundaryGraph, k: int) -> TypeABClassification:
         # exactly the edges whose far side (from vertex 0) has a multiple of
         # k vertices, and there must be r - 1 of them.
         size = g.walk[2]
-        far = _far_ends(g)
         picked = [i for i, c in enumerate(far) if size[c] % k == 0]
         if len(picked) == r - 1:
             top, _ = _fold(g.walk, {far[i] for i in picked})
@@ -334,10 +345,9 @@ def classify_type_AB(g: WeightedBoundaryGraph, k: int) -> TypeABClassification:
     type_b = None
     r = m // k + 1  # the one r with (r-1)k <= m <= rk - 1
     if r >= 2:
-        bound = Fraction(k - 1)
-        found = _removal_search(g, [r - 2], int(2 * bound), _clump_report)
+        found = _removal_search(g, far, [r - 2], 2 * (k - 1), _clump_report)
         if found is not None:
-            type_b = TypeBWitness(r, RemovalCertificate(*found, bound))
+            type_b = TypeBWitness(r, RemovalCertificate(*found, Fraction(k - 1)))
 
     if type_a and type_b:
         verdict = "Both"

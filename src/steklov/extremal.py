@@ -68,13 +68,14 @@ from .families import (
     build_dumbbell,
     build_path,
     build_star,
-    broom_shape,
+    _arm,
     lambda_value,
     minimal_broom,
+    minimal_broom_halves,
     minimal_broom_total,
     rooted_path,
 )
-from .geometry import DEFAULT_ZERO_TOL, clump_number
+from .geometry import DEFAULT_ZERO_TOL, _centre, clump_number, require_unit_weights
 from .graph import (
     Role,
     WeightedBoundaryGraph,
@@ -100,9 +101,10 @@ VERDICT_TOL = 1e-9
 SCREEN_MARGIN = 1e-9
 GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 16
-# The root edge of a clump at the equilibrium point: a whole edge from a
-# vertex, half an edge from a midpoint.
-_ROOT_EDGE_AT_VERTEX, _ROOT_EDGE_AT_MIDPOINT = Fraction(1), Fraction(1, 2)
+# No verifier calls clump_number, but bench/layers.py times the geometry layer
+# by wrapping this module's binding of it (and that of clumps), so the binding
+# stays until the benchmark wraps geometry._centre instead.
+_BENCH_WRAPPED = (clump_number,)
 # theta_i = 1/(2 + 2 cos(pi/i)), exact where cos(pi/i) is rational or quadratic
 THETA = {
     2: Fraction(1, 2),
@@ -744,7 +746,7 @@ def verify_lambda1_bound(g: WeightedBoundaryGraph) -> Lambda1BoundVerdict:
     if equality and len(g.dirichlet) == 1:
         o = g.dirichlet[0]
         (attach,) = g.adjacency[o]  # o is a leaf
-        structure = broom_shape(g.adjacency, o, attach, l) in sol.shapes
+        structure = _arm(g.adjacency, o, attach) in sol.arms  # root edge l
     return Lambda1BoundVerdict(lam1, bound, l, n, holds, equality, structure)
 
 
@@ -775,24 +777,27 @@ def verify_steklov_clump(g: WeightedBoundaryGraph) -> ClumpBoundVerdict:
     """sigma_2(T) >= Lambda(Clump(T)); equality iff at least two clumps at
     the equilibrium point are minimal brooms Br(Clump(T)). T is a tree with
     at least one edge, unit measures, no B_D and B exactly its leaves, else
-    HypothesesNotMetError; a weight other than 1 raises NotUnitWeightError."""
+    HypothesesNotMetError; a weight other than 1 raises NotUnitWeightError.
+
+    Decided in integer halves: the clump number is ``twice`` / 2 from the
+    tree's walk (``geometry._centre``). A branch of s vertices at the point
+    is a clump of length first + s - 1, for a root edge first = 1 at a
+    vertex and 1/2 at a midpoint, while Br(Clump(T)) has h vertices, so
+    only the branches of h vertices can be one; each is looked up by its
+    (i, d) shape in the solution's ``arms``, whose brooms share that root
+    edge."""
     _require_leaf_boundary_tree(g)
-    rep = clump_number(g)
-    cn = rep.clump_number
-    brooms = minimal_broom_total(cn)
+    require_unit_weights(g)
+    _, twice, heavy = _centre(g)
+    brooms = minimal_broom_halves(twice)
     bound = float(brooms.value)
     sigma2 = sigma_value(g, 2)
     holds = sigma2 >= bound - VERDICT_TOL
     equality = abs(sigma2 - bound) <= VERDICT_TOL
-    pt, shapes, adj = rep.point, brooms.shapes, g.adjacency
-    first = _ROOT_EDGE_AT_VERTEX if pt.is_vertex else _ROOT_EDGE_AT_MIDPOINT
-    matches = 0
-    for clump in rep.clumps:
-        # from a midpoint the walk leaves the edge's other end behind
-        root = pt.vertex if pt.is_vertex else sum(pt.edge) - clump.attach
-        matches += broom_shape(adj, root, clump.attach, first) in shapes
+    adj, arms = g.adjacency, brooms.arms
+    matches = sum(_arm(adj, root, attach) in arms for root, attach in heavy)
     return ClumpBoundVerdict(
-        sigma2, cn, bound, holds, equality, matches,
+        sigma2, Fraction(twice, 2), bound, holds, equality, matches,
         rigidity_consistent=(matches >= 2) == equality,
     )
 
@@ -813,7 +818,7 @@ def verify_sigma2_tree(g: WeightedBoundaryGraph) -> Sigma2TreeVerdict:
     _require_leaf_boundary_tree(g)
     if any(w != 1 for _, _, w in g.edges):
         raise HypothesesNotMetError("tree bound needs unit edge weights")
-    bound = float(lambda_value(Fraction(len(g.edges), 2)))
+    bound = float(minimal_broom_halves(len(g.edges)).value)
     sigma2 = sigma_value(g, 2)
     holds = sigma2 >= bound - VERDICT_TOL
     equality = abs(sigma2 - bound) <= VERDICT_TOL

@@ -4,7 +4,12 @@ A weighted graph is read as a metric graph with edge lengths 1/w.
 Eigenfunctions extend piecewise linearly along edges; their zero sets cut
 the metric graph into nodal domains, and each domain induces a weighted
 graph with Dirichlet boundary at the cut points. Clump numbers are the
-unit-tree branch statistics used by the removal lemmas.
+unit-tree branch statistics used by the removal lemmas: ``_centre`` reads a
+tree's equilibrium point, twice its clump number (an int: 2 h at one
+centroid, 2 h - 1 at the midpoint between two) and the branches of h
+vertices there off the tree's one walk, and every clump bound decides from
+those integers; :func:`clump_number` turns them into its report, with
+Fraction lengths and the clumps' vertices.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from .errors import (
 from .graph import (
     Role,
     WeightedBoundaryGraph,
-    centroids,
     component_passes,
+    heaviest_branches,
     make_graph,
 )
 from .spectral import dirichlet_steklov_spectrum
@@ -199,29 +204,48 @@ def clump_number_at(g: WeightedBoundaryGraph, point: GeometricPoint):
     return max((c.length for c in clumps), default=Fraction(0))
 
 
-def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
-    """Clump number of a unit tree with its unique equilibrium point, read
-    off the centroid(s) of the tree's walk.
+def _centre(g: WeightedBoundaryGraph) -> tuple[list[int], int, list[tuple[int, int]]]:
+    """The equilibrium point of a tree, read off its walk: the centroid,
+    or the two adjacent centroids, twice the clump number, and the
+    branches of h vertices at the point, as (root, attach) pairs by attach
+    vertex, where h is the centroids' heaviest branch.
 
     The minimum over |K(G)| is attained at a vertex or an edge midpoint. A
-    vertex's clumps are its branches, so the least value at a vertex is h,
-    the heaviest branch of a centroid. The midpoint of an edge whose sides
-    have s >= N - s vertices has clumps s - 1/2 and N - s - 1/2 long; when
-    s > N - s the vertex on the larger side, whose branches have fewer than
-    s vertices, beats it. So a midpoint wins only at an even split,
-    which exists iff the tree has two centroids, the ends of that edge,
-    with h = N/2: the point is that midpoint, with clump number h - 1/2.
-    Otherwise the one centroid is the point, with clump number h. Either
-    way the point is unique.
+    vertex's clumps are its branches, so the least value at a vertex is h.
+    The midpoint of an edge whose sides have s >= N - s vertices has clumps
+    s - 1/2 and N - s - 1/2 long; when s > N - s the vertex on the larger
+    side, whose branches have fewer than s vertices, beats it. So a
+    midpoint wins only at an even split, which exists iff the tree has two
+    centroids, the ends of that edge, with h = N/2: the point is that
+    midpoint, twice the clump number 2 h - 1, and both sides are branches of
+    h vertices, each rooted at the edge's other end. Otherwise the one
+    centroid is the point, and twice the clump number is 2 h. Either way the
+    point is unique. The caller vouches that ``g`` is a tree.
     """
+    order, parent, size = walk = g.walk
+    heaviest = heaviest_branches(*walk)
+    h = min(heaviest.values())
+    tops = [v for v, x in heaviest.items() if x == h]
+    if len(tops) == 2:
+        u, v = sorted(tops)
+        return tops, 2 * h - 1, [(v, u), (u, v)]
+    (c,) = tops
+    rest = len(order) - size[c]  # the branch through c's parent
+    heavy = [(c, b) for b in sorted(g.adjacency[c])
+             if (size[b] if parent[b] == c else rest) == h]
+    return tops, 2 * h, heavy
+
+
+def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
+    """Clump number of a unit tree with its unique equilibrium point (see
+    ``_centre``), and the clumps at that point."""
     _require_unit_tree(g)
-    tops = centroids(*g.walk)
+    tops, twice, _ = _centre(g)
     if len(tops) == 1:
         pt = GeometricPoint.at_vertex(tops[0])
     else:
         pt = GeometricPoint.on_edge(*sorted(tops), Fraction(1, 2))
-    clumps = _clumps_at(g, pt)
-    return ClumpReport(pt, clumps, max((c.length for c in clumps), default=Fraction(0)))
+    return ClumpReport(pt, _clumps_at(g, pt), Fraction(twice, 2))
 
 
 # -- nodal domains -------------------------------------------------------------------

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from steklov import enumeration, exact, extremal, families, spectral
+from steklov import enumeration, exact, extremal, families, geometry, spectral
 from steklov import graph as graph_mod
 from steklov.enumeration import (
     GraphClassStream,
@@ -18,6 +18,7 @@ from steklov.enumeration import (
     canonical_code,
     enumerate_connected_graphs,
     enumerate_trees,
+    tree_code,
 )
 from steklov.errors import (
     DisconnectedError,
@@ -49,11 +50,25 @@ from steklov.extremal import (
     verify_steklov_clump,
 )
 from steklov.exact import QuadraticSurd, inertia_counts
-from steklov.families import RootedTree, build_broom, minimal_broom, rooted_path
+from steklov.families import (
+    RootedTree,
+    broom_shape,
+    build_broom,
+    lambda_value,
+    minimal_broom,
+    rooted_path,
+)
+from steklov.geometry import GeometricPoint, clump_lengths_at, clump_number_at
 from steklov.graph import Role, combinatorial_graph, make_graph
 from steklov.spectral import steklov_spectrum
 
-from conftest import counting_calls, path_graph, random_weighted_graph
+from conftest import (
+    broom_codes,
+    clump_rooted_tree,
+    counting_calls,
+    path_graph,
+    random_weighted_graph,
+)
 
 # every supported (n, i, class): trees n <= 12, connected graphs n <= 7
 GRID_PAIRS = [(n, i) for n in range(3, 13) for i in range(2, n)]
@@ -919,6 +934,45 @@ def test_lambda1_bound_sweep_trees(rng):
     assert equalities > 5
 
 
+def _lambda1_bound_inputs():
+    """Every graph the lambda_1 bound tests above verify, and the brooms
+    Br(l, i, d) with i, d < 6 at four lengths."""
+    yield build_broom(1, 1, 2).graph
+    yield path_graph(3).with_roles([Role.DIRICHLET, Role.INTERIOR, Role.BOUNDARY])
+    cat = combinatorial_graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5)])
+    yield cat.with_roles([Role.DIRICHLET] + [
+        Role.BOUNDARY if v in (4, 5) else Role.INTERIOR for v in range(1, 6)])
+    for n in range(3, 9):
+        for g in enumerate_trees(n):
+            leaves = g.leaves()
+            for z in leaves if len(leaves) >= 2 else ():
+                yield g.with_roles([
+                    Role.DIRICHLET if v == z
+                    else (Role.BOUNDARY if v in leaves else Role.INTERIOR)
+                    for v in range(g.n)
+                ])
+    for l in (3, 3.0, 2.5, 0.1):
+        for i in range(6):
+            for d in range(6):
+                yield build_broom(l, i, d).graph
+
+
+def test_lambda1_structure_reads_the_broom_shapes():
+    # the (i, d) lookup in the solution's arms decides structure_matches as
+    # the BroomParams lookup in its shapes does
+    equalities = 0
+    for g in _lambda1_bound_inputs():
+        v = verify_lambda1_bound(g)
+        want = None
+        if v.equality and len(g.dirichlet) == 1:
+            o = g.dirichlet[0]
+            (attach,) = g.adjacency[o]
+            want = broom_shape(g.adjacency, o, attach, v.l) in minimal_broom(v.l, v.n).shapes
+            equalities += 1
+        assert v.structure_matches is want, g.edges
+    assert equalities > 50
+
+
 def test_steklov_clump_p4():
     v = verify_steklov_clump(path_graph(4))
     assert v.clump == Fraction(3, 2)
@@ -962,6 +1016,57 @@ def test_steklov_clump_sweep():
         for g in enumerate_trees(n):
             v = verify_steklov_clump(g)
             assert v.holds and v.rigidity_consistent, (n, g.edges)
+
+
+def _oracle_steklov_clump(g):
+    """verify_steklov_clump by the Fraction path: the clump number is the
+    least clump_number_at over every vertex and edge midpoint, attained at
+    one point, and a broom clump is a clump at that point as long as the
+    clump number whose rooted metric code is a minimal broom's."""
+    points = [GeometricPoint.at_vertex(v) for v in range(g.n)]
+    points += [GeometricPoint.on_edge(u, v, Fraction(1, 2)) for u, v, _ in g.edges]
+    values = [clump_number_at(g, pt) for pt in points]
+    clump = min(values)
+    (pt,) = [p for p, x in zip(points, values) if x == clump]
+    codes = broom_codes(clump)
+    matches = sum(c.length == clump and tree_code(*clump_rooted_tree(g, pt, c)) in codes
+                  for c in clump_lengths_at(g, pt))
+    bound = float(lambda_value(clump))
+    sigma2 = sigma_value(g, 2)
+    equality = abs(sigma2 - bound) <= extremal.VERDICT_TOL
+    return extremal.ClumpBoundVerdict(
+        sigma2, clump, bound, sigma2 >= bound - extremal.VERDICT_TOL, equality, matches,
+        rigidity_consistent=(matches >= 2) == equality)
+
+
+def test_steklov_clump_matches_the_fraction_oracle():
+    # every tree 2 <= n <= 11, stored and relabelled at random (so the walk
+    # from vertex 0 meets the centroids from every side): the whole verdict,
+    # bound, equality, broom count and rigidity included
+    rng = np.random.default_rng(37)
+    checked = brooms = 0
+    for n in range(2, 12):
+        for g in enumerate_trees(n):
+            label = rng.permutation(n).tolist()
+            twin = combinatorial_graph(n, [(label[u], label[v]) for u, v, _ in g.edges])
+            for h in (g, twin):
+                got = verify_steklov_clump(h)
+                assert got == _oracle_steklov_clump(h), h.edges
+                assert type(got.broom_clumps) is int and type(got.clump) is Fraction
+                checked += 1
+                brooms += got.broom_clumps >= 2
+    assert checked == 870 and brooms > 50
+
+
+def test_warm_clump_bound_builds_no_broom_and_no_clump_list(monkeypatch):
+    # a warm verify decides in integer halves: no BroomParams, and no clump
+    # vertex list, is built
+    trees = [g for n in range(2, 10) for g in enumerate_trees(n)]
+    first = [verify_steklov_clump(g) for g in trees]
+    shapes = counting_calls(monkeypatch, families.BroomParams, "__post_init__")
+    clump_lists = counting_calls(monkeypatch, geometry, "_clumps_at")
+    assert [verify_steklov_clump(g) for g in trees] == first
+    assert shapes == [] and clump_lists == []
 
 
 def test_sigma2_tree_sweep():

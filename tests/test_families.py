@@ -29,6 +29,7 @@ from steklov.families import (
     comb_tooth_with_dirichlet_edge,
     lambda_value,
     minimal_broom,
+    minimal_broom_halves,
     minimal_broom_total,
     rooted_path,
 )
@@ -195,6 +196,24 @@ def test_broom_shape_matches_rooted_codes():
                     clumps += 1
                     brooms += got
     assert clumps == 15832 and brooms > 1000
+
+
+def test_arms_are_the_shapes_of_one_root_edge():
+    # every broom of one solution has the same root edge, so its (i, d)
+    # pairs tell its shapes apart: Br(l) at a whole or a half l has root edge
+    # 1 or 1/2, Br(l, n) the Dirichlet l itself
+    for j in range(1, 41):
+        sol = minimal_broom_total(Fraction(j, 2))
+        assert {p.l for p in sol.shapes} == {Fraction(2 - j % 2, 2)}, j
+        assert sol.arms == {(p.i, p.d) for p in sol.shapes}, j
+        assert len(sol.arms) == len(sol.shapes), j
+        assert minimal_broom_halves(j) == sol, j
+    for l in (Fraction(1, 3), Fraction(1, 2), 1, Fraction(10, 3), 0.1, 2.5, 3.0):
+        for n in range(9):
+            sol = minimal_broom(l, n)
+            assert {p.l for p in sol.shapes} == {l}, (l, n)
+            assert sol.arms == {(p.i, p.d) for p in sol.shapes}, (l, n)
+            assert len(sol.arms) == len(sol.shapes), (l, n)
 
 
 @pytest.mark.parametrize("order", [(3.0, Fraction(3)), (Fraction(3), 3.0)],
