@@ -12,11 +12,8 @@ twice its clump number, min(2 h, N - 1) for a piece of N vertices whose
 centroid's heaviest branch has h. The type A split needs no search: it is
 unique when it exists, and it reads the same walk and the same fold, as the
 tree test and the sub-k test read the walk. Clump numbers and limits are
-held in integer halves: the sub-k test and the star exception read the
-equilibrium point and twice the clump number from ``geometry._centre``, and
-tell a clump of k vertices to be the minimal broom Br(k) by looking its
-(i, d) shape (``families._arm``) up in the solution's ``arms``; Fractions
-appear only in the reports.
+integer halves, and a clump is told to be Br(k) by its (i, d) shape in the
+solution's ``arms``; Fractions appear only in reports.
 When a guarantee applies (the hypotheses of the underlying removal lemmas
 hold) and no witness is found, the run fails loudly with CertificationError
 instead of returning a quiet negative. Every search takes k and r as
@@ -41,9 +38,7 @@ from .families import _arm, minimal_broom_halves
 from .geometry import _centre, clump_number, require_unit_weights
 from .graph import WeightedBoundaryGraph
 
-# No search calls clump_number, but bench/layers.py times the geometry layer
-# by wrapping this module's binding of it, so the binding stays until the
-# benchmark wraps geometry._centre instead.
+# bench/layers.py times this binding by name, though no search calls it.
 _BENCH_WRAPPED = (clump_number,)
 
 
@@ -70,20 +65,18 @@ def is_sub_k(g: WeightedBoundaryGraph, k: int) -> SubKWitness:
     True when the clump number is below k, or equals k and some vertex o
     with vertex clump number k has at most one clump isomorphic, as a
     rooted metric tree with root o, to a minimal broom of total length k.
-    All qualifying vertices are recorded, not just the first success.
-
-    A whole clump number k is attained at one vertex only, the tree's one
-    centroid (two centroids give k - 1/2), so that is the one candidate.
-    Only its branches of k vertices can be Br(k), whose root edge is 1.
+    The one vertex of clump number k is then the one centroid, and only its
+    branches of k vertices can be Br(k).
     """
     if not g.is_tree():
         raise NotATreeError("sub-k is defined for trees")
     k = _index(k, "k")
     if k < 1:
         raise InvalidParamsError("need k >= 1")
-    (o, *_), twice, heavy = _centre(g)
+    tops, twice, heavy = _centre(g)
     if twice != 2 * k:
         return SubKWitness(twice < 2 * k, k, Fraction(twice, 2), ())
+    (o,) = tops
     adj, arms = g.adjacency, minimal_broom_halves(twice).arms
     matches = tuple(b for _, b in heavy if _arm(adj, o, b) in arms)
     ok = len(matches) <= 1
@@ -235,13 +228,12 @@ def find_removal_for_clump(
 
 
 def _star_exception(g: WeightedBoundaryGraph, r: int, k: int) -> StarException | None:
-    """The star exception of a tree with (r + 2) k edges: a centre of
-    degree r + 2 whose every branch is Br(k). Such a vertex has r + 2
-    branches of k vertices, so it is the one centroid, with clump number k,
-    and they are all its branches."""
-    (c, *_), twice, heavy = _centre(g)
+    """A centre of degree r + 2 whose every branch is Br(k), of k vertices:
+    in a tree of (r + 2) k edges, the one centroid, at clump number k."""
+    tops, twice, heavy = _centre(g)
     if twice != 2 * k or len(heavy) != r + 2:
         return None
+    (c,) = tops
     adj, arms = g.adjacency, minimal_broom_halves(twice).arms
     if all(_arm(adj, c, b) in arms for _, b in heavy):
         return StarException(center=c, k=k, r=r)

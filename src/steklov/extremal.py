@@ -62,14 +62,13 @@ from .errors import (
 from .exact import QuadraticSurd, member_counts
 from .families import (
     RootedTree,
+    _arm,
     build_broom,
     build_comb,
     build_cycle,
     build_dumbbell,
     build_path,
     build_star,
-    _arm,
-    lambda_value,
     minimal_broom,
     minimal_broom_halves,
     minimal_broom_total,
@@ -101,9 +100,7 @@ VERDICT_TOL = 1e-9
 SCREEN_MARGIN = 1e-9
 GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 16
-# No verifier calls clump_number, but bench/layers.py times the geometry layer
-# by wrapping this module's binding of it (and that of clumps), so the binding
-# stays until the benchmark wraps geometry._centre instead.
+# bench/layers.py times this binding by name, though no verifier calls it.
 _BENCH_WRAPPED = (clump_number,)
 # theta_i = 1/(2 + 2 cos(pi/i)), exact where cos(pi/i) is rational or quadratic
 THETA = {
@@ -265,7 +262,7 @@ def _predicted(n: int, i: int, graph_class: str) -> ExtremalTarget:
     """The target of checked arguments (see :func:`predicted_bound`)."""
     m, theta, characterized = n // i, None, True
     if i == 2:
-        case, bound_exact = "sigma2", lambda_value(Fraction(n - 1, 2))
+        case, bound_exact = "sigma2", minimal_broom_halves(n - 1).value
         candidates = _sigma2_minimizers(n)
     elif n % i != 0:
         case, sol = "i_not_dividing", minimal_broom_total(m)
@@ -778,14 +775,9 @@ def verify_steklov_clump(g: WeightedBoundaryGraph) -> ClumpBoundVerdict:
     the equilibrium point are minimal brooms Br(Clump(T)). T is a tree with
     at least one edge, unit measures, no B_D and B exactly its leaves, else
     HypothesesNotMetError; a weight other than 1 raises NotUnitWeightError.
-
-    Decided in integer halves: the clump number is ``twice`` / 2 from the
-    tree's walk (``geometry._centre``). A branch of s vertices at the point
-    is a clump of length first + s - 1, for a root edge first = 1 at a
-    vertex and 1/2 at a midpoint, while Br(Clump(T)) has h vertices, so
-    only the branches of h vertices can be one; each is looked up by its
-    (i, d) shape in the solution's ``arms``, whose brooms share that root
-    edge."""
+    A branch of s vertices at the point is a clump of length first + s - 1
+    (first = 1 at a vertex, 1/2 at a midpoint), so only the branches of h
+    vertices can be Br(Clump(T)); each is looked up by its (i, d) shape."""
     _require_leaf_boundary_tree(g)
     require_unit_weights(g)
     _, twice, heavy = _centre(g)

@@ -5,12 +5,11 @@ Lambda(l,n) / Lambda(l), dumbbells, stars, regular combs, paths and
 cycles. Br(l,n) is the one minimal-broom table: Br(l), of total length l,
 is Br(l - n, n) with n = ceil(l) - 1, so its Dirichlet edge keeps a length
 in (0, 1]. ``_arm`` reads which broom shape (i, d), if any, a branch of a
-tree is, so a minimal broom is recognised by looking its pair up in a
-solution's ``arms``; :func:`broom_shape` reports the same shape as a
-``BroomParams``. :func:`minimal_broom_halves` looks Br(l) up by the int 2 l,
-as the clump layers hold lengths in halves. Closed-form values are exact Fractions whenever the inputs are
-rational; numeric conformance against the spectral module is exercised in
-the tests.
+tree is, and a minimal broom is the one whose pair is in its solution's
+``arms``; :func:`minimal_broom_halves` looks Br(l) up by the int 2 l, as
+the clump layers hold lengths in halves. Closed-form values are exact
+Fractions whenever the inputs are rational; numeric conformance against the
+spectral module is exercised in the tests.
 """
 
 from __future__ import annotations
@@ -102,10 +101,9 @@ class MinimalBroomSolution:
     @cached_property
     def arms(self) -> frozenset[tuple[int, int]]:
         """The (i, d) pair of each of ``shapes``, as :func:`_arm` reads a
-        branch. The pairs tell the shapes apart exactly, because every broom
-        of one solution has the same root edge (l - n of Br(l - n, n)); a
-        caller passes a branch whose root edge has that length: 1 or 1/2 for
-        Br(l) at a whole or half l, the Dirichlet l for Br(l, n)."""
+        branch: exact, since a solution's brooms share one root edge, which
+        every caller's branch has (1 or 1/2 for Br(l) at a whole or half l,
+        the Dirichlet l for Br(l, n))."""
         return frozenset((p.i, p.d) for p in self.shapes)
 
 
@@ -134,22 +132,18 @@ def build_broom(l, i: int, d: int) -> FamilyGraph:
 
 
 def broom_shape(adj, root: int, attach: int, first) -> BroomParams | None:
-    """The broom that the branch of the tree ``adj`` through the edge from
-    ``root`` to ``attach`` is, as a rooted tree whose root edge has length
-    ``first`` and every other edge length 1; None when it is no broom."""
+    """The broom :func:`_arm` reads, as a rooted tree whose root edge has
+    length ``first`` and every other edge length 1; None when it is none."""
     arm = _arm(adj, root, attach)
     return None if arm is None else BroomParams(first, *arm)
 
 
 def _arm(adj, root: int, attach: int) -> tuple[int, int] | None:
     """The shape (i, d) of the branch of the tree ``adj`` through the edge
-    from ``root`` to ``attach``: a path of i unit edges from ``attach`` that
-    ends in a leaf (d = 0) or in d >= 2 leaves; None when it is no broom.
-
-    The path runs from ``attach`` while each vertex has exactly one child,
-    so d is never 1 and the shape is normalized. Only the shape is read: the
-    caller vouches for the unit lengths.
-    """
+    from ``root`` to ``attach``: a path of i edges from ``attach`` that ends
+    in one leaf (d = 0) or in d >= 2 leaves, so d is never 1 and the shape
+    is normalized; None when it is no broom. The caller vouches for the unit
+    lengths."""
     parent, v, i = root, attach, 0
     while True:
         children = [u for u in adj[v] if u != parent]
@@ -241,9 +235,7 @@ def _minimal_broom_total(l: Number) -> MinimalBroomSolution:
 
 @lru_cache(maxsize=256)
 def minimal_broom_halves(twice: int) -> MinimalBroomSolution:
-    """:func:`minimal_broom_total` of the length ``twice`` / 2, memoised on
-    the int, so a caller that holds a clump number in halves builds no
-    Fraction."""
+    """:func:`minimal_broom_total` of the length ``twice`` / 2, memoised by int."""
     return minimal_broom_total(Fraction(twice, 2))
 
 

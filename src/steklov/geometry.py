@@ -4,12 +4,8 @@ A weighted graph is read as a metric graph with edge lengths 1/w.
 Eigenfunctions extend piecewise linearly along edges; their zero sets cut
 the metric graph into nodal domains, and each domain induces a weighted
 graph with Dirichlet boundary at the cut points. Clump numbers are the
-unit-tree branch statistics used by the removal lemmas: ``_centre`` reads a
-tree's equilibrium point, twice its clump number (an int: 2 h at one
-centroid, 2 h - 1 at the midpoint between two) and the branches of h
-vertices there off the tree's one walk, and every clump bound decides from
-those integers; :func:`clump_number` turns them into its report, with
-Fraction lengths and the clumps' vertices.
+unit-tree branch statistics used by the removal lemmas, decided in integer
+halves off the tree's walk (``_centre``); only reports hold Fractions.
 """
 
 from __future__ import annotations
@@ -29,8 +25,8 @@ from .errors import (
 from .graph import (
     Role,
     WeightedBoundaryGraph,
+    centroids,
     component_passes,
-    heaviest_branches,
     make_graph,
 )
 from .spectral import dirichlet_steklov_spectrum
@@ -205,35 +201,27 @@ def clump_number_at(g: WeightedBoundaryGraph, point: GeometricPoint):
 
 
 def _centre(g: WeightedBoundaryGraph) -> tuple[list[int], int, list[tuple[int, int]]]:
-    """The equilibrium point of a tree, read off its walk: the centroid,
-    or the two adjacent centroids, twice the clump number, and the
-    branches of h vertices at the point, as (root, attach) pairs by attach
-    vertex, where h is the centroids' heaviest branch.
+    """The equilibrium point of a tree, from its walk: its centroid or two
+    centroids (sorted), twice its clump number, and the branches of h vertices there
+    as (root, attach) pairs by attach vertex, for h the heaviest branch of a
+    centroid. The caller vouches that ``g`` is a tree.
 
-    The minimum over |K(G)| is attained at a vertex or an edge midpoint. A
-    vertex's clumps are its branches, so the least value at a vertex is h.
-    The midpoint of an edge whose sides have s >= N - s vertices has clumps
-    s - 1/2 and N - s - 1/2 long; when s > N - s the vertex on the larger
-    side, whose branches have fewer than s vertices, beats it. So a
-    midpoint wins only at an even split, which exists iff the tree has two
-    centroids, the ends of that edge, with h = N/2: the point is that
-    midpoint, twice the clump number 2 h - 1, and both sides are branches of
-    h vertices, each rooted at the edge's other end. Otherwise the one
-    centroid is the point, and twice the clump number is 2 h. Either way the
-    point is unique. The caller vouches that ``g`` is a tree.
+    A vertex's clumps are its branches, so the least value at a vertex is h.
+    An edge midpoint with sides of s >= N - s vertices has clumps s - 1/2 and
+    N - s - 1/2; at s > N - s the vertex on the larger side beats it. So a
+    midpoint wins only at an even split, between two centroids: h = N/2,
+    clump number h - 1/2, and both sides are branches of h vertices. Either
+    way the point is unique.
     """
     order, parent, size = walk = g.walk
-    heaviest = heaviest_branches(*walk)
-    h = min(heaviest.values())
-    tops = [v for v, x in heaviest.items() if x == h]
+    tops, n = centroids(*walk), len(order)
     if len(tops) == 2:
-        u, v = sorted(tops)
-        return tops, 2 * h - 1, [(v, u), (u, v)]
+        u, v = tops = sorted(tops)
+        return tops, n - 1, [(v, u), (u, v)]
     (c,) = tops
-    rest = len(order) - size[c]  # the branch through c's parent
-    heavy = [(c, b) for b in sorted(g.adjacency[c])
-             if (size[b] if parent[b] == c else rest) == h]
-    return tops, 2 * h, heavy
+    branch = {b: size[b] if parent[b] == c else n - size[c] for b in sorted(g.adjacency[c])}
+    h = max(branch.values(), default=0)
+    return tops, 2 * h, [(c, b) for b, s in branch.items() if s == h]
 
 
 def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
@@ -241,10 +229,8 @@ def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
     ``_centre``), and the clumps at that point."""
     _require_unit_tree(g)
     tops, twice, _ = _centre(g)
-    if len(tops) == 1:
-        pt = GeometricPoint.at_vertex(tops[0])
-    else:
-        pt = GeometricPoint.on_edge(*sorted(tops), Fraction(1, 2))
+    pt = (GeometricPoint.at_vertex(*tops) if len(tops) == 1
+          else GeometricPoint.on_edge(*tops, Fraction(1, 2)))
     return ClumpReport(pt, _clumps_at(g, pt), Fraction(twice, 2))
 
 

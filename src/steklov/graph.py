@@ -118,21 +118,15 @@ def component_passes(adj, verts: Iterable[int] | None):
             yield tuple(sorted(tree[0])), tree
 
 
-def heaviest_branches(order, parent, size) -> dict[int, int]:
-    """Vertex count of each vertex's largest branch (component of the tree
-    minus the vertex), from a :func:`subtree_sizes` pass."""
+def centroids(order, parent, size) -> list[int]:
+    """The centroid of a tree, or its two adjacent centroids: the vertices
+    whose largest branch (component of the tree minus the vertex) is least,
+    from a :func:`subtree_sizes` pass."""
     n = len(order)
     heaviest = {v: n - size[v] for v in order}  # the part beyond the parent
     for v in order[1:]:
         if size[v] > heaviest[parent[v]]:
             heaviest[parent[v]] = size[v]
-    return heaviest
-
-
-def centroids(order, parent, size) -> list[int]:
-    """The centroid of a tree, or its two adjacent centroids: the vertices
-    whose largest branch is least, from a :func:`subtree_sizes` pass."""
-    heaviest = heaviest_branches(order, parent, size)
     best = min(heaviest.values())
     return [v for v, h in heaviest.items() if h == best]
 
