@@ -74,7 +74,8 @@ from .families import (
     minimal_broom_total,
     rooted_path,
 )
-from .geometry import DEFAULT_ZERO_TOL, _centre, clump_number, require_unit_weights
+from . import geometry
+from .geometry import DEFAULT_ZERO_TOL, _centre, require_unit_weights
 from .graph import (
     Role,
     WeightedBoundaryGraph,
@@ -100,8 +101,10 @@ VERDICT_TOL = 1e-9
 SCREEN_MARGIN = 1e-9
 GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 16
-# bench/layers.py times this binding by name, though no verifier calls it.
-_BENCH_WRAPPED = (clump_number,)
+# An attribute only: bench/layers.py wraps ``clump_number`` here by name
+# (tests/test_bench_hooks.py), but the clump bound reads ``_centre``, so the
+# wrapper records nothing until the hook moves there (ROADMAP item 5).
+clump_number = geometry.clump_number
 # theta_i = 1/(2 + 2 cos(pi/i)), exact where cos(pi/i) is rational or quadratic
 THETA = {
     2: Fraction(1, 2),

@@ -95,7 +95,8 @@ class MinimalBroomSolution:
 
     @cached_property
     def shapes(self) -> frozenset[BroomParams]:
-        """The brooms normalized, as :func:`broom_shape` reports them."""
+        """The brooms normalized (d is never 1), as :func:`_arm` reads a
+        branch's (i, d)."""
         return frozenset(p.normalized() for p in self.brooms)
 
     @cached_property
@@ -129,13 +130,6 @@ def build_broom(l, i: int, d: int) -> FamilyGraph:
     landmarks.update({f"u{j + 1}": i + 2 + j for j in range(d)})
     g = make_graph(n, edges, roles=roles)
     return FamilyGraph(g, landmarks, "broom", {"l": l, "i": i, "d": d})
-
-
-def broom_shape(adj, root: int, attach: int, first) -> BroomParams | None:
-    """The broom :func:`_arm` reads, as a rooted tree whose root edge has
-    length ``first`` and every other edge length 1; None when it is none."""
-    arm = _arm(adj, root, attach)
-    return None if arm is None else BroomParams(first, *arm)
 
 
 def _arm(adj, root: int, attach: int) -> tuple[int, int] | None:

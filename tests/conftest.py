@@ -15,7 +15,7 @@ from steklov.enumeration import (
     tree_edges,
     tree_from_code,
 )
-from steklov.families import build_broom, minimal_broom_total
+from steklov.families import BroomParams, _arm, build_broom, minimal_broom_total
 from steklov.graph import (
     Role,
     combinatorial_boundary,
@@ -91,6 +91,14 @@ def clump_rooted_tree(g, point, clump):
     vset = set(verts)
     edges += [(index[u], index[v], w) for u, v, w in g.edges if u in vset and v in vset]
     return make_graph(len(verts) + 1, edges), 0
+
+
+def broom_shape(adj, root, attach, first):
+    """The broom that the branch through the edge from ``root`` to ``attach``
+    is, read by ``families._arm``, with root edge ``first``; None when it is
+    no broom."""
+    arm = _arm(adj, root, attach)
+    return None if arm is None else BroomParams(first, *arm)
 
 
 @lru_cache(maxsize=None)

@@ -209,6 +209,8 @@ def test_searches_need_unit_weights():
         find_removal_for_clump(g, 0, 1)
     with pytest.raises(NotUnitWeightError):
         find_removal_sub_k(g, 0, 1)
+    with pytest.raises(NotUnitWeightError):
+        is_sub_k(g, 1)
 
 
 @pytest.mark.parametrize("call", [

@@ -52,7 +52,6 @@ from steklov.extremal import (
 from steklov.exact import QuadraticSurd, inertia_counts
 from steklov.families import (
     RootedTree,
-    broom_shape,
     build_broom,
     lambda_value,
     minimal_broom,
@@ -64,6 +63,7 @@ from steklov.spectral import steklov_spectrum
 
 from conftest import (
     broom_codes,
+    broom_shape,
     clump_rooted_tree,
     counting_calls,
     path_graph,

@@ -16,7 +16,6 @@ from steklov.families import (
     RootedTree,
     broom_eigenfunction,
     broom_lambda1,
-    broom_shape,
     build_broom,
     build_comb,
     build_cycle,
@@ -43,6 +42,7 @@ from steklov.spectral import (
 
 from conftest import (
     broom_codes,
+    broom_shape,
     clump_rooted_tree,
     mu_max_path,
     structurally_equal,
