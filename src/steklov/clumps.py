@@ -34,9 +34,8 @@ from .errors import (
     InvalidParamsError,
     NotATreeError,
 )
-from .families import _arm, minimal_broom_halves
 from . import geometry
-from .geometry import _centre, require_unit_weights
+from .geometry import _broom_branches, _centre, require_unit_weights
 from .graph import WeightedBoundaryGraph
 
 # An attribute only: bench/layers.py wraps ``clump_number`` here by name
@@ -81,8 +80,7 @@ def is_sub_k(g: WeightedBoundaryGraph, k: int) -> SubKWitness:
     if twice != 2 * k:
         return SubKWitness(twice < 2 * k, k, Fraction(twice, 2), ())
     (o,) = tops
-    adj, arms = g.adjacency, minimal_broom_halves(twice).arms
-    matches = tuple(b for _, b in heavy if _arm(adj, o, b) in arms)
+    matches = _broom_branches(g, twice, heavy)
     ok = len(matches) <= 1
     return SubKWitness(ok, k, Fraction(k), (SubKCandidate(o, matches, ok),))
 
@@ -238,8 +236,7 @@ def _star_exception(g: WeightedBoundaryGraph, r: int, k: int) -> StarException |
     if twice != 2 * k or len(heavy) != r + 2:
         return None
     (c,) = tops
-    adj, arms = g.adjacency, minimal_broom_halves(twice).arms
-    if all(_arm(adj, c, b) in arms for _, b in heavy):
+    if len(_broom_branches(g, twice, heavy)) == len(heavy):
         return StarException(center=c, k=k, r=r)
     return None
 

@@ -8,13 +8,11 @@ cells, found by a row-by-row search that keeps only the least rows
 (individualisation and refinement, McKay-Piperno 2014). Both codes are
 decodable strings, and each class member is stored (on disk too) under its
 :func:`canonical_code`: the tree code of a tree, else its graph code. A
-class object parses its codes once into one store: a tree-coded member as
-its parent and degree arrays (``bytes``, by vertex in preorder), which the
-exact counts read directly, any other member as its edge tuple; edge lists
-are derived from that store. The class object also holds its screen, the
-float spectra of every member, and its leaf table, the exact counts of
-every member at b = 1, each built on first read from stacked edge arrays
-that are derived from the store and not kept.
+class object parses its codes once into one store, every member's edge
+ends in one flat ``bytes`` row by row, which edge lists, iteration and the
+exact counts read. It also holds its screen, the float spectra of every
+member, and its leaf table, the exact counts of every member at b = 1,
+each built on first read from one numpy view of the store, not kept.
 
 Both classes are built from smaller pieces: free trees from the rooted
 branches at their centroids (Otter), connected graphs by joining a vertex to
@@ -113,14 +111,13 @@ def unit_tree_code(adj) -> str:
     return min(_rooted_code(adj, c, _unit_length) for c in centroids(*subtree_sizes(adj)))
 
 
-def _tree_grammar(code: str) -> tuple[list[int], list[int], list[str]]:
-    """Parents, degrees and edge-length strings of a tree code: "(", then
-    each child as the length of the edge to it and its own code, then ")".
-    Vertices are numbered in preorder: each one's parent is the top of the
-    stack when it opens, and the root, vertex 0, is its own parent. The
-    lengths are listed by child, from vertex 1 on."""
+def _tree_grammar(code: str) -> tuple[list[int], list[str]]:
+    """Parents and edge-length strings of a tree code: "(", then each child
+    as the length of the edge to it and its own code, then ")". Vertices
+    are numbered in preorder: each one's parent is the top of the stack
+    when it opens, and the root, vertex 0, is its own parent. The lengths
+    are listed by child, from vertex 1 on."""
     parent: list[int] = []
-    degree: list[int] = []
     lengths: list[str] = []
     stack: list[int] = []
     start = 0  # where the text since the last bracket begins
@@ -128,7 +125,6 @@ def _tree_grammar(code: str) -> tuple[list[int], list[int], list[str]]:
         if ch == "(":
             if stack:
                 up = stack[-1]
-                degree[up] += 1
                 lengths.append(code[start:pos])
             elif pos:
                 raise ParseError(f"trailing characters in tree code {code!r}")
@@ -136,7 +132,6 @@ def _tree_grammar(code: str) -> tuple[list[int], list[int], list[str]]:
                 up = 0  # the root
             stack.append(len(parent))
             parent.append(up)
-            degree.append(1 if pos else 0)  # the edge to its parent
             start = pos + 1
         elif ch == ")":
             if not stack or start != pos:
@@ -145,7 +140,7 @@ def _tree_grammar(code: str) -> tuple[list[int], list[int], list[str]]:
             start = pos + 1
     if stack or not parent or start != len(code):
         raise ParseError(f"malformed tree code: {code!r}")
-    return parent, degree, lengths
+    return parent, lengths
 
 
 def _parent_edges(parent) -> list[tuple[int, int]]:
@@ -153,26 +148,26 @@ def _parent_edges(parent) -> list[tuple[int, int]]:
     return [(parent[v], v) for v in range(1, len(parent))]
 
 
-def _unit_tree(code: str) -> tuple[list[int], list[int]]:
-    """Parents and degrees of a unit-length tree code; codes with any other
-    edge length are rejected."""
-    parent, degree, lengths = _tree_grammar(code)
+def _unit_tree(code: str) -> list[int]:
+    """Parents of a unit-length tree code; codes with any other edge length
+    are rejected."""
+    parent, lengths = _tree_grammar(code)
     if lengths.count("1") != len(lengths):
         raise ParseError(f"not a unit tree code: {code!r}")
-    return parent, degree
+    return parent
 
 
 def tree_edges(code: str) -> tuple[int, list[tuple[int, int]]]:
     """Vertex count and edges of a unit-length tree code, numbered as
     :func:`tree_from_code` numbers them (preorder), each edge from parent
     to child. Codes with any other edge length are rejected."""
-    parent, _ = _unit_tree(code)
+    parent = _unit_tree(code)
     return len(parent), _parent_edges(parent)
 
 
 def tree_from_code(code: str) -> WeightedBoundaryGraph:
     """Rebuild a combinatorial tree from its code (weights = 1/length)."""
-    parent, _, lengths = _tree_grammar(code)
+    parent, lengths = _tree_grammar(code)
     n, edges = len(parent), []
     for (u, v), text in zip(_parent_edges(parent), lengths):
         try:
@@ -330,7 +325,8 @@ def _cache_load(kind: str, n: int, path: Path) -> GraphClassStream | None:
         text = ""
     stream = GraphClassStream(kind, n, tuple(line for line in text.splitlines() if line))
     try:
-        if _is_class(kind, n, stream.codes) and stream.members:
+        if _is_class(kind, n, stream.codes):
+            stream.store  # the parse, which raises on a bad code
             return stream
     except ParseError:
         pass
@@ -355,11 +351,11 @@ def _cache_store(path: Path, codes: tuple[str, ...]) -> None:
 class GraphClassStream:
     """One isomorphism class, held once per class file: its members'
     :func:`canonical_code` strings, sorted, as ``codes``, and the one store
-    of their parse, ``members``, filled once: when the class is read from
-    its file (the parse is part of the file's check), else on first read.
-    Edge lists, the fresh graphs of every iteration, the screen
-    ``spectra`` and the exact ``leaf_table`` at b = 1 are derived from
-    that store; the last two are held with the object, read-only."""
+    of their parse, ``store``, filled once: when the class is read from its
+    file (the parse is part of the file's check), else on first read. Its
+    rows, the edge lists, the fresh graphs of every iteration, the screen
+    ``spectra`` and the exact ``leaf_table`` at b = 1 are read from that
+    store; the last two are held with the object, read-only."""
 
     kind: str
     n: int
@@ -369,48 +365,49 @@ class GraphClassStream:
         return len(self.codes)
 
     @cached_property
-    def members(self) -> tuple:
-        """Each code parsed. A tree-coded member (a code that opens with
-        "(", as every code of a tree class must) is held as its parent and
-        degree arrays, a pair of ``bytes`` indexed by vertex in preorder,
-        the root vertex 0 its own parent; any other member as its edge
-        tuple. While a code is bad or not on n vertices, every read raises
-        ParseError."""
-        held = []
+    def store(self) -> tuple[bytes, tuple[int, ...]]:
+        """Every member's edge ends (u, v, u, v, ...) in one flat ``bytes``,
+        and the offsets where each member's row starts, then where the last
+        ends (:meth:`row`). A tree-coded member (a code that opens with "(",
+        as every code of a tree class must) has the pairs of
+        :func:`tree_edges`, so its row's even bytes are the parents of
+        vertices 1..n-1, any other member those of :func:`graph_edges`. A
+        row has n - 1 edges iff its code is a tree code: while a code is
+        bad, not on n vertices or a graph code of fewer than n edges, every
+        read raises ParseError."""
+        ends, starts = bytearray(), [0]
         for code in self.codes:
-            tree = self.kind == "trees" or code.startswith("(")
-            if tree:
-                parent, degree = _unit_tree(code)
-                size = len(parent)
+            if self.kind == "trees" or code.startswith("("):
+                parent = _unit_tree(code)
+                size, row = len(parent), bytearray(2 * len(parent) - 2)
+                row[0::2], row[1::2] = parent[1:], range(1, size)
             else:
                 size, edges = graph_edges(code)
+                if len(edges) < size:
+                    raise ParseError(f"graph code {code!r} has fewer than {size} edges")
+                row = itertools.chain.from_iterable(edges)
             if size != self.n:
                 raise ParseError(f"class code {code!r} is not on {self.n} vertices")
-            held.append((bytes(parent), bytes(degree)) if tree else tuple(edges))
-        return tuple(held)
+            ends.extend(row)
+            starts.append(len(ends))
+        return bytes(ends), tuple(starts)
+
+    def row(self, j: int) -> bytes:
+        """Member j's edge ends (u, v, u, v, ...) in :attr:`store`."""
+        ends, starts = self.store
+        return ends[starts[j]:starts[j + 1]]
 
     def _edge_arrays(self):
         """The stacked edge arrays (``owner``, ``ends``) of
         :func:`~steklov.spectral.stacked_steklov_spectra`, built afresh from
         the store for :attr:`spectra` and :attr:`leaf_table`, so neither
-        keeps them: a tree member's straight from its parent ``bytes``
-        (``np.frombuffer``), the edges (parent, child) of :meth:`edge_lists`
-        with no tuple built; any other member's from its edge tuple."""
+        keeps them: one ``np.frombuffer`` view of its bytes and one
+        ``np.repeat`` of each member's index over its edges."""
         import numpy as np
 
-        n, members = self.n, self.members
-        tree = [bool(m) and isinstance(m[0], bytes) for m in members]
-        rest = [m for m, t in zip(members, tree) if not t]
-        # tree member j has the edges (parent[v], v), v = 1..n-1, row j of parents
-        parents = np.frombuffer(b"".join([m[0] for m, t in zip(members, tree) if t]), np.uint8)
-        parents = parents.reshape(-1, n)[:, 1:]
-        children = np.broadcast_to(np.arange(1, n, dtype=np.uint8), parents.shape)
-        tree = np.array(tree, dtype=bool)
-        owner = np.concatenate([np.repeat(np.flatnonzero(tree), n - 1),
-                                np.repeat(np.flatnonzero(~tree), [len(m) for m in rest])])
-        ends = np.concatenate([np.stack([parents, children], axis=2).reshape(-1, 2),
-                               np.array([p for m in rest for p in m], np.uint8).reshape(-1, 2)])
-        return owner, ends
+        ends, starts = self.store
+        owner = np.repeat(np.arange(len(self)), np.diff(starts) // 2)
+        return owner, np.frombuffer(ends, np.uint8).reshape(-1, 2)
 
     @cached_property
     def spectra(self):
@@ -440,13 +437,10 @@ class GraphClassStream:
         table.flags.writeable = False
         return table
 
-    def edge_lists(self) -> list:
-        """Each member's edges, derived afresh from the store and numbered
-        as its decoder numbers them: a tree member's (its pair of ``bytes``)
-        as (parent, child) pairs by child, as :func:`tree_edges` gives them;
-        any other member's edge tuple, which may be empty, as it is held."""
-        return [_parent_edges(member[0]) if member and isinstance(member[0], bytes)
-                else member for member in self.members]
+    def edge_lists(self) -> list[list[tuple[int, int]]]:
+        """Each member's :meth:`row` as (u, v) pairs, derived afresh: those
+        of :func:`tree_edges` or :func:`graph_edges` on its code."""
+        return [list(zip(row[0::2], row[1::2])) for row in map(self.row, range(len(self)))]
 
     def __iter__(self):
         return (combinatorial_graph(self.n, edges) for edges in self.edge_lists())

@@ -7,15 +7,15 @@ Lambda is the DtN matrix. By Haynsworth's inertia additivity (Linear
 Algebra Appl. 1, 1968), M has exactly #{sigma_j < b} negative and
 #{sigma_j = b} zero eigenvalues. Each input form has one entry:
 :func:`inertia_counts` takes an edge list, which it checks by building the
-graph, and :func:`member_counts` a list of class members as their class
-object stores them, unchecked. Both read the counts off a diagonal
-congruence of M in exact arithmetic:
+graph, and :func:`member_counts` rows of a class object's store, its flat
+edge ends, unchecked. Both read the counts off a diagonal congruence of M
+in exact arithmetic:
 
 - on a tree, by the Jacobs-Trevisan walk from the leaves up ("Locating the
   eigenvalues of trees", Linear Algebra Appl. 434, 2011;
   :func:`tree_inertia_counts`). An edge list's tree is walked in the
   order of its graph's one walk from vertex 0, a stored tree straight from
-  its parent and degree arrays. The walk folds each vertex, leaves first,
+  its row's even bytes, its parents. The walk folds each vertex, leaves first,
   into its parent in Python integers: num/den after scaling by the
   denominator of a rational b, (x + y sqrt(d)) / z reduced by the gcd for
   a surd b;
@@ -212,15 +212,24 @@ def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
     return tree_inertia_counts(order, parent, [len(adj[v]) for v in range(n)], b)
 
 
-def member_counts(n: int, members, b: Exact | int) -> list[tuple[int, int]]:
-    """Counts of :func:`inertia_counts` at b for each of ``members``, in
-    order: class members as a class object stores them, a tree's parent and
-    degree ``bytes`` or any other member's edge tuple. Each is taken as
-    stored: connected, with a boundary, with no check. A tree's arrays go
-    straight to :func:`tree_inertia_counts`, any other member's edges to
-    :func:`dense_inertia_counts`, at every b, 1 included."""
-    return [tree_inertia_counts(range(n), *member, b) if isinstance(member[0], bytes)
-            else dense_inertia_counts(adjacency_sets(n, member), b) for member in members]
+def member_counts(n: int, rows, b: Exact | int) -> list[tuple[int, int]]:
+    """Counts of :func:`inertia_counts` at b for each of ``rows``, in order:
+    rows of a class object's store, each a member's edge ends as ``bytes``,
+    taken as stored: connected, with a boundary, with no check. A row of
+    n - 1 edges is a tree's (parent, child) pairs in preorder, walked by
+    :func:`tree_inertia_counts` with the degrees counted off its parents;
+    any other row goes to :func:`dense_inertia_counts`, at every b."""
+    counts = []
+    for row in rows:
+        if len(row) != 2 * n - 2:
+            counts.append(dense_inertia_counts(adjacency_sets(n, zip(row[0::2], row[1::2])), b))
+            continue
+        parents = row[0::2]  # of vertices 1..n-1
+        degree = [0] + [1] * (n - 1)  # the edge to each vertex's parent
+        for u in parents:
+            degree[u] += 1
+        counts.append(tree_inertia_counts(range(n), b"\0" + parents, degree, b))
+    return counts
 
 
 def _counts(values) -> tuple[int, int]:

@@ -15,8 +15,9 @@ and codes included, is built once per process and shared by every caller.
 
 Exhaustive sweeps screen a whole class with batched float spectra. The
 screen does not depend on i: it is the class object's own
-:attr:`~steklov.enumeration.GraphClassStream.spectra`, built from the edge
-lists of its one store and held with it for every i. Rows are the stored
+:attr:`~steklov.enumeration.GraphClassStream.spectra`, built from one
+numpy view of its one store, the members' flat edge ends, and held with it
+for every i. Rows are the stored
 codes, which are canonical and sorted. :func:`verify_extremal` then
 decides every class that screens within SCREEN_MARGIN of the bound b
 exactly, by the counts #{sigma_j < b} and #{sigma_j = b} of its stored
@@ -26,10 +27,9 @@ read off the class object's own
 :attr:`~steklov.enumeration.GraphClassStream.leaf_table`, held with it as
 the screen is, by two numpy comparisons over the candidates' rows. At any
 other b they are counted afresh on every call, all in one
-:func:`~steklov.exact.member_counts` call, which reads each member by its
-own form: a tree member by the walk of its stored parent and degree
-arrays, any other member by a dense LDL^T of its stored edges. No class is
-solved again.
+:func:`~steklov.exact.member_counts` call on the candidates' rows of the
+store: a row of n - 1 edges, a tree's, by the walk of its parents, any
+other row by a dense LDL^T of its edges. No class is solved again.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .families import (
     rooted_path,
 )
 from . import geometry
-from .geometry import DEFAULT_ZERO_TOL, _centre, require_unit_weights
+from .geometry import DEFAULT_ZERO_TOL, _broom_branches, _centre, require_unit_weights
 from .graph import (
     Role,
     WeightedBoundaryGraph,
@@ -408,11 +408,11 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     class object's :attr:`~steklov.enumeration.GraphClassStream.leaf_table`
     (s support vertices, L leaves), which is held with the class as the
     screen is, with no Python call per candidate. At any other b they are
-    counted afresh on every call, from the class object's store, by one
-    :func:`~steklov.exact.member_counts` call. The bound holds iff
-    no candidate has i or more eigenvalues below b (every other class
-    screens above b + SCREEN_MARGIN), and a candidate attains it iff it
-    also has at least i at or below b.
+    counted afresh on every call, from the candidates' rows of the class
+    object's store, by one :func:`~steklov.exact.member_counts` call. The
+    bound holds iff no candidate has i or more eigenvalues below b (every
+    other class screens above b + SCREEN_MARGIN), and a candidate attains
+    it iff it also has at least i at or below b.
     When the bound holds and some candidate attains it, those candidates
     are the argmin set and the minimum is b; otherwise the report falls
     back to the screen's minimum and argmin set, with ``match`` False."""
@@ -426,8 +426,7 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
         bound_ok = bool(below.all())
         attained = candidates[below & (leaves >= i)]
     else:
-        members = stream.members
-        counts = member_counts(n, [members[j] for j in candidates.tolist()], b)
+        counts = member_counts(n, [stream.row(j) for j in candidates.tolist()], b)
         bound_ok = all(neg < i for neg, _ in counts)
         attained = candidates[[neg < i <= neg + zero for neg, zero in counts]]
     codes, rows = stream.codes, attained.tolist()
@@ -784,13 +783,11 @@ def verify_steklov_clump(g: WeightedBoundaryGraph) -> ClumpBoundVerdict:
     _require_leaf_boundary_tree(g)
     require_unit_weights(g)
     _, twice, heavy = _centre(g)
-    brooms = minimal_broom_halves(twice)
-    bound = float(brooms.value)
+    bound = float(minimal_broom_halves(twice).value)
     sigma2 = sigma_value(g, 2)
     holds = sigma2 >= bound - VERDICT_TOL
     equality = abs(sigma2 - bound) <= VERDICT_TOL
-    adj, arms = g.adjacency, brooms.arms
-    matches = sum(_arm(adj, root, attach) in arms for root, attach in heavy)
+    matches = len(_broom_branches(g, twice, heavy))
     return ClumpBoundVerdict(
         sigma2, Fraction(twice, 2), bound, holds, equality, matches,
         rigidity_consistent=(matches >= 2) == equality,

@@ -22,6 +22,7 @@ from numbers import Rational, Real
 
 import numpy as np
 
+from .enumeration import _index
 from .errors import InvalidParamsError
 from .exact import QuadraticSurd
 from .graph import (
@@ -180,8 +181,10 @@ def _halves(x: Number) -> int:
 
 
 def minimal_broom(l, n: int) -> MinimalBroomSolution:
-    """Minimizers of lambda_1 over brooms Br(l,i,d) with i+d = n."""
-    l = as_number(l)
+    """Minimizers of lambda_1 over brooms Br(l,i,d) with i+d = n. n is read
+    as :func:`~steklov.enumeration._index` reads it: a bool or a
+    non-integral type raises InvalidParamsError."""
+    l, n = as_number(l), _index(n, "n")
     if not l > 0 or n < 0:
         raise InvalidParamsError("need l > 0 and n >= 0")
     if n <= 1:
@@ -206,23 +209,12 @@ def minimal_broom(l, n: int) -> MinimalBroomSolution:
 
 
 def minimal_broom_total(l) -> MinimalBroomSolution:
-    """Br(l) and Lambda(l): minimal brooms of total length l."""
+    """Br(l) and Lambda(l): minimal brooms of total length l, evaluated in
+    the length's own number type. Br(l) = Br(l - n, n) with
+    n = ceil(l) - 1, so the Dirichlet edge keeps a length in (0, 1]."""
     l = as_number(l)
-    if isinstance(l, (Fraction, float)):
-        return _minimal_broom_total(l)
-    # a surd or another real evaluates in its own type, never memoised
-    return _minimal_broom_total.__wrapped__(l)
-
-
-@lru_cache(maxsize=256, typed=True)
-def _minimal_broom_total(l: Number) -> MinimalBroomSolution:
-    """:func:`minimal_broom_total` of a validated length. A class of trees
-    asks for few lengths, so each solution is computed once; ``typed`` keeps
-    a float length from ever sharing an entry with an equal Fraction.
-    Solutions are frozen and shared by every caller."""
     if not l > 0:
         raise InvalidParamsError("need l > 0")
-    # Br(l) = Br(l - n, n): the Dirichlet edge keeps a length in (0, 1]
     n = math.ceil(l) - 1
     return minimal_broom(l - n, n)
 

@@ -22,6 +22,7 @@ from .errors import (
     NotATreeError,
     NotUnitWeightError,
 )
+from .families import _arm, minimal_broom_halves
 from .graph import (
     Role,
     WeightedBoundaryGraph,
@@ -222,6 +223,13 @@ def _centre(g: WeightedBoundaryGraph) -> tuple[list[int], int, list[tuple[int, i
     branch = {b: size[b] if parent[b] == c else n - size[c] for b in sorted(g.adjacency[c])}
     h = max(branch.values(), default=0)
     return tops, 2 * h, [(c, b) for b, s in branch.items() if s == h]
+
+
+def _broom_branches(g: WeightedBoundaryGraph, twice: int, heavy) -> tuple[int, ...]:
+    """The attach vertices of the branches of :func:`_centre`'s ``heavy``
+    whose (i, d) shape (``families._arm``) is a minimal broom Br(twice / 2)."""
+    adj, arms = g.adjacency, minimal_broom_halves(twice).arms
+    return tuple(attach for root, attach in heavy if _arm(adj, root, attach) in arms)
 
 
 def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:

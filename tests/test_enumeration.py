@@ -540,7 +540,51 @@ def test_stream_iterates_afresh():
     assert [tree_code(g) for g in first] == list(stream.codes)
     second = list(stream)
     assert second == first and all(a is not b for a, b in zip(first, second))
-    assert stream.members is stream.members
+    assert stream.store is stream.store
+
+
+def test_store_rows_match_the_code_parsers():
+    # every tree class 3 <= n <= 12 and connected class n <= 7: the store is
+    # one flat bytes of edge ends with each row's offsets, row j is the
+    # pairs of code j's parser, a row has n - 1 edges iff its code is a
+    # tree code, and the degrees derived from it, by row and by one
+    # bincount over the stacked arrays, are those of its neighbour sets
+    classes = [enumerate_trees(n) for n in range(3, 13)]
+    classes += [enumerate_connected_graphs(n) for n in range(1, 8)]
+    rows = trees = 0
+    for stream in classes:
+        n, (ends, starts) = stream.n, stream.store
+        assert type(ends) is bytes and len(starts) == len(stream) + 1
+        assert starts[0] == 0 and starts[-1] == len(ends)
+        owner, stacked = stream._edge_arrays()
+        bincount = np.bincount((owner[:, None] * n + stacked).ravel(), minlength=len(stream) * n)
+        for j, code in enumerate(stream.codes):
+            row = stream.row(j)
+            assert row == ends[starts[j]:starts[j + 1]]
+            parse = code_decoders(code)[0]
+            size, edges = parse(code)
+            assert size == n and list(zip(row[0::2], row[1::2])) == edges, code
+            assert (len(row) == 2 * (n - 1)) == (parse is tree_edges), code
+            degrees = [len(a) for a in adjacency_sets(n, edges)]
+            assert [row.count(v) for v in range(n)] == degrees, code
+            assert bincount[j * n:(j + 1) * n].tolist() == degrees, code
+            rows += 1
+            trees += parse is tree_edges
+    assert rows == sum(TREE_COUNTS[2:]) + sum(CONNECTED_COUNTS)
+    assert trees == sum(TREE_COUNTS[2:]) + sum(TREE_COUNTS[:7])
+
+
+@pytest.mark.parametrize("kind,n,codes", [
+    ("connected", 3, ("g3:011",)),  # a path: a tree's code is its tree code
+    ("connected", 4, ("g4:100001",)),  # two disjoint edges
+    ("connected", 3, ("(1())", "g3:111")),  # a 2-vertex tree code
+    ("trees", 3, ("g3:011",)),
+])
+def test_store_refuses_codes_it_cannot_hold(kind, n, codes):
+    stream = enumeration.GraphClassStream(kind, n, codes)
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            stream.row(0)
 
 
 def test_streamed_trees_equal_decoded_codes():

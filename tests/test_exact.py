@@ -132,13 +132,13 @@ def test_tree_walk_matches_its_oracle():
 
 def test_store_counts_match_both_oracles():
     # every tree class 3 <= n <= 12 and every tree member of the connected
-    # classes n <= 7, counted from the class store's parent and degree
-    # arrays as verify_extremal counts them at b != 1, one member_counts
-    # call per class and bound (b = 1 included), in the members' order:
-    # the counts of inertia_counts on the code's edges and of the
-    # Jacobs-Trevisan oracle, at every grid bound, at b = 0 and b = 1 and
-    # at a seeded rational and surd. The edges derived from the store are
-    # those of the code's parser.
+    # classes n <= 7, counted from the class store's rows as
+    # verify_extremal counts them at b != 1, one member_counts call per
+    # class and bound (b = 1 included), in the members' order: the counts
+    # of inertia_counts on the code's edges and of the Jacobs-Trevisan
+    # oracle, at every grid bound, at b = 0 and b = 1 and at a seeded
+    # rational and surd. The edges derived from the store are those of the
+    # code's parser, and a tree row's even bytes are its parent array.
     rng = random.Random(2929)
     bounds = GRID_BOUNDS | {predicted_bound(n, i, "connected").bound_exact
                             for n in range(3, 8) for i in range(2, n)}
@@ -151,7 +151,7 @@ def test_store_counts_match_both_oracles():
     streams += [enumerate_connected_graphs(n) for n in range(3, 8)]
     trees = zero_counts = 0
     for stream in streams:
-        n, held = stream.n, []  # each tree member's code, edges, neighbour sets and store
+        n, held = stream.n, []  # each tree member's code, edges, neighbour sets and row
         for j, (code, derived) in enumerate(zip(stream.codes, stream.edge_lists(), strict=True)):
             tree = code.startswith("(")
             size, edges = (tree_edges if tree else graph_edges)(code)
@@ -160,12 +160,13 @@ def test_store_counts_match_both_oracles():
                 continue
             trees += 1
             adj = adjacency_sets(n, edges)
-            parent, degree = stream.members[j]
-            assert parent == bytes([0] + [u for u, _ in edges]), code
-            assert degree == bytes(len(a) for a in adj), code
-            held.append((code, edges, adj, stream.members[j]))
+            row = stream.row(j)
+            assert len(row) == 2 * (n - 1) and row[1::2] == bytes(range(1, n)), code
+            assert row[0::2] == bytes(u for u, _ in edges), code
+            assert [row.count(v) for v in range(n)] == [len(a) for a in adj], code
+            held.append((code, edges, adj, row))
         for b in bounds:
-            counted = exact.member_counts(n, [member for *_, member in held], b)
+            counted = exact.member_counts(n, [row for *_, row in held], b)
             for (code, edges, adj, _), counts in zip(held, counted, strict=True):
                 assert counts == inertia_counts(n, edges, b), (code, b)
                 assert counts == jacobs_trevisan_counts(adj, b), (code, b)

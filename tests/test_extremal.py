@@ -516,7 +516,9 @@ def test_class_screened_once_for_every_i(monkeypatch):
 def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
     # iteration, the screen and the exact counts of every i read one store,
     # filled when the class is read from its file; the tree members of the
-    # connected class are parsed as tree codes
+    # connected class are parsed as tree codes. A class object made from
+    # its codes alone fills the store on first read: reading its screen
+    # and then its leaf table at a b = 1 pair parses each code once too
     for graph_class, n in (("trees", 12), ("connected", 7)):
         enumerate_class = enumerate_trees if graph_class == "trees" else enumerate_connected_graphs
         enumerate_class(n)  # writes the class file
@@ -532,6 +534,14 @@ def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
         assert trees == [c for c in stream.codes if c.startswith("(")]
         assert graphs == [c for c in stream.codes if c.startswith("g")]
         assert len(trees) == len(enumerate_trees(n))
+        assert predicted_bound(n, n - 1, graph_class).bound_exact == 1
+        with monkeypatch.context() as m:
+            fresh = [counting_calls(m, enumeration, name) for name in ("_unit_tree", "graph_edges")]
+            made = GraphClassStream(graph_class, n, stream.codes)
+            assert fresh == [[], []]
+            assert np.array_equal(made.spectra, stream.spectra)
+            assert np.array_equal(made.leaf_table, stream.leaf_table)
+        assert fresh == [trees, graphs]
 
 
 def test_one_clear_frees_the_class_and_its_screen():
@@ -595,7 +605,7 @@ def test_warm_sweeps_equal_fresh_ones(tmp_path, monkeypatch):
 def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     """The exact counts decide the candidates afresh on every call, as many
     on a warm call as on a cold one and no per-graph solve. At b != 1 that
-    is one count call, one member per candidate; at b == 1 (connected
+    is one count call, one store row per candidate; at b == 1 (connected
     (7, 4)) the class's leaf table decides them, with no count call, tree
     walk or dense LDL^T."""
     _load_class.cache_clear()
@@ -612,8 +622,8 @@ def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     if cold.target.bound_exact == 1:
         assert counts == walks == dense == []
     else:
-        members = [stream.members[j] for j in candidates]
-        assert [args[1] for args in counts] == 2 * [members]
+        rows = [stream.row(j) for j in candidates]
+        assert [args[1] for args in counts] == 2 * [rows]
     assert solves == []
 
 

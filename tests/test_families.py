@@ -24,7 +24,6 @@ from steklov.families import (
     build_star,
     build_star_paths,
     comb_spectrum,
-    _minimal_broom_total,
     comb_tooth_with_dirichlet_edge,
     lambda_value,
     minimal_broom,
@@ -219,9 +218,8 @@ def test_arms_are_the_shapes_of_one_root_edge():
 @pytest.mark.parametrize("order", [(3.0, Fraction(3)), (Fraction(3), 3.0)],
                          ids=["float-first", "fraction-first"])
 def test_minimal_broom_total_memo_keeps_types(order):
-    # solutions are memoised by typed key: 3.0 == Fraction(3), but a float
-    # length must give float values and a Fraction exact ones, in any order
-    _minimal_broom_total.cache_clear()
+    # 3.0 == Fraction(3), but a float length must give float values and a
+    # Fraction exact ones, in any order and however often it comes back
     for l in order * 2:
         sol = minimal_broom_total(l)
         assert type(sol.value) is type(l), l
@@ -238,6 +236,18 @@ def test_minimal_broom_total_mpf_in_callers_precision():
         v15 = lambda_value(x)
     assert v15 != v40
     assert v15 == mpmath.mpf(1) / (1 + 1 * (1 + mpmath.mpf(1) / 2))
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, False, Fraction(2), "2"], ids=repr)
+def test_minimal_broom_refuses_a_non_integer_n(n):
+    # n is an index, read as the clump searches read k and r: a bool or a
+    # non-integral type is refused, and a numpy integer is an int
+    with pytest.raises(InvalidParamsError):
+        minimal_broom(1, n)
+
+
+def test_minimal_broom_takes_a_numpy_integer_n():
+    assert minimal_broom(Fraction(1, 2), np.int64(3)) == minimal_broom(Fraction(1, 2), 3)
 
 
 @pytest.mark.parametrize("bad", [[3], True, "x", 0, -1], ids=repr)
