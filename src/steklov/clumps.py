@@ -13,7 +13,8 @@ centroid's heaviest branch has h. The type A split needs no search: it is
 unique when it exists, and it reads the same walk and the same fold, as the
 tree test and the sub-k test read the walk. Clump numbers and limits are
 integer halves, and a clump is told to be Br(k) by its (i, d) shape in the
-solution's ``arms``; Fractions appear only in reports.
+solution's ``arms`` (``geometry._broom_branches``); Fractions appear only
+in reports.
 When a guarantee applies (the hypotheses of the underlying removal lemmas
 hold) and no witness is found, the run fails loudly with CertificationError
 instead of returning a quiet negative. Every search takes k and r as

@@ -368,7 +368,7 @@ class GraphClassStream:
     def store(self) -> tuple[bytes, tuple[int, ...]]:
         """Every member's edge ends (u, v, u, v, ...) in one flat ``bytes``,
         and the offsets where each member's row starts, then where the last
-        ends (:meth:`row`). A tree-coded member (a code that opens with "(",
+        ends (:meth:`rows`). A tree-coded member (a code that opens with "(",
         as every code of a tree class must) has the pairs of
         :func:`tree_edges`, so its row's even bytes are the parents of
         vertices 1..n-1, any other member those of :func:`graph_edges`. A
@@ -392,10 +392,11 @@ class GraphClassStream:
             starts.append(len(ends))
         return bytes(ends), tuple(starts)
 
-    def row(self, j: int) -> bytes:
-        """Member j's edge ends (u, v, u, v, ...) in :attr:`store`."""
+    def rows(self, indices) -> list[bytes]:
+        """The edge ends (u, v, u, v, ...) of the members at ``indices``,
+        each its row of :attr:`store`."""
         ends, starts = self.store
-        return ends[starts[j]:starts[j + 1]]
+        return [ends[starts[j]:starts[j + 1]] for j in indices]
 
     def _edge_arrays(self):
         """The stacked edge arrays (``owner``, ``ends``) of
@@ -438,9 +439,9 @@ class GraphClassStream:
         return table
 
     def edge_lists(self) -> list[list[tuple[int, int]]]:
-        """Each member's :meth:`row` as (u, v) pairs, derived afresh: those
-        of :func:`tree_edges` or :func:`graph_edges` on its code."""
-        return [list(zip(row[0::2], row[1::2])) for row in map(self.row, range(len(self)))]
+        """Each member's :meth:`rows` entry as (u, v) pairs, derived afresh:
+        those of :func:`tree_edges` or :func:`graph_edges` on its code."""
+        return [list(zip(row[0::2], row[1::2])) for row in self.rows(range(len(self)))]
 
     def __iter__(self):
         return (combinatorial_graph(self.n, edges) for edges in self.edge_lists())

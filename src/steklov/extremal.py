@@ -426,7 +426,7 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
         bound_ok = bool(below.all())
         attained = candidates[below & (leaves >= i)]
     else:
-        counts = member_counts(n, [stream.row(j) for j in candidates.tolist()], b)
+        counts = member_counts(n, stream.rows(candidates.tolist()), b)
         bound_ok = all(neg < i for neg, _ in counts)
         attained = candidates[[neg < i <= neg + zero for neg, zero in counts]]
     codes, rows = stream.codes, attained.tolist()

@@ -5,7 +5,8 @@ Eigenfunctions extend piecewise linearly along edges; their zero sets cut
 the metric graph into nodal domains, and each domain induces a weighted
 graph with Dirichlet boundary at the cut points. Clump numbers are the
 unit-tree branch statistics used by the removal lemmas, decided in integer
-halves off the tree's walk (``_centre``); only reports hold Fractions.
+halves off the tree's walk (``_centre``, and ``_broom_branches`` for its
+minimal-broom branches); only reports hold Fractions.
 """
 
 from __future__ import annotations

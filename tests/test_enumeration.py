@@ -558,9 +558,8 @@ def test_store_rows_match_the_code_parsers():
         assert starts[0] == 0 and starts[-1] == len(ends)
         owner, stacked = stream._edge_arrays()
         bincount = np.bincount((owner[:, None] * n + stacked).ravel(), minlength=len(stream) * n)
-        for j, code in enumerate(stream.codes):
-            row = stream.row(j)
-            assert row == ends[starts[j]:starts[j + 1]]
+        for j, (code, row) in enumerate(zip(stream.codes, stream.rows(range(len(stream))))):
+            assert row == ends[starts[j]:starts[j + 1]] == stream.rows([j])[0]
             parse = code_decoders(code)[0]
             size, edges = parse(code)
             assert size == n and list(zip(row[0::2], row[1::2])) == edges, code
@@ -584,7 +583,7 @@ def test_store_refuses_codes_it_cannot_hold(kind, n, codes):
     stream = enumeration.GraphClassStream(kind, n, codes)
     for _ in range(2):
         with pytest.raises(ParseError):
-            stream.row(0)
+            stream.rows([0])
 
 
 def test_streamed_trees_equal_decoded_codes():

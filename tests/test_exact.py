@@ -152,7 +152,8 @@ def test_store_counts_match_both_oracles():
     trees = zero_counts = 0
     for stream in streams:
         n, held = stream.n, []  # each tree member's code, edges, neighbour sets and row
-        for j, (code, derived) in enumerate(zip(stream.codes, stream.edge_lists(), strict=True)):
+        rows = stream.rows(range(len(stream)))
+        for code, derived, row in zip(stream.codes, stream.edge_lists(), rows, strict=True):
             tree = code.startswith("(")
             size, edges = (tree_edges if tree else graph_edges)(code)
             assert size == n and list(derived) == edges, code
@@ -160,7 +161,6 @@ def test_store_counts_match_both_oracles():
                 continue
             trees += 1
             adj = adjacency_sets(n, edges)
-            row = stream.row(j)
             assert len(row) == 2 * (n - 1) and row[1::2] == bytes(range(1, n)), code
             assert row[0::2] == bytes(u for u, _ in edges), code
             assert [row.count(v) for v in range(n)] == [len(a) for a in adj], code

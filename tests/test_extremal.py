@@ -622,7 +622,7 @@ def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     if cold.target.bound_exact == 1:
         assert counts == walks == dense == []
     else:
-        rows = [stream.row(j) for j in candidates]
+        rows = stream.rows(candidates)
         assert [args[1] for args in counts] == 2 * [rows]
     assert solves == []
 
