@@ -377,18 +377,13 @@ class GraphClassStream:
         read raises ParseError."""
         ends, starts = bytearray(), [0]
         for code in self.codes:
-            if self.kind == "trees" or code.startswith("("):
-                parent = _unit_tree(code)
-                size, row = len(parent), bytearray(2 * len(parent) - 2)
-                row[0::2], row[1::2] = parent[1:], range(1, size)
-            else:
-                size, edges = graph_edges(code)
-                if len(edges) < size:
-                    raise ParseError(f"graph code {code!r} has fewer than {size} edges")
-                row = itertools.chain.from_iterable(edges)
+            tree = self.kind == "trees" or code.startswith("(")
+            size, edges = (tree_edges if tree else graph_edges)(code)
             if size != self.n:
                 raise ParseError(f"class code {code!r} is not on {self.n} vertices")
-            ends.extend(row)
+            if not tree and len(edges) < size:
+                raise ParseError(f"graph code {code!r} has fewer than {size} edges")
+            ends.extend(itertools.chain.from_iterable(edges))
             starts.append(len(ends))
         return bytes(ends), tuple(starts)
 

@@ -578,6 +578,8 @@ def test_store_rows_match_the_code_parsers():
     ("connected", 4, ("g4:100001",)),  # two disjoint edges
     ("connected", 3, ("(1())", "g3:111")),  # a 2-vertex tree code
     ("trees", 3, ("g3:011",)),
+    ("trees", 4, ("(" + "1()" * 300 + ")",)),  # vertex labels past a byte
+    ("connected", 4, ("g300:" + "1" * (300 * 299 // 2),)),
 ])
 def test_store_refuses_codes_it_cannot_hold(kind, n, codes):
     stream = enumeration.GraphClassStream(kind, n, codes)
