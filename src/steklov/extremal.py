@@ -17,11 +17,11 @@ Exhaustive sweeps screen a whole class with batched float spectra. The
 screen does not depend on i: it is the class object's own
 :attr:`~steklov.enumeration.GraphClassStream.spectra`, built from one
 numpy view of its one store, the members' flat edge ends, and held with it
-for every i. Rows are the stored
-codes, which are canonical and sorted. :func:`verify_extremal` then
-decides every class that screens within SCREEN_MARGIN of the bound b
-exactly, by the counts #{sigma_j < b} and #{sigma_j = b} of its stored
-member. Whether b is 1 (every pair with i > n/2) is decided once per call.
+for every i. Rows are the stored codes, which are canonical and sorted.
+:func:`verify_extremal` then decides every class that screens within
+SCREEN_MARGIN of the bound b exactly, by the counts #{sigma_j < b} and
+#{sigma_j = b} of its stored member. Whether b is 1 (every pair with
+i > n/2) is decided once per call.
 At b = 1 the counts are (s, L - s), for s support vertices and L leaves,
 read off the class object's own
 :attr:`~steklov.enumeration.GraphClassStream.leaf_table`, held with it as

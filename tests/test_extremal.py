@@ -534,14 +534,15 @@ def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
         assert trees == [c for c in stream.codes if c.startswith("(")]
         assert graphs == [c for c in stream.codes if c.startswith("g")]
         assert len(trees) == len(enumerate_trees(n))
-        assert predicted_bound(n, n - 1, graph_class).bound_exact == 1
+        made = GraphClassStream(graph_class, n, stream.codes)
         with monkeypatch.context() as m:
+            m.setattr(extremal, enumerate_class.__name__, lambda n: made)
             fresh = [counting_calls(m, enumeration, name) for name in ("_unit_tree", "graph_edges")]
-            made = GraphClassStream(graph_class, n, stream.codes)
-            assert fresh == [[], []]
-            assert np.array_equal(made.spectra, stream.spectra)
-            assert np.array_equal(made.leaf_table, stream.leaf_table)
+            rep = verify_extremal(n, n - 1, graph_class)  # the screen, then the leaf table
+            assert rep.target.bound_exact == 1 and rep.match
         assert fresh == [trees, graphs]
+        assert {"spectra", "leaf_table"} <= set(vars(made))
+        assert np.array_equal(made.leaf_table, stream.leaf_table)
 
 
 def test_one_clear_frees_the_class_and_its_screen():
