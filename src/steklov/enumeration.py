@@ -27,6 +27,7 @@ import heapq
 import itertools
 import logging
 import os
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -87,7 +88,8 @@ def _unit_length(v: int, u: int) -> str:
 
 
 def tree_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
-    """Canonical code of a (metric) tree; rooted when ``root`` is given."""
+    """Canonical code of a (metric) tree; rooted when ``root`` is given,
+    which must be an integer in range(g.n), else InvalidParamsError."""
     if not g.is_tree():
         raise NotATreeError("tree codes need a tree")
     adj = g.adjacency
@@ -95,7 +97,9 @@ def tree_code(g: WeightedBoundaryGraph, root: int | None = None) -> str:
     def label(v: int, u: int) -> str:
         return _edge_length_str(adj[v][u])
 
-    roots = [root] if root is not None else centroids(*g.walk)
+    roots = centroids(*g.walk) if root is None else [_index(root, "root")]
+    if roots[0] not in range(g.n):
+        raise InvalidParamsError(f"root {root!r} is not a vertex of the graph")
     return min(_rooted_code(adj, r, label) for r in roots)
 
 
@@ -127,7 +131,8 @@ def _tree_grammar(code: str) -> tuple[list[int], list[str]]:
                 up = stack[-1]
                 lengths.append(code[start:pos])
             elif pos:
-                raise ParseError(f"trailing characters in tree code {code!r}")
+                where = "trailing" if parent else "leading"
+                raise ParseError(f"{where} characters in tree code {code!r}")
             else:
                 up = 0  # the root
             stack.append(len(parent))
@@ -275,17 +280,16 @@ def _adjacency_code(adj: list[set[int]], colors: list[int] | None = None) -> str
 
 
 def graph_edges(code: str) -> tuple[int, list[tuple[int, int]]]:
-    """Vertex count and edges of a general graph code."""
-    if not code.startswith("g") or ":" not in code:
-        raise ParseError(f"bad graph code {code!r}")
-    head, bits = code.split(":", 1)
+    """Vertex count and edges of a general graph code, spelled exactly as
+    :func:`_adjacency_code` writes it ("g1:0" for n = 1)."""
+    if code == "g1:0":
+        return 1, []
+    head, _, bits = code.partition(":")
     try:
         n = int(head[1:])
-    except ValueError as exc:
-        raise ParseError(f"bad graph code {code!r}") from exc
-    if n == 1:
-        return 1, []
-    if n < 1 or len(bits) != n * (n - 1) // 2 or set(bits) - {"0", "1"}:
+    except ValueError:
+        n = 0
+    if head != f"g{n}" or n < 2 or len(bits) != n * (n - 1) // 2 or set(bits) - {"0", "1"}:
         raise ParseError(f"bad graph code {code!r}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return n, [pair for pair, bit in zip(pairs, bits) if bit == "1"]
@@ -365,17 +369,17 @@ class GraphClassStream:
         return len(self.codes)
 
     @cached_property
-    def store(self) -> tuple[bytes, tuple[int, ...]]:
+    def store(self) -> tuple[bytes, array]:
         """Every member's edge ends (u, v, u, v, ...) in one flat ``bytes``,
         and the offsets where each member's row starts, then where the last
-        ends (:meth:`rows`). A tree-coded member (a code that opens with "(",
-        as every code of a tree class must) has the pairs of
-        :func:`tree_edges`, so its row's even bytes are the parents of
-        vertices 1..n-1, any other member those of :func:`graph_edges`. A
-        row has n - 1 edges iff its code is a tree code: while a code is
-        bad, not on n vertices or a graph code of fewer than n edges, every
-        read raises ParseError."""
-        ends, starts = bytearray(), [0]
+        ends (:meth:`rows`), as an ``array("I")``. A tree-coded member (a
+        code that opens with "(", as every code of a tree class must) has
+        the pairs of :func:`tree_edges`, so its row's even bytes are the
+        parents of vertices 1..n-1, any other member those of
+        :func:`graph_edges`. A row has n - 1 edges iff its code is a tree
+        code: while a code is bad, not on n vertices or a graph code of
+        fewer than n edges, every read raises ParseError."""
+        ends, starts = bytearray(), array("I", [0])
         for code in self.codes:
             tree = self.kind == "trees" or code.startswith("(")
             size, edges = (tree_edges if tree else graph_edges)(code)
@@ -385,7 +389,7 @@ class GraphClassStream:
                 raise ParseError(f"graph code {code!r} has fewer than {size} edges")
             ends.extend(itertools.chain.from_iterable(edges))
             starts.append(len(ends))
-        return bytes(ends), tuple(starts)
+        return bytes(ends), starts
 
     def rows(self, indices) -> list[bytes]:
         """The edge ends (u, v, u, v, ...) of the members at ``indices``,
@@ -407,12 +411,12 @@ class GraphClassStream:
 
     @cached_property
     def spectra(self):
-        """The screen: the read-only :func:`~steklov.spectral.unit_steklov_spectra`
-        matrix, one row per stored code, built from the store on first read
-        (so enumerating alone loads no numpy) and freed with the object.
-        The edges go to :func:`~steklov.spectral.stacked_steklov_spectra`
-        as the arrays of :meth:`_edge_arrays`. While a code is bad, every
-        read raises ParseError."""
+        """The screen: the read-only
+        :func:`~steklov.spectral.stacked_steklov_spectra` matrix of the
+        arrays of :meth:`_edge_arrays`, one row per stored code, built from
+        the store on first read (so enumerating alone loads no numpy) and
+        freed with the object. While a code is bad, every read raises
+        ParseError."""
         from .spectral import stacked_steklov_spectra
 
         spectra = stacked_steklov_spectra(self.n, len(self), *self._edge_arrays())

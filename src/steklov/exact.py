@@ -8,17 +8,16 @@ Algebra Appl. 1, 1968), M has exactly #{sigma_j < b} negative and
 #{sigma_j = b} zero eigenvalues. Each input form has one entry:
 :func:`inertia_counts` takes an edge list, which it checks by building the
 graph, and :func:`member_counts` rows of a class object's store, its flat
-edge ends, unchecked. Both read the counts off a diagonal congruence of M
-in exact arithmetic:
+edge ends, unchecked; an edge list becomes one row, in its graph's walk
+order. :func:`member_counts` alone picks the engine by a row's length, and
+each reads the counts off a diagonal congruence of M in exact arithmetic:
 
-- on a tree, by the Jacobs-Trevisan walk from the leaves up ("Locating the
-  eigenvalues of trees", Linear Algebra Appl. 434, 2011;
-  :func:`tree_inertia_counts`). An edge list's tree is walked in the
-  order of its graph's one walk from vertex 0, a stored tree straight from
-  its row's even bytes, its parents. The walk folds each vertex, leaves first,
-  into its parent in Python integers: num/den after scaling by the
-  denominator of a rational b, (x + y sqrt(d)) / z reduced by the gcd for
-  a surd b;
+- on a tree (n - 1 edges), by the Jacobs-Trevisan walk from the leaves up
+  ("Locating the eigenvalues of trees", Linear Algebra Appl. 434, 2011;
+  :func:`tree_inertia_counts`), from the parents of vertices 1..n-1, a
+  row's even entries. The walk folds each vertex, from n - 1 down, into its
+  parent in Python integers: num/den after scaling by the denominator of a
+  rational b, (x + y sqrt(d)) / z reduced by the gcd for a surd b;
 - on any other graph, by a dense LDL^T with 1x1 pivots, and a 2x2 pivot
   [[0, x], [x, 0]] (one negative and one positive eigenvalue) when every
   remaining diagonal entry is 0 (Bunch and Parlett, SIAM J. Numer. Anal. 8,
@@ -187,17 +186,17 @@ def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
     measures and the degree <= 1 boundary, decided exactly.
 
     The edges are checked by building the graph
-    (:func:`~steklov.graph.combinatorial_graph`). A tree (n - 1 edges) is
-    walked by Jacobs-Trevisan along the graph's
-    :attr:`~steklov.graph.WeightedBoundaryGraph.walk`; any other graph is
-    factored densely. Raises InvalidParamsError for a b that is not exact
-    (a float, a bool), the errors of :func:`~steklov.graph.make_graph`
-    for a malformed n or edge list (IndexOutOfRangeError for an n that is
-    not a nonnegative integer or a vertex label that is not an integer in
-    0..n-1, a bool included; SelfLoopError; DuplicateEdgeError),
-    NoBoundaryError when no vertex has degree <= 1 (such a graph has no
-    Steklov spectrum) and DisconnectedError for a disconnected graph, whose
-    interior block can be singular."""
+    (:func:`~steklov.graph.combinatorial_graph`), renumbered in the order
+    of its :attr:`~steklov.graph.WeightedBoundaryGraph.walk` and counted as
+    one row by :func:`member_counts`. Raises InvalidParamsError for a b
+    that is not exact (a float, a bool), the errors of
+    :func:`~steklov.graph.make_graph` for a malformed n or edge list
+    (IndexOutOfRangeError for an n that is not a nonnegative integer or a
+    vertex label that is not an integer in 0..n-1, a bool included;
+    SelfLoopError; DuplicateEdgeError), NoBoundaryError when no vertex has
+    degree <= 1 (such a graph has no Steklov spectrum) and
+    DisconnectedError for a disconnected graph, whose interior block can be
+    singular."""
     if isinstance(b, bool) or not isinstance(b, (Rational, QuadraticSurd)):
         raise InvalidParamsError(f"exact counts need a rational or QuadraticSurd b, not {b!r}")
     g = combinatorial_graph(n, edges)
@@ -205,30 +204,25 @@ def inertia_counts(n: int, edges, b: Exact | int) -> tuple[int, int]:
         raise NoBoundaryError("graph has no boundary vertices")
     if not g.is_connected():
         raise DisconnectedError("exact counts need a connected graph")
-    adj = g.adjacency
-    if len(g.edges) != n - 1:
-        return dense_inertia_counts(adj, b)
-    order, parent, _ = g.walk
-    return tree_inertia_counts(order, parent, [len(adj[v]) for v in range(n)], b)
+    number = {v: k for k, v in enumerate(g.walk[0])}  # each vertex after its parent
+    # by larger end, so a tree's edges are its (parent, child) pairs by child
+    pairs = sorted((sorted((number[u], number[v])) for u, v, _ in g.edges), key=max)
+    return member_counts(n, [[k for pair in pairs for k in pair]], b)[0]
 
 
 def member_counts(n: int, rows, b: Exact | int) -> list[tuple[int, int]]:
     """Counts of :func:`inertia_counts` at b for each of ``rows``, in order:
-    rows of a class object's store, each a member's edge ends as ``bytes``,
-    taken as stored: connected, with a boundary, with no check. A row of
-    n - 1 edges is a tree's (parent, child) pairs in preorder, walked by
-    :func:`tree_inertia_counts` with the degrees counted off its parents;
-    any other row goes to :func:`dense_inertia_counts`, at every b."""
+    rows of a class object's store, each a member's edge ends as ``bytes``
+    (or a list), taken as given: connected, with a boundary, with no check.
+    The one choice of engine: a row of n - 1 edges is a tree's
+    (parent, child) pairs by child, walked by :func:`tree_inertia_counts`
+    from its parents; any other row goes to :func:`dense_inertia_counts`."""
     counts = []
     for row in rows:
-        if len(row) != 2 * n - 2:
+        if len(row) == 2 * n - 2:
+            counts.append(tree_inertia_counts(row[0::2], b))
+        else:
             counts.append(dense_inertia_counts(adjacency_sets(n, zip(row[0::2], row[1::2])), b))
-            continue
-        parents = row[0::2]  # of vertices 1..n-1
-        degree = [0] + [1] * (n - 1)  # the edge to each vertex's parent
-        for u in parents:
-            degree[u] += 1
-        counts.append(tree_inertia_counts(range(n), b"\0" + parents, degree, b))
     return counts
 
 
@@ -236,30 +230,37 @@ def _counts(values) -> tuple[int, int]:
     return sum(1 for x in values if x < 0), values.count(0)
 
 
-def tree_inertia_counts(order, parent, degree, b: Exact | int) -> tuple[int, int]:
-    """Counts of :func:`inertia_counts` on the tree with vertex degrees
-    ``degree`` and parents ``parent`` (int sequences indexed by vertex,
-    lists or ``bytes``), whose vertices ``order`` lists root first and each
-    after its parent: range(n) for a parent array. The root's own entry in
-    ``parent`` is never read. By Jacobs-Trevisan on c L - c b E_B, with
-    c > 0 clearing the denominators of b and every off-diagonal entry -c.
+def _degrees(parents) -> list[int]:
+    """The vertex degrees of the tree of :func:`tree_inertia_counts`."""
+    degree = [0] + [1] * len(parents)
+    for u in parents:
+        degree[u] += 1
+    return degree
 
-    Each vertex v but the root, taken in reverse ``order``, has its value
-    final when it is reached, and is folded into its parent u:
-    value(u) -= c^2 / value(v). When value(v) is 0, v is set positive, u
-    negative, and the edge from u to its parent is cut; u's other children
-    are left as they are. The values are integers num/den (den > 0) for a
-    rational b = p / c, and (x + y sqrt(d)) / z (z > 0, reduced by the
-    gcd) for a surd b, whose signs :func:`surd_sign` decides."""
+
+def tree_inertia_counts(parents, b: Exact | int) -> tuple[int, int]:
+    """Counts of :func:`inertia_counts` on the tree on 0..n-1 whose vertex
+    v >= 1 has the parent ``parents[v - 1]`` < v (a store row's even bytes,
+    or a list), its degrees counted off ``parents``. By Jacobs-Trevisan on
+    c L - c b E_B, with c > 0 clearing the denominators of b and every
+    off-diagonal entry -c.
+
+    Each vertex v = n - 1, ..., 1 has its value final when it is reached,
+    and is folded into its parent u: value(u) -= c^2 / value(v). When
+    value(v) is 0, v is set positive, u negative, and the edge from u to
+    its parent is cut; u's other children are left as they are. The
+    values are integers num/den (den > 0) for a rational b = p / c, and
+    (x + y sqrt(d)) / z (z > 0, reduced by the gcd) for a surd b, whose
+    signs :func:`surd_sign` decides."""
     if isinstance(b, QuadraticSurd):
-        return _surd_tree_counts(order, parent, degree, b)
+        return _surd_tree_counts(parents, b)
     p, c = b.numerator, b.denominator
     cc = c * c
+    degree = _degrees(parents)
     num = [k * c - p if k <= 1 else k * c for k in degree]
     den = [1] * len(degree)
     cut = [False] * len(degree)
-    for v in order[:0:-1]:
-        u = parent[v]
+    for v, u in zip(range(len(parents), 0, -1), reversed(parents)):
         if cut[v] or cut[u]:
             continue
         x = num[v]
@@ -272,18 +273,18 @@ def tree_inertia_counts(order, parent, degree, b: Exact | int) -> tuple[int, int
     return _counts(num)
 
 
-def _surd_tree_counts(order, parent, degree, b: QuadraticSurd) -> tuple[int, int]:
+def _surd_tree_counts(parents, b: QuadraticSurd) -> tuple[int, int]:
     """:func:`tree_inertia_counts` for b = (s + t sqrt(d)) / c, with each
     division rationalised by the conjugate."""
     d = b.d
     s, t, c = b._integers()
     cc = c * c
+    degree = _degrees(parents)
     x = [k * c - s if k <= 1 else k * c for k in degree]
     y = [-t if k <= 1 else 0 for k in degree]
     z = [1] * len(degree)
     cut = [False] * len(degree)
-    for v in order[:0:-1]:
-        u = parent[v]
+    for v, u in zip(range(len(parents), 0, -1), reversed(parents)):
         if cut[v] or cut[u]:
             continue
         xv, yv = x[v], y[v]

@@ -819,8 +819,9 @@ def verify_sigma2_tree(g: WeightedBoundaryGraph) -> Sigma2TreeVerdict:
         if g.n <= 2:
             match = True  # single edge: the degenerate dumbbell is the path
         else:
-            predicted = {d.code for d in predicted_bound(g.n, 2).minimizers}
-            match = unit_tree_code(g.adjacency) in predicted  # 1.0 reads as 1
+            # every sigma_2 minimizer is a dumbbell tree, so each has a code;
+            # a weight 1.0 reads as 1
+            match = unit_tree_code(g.adjacency) in predicted_bound(g.n, 2).predicted_codes
     return Sigma2TreeVerdict(sigma2, bound, holds, equality, match)
 
 

@@ -13,9 +13,9 @@ first and the interior last. A connected graph with a vertex outside the
 interior passes that check with no walk of its own. When every measure of
 an eigenproblem is 1 the M^{-1/2} conjugation is skipped. :func:`dtn_matrix`
 forms one graph's Schur complement S = L_BB - L_IB^T L_II^{-1} L_IB and
-symmetrises it once; :func:`unit_steklov_spectra` forms the stacked
-complements of many unit graphs, without eigenvectors, from their edge
-lists, and :func:`stacked_steklov_spectra` from their edges as arrays.
+symmetrises it once; :func:`stacked_steklov_spectra` forms the stacked
+complements of many unit graphs, without eigenvectors, from their edges
+as integer arrays.
 :func:`dtn_matrix` inverts L_II once and keeps the inverse, so the harmonic extensions of a
 spectrum (``SpectralResult.extensions``) are one product, made the first
 time they are read. A Steklov spectrum keeps the operator it was solved
@@ -363,28 +363,18 @@ def dirichlet_steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
     return _memoised(g, "dirichlet")
 
 
-def unit_steklov_spectra(n: int, edge_lists) -> np.ndarray:
-    """Steklov spectra of many connected unit-weight graphs on n vertices,
-    each with the combinatorial boundary (degree <= 1) and unit measures.
+def stacked_steklov_spectra(n: int, count: int, owner, ends) -> np.ndarray:
+    """Steklov spectra of ``count`` connected unit-weight graphs on n
+    vertices, each with the combinatorial boundary (degree <= 1) and unit
+    measures, given as integer arrays in any edge order: edge k joins
+    ``ends[k, 0]`` and ``ends[k, 1]`` in graph ``owner[k]``.
 
     Row j holds the ascending eigenvalues of graph j, padded with +inf past
     its |B|; a graph without boundary gets a row of +inf. Graphs with equal
     |B| share one stacked Schur-complement solve and one stacked
-    ``eigvalsh``. Per graph this is ``steklov_spectrum`` up to rounding,
-    without eigenvectors or harmonic extensions. The edge lists are
-    flattened into the arrays of :func:`stacked_steklov_spectra`, which
-    solves them.
-    """
-    owner = np.repeat(np.arange(len(edge_lists)), [len(e) for e in edge_lists])
-    ends = np.array([p for e in edge_lists for p in e], dtype=np.intp).reshape(-1, 2)
-    return stacked_steklov_spectra(n, len(edge_lists), owner, ends)
-
-
-def stacked_steklov_spectra(n: int, count: int, owner, ends) -> np.ndarray:
-    """:func:`unit_steklov_spectra` of ``count`` graphs on n vertices given
-    as integer arrays, in any edge order: edge k of them joins ``ends[k, 0]``
-    and ``ends[k, 1]`` in graph ``owner[k]``. Each graph's Laplacian, and so
-    its row, depends only on its set of edges."""
+    ``eigvalsh``. Per graph this is :func:`steklov_spectrum` up to
+    rounding, without eigenvectors or harmonic extensions. Each graph's
+    Laplacian, and so its row, depends only on its set of edges."""
     out = np.full((count, n), np.inf)
     L = np.zeros((count, n, n))
     L[owner, ends[:, 0], ends[:, 1]] = 1.0

@@ -62,6 +62,13 @@ def counting_calls(monkeypatch, module, name):
     return calls
 
 
+def stacked(edge_lists):
+    """The (owner, ends) arrays of ``edge_lists``, graph j owning its edges."""
+    owner = np.repeat(np.arange(len(edge_lists)), [len(e) for e in edge_lists])
+    ends = np.array([pair for edges in edge_lists for pair in edges], np.intp).reshape(-1, 2)
+    return owner, ends
+
+
 def code_decoders(code):
     """The fast parser and the decoder of a stored code: the tree ones for
     a tree code, the graph ones for a graph code."""

@@ -352,6 +352,14 @@ def test_rooted_code_distinguishes_roots():
     assert tree_code(g, root=0) == tree_code(g, root=2)
 
 
+@pytest.mark.parametrize("root", [5, -1, "1", True, 1.0])
+def test_tree_code_refuses_a_root_that_is_not_a_vertex(root):
+    # a label out of range, or not an integer, as make_graph refuses a bool
+    # or float label
+    with pytest.raises(InvalidParamsError):
+        tree_code(path_graph(4), root=root)
+
+
 def test_graph_code_round_trip():
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
@@ -494,6 +502,27 @@ def test_parse_errors(rng):
                      for v in range(1, n)]
             code = tree_code(make_graph(n, edges))
             assert tree_code(tree_from_code(code)) == code
+
+
+def test_graph_codes_parse_only_as_written(tmp_path, monkeypatch, caplog):
+    # the head is exactly "g" and n, and the one 1-vertex code is "g1:0";
+    # a tree code with junk before it says so
+    for bad in ("g+3:111", "g03:111", "g 3:111", "g1:junk", "g1:", "g-3:", "g3"):
+        for parse in (graph_edges, graph_from_code):
+            with pytest.raises(ParseError):
+                parse(bad)
+    assert graph_edges("g1:0") == (1, []) and graph_edges("g3:111")[0] == 3
+    with pytest.raises(ParseError, match="leading characters"):
+        tree_edges("x(1())")
+    # a connected class file of the right count and order whose triangle is
+    # misspelt is no class: it is generated again
+    monkeypatch.setenv("STEKLOV_CACHE_DIR", str(tmp_path))
+    path = tmp_path / f"connected-n3-{GENERATOR_VERSION}.txt"
+    path.write_text("(1()1())\ng+3:111\n", encoding="utf-8")
+    _load_class.cache_clear()
+    assert enumerate_connected_graphs(3).codes == ("(1()1())", "g3:111")
+    assert "generating the class again" in caplog.text
+    assert path.read_text().split() == ["(1()1())", "g3:111"]
 
 
 def test_fast_parsers_match_decoders():

@@ -30,7 +30,7 @@ from steklov.families import lambda_value
 from steklov.graph import adjacency_sets, combinatorial_graph
 from steklov.spectral import steklov_spectrum
 
-from conftest import counting_calls, jacobs_trevisan_counts
+from conftest import counting_calls, jacobs_trevisan_counts, stacked
 
 IRRATIONAL_PAIRS = [(8, 4), (10, 5), (12, 4), (12, 6)]
 GRID_BOUNDS = {predicted_bound(n, i, "trees").bound_exact
@@ -130,6 +130,27 @@ def test_tree_walk_matches_its_oracle():
     assert renumbered > 150 and zero_counts > 0 and surd_zero_counts > 0
 
 
+def test_tree_walk_takes_parents_as_bytes_or_a_list():
+    # every tree n <= 10, at each grid bound (the four surd ones included),
+    # b = 0 and b = 1: the walk of a stored row's even bytes, of the same
+    # parents as a list, and the Jacobs-Trevisan oracle agree
+    bounds = GRID_BOUNDS | {Fraction(0), Fraction(1)}
+    assert sum(isinstance(b, QuadraticSurd) for b in bounds) == len(IRRATIONAL_PAIRS)
+    trees = 0
+    for n in range(1, 11):
+        stream = enumerate_trees(n)
+        for row, edges in zip(stream.rows(range(len(stream))), stream.edge_lists(), strict=True):
+            parents = row[0::2]
+            assert type(parents) is bytes and len(parents) == n - 1
+            adj = adjacency_sets(n, edges)
+            for b in bounds:
+                counts = exact.tree_inertia_counts(parents, b)
+                assert counts == exact.tree_inertia_counts(list(parents), b), (edges, b)
+                assert counts == jacobs_trevisan_counts(adj, b), (edges, b)
+            trees += 1
+    assert trees == sum(map(free_tree_count, range(1, 11)))
+
+
 def test_store_counts_match_both_oracles():
     # every tree class 3 <= n <= 12 and every tree member of the connected
     # classes n <= 7, counted from the class store's rows as
@@ -188,13 +209,6 @@ def preorder_arrays(adj, root):
     for v, k in number.items():
         degree[k] = len(adj[v])
     return bytes(parent), bytes(degree)
-
-
-def stacked(edge_lists):
-    """The (owner, ends) arrays of ``edge_lists``, graph j owning its edges."""
-    owner = np.repeat(np.arange(len(edge_lists)), [len(e) for e in edge_lists])
-    ends = np.array([pair for edges in edge_lists for pair in edges], np.intp).reshape(-1, 2)
-    return owner, ends
 
 
 def test_leaf_rule_matches_both_oracles():

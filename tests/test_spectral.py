@@ -27,8 +27,8 @@ from steklov.spectral import (
     laplacian_matrix,
     laplacian_spectrum,
     normal_derivative,
+    stacked_steklov_spectra,
     steklov_spectrum,
-    unit_steklov_spectra,
 )
 
 from conftest import (
@@ -36,6 +36,7 @@ from conftest import (
     counting_calls,
     path_graph,
     random_weighted_graph,
+    stacked,
     union_find_components,
 )
 
@@ -223,7 +224,8 @@ def test_unit_spectra_match_per_graph_oracle():
     classes += [(n, _class("connected", n).codes) for n in range(1, 8)]
     boundary_free = 0
     for n, codes in classes:
-        spectra = unit_steklov_spectra(n, [code_decoders(c)[0](c)[1] for c in codes])
+        edge_lists = [code_decoders(c)[0](c)[1] for c in codes]
+        spectra = stacked_steklov_spectra(n, len(codes), *stacked(edge_lists))
         assert spectra.shape == (len(codes), n)
         for code, row in zip(codes, spectra):
             g = code_decoders(code)[1](code)
@@ -236,18 +238,20 @@ def test_unit_spectra_match_per_graph_oracle():
             assert np.all(np.abs(row[:k] - expect)
                           <= EIG_EQ_TOL * np.maximum(1.0, np.abs(expect))), code
     assert boundary_free > 0  # e.g. the cycles of the connected classes
-    assert unit_steklov_spectra(4, []).shape == (0, 4)
+    assert stacked_steklov_spectra(4, 0, *stacked([])).shape == (0, 4)
 
 
 def test_class_screen_from_the_store_equals_the_edge_list_build():
-    """A class object's screen, built from its parent bytes and edge tuples,
-    is bitwise the batched engine on its edge lists."""
+    """A class object's screen, built from its store, is bitwise the batched
+    engine on the arrays of its edge lists."""
     from steklov.enumeration import _class
 
     classes = [_class("trees", n) for n in range(3, 13)]
     classes += [_class("connected", n) for n in range(1, 8)]
     for stream in classes:
-        assert np.array_equal(stream.spectra, unit_steklov_spectra(stream.n, stream.edge_lists()))
+        edge_lists = stream.edge_lists()
+        expect = stacked_steklov_spectra(stream.n, len(edge_lists), *stacked(edge_lists))
+        assert np.array_equal(stream.spectra, expect)
 
 
 # -- a numpy oracle for the per-graph solves ----------------------------------
