@@ -24,8 +24,8 @@ _LAYERS = {
         "make_graph", "save_graph",
     ),
     "spectral": (
-        "dirichlet_steklov_spectrum", "dtn_matrix", "harmonic_extension",
-        "laplacian_spectrum", "normal_derivative", "steklov_spectrum",
+        "dtn_matrix", "harmonic_extension", "laplacian_spectrum",
+        "normal_derivative", "steklov_spectrum",
     ),
     "exact": ("QuadraticSurd", "inertia_counts"),
     "families": (

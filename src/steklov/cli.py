@@ -107,13 +107,9 @@ def _emit(command: str, payload: dict, out_path: str | None = None) -> None:
 
 def _cmd_spectrum(args) -> int:
     from .graph import load_graph
-    from .spectral import dirichlet_steklov_spectrum, steklov_spectrum
+    from .spectral import steklov_spectrum
 
-    g = load_graph(args.graph)
-    if g.dirichlet:
-        res = dirichlet_steklov_spectrum(g)
-    else:
-        res = steklov_spectrum(g)
+    res = steklov_spectrum(load_graph(args.graph))
     _emit(
         "spectrum",
         {
@@ -267,10 +263,10 @@ def _cmd_clump_cert(args) -> int:
 def _cmd_nodal(args) -> int:
     from .geometry import verify_nodal_theorem
     from .graph import load_graph
-    from .spectral import dirichlet_steklov_spectrum, steklov_spectrum
+    from .spectral import steklov_spectrum
 
     g = load_graph(args.graph)
-    res = dirichlet_steklov_spectrum(g) if g.dirichlet else steklov_spectrum(g)
+    res = steklov_spectrum(g)
     sigma, f = res.eigenpair(args.eig)
     report = verify_nodal_theorem(g, sigma, f)
     payload = {

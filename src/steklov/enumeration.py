@@ -75,12 +75,13 @@ def _edge_length_str(w) -> str:
 def _rooted_code(adj, root: int, label) -> str:
     """Rooted code of the tree ``adj``: each vertex lists its children
     sorted, each after ``label(v, u)``, the length of the edge to it."""
-
-    def rec(v: int, parent: int) -> str:
-        parts = [label(v, u) + rec(u, v) for u in adj[v] if u != parent]
-        return "(" + "".join(sorted(parts)) + ")"
-
-    return rec(root, -1)
+    order, parent, _ = subtree_sizes(adj, root)
+    parts: dict[int, list[str]] = {v: [] for v in order}
+    for v in reversed(order):  # children first: no recursion, no depth limit
+        code = "(" + "".join(sorted(parts[v])) + ")"
+        if v != root:
+            parts[parent[v]].append(label(parent[v], v) + code)
+    return code
 
 
 def _unit_length(v: int, u: int) -> str:

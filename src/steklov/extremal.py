@@ -18,15 +18,16 @@ screen does not depend on i: it is the class object's own
 :attr:`~steklov.enumeration.GraphClassStream.spectra`, built from one
 numpy view of its one store, the members' flat edge ends, and held with it
 for every i. Rows are the stored codes, which are canonical and sorted.
-:func:`verify_extremal` then decides every class that screens within
-SCREEN_MARGIN of the bound b exactly, by the counts #{sigma_j < b} and
-#{sigma_j = b} of its stored member. Whether b is 1 (every pair with
-i > n/2) is decided once per call.
-At b = 1 the counts are (s, L - s), for s support vertices and L leaves,
+Whether the bound b is 1 (every pair with i > n/2) is decided once per
+:func:`verify_extremal` call. At b = 1 no screen is read: every member's
+sigma_i is exactly 1 when it has at least i leaves and missing otherwise,
 read off the class object's own
-:attr:`~steklov.enumeration.GraphClassStream.leaf_table`, held with it as
-the screen is, by two numpy comparisons over the candidates' rows. At any
-other b they are counted afresh on every call, all in one
+:attr:`~steklov.enumeration.GraphClassStream.leaf_table` (s support
+vertices and L leaves per member, counts (s, L - s) at b = 1), held with
+it as the screen is, by one numpy comparison over its rows. At any other
+b the classes that screen within SCREEN_MARGIN of b are decided exactly,
+by the counts #{sigma_j < b} and #{sigma_j = b} of their stored members,
+counted afresh on every call, all in one
 :func:`~steklov.exact.member_counts` call on the candidates' rows of the
 store: a row of n - 1 edges, a tree's, by the walk of its parents, any
 other row by a dense LDL^T of its edges. No class is solved again.
@@ -85,7 +86,6 @@ from .graph import (
 )
 from .spectral import (
     SpectralResult,
-    dirichlet_steklov_spectrum,
     laplacian_matrix,
     laplacian_spectrum,
     steklov_spectrum,
@@ -295,7 +295,7 @@ def _predicted(n: int, i: int, graph_class: str) -> ExtremalTarget:
 
 
 def sigma_value(g: WeightedBoundaryGraph, i: int) -> float:
-    """sigma_i with the +inf sentinel when i exceeds |B| (or B is empty)."""
+    """sigma_i (lambda_i given B_D) with the +inf sentinel past |B| or no B."""
     try:
         return steklov_spectrum(g).eigenvalue(i)
     except NoBoundaryError:
@@ -322,17 +322,16 @@ def _screened(n: int, i: int, graph_class: str):
         raise InvalidParamsError("eigenvalue index is 1-based")
     if graph_class not in GRAPH_CLASSES:
         raise InvalidParamsError(f"unknown graph class {graph_class!r}")
-    return _column(n, i, graph_class)
+    stream = _sweep_class(n, graph_class)
+    return stream, stream.spectra[:, i - 1] if i <= n else np.full(len(stream), math.inf)
 
 
-def _column(n: int, i: int, graph_class: str):
-    """:func:`_screened` of an int n, an int i >= 1 and a known class, with
-    no check of them: only the tree sweep's range is checked here."""
+def _sweep_class(n: int, graph_class: str):
+    """The class object of an int n and a known class, with no check of
+    them: only the tree sweep's range is checked here."""
     if graph_class == "trees" and n > MAX_SWEEP_TREE_N:
         raise OutOfSupportedRangeError(f"tree sweeps support n <= {MAX_SWEEP_TREE_N}")
-    stream = (enumerate_trees if graph_class == "trees" else enumerate_connected_graphs)(n)
-    values = stream.spectra[:, i - 1] if i <= n else np.full(len(stream), math.inf)
-    return stream, values
+    return (enumerate_trees if graph_class == "trees" else enumerate_connected_graphs)(n)
 
 
 def _screen_minimum(values: np.ndarray):
@@ -397,35 +396,39 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     """Sweep a graph class, minimize sigma_i, and match the argmin set
     against the predicted minimizers that belong to the class.
 
-    The screen is held with the class object and the prediction built once
-    per process (see :func:`sweep` and :func:`predicted_bound`). The
-    arguments are checked once, first, by :func:`predicted_bound`; the
-    screen column is then read with no second check. The candidates are
-    the classes whose screened sigma_i is at most float(b) + SCREEN_MARGIN
-    for the predicted bound b. Each is decided exactly by its counts
-    #{sigma_j < b} and #{sigma_j = b}; whether b == 1 is decided once, so a
-    surd b sees no arithmetic. At b = 1 they are (s, L - s), read off the
-    class object's :attr:`~steklov.enumeration.GraphClassStream.leaf_table`
-    (s support vertices, L leaves), which is held with the class as the
-    screen is, with no Python call per candidate. At any other b they are
-    counted afresh on every call, from the candidates' rows of the class
-    object's store, by one :func:`~steklov.exact.member_counts` call. The
+    The class object and the prediction are built once per process (see
+    :func:`sweep` and :func:`predicted_bound`), and the arguments checked
+    once, first, by :func:`predicted_bound`. Whether the bound b is 1
+    (every pair with i > n/2, and only those) is decided once, so a surd b
+    sees no arithmetic. At b = 1 no screen is read: a member with s
+    support vertices and L leaves has every sigma_j <= 1 and
+    #{sigma_j < 1} = s (:func:`~steklov.exact.leaf_table`), and
+    s <= floor(n/2) < i, as each support vertex has a leaf of its own. So
+    sigma_i is exactly 1 when L >= i and missing (+inf) otherwise, read off
+    the class object's :attr:`~steklov.enumeration.GraphClassStream.leaf_table`:
+    the rows with L >= i are the candidates, all attain b, and the bound
+    holds. At any other b the candidates are the classes whose screened
+    sigma_i is at most float(b) + SCREEN_MARGIN, each decided exactly by
+    its counts #{sigma_j < b} and #{sigma_j = b}, from its row of the class
+    object's store, in one :func:`~steklov.exact.member_counts` call. The
     bound holds iff no candidate has i or more eigenvalues below b (every
     other class screens above b + SCREEN_MARGIN), and a candidate attains
     it iff it also has at least i at or below b.
     When the bound holds and some candidate attains it, those candidates
     are the argmin set and the minimum is b; otherwise the report falls
-    back to the screen's minimum and argmin set, with ``match`` False."""
+    back to the minimum and argmin set of the sigma_i column, with
+    ``match`` False."""
     target = predicted_bound(n, i, graph_class)
     n, i, b = target.n, target.i, target.bound_exact
-    stream, values = _column(n, i, graph_class)
-    candidates = np.flatnonzero(values <= target.bound + SCREEN_MARGIN)
+    stream = _sweep_class(n, graph_class)
     if b == 1:
-        supports, leaves = stream.leaf_table[candidates].T
-        below = supports < i  # #{sigma_j < 1} = s, #{sigma_j <= 1} = L
-        bound_ok = bool(below.all())
-        attained = candidates[below & (leaves >= i)]
+        fits = stream.leaf_table[:, 1] >= i  # sigma_i = 1 iff L >= i
+        values = np.where(fits, 1.0, math.inf)  # the exact sigma_i column
+        candidates = attained = np.flatnonzero(fits)
+        bound_ok = True  # s <= n/2 < i
     else:
+        values = stream.spectra[:, i - 1]  # i < n
+        candidates = np.flatnonzero(values <= target.bound + SCREEN_MARGIN)
         counts = member_counts(n, stream.rows(candidates.tolist()), b)
         bound_ok = all(neg < i for neg, _ in counts)
         attained = candidates[[neg < i <= neg + zero for neg, zero in counts]]
@@ -472,6 +475,12 @@ def _check_embedding(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> Non
         raise NotASubgraphError("host boundary must be contained in subgraph boundary")
 
 
+def _require_plain(*graphs: WeightedBoundaryGraph) -> None:
+    """Refuse a graph with B_D, whose operator is not the plain map Lambda."""
+    if any(g.dirichlet for g in graphs):
+        raise InvalidParamsError("graph has Dirichlet vertices; the statement needs B_D empty")
+
+
 @dataclass(frozen=True)
 class MonotonicityVerdict:
     ok: bool
@@ -480,8 +489,9 @@ class MonotonicityVerdict:
 
 def check_monotonicity(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> MonotonicityVerdict:
     """sigma_i(G~, B~) >= sigma_i(G, B) for i = 1..|B~| when G is a subgraph
-    of G~ carrying a larger boundary."""
+    of G~ carrying a larger boundary; neither may have B_D."""
     _check_embedding(gt, g)
+    _require_plain(gt, g)
     big = steklov_spectrum(gt)
     small = steklov_spectrum(g)
     slacks = tuple(
@@ -529,9 +539,10 @@ def is_comb_over(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> bool:
 
 def rigidity_data(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> RigidityData:
     """Conditions (1)-(3), separation and the comb test for G inside G~,
-    read from the Steklov spectrum of G~."""
-    big = steklov_spectrum(gt)
+    read from the Steklov spectrum of G~, which must have no B_D."""
     _check_embedding(gt, g)
+    _require_plain(gt)
+    big = steklov_spectrum(gt)
     basis = _h_basis(big)
     scale = max(1.0, float(np.max(np.abs(basis))))
     bt = set(gt.boundary)
@@ -615,8 +626,9 @@ def check_rigidity_equivalence(
 ) -> RigidityVerdict:
     """Conditions (1)-(3) hold iff sigma_i(G~,B~) = sigma_i(G,B) for all
     i up to |B~|; additionally, with B = B~ and H separating V(G), equality
-    holds iff G~ is a comb over G."""
+    holds iff G~ is a comb over G. Neither graph may have B_D."""
     data = rigidity_data(gt, g)
+    _require_plain(g)
     big, small = steklov_spectrum(gt), steklov_spectrum(g)
     k = len(gt.boundary)
     equal = all(
@@ -666,7 +678,7 @@ def verify_positivity(g: WeightedBoundaryGraph) -> PositivityVerdict:
         raise DisconnectedError("positivity check needs a connected graph")
     omega_d = g.dirichlet_interior
     comps = g.components(omega_d)
-    res = dirichlet_steklov_spectrum(g)
+    res = steklov_spectrum(g)
     if len(comps) > 1:
         pieces = []
         dset = set(g.dirichlet)
@@ -679,7 +691,7 @@ def verify_positivity(g: WeightedBoundaryGraph) -> PositivityVerdict:
             if piece.boundary:  # boundary-free pieces contribute no eigenvalues
                 pieces.append(piece)
         union = np.sort(
-            np.concatenate([dirichlet_steklov_spectrum(p).eigenvalues for p in pieces])
+            np.concatenate([steklov_spectrum(p).eigenvalues for p in pieces])
         )[: len(res.eigenvalues)]
         scale = np.maximum(1.0, np.abs(res.eigenvalues))
         ok = bool(np.all(np.abs(union - res.eigenvalues) <= VERDICT_TOL * scale))
@@ -738,7 +750,7 @@ def verify_lambda1_bound(g: WeightedBoundaryGraph) -> Lambda1BoundVerdict:
     n = len(g.dirichlet_interior) - 1
     sol = minimal_broom(l, n)
     bound = float(sol.value)
-    lam1 = dirichlet_steklov_spectrum(g).eigenvalue(1)
+    lam1 = steklov_spectrum(g).eigenvalue(1)
     holds = lam1 >= bound - VERDICT_TOL
     equality = abs(lam1 - bound) <= VERDICT_TOL
     structure = None
@@ -925,7 +937,7 @@ def verify_sigma_lambda(g: WeightedBoundaryGraph, z: int, w=1) -> SigmaLambdaVer
     roles = list(g.roles) + [Role.DIRICHLET]
     measures = list(g.measures) + [1]
     gt = make_graph(g.n + 1, edges, measures=measures, roles=roles)
-    lam1 = dirichlet_steklov_spectrum(gt).eigenvalue(1)
+    lam1 = steklov_spectrum(gt).eigenvalue(1)
     sigma2 = steklov_spectrum(g).eigenvalue(2)
     # strictness up to solver accuracy, not VERDICT_TOL
     return SigmaLambdaVerdict(lam1, sigma2, sigma2 - lam1 > 1e-12)

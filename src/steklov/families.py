@@ -32,7 +32,7 @@ from .graph import (
     degree_roles,
     make_graph,
 )
-from .spectral import dirichlet_steklov_spectrum, laplacian_spectrum
+from .spectral import laplacian_spectrum, steklov_spectrum
 
 Number = float | Fraction
 
@@ -337,7 +337,7 @@ def comb_spectrum(base: WeightedBoundaryGraph, tooth: RootedTree):
     for i in range(2, nb + 1):
         mu = mus.eigenvalue(i)
         t_i = comb_tooth_with_dirichlet_edge(tooth, mu)
-        spec = dirichlet_steklov_spectrum(t_i)
+        spec = steklov_spectrum(t_i)
         lam, f = spec.eigenpair(1)
         values[i - 1] = lam
         g_vec = mus.extensions[:, i - 1]

@@ -31,7 +31,7 @@ from .graph import (
     component_passes,
     make_graph,
 )
-from .spectral import dirichlet_steklov_spectrum
+from .spectral import steklov_spectrum
 
 DEFAULT_ZERO_TOL = 1e-9
 # verify_nodal_theorem's bound on |lambda_1 - sigma| of each nodal domain and
@@ -357,7 +357,7 @@ def verify_nodal_theorem(g: WeightedBoundaryGraph, sigma: float, f) -> NodalTheo
         return NodalTheoremReport(True, ())
     verdicts = []
     for dom in _nodal_domains(g, f, zs):
-        spec = dirichlet_steklov_spectrum(dom.induced)
+        spec = steklov_spectrum(dom.induced)
         lam1 = spec.eigenvalue(1)
         # Residual of the restricted function as a Lambda_0 eigenfunction;
         # the boundary of the domain lies among its first len(vertices) ids.

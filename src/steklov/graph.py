@@ -20,8 +20,9 @@ searches and the type A split, the sub-k test, the bipartite colouring) read
 that one pass, so a
 certificate walks its tree once. Callers must not mutate it. The boundary,
 Dirichlet and interior lists come from one pass over the roles. In the same
-way a graph keeps the Steklov spectra solved from it (``spectral`` fills
-that memo), so every statement checked on one graph object shares one solve.
+way a graph keeps the one Steklov spectrum solved from it (``spectral``
+fills that memo), so every statement checked on one graph object shares
+one solve.
 
 A graph with the combinatorial boundary (degree <= 1 means boundary) is
 built in one :func:`make_graph` call, with the roles that
@@ -143,6 +144,9 @@ class WeightedBoundaryGraph:
     edges: tuple[tuple[int, int, Weight], ...]  # stored with u < v
     measures: tuple[Weight, ...]
     roles: tuple[Role, ...]
+    # The Steklov spectrum solved from this object, set and read by
+    # ``spectral`` alone (not a field); an equal graph has a memo of its own.
+    _spectrum = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -200,12 +204,6 @@ class WeightedBoundaryGraph:
     @property
     def interior(self) -> tuple[int, ...]:
         return self._role_lists[2]
-
-    @cached_property
-    def _spectra(self) -> dict:
-        """The Steklov spectra solved from this object, by kind; filled and
-        read by ``spectral`` alone. An equal graph has a memo of its own."""
-        return {}
 
     @cached_property
     def dirichlet_interior(self) -> tuple[int, ...]:

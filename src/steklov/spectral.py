@@ -28,13 +28,16 @@ interior block with ``numpy.linalg.LinAlgError``. It warns
 (``RuntimeWarning``) when the 1-norm reciprocal condition number of the
 block falls below machine epsilon (:func:`_invert`).
 
-Each graph object is solved once per kind: :func:`steklov_spectrum` and
-:func:`dirichlet_steklov_spectrum` keep the ``SpectralResult`` on the graph
-(:func:`_memoised`) and hand the same one to every later call, so the
-statement checks run on one graph share one solve. The memo goes by object,
-not by equality: an equal graph built afresh is solved again. A call that
-raises stores nothing, so it raises again on every call, and a call that
-reads a stored spectrum repeats the ill-conditioning warning of its solve.
+A graph has one DtN operator, and its roles decide what it pins:
+:func:`dtn_matrix` gives Lambda_0 on (G, B, B_D), whose data vanishes on
+B_D, and with B_D empty that is the plain map Lambda on (G, B). Each graph
+object is solved once: :func:`steklov_spectrum` keeps the one
+``SpectralResult`` on the graph and hands the same one to every later
+call, so the statement checks run on one graph share one solve. The memo
+goes by object, not by equality: an equal graph built afresh is solved
+again. A call that raises stores nothing, so it raises again on every
+call, and a call that reads a stored spectrum repeats the
+ill-conditioning warning of its solve.
 Because a spectrum is shared, every array of a DtN operator and of a
 Steklov spectrum (eigenvalues, vectors, extensions, the DtN matrix, the
 boundary measures, the kept coupling and inverse) is read-only.
@@ -222,20 +225,15 @@ class DtnOperator:
         return ext
 
 
-def dtn_matrix(g: WeightedBoundaryGraph, with_dirichlet: bool = False) -> DtnOperator:
-    """DtN map Lambda (or Lambda_0 when ``with_dirichlet``).
-
-    Plain variant requires B_D empty. The Dirichlet variant drops the B_D
-    rows/columns of L (pinning those values to zero) and then eliminates the
-    interior block.
+def dtn_matrix(g: WeightedBoundaryGraph) -> DtnOperator:
+    """The DtN operator of (G, B, B_D): Lambda_0, whose data vanishes on
+    B_D. It drops the B_D rows and columns of L (pinning those values to
+    zero) and then eliminates the interior block; with B_D empty it pins
+    nothing and is the plain map Lambda on (G, B).
     """
     boundary, dirichlet, interior = g.boundary, g.dirichlet, g.interior
     if not boundary:
         raise NoBoundaryError("graph has no boundary vertices")
-    if not with_dirichlet and dirichlet:
-        raise InvalidParamsError(
-            "graph has Dirichlet vertices; use with_dirichlet=True"
-        )
     _check_interior_solvable(g, interior)
     L = _laplacian(g, boundary + interior)
     _require_finite(L)  # once for every block below
@@ -338,29 +336,20 @@ def _steklov_result(op: DtnOperator, kind: str) -> SpectralResult:
     )
 
 
-def _memoised(g: WeightedBoundaryGraph, kind: str) -> SpectralResult:
-    """The ``kind`` spectrum of ``g``, solved on the first call and kept on
-    the graph object; a later call repeats the solve's ill-conditioning
-    warning from the stored rcond."""
-    res = g._spectra.get(kind)
+def steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
+    """Spectrum of the DtN operator of ``g`` (:func:`dtn_matrix`): the
+    Steklov sigma_i of Lambda on (G, B), or with B_D nonempty the
+    Dirichlet-Steklov lambda_i of Lambda_0 (``kind`` "dirichlet"). Solved
+    on the first call and kept on the graph object; a later call repeats
+    the solve's ill-conditioning warning from the stored rcond."""
+    res = g._spectrum
     if res is None:
-        res = _steklov_result(dtn_matrix(g, with_dirichlet=kind == "dirichlet"), kind)
-        g._spectra[kind] = res
+        op = dtn_matrix(g)
+        res = _steklov_result(op, "dirichlet" if op.pinned else "steklov")
+        object.__setattr__(g, "_spectrum", res)
     elif res.operator._inverse is not None:
         _warn_ill_conditioned(res.operator._inverse[1])
     return res
-
-
-def steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
-    """Spectrum of the plain DtN map Lambda on (G, B), solved once per
-    graph object."""
-    return _memoised(g, "steklov")
-
-
-def dirichlet_steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
-    """Spectrum of Lambda_0 on (G, B, B_D): data vanishes on B_D. Solved
-    once per graph object."""
-    return _memoised(g, "dirichlet")
 
 
 def stacked_steklov_spectra(n: int, count: int, owner, ends) -> np.ndarray:

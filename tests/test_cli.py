@@ -544,3 +544,12 @@ def test_entry_point_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["payload"]["family"] == "path"
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["--base", "star:3", "--tooth", "edge"], "unknown comb base 'star:3'"),
+    (["--base", "path:3", "--tooth", "fork"], "unknown tooth 'fork'"),
+], ids=["star-base", "fork-tooth"])
+def test_family_comb_refuses_unknown_specs(capsys, argv, fragment):
+    code, out, err = run(capsys, ["family", "comb", *argv])
+    assert (code, out) == (1, "") and err.startswith("ERROR 1:") and fragment in err

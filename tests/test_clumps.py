@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import re
 
 from steklov import clumps, graph
 from steklov.clumps import (
@@ -542,3 +543,32 @@ def test_float_unit_weights_give_integer_verdicts():
             if r >= 0 and m == (r + 2) * k:
                 got = _outcome(find_removal_sub_k, h, r, k)
                 assert got == _outcome(find_removal_sub_k, g, r, k), (g.edges, r, k)
+
+
+TRIANGLE = graph.combinatorial_graph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("build,error,fragment", [
+    (lambda: is_sub_k(TRIANGLE, 1), NotATreeError, "sub-k is defined for trees"),
+    (lambda: is_sub_k(path_graph(3), 0), InvalidParamsError, "need k >= 1"),
+    (lambda: find_removal_for_clump(TRIANGLE, 1, 1), NotATreeError,
+     "removal search is defined for trees"),
+    (lambda: find_removal_for_clump(path_graph(3), -1, 1), InvalidParamsError,
+     "need r >= 0 and k >= 1"),
+    (lambda: find_removal_for_clump(path_graph(3), 1, 0), InvalidParamsError,
+     "need r >= 0 and k >= 1"),
+    (lambda: find_removal_sub_k(TRIANGLE, 1, 1), NotATreeError,
+     "sub-k removal is defined for trees"),
+    (lambda: find_removal_sub_k(path_graph(3), -1, 1), InvalidParamsError,
+     "need r >= 0 and k >= 1"),
+    (lambda: find_removal_sub_k(path_graph(3), 1, 0), InvalidParamsError,
+     "need r >= 0 and k >= 1"),
+    (lambda: classify_type_AB(TRIANGLE, 1), NotATreeError,
+     "type A/B classification is defined for trees"),
+    (lambda: classify_type_AB(path_graph(3), 0), InvalidParamsError, "need k >= 1"),
+], ids=["sub-k-cycle", "sub-k-k0", "clump-removal-cycle", "clump-removal-r-1",
+        "clump-removal-k0", "sub-k-removal-cycle", "sub-k-removal-r-1", "sub-k-removal-k0",
+        "type-ab-cycle", "type-ab-k0"])
+def test_search_refusals(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import re
 
 import steklov
 from steklov import enumeration
@@ -33,7 +34,12 @@ from steklov.enumeration import (
     tree_from_code,
     unit_tree_code,
 )
-from steklov.errors import InvalidParamsError, OutOfSupportedRangeError, ParseError
+from steklov.errors import (
+    InvalidParamsError,
+    NotATreeError,
+    OutOfSupportedRangeError,
+    ParseError,
+)
 from steklov.graph import adjacency_sets, combinatorial_graph, make_graph
 
 from conftest import (
@@ -207,7 +213,7 @@ PUBLIC_NAMES = [
     "build_star_paths", "canonical_code", "check_monotonicity",
     "check_rigidity_equivalence", "classify_type_AB", "clump_number", "clump_number_at",
     "clumps", "comb_spectrum", "combinatorial_boundary", "combinatorial_graph",
-    "dirichlet_steklov_spectrum", "dtn_matrix", "enumerate_connected_graphs",
+    "dtn_matrix", "enumerate_connected_graphs",
     "enumerate_trees", "enumeration", "errors", "exact", "extremal", "families",
     "find_removal_for_clump", "find_removal_sub_k", "geometry", "graph",
     "graph_from_dict", "graph_to_dict", "harmonic_extension", "inertia_counts",
@@ -358,6 +364,14 @@ def test_tree_code_refuses_a_root_that_is_not_a_vertex(root):
     # or float label
     with pytest.raises(InvalidParamsError):
         tree_code(path_graph(4), root=root)
+
+
+def test_tree_codes_of_a_deep_path():
+    # both coders build bottom-up, with no recursion: on P_3001 the two
+    # centroid arms of 1,500 vertices each read "1(1(1...()...)))"
+    g = path_graph(3001)
+    arm = "1" + "(1" * 1499 + "()" + ")" * 1499
+    assert tree_code(g) == unit_tree_code(g.adjacency) == "(" + 2 * arm + ")"
 
 
 def test_graph_code_round_trip():
@@ -711,3 +725,16 @@ def test_cache_disabled_by_empty_env(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert len(_class("trees", 5).codes) == 3
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("build,error,fragment", [
+    (lambda: tree_code(combinatorial_graph(3, [(0, 1), (1, 2), (0, 2)])), NotATreeError,
+     "tree codes need a tree"),
+    (lambda: graph_code(make_graph(2, [(0, 1, 2)])), InvalidParamsError,
+     "general graph codes are for unit-weight graphs"),
+    (lambda: prufer_tree_classes(0), OutOfSupportedRangeError, "n >= 1"),
+    (lambda: graph_subset_classes(0), OutOfSupportedRangeError, "n >= 1"),
+], ids=["tree-code-of-a-cycle", "graph-code-of-weight-2", "prufer-0", "subsets-0"])
+def test_enumeration_refusals(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()

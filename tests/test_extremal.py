@@ -9,6 +9,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
+import re
 
 from steklov import enumeration, exact, extremal, families, geometry, spectral
 from steklov import graph as graph_mod
@@ -37,6 +38,7 @@ from steklov.extremal import (
     check_rigidity_equivalence,
     is_comb_over,
     predicted_bound,
+    rigidity_data,
     sigma_value,
     sweep,
     theta_value,
@@ -490,6 +492,38 @@ def test_tree_sweeps_reach_16():
         _load_class.cache_clear()  # the n = 16 class holds 19,320 spectra
 
 
+def test_leaf_rule_candidates_equal_the_screens():
+    """The oracle of the b = 1 rule. b is 1 exactly on the 65 pairs with
+    i > n/2 (trees 3 <= n <= 16, connected graphs 3 <= n <= 7), and on each
+    the classes with at least i leaves, which verify_extremal certifies
+    from the leaf table alone, are the classes whose screened sigma_i is
+    at most 1 + SCREEN_MARGIN; each of them screens within 1e-12 of 1."""
+    pairs = 0
+    try:
+        for graph_class, top in (("trees", 16), ("connected", 7)):
+            for n in range(3, top + 1):
+                for i in range(2, n // 2 + 1):
+                    try:
+                        assert predicted_bound(n, i, graph_class).bound_exact != 1, (n, i)
+                    except OutOfSupportedRangeError:
+                        assert i >= 7 and n % i == 0
+                stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
+                leaves = stream.leaf_table[:, 1]
+                for i in range(n // 2 + 1, n):
+                    assert predicted_bound(n, i, graph_class).bound_exact == 1, (n, i)
+                    values = stream.spectra[:, i - 1]
+                    screened = np.flatnonzero(values <= 1 + extremal.SCREEN_MARGIN)
+                    assert np.array_equal(np.flatnonzero(leaves >= i), screened), (graph_class, n, i)
+                    assert np.abs(values[screened] - 1).max() <= 1e-12, (graph_class, n, i)
+                    rep = verify_extremal(n, i, graph_class)
+                    assert rep.match and rep.bound_ok, (graph_class, n, i)
+                    assert rep.argmin_codes == tuple(stream.codes[j] for j in screened)
+                    pairs += 1
+    finally:
+        _load_class.cache_clear()  # the n = 16 class holds 19,320 spectra
+    assert pairs == 65
+
+
 def counting(monkeypatch, name):
     """Replace ``extremal.<name>`` by a wrapper that counts its calls."""
     calls = []
@@ -517,8 +551,8 @@ def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
     # iteration, the screen and the exact counts of every i read one store,
     # filled when the class is read from its file; the tree members of the
     # connected class are parsed as tree codes. A class object made from
-    # its codes alone fills the store on first read: reading its screen
-    # and then its leaf table at a b = 1 pair parses each code once too
+    # its codes alone fills the store on first read: reading its leaf
+    # table at a b = 1 pair parses each code once too, and builds no screen
     for graph_class, n in (("trees", 12), ("connected", 7)):
         enumerate_class = enumerate_trees if graph_class == "trees" else enumerate_connected_graphs
         enumerate_class(n)  # writes the class file
@@ -538,10 +572,10 @@ def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(extremal, enumerate_class.__name__, lambda n: made)
             fresh = [counting_calls(m, enumeration, name) for name in ("_unit_tree", "graph_edges")]
-            rep = verify_extremal(n, n - 1, graph_class)  # the screen, then the leaf table
+            rep = verify_extremal(n, n - 1, graph_class)  # the leaf table alone
             assert rep.target.bound_exact == 1 and rep.match
         assert fresh == [trees, graphs]
-        assert {"spectra", "leaf_table"} <= set(vars(made))
+        assert "leaf_table" in vars(made) and "spectra" not in vars(made)
         assert np.array_equal(made.leaf_table, stream.leaf_table)
 
 
@@ -564,7 +598,8 @@ def test_one_clear_frees_the_class_and_its_screen():
 def test_leaf_table_is_built_once_per_class_and_freed_with_it(monkeypatch):
     # the class object holds its leaf table, read-only, as it holds its
     # screen: built on the first b = 1 verify, shared by every later one,
-    # and freed by one clear; the object keeps no edge arrays
+    # and freed by one clear; the object keeps no edge arrays, and no b = 1
+    # verify builds the screen
     _load_class.cache_clear()
     builds = counting_calls(monkeypatch, exact, "leaf_table")
     for i in (7, 8, 7, 9):
@@ -575,7 +610,7 @@ def test_leaf_table_is_built_once_per_class_and_freed_with_it(monkeypatch):
     with pytest.raises(ValueError):
         table[0, 0] = 1
     assert {k for k, v in vars(stream).items() if isinstance(v, np.ndarray)} == {
-        "spectra", "leaf_table"}
+        "leaf_table"}
     held = weakref.ref(table)
     del stream, table
     assert held() is not None
@@ -1213,3 +1248,41 @@ def test_sigma_lambda_strict(rng):
         z = int(rng.integers(0, g.n))
         v = verify_sigma_lambda(g, z, w=float(rng.uniform(0.2, 3.0)))
         assert v.strict
+
+
+# P3 with its Dirichlet vertex at an end (a host) or in the middle (a
+# subgraph whose boundary holds the host's)
+PINNED_HOST = make_graph(3, [(0, 1, 1), (1, 2, 1)], roles=["dirichlet", "interior", "boundary"])
+PINNED_SUB = make_graph(3, [(0, 1, 1), (1, 2, 1)], roles=["boundary", "dirichlet", "boundary"])
+
+
+@pytest.mark.parametrize("build,error,fragment", [
+    (lambda: check_monotonicity(path_graph(3), path_graph(4)), NotASubgraphError,
+     "subgraph has more vertices than its host"),
+    (lambda: verify_reg_star(1, 1), InvalidParamsError, "need r >= 2 and l >= 1"),
+    (lambda: verify_sigma_lambda(path_graph(3), 5), InvalidParamsError,
+     "z must be a vertex of G"),
+    (lambda: verify_positivity(path_graph(3)), InvalidParamsError,
+     "positivity check needs B_D nonempty"),
+    (lambda: verify_lambda1_bound(combinatorial_graph(3, [(0, 1), (1, 2), (0, 2)])),
+     HypothesesNotMetError, "bound needs a tree"),
+    # the statements that compare plain spectra refuse a graph with B_D
+    (lambda: check_monotonicity(PINNED_HOST, path_graph(3)), InvalidParamsError,
+     "needs B_D empty"),
+    (lambda: check_monotonicity(path_graph(3), PINNED_SUB), InvalidParamsError,
+     "needs B_D empty"),
+    (lambda: rigidity_data(PINNED_HOST, path_graph(3)), InvalidParamsError, "needs B_D empty"),
+    (lambda: check_rigidity_equivalence(PINNED_HOST, path_graph(3)), InvalidParamsError,
+     "needs B_D empty"),
+    (lambda: check_rigidity_equivalence(path_graph(3), PINNED_SUB), InvalidParamsError,
+     "needs B_D empty"),
+    # rigidity_data checks the embedding before it reads the host
+    (lambda: rigidity_data(PINNED_HOST, path_graph(4)), NotASubgraphError,
+     "subgraph has more vertices than its host"),
+], ids=["monotonicity-larger-subgraph", "reg-star-r1", "sigma-lambda-z5",
+        "positivity-without-dirichlet", "lambda1-cycle", "monotonicity-pinned-host",
+        "monotonicity-pinned-subgraph", "rigidity-pinned-host", "equivalence-pinned-host",
+        "equivalence-pinned-subgraph", "rigidity-embedding-first"])
+def test_statement_refusals(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -32,9 +33,8 @@ from steklov.families import (
     rooted_path,
 )
 from steklov.geometry import GeometricPoint, clump_lengths_at
-from steklov.graph import Role
+from steklov.graph import Role, combinatorial_graph
 from steklov.spectral import (
-    dirichlet_steklov_spectrum,
     laplacian_spectrum,
     steklov_spectrum,
 )
@@ -55,7 +55,7 @@ def test_broom_lambda1_matches_numeric_grid():
     for l, i, d in itertools.product(GRID_L, range(5), range(5)):
         closed = float(broom_lambda1(l, i, d))
         g = build_broom(l, i, d).graph
-        numeric = dirichlet_steklov_spectrum(g).eigenvalue(1)
+        numeric = steklov_spectrum(g).eigenvalue(1)
         assert abs(closed - numeric) <= 1e-10, (l, i, d)
 
 
@@ -326,7 +326,7 @@ def test_comb_tooth_dirichlet_edge():
     t = comb_tooth_with_dirichlet_edge(rooted_path(1), 2.0)
     assert t.n == 3
     assert len(t.dirichlet) == 1
-    lam = dirichlet_steklov_spectrum(t).eigenvalue(1)
+    lam = steklov_spectrum(t).eigenvalue(1)
     # single edge tooth with mu = 2: T_i = path o'-o-leaf, weights (2, 1)
     assert lam > 0
 
@@ -342,3 +342,23 @@ def test_cycle_top_multiplicity_even_is_four():
     g = build_cycle(4).graph
     mu = laplacian_spectrum(g).eigenvalue(4)
     assert abs(mu - 4.0) <= 1e-10
+
+
+@pytest.mark.parametrize("build,fragment", [
+    (lambda: minimal_broom(0, 2), "need l > 0 and n >= 0"),
+    (lambda: build_star([rooted_path(1), RootedTree(combinatorial_graph(1, []), 0)]),
+     "nontrivial rooted trees"),
+    (lambda: build_star([rooted_path(1), RootedTree(build_cycle(3).graph, 0)]),
+     "star arms must be trees"),
+    (lambda: rooted_path(0), "length >= 1"),
+    (lambda: build_comb(combinatorial_graph(2, []), rooted_path(1)),
+     "comb base must be a connected graph"),
+    (lambda: build_comb(build_path(2).graph, RootedTree(combinatorial_graph(1, []), 0)),
+     "comb tooth must be a nontrivial rooted tree"),
+    (lambda: build_path(1), "path needs n >= 2"),
+    (lambda: build_cycle(2), "cycle needs n >= 3"),
+], ids=["broom-length-0", "star-one-vertex-arm", "star-cycle-arm", "rooted-path-0",
+        "comb-disconnected-base", "comb-one-vertex-tooth", "path-1", "cycle-2"])
+def test_builder_refusals(build, fragment):
+    with pytest.raises(InvalidParamsError, match=re.escape(fragment)):
+        build()

@@ -273,3 +273,8 @@ def test_nodal_check_builds_each_object_once(monkeypatch):
                 assert len(assemblies) == len(report.verdicts)
                 checked += not report.degenerate
     assert checked > 20
+
+
+def test_edge_point_refusal():
+    with pytest.raises(InvalidParamsError, match="keyed by the sorted edge"):
+        GeometricPoint.on_edge(2, 1, Fraction(1, 2))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -260,3 +261,26 @@ def test_round_trip_random_trees(n, pyrng):
     rng = np.random.default_rng(pyrng.randrange(2**32))
     g = combinatorial_graph(n, random_tree_edges(rng, n))
     assert structurally_equal(g, graph_from_dict(graph_to_dict(g)))
+
+
+@pytest.mark.parametrize("build,error,fragment", [
+    (lambda: graph_from_dict({"vertices": [], "edges": [], "extra": 1}), ParseError,
+     "exactly 'vertices' and 'edges'"),
+    (lambda: graph_from_dict({"vertices": [{"role": "boundary"}], "edges": []}), ParseError,
+     "missing 'id'"),
+    (lambda: graph_from_dict({"vertices": [{"id": 0, "role": "pinned"}], "edges": []}),
+     ParseError, "unknown role 'pinned'"),
+    (lambda: graph_from_dict({"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0}]}),
+     ParseError, "missing 'u' or 'v'"),
+    (lambda: make_graph(3, [], measures=[1, 1]), IndexOutOfRangeError,
+     "measure list has wrong length"),
+    (lambda: make_graph(3, [], roles=["boundary"]), IndexOutOfRangeError,
+     "role list has wrong length"),
+    (lambda: path_graph(3).with_roles([Role.BOUNDARY]), IndexOutOfRangeError,
+     "role list has wrong length"),
+    (lambda: path_graph(3).weight(0, 2), EdgeNotFoundError, "no edge {0,2}"),
+], ids=["extra-key", "vertex-without-id", "unknown-role", "edge-without-v",
+        "measures-length", "roles-length", "with-roles-length", "missing-edge-weight"])
+def test_graph_refusals(build, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        build()

@@ -21,7 +21,6 @@ from steklov.graph import Role, WeightedBoundaryGraph, combinatorial_graph, make
 from steklov.spectral import (
     EIG_EQ_TOL,
     dirichlet_energy,
-    dirichlet_steklov_spectrum,
     dtn_matrix,
     harmonic_extension,
     laplacian_matrix,
@@ -99,9 +98,12 @@ def test_singular_interior_detected():
 
 def test_plain_dtn_rejects_dirichlet_vertices():
     g = path_graph(3).with_roles([Role.DIRICHLET, Role.INTERIOR, Role.BOUNDARY])
-    with pytest.raises(InvalidParamsError):
-        dtn_matrix(g)
-    assert dirichlet_steklov_spectrum(g).eigenvalue(1) > 0
+    # the operator pins B_D: Lambda_0, S = L_BB - L_IB^T L_II^-1 L_IB = 1 - 1/2
+    op = dtn_matrix(g)
+    assert op.pinned == (0,) and op.matrix.tolist() == [[0.5]]
+    res = steklov_spectrum(g)
+    assert res.kind == "dirichlet" and steklov_spectrum(g) is res
+    assert steklov_spectrum(g).eigenvalue(1) > 0
 
 
 def test_constant_kernel_and_sentinel():
@@ -211,7 +213,7 @@ def test_dirichlet_spectrum_positive(seed):
         else (Role.BOUNDARY if v in leaves else Role.INTERIOR)
         for v in range(n)
     ]
-    res = dirichlet_steklov_spectrum(g.with_roles(roles))
+    res = steklov_spectrum(g.with_roles(roles))
     assert res.eigenvalue(1) > 1e-12
 
 
@@ -329,8 +331,8 @@ def assert_matches_oracle(g):
     if not g.boundary:
         return
     S, mb = oracle_dtn(g), m[list(g.boundary)]
-    res = (dirichlet_steklov_spectrum if g.dirichlet else steklov_spectrum)(g)
-    assert_close(dtn_matrix(g, with_dirichlet=bool(g.dirichlet)).matrix, S, np.abs(S).max())
+    res = steklov_spectrum(g)
+    assert_close(dtn_matrix(g).matrix, S, np.abs(S).max())
     assert_eigenpairs(res.operator.matrix, mb, res, oracle_eigenvalues(S, mb))
     # extensions: the eigenvectors on B, zero on B_D, harmonic on the interior
     ext, interior = res.extensions, list(g.interior)
@@ -372,8 +374,8 @@ def test_memoised_spectra_equal_a_fresh_solve(rng):
     graphs += [random_dirichlet_graph(rng) for _ in range(100)]
     for g in filter(lambda g: g.boundary, graphs):
         kind = "dirichlet" if g.dirichlet else "steklov"
-        solve = dirichlet_steklov_spectrum if g.dirichlet else steklov_spectrum
-        fresh = spectral._steklov_result(dtn_matrix(g, with_dirichlet=bool(g.dirichlet)), kind)
+        solve = steklov_spectrum
+        fresh = spectral._steklov_result(dtn_matrix(g), kind)
         for res in (solve(g), solve(g)):
             for got, expect in ((res.eigenvalues, fresh.eigenvalues),
                                 (res.vectors, fresh.vectors),
@@ -397,15 +399,14 @@ def test_spectrum_memo_contract(monkeypatch):
     # a call that raises stores nothing, so it raises on every call
     closed = path_graph(3).with_roles([Role.INTERIOR] * 3)
     for _ in range(2):
-        for solve in (steklov_spectrum, dirichlet_steklov_spectrum):
-            with pytest.raises(NoBoundaryError):
-                solve(closed)
+        with pytest.raises(NoBoundaryError):
+            steklov_spectrum(closed)
     pinned = make_graph(3, [(0, 1, 1), (1, 2, 1)], roles=["boundary", "interior", "dirichlet"])
-    dirichlet = dirichlet_steklov_spectrum(pinned)
+    dirichlet = steklov_spectrum(pinned)
+    assert dirichlet.kind == "dirichlet" and dirichlet.operator.pinned == (2,)
+    assert dirichlet.eigenvalues.tolist() == [0.5]  # Lambda_0 = 1 - 1/2
     for _ in range(2):
-        with pytest.raises(InvalidParamsError, match="use with_dirichlet=True"):
-            steklov_spectrum(pinned)
-        assert dirichlet_steklov_spectrum(pinned) is dirichlet
+        assert steklov_spectrum(pinned) is dirichlet
 
 
 # -- errors and warnings of the solves -------------------------------------------
@@ -495,12 +496,13 @@ def test_assembly_errors_unchanged():
     loose = make_graph(4, [(0, 1, 1), (2, 3, 1)],
                        roles=["boundary", "interior", "interior", "interior"])
     with pytest.raises(SingularInteriorError, match=r"component \[2, 3\] has no path"):
-        dirichlet_steklov_spectrum(loose)
+        steklov_spectrum(loose)
     with pytest.raises(SingularInteriorError, match=r"component \[2, 3\] has no path"):
         harmonic_extension(loose, {0: 1.0})
-    with pytest.raises(InvalidParamsError, match="use with_dirichlet=True"):
-        steklov_spectrum(pinned)
-    assert dirichlet_steklov_spectrum(pinned).eigenvalue(1) == 0.5
+    res = steklov_spectrum(pinned)
+    assert res.kind == "dirichlet" and steklov_spectrum(pinned) is res
+    assert res.operator.matrix.tolist() == [[0.5]]  # Lambda_0
+    assert steklov_spectrum(pinned).eigenvalue(1) == 0.5
 
 
 def test_singular_interior_matches_component_oracle():
@@ -527,7 +529,7 @@ def test_singular_interior_matches_component_oracle():
         data = dict.fromkeys(pinned, 0.0)
         solves = [lambda: harmonic_extension(g, data)]
         if g.boundary:
-            solves.append(lambda: dirichlet_steklov_spectrum(g))
+            solves.append(lambda: steklov_spectrum(g))
             if not g.dirichlet:
                 solves.append(lambda: dtn_matrix(g))
         connected[g.is_connected()] += 1
@@ -619,3 +621,9 @@ def test_no_unread_module_imports():
         for name, line in _unread_module_imports(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert unread == set()
+
+
+@pytest.mark.parametrize("i", [0, -1])
+def test_eigenvalue_index_refusal(i):
+    with pytest.raises(InvalidParamsError, match="eigenvalue index is 1-based"):
+        steklov_spectrum(path_graph(3)).eigenvalue(i)
