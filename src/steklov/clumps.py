@@ -41,7 +41,7 @@ from .graph import WeightedBoundaryGraph
 
 # An attribute only: bench/layers.py wraps ``clump_number`` here by name
 # (tests/test_bench_hooks.py), but the searches read ``_centre``, so the
-# wrapper records nothing until the hook moves there (ROADMAP item 5).
+# wrapper records nothing until the hook moves there (ROADMAP item 8).
 clump_number = geometry.clump_number
 
 

@@ -103,7 +103,7 @@ GRAPH_CLASSES = ("trees", "connected")
 MAX_SWEEP_TREE_N = 16
 # An attribute only: bench/layers.py wraps ``clump_number`` here by name
 # (tests/test_bench_hooks.py), but the clump bound reads ``_centre``, so the
-# wrapper records nothing until the hook moves there (ROADMAP item 5).
+# wrapper records nothing until the hook moves there (ROADMAP item 8).
 clump_number = geometry.clump_number
 # theta_i = 1/(2 + 2 cos(pi/i)), exact where cos(pi/i) is rational or quadratic
 THETA = {
@@ -897,6 +897,7 @@ def verify_reg_star(r: int, l: int, extension: RootedTree | None = None) -> RegS
     """sigma_i <= 1/l for i = 2..r on a star of r length-l path arms with an
     optional rooted tree grown at the center; when every branch of the
     extension has at most floor(sqrt(4(l-1)+1)) edges, sigma_2 = 1/l."""
+    r, l = _index(r, "r"), _index(l, "l")
     if r < 2 or l < 1:
         raise InvalidParamsError("need r >= 2 and l >= 1")
     arms = [rooted_path(l) for _ in range(r)]

@@ -117,7 +117,7 @@ def build_broom(l, i: int, d: int) -> FamilyGraph:
 
     Vertex o is the Dirichlet root. d=1 is normalized to (i+1, 0) first.
     """
-    p = BroomParams(as_number(l), i, d).normalized()
+    p = BroomParams(as_number(l), _index(i, "i"), _index(d, "d")).normalized()
     l, i, d = p.l, p.i, p.d
     n = 1 + (i + 1) + d
     edges = [(0, 1, 1 / l)]
@@ -235,6 +235,7 @@ def lambda_value(l) -> Number:
 
 def build_dumbbell(d0: int, i: int, d1: int) -> FamilyGraph:
     """Path of length i with d0 and d1 pendant edges on its two ends."""
+    d0, i, d1 = _index(d0, "d0"), _index(i, "i"), _index(d1, "d1")
     if d0 < 0 or d1 < 0 or i < 1:
         raise InvalidParamsError("dumbbell needs d0, d1 >= 0 and i >= 1")
     n = i + 1 + d0 + d1
@@ -270,6 +271,7 @@ def build_star(arms: list[RootedTree]) -> FamilyGraph:
 
 def rooted_path(length: int) -> RootedTree:
     """Path with ``length`` edges rooted at one end; the standard star arm / tooth."""
+    length = _index(length, "length")
     if length < 1:
         raise InvalidParamsError("rooted path needs length >= 1")
     g = combinatorial_graph(length + 1, [(j, j + 1) for j in range(length)])
@@ -278,6 +280,7 @@ def rooted_path(length: int) -> RootedTree:
 
 def build_star_paths(r: int, l: int) -> FamilyGraph:
     """St(r; l): r path arms of length l."""
+    r, l = _index(r, "r"), _index(l, "l")
     fam = build_star([rooted_path(l) for _ in range(r)])
     return FamilyGraph(fam.graph, fam.landmarks, "star", {"r": r, "l": l})
 
@@ -351,6 +354,7 @@ def comb_spectrum(base: WeightedBoundaryGraph, tooth: RootedTree):
 
 
 def build_path(n: int) -> FamilyGraph:
+    n = _index(n, "n")
     if n < 2:
         raise InvalidParamsError("path needs n >= 2")
     g = combinatorial_graph(n, [(j, j + 1) for j in range(n - 1)])
@@ -358,6 +362,7 @@ def build_path(n: int) -> FamilyGraph:
 
 
 def build_cycle(n: int) -> FamilyGraph:
+    n = _index(n, "n")
     if n < 3:
         raise InvalidParamsError("cycle needs n >= 3")
     g = combinatorial_graph(n, [(j, (j + 1) % n) for j in range(n)])

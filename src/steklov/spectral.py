@@ -328,12 +328,12 @@ def _generalized_eigh(S: np.ndarray, m: np.ndarray):
     return vals, Y * d[:, None]
 
 
-def _steklov_result(op: DtnOperator, kind: str) -> SpectralResult:
+def _steklov_result(op: DtnOperator) -> SpectralResult:
+    """The solved spectrum of ``op``, of kind "dirichlet" iff it pins a vertex."""
     vals, vecs = _generalized_eigh(op.matrix, op.boundary_measures)
     _read_only(vals, vecs)
-    return SpectralResult(
-        kind=kind, eigenvalues=vals, vectors=vecs, support=op.boundary, operator=op
-    )
+    return SpectralResult(kind="dirichlet" if op.pinned else "steklov", eigenvalues=vals,
+                          vectors=vecs, support=op.boundary, operator=op)
 
 
 def steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
@@ -344,8 +344,7 @@ def steklov_spectrum(g: WeightedBoundaryGraph) -> SpectralResult:
     the solve's ill-conditioning warning from the stored rcond."""
     res = g._spectrum
     if res is None:
-        op = dtn_matrix(g)
-        res = _steklov_result(op, "dirichlet" if op.pinned else "steklov")
+        res = _steklov_result(dtn_matrix(g))
         object.__setattr__(g, "_spectrum", res)
     elif res.operator._inverse is not None:
         _warn_ill_conditioned(res.operator._inverse[1])

@@ -1,28 +1,39 @@
+import heapq
 import itertools
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from steklov.enumeration import (
+    _index,
     canonical_code,
     graph_edges,
     graph_from_code,
     tree_code,
     tree_edges,
     tree_from_code,
+    unit_tree_code,
 )
+from steklov.errors import OutOfSupportedRangeError
 from steklov.families import BroomParams, _arm, build_broom, minimal_broom_total
 from steklov.graph import (
     Role,
+    adjacency_sets,
     combinatorial_boundary,
     combinatorial_graph,
     make_graph,
     subtree_sizes,
 )
+
+# child processes import this checkout's package, as the suite does
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")) if p)
 
 
 def structurally_equal(a, b):
@@ -159,6 +170,104 @@ def brute_force_graph_code(adj):
         if best is None or bits < best:
             best = bits
     return f"g{n}:{best:0{max(1, n * (n - 1) // 2)}b}" if n > 1 else "g1:0"
+
+
+def prufer_tree_classes(n: int) -> set[str]:
+    """Brute-force oracle: canonical codes of all labeled trees via Prufer
+    sequences. Exponential; intended for n <= 8. The labeled trees are told
+    apart first by :func:`_ahu_form`, a complete invariant in integers, and
+    one tree per form is coded by :func:`unit_tree_code`."""
+    n = _index(n, "n")
+    if n < 1:
+        raise OutOfSupportedRangeError("n >= 1")
+    if n == 1:
+        return {"()"}
+    trees: dict[tuple[int, ...], list[int]] = {}
+    ids: dict[tuple[int, ...], int] = {(): 0}
+    for seq in itertools.product(range(n), repeat=n - 2):
+        order, parent = _prufer_tree(n, seq)
+        trees.setdefault(_ahu_form(order, parent, ids), parent)
+    return {unit_tree_code(adjacency_sets(n, [(parent[v], v) for v in range(n - 1)]))
+            for parent in trees.values()}
+
+
+def _prufer_tree(n: int, seq) -> tuple[list[int], list[int]]:
+    """The labeled tree on n >= 2 vertices with Prufer sequence ``seq``,
+    rooted at n - 1, which is never removed: its vertices in the order the
+    decoding removes them (each after its children), then n - 1, and each
+    vertex's parent (n - 1 its own)."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    heap = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(heap)
+    order, parent = [], [n - 1] * n
+    for x in seq:
+        leaf = heapq.heappop(heap)
+        order.append(leaf)
+        parent[leaf] = x
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(heap, x)
+    order += [heapq.heappop(heap), n - 1]
+    return order, parent
+
+
+def _ahu_form(order, parent, ids: dict[tuple[int, ...], int]) -> tuple[int, ...]:
+    """A rooted tree, its vertices in ``order`` (each after its children,
+    the root last) with ``parent``s, as integers: with one centroid, the
+    integer of its shape rooted there; with two, the sorted integers of the
+    halves either side of the edge between them. A rooted shape is the
+    sorted tuple of its children's integers, numbered in ``ids`` on first
+    sight (Aho, Hopcroft and Ullman), which must hold the one-vertex shape
+    () as 0. Two trees read with one ``ids`` share a form iff they are
+    isomorphic.
+
+    The centroid is found from the root by stepping into the child with
+    more than n/2 vertices while there is one, carrying down the shape of
+    the part left above; a second centroid is a child with n/2."""
+    n = len(order)
+    size, shape, heavy, half = [1] * n, [0] * n, [-1] * n, [-1] * n
+    kids: list[list[int]] = [[] for _ in range(n)]  # the children's shapes
+    for v in order[:-1]:
+        if kids[v]:
+            shape[v] = ids.setdefault(tuple(sorted(kids[v])), len(ids))
+        u = parent[v]
+        kids[u].append(shape[v])
+        size[u] += size[v]
+        if 2 * size[v] >= n:
+            (heavy if 2 * size[v] > n else half)[u] = v
+    c, above = order[-1], []
+
+    def away(v: int, skip: int) -> int:
+        """The shape of v's side away from its child ``skip`` (-1: none)."""
+        rest = kids[v] + above
+        if skip >= 0:
+            rest.remove(shape[skip])
+        return ids.setdefault(tuple(sorted(rest)), len(ids))
+
+    while heavy[c] >= 0:
+        c, above = heavy[c], [away(c, heavy[c])]
+    if half[c] < 0:
+        return (away(c, -1),)
+    return tuple(sorted((away(c, half[c]), shape[half[c]])))
+
+
+
+def graph_subset_classes(n: int) -> set[str]:
+    """Brute-force oracle: canonical codes of all connected graphs via every
+    edge subset. Exponential; intended for n <= 6."""
+    n = _index(n, "n")
+    if n < 1:
+        raise OutOfSupportedRangeError("n >= 1")
+    all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    codes = set()
+    for mask in range(1 << len(all_pairs)):
+        edges = [all_pairs[k] for k in range(len(all_pairs)) if (mask >> k) & 1]
+        g = combinatorial_graph(n, edges)
+        if g.is_connected():
+            codes.add(canonical_code(g))
+    return codes
 
 
 def _surd_sign(x, y, d):

@@ -403,6 +403,17 @@ def test_verify_regenerates_truncated_cache(tmp_path, monkeypatch, capsys, caplo
     assert "generating the class again" in caplog.text
 
 
+def test_verify_with_a_file_as_cache_dir(tmp_path, capsys):
+    # a cache path that is no directory is skipped, as a cache that is off:
+    # the failed write's clean-up used to raise NotADirectoryError (exit 1)
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_bytes(b"keep")
+    off = run(capsys, ["--cache-dir", "", "verify", "--n", "6", "--i", "2"])
+    assert off[0] == 0
+    assert run(capsys, ["--cache-dir", str(blocker), "verify", "--n", "6", "--i", "2"]) == off
+    assert blocker.read_bytes() == b"keep" and list(tmp_path.iterdir()) == [blocker]
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "--n", "8", "--i", "3"],
      "5e4ebd6509b55d01620cf1cf4306371400ef34618d7fce2f01056e822bcd90eb"),

@@ -27,8 +27,6 @@ from steklov.enumeration import (
     graph_code,
     graph_edges,
     graph_from_code,
-    graph_subset_classes,
-    prufer_tree_classes,
     tree_code,
     tree_edges,
     tree_from_code,
@@ -43,11 +41,15 @@ from steklov.errors import (
 from steklov.graph import adjacency_sets, combinatorial_graph, make_graph
 
 from conftest import (
+    _ahu_form,
+    _prufer_tree,
     brute_force_graph_code,
     code_decoders,
     counting_calls,
+    graph_subset_classes,
     is_isomorphic,
     path_graph,
+    prufer_tree_classes,
     random_unit_tree,
     two_step_graph,
 )
@@ -260,9 +262,9 @@ def test_prufer_forms_match_tree_codes():
         ids, forms, codes = {(): 0}, {}, {}
         for _ in range(300):
             seq = [rng.randrange(n) for _ in range(n - 2)]
-            order, parent = enumeration._prufer_tree(n, seq)
+            order, parent = _prufer_tree(n, seq)
             assert sorted(order) == list(range(n)) and order[-1] == n - 1
-            form = enumeration._ahu_form(order, parent, ids)
+            form = _ahu_form(order, parent, ids)
             code = unit_tree_code(adjacency_sets(n, [(parent[v], v) for v in range(n - 1)]))
             assert forms.setdefault(form, code) == code and codes.setdefault(code, form) == form
         assert len(forms) > 1 or n <= 3
@@ -720,6 +722,20 @@ def test_corrupt_cache_entries_are_regenerated(tmp_path, monkeypatch, caplog, ki
         assert path.read_text().split() == list(good)
 
 
+@pytest.mark.parametrize("enumerate_class, n", [(enumerate_trees, 6),
+                                                 (enumerate_connected_graphs, 5)])
+def test_cache_path_that_is_a_file_is_skipped(tmp_path, monkeypatch, enumerate_class, n):
+    # the cache is best-effort: a failed write, and its clean-up, leave the
+    # class as with the cache off and the file as it was
+    monkeypatch.setenv("STEKLOV_CACHE_DIR", "")
+    off = enumerate_class(n).codes
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_bytes(b"keep")
+    monkeypatch.setenv("STEKLOV_CACHE_DIR", str(blocker))
+    assert enumerate_class(n).codes == off
+    assert blocker.read_bytes() == b"keep" and list(tmp_path.iterdir()) == [blocker]
+
+
 def test_cache_disabled_by_empty_env(tmp_path, monkeypatch):
     monkeypatch.setenv("STEKLOV_CACHE_DIR", "")
     monkeypatch.chdir(tmp_path)
@@ -734,7 +750,9 @@ def test_cache_disabled_by_empty_env(tmp_path, monkeypatch):
      "general graph codes are for unit-weight graphs"),
     (lambda: prufer_tree_classes(0), OutOfSupportedRangeError, "n >= 1"),
     (lambda: graph_subset_classes(0), OutOfSupportedRangeError, "n >= 1"),
-], ids=["tree-code-of-a-cycle", "graph-code-of-weight-2", "prufer-0", "subsets-0"])
+    (lambda: graph_edges("gx:1"), ParseError, "bad graph code 'gx:1'"),
+], ids=["tree-code-of-a-cycle", "graph-code-of-weight-2", "prufer-0", "subsets-0",
+        "graph-code-without-n"])
 def test_enumeration_refusals(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         build()

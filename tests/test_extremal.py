@@ -1254,6 +1254,13 @@ def test_sigma_lambda_strict(rng):
 # subgraph whose boundary holds the host's)
 PINNED_HOST = make_graph(3, [(0, 1, 1), (1, 2, 1)], roles=["dirichlet", "interior", "boundary"])
 PINNED_SUB = make_graph(3, [(0, 1, 1), (1, 2, 1)], roles=["boundary", "dirichlet", "boundary"])
+# P3 with measure 2 at its middle, and P3 whose one boundary vertex is 0
+HEAVY_P3 = make_graph(3, [(0, 1, 1), (1, 2, 1)], measures=[1, 2, 1],
+                      roles=["boundary", "interior", "boundary"])
+ONE_END_P3 = make_graph(3, [(0, 1, 1), (1, 2, 1)], roles=["boundary", "interior", "interior"])
+# Br(1, 1, 2) with its last pendant made interior: a leaf outside B u B_D
+BROOM_112 = build_broom(1, 1, 2).graph
+LEAF_OFF_BROOM = BROOM_112.with_roles(BROOM_112.roles[:-1] + (Role.INTERIOR,))
 
 
 @pytest.mark.parametrize("build,error,fragment", [
@@ -1279,10 +1286,27 @@ PINNED_SUB = make_graph(3, [(0, 1, 1), (1, 2, 1)], roles=["boundary", "dirichlet
     # rigidity_data checks the embedding before it reads the host
     (lambda: rigidity_data(PINNED_HOST, path_graph(4)), NotASubgraphError,
      "subgraph has more vertices than its host"),
+    (lambda: check_monotonicity(path_graph(3), HEAVY_P3), NotASubgraphError,
+     "has a different measure in host"),
+    (lambda: check_monotonicity(path_graph(3), ONE_END_P3), NotASubgraphError,
+     "host boundary must be contained"),
+    (lambda: rigidity_data(ONE_END_P3, ONE_END_P3), InvalidParamsError,
+     "rigidity needs |B~| >= 2"),
+    (lambda: verify_lambda1_bound(LEAF_OFF_BROOM), HypothesesNotMetError,
+     "leaves must be exactly B u B_D"),
+    (lambda: verify_sigma_lambda(BROOM_112, 1), InvalidParamsError, "plain boundary"),
+    (lambda: theta_value(1), InvalidParamsError, "need i >= 2"),
+    (lambda: sweep(5, 2, "forest"), InvalidParamsError, "unknown graph class"),
+    # a surd does not mix with a float
+    (lambda: QuadraticSurd(1, 1, 2) + 0.5, TypeError, "unsupported operand"),
+    (lambda: QuadraticSurd(1, 1, 2) * 0.5, TypeError, "unsupported operand"),
 ], ids=["monotonicity-larger-subgraph", "reg-star-r1", "sigma-lambda-z5",
         "positivity-without-dirichlet", "lambda1-cycle", "monotonicity-pinned-host",
         "monotonicity-pinned-subgraph", "rigidity-pinned-host", "equivalence-pinned-host",
-        "equivalence-pinned-subgraph", "rigidity-embedding-first"])
+        "equivalence-pinned-subgraph", "rigidity-embedding-first",
+        "monotonicity-measure", "monotonicity-host-boundary", "rigidity-one-boundary-vertex",
+        "lambda1-interior-leaf", "sigma-lambda-broom", "theta-1", "sweep-unknown-class",
+        "surd-plus-float", "surd-times-float"])
 def test_statement_refusals(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         build()

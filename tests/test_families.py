@@ -11,7 +11,7 @@ import pytest
 from steklov.enumeration import enumerate_trees, tree_code
 from steklov.errors import InvalidParamsError
 from steklov.exact import QuadraticSurd
-from steklov.extremal import THETA
+from steklov.extremal import THETA, verify_reg_star
 from steklov.families import (
     BroomParams,
     RootedTree,
@@ -362,3 +362,32 @@ def test_cycle_top_multiplicity_even_is_four():
 def test_builder_refusals(build, fragment):
     with pytest.raises(InvalidParamsError, match=re.escape(fragment)):
         build()
+
+
+@pytest.mark.parametrize("build, args", [
+    (build_path, (4,)),
+    (build_cycle, (4,)),
+    (rooted_path, (3,)),
+    (build_dumbbell, (1, 2, 1)),
+    (build_star_paths, (3, 2)),
+    (build_broom, (1, 2, 2)),
+    (verify_reg_star, (3, 2)),
+], ids=["path", "cycle", "rooted-path", "dumbbell", "star-paths", "broom", "reg-star"])
+def test_integer_parameters_are_read_as_indices(build, args):
+    # every integer parameter (all but a broom's length l) refuses a bool, a
+    # float and a half, which raised a bare TypeError or ran with True as 1,
+    # and reads a numpy integer as the int
+    def shape(x):
+        g = getattr(x, "graph", None)
+        if g is None:
+            return x
+        params = getattr(x, "params", {})
+        return g.n, g.edges, g.roles, params, [type(v) for v in params.values()]
+
+    expect = shape(build(*args))
+    for k in range(build is build_broom, len(args)):
+        head, tail = args[:k], args[k + 1:]
+        for bad in (True, float(args[k]), args[k] + 0.5):
+            with pytest.raises(InvalidParamsError, match="must be an integer"):
+                build(*head, bad, *tail)
+        assert shape(build(*head, np.int64(args[k]), *tail)) == expect

@@ -279,8 +279,11 @@ def test_round_trip_random_trees(n, pyrng):
     (lambda: path_graph(3).with_roles([Role.BOUNDARY]), IndexOutOfRangeError,
      "role list has wrong length"),
     (lambda: path_graph(3).weight(0, 2), EdgeNotFoundError, "no edge {0,2}"),
+    (lambda: make_graph(2, [(0, 1, "x")]), NonPositiveWeightError,
+     "edge weight must be a positive finite number"),
 ], ids=["extra-key", "vertex-without-id", "unknown-role", "edge-without-v",
-        "measures-length", "roles-length", "with-roles-length", "missing-edge-weight"])
+        "measures-length", "roles-length", "with-roles-length", "missing-edge-weight",
+        "string-weight"])
 def test_graph_refusals(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         build()

@@ -373,9 +373,8 @@ def test_memoised_spectra_equal_a_fresh_solve(rng):
     graphs += [g for n in range(2, 7) for g in enumerate_connected_graphs(n)]
     graphs += [random_dirichlet_graph(rng) for _ in range(100)]
     for g in filter(lambda g: g.boundary, graphs):
-        kind = "dirichlet" if g.dirichlet else "steklov"
         solve = steklov_spectrum
-        fresh = spectral._steklov_result(dtn_matrix(g), kind)
+        fresh = spectral._steklov_result(dtn_matrix(g))
         for res in (solve(g), solve(g)):
             for got, expect in ((res.eigenvalues, fresh.eigenvalues),
                                 (res.vectors, fresh.vectors),
