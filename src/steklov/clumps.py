@@ -5,10 +5,10 @@ explicit witness (removed edge set, per-component clump data) or proves by
 exhaustion that no witness exists. The removal searches share one walk over
 edge subsets, ordered by size and then lexicographically by edge index, and
 list components by least vertex, each sorted, so results are deterministic.
-Every removal is judged by one integer fold (:func:`_fold`) over the tree's
-own walk from vertex 0 (``WeightedBoundaryGraph.walk``): a removal is the
-set of far ends of its edges, and two passes give each piece's vertices and
-twice its clump number, min(2 h, N - 1) for a piece of N vertices whose
+Every removal is judged by one integer fold (``geometry._fold``) over the
+tree's own walk from vertex 0 (``WeightedBoundaryGraph.walk``): a removal is
+the set of far ends of its edges, and two passes give each piece's vertices
+and twice its clump number, min(2 h, N - 1) for a piece of N vertices whose
 centroid's heaviest branch has h. The type A split needs no search: it is
 unique when it exists, and it reads the same walk and the same fold, as the
 tree test and the sub-k test read the walk. Clump numbers and limits are
@@ -36,7 +36,7 @@ from .errors import (
     NotATreeError,
 )
 from . import geometry
-from .geometry import _broom_branches, _centre, require_unit_weights
+from .geometry import _broom_branches, _centre, _fold, _pieces, require_unit_weights
 from .graph import WeightedBoundaryGraph
 
 # An attribute only: bench/layers.py wraps ``clump_number`` here by name
@@ -108,56 +108,6 @@ class StarException:
     center: int
     k: int
     r: int
-
-
-def _fold(walk, cuts):
-    """Fold the tree that ``walk`` (a graph's
-    :attr:`~steklov.graph.WeightedBoundaryGraph.walk`) spans, less the edges
-    above the vertices in ``cuts``. Returns each vertex's piece, named by
-    the piece's top vertex, and twice the clump number of each piece, by
-    top.
-
-    One reverse pass gives every vertex's subtree size within its piece
-    and its heaviest child there; one forward pass gives its piece's top
-    and its heaviest branch. Twice the clump number of a piece of N
-    vertices is min(2 h, N - 1), for the least heaviest branch h in the
-    piece (at its centroid): an edge midpoint with sides s > N - s is
-    beaten by the vertex on the larger side, whose branches have fewer than
-    s vertices, so a midpoint wins only at an even split, with N - 1.
-    """
-    order, parent, _ = walk
-    n = len(order)
-    size = [1] * n
-    heavy = [0] * n
-    for v in order[:0:-1]:
-        if v not in cuts:
-            p, s = parent[v], size[v]
-            size[p] += s
-            if s > heavy[p]:
-                heavy[p] = s
-    root = order[0]
-    top = [root] * n
-    least = {root: heavy[root]}  # least heaviest branch in each piece
-    for v in order[1:]:
-        if v in cuts:
-            top[v] = v
-            least[v] = heavy[v]
-        else:
-            t = top[v] = top[parent[v]]
-            h = size[t] - size[v]  # the branch through the parent
-            if heavy[v] > h:
-                h = heavy[v]
-            if h < least[t]:
-                least[t] = h
-    return top, {t: 2 * h if 2 * h < size[t] else size[t] - 1 for t, h in least.items()}
-
-
-def _pieces(top) -> list[tuple[int, ...]]:
-    """The vertices of each piece of a fold, sorted, by least vertex."""
-    pieces: dict[int, list[int]] = {}
-    for v, t in enumerate(top):
-        pieces.setdefault(t, []).append(v)
-    return [tuple(verts) for verts in pieces.values()]
 
 
 def _far_ends(g: WeightedBoundaryGraph) -> list[int]:

@@ -6,7 +6,9 @@ the metric graph into nodal domains, and each domain induces a weighted
 graph with Dirichlet boundary at the cut points. Clump numbers are the
 unit-tree branch statistics used by the removal lemmas, decided in integer
 halves off the tree's walk (``_centre``, and ``_broom_branches`` for its
-minimal-broom branches); only reports hold Fractions.
+minimal-broom branches); only reports hold Fractions. The clumps at a point
+and the pieces of the removal searches are read off one fold of that walk
+(``_fold``).
 """
 
 from __future__ import annotations
@@ -165,35 +167,26 @@ def _require_point_of(g: WeightedBoundaryGraph, point: GeometricPoint) -> None:
 
 
 def _clumps_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[Clump, ...]:
-    """Clumps at a point, ordered by attach vertex, read from the shared
-    walk: a branch at the point is the subtree of one of its children in
-    the walk, or the rest of the tree, which holds the walk's root."""
-    order, parent, _ = g.walk
+    """Clumps at a point, ordered by attach vertex: the pieces that
+    :func:`_fold` leaves when the shared walk is cut at the point's edges,
+    each attached at the point's neighbour inside it."""
+    parent = g.walk[1]
     if point.is_vertex:
-        cut = point.vertex
-        heads = sorted(g.adjacency[cut])
-        below = {h for h in heads if parent[h] == cut}
-        above = parent[cut]
+        c = point.vertex
+        heads = sorted(g.adjacency[c])
+        cuts = {h if parent[h] == c else c for h in heads}
     else:
-        u, v = heads = list(point.edge)
-        child, above = (u, v) if parent[u] == v else (v, u)
-        below, cut = {child}, None
-    head = {}  # each vertex's clump, by attach vertex
-    for x in order:
-        if x in below:
-            head[x] = x
-        elif x != cut:
-            head[x] = above if parent[x] < 0 else head[parent[x]]
-    members = {h: [] for h in heads}
-    for x in range(g.n):
-        if x in head:
-            members[head[x]].append(x)
+        u, v = heads = point.edge
+        cuts = {u if parent[u] == v else v}
+    top, _ = _fold(g.walk, cuts)
+    piece = {top[verts[0]]: verts for verts in _pieces(top)}
+    members = [piece[top[h]] for h in heads]
     if point.is_vertex:
-        return tuple(Clump(Fraction(len(members[b])), tuple(members[b]), b) for b in heads)
-    (u, v), t = point.edge, point.offset
+        return tuple(Clump(Fraction(len(m)), m, h) for h, m in zip(heads, members))
+    (mu, mv), t = members, point.offset
     return (
-        Clump(length=len(members[u]) - 1 + t, vertices=tuple(members[u]), attach=u),
-        Clump(length=len(members[v]) - 1 + (1 - t), vertices=tuple(members[v]), attach=v),
+        Clump(length=len(mu) - 1 + t, vertices=mu, attach=u),
+        Clump(length=len(mv) - 1 + (1 - t), vertices=mv, attach=v),
     )
 
 
@@ -224,6 +217,56 @@ def _centre(g: WeightedBoundaryGraph) -> tuple[list[int], int, list[tuple[int, i
     branch = {b: size[b] if parent[b] == c else n - size[c] for b in sorted(g.adjacency[c])}
     h = max(branch.values(), default=0)
     return tops, 2 * h, [(c, b) for b, s in branch.items() if s == h]
+
+
+def _fold(walk, cuts):
+    """Fold the tree that ``walk`` (a graph's
+    :attr:`~steklov.graph.WeightedBoundaryGraph.walk`) spans, less the edges
+    above the vertices in ``cuts``. Returns each vertex's piece, named by
+    the piece's top vertex, and twice the clump number of each piece, by
+    top.
+
+    One reverse pass gives every vertex's subtree size within its piece
+    and its heaviest child there; one forward pass gives its piece's top
+    and its heaviest branch. Twice the clump number of a piece of N
+    vertices is min(2 h, N - 1), for the least heaviest branch h in the
+    piece (at its centroid): an edge midpoint with sides s > N - s is
+    beaten by the vertex on the larger side, whose branches have fewer than
+    s vertices, so a midpoint wins only at an even split, with N - 1.
+    """
+    order, parent, _ = walk
+    n = len(order)
+    size = [1] * n
+    heavy = [0] * n
+    for v in order[:0:-1]:
+        if v not in cuts:
+            p, s = parent[v], size[v]
+            size[p] += s
+            if s > heavy[p]:
+                heavy[p] = s
+    root = order[0]
+    top = [root] * n
+    least = {root: heavy[root]}  # least heaviest branch in each piece
+    for v in order[1:]:
+        if v in cuts:
+            top[v] = v
+            least[v] = heavy[v]
+        else:
+            t = top[v] = top[parent[v]]
+            h = size[t] - size[v]  # the branch through the parent
+            if heavy[v] > h:
+                h = heavy[v]
+            if h < least[t]:
+                least[t] = h
+    return top, {t: 2 * h if 2 * h < size[t] else size[t] - 1 for t, h in least.items()}
+
+
+def _pieces(top) -> list[tuple[int, ...]]:
+    """The vertices of each piece of a fold, sorted, by least vertex."""
+    pieces: dict[int, list[int]] = {}
+    for v, t in enumerate(top):
+        pieces.setdefault(t, []).append(v)
+    return [tuple(verts) for verts in pieces.values()]
 
 
 def _broom_branches(g: WeightedBoundaryGraph, twice: int, heavy) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ Every question about connected pieces goes through one walk,
 :func:`subtree_sizes`: components of a graph or of an induced subgraph
 (:func:`component_passes`), nodal domains, and the interior components that
 must touch the boundary. The pieces a tree leaves after edge removals are
-folded from the tree's own walk instead (:mod:`steklov.clumps`).
+folded from the tree's own walk instead (``geometry._fold``).
 
 A graph keeps its walk from vertex 0 (:attr:`WeightedBoundaryGraph.walk`),
 as it keeps its adjacency and its role lists: ``is_connected``, ``is_tree``
@@ -28,15 +28,17 @@ A graph with the combinatorial boundary (degree <= 1 means boundary) is
 built in one :func:`make_graph` call, with the roles that
 :func:`degree_roles` reads off its edge list: :func:`combinatorial_graph`,
 ``enumeration.tree_from_code`` and ``families.build_star`` build no
-all-interior graph first. ``make_graph`` checks only the measures and roles
-a caller passes; the defaults need no check.
+all-interior graph first. Every graph, those that ``with_roles``,
+``delete_edges``, ``induced_subgraph`` and ``graph_from_dict`` return
+included, is built by ``make_graph``, the one reader of role names and
+numbers; it checks only the measures and roles a caller passes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -46,6 +48,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DuplicateEdgeError,
     EdgeNotFoundError,
+    GraphError,
     IndexOutOfRangeError,
     InvalidParamsError,
     NonPositiveMeasureError,
@@ -61,6 +64,10 @@ class Role(Enum):
     INTERIOR = "interior"
     BOUNDARY = "boundary"
     DIRICHLET = "dirichlet"
+
+    @classmethod
+    def _missing_(cls, value):  # Role(name) for a name that names no role
+        raise InvalidParamsError(f"unknown role {value!r}")
 
 
 _BOUNDARY, _INTERIOR = Role.BOUNDARY, Role.INTERIOR
@@ -136,8 +143,9 @@ def centroids(order, parent, size) -> list[int]:
 class WeightedBoundaryGraph:
     """Simple undirected graph with vertex measures, edge weights and roles.
 
-    Invariants (enforced by :func:`make_graph`): no loops, no duplicate
-    edges, positive finite weights and measures, one role per vertex.
+    Invariants (enforced by :func:`make_graph`, which builds every graph):
+    no loops, no duplicate edges, edges sorted with u < v, weights and
+    measures positive with a positive finite float, one :class:`Role` each.
     """
 
     n: int
@@ -208,7 +216,7 @@ class WeightedBoundaryGraph:
     @cached_property
     def dirichlet_interior(self) -> tuple[int, ...]:
         """Omega_D: every vertex that is not a Dirichlet boundary vertex."""
-        return tuple(v for v in range(self.n) if self.roles[v] is not Role.DIRICHLET)
+        return tuple(sorted(self.boundary + self.interior))
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.degree(v) <= 1)
@@ -232,36 +240,34 @@ class WeightedBoundaryGraph:
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1 and self.is_connected()
 
-    # -- mutation (returns new graphs) --------------------------------------
+    # -- mutation (returns new graphs, each built by make_graph) ------------
 
     def delete_edges(self, remove: Iterable[tuple[int, int]]) -> "WeightedBoundaryGraph":
         """Remove the listed edges; vertices, measures and roles are kept."""
-        keys = {_norm_edge(x, y) for x, y in remove}
+        keys = {_norm_edge(_vertex(x, self.n), _vertex(y, self.n)) for x, y in remove}
         for key in keys:
             if key not in self.edge_weights:
                 raise EdgeNotFoundError(f"no edge {{{key[0]},{key[1]}}}")
-        kept = tuple(e for e in self.edges if (e[0], e[1]) not in keys)
-        return replace(self, edges=kept)
+        kept = [e for e in self.edges if (e[0], e[1]) not in keys]
+        return make_graph(self.n, kept, self.measures, self.roles)
 
-    def with_roles(self, roles: Sequence[Role]) -> "WeightedBoundaryGraph":
-        if len(roles) != self.n:
-            raise IndexOutOfRangeError("role list has wrong length")
-        return replace(self, roles=tuple(roles))
+    def with_roles(self, roles: Sequence[Role | str]) -> "WeightedBoundaryGraph":
+        """The same graph with ``roles``, given as :class:`Role` values or
+        their names, as :func:`make_graph` reads them."""
+        return make_graph(self.n, self.edges, self.measures, roles)
 
-    def induced_subgraph(self, verts: Sequence[int]) -> "WeightedBoundaryGraph":
-        """Induced subgraph with relabeled dense indices (order of ``verts``)."""
-        index = {v: i for i, v in enumerate(verts)}
-        edges = tuple(
-            (index[u], index[v], w)
-            for u, v, w in self.edges
-            if u in index and v in index
-        )
-        return WeightedBoundaryGraph(
-            n=len(verts),
-            edges=edges,
-            measures=tuple(self.measures[v] for v in verts),
-            roles=tuple(self.roles[v] for v in verts),
-        )
+    def induced_subgraph(self, verts: Iterable[int]) -> "WeightedBoundaryGraph":
+        """Induced subgraph on distinct vertices, the k-th of ``verts`` made
+        vertex k; its edges are stored as make_graph stores them (u < v)."""
+        index: dict[int, int] = {}
+        for v in verts:
+            if _vertex(v, self.n) in index:
+                raise IndexOutOfRangeError(f"vertex {v!r} repeated")
+            index[v] = len(index)
+        edges = [(index[u], index[v], w) for u, v, w in self.edges
+                 if u in index and v in index]
+        return make_graph(len(index), edges, [self.measures[v] for v in index],
+                          [self.roles[v] for v in index])
 
     def is_subgraph_of(self, other: "WeightedBoundaryGraph") -> bool:
         """Same vertex set, edge subset, matching weights and measures."""
@@ -285,12 +291,24 @@ def _check_positive(value, exc, what):
         ok = False
     if not ok:
         raise exc(f"{what} must be a positive finite number, got {value!r}")
+    try:
+        as_float = float(value)
+    except OverflowError:  # an integer or fraction beyond the float range
+        as_float = math.inf
+    if not 0 < as_float < math.inf:  # numeric code reads it as a float
+        raise exc(f"{what} is {as_float!r} as a float; a graph needs a positive finite one")
 
 
 def _is_label(x) -> bool:
     """An integer that is not a bool: a float 1.0 or True keys a dict
     like the int, but is no vertex label."""
     return type(x) is int or isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _vertex(x, n: int):
+    if not (_is_label(x) and 0 <= x < n):
+        raise IndexOutOfRangeError(f"vertex {x!r} out of range for n={n}")
+    return x
 
 
 def make_graph(
@@ -303,7 +321,8 @@ def make_graph(
 
     ``measures`` defaults to all ones and ``roles`` to all-interior; only
     the ones a caller passes are checked. Roles may be given as
-    :class:`Role` values or their string names.
+    :class:`Role` values or their string names; any other role raises
+    InvalidParamsError.
     """
     if not (_is_label(n) and n >= 0):
         raise IndexOutOfRangeError(f"vertex count must be a nonnegative integer, got {n!r}")
@@ -381,18 +400,9 @@ _VERTEX_FIELDS = {"id", "measure", "role"}
 _EDGE_FIELDS = {"u", "v", "w"}
 
 
-def _num_to_json(x: Weight, what: str):
-    """An integer stays an integer and anything else becomes a float; a
-    value that a graph file could not read back as a positive finite float
-    (one that rounds to 0 or overflows) raises InvalidParamsError."""
-    try:
-        as_float = float(x)
-    except OverflowError:  # an integer or fraction beyond the float range
-        as_float = math.inf
-    if not 0 < as_float < math.inf:
-        raise InvalidParamsError(
-            f"{what} is {as_float!r} as a float; a graph file needs a positive finite one")
-    return int(x) if isinstance(x, Rational) and x.denominator == 1 else as_float
+def _num_to_json(x: Weight):
+    """An integer stays an integer and anything else becomes a float."""
+    return int(x) if isinstance(x, Rational) and x.denominator == 1 else float(x)
 
 
 def graph_to_dict(g: WeightedBoundaryGraph) -> dict:
@@ -400,28 +410,15 @@ def graph_to_dict(g: WeightedBoundaryGraph) -> dict:
         "vertices": [
             {
                 "id": v,
-                "measure": _num_to_json(g.measures[v], "vertex measure"),
+                "measure": _num_to_json(g.measures[v]),
                 "role": g.roles[v].value,
             }
             for v in range(g.n)
         ],
         "edges": [
-            {"u": u, "v": v, "w": _num_to_json(w, "edge weight")} for u, v, w in g.edges
+            {"u": u, "v": v, "w": _num_to_json(w)} for u, v, w in g.edges
         ],
     }
-
-
-def _finite(value, what):
-    """JSON reads Infinity and NaN as floats, integers of any size, and
-    true and false as bools, which Python counts as integers; a graph file
-    may hold only numbers that a float represents."""
-    try:
-        ok = not isinstance(value, (int, float)) or math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok or isinstance(value, bool):
-        raise ParseError(f"{what} must be a finite float, got {value!r}")
-    return value
 
 
 def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
@@ -432,8 +429,8 @@ def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
             and all(isinstance(entry, dict) for entry in verts + edge_entries)):
         raise ParseError("'vertices' and 'edges' must be lists of objects")
     n = len(verts)
-    measures: list[Weight] = [1] * n
-    roles: list[Role] = [Role.INTERIOR] * n
+    measures: list = [1] * n
+    roles: list = [_INTERIOR] * n
     seen_ids = set()
     for entry in verts:
         if set(entry) - _VERTEX_FIELDS:
@@ -444,11 +441,8 @@ def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
         if not _is_label(vid) or not (0 <= vid < n) or vid in seen_ids:
             raise ParseError(f"bad or repeated vertex id {vid!r}")
         seen_ids.add(vid)
-        measures[vid] = _finite(entry.get("measure", 1), "vertex measure")
-        try:
-            roles[vid] = Role(entry.get("role", "interior"))
-        except ValueError as exc:
-            raise ParseError(f"unknown role {entry.get('role')!r}") from exc
+        measures[vid] = entry.get("measure", 1)
+        roles[vid] = entry.get("role", _INTERIOR)
     edges = []
     for entry in edge_entries:
         if set(entry) - _EDGE_FIELDS:
@@ -457,16 +451,10 @@ def graph_from_dict(data: dict) -> WeightedBoundaryGraph:
             u, v = entry["u"], entry["v"]
         except KeyError as exc:
             raise ParseError("edge entry missing 'u' or 'v'") from exc
-        edges.append((u, v, _finite(entry.get("w", 1), "edge weight")))
+        edges.append((u, v, entry.get("w", 1)))
     try:
         return make_graph(n, edges, measures, roles)
-    except (
-        DuplicateEdgeError,
-        SelfLoopError,
-        NonPositiveWeightError,
-        NonPositiveMeasureError,
-        IndexOutOfRangeError,
-    ) as exc:
+    except (GraphError, InvalidParamsError) as exc:
         raise ParseError(str(exc)) from exc
 
 

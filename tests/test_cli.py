@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import steklov
-from steklov import cli
+from steklov import cli, clumps, families
+from steklov.errors import CertificationError
 from steklov.families import build_cycle, build_dumbbell, build_path, build_star_paths
 from steklov.graph import Role, graph_to_dict, load_graph, save_graph
 
@@ -564,3 +565,42 @@ def test_entry_point_installed(tmp_path):
 def test_family_comb_refuses_unknown_specs(capsys, argv, fragment):
     code, out, err = run(capsys, ["family", "comb", *argv])
     assert (code, out) == (1, "") and err.startswith("ERROR 1:") and fragment in err
+
+
+def test_verbose_logs_to_stderr_and_leaves_stdout(tmp_path):
+    env = {**os.environ, "STEKLOV_CACHE_DIR": str(tmp_path)}
+
+    def child(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "steklov.cli", *flags, "verify", "--n", "6", "--i", "2"],
+            capture_output=True, env=env, timeout=120)
+
+    quiet, loud = child(), child("-v")
+    assert (quiet.returncode, loud.returncode, quiet.stderr) == (0, 0, b"")
+    assert loud.stdout == quiet.stdout
+    assert loud.stderr.startswith(b"INFO verify finished in ")
+
+
+def test_certification_error_exits_2(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise CertificationError("removal guaranteed but none found")
+
+    monkeypatch.setattr(clumps, "find_removal_for_clump", fail)
+    argv = ["clump-cert", write_path(tmp_path, 4), "--r", "0", "--k", "2"]
+    assert run(capsys, argv) == (2, "", "ERROR 2: removal guaranteed but none found\n")
+
+
+def test_jsonify_writes_any_other_object_as_its_string():
+    assert cli._jsonify({"z": 1 + 2j}) == '{"z": "(1+2j)"}'
+
+
+def test_selftest_reports_a_check_that_raises(capsys, caplog, monkeypatch):
+    def fail(*args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(families, "lambda_value", fail)
+    code, out, _ = run(capsys, ["selftest"])
+    payload = json.loads(out)["payload"]
+    assert (code, payload["ok"]) == (2, False)
+    assert [c["ok"] for c in payload["checks"]] == [False, True, True, True, True]
+    assert "selftest lambda-spot-values raised: boom" in caplog.text

@@ -572,3 +572,34 @@ TRIANGLE = graph.combinatorial_graph(3, [(0, 1), (1, 2), (0, 2)])
 def test_search_refusals(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         build()
+
+
+# K_{1,4}: clump number 1, and no star exception at k = 2
+STAR_4 = combinatorial_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+
+
+@pytest.mark.parametrize("search,fragment", [
+    (lambda: find_removal_for_clump(path_graph(4), 0, 2),
+     "removal guaranteed for |E| <= 4 but none found"),
+    (lambda: find_removal_sub_k(STAR_4, 0, 2),
+     "no sub-k removal found and the input is not the exceptional star"),
+    (lambda: classify_type_AB(path_graph(4), 3),
+     "tree with 3 edges is neither type A nor type B for k=3"),
+], ids=["clump", "sub-k", "type-ab"])
+def test_a_failed_guarantee_raises(monkeypatch, search, fragment):
+    # each search is guaranteed a witness on these inputs, so an empty
+    # removal search must fail loudly
+    monkeypatch.setattr(clumps, "_removal_search", lambda *args: None)
+    with pytest.raises(CertificationError, match=re.escape(fragment)):
+        search()
+
+
+def test_star_exception_needs_every_branch_a_minimal_broom():
+    assert clumps._star_exception(STAR_4, 0, 2) is None  # clump number 1, not 2
+    # centre 0 with two branches of 4 vertices: the first is Br(4), of shape
+    # (i, d) = (1, 2); the second is a path of 4 vertices, or Br(4) again
+    broom_arm = [(0, 1), (1, 2), (2, 3), (2, 4)]
+    path_arm = combinatorial_graph(9, broom_arm + [(0, 5), (5, 6), (6, 7), (7, 8)])
+    two_brooms = combinatorial_graph(9, broom_arm + [(0, 5), (5, 6), (6, 7), (6, 8)])
+    assert clumps._star_exception(path_arm, 0, 4) is None
+    assert clumps._star_exception(two_brooms, 0, 4) == StarException(center=0, k=4, r=0)

@@ -1294,6 +1294,10 @@ LEAF_OFF_BROOM = BROOM_112.with_roles(BROOM_112.roles[:-1] + (Role.INTERIOR,))
      "rigidity needs |B~| >= 2"),
     (lambda: verify_lambda1_bound(LEAF_OFF_BROOM), HypothesesNotMetError,
      "leaves must be exactly B u B_D"),
+    # the same roles by name: "interior" was read as Dirichlet, and the
+    # bound held
+    (lambda: verify_lambda1_bound(BROOM_112.with_roles(BROOM_112.roles[:-1] + ("interior",))),
+     HypothesesNotMetError, "leaves must be exactly B u B_D"),
     (lambda: verify_sigma_lambda(BROOM_112, 1), InvalidParamsError, "plain boundary"),
     (lambda: theta_value(1), InvalidParamsError, "need i >= 2"),
     (lambda: sweep(5, 2, "forest"), InvalidParamsError, "unknown graph class"),
@@ -1305,7 +1309,8 @@ LEAF_OFF_BROOM = BROOM_112.with_roles(BROOM_112.roles[:-1] + (Role.INTERIOR,))
         "monotonicity-pinned-subgraph", "rigidity-pinned-host", "equivalence-pinned-host",
         "equivalence-pinned-subgraph", "rigidity-embedding-first",
         "monotonicity-measure", "monotonicity-host-boundary", "rigidity-one-boundary-vertex",
-        "lambda1-interior-leaf", "sigma-lambda-broom", "theta-1", "sweep-unknown-class",
+        "lambda1-interior-leaf", "lambda1-interior-leaf-by-name", "sigma-lambda-broom",
+        "theta-1", "sweep-unknown-class",
         "surd-plus-float", "surd-times-float"])
 def test_statement_refusals(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):

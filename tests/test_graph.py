@@ -12,6 +12,7 @@ from steklov.errors import (
     DuplicateEdgeError,
     EdgeNotFoundError,
     IndexOutOfRangeError,
+    InvalidParamsError,
     NonPositiveMeasureError,
     NonPositiveWeightError,
     ParseError,
@@ -29,6 +30,7 @@ from steklov.graph import (
     make_graph,
     save_graph,
 )
+from steklov.spectral import steklov_spectrum
 
 from conftest import (
     code_decoders,
@@ -281,9 +283,85 @@ def test_round_trip_random_trees(n, pyrng):
     (lambda: path_graph(3).weight(0, 2), EdgeNotFoundError, "no edge {0,2}"),
     (lambda: make_graph(2, [(0, 1, "x")]), NonPositiveWeightError,
      "edge weight must be a positive finite number"),
+    # a role name that names no role raised a bare ValueError
+    (lambda: make_graph(2, [(0, 1, 1)], roles=["pinned", "boundary"]), InvalidParamsError,
+     "unknown role 'pinned'"),
+    (lambda: path_graph(3).with_roles(["boundary", "pinned", "boundary"]), InvalidParamsError,
+     "unknown role 'pinned'"),
 ], ids=["extra-key", "vertex-without-id", "unknown-role", "edge-without-v",
         "measures-length", "roles-length", "with-roles-length", "missing-edge-weight",
-        "string-weight"])
+        "string-weight", "make-graph-unknown-role", "with-roles-unknown-role"])
 def test_graph_refusals(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         build()
+
+
+def test_with_roles_reads_role_names():
+    # the names were stored as strings and read as Dirichlet: B = () and
+    # B_D = (0, 1, 2), so steklov_spectrum raised NoBoundaryError and
+    # graph_to_dict AttributeError
+    g = path_graph(3).with_roles(["boundary", "interior", "boundary"])
+    assert g == combinatorial_graph(3, [(0, 1), (1, 2)])
+    assert (g.boundary, g.dirichlet, g.dirichlet_interior) == ((0, 2), (), (0, 1, 2))
+    assert graph_to_dict(g) == graph_to_dict(path_graph(3))
+    spectra = [steklov_spectrum(h).eigenvalues.tolist() for h in (g, path_graph(3))]
+    assert spectra[0] == spectra[1]
+
+
+def test_induced_subgraph_stores_edges_as_make_graph_does():
+    # [2, 3, 1] stored the edge (2, 0, 1), so weight(0, 2) raised
+    # EdgeNotFoundError; verify_positivity cuts its pieces in such orders
+    h = path_graph(4).induced_subgraph([2, 3, 1])
+    assert h == make_graph(3, [(1, 0, 1), (2, 0, 1)],
+                           roles=[Role.INTERIOR, Role.BOUNDARY, Role.INTERIOR])
+    assert h.edges == ((0, 1, 1), (0, 2, 1)) and h.weight(0, 2) == 1
+    assert path_graph(4).induced_subgraph(np.array([2, 3, 1])) == h
+
+
+# the path 0-1-2 with measures (1, 2, 3) and roles (B, I, D)
+MIXED_P3 = make_graph(3, [(0, 1, 1), (1, 2, 1)], measures=[1, 2, 3],
+                      roles=["boundary", "interior", "dirichlet"])
+
+
+@pytest.mark.parametrize("cut,fragment", [
+    # a vertex 0 with vertex 2's measure and role, and no edge
+    (lambda g: g.induced_subgraph([-1, 0]), "vertex -1 out of range for n=3"),
+    # an isolated copy of vertex 0
+    (lambda g: g.induced_subgraph([0, 0, 1]), "vertex 0 repeated"),
+    # True read as vertex 1
+    (lambda g: g.induced_subgraph([True, 2]), "vertex True out of range for n=3"),
+    (lambda g: g.induced_subgraph([1.0, 2]), "vertex 1.0 out of range for n=3"),
+    # a bare IndexError
+    (lambda g: g.induced_subgraph([0, 5]), "vertex 5 out of range for n=3"),
+    # the edge {0, 1} removed
+    (lambda g: g.delete_edges([(0.0, 1)]), "vertex 0.0 out of range for n=3"),
+    # the edge {1, 2} removed
+    (lambda g: g.delete_edges([(True, 2)]), "vertex True out of range for n=3"),
+    # an EdgeNotFoundError, as for a pair of vertices that is no edge
+    (lambda g: g.delete_edges([(2, 3)]), "vertex 3 out of range for n=3"),
+], ids=["induced-negative", "induced-repeat", "induced-true", "induced-float",
+        "induced-too-large", "delete-float", "delete-true", "delete-too-large"])
+def test_labels_that_are_not_vertices_are_refused(cut, fragment):
+    with pytest.raises(IndexOutOfRangeError, match=re.escape(fragment)):
+        cut(MIXED_P3)
+
+
+@pytest.mark.parametrize("value,as_float", [
+    (Fraction(1, 10**400), "0.0"), (10**400, "inf"), (Fraction(10**400, 3), "inf"),
+], ids=["tiny-fraction", "huge-int", "huge-fraction"])
+def test_numbers_without_a_positive_finite_float_are_rejected(value, as_float):
+    # each built a graph, whose solve read the number as 0.0 or raised a
+    # bare OverflowError, and which graph_to_dict refused
+    with pytest.raises(NonPositiveWeightError,
+                       match=re.escape(f"edge weight is {as_float} as a float")):
+        make_graph(2, [(0, 1, value)])
+    with pytest.raises(NonPositiveMeasureError,
+                       match=re.escape(f"vertex measure is {as_float} as a float")):
+        make_graph(2, [(0, 1, 1)], measures=[value, 1])
+
+
+def test_subgraph_needs_the_same_vertices_and_measures():
+    g = path_graph(3)
+    assert g.is_subgraph_of(g)
+    assert not g.is_subgraph_of(path_graph(4))
+    assert not g.is_subgraph_of(make_graph(3, g.edges, [1, 2, 1], g.roles))

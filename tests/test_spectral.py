@@ -622,6 +622,42 @@ def test_no_unread_module_imports():
     assert unread == set()
 
 
+def _constructor_calls(tree):
+    """The enclosing function (None at module level) of each call to
+    ``WeightedBoundaryGraph`` in ``tree``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "WeightedBoundaryGraph":
+                    found.append(where)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_graph_is_made_by_make_graph():
+    """Only ``graph.make_graph`` calls the WeightedBoundaryGraph constructor,
+    so every graph the package builds is checked there, and no module
+    imports ``dataclasses.replace``, which copies a graph past the checks."""
+    calls, replaces = [], []
+    for path in Path(steklov.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += [(path.name, where) for where in _constructor_calls(tree)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                    and any(alias.name == "replace" for alias in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "replace"
+                    and getattr(node.value, "id", None) == "dataclasses"):
+                replaces.append((path.name, node.lineno))
+    assert calls == [("graph.py", "make_graph")]
+    assert replaces == []
+
+
 @pytest.mark.parametrize("i", [0, -1])
 def test_eigenvalue_index_refusal(i):
     with pytest.raises(InvalidParamsError, match="eigenvalue index is 1-based"):
