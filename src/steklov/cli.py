@@ -445,13 +445,15 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    root = logging.getLogger()
+    level, handlers = root.level, root.handlers[:]
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     saved = os.environ.get("STEKLOV_CACHE_DIR")
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
         if args.verbose:
-            logging.getLogger().setLevel(logging.INFO)
+            root.setLevel(logging.INFO)
         if args.cache_dir is not None:
             os.environ["STEKLOV_CACHE_DIR"] = args.cache_dir
         if getattr(args, "jobs", 1) < 1:
@@ -472,11 +474,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"ERROR {EXIT_USAGE}: {exc}\n")
         return EXIT_USAGE
-    finally:  # --cache-dir holds for this run only
+    finally:  # --cache-dir, -v and the stderr handler hold for this run only
         if saved is None:
             os.environ.pop("STEKLOV_CACHE_DIR", None)
         else:
             os.environ["STEKLOV_CACHE_DIR"] = saved
+        root.setLevel(level)
+        for handler in root.handlers[:]:
+            if handler not in handlers:
+                root.removeHandler(handler)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,11 +5,16 @@ explicit witness (removed edge set, per-component clump data) or proves by
 exhaustion that no witness exists. The removal searches share one walk over
 edge subsets, ordered by size and then lexicographically by edge index, and
 list components by least vertex, each sorted, so results are deterministic.
-Every removal is judged by one integer fold (``geometry._fold``) over the
-tree's own walk from vertex 0 (``WeightedBoundaryGraph.walk``): a removal is
-the set of far ends of its edges, and two passes give each piece's vertices
-and twice its clump number, min(2 h, N - 1) for a piece of N vertices whose
-centroid's heaviest branch has h. The type A split needs no search: it is
+A removal is the set of far ends of its edges from vertex 0, the root of
+the tree's own walk (``WeightedBoundaryGraph.walk``). A removal of at most
+one edge is decided without a pass over the tree: a centroid descent over
+the walk's branch table (``graph.branch_table``, built once per search)
+gives twice the clump number of each side (``geometry._doubled``). A
+larger removal is judged by one integer fold (``geometry._fold``), whose
+two passes give each piece's vertices and twice its clump number,
+min(2 h, N - 1) for a piece of N vertices whose centroid's heaviest branch
+has h; a removal that passes is folded for its pieces, which the search
+then judges. The type A split needs no search: it is
 unique when it exists, and it reads the same walk and the same fold, as the
 tree test and the sub-k test read the walk. Clump numbers and limits are
 integer halves, and a clump is told to be Br(k) by its (i, d) shape in the
@@ -36,8 +41,15 @@ from .errors import (
     NotATreeError,
 )
 from . import geometry
-from .geometry import _broom_branches, _centre, _fold, _pieces, require_unit_weights
-from .graph import WeightedBoundaryGraph
+from .geometry import (
+    _broom_branches,
+    _centre,
+    _doubled,
+    _fold,
+    _pieces,
+    require_unit_weights,
+)
+from .graph import WeightedBoundaryGraph, branch_table
 
 # An attribute only: bench/layers.py wraps ``clump_number`` here by name
 # (tests/test_bench_hooks.py), but the searches read ``_centre``, so the
@@ -123,15 +135,22 @@ def _removal_search(g: WeightedBoundaryGraph, far, sizes, limit: int, judge):
     component with clump number at most ``limit / 2`` and accepted by
     ``judge``; ``far`` is :func:`_far_ends` of ``g``.
 
+    A removal of at most one edge is decided off the walk's branch table
+    (:func:`_fits`), and only one that passes is folded, for its pieces; a
+    larger removal is folded and decided by the fold's numbers.
     ``judge(vertices, doubled)`` gets a component's sorted vertices and
     twice its clump number, and returns the component's report or None to
     reject the removal; components are judged by least vertex and the first
     rejection ends the removal. Returns (removed, reports) or None.
     """
     walk = g.walk
-    edges = [(u, v) for u, v, _ in g.edges]
+    table = None
     for size in sizes:
-        for picked in itertools.combinations(range(len(edges)), size):
+        picks = itertools.combinations(range(len(far)), size)
+        if size < 2:
+            table = table or branch_table(*walk)
+            picks = (p for p in picks if _fits(walk, table, far[p[0]] if p else None, limit))
+        for picked in picks:
             top, doubled = _fold(walk, {far[i] for i in picked})
             if max(doubled.values()) > limit:
                 continue
@@ -142,8 +161,20 @@ def _removal_search(g: WeightedBoundaryGraph, far, sizes, limit: int, judge):
                     break
                 reports.append(report)
             else:
-                return tuple(edges[i] for i in picked), tuple(reports)
+                return tuple(g.edges[i][:2] for i in picked), tuple(reports)
     return None
+
+
+def _fits(walk, table, cut, limit: int) -> bool:
+    """Whether both sides of the edge above ``cut`` (the whole tree when
+    None) have twice their clump number at most ``limit``, read off the
+    walk's branch ``table`` (``geometry._doubled``). A side of N vertices
+    has at most N - 1, so it needs no descent when N - 1 <= limit."""
+    order, _, size = walk
+    below = 0 if cut is None else size[cut]
+    return ((below <= limit + 1 or _doubled(walk, table, cut) <= limit)
+            and (len(order) - below <= limit + 1
+                 or _doubled(walk, table, order[0], cut) <= limit))
 
 
 def _clump_report(verts, doubled) -> ComponentReport:

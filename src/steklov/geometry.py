@@ -5,10 +5,13 @@ Eigenfunctions extend piecewise linearly along edges; their zero sets cut
 the metric graph into nodal domains, and each domain induces a weighted
 graph with Dirichlet boundary at the cut points. Clump numbers are the
 unit-tree branch statistics used by the removal lemmas, decided in integer
-halves off the tree's walk (``_centre``, and ``_broom_branches`` for its
-minimal-broom branches); only reports hold Fractions. The clumps at a point
-and the pieces of the removal searches are read off one fold of that walk
-(``_fold``).
+halves off the tree's walk; only reports hold Fractions. A centroid descent
+over the walk's table of each vertex's two heaviest children
+(``graph.branch_table``) gives the equilibrium point (``_centre``, and
+``_broom_branches`` for its minimal-broom branches) and the clump numbers
+of both sides of any one edge (``_doubled``), in O(depth) steps each. The
+clumps at a point and the pieces of the removal searches are read off one
+fold of the walk (``_fold``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .graph import (
     WeightedBoundaryGraph,
     centroids,
     component_passes,
+    descend,
     make_graph,
 )
 from .spectral import steklov_spectrum
@@ -196,10 +200,11 @@ def clump_number_at(g: WeightedBoundaryGraph, point: GeometricPoint):
 
 
 def _centre(g: WeightedBoundaryGraph) -> tuple[list[int], int, list[tuple[int, int]]]:
-    """The equilibrium point of a tree, from its walk: its centroid or two
-    centroids (sorted), twice its clump number, and the branches of h vertices there
-    as (root, attach) pairs by attach vertex, for h the heaviest branch of a
-    centroid. The caller vouches that ``g`` is a tree.
+    """The equilibrium point of a tree: its centroid or two centroids
+    (sorted), found by :func:`~steklov.graph.centroids`' descent from the
+    root of its walk, twice its clump number, and the branches of h vertices
+    there as (root, attach) pairs by attach vertex, for h the heaviest
+    branch of a centroid. The caller vouches that ``g`` is a tree.
 
     A vertex's clumps are its branches, so the least value at a vertex is h.
     An edge midpoint with sides of s >= N - s vertices has clumps s - 1/2 and
@@ -217,6 +222,48 @@ def _centre(g: WeightedBoundaryGraph) -> tuple[list[int], int, list[tuple[int, i
     branch = {b: size[b] if parent[b] == c else n - size[c] for b in sorted(g.adjacency[c])}
     h = max(branch.values(), default=0)
     return tops, 2 * h, [(c, b) for b, s in branch.items() if s == h]
+
+
+def _doubled(walk, table, top: int, cut: int | None = None) -> int:
+    """Twice the clump number of the subtree of ``top`` in the tree that
+    ``walk`` spans, less the subtree of ``cut``, a vertex below ``top`` (or
+    nothing when None), read off ``table``, the walk's
+    :func:`~steklov.graph.branch_table`, by a centroid descent from ``top``
+    in O(depth) steps, with no pass over the tree. It equals the number
+    :func:`_fold` gives that piece.
+
+    On the way down from ``top`` towards ``cut``, a vertex's child on that
+    way holds size[cut] fewer vertices in the piece, so the piece's
+    heaviest child there is that child or the vertex's other heaviest one.
+    Off that way :func:`~steklov.graph.descend` goes on. At the centroid,
+    whose heaviest branch in the piece has h of its N vertices, twice the
+    clump number is min(2 h, N - 1), as in :func:`_fold`.
+    """
+    parent, size = walk[1], walk[2]
+    first, big, second, small = table
+    total, x = size[top], top
+    if cut is not None:
+        gone = size[cut]
+        total -= gone
+        way = []  # from cut up to top's child, popped from the top down
+        v = cut
+        while v != top:
+            way.append(v)
+            v = parent[v]
+        while True:
+            on = way.pop()  # x's child towards cut
+            y, s = first[x], big[x]
+            if y == on:
+                s -= gone
+                if small[x] > s:
+                    y, s = second[x], small[x]
+            if 2 * s <= total:  # x is the centroid, its subtree less ``gone``
+                return min(2 * max(s, total - size[x] + gone), total - 1)
+            x = y
+            if y != on:
+                break
+    x = descend(table, x, total)
+    return min(2 * max(big[x], total - size[x]), total - 1)
 
 
 def _fold(walk, cuts):

@@ -11,7 +11,11 @@ Every question about connected pieces goes through one walk,
 :func:`subtree_sizes`: components of a graph or of an induced subgraph
 (:func:`component_passes`), nodal domains, and the interior components that
 must touch the boundary. The pieces a tree leaves after edge removals are
-folded from the tree's own walk instead (``geometry._fold``).
+folded from the tree's own walk instead (``geometry._fold``). A tree's
+centroids, and the clump numbers of both sides of any one edge
+(``geometry._doubled``), are found by a descent (:func:`descend`) over one
+table of each vertex's two heaviest children (:func:`branch_table`), built
+from the walk in one pass.
 
 A graph keeps its walk from vertex 0 (:attr:`WeightedBoundaryGraph.walk`),
 as it keeps its adjacency and its role lists: ``is_connected``, ``is_tree``
@@ -126,17 +130,44 @@ def component_passes(adj, verts: Iterable[int] | None):
             yield tuple(sorted(tree[0])), tree
 
 
-def centroids(order, parent, size) -> list[int]:
-    """The centroid of a tree, or its two adjacent centroids: the vertices
-    whose largest branch (component of the tree minus the vertex) is least,
-    from a :func:`subtree_sizes` pass."""
+def branch_table(order, parent, size) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Each vertex's heaviest and second-heaviest child in a
+    :func:`subtree_sizes` pass over a tree on vertices 0..n-1, from one pass
+    over it: the lists (heaviest, its size, second, its size) by vertex,
+    with -1 and size 0 where a vertex has no such child."""
     n = len(order)
-    heaviest = {v: n - size[v] for v in order}  # the part beyond the parent
+    first, big, second, small = [-1] * n, [0] * n, [-1] * n, [0] * n
     for v in order[1:]:
-        if size[v] > heaviest[parent[v]]:
-            heaviest[parent[v]] = size[v]
-    best = min(heaviest.values())
-    return [v for v, h in heaviest.items() if h == best]
+        p, s = parent[v], size[v]
+        if s > big[p]:
+            second[p], small[p], first[p], big[p] = first[p], big[p], v, s
+        elif s > small[p]:
+            second[p], small[p] = v, s
+    return first, big, second, small
+
+
+def descend(table, x: int, total: int) -> int:
+    """The centroid of a piece of ``total`` vertices that holds the whole
+    subtree of ``x`` and fewer than total / 2 vertices outside it: the last
+    vertex reached from ``x`` along heaviest children (``table`` is
+    :func:`branch_table`) while the next one holds more than half the
+    piece. There every branch has at most total / 2 vertices."""
+    first, big = table[0], table[1]
+    while 2 * big[x] > total:
+        x = first[x]
+    return x
+
+
+def centroids(order, parent, size) -> list[int]:
+    """The centroid of a tree, or its two adjacent centroids, parent first:
+    the vertices whose largest branch (component of the tree minus the
+    vertex) is least. :func:`descend` from the root of a
+    :func:`subtree_sizes` pass reaches the first; the second is its
+    heaviest child when that child holds exactly half the tree."""
+    n = len(order)
+    table = branch_table(order, parent, size)
+    c = descend(table, order[0], n)
+    return [c, table[0][c]] if 2 * table[1][c] == n else [c]
 
 
 @dataclass(frozen=True)

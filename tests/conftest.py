@@ -111,6 +111,36 @@ def clump_rooted_tree(g, point, clump):
     return make_graph(len(verts) + 1, edges), 0
 
 
+def centre_by_scan(g):
+    """Oracle for ``geometry._centre``: the equilibrium point of a unit tree
+    found by scanning every vertex and every edge midpoint for its largest
+    clump, each branch counted by its own walk of the tree less the point.
+    Returns the point's vertex or edge ends, twice its clump number, and
+    its branches of the most vertices as (root, attach) pairs by attach."""
+    adj = g.adjacency
+
+    def side(v, b):  # the vertices reachable from b without passing v
+        seen, stack = {v, b}, [b]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen) - 1
+
+    points = []  # (twice the largest clump, ends, branches as (root, attach, vertices))
+    for v in range(g.n):
+        branches = [(v, b, side(v, b)) for b in sorted(adj[v])]
+        points.append((2 * max((s for *_, s in branches), default=0), [v], branches))
+    for u, v, _ in g.edges:
+        branches = [(v, u, side(v, u)), (u, v, side(u, v))]
+        points.append((max(2 * s - 1 for *_, s in branches), [u, v], branches))
+    twice, ends, branches = min(points, key=lambda p: p[0])
+    assert [p[0] for p in points].count(twice) == 1, g.edges  # the point is unique
+    most = max((s for *_, s in branches), default=0)
+    return ends, twice, [(r, a) for r, a, s in branches if s == most]
+
+
 def broom_shape(adj, root, attach, first):
     """The broom that the branch through the edge from ``root`` to ``attach``
     is, read by ``families._arm``, with root edge ``first``; None when it is

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import logging
 import os
 import pkgutil
 import shutil
@@ -579,6 +580,20 @@ def test_verbose_logs_to_stderr_and_leaves_stdout(tmp_path):
     assert (quiet.returncode, loud.returncode, quiet.stderr) == (0, 0, b"")
     assert loud.stdout == quiet.stdout
     assert loud.stderr.startswith(b"INFO verify finished in ")
+
+
+def test_verbose_lasts_one_call_in_process(capsys, monkeypatch):
+    # the root logger of a fresh process has no handler; main's -v and its
+    # stderr handler must not outlive the call that set them
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    before = root.level, root.handlers[:]
+    argv = ["verify", "--n", "5", "--i", "2"]
+    loud, quiet = run(capsys, ["-v", *argv]), run(capsys, argv)
+    assert loud[:2] == quiet[:2] and loud[0] == 0
+    assert loud[2].startswith("INFO verify finished in ")
+    assert quiet[2] == ""
+    assert (root.level, root.handlers) == before
 
 
 def test_certification_error_exits_2(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import re
 
-from steklov import clumps, graph
+from steklov import clumps, geometry, graph
 from steklov.clumps import (
     ComponentReport,
     RemovalCertificate,
@@ -46,7 +46,13 @@ from steklov.families import (
 )
 from steklov.graph import combinatorial_graph, make_graph, subtree_sizes
 
-from conftest import broom_codes, clump_rooted_tree, counting_calls, path_graph
+from conftest import (
+    broom_codes,
+    centre_by_scan,
+    clump_rooted_tree,
+    counting_calls,
+    path_graph,
+)
 
 
 def test_sub_k_examples():
@@ -469,6 +475,41 @@ def test_fold_matches_clump_numbers_of_the_pieces():
                 assert doubled[top[verts[0]]] == want, (g.edges, cuts, verts)
                 pieces += 1
     assert pieces > 3000
+
+
+def test_branch_table_descents_match_the_fold_and_the_scan():
+    # both sides of every edge, and the whole tree, read off the branch
+    # table equal the fold's numbers; the centre equals a scan of every point
+    edges = 0
+    for g in _trees(12):
+        walk = g.walk
+        table = graph.branch_table(*walk)
+        _, whole = clumps._fold(walk, set())
+        assert geometry._doubled(walk, table, 0) == whole[0], g.edges
+        for c in clumps._far_ends(g):
+            _, doubled = clumps._fold(walk, {c})
+            got = geometry._doubled(walk, table, c), geometry._doubled(walk, table, 0, c)
+            assert got == (doubled[c], doubled[0]), (g.edges, c)
+            edges += 1
+        assert geometry._centre(g) == centre_by_scan(g), g.edges
+    assert edges > 10000
+
+
+@pytest.mark.parametrize("search,witnesses", [
+    (lambda g: classify_type_AB(g, 4), lambda t: [t.type_a, t.type_b]),
+    (lambda g: find_removal_for_clump(g, 1, 3), lambda cert: [cert]),
+], ids=["type-ab", "clump"])
+def test_removals_of_one_edge_are_folded_only_when_accepted(monkeypatch, search, witnesses):
+    # a removal of at most one edge is decided off the branch table, so a
+    # search folds only the removal it returns, and the type A split once
+    calls = counting_calls(monkeypatch, clumps, "_fold")
+    missed = 0
+    for g in enumerate_trees(12):
+        calls.clear()
+        found = [w is not None for w in witnesses(search(g))]
+        assert len(calls) == sum(found) <= 2, g.edges
+        missed += not found[-1]
+    assert missed == 40  # trees whose search tried every removal in vain
 
 
 def test_searches_make_no_component_walk(monkeypatch):
