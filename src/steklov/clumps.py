@@ -20,6 +20,9 @@ tree test and the sub-k test read the walk. Clump numbers and limits are
 integer halves, and a clump is told to be Br(k) by its (i, d) shape in the
 solution's ``arms`` (``geometry._broom_branches``); Fractions appear only
 in reports.
+Every search first checks that its input is a unit tree with the one gate
+``geometry.require_unit_tree`` (NotATreeError or NotUnitWeightError, both
+HypothesesNotMetError, each with the search's own phrase).
 When a guarantee applies (the hypotheses of the underlying removal lemmas
 hold) and no witness is found, the run fails loudly with CertificationError
 instead of returning a quiet negative. Every search takes k and r as
@@ -38,7 +41,6 @@ from .errors import (
     CertificationError,
     HypothesisViolatedError,
     InvalidParamsError,
-    NotATreeError,
 )
 from . import geometry
 from .geometry import (
@@ -47,7 +49,7 @@ from .geometry import (
     _doubled,
     _fold,
     _pieces,
-    require_unit_weights,
+    require_unit_tree,
 )
 from .graph import WeightedBoundaryGraph, branch_table
 
@@ -83,12 +85,10 @@ def is_sub_k(g: WeightedBoundaryGraph, k: int) -> SubKWitness:
     The one vertex of clump number k is then the one centroid, and only its
     branches of k vertices can be Br(k).
     """
-    if not g.is_tree():
-        raise NotATreeError("sub-k is defined for trees")
+    require_unit_tree(g, "sub-k is")
     k = _index(k, "k")
     if k < 1:
         raise InvalidParamsError("need k >= 1")
-    require_unit_weights(g)
     tops, twice, heavy = _centre(g)
     if twice != 2 * k:
         return SubKWitness(twice < 2 * k, k, Fraction(twice, 2), ())
@@ -192,12 +192,10 @@ def find_removal_for_clump(
     that regime raises CertificationError. Outside the guarantee, None means
     the exhaustive search came up empty.
     """
-    if not g.is_tree():
-        raise NotATreeError("removal search is defined for trees")
+    require_unit_tree(g, "removal search is")
     r, k = _index(r, "r"), _index(k, "k")
     if r < 0 or k < 1:
         raise InvalidParamsError("need r >= 0 and k >= 1")
-    require_unit_weights(g)
     extra = 1 if half else 0
     limit = 2 * k + extra
     found = _removal_search(g, _far_ends(g), range(r + 1), limit, _clump_report)
@@ -232,8 +230,7 @@ def find_removal_sub_k(
     The underlying proposition guarantees one of the two outcomes, so an
     empty search without the star structure raises CertificationError.
     """
-    if not g.is_tree():
-        raise NotATreeError("sub-k removal is defined for trees")
+    require_unit_tree(g, "sub-k removal is")
     r, k = _index(r, "r"), _index(k, "k")
     if r < 0 or k < 1:
         raise InvalidParamsError("need r >= 0 and k >= 1")
@@ -241,7 +238,6 @@ def find_removal_sub_k(
         raise HypothesisViolatedError(
             f"need |E| = (r+2)k = {(r + 2) * k}, got {len(g.edges)}"
         )
-    require_unit_weights(g)
 
     tested: dict[tuple[int, ...], SubKWitness] = {}  # components recur across removals
 
@@ -293,15 +289,13 @@ def classify_type_AB(g: WeightedBoundaryGraph, k: int) -> TypeABClassification:
     r-2 edges bounds every component's clump number by k-1. Every tree with
     at least k-1 edges is one of the two; anything else fails loudly.
     """
-    if not g.is_tree():
-        raise NotATreeError("type A/B classification is defined for trees")
+    require_unit_tree(g, "type A/B classification is")
     k = _index(k, "k")
     if k < 1:
         raise InvalidParamsError("need k >= 1")
     m = len(g.edges)
     if m < k - 1:
         raise HypothesisViolatedError(f"need |E| >= k-1 = {k - 1}, got {m}")
-    require_unit_weights(g)
     far = _far_ends(g)
 
     type_a = None

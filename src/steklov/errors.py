@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all steklov modules."""
+"""Exception hierarchy shared by all steklov modules. An input outside a
+statement's hypotheses raises HypothesesNotMetError; NotATreeError and
+NotUnitWeightError are its kinds that ``geometry.require_unit_tree`` raises."""
 
 
 class SteklovError(Exception):
@@ -53,14 +55,6 @@ class InvalidParamsError(SteklovError):
     pass
 
 
-class NotATreeError(SteklovError):
-    pass
-
-
-class NotUnitWeightError(SteklovError):
-    pass
-
-
 class NotBipartiteError(SteklovError):
     pass
 
@@ -78,6 +72,14 @@ class HypothesisViolatedError(SteklovError):
 
 
 class HypothesesNotMetError(HypothesisViolatedError):
+    pass
+
+
+class NotATreeError(HypothesesNotMetError):
+    pass
+
+
+class NotUnitWeightError(HypothesesNotMetError):
     pass
 
 

@@ -76,7 +76,7 @@ from .families import (
     rooted_path,
 )
 from . import geometry
-from .geometry import DEFAULT_ZERO_TOL, _broom_branches, _centre, require_unit_weights
+from .geometry import DEFAULT_ZERO_TOL, _broom_branches, _centre, require_unit_tree
 from .graph import (
     Role,
     WeightedBoundaryGraph,
@@ -761,11 +761,12 @@ def verify_lambda1_bound(g: WeightedBoundaryGraph) -> Lambda1BoundVerdict:
     return Lambda1BoundVerdict(lam1, bound, l, n, holds, equality, structure)
 
 
-def _require_leaf_boundary_tree(g: WeightedBoundaryGraph) -> None:
-    """The hypotheses shared by the sigma_2 bounds of trees: a tree with at
-    least one edge, unit measures, no B_D and B exactly its leaves. Each
-    bound checks the unit weights itself."""
-    if not g.edges or not g.is_tree():
+def _require_leaf_boundary_tree(g: WeightedBoundaryGraph, what: str) -> None:
+    """The hypotheses of the sigma_2 bounds of trees: a unit tree
+    (:func:`~steklov.geometry.require_unit_tree`) with at least one edge,
+    unit measures, no B_D and B exactly its leaves."""
+    require_unit_tree(g, what)
+    if not g.edges:
         raise HypothesesNotMetError("bound needs a tree with at least one edge")
     if any(m != 1 for m in g.measures):
         raise HypothesesNotMetError("bound needs unit vertex measures")
@@ -787,13 +788,14 @@ class ClumpBoundVerdict:
 def verify_steklov_clump(g: WeightedBoundaryGraph) -> ClumpBoundVerdict:
     """sigma_2(T) >= Lambda(Clump(T)); equality iff at least two clumps at
     the equilibrium point are minimal brooms Br(Clump(T)). T is a tree with
-    at least one edge, unit measures, no B_D and B exactly its leaves, else
-    HypothesesNotMetError; a weight other than 1 raises NotUnitWeightError.
+    at least one edge, unit weights and measures, no B_D and B exactly its
+    leaves, else HypothesesNotMetError: NotATreeError for a graph that is
+    not a tree and NotUnitWeightError for a weight other than 1, as in
+    :func:`verify_sigma2_tree`.
     A branch of s vertices at the point is a clump of length first + s - 1
     (first = 1 at a vertex, 1/2 at a midpoint), so only the branches of h
     vertices can be Br(Clump(T)); each is looked up by its (i, d) shape."""
-    _require_leaf_boundary_tree(g)
-    require_unit_weights(g)
+    _require_leaf_boundary_tree(g, "the sigma_2 clump bound is")
     _, twice, heavy = _centre(g)
     bound = float(minimal_broom_halves(twice).value)
     sigma2 = sigma_value(g, 2)
@@ -818,10 +820,10 @@ class Sigma2TreeVerdict:
 def verify_sigma2_tree(g: WeightedBoundaryGraph) -> Sigma2TreeVerdict:
     """sigma_2(T) >= Lambda(|E|/2) with the dumbbell equality list. T is a
     tree with at least one edge, unit weights and measures, no B_D and B
-    exactly its leaves, else HypothesesNotMetError."""
-    _require_leaf_boundary_tree(g)
-    if any(w != 1 for _, _, w in g.edges):
-        raise HypothesesNotMetError("tree bound needs unit edge weights")
+    exactly its leaves, else HypothesesNotMetError: NotATreeError for a
+    graph that is not a tree and NotUnitWeightError for a weight other
+    than 1, as in :func:`verify_steklov_clump`."""
+    _require_leaf_boundary_tree(g, "the sigma_2 tree bound is")
     bound = float(minimal_broom_halves(len(g.edges)).value)
     sigma2 = sigma_value(g, 2)
     holds = sigma2 >= bound - VERDICT_TOL
@@ -930,6 +932,7 @@ class SigmaLambdaVerdict:
 def verify_sigma_lambda(g: WeightedBoundaryGraph, z: int, w=1) -> SigmaLambdaVerdict:
     """Attaching a Dirichlet edge of weight w at interior-or-boundary vertex
     z gives lambda_1 strictly below sigma_2 of the original graph."""
+    z = _index(z, "z")
     if not 0 <= z < g.n:
         raise InvalidParamsError("z must be a vertex of G")
     if g.dirichlet:

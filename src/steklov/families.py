@@ -58,8 +58,17 @@ def as_number(x) -> Number:
 
 @dataclass(frozen=True)
 class RootedTree:
+    """A graph with a root, an integer in ``range(graph.n)`` (read as
+    ``tree_code`` reads its root), else InvalidParamsError."""
+
     graph: WeightedBoundaryGraph
     root: int
+
+    def __post_init__(self):
+        root = _index(self.root, "root")
+        if root not in range(self.graph.n):
+            raise InvalidParamsError(f"root {root!r} is not a vertex of the graph")
+        object.__setattr__(self, "root", root)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ Eigenfunctions extend piecewise linearly along edges; their zero sets cut
 the metric graph into nodal domains, and each domain induces a weighted
 graph with Dirichlet boundary at the cut points. Clump numbers are the
 unit-tree branch statistics used by the removal lemmas, decided in integer
-halves off the tree's walk; only reports hold Fractions. A centroid descent
+halves off the tree's walk; only reports hold Fractions. Every statement
+about unit trees, here and in ``clumps`` and ``extremal``, checks that
+hypothesis with one gate, :func:`require_unit_tree`. A centroid descent
 over the walk's table of each vertex's two heaviest children
 (``graph.branch_table``) gives the equilibrium point (``_centre``, and
 ``_broom_branches`` for its minimal-broom branches) and the clump numbers
@@ -32,6 +34,7 @@ from .families import _arm, minimal_broom_halves
 from .graph import (
     Role,
     WeightedBoundaryGraph,
+    _is_label,
     centroids,
     component_passes,
     descend,
@@ -131,15 +134,14 @@ class ClumpReport:
     clump_number: Fraction
 
 
-def _require_unit_tree(g: WeightedBoundaryGraph) -> None:
+def require_unit_tree(g: WeightedBoundaryGraph, what: str) -> None:
+    """The one check of the hypothesis of the unit-tree statements: ``g``
+    is a tree, else NotATreeError (f"{what} defined for trees"), and every
+    edge weight is 1 (a weight 1.0 reads as 1), else NotUnitWeightError."""
     if not g.is_tree():
-        raise NotATreeError("clump numbers are defined for trees")
-    require_unit_weights(g)
-
-
-def require_unit_weights(g: WeightedBoundaryGraph) -> None:
+        raise NotATreeError(f"{what} defined for trees")
     if any(w != 1 for _, _, w in g.edges):
-        raise NotUnitWeightError("clump numbers need unit edge weights")
+        raise NotUnitWeightError(f"{what} defined for unit edge weights")
 
 
 def clump_lengths_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[Clump, ...]:
@@ -148,26 +150,29 @@ def clump_lengths_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[C
     At a vertex, each clump has length = number of vertices in the branch;
     at an edge point with offset t, the two sides have lengths s_u - 1 + t
     and s_v - 1 + (length - t). A vertex outside ``range(g.n)``, a pair
-    that is not an edge of ``g`` or an offset outside [0, 1] raises
-    InvalidParamsError."""
-    _require_unit_tree(g)
+    that is not an edge of ``g``, a label that is a bool or a float, or an
+    offset that is a bool or lies outside [0, 1] raises InvalidParamsError."""
+    require_unit_tree(g, "clump numbers are")
     _require_point_of(g, point)
     return _clumps_at(g, point)
 
 
 def _require_point_of(g: WeightedBoundaryGraph, point: GeometricPoint) -> None:
+    """Labels are read as ``make_graph`` reads them (``graph._is_label``)."""
     if point.is_vertex:
-        if point.vertex not in range(g.n):
+        if not (_is_label(point.vertex) and point.vertex in range(g.n)):
             raise InvalidParamsError(f"vertex {point.vertex!r} is not a vertex of the graph")
         return
-    if point.edge not in g.edge_weights:
-        raise InvalidParamsError(f"{point.edge!r} is not an edge of the graph")
+    edge = point.edge
+    if not (type(edge) is tuple and all(map(_is_label, edge)) and edge in g.edge_weights):
+        raise InvalidParamsError(f"{edge!r} is not an edge of the graph")
+    t = point.offset
     try:
-        inside = 0 <= point.offset <= 1
+        inside = not isinstance(t, bool) and 0 <= t <= 1
     except TypeError:
         inside = False
     if not inside:
-        raise InvalidParamsError(f"edge offset {point.offset!r} lies outside [0, 1]")
+        raise InvalidParamsError(f"edge offset {t!r} is not a number in [0, 1]")
 
 
 def _clumps_at(g: WeightedBoundaryGraph, point: GeometricPoint) -> tuple[Clump, ...]:
@@ -326,7 +331,7 @@ def _broom_branches(g: WeightedBoundaryGraph, twice: int, heavy) -> tuple[int, .
 def clump_number(g: WeightedBoundaryGraph) -> ClumpReport:
     """Clump number of a unit tree with its unique equilibrium point (see
     ``_centre``), and the clumps at that point."""
-    _require_unit_tree(g)
+    require_unit_tree(g, "clump numbers are")
     tops, twice, _ = _centre(g)
     pt = (GeometricPoint.at_vertex(*tops) if len(tops) == 1
           else GeometricPoint.on_edge(*tops, Fraction(1, 2)))

@@ -25,6 +25,7 @@ from steklov.clumps import (
 from steklov.enumeration import enumerate_trees, tree_code
 from steklov.errors import (
     CertificationError,
+    HypothesesNotMetError,
     HypothesisViolatedError,
     InvalidParamsError,
     NotATreeError,
@@ -36,7 +37,7 @@ from steklov.geometry import (
     clump_number,
     clump_number_at,
 )
-from steklov.extremal import sigma_value
+from steklov.extremal import sigma_value, verify_sigma2_tree, verify_steklov_clump
 from steklov.families import (
     build_comb,
     build_path,
@@ -613,6 +614,46 @@ TRIANGLE = graph.combinatorial_graph(3, [(0, 1), (1, 2), (0, 2)])
 def test_search_refusals(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         build()
+
+
+# B is the leaves: the path 0-1-2 with a weight-2 edge (a tree, but not a
+# unit tree), the path with weights 1/100 (it raised NotUnitWeightError in
+# verify_steklov_clump and a plain HypothesesNotMetError in
+# verify_sigma2_tree), and two disjoint edges
+LEAVES_P3 = ["boundary", "interior", "boundary"]
+WEIGHTED_P3 = make_graph(3, [(0, 1, 1), (1, 2, 2)], roles=LEAVES_P3)
+LIGHT_P3 = make_graph(3, [(0, 1, Fraction(1, 100)), (1, 2, Fraction(1, 100))], roles=LEAVES_P3)
+TWO_EDGES = make_graph(4, [(0, 1, 1), (2, 3, 1)], roles=["boundary"] * 4)
+UNIT_TREE_STATEMENTS = {
+    "clump_lengths_at": (lambda g: clump_lengths_at(g, GeometricPoint.at_vertex(0)),
+                         "clump numbers are"),
+    "clump_number_at": (lambda g: clump_number_at(g, GeometricPoint.at_vertex(0)),
+                        "clump numbers are"),
+    "clump_number": (clump_number, "clump numbers are"),
+    "is_sub_k": (lambda g: is_sub_k(g, 1), "sub-k is"),
+    "find_removal_for_clump": (lambda g: find_removal_for_clump(g, 0, 1), "removal search is"),
+    "find_removal_sub_k": (lambda g: find_removal_sub_k(g, 0, 1), "sub-k removal is"),
+    "classify_type_AB": (lambda g: classify_type_AB(g, 1), "type A/B classification is"),
+    "verify_steklov_clump": (verify_steklov_clump, "the sigma_2 clump bound is"),
+    "verify_sigma2_tree": (verify_sigma2_tree, "the sigma_2 tree bound is"),
+}
+
+
+@pytest.mark.parametrize("name", UNIT_TREE_STATEMENTS)
+@pytest.mark.parametrize("g,error,hypothesis", [
+    (TRIANGLE, NotATreeError, "trees"),
+    (TWO_EDGES, NotATreeError, "trees"),
+    (WEIGHTED_P3, NotUnitWeightError, "unit edge weights"),
+    (LIGHT_P3, NotUnitWeightError, "unit edge weights"),
+], ids=["triangle", "two-edges", "weighted-path", "light-path"])
+def test_unit_tree_statements_refuse_alike(name, g, error, hypothesis):
+    # every statement of the unit-tree hypothesis, the two sigma_2 bounds
+    # included, refuses a graph with the same class through one gate, each
+    # a HypothesesNotMetError, with the statement's own phrase
+    call, phrase = UNIT_TREE_STATEMENTS[name]
+    with pytest.raises(error, match=re.escape(f"{phrase} defined for {hypothesis}")) as info:
+        call(g)
+    assert isinstance(info.value, HypothesesNotMetError)
 
 
 # K_{1,4}: clump number 1, and no star exception at k = 2

@@ -1269,6 +1269,14 @@ LEAF_OFF_BROOM = BROOM_112.with_roles(BROOM_112.roles[:-1] + (Role.INTERIOR,))
     (lambda: verify_reg_star(1, 1), InvalidParamsError, "need r >= 2 and l >= 1"),
     (lambda: verify_sigma_lambda(path_graph(3), 5), InvalidParamsError,
      "z must be a vertex of G"),
+    # read as an index: these named a misleading edge out of range
+    (lambda: verify_sigma_lambda(path_graph(4), True), InvalidParamsError,
+     "z must be an integer"),
+    (lambda: verify_sigma_lambda(path_graph(4), 1.0), InvalidParamsError,
+     "z must be an integer"),
+    # a root outside the extension raised a bare KeyError
+    (lambda: verify_reg_star(3, 2, RootedTree(rooted_path(2).graph, 7)), InvalidParamsError,
+     "root 7 is not a vertex of the graph"),
     (lambda: verify_positivity(path_graph(3)), InvalidParamsError,
      "positivity check needs B_D nonempty"),
     (lambda: verify_lambda1_bound(combinatorial_graph(3, [(0, 1), (1, 2), (0, 2)])),
@@ -1305,6 +1313,7 @@ LEAF_OFF_BROOM = BROOM_112.with_roles(BROOM_112.roles[:-1] + (Role.INTERIOR,))
     (lambda: QuadraticSurd(1, 1, 2) + 0.5, TypeError, "unsupported operand"),
     (lambda: QuadraticSurd(1, 1, 2) * 0.5, TypeError, "unsupported operand"),
 ], ids=["monotonicity-larger-subgraph", "reg-star-r1", "sigma-lambda-z5",
+        "sigma-lambda-bool-z", "sigma-lambda-float-z", "reg-star-root-off-extension",
         "positivity-without-dirichlet", "lambda1-cycle", "monotonicity-pinned-host",
         "monotonicity-pinned-subgraph", "rigidity-pinned-host", "equivalence-pinned-host",
         "equivalence-pinned-subgraph", "rigidity-embedding-first",

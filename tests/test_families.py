@@ -357,8 +357,15 @@ def test_cycle_top_multiplicity_even_is_four():
      "comb tooth must be a nontrivial rooted tree"),
     (lambda: build_path(1), "path needs n >= 2"),
     (lambda: build_cycle(2), "cycle needs n >= 3"),
+    # a root outside the graph cut an arm off the centre, or crashed
+    (lambda: build_star([RootedTree(rooted_path(2).graph, 7), rooted_path(1)]),
+     "root 7 is not a vertex of the graph"),
+    (lambda: build_comb(build_path(3).graph, RootedTree(rooted_path(2).graph, 9)),
+     "root 9 is not a vertex of the graph"),
+    (lambda: RootedTree(rooted_path(2).graph, True), "root must be an integer"),
 ], ids=["broom-length-0", "star-one-vertex-arm", "star-cycle-arm", "rooted-path-0",
-        "comb-disconnected-base", "comb-one-vertex-tooth", "path-1", "cycle-2"])
+        "comb-disconnected-base", "comb-one-vertex-tooth", "path-1", "cycle-2",
+        "star-root-off-arm", "comb-root-off-tooth", "rooted-tree-bool-root"])
 def test_builder_refusals(build, fragment):
     with pytest.raises(InvalidParamsError, match=re.escape(fragment)):
         build()

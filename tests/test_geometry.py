@@ -170,6 +170,12 @@ def test_clumps_at_a_point_off_the_tree_raise():
         GeometricPoint.on_edge(0, 1, None),
         GeometricPoint.at_vertex(7),
         GeometricPoint.at_vertex(-1),
+        # labels and offsets are read as make_graph reads labels: a bool or
+        # a float is no vertex (these gave vertex 1, a bare TypeError, and 1)
+        GeometricPoint.at_vertex(True),
+        GeometricPoint.at_vertex(1.0),
+        GeometricPoint(edge=(1.0, 2), offset=Fraction(1, 2)),
+        GeometricPoint.on_edge(0, 1, True),
     ]
     for point in bad:
         for fn in (clump_lengths_at, clump_number_at):

@@ -658,6 +658,37 @@ def test_every_graph_is_made_by_make_graph():
     assert replaces == []
 
 
+def _raisers(tree, names):
+    """The enclosing function (None at module level) of each ``raise`` in
+    ``tree`` of an exception named in ``names``."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = getattr(child.exc, "func", child.exc)
+                if getattr(exc, "id", getattr(exc, "attr", None)) in names:
+                    found.append(where)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where)
+
+    visit(tree, None)
+    return found
+
+
+def test_unit_tree_hypothesis_has_one_gate():
+    """In the modules of the unit-tree statements only
+    ``geometry.require_unit_tree`` raises NotATreeError or
+    NotUnitWeightError, so every statement refuses a graph alike."""
+    package = Path(steklov.__file__).parent
+    raised = []
+    for name in ("geometry.py", "clumps.py", "extremal.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        raised += [(name, where)
+                   for where in _raisers(tree, {"NotATreeError", "NotUnitWeightError"})]
+    assert raised == [("geometry.py", "require_unit_tree")] * 2
+
+
 @pytest.mark.parametrize("i", [0, -1])
 def test_eigenvalue_index_refusal(i):
     with pytest.raises(InvalidParamsError, match="eigenvalue index is 1-based"):
