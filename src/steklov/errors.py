@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all steklov modules. An input outside a
 statement's hypotheses raises HypothesesNotMetError; NotATreeError and
-NotUnitWeightError are its kinds that ``geometry.require_unit_tree`` raises."""
+NotUnitWeightError are its kinds that ``geometry.require_tree`` and
+``geometry.require_unit_tree`` raise."""
 
 
 class SteklovError(Exception):

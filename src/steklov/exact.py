@@ -16,8 +16,10 @@ each reads the counts off a diagonal congruence of M in exact arithmetic:
   ("Locating the eigenvalues of trees", Linear Algebra Appl. 434, 2011;
   :func:`tree_inertia_counts`), from the parents of vertices 1..n-1, a
   row's even entries. The walk folds each vertex, from n - 1 down, into its
-  parent in Python integers: num/den after scaling by the denominator of a
-  rational b, (x + y sqrt(d)) / z reduced by the gcd for a surd b;
+  parent in Python integers, in one pass that learns each vertex's degree
+  from the children it has folded by the time it reaches the vertex:
+  num/den after scaling by the denominator of a rational b,
+  (x + y sqrt(d)) / z reduced by the gcd for a surd b;
 - on any other graph, by a dense LDL^T with 1x1 pivots, and a 2x2 pivot
   [[0, x], [x, 0]] (one negative and one positive eigenvalue) when every
   remaining diagonal entry is 0 (Bunch and Parlett, SIAM J. Numer. Anal. 8,
@@ -230,76 +232,101 @@ def _counts(values) -> tuple[int, int]:
     return sum(1 for x in values if x < 0), values.count(0)
 
 
-def _degrees(parents) -> list[int]:
-    """The vertex degrees of the tree of :func:`tree_inertia_counts`."""
-    degree = [0] + [1] * len(parents)
-    for u in parents:
-        degree[u] += 1
-    return degree
-
-
 def tree_inertia_counts(parents, b: Exact | int) -> tuple[int, int]:
     """Counts of :func:`inertia_counts` on the tree on 0..n-1 whose vertex
     v >= 1 has the parent ``parents[v - 1]`` < v (a store row's even bytes,
-    or a list), its degrees counted off ``parents``. By Jacobs-Trevisan on
-    c L - c b E_B, with c > 0 clearing the denominators of b and every
-    off-diagonal entry -c.
+    or a list). By Jacobs-Trevisan on c L - c b E_B, with c > 0 clearing
+    the denominators of b and every off-diagonal entry -c, in one reverse
+    pass over v = n - 1, ..., 1 with no degree list.
 
-    Each vertex v = n - 1, ..., 1 has its value final when it is reached,
-    and is folded into its parent u: value(u) -= c^2 / value(v). When
-    value(v) is 0, v is set positive, u negative, and the edge from u to
-    its parent is cut; u's other children are left as they are. The
-    values are integers num/den (den > 0) for a rational b = p / c, and
-    (x + y sqrt(d)) / z (z > 0, reduced by the gcd) for a surd b, whose
-    signs :func:`surd_sign` decides."""
+    Every child of v has a larger number than v, so all of them are folded
+    by the time v is reached, and v's degree is their count plus 1 (the
+    root, reached last, has no parent edge). v's value is then final: its
+    base deg c, less p for a leaf (deg <= 1), minus the sum of
+    c^2 / value(child) over the children folded into it, held as one
+    fraction num/den (den > 0). It is counted and folded into its parent
+    u. When value(v) is 0, v is set positive, u negative, and the edge
+    from u to its parent is cut; u's later children are left as they are,
+    though u's degree still counts every child. :func:`_surd_tree_counts`
+    walks a surd b the same way."""
     if isinstance(b, QuadraticSurd):
         return _surd_tree_counts(parents, b)
     p, c = b.numerator, b.denominator
     cc = c * c
-    degree = _degrees(parents)
-    num = [k * c - p if k <= 1 else k * c for k in degree]
-    den = [1] * len(degree)
-    cut = [False] * len(degree)
-    for v, u in zip(range(len(parents), 0, -1), reversed(parents)):
-        if cut[v] or cut[u]:
+    n = len(parents) + 1
+    children = [0] * n  # reached so far
+    num, den = [0] * n, [1] * n  # the sum of c^2 / value(child) over the children folded
+    cut = [False] * n  # set negative: a child's value was 0
+    negative = zero = 0
+    for v, u in zip(range(n - 1, 0, -1), reversed(parents)):
+        children[u] += 1
+        if cut[v]:
+            negative += 1
             continue
-        x = num[v]
-        if x == 0:
-            num[v], num[u], den[u], cut[u] = 1, -1, 1, True
+        k = children[v] + 1  # v's degree
+        x = (k * c - p if k == 1 else k * c) * den[v] - num[v]  # value(v) = x / den[v]
+        if cut[u]:
+            negative += x < 0
+            zero += x == 0
+        elif x == 0:
+            cut[u] = True  # v set positive
         elif x > 0:
-            num[u], den[u] = num[u] * x - cc * den[v] * den[u], den[u] * x
+            num[u], den[u] = num[u] * x + cc * den[v] * den[u], den[u] * x
         else:
-            num[u], den[u] = cc * den[v] * den[u] - num[u] * x, -den[u] * x
-    return _counts(num)
+            num[u], den[u] = -num[u] * x - cc * den[v] * den[u], -den[u] * x
+            negative += 1
+    if cut[0]:
+        return negative + 1, zero
+    k = children[0]
+    x = (k * c - p if k <= 1 else k * c) * den[0] - num[0]
+    return negative + (x < 0), zero + (x == 0)
 
 
 def _surd_tree_counts(parents, b: QuadraticSurd) -> tuple[int, int]:
-    """:func:`tree_inertia_counts` for b = (s + t sqrt(d)) / c, with each
-    division rationalised by the conjugate."""
+    """:func:`tree_inertia_counts` for b = (s + t sqrt(d)) / c, in the same
+    one pass: the sum over v's folded children is (x + y sqrt(d)) / z with
+    z > 0, reduced by the gcd, each division rationalised by the
+    conjugate, and each value's sign decided by :func:`surd_sign`."""
     d = b.d
     s, t, c = b._integers()
     cc = c * c
-    degree = _degrees(parents)
-    x = [k * c - s if k <= 1 else k * c for k in degree]
-    y = [-t if k <= 1 else 0 for k in degree]
-    z = [1] * len(degree)
-    cut = [False] * len(degree)
-    for v, u in zip(range(len(parents), 0, -1), reversed(parents)):
-        if cut[v] or cut[u]:
+    n = len(parents) + 1
+    children = [0] * n
+    x, y, z = [0] * n, [0] * n, [1] * n  # the sum of c^2 / value(child) over the children folded
+    cut = [False] * n
+    negative = zero = 0
+    for v, u in zip(range(n - 1, 0, -1), reversed(parents)):
+        children[u] += 1
+        if cut[v]:
+            negative += 1
             continue
-        xv, yv = x[v], y[v]
+        k, zv = children[v] + 1, z[v]
+        # value(v) = (xv + yv sqrt(d)) / zv, in lowest terms as its sum is
+        xv, yv = (k * c - s if k == 1 else k * c) * zv - x[v], (-t * zv if k == 1 else 0) - y[v]
+        if cut[u]:
+            sign = surd_sign(xv, yv, d)
+            negative += sign < 0
+            zero += sign == 0
+            continue
         if xv == 0 and yv == 0:
-            x[v], x[u], y[u], z[u], cut[u] = 1, -1, 0, 1, True
+            cut[u] = True  # v set positive
             continue
-        # c^2 / value(v) = c^2 z[v] (xv - yv sqrt(d)) / norm
+        # c^2 / value(v) = c^2 zv (xv - yv sqrt(d)) / norm; norm != 0, and
+        # the larger of xv^2 and yv^2 d gives value(v) its sign
         norm = xv * xv - d * yv * yv
-        k = cc * z[v] * z[u]
-        xu, yu, zu = x[u] * norm - k * xv, y[u] * norm + k * yv, z[u] * norm
+        negative += (xv if norm > 0 else yv) < 0
+        w = cc * zv * z[u]
+        xu, yu, zu = x[u] * norm + w * xv, y[u] * norm - w * yv, z[u] * norm
         if norm < 0:
             xu, yu, zu = -xu, -yu, -zu
         g = math.gcd(xu, yu, zu)
         x[u], y[u], z[u] = xu // g, yu // g, zu // g
-    return _counts([surd_sign(xv, yv, d) for xv, yv in zip(x, y)])
+    if cut[0]:
+        return negative + 1, zero
+    k, z0 = children[0], z[0]
+    leaf = k <= 1
+    sign = surd_sign((k * c - s if leaf else k * c) * z0 - x[0], (-t * z0 if leaf else 0) - y[0], d)
+    return negative + (sign < 0), zero + (sign == 0)
 
 
 def leaf_table(n: int, owner, ends):

@@ -76,7 +76,13 @@ from .families import (
     rooted_path,
 )
 from . import geometry
-from .geometry import DEFAULT_ZERO_TOL, _broom_branches, _centre, require_unit_tree
+from .geometry import (
+    DEFAULT_ZERO_TOL,
+    _broom_branches,
+    _centre,
+    require_tree,
+    require_unit_tree,
+)
 from .graph import (
     Role,
     WeightedBoundaryGraph,
@@ -407,13 +413,18 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     sigma_i is exactly 1 when L >= i and missing (+inf) otherwise, read off
     the class object's :attr:`~steklov.enumeration.GraphClassStream.leaf_table`:
     the rows with L >= i are the candidates, all attain b, and the bound
-    holds. At any other b the candidates are the classes whose screened
-    sigma_i is at most float(b) + SCREEN_MARGIN, each decided exactly by
-    its counts #{sigma_j < b} and #{sigma_j = b}, from its row of the class
-    object's store, in one :func:`~steklov.exact.member_counts` call. The
-    bound holds iff no candidate has i or more eigenvalues below b (every
-    other class screens above b + SCREEN_MARGIN), and a candidate attains
-    it iff it also has at least i at or below b.
+    holds. Nothing else is computed at b = 1, and no sigma_i column is
+    built. The gap is +inf: a row outside the argmin set has L < i, so
+    i > |B| and its sigma_i is the +inf sentinel. The argmin set is never
+    empty: the star K_{1,n-1} belongs to both classes and has n - 1 >= i
+    leaves, so the fallback below never runs at b = 1. At any other b the
+    candidates are the classes whose screened sigma_i is at most
+    float(b) + SCREEN_MARGIN, each decided exactly by its counts
+    #{sigma_j < b} and #{sigma_j = b}, from its row of the class object's
+    store, in one :func:`~steklov.exact.member_counts` call. The bound
+    holds iff no candidate has i or more eigenvalues below b (every other
+    class screens above b + SCREEN_MARGIN), and a candidate attains it iff
+    it also has at least i at or below b.
     When the bound holds and some candidate attains it, those candidates
     are the argmin set and the minimum is b; otherwise the report falls
     back to the minimum and argmin set of the sigma_i column, with
@@ -421,10 +432,9 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     target = predicted_bound(n, i, graph_class)
     n, i, b = target.n, target.i, target.bound_exact
     stream = _sweep_class(n, graph_class)
-    if b == 1:
-        fits = stream.leaf_table[:, 1] >= i  # sigma_i = 1 iff L >= i
-        values = np.where(fits, 1.0, math.inf)  # the exact sigma_i column
-        candidates = attained = np.flatnonzero(fits)
+    unit = b == 1
+    if unit:
+        candidates = attained = np.flatnonzero(stream.leaf_table[:, 1] >= i)  # L >= i
         bound_ok = True  # s <= n/2 < i
     else:
         values = stream.spectra[:, i - 1]  # i < n
@@ -440,7 +450,7 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
             match = argmin == predicted
         else:
             match = set(predicted) <= set(argmin)
-    else:
+    else:  # never at b = 1, where the star attains b
         minimum, attained = _screen_minimum(values)
         argmin, match = tuple([codes[j] for j in attained]), False
     return ExtremalReport(
@@ -453,7 +463,7 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
         match=match,
         bound_ok=bound_ok,
         tol=SCREEN_MARGIN,
-        gap=_gap(values, attained, minimum),
+        gap=math.inf if unit else _gap(values, attained, minimum),
         rechecked=len(candidates),
     )
 
@@ -731,9 +741,10 @@ def verify_lambda1_bound(g: WeightedBoundaryGraph) -> Lambda1BoundVerdict:
     unit weights off the Dirichlet edges, l = 1/(sum of Dirichlet edge
     weights, a float weight w read as the length repr(1.0 / w)),
     n = |Omega_D| - 1. At equality the structure is matched:
-    for |B_D| = 1 the tree must be a minimal broom Br(l, n)."""
-    if not g.is_tree():
-        raise HypothesesNotMetError("bound needs a tree")
+    for |B_D| = 1 the tree must be a minimal broom Br(l, n). A graph that
+    is not a tree raises NotATreeError (:func:`~steklov.geometry.require_tree`);
+    any other unmet hypothesis a plain HypothesesNotMetError."""
+    require_tree(g, "the lambda_1 bound is")
     if not g.dirichlet or not g.boundary:
         raise HypothesesNotMetError("bound needs B and B_D nonempty")
     leaf_set = set(g.leaves())

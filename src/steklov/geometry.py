@@ -7,7 +7,9 @@ graph with Dirichlet boundary at the cut points. Clump numbers are the
 unit-tree branch statistics used by the removal lemmas, decided in integer
 halves off the tree's walk; only reports hold Fractions. Every statement
 about unit trees, here and in ``clumps`` and ``extremal``, checks that
-hypothesis with one gate, :func:`require_unit_tree`. A centroid descent
+hypothesis with one gate, :func:`require_unit_tree`, whose tree half,
+:func:`require_tree`, is also the tree check of the lambda_1 bound. A
+centroid descent
 over the walk's table of each vertex's two heaviest children
 (``graph.branch_table``) gives the equilibrium point (``_centre``, and
 ``_broom_branches`` for its minimal-broom branches) and the clump numbers
@@ -134,12 +136,21 @@ class ClumpReport:
     clump_number: Fraction
 
 
-def require_unit_tree(g: WeightedBoundaryGraph, what: str) -> None:
-    """The one check of the hypothesis of the unit-tree statements: ``g``
-    is a tree, else NotATreeError (f"{what} defined for trees"), and every
-    edge weight is 1 (a weight 1.0 reads as 1), else NotUnitWeightError."""
+def require_tree(g: WeightedBoundaryGraph, what: str) -> None:
+    """The one check that a statement's graph is a tree: ``g`` is connected
+    with n - 1 edges, else NotATreeError (f"{what} defined for trees"). It
+    is the tree half of :func:`require_unit_tree`, and the whole tree check
+    of the statements whose weight hypothesis is their own
+    (``extremal.verify_lambda1_bound``)."""
     if not g.is_tree():
         raise NotATreeError(f"{what} defined for trees")
+
+
+def require_unit_tree(g: WeightedBoundaryGraph, what: str) -> None:
+    """The one check of the hypothesis of the unit-tree statements: ``g``
+    is a tree (:func:`require_tree`, NotATreeError), and every edge weight
+    is 1 (a weight 1.0 reads as 1), else NotUnitWeightError."""
+    require_tree(g, what)
     if any(w != 1 for _, _, w in g.edges):
         raise NotUnitWeightError(f"{what} defined for unit edge weights")
 

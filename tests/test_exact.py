@@ -196,6 +196,85 @@ def test_store_counts_match_both_oracles():
     assert zero_counts > 0
 
 
+def test_tree_walk_matches_its_oracle_on_the_rows_verify_counts(monkeypatch):
+    # every b != 1 pair of the tree classes 3 <= n <= 12 and the connected
+    # classes 3 <= n <= 7: each tree row that verify_extremal hands to
+    # member_counts walks to the counts member_counts returns for it and
+    # to those of the Jacobs-Trevisan oracle on its edges
+    handed = []
+    inner = extremal.member_counts
+
+    def recording(n, rows, b):
+        counts = inner(n, rows, b)
+        handed.append((n, rows, b, counts))
+        return counts
+
+    monkeypatch.setattr(extremal, "member_counts", recording)
+    pairs = [("trees", n, i) for n in range(3, 13) for i in range(2, n)]
+    pairs += [("connected", n, i) for n in range(3, 8) for i in range(2, n)]
+    for graph_class, n, i in pairs:
+        verify_extremal(n, i, graph_class)
+    assert len(pairs) == 70 and len(handed) == 31  # one call per pair at b != 1
+    walked = surd_walks = 0
+    for n, rows, b, counted in handed:
+        assert b != 1
+        for row, counts in zip(rows, counted, strict=True):
+            if len(row) != 2 * n - 2:
+                continue
+            parents = row[0::2]
+            adj = adjacency_sets(n, zip(parents, row[1::2]))
+            assert exact.tree_inertia_counts(parents, b) == counts, (n, row, b)
+            assert counts == jacobs_trevisan_counts(adj, b), (n, row, b)
+            walked += 1
+            surd_walks += isinstance(b, QuadraticSurd)
+    assert walked > 0 and surd_walks > 0
+
+
+def zero_cuts_before_a_sibling(parents, b) -> int:
+    """How often the walk of :func:`steklov.exact.tree_inertia_counts`
+    meets a zero value whose parent still has a child to reach (one with
+    a smaller number), redone here in exact field arithmetic from degrees
+    counted first: the cut leaves that child as it is."""
+    n = len(parents) + 1
+    degree = [0] + [1] * (n - 1)
+    for u in parents:
+        degree[u] += 1
+    value = [k - b if k <= 1 else Fraction(k) for k in degree]
+    cut = [False] * n
+    hits = 0
+    for v in range(n - 1, 0, -1):
+        u = parents[v - 1]
+        if cut[v] or cut[u]:
+            continue
+        if value[v] == 0:
+            hits += u in parents[:v - 1]
+            value[v], value[u], cut[u] = 1, -1, True
+        else:
+            value[u] -= 1 / value[v]
+    return hits
+
+
+def test_zero_cut_leaves_later_siblings_unfolded():
+    # over every tree n <= 10 at each grid bound (the surd ones included),
+    # some walks meet a zero value whose parent still has a child to reach,
+    # at b = 1 and at other bounds; on each of them the walk's counts are
+    # those of the dense LDL^T
+    at_one = elsewhere = 0
+    for n in range(1, 11):
+        stream = enumerate_trees(n)
+        for row in stream.rows(range(len(stream))):
+            parents = list(row[0::2])
+            for b in GRID_BOUNDS:
+                if not zero_cuts_before_a_sibling(parents, b):
+                    continue
+                adj = adjacency_sets(n, zip(parents, row[1::2]))
+                counts = exact.tree_inertia_counts(parents, b)
+                assert counts == dense_inertia_counts(adj, b), (row, b)
+                at_one += b == 1
+                elsewhere += b != 1
+    assert at_one > 0 and elsewhere > 0
+
+
 def preorder_arrays(adj, root):
     """Parent and degree bytes of the tree with neighbour sets ``adj``,
     renumbered in a depth-first preorder from ``root`` (new vertex 0)."""
@@ -310,6 +389,31 @@ def test_verify_at_b_one_makes_no_walk_and_no_factorization(monkeypatch):
         assert len(candidates) == rep.rechecked > 0
     assert any(stream.codes[j][0] != "(" for j in candidates)
     assert walks == dense == subtree == []
+
+
+def test_verify_at_b_one_builds_no_column_and_no_gap(monkeypatch):
+    # on the 65 pairs with b = 1 (i > n/2; trees n <= 16, connected graphs
+    # n <= 7) a warm verify_extremal builds no sigma_i column (np.where)
+    # and reduces no gap: the gap is +inf, as no class outside the argmin
+    # set has a sigma_i
+    gaps = counting_calls(monkeypatch, extremal, "_gap")
+    columns = counting_calls(monkeypatch, np, "where")
+    pairs = 0
+    try:
+        for graph_class, top in (("trees", 16), ("connected", 7)):
+            for n in range(3, top + 1):
+                for i in range(n // 2 + 1, n):
+                    verify_extremal(n, i, graph_class)  # the class and the prediction are held
+                    gaps.clear()
+                    columns.clear()
+                    rep = verify_extremal(n, i, graph_class)
+                    assert rep.target.bound_exact == 1 and rep.match and rep.bound_ok
+                    assert rep.gap == math.inf and rep.rechecked == len(rep.argmin_codes)
+                    assert gaps == columns == [], (graph_class, n, i)
+                    pairs += 1
+    finally:
+        _load_class.cache_clear()  # the n = 16 class
+    assert pairs == 65
 
 
 @pytest.mark.parametrize("n,i", IRRATIONAL_PAIRS)

@@ -27,6 +27,7 @@ from steklov.errors import (
     InvalidParamsError,
     NoBoundaryError,
     NotASubgraphError,
+    NotATreeError,
     NotBipartiteError,
     NotUnitWeightError,
     OutOfSupportedRangeError,
@@ -1280,7 +1281,11 @@ LEAF_OFF_BROOM = BROOM_112.with_roles(BROOM_112.roles[:-1] + (Role.INTERIOR,))
     (lambda: verify_positivity(path_graph(3)), InvalidParamsError,
      "positivity check needs B_D nonempty"),
     (lambda: verify_lambda1_bound(combinatorial_graph(3, [(0, 1), (1, 2), (0, 2)])),
-     HypothesesNotMetError, "bound needs a tree"),
+     HypothesesNotMetError, "the lambda_1 bound is defined for trees"),
+    # the tree check is the unit-tree statements' own: it raised a plain
+    # HypothesesNotMetError
+    (lambda: verify_lambda1_bound(combinatorial_graph(3, [(0, 1), (1, 2), (0, 2)])),
+     NotATreeError, "the lambda_1 bound is defined for trees"),
     # the statements that compare plain spectra refuse a graph with B_D
     (lambda: check_monotonicity(PINNED_HOST, path_graph(3)), InvalidParamsError,
      "needs B_D empty"),
@@ -1314,7 +1319,8 @@ LEAF_OFF_BROOM = BROOM_112.with_roles(BROOM_112.roles[:-1] + (Role.INTERIOR,))
     (lambda: QuadraticSurd(1, 1, 2) * 0.5, TypeError, "unsupported operand"),
 ], ids=["monotonicity-larger-subgraph", "reg-star-r1", "sigma-lambda-z5",
         "sigma-lambda-bool-z", "sigma-lambda-float-z", "reg-star-root-off-extension",
-        "positivity-without-dirichlet", "lambda1-cycle", "monotonicity-pinned-host",
+        "positivity-without-dirichlet", "lambda1-cycle", "lambda1-cycle-not-a-tree",
+        "monotonicity-pinned-host",
         "monotonicity-pinned-subgraph", "rigidity-pinned-host", "equivalence-pinned-host",
         "equivalence-pinned-subgraph", "rigidity-embedding-first",
         "monotonicity-measure", "monotonicity-host-boundary", "rigidity-one-boundary-vertex",

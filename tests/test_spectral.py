@@ -678,15 +678,16 @@ def _raisers(tree, names):
 
 def test_unit_tree_hypothesis_has_one_gate():
     """In the modules of the unit-tree statements only
-    ``geometry.require_unit_tree`` raises NotATreeError or
-    NotUnitWeightError, so every statement refuses a graph alike."""
+    ``geometry.require_tree`` raises NotATreeError and only
+    ``geometry.require_unit_tree`` NotUnitWeightError, so every statement
+    refuses a graph alike."""
     package = Path(steklov.__file__).parent
     raised = []
     for name in ("geometry.py", "clumps.py", "extremal.py"):
         tree = ast.parse((package / name).read_text(encoding="utf-8"))
         raised += [(name, where)
                    for where in _raisers(tree, {"NotATreeError", "NotUnitWeightError"})]
-    assert raised == [("geometry.py", "require_unit_tree")] * 2
+    assert raised == [("geometry.py", "require_tree"), ("geometry.py", "require_unit_tree")]
 
 
 @pytest.mark.parametrize("i", [0, -1])
