@@ -549,17 +549,28 @@ def _connected_class(n: int) -> set[str]:
     return codes
 
 
+_class_files: dict[tuple[str, int, str], str] = {}  # (kind, n, raw) -> file, raw absolute or ""
+
+
 def _class(kind: str, n: int) -> GraphClassStream:
     """The one object of a class on a checked n, memoised per class file
     under STEKLOV_CACHE_DIR (default ``.steklov-cache``; empty turns the
-    cache off), so a change of it or of the working directory is honoured."""
-    n, top = _index(n, "n"), MAX_TREE_N if kind == "trees" else MAX_GRAPH_N
-    if not 1 <= n <= top:
-        name = "tree" if kind == "trees" else "connected-graph"
-        raise OutOfSupportedRangeError(f"{name} enumeration supports 1 <= n <= {top}")
+    cache off), so a change of it or of the working directory is honoured.
+    An absolute or empty directory is resolved by one lookup keyed on the
+    variable's string, after the first call has checked an int n; only a
+    relative one asks for the working directory, on every call."""
     raw = os.environ.get("STEKLOV_CACHE_DIR", ".steklov-cache")
-    cwd = os.getcwd() if raw and not os.path.isabs(raw) else ""
-    return _load_class(kind, n, _class_file(kind, n, raw, cwd))
+    file = _class_files.get((kind, n, raw)) if type(n) is int else None
+    if file is None:
+        n, top = _index(n, "n"), MAX_TREE_N if kind == "trees" else MAX_GRAPH_N
+        if not 1 <= n <= top:
+            name = "tree" if kind == "trees" else "connected-graph"
+            raise OutOfSupportedRangeError(f"{name} enumeration supports 1 <= n <= {top}")
+        cwd = os.getcwd() if raw and not os.path.isabs(raw) else ""
+        file = _class_file(kind, n, raw, cwd)
+        if not cwd:
+            _class_files[kind, n, raw] = file
+    return _load_class(kind, n, file)
 
 
 @lru_cache(maxsize=None)

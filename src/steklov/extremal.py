@@ -343,7 +343,7 @@ def _sweep_class(n: int, graph_class: str):
 def _screen_minimum(values: np.ndarray):
     """The screen's minimum and the rows within SCREEN_MARGIN of it."""
     minimum = float(values.min())
-    return minimum, np.flatnonzero(values <= minimum + SCREEN_MARGIN)
+    return minimum, (values <= minimum + SCREEN_MARGIN).nonzero()[0]
 
 
 def _gap(values: np.ndarray, argmin, minimum: float) -> float:
@@ -434,11 +434,11 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     stream = _sweep_class(n, graph_class)
     unit = b == 1
     if unit:
-        candidates = attained = np.flatnonzero(stream.leaf_table[:, 1] >= i)  # L >= i
+        candidates = attained = (stream.leaf_table[:, 1] >= i).nonzero()[0]  # L >= i
         bound_ok = True  # s <= n/2 < i
     else:
         values = stream.spectra[:, i - 1]  # i < n
-        candidates = np.flatnonzero(values <= target.bound + SCREEN_MARGIN)
+        candidates = (values <= target.bound + SCREEN_MARGIN).nonzero()[0]
         counts = member_counts(n, stream.rows(candidates.tolist()), b)
         bound_ok = all(neg < i for neg, _ in counts)
         attained = candidates[[neg < i <= neg + zero for neg, zero in counts]]

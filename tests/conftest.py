@@ -348,6 +348,46 @@ def jacobs_trevisan_counts(adj, b):
     return signs.count(-1), signs.count(0)
 
 
+def fraction_ldlt_counts(adj, b):
+    """Oracle for ``steklov.exact.dense_inertia_counts``: the counts
+    (#{sigma_j < b}, #{sigma_j = b}) on the connected graph with neighbour
+    sets ``adj``, by a ``Fraction`` LDL^T of L - b E_B with 1x1 pivots in
+    vertex order, and a 2x2 pivot [[0, x], [x, 0]] (one negative and one
+    positive eigenvalue) when every remaining diagonal entry is 0. ``b`` is
+    a rational or a ``QuadraticSurd``, whose arithmetic is exact."""
+    n = len(adj)
+    edge, zero = Fraction(-1), Fraction(0)
+    a = [[edge if c in adj[r] else zero for c in range(n)] for r in range(n)]
+    for v in range(n):
+        a[v][v] = Fraction(len(adj[v])) - (b if len(adj[v]) <= 1 else 0)
+    rest, pivots = list(range(n)), []
+    while rest:
+        k = next((k for k in rest if a[k][k] != 0), None)
+        if k is not None:
+            rest.remove(k)
+            pivot = a[k][k]
+            pivots.append(pivot)
+            row = [(c, a[k][c]) for c in rest if a[k][c] != 0]
+            for r, f in row:
+                f /= pivot
+                for c, x in row:
+                    a[r][c] -= f * x
+            continue
+        pair = next(((j, k) for j in rest for k in rest if j < k and a[j][k] != 0), None)
+        if pair is None:  # the rest is zero
+            pivots += [0] * len(rest)
+            break
+        j, k = pair
+        x = a[j][k]
+        rest.remove(j)
+        rest.remove(k)
+        pivots += [-1, 1]
+        for r in rest:
+            for c in rest:
+                a[r][c] -= (a[r][j] * a[k][c] + a[r][k] * a[j][c]) / x
+    return sum(1 for x in pivots if x < 0), pivots.count(0)
+
+
 def union_find_components(edges, verts):
     """Oracle: components of the subgraph induced on ``verts`` by union-find,
     each sorted, listed by least vertex."""

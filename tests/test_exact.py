@@ -5,6 +5,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklov import exact, extremal, graph
 from steklov.enumeration import (
@@ -30,7 +32,7 @@ from steklov.families import lambda_value
 from steklov.graph import adjacency_sets, combinatorial_graph
 from steklov.spectral import steklov_spectrum
 
-from conftest import counting_calls, jacobs_trevisan_counts, stacked
+from conftest import counting_calls, fraction_ldlt_counts, jacobs_trevisan_counts, stacked
 
 IRRATIONAL_PAIRS = [(8, 4), (10, 5), (12, 4), (12, 6)]
 GRID_BOUNDS = {predicted_bound(n, i, "trees").bound_exact
@@ -446,6 +448,100 @@ def test_dense_factorization_with_two_by_two_pivots(n, edges, b):
     expect = (int(np.sum(eigenvalues < float(b) - 1e-9)),
               int(np.sum(np.abs(eigenvalues - float(b)) <= 1e-9)))
     assert dense_inertia_counts(adj, b) == expect
+
+
+@pytest.mark.parametrize("kind", [Fraction, QuadraticSurd], ids=["rational", "surd"])
+def test_integer_dense_counts_match_the_fraction_ldlt(monkeypatch, kind):
+    # the fraction-free elimination against the Fraction LDL^T with pivots
+    # in vertex order, on every connected member with a boundary n <= 7 and
+    # every tree n <= 8, at each grid bound, at b = 0 and b = 1 and at
+    # seeded rationals and a seeded surd (the rational and the surd bounds
+    # in turn); then on the inputs of
+    # test_dense_factorization_with_two_by_two_pivots (the Fraction LDL^T
+    # needs a 2x2 pivot on each; with the interior first, only K_2 needs a
+    # 2x2 step) and on two where a 1x1 step follows the 2x2 step, each b as
+    # given and as a surd with q = 0, which takes the Z[sqrt(d)] steps. The
+    # 2x2 step is reached at a rational b, at an irrational b (the grid's
+    # 1/2 + sqrt(3)/6 on a triangle with four pendant leaves) and at a surd
+    # with q = 0
+    rng = random.Random(4646)
+    bounds = GRID_BOUNDS | {Fraction(0), Fraction(1)}
+    bounds |= {Fraction(rng.randrange(-50, 400), rng.randrange(1, 60)) for _ in range(2)}
+    bounds.add(QuadraticSurd(Fraction(rng.randrange(1, 40), rng.randrange(1, 12)),
+                             Fraction(rng.randrange(1, 10), rng.randrange(1, 12)), 7))
+    bounds = [b for b in bounds if isinstance(b, kind)]
+    members = [(n, edges) for n in range(1, 8)
+               for edges in enumerate_connected_graphs(n).edge_lists()]
+    members += [(8, edges) for edges in enumerate_trees(8).edge_lists()]
+    name = "_pair_step" if kind is Fraction else "_surd_pair_step"
+    step = counting_calls(monkeypatch, exact, name)
+    reached = checked = 0
+    for n, edges in members:
+        adj = adjacency_sets(n, edges)
+        if all(len(nbrs) > 1 for nbrs in adj):
+            continue
+        for b in bounds:
+            step.clear()
+            assert dense_inertia_counts(adj, b) == fraction_ldlt_counts(adj, b), (edges, b)
+            reached += bool(step)
+            checked += 1
+    assert checked == 436 * len(bounds) and reached > 0
+    reached = []
+    for n, edges, b in [
+        (2, [(0, 1)], Fraction(1)),
+        (4, [(0, 3), (1, 2), (2, 3)], Fraction(1, 2)),
+        (6, [(0, 5), (1, 4), (2, 4), (2, 5), (3, 4), (3, 5)], Fraction(1, 2)),
+        (4, [(0, 1), (0, 2), (0, 3)], Fraction(2, 3)),  # the star: Lambda = I - J/3
+        (6, [(0, 5), (1, 4), (2, 3), (3, 4), (3, 5), (4, 5)], Fraction(1, 2)),
+    ]:
+        adj = adjacency_sets(n, edges)
+        b = b if kind is Fraction else QuadraticSurd(b, 0, 2)
+        step.clear()
+        assert dense_inertia_counts(adj, b) == fraction_ldlt_counts(adj, b), (edges, b)
+        reached.append(bool(step))
+    assert reached == [True, False, False, True, True]
+
+
+def test_rational_dense_counts_build_no_fraction(monkeypatch):
+    # a rational b, a Fraction or an int, is counted in Python integers
+    graphs = [adjacency_sets(7, edges) for edges in enumerate_connected_graphs(7).edge_lists()]
+    graphs = [adj for adj in graphs if any(len(nbrs) <= 1 for nbrs in adj)][::8]
+    bounds = [Fraction(3, 4), Fraction(1), Fraction(-5, 3), 2]
+    expect = [fraction_ldlt_counts(adj, b) for adj in graphs for b in bounds]
+    made = counting_calls(monkeypatch, Fraction, "__new__")
+    counts = [dense_inertia_counts(adj, b) for adj in graphs for b in bounds]
+    assert made == [] and counts == expect
+
+
+@st.composite
+def leafy_graphs(draw):
+    """A connected graph on 8 to 10 vertices with at least two leaves: a
+    random core (a random tree with extra edges) and pendant leaves."""
+    n = draw(st.integers(8, 10))
+    core = draw(st.integers(3, n - 2))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, core)}
+    edges |= draw(st.sets(st.tuples(st.integers(0, core - 1), st.integers(0, core - 1))
+                          .filter(lambda e: e[0] < e[1]), max_size=6))
+    edges |= {(draw(st.integers(0, core - 1)), v) for v in range(core, n)}
+    return n, sorted(edges)
+
+
+rational_bounds = st.fractions(min_value=-1, max_value=6, max_denominator=24)
+surd_bounds = st.builds(QuadraticSurd, st.fractions(min_value=0, max_value=4, max_denominator=12),
+                        st.fractions(min_value=-2, max_value=2, max_denominator=12),
+                        st.sampled_from([2, 3, 5, 7]))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(leafy_graphs(), st.one_of(rational_bounds, surd_bounds, st.sampled_from(sorted(
+    GRID_BOUNDS | {Fraction(0), Fraction(1)}, key=float))))
+def test_integer_dense_counts_on_leafy_graphs(graph, b):
+    # the range of the leafy connected classes n = 8..10: the counts equal
+    # the Fraction LDL^T's
+    n, edges = graph
+    adj = adjacency_sets(n, edges)
+    assert sum(len(nbrs) == 1 for nbrs in adj) >= 2
+    assert dense_inertia_counts(adj, b) == fraction_ldlt_counts(adj, b), (edges, b)
 
 
 def test_graphs_without_counts_are_refused():
