@@ -20,17 +20,17 @@ each reads the counts off a diagonal congruence of M in exact arithmetic:
   from the children it has folded by the time it reaches the vertex:
   num/den after scaling by the denominator of a rational b,
   (x + y sqrt(d)) / z reduced by the gcd for a surd b;
-- on any other graph, by a fraction-free symmetric elimination in Python
-  integers (Bareiss, Math. Comp. 22, 1968; :func:`dense_inertia_counts`),
-  every interior vertex pivoted first: L_II is positive definite, so no
-  interior pivot is 0, and what is left is det(L_II) (Lambda - b I), the
-  split above, scaled by the denominator c of b. Every entry is a minor
-  of c M (Sylvester's identity) over c^k, for the k interior rows it
-  holds, an integer, so every division is exact. The block left takes
-  1x1 steps, and a 2x2 step [[0, x], [x, 0]] (one negative and one
-  positive eigenvalue) when every diagonal entry left is 0 (Bunch and
-  Parlett, SIAM J. Numer. Anal. 8, 1971). A surd b takes the same steps
-  in Z[sqrt(d)].
+- on any other graph, by a fraction-free symmetric elimination
+  (Bareiss, Math. Comp. 22, 1968; :func:`dense_inertia_counts`), every
+  interior vertex pivoted first, in Python integers: L_II is positive
+  definite, so no interior pivot is 0, and what is left is the square
+  block det(L_II) (Lambda - b I), the split above. Every entry is a minor
+  (Sylvester's identity), so every division is exact: in integers for a
+  rational b, the block scaled by its denominator, and in the type's own
+  exact arithmetic for a surd b. The block takes 1x1 steps, and a 2x2
+  step [[0, x], [x, 0]] (one negative and one positive eigenvalue) when
+  every diagonal entry left is 0 (Bunch and Parlett, SIAM J. Numer.
+  Anal. 8, 1971), in one loop for either b.
 
 b is a Fraction (or an int) or a :class:`QuadraticSurd` p + q sqrt(d), the
 number type of the irrational bounds theta_i for i = 4, 5, 6; any other b
@@ -49,6 +49,7 @@ for it. Nothing here is memoised.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import total_ordering
 from numbers import Rational
@@ -376,62 +377,78 @@ def leaf_table(n: int, owner, ends):
 
 def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
     """Counts of :func:`inertia_counts` on the graph with neighbour sets
-    ``adj``, by a fraction-free symmetric elimination of L - b E_B in
-    Python integers (Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+    ``adj``, by a fraction-free symmetric elimination of L - b E_B
+    (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968).
 
-    Every interior vertex (degree >= 2) is pivoted first, on L alone, as b
-    enters only the boundary's diagonal (:func:`_interior_eliminated`). A
-    1x1 step on the pivot a_kk, after a step whose pivot was prev (1 at
-    the start), sets a_rc <- (a_kk a_rc - a_rk a_kc) / prev on the rows
-    and columns left, then prev <- a_kk. By Sylvester's identity each
-    a_rc is then the minor on the pivots taken and r, c, and prev the
-    minor on the pivots taken, so every division is exact. L_II is
-    positive definite on a connected graph with a boundary, so every
-    interior pivot is positive, and what is left is det(L_II) Lambda,
-    Lambda the DtN matrix (Haynsworth, as above); with prev = det(L_II),
-    b enters it as prev (Lambda - b I). For
-    b = p/c the block is scaled by c, to c a_rc - p prev on the diagonal,
-    prev unchanged: every minor of c L - p E_B that holds the k interior
-    rows has the factor c^k, and the steps are homogeneous of degree 1,
-    so the scaled block's steps give those minors over c^k, integers. A
-    surd b = (s + t sqrt(d)) / c gives entries (x, y) for x + y sqrt(d),
-    in the ring Z[sqrt(d)] where the minors lie; each division multiplies
-    by prev's conjugate and divides by its integer norm
-    (:func:`_surd_step`), and signs come from :func:`surd_sign`.
+    Every interior vertex (degree >= 2) is pivoted first, on L alone and in
+    Python integers, as b enters only the boundary's diagonal
+    (:func:`_interior_eliminated`). A 1x1 step on the pivot a_kk, after a
+    step whose pivot was prev (1 at the start), sets
+    a_rc <- (a_kk a_rc - a_rk a_kc) / prev on the rows and columns left,
+    then prev <- a_kk. By Sylvester's identity each a_rc is then the minor
+    on the pivots taken and r, c, and prev the minor on the pivots taken,
+    so every division is exact. L_II is positive definite on a connected
+    graph with a boundary, so every interior pivot is positive, and what
+    is left is det(L_II) Lambda, Lambda the DtN matrix (Haynsworth, as
+    above), a square block; with prev = det(L_II), b enters it as
+    prev (Lambda - b I). For b = p/c the block is scaled by c, to
+    c a_rc - p prev on the diagonal, prev unchanged: every minor of
+    c L - p E_B that holds the k interior rows has the factor c^k, and the
+    steps are homogeneous of degree 1, so the scaled block's steps give
+    those minors over c^k, integers, and each division is ``//``. A surd b
+    enters unscaled, as a_rc - b prev on the diagonal; prev is lifted into
+    :class:`QuadraticSurd`, so each division is the type's own exact ``/``
+    and each sign is decided exactly.
 
-    On the block, a 1x1 step takes the first nonzero diagonal entry, and
-    its pivot a_kk / prev is negative iff a_kk and prev differ in sign.
-    When every diagonal entry left is 0, a 2x2 step takes a_jk = x != 0:
-    [[0, x], [x, 0]] adds one negative and one positive eigenvalue (Bunch
-    and Parlett, SIAM J. Numer. Anal. 8, 1971), and
-    a_rc <- (x (a_rj a_kc + a_rk a_jc) - x^2 a_rc) / prev^2,
-    prev <- -x^2 / prev, minors again by Sylvester's identity, so exact
-    again. A block left that is all zero adds its size to the zeros. The
-    graph must be connected and have a boundary, as :func:`inertia_counts`
-    checks and :func:`member_counts` takes as given."""
+    The block is pivoted in place. A 1x1 step takes the first row left
+    whose diagonal entry is nonzero, and its pivot a_kk / prev is negative
+    iff a_kk and prev differ in sign. When every diagonal entry left is 0,
+    :func:`_pair_step` takes a_jk = x != 0: [[0, x], [x, 0]] adds one
+    negative and one positive eigenvalue (Bunch and Parlett, SIAM J.
+    Numer. Anal. 8, 1971). A block left that is all zero adds its size to
+    the zeros. The graph must be connected and have a boundary, as
+    :func:`inertia_counts` checks and :func:`member_counts` takes as
+    given."""
     a, prev = _interior_eliminated(adj)
     if isinstance(b, QuadraticSurd):
-        d = b.d
-        s, t, c = b._integers()
-        a = [[(c * x, 0) for x in row[:-1]] + [(c * row[-1] - s * prev, -t * prev)] for row in a]
-        return _block_counts(a, (prev, 0), lambda e: surd_sign(e[0], e[1], d),
-                             lambda a, prev: _surd_step(a, prev, d),
-                             lambda a, prev: _surd_pair_step(a, prev, d))
-    p, c = b.numerator, b.denominator
-    if c != 1:
-        a = [[c * x for x in row] for row in a]
-    for row in a:
-        row[-1] -= p * prev
-    return _block_counts(a, prev, _sign, _step, _pair_step)
+        shift, over = b * prev, operator.truediv
+        prev = QuadraticSurd(prev, 0, b.d)  # so that no int / int makes a float
+    else:
+        p, c = b.numerator, b.denominator
+        if c != 1:
+            a = [[c * x for x in row] for row in a]
+        shift, over = p * prev, operator.floordiv
+    for k, row in enumerate(a):
+        row[k] -= shift
+    negative = zero = 0
+    left = list(range(len(a)))
+    while left:
+        k = next((k for k in left if a[k][k] != 0), None)
+        if k is None:
+            pair = next(((j, k) for j in left for k in left if a[j][k] != 0), None)
+            if pair is None:  # the rest is zero
+                return negative, zero + len(left)
+            negative += 1
+            prev = _pair_step(a, left, *pair, prev, over)
+            continue
+        left.remove(k)
+        head = a[k]
+        pivot = head[k]
+        negative += (pivot < 0) != (prev < 0)
+        for r in left:
+            row, h = a[r], head[r]
+            for c in left:
+                row[c] = over(pivot * row[c] - h * head[c], prev)
+        prev = pivot
+    return negative, zero
 
 
 def _interior_eliminated(adj):
     """(a, prev) after the interior steps of :func:`dense_inertia_counts`
-    on L: ``a`` the boundary block, row k holding a_kc from the last
-    column c down to the diagonal (c >= k, at index len(a) - 1 - c), so
-    that each row zips with a pivot row column by column; prev is
-    det(L_II), the last pivot (1 with no interior).
+    on L: ``a`` the square boundary block, a list of rows, row k holding
+    a_kc for the boundary vertices in order; prev is det(L_II), the last
+    pivot (1 with no interior).
 
     Here each row is one Python integer, the sum of its entries a_rc times
     2^(w c), so a step updates a whole row in four integer operations:
@@ -467,108 +484,23 @@ def _interior_eliminated(adj):
     block = []
     for k in range(interior, n):
         fields = rows[k] + offset
-        block.append([((fields >> (w * c)) & mask) - half for c in range(n - 1, k - 1, -1)])
+        block.append([((fields >> (w * c)) & mask) - half for c in range(interior, n)])
     return block, prev
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _block_counts(a, prev, sign, step, pair_step) -> tuple[int, int]:
-    """The counts of the block ``a`` left after the interior steps of
-    :func:`dense_inertia_counts`, with its ``prev``: 1x1 steps on the first
-    nonzero diagonal entry, 2x2 steps when every diagonal entry is 0, in
-    the ring that ``sign`` and the two steps work in."""
-    negative = zero = 0
-    while a:
-        for k, row in enumerate(a):
-            if sign(row[-1]):
-                break
-        else:
-            pair = next(((j, len(a) - 1 - c) for j, row in enumerate(a)
-                         for c in range(len(row) - 1) if sign(row[c])), None)
-            if pair is None:  # the rest is zero
-                return negative, zero + len(a)
-            negative += 1
-            a, prev = pair_step(_first(a, list(pair)), prev)
-            continue
-        if k:
-            a = _first(a, [k])
-        negative += sign(a[0][-1]) != sign(prev)
-        a, prev = step(a, prev)
-    return negative, zero
-
-
-def _first(a, pivots: list):
-    """``a``, in the row form of :func:`_interior_eliminated`, with the
-    rows and columns ``pivots`` moved first, in order."""
-    m = len(a)
-    order = pivots + [k for k in range(m) if k not in pivots]
-    return [[a[r][m - 1 - c] if c >= r else a[c][m - 1 - r] for c in order[:i:-1]] + [a[r][-1]]
-            for i, r in enumerate(order)]
-
-
-def _step(a, prev: int):
-    """One 1x1 step on the pivot a_00 of ``a`` (see
-    :func:`dense_inertia_counts`): the block left and its prev, the pivot.
-    A row with a_r0 = 0 is only rescaled."""
-    head = a[0]
-    pivot = head[-1]
-    return [[(pivot * x - h * y) // prev for x, y in zip(row, head)] if h
-            else [pivot * x // prev for x in row]
-            for row, h in zip(a[1:], reversed(head[:-1]))], pivot
-
-
-def _pair_step(a, prev: int):
-    """One 2x2 step on [[0, x], [x, 0]], the first two rows and columns of
-    ``a``: the block left and its prev, -x^2 / prev."""
-    head, next_head = a[0], a[1]
-    x = head[-2]
+def _pair_step(a, left: list, j: int, k: int, prev, over):
+    """One 2x2 step of :func:`dense_inertia_counts` on [[0, x], [x, 0]],
+    x = a_jk, in place: j and k leave ``left``, and every a_rc left becomes
+    (x (a_rj a_kc + a_rk a_jc) - x^2 a_rc) / prev^2, a minor again by
+    Sylvester's identity, so ``over`` divides exactly. Returns the new
+    prev, -x^2 / prev."""
+    x = a[j][k]
     xx, pp = x * x, prev * prev
-    rows = zip(a[2:], reversed(head[:-2]), reversed(next_head[:-1]))
-    return [[(x * (r0 * y1 + r1 * y0) - xx * y) // pp for y, y0, y1 in zip(row, head, next_head)]
-            for row, r0, r1 in rows], -xx // prev
-
-
-def _times(e, f, d: int):
-    """e f in Z[sqrt(d)], each an integer pair (x, y) for x + y sqrt(d)."""
-    return e[0] * f[0] + d * e[1] * f[1], e[0] * f[1] + e[1] * f[0]
-
-
-def _plus(e, f):
-    return e[0] + f[0], e[1] + f[1]
-
-
-def _less(e, f):
-    return e[0] - f[0], e[1] - f[1]
-
-
-def _over(e, f, d: int):
-    """e / f in Z[sqrt(d)] for an f that divides e: e times f's conjugate,
-    divided by f's norm, an integer."""
-    norm = f[0] * f[0] - d * f[1] * f[1]
-    return (e[0] * f[0] - d * e[1] * f[1]) // norm, (e[1] * f[0] - e[0] * f[1]) // norm
-
-
-def _surd_step(a, prev, d: int):
-    """:func:`_step` in Z[sqrt(d)]."""
-    head = a[0]
-    pivot = head[-1]
-    return [[_over(_less(_times(pivot, x, d), _times(h, y, d)), prev, d) for x, y in zip(row, head)]
-            for row, h in zip(a[1:], reversed(head[:-1]))], pivot
-
-
-def _surd_pair_step(a, prev, d: int):
-    """:func:`_pair_step` in Z[sqrt(d)]."""
-    head, next_head = a[0], a[1]
-    x = head[-2]
-    xx, pp = _times(x, x, d), _times(prev, prev, d)
-
-    def entry(y, y0, y1, r0, r1):
-        cross = _times(x, _plus(_times(r0, y1, d), _times(r1, y0, d)), d)
-        return _over(_less(cross, _times(xx, y, d)), pp, d)
-
-    rows = zip(a[2:], reversed(head[:-2]), reversed(next_head[:-1]))
-    return [[entry(y, y0, y1, r0, r1) for y, y0, y1 in zip(row, head, next_head)]
-            for row, r0, r1 in rows], _over((-xx[0], -xx[1]), prev, d)
+    left.remove(j)
+    left.remove(k)
+    head, next_head = a[j], a[k]
+    for r in left:
+        row, rj, rk = a[r], head[r], next_head[r]
+        for c in left:
+            row[c] = over(x * (rj * next_head[c] + rk * head[c]) - xx * row[c], pp)
+    return over(-xx, prev)

@@ -30,7 +30,8 @@ by the counts #{sigma_j < b} and #{sigma_j = b} of their stored members,
 counted afresh on every call, all in one
 :func:`~steklov.exact.member_counts` call on the candidates' rows of the
 store: a row of n - 1 edges, a tree's, by the walk of its parents, any
-other row by a dense LDL^T of its edges. No class is solved again.
+other row by a fraction-free elimination of its edges, interior
+vertices first. No class is solved again.
 """
 
 from __future__ import annotations
