@@ -21,16 +21,17 @@ each reads the counts off a diagonal congruence of M in exact arithmetic:
   num/den after scaling by the denominator of a rational b,
   (x + y sqrt(d)) / z reduced by the gcd for a surd b;
 - on any other graph, by a fraction-free symmetric elimination
-  (Bareiss, Math. Comp. 22, 1968; :func:`dense_inertia_counts`), every
-  interior vertex pivoted first, in Python integers: L_II is positive
-  definite, so no interior pivot is 0, and what is left is the square
-  block det(L_II) (Lambda - b I), the split above. Every entry is a minor
-  (Sylvester's identity), so every division is exact: in integers for a
-  rational b, the block scaled by its denominator, and in the type's own
-  exact arithmetic for a surd b. The block takes 1x1 steps, and a 2x2
-  step [[0, x], [x, 0]] (one negative and one positive eigenvalue) when
-  every diagonal entry left is 0 (Bunch and Parlett, SIAM J. Numer.
-  Anal. 8, 1971), in one loop for either b.
+  (Bareiss, Math. Comp. 22, 1968; :func:`dense_inertia_counts`) on one
+  list of L's rows, every interior vertex pivoted first, in Python
+  integers: L_II is positive definite, so no interior pivot is 0, and
+  what is left is the square block det(L_II) (Lambda - b I), the split
+  above. Every entry is a minor (Sylvester's identity), so every division
+  is exact: in integers for a rational b, the block scaled by its
+  denominator, and in the type's own exact arithmetic for a surd b. The
+  interior and the block take one 1x1 step, and the block a 2x2 step
+  [[0, x], [x, 0]] (one negative and one positive eigenvalue) when every
+  diagonal entry left is 0 (Bunch and Parlett, SIAM J. Numer. Anal. 8,
+  1971).
 
 b is a Fraction (or an int) or a :class:`QuadraticSurd` p + q sqrt(d), the
 number type of the irrational bounds theta_i for i = 4, 5, 6; any other b
@@ -255,7 +256,7 @@ def tree_inertia_counts(parents, b: Exact | int) -> tuple[int, int]:
     walks a surd b the same way."""
     if isinstance(b, QuadraticSurd):
         return _surd_tree_counts(parents, b)
-    p, c = b.numerator, b.denominator
+    p, c = int(b.numerator), int(b.denominator)  # Python ints, for a numpy b too
     cc = c * c
     n = len(parents) + 1
     children = [0] * n  # reached so far
@@ -378,51 +379,62 @@ def leaf_table(n: int, owner, ends):
 def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
     """Counts of :func:`inertia_counts` on the graph with neighbour sets
     ``adj``, by a fraction-free symmetric elimination of L - b E_B
-    (Bareiss, "Sylvester's identity and multistep integer-preserving
-    Gaussian elimination", Math. Comp. 22, 1968).
+    (Bareiss, Math. Comp. 22, 1968) on one list of L's rows, the interior
+    vertices (degree >= 2) first.
 
-    Every interior vertex (degree >= 2) is pivoted first, on L alone and in
-    Python integers, as b enters only the boundary's diagonal
-    (:func:`_interior_eliminated`). A 1x1 step on the pivot a_kk, after a
-    step whose pivot was prev (1 at the start), sets
-    a_rc <- (a_kk a_rc - a_rk a_kc) / prev on the rows and columns left,
-    then prev <- a_kk. By Sylvester's identity each a_rc is then the minor
-    on the pivots taken and r, c, and prev the minor on the pivots taken,
-    so every division is exact. L_II is positive definite on a connected
-    graph with a boundary, so every interior pivot is positive, and what
-    is left is det(L_II) Lambda, Lambda the DtN matrix (Haynsworth, as
-    above), a square block; with prev = det(L_II), b enters it as
-    prev (Lambda - b I). For b = p/c the block is scaled by c, to
-    c a_rc - p prev on the diagonal, prev unchanged: every minor of
-    c L - p E_B that holds the k interior rows has the factor c^k, and the
-    steps are homogeneous of degree 1, so the scaled block's steps give
-    those minors over c^k, integers, and each division is ``//``. A surd b
-    enters unscaled, as a_rc - b prev on the diagonal; prev is lifted into
-    :class:`QuadraticSurd`, so each division is the type's own exact ``/``
-    and each sign is decided exactly.
+    Each step, :func:`_step` (1x1) or :func:`_pair_step` (2x2), divides by
+    prev, the last pivot (1 at the start); by Sylvester's identity every
+    entry is then a minor, so every division is exact. b enters only the
+    boundary's diagonal, so the interior is pivoted on L alone, with
+    ``//``: L_II is positive definite, so every interior pivot is positive,
+    and what is left is the square block det(L_II) Lambda (Haynsworth, as
+    above), which b enters as prev (Lambda - b I). For b = p/c the block is
+    scaled by c, to c a_rc - p prev on the diagonal, prev unchanged: every
+    minor of c L - p E_B that holds the k interior rows has the factor
+    c^k, and the steps are homogeneous of degree 1, so the scaled block's
+    steps give those minors over c^k, integers, and each division stays
+    ``//``. A surd b enters unscaled, as a_rc - b prev on the diagonal,
+    with prev lifted into :class:`QuadraticSurd`, so each division is the
+    type's own exact ``/`` and each sign is decided exactly.
 
-    The block is pivoted in place. A 1x1 step takes the first row left
-    whose diagonal entry is nonzero, and its pivot a_kk / prev is negative
-    iff a_kk and prev differ in sign. When every diagonal entry left is 0,
-    :func:`_pair_step` takes a_jk = x != 0: [[0, x], [x, 0]] adds one
-    negative and one positive eigenvalue (Bunch and Parlett, SIAM J.
-    Numer. Anal. 8, 1971). A block left that is all zero adds its size to
-    the zeros. The graph must be connected and have a boundary, as
-    :func:`inertia_counts` checks and :func:`member_counts` takes as
-    given."""
-    a, prev = _interior_eliminated(adj)
+    The block's 1x1 step takes the first row left whose diagonal entry is
+    nonzero; its pivot a_kk / prev is negative iff a_kk and prev differ in
+    sign. When every diagonal entry left is 0, :func:`_pair_step` takes
+    a_jk = x != 0: [[0, x], [x, 0]] adds one negative and one positive
+    eigenvalue (Bunch and Parlett, SIAM J. Numer. Anal. 8, 1971). A block
+    left that is all zero adds its size to the zeros. The graph must be
+    connected and have a boundary, as :func:`inertia_counts` checks and
+    :func:`member_counts` takes as given."""
+    n = len(adj)
+    order = [v for v in range(n) if len(adj[v]) > 1]
+    interior = len(order)
+    order += [v for v in range(n) if len(adj[v]) <= 1]
+    column = {v: k for k, v in enumerate(order)}
+    a = []
+    for k, v in enumerate(order):
+        row = [0] * n
+        for u in adj[v]:
+            row[column[u]] = -1
+        row[k] = len(adj[v])
+        a.append(row)
+    left = list(range(n))
+    prev = 1
+    for k in range(interior):
+        prev = _step(a, left, k, prev, operator.floordiv)  # > 0: L_II is positive definite
     if isinstance(b, QuadraticSurd):
         shift, over = b * prev, operator.truediv
         prev = QuadraticSurd(prev, 0, b.d)  # so that no int / int makes a float
     else:
-        p, c = b.numerator, b.denominator
+        p, c = int(b.numerator), int(b.denominator)  # Python ints, for a numpy b too
         if c != 1:
-            a = [[c * x for x in row] for row in a]
+            for r in left:
+                row = a[r]
+                for j in left:
+                    row[j] *= c
         shift, over = p * prev, operator.floordiv
-    for k, row in enumerate(a):
-        row[k] -= shift
+    for k in left:
+        a[k][k] -= shift
     negative = zero = 0
-    left = list(range(len(a)))
     while left:
         k = next((k for k in left if a[k][k] != 0), None)
         if k is None:
@@ -432,60 +444,28 @@ def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
             negative += 1
             prev = _pair_step(a, left, *pair, prev, over)
             continue
-        left.remove(k)
-        head = a[k]
-        pivot = head[k]
-        negative += (pivot < 0) != (prev < 0)
-        for r in left:
-            row, h = a[r], head[r]
-            for c in left:
-                row[c] = over(pivot * row[c] - h * head[c], prev)
-        prev = pivot
+        negative += (a[k][k] < 0) != (prev < 0)
+        prev = _step(a, left, k, prev, over)
     return negative, zero
 
 
-def _interior_eliminated(adj):
-    """(a, prev) after the interior steps of :func:`dense_inertia_counts`
-    on L: ``a`` the square boundary block, a list of rows, row k holding
-    a_kc for the boundary vertices in order; prev is det(L_II), the last
-    pivot (1 with no interior).
-
-    Here each row is one Python integer, the sum of its entries a_rc times
-    2^(w c), so a step updates a whole row in four integer operations:
-    the combination of two rows combines them column by column, and the
-    division by prev, exact in every column, is exact on the sum. An entry
-    is read back by adding 2^(w - 1) to every column, which makes each
-    nonnegative, and then shifting and masking. Every entry read is a
-    minor of L, 0 in a column already pivoted, and every minor of L is
-    below prod(deg + 1) in size by Hadamard's inequality (each row of L
-    has 2-norm sqrt(deg^2 + deg) < deg + 1), so w, two bits more than
-    that product has, holds it with its sign."""
-    n = len(adj)
-    order = [v for v in range(n) if len(adj[v]) > 1]
-    interior = len(order)
-    order += [v for v in range(n) if len(adj[v]) <= 1]
-    column = [0] * n
-    for k, v in enumerate(order):
-        column[v] = k
-    w = math.prod(len(nbrs) + 1 for nbrs in adj).bit_length() + 2
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    offset = sum(half << (w * k) for k in range(n))
-    rows = [(len(adj[v]) << (w * k)) - sum(1 << (w * column[u]) for u in adj[v])
-            for k, v in enumerate(order)]
-    prev = 1
-    for k in range(interior):
-        head = rows[k]
-        fields = head + offset
-        pivot = ((fields >> (w * k)) & mask) - half  # > 0: L_II is positive definite
-        for r in range(k + 1, n):
-            h = ((fields >> (w * r)) & mask) - half
-            rows[r] = (pivot * rows[r] - h * head) // prev if h else pivot * rows[r] // prev
-        prev = pivot
-    block = []
-    for k in range(interior, n):
-        fields = rows[k] + offset
-        block.append([((fields >> (w * c)) & mask) - half for c in range(interior, n)])
-    return block, prev
+def _step(a, left: list, k: int, prev, over):
+    """One 1x1 step of :func:`dense_inertia_counts` on the pivot a_kk, in
+    place: k leaves ``left``, and every a_rc left becomes
+    (a_kk a_rc - a_rk a_kc) / prev, a minor by Sylvester's identity, so
+    ``over`` divides exactly. Returns the new prev, a_kk."""
+    left.remove(k)
+    head = a[k]
+    pivot = head[k]
+    for r in left:
+        row, h = a[r], head[r]
+        if h:
+            for c in left:
+                row[c] = over(pivot * row[c] - h * head[c], prev)
+        else:
+            for c in left:
+                row[c] = over(pivot * row[c], prev)
+    return pivot
 
 
 def _pair_step(a, left: list, j: int, k: int, prev, over):

@@ -128,7 +128,9 @@ THETA = {
 def theta_value(i: int) -> Fraction | QuadraticSurd:
     """theta_i = 1/(4 cos^2(pi/2i)), exactly: a Fraction for i <= 3 and a
     :class:`QuadraticSurd` for i = 4, 5, 6. cos(pi/i) is cubic or worse for
-    i >= 7, which raises OutOfSupportedRangeError."""
+    i >= 7, which raises OutOfSupportedRangeError; an i that is not an
+    integer (a float 4.0, a bool) raises InvalidParamsError."""
+    i = _index(i, "i")
     if i < 2:
         raise InvalidParamsError("need i >= 2")
     if i not in THETA:

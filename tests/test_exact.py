@@ -547,6 +547,31 @@ def test_integer_dense_counts_on_leafy_graphs(graph, b):
     assert dense_inertia_counts(adj, b) == fraction_ldlt_counts(adj, b), (edges, b)
 
 
+def cored(rng, core, h, leaves):
+    """The core's edges on 0..h-1 with ``leaves`` pendant leaves h, h + 1,
+    ..., each on a seeded core vertex."""
+    return h + leaves, core + [(rng.randrange(h), v) for v in range(h, h + leaves)]
+
+
+def test_integer_dense_counts_on_dense_cores():
+    # complete cores K_h, h = 3..8, and complete bipartite cores, with
+    # pendant leaves up to n = 12: their interior steps meet the largest
+    # minors, which the leafy graphs' cores never reach
+    rng = random.Random(4848)
+    cores = [([(u, v) for v in range(h) for u in range(v)], h) for h in range(3, 9)]
+    cores += [([(u, v) for u in range(s) for v in range(s, s + t)], s + t)
+              for s, t in [(2, 3), (3, 3), (3, 4), (4, 4)]]
+    bounds = GRID_BOUNDS | {Fraction(rng.randrange(1, 400), rng.randrange(1, 60)),
+                            QuadraticSurd(Fraction(rng.randrange(1, 40), rng.randrange(1, 12)),
+                                          Fraction(rng.randrange(1, 10), rng.randrange(1, 12)), 7)}
+    for core, h in cores:
+        for leaves in sorted({1, 12 - h}):
+            n, edges = cored(rng, core, h, leaves)
+            adj = adjacency_sets(n, edges)
+            for b in bounds:
+                assert dense_inertia_counts(adj, b) == fraction_ldlt_counts(adj, b), (edges, b)
+
+
 def test_graphs_without_counts_are_refused():
     with pytest.raises(NoBoundaryError):
         inertia_counts(3, [(0, 1), (1, 2), (0, 2)], Fraction(1))
@@ -599,6 +624,19 @@ def test_integer_labels_of_any_integral_type_are_counted():
     path = [(0, 1), (1, 2)]
     for edges in ([(np.int64(u), np.int64(v)) for u, v in path], [(0, 1), (2, 1)]):
         assert inertia_counts(3, edges, Fraction(1, 2)) == (1, 0)
+
+
+def test_numpy_integer_bounds_are_counted_in_python_ints():
+    # a numpy integer b is a Rational, read as Python ints: in int64 the
+    # walk over a tree at n = 200 and the elimination of a graph at n = 40
+    # overflow and miscount
+    rng = random.Random(1)
+    graphs = [(200, [(rng.randrange(v), v) for v in range(1, 200)]) for _ in range(3)]
+    graphs.append((40, [(rng.randrange(v), v) for v in range(1, 40)] + [(0, 39), (5, 30)]))
+    for n, edges in graphs:
+        for b in (2, 3):
+            counts = inertia_counts(n, edges, np.int64(b))
+            assert counts == inertia_counts(n, edges, b) and list(map(type, counts)) == [int, int]
 
 
 @pytest.mark.parametrize("n,i", IRRATIONAL_PAIRS)

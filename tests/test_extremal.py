@@ -1313,6 +1313,8 @@ LEAF_OFF_BROOM = BROOM_112.with_roles(BROOM_112.roles[:-1] + (Role.INTERIOR,))
      HypothesesNotMetError, "leaves must be exactly B u B_D"),
     (lambda: verify_sigma_lambda(BROOM_112, 1), InvalidParamsError, "plain boundary"),
     (lambda: theta_value(1), InvalidParamsError, "need i >= 2"),
+    (lambda: theta_value(4.0), InvalidParamsError, "i must be an integer, not 4.0"),
+    (lambda: theta_value(True), InvalidParamsError, "i must be an integer, not True"),
     (lambda: sweep(5, 2, "forest"), InvalidParamsError, "unknown graph class"),
     # a surd does not mix with a float
     (lambda: QuadraticSurd(1, 1, 2) + 0.5, TypeError, "unsupported operand"),
@@ -1325,7 +1327,7 @@ LEAF_OFF_BROOM = BROOM_112.with_roles(BROOM_112.roles[:-1] + (Role.INTERIOR,))
         "equivalence-pinned-subgraph", "rigidity-embedding-first",
         "monotonicity-measure", "monotonicity-host-boundary", "rigidity-one-boundary-vertex",
         "lambda1-interior-leaf", "lambda1-interior-leaf-by-name", "sigma-lambda-broom",
-        "theta-1", "sweep-unknown-class",
+        "theta-1", "theta-float-i", "theta-bool-i", "sweep-unknown-class",
         "surd-plus-float", "surd-times-float"])
 def test_statement_refusals(build, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
