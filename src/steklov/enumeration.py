@@ -243,8 +243,6 @@ def _adjacency_code(adj: list[set[int]], colors: list[int] | None = None) -> str
     it maps v's subtree onto w's, rows included. Twins form classes, so one
     check per placed sibling suffices."""
     n = len(adj)
-    if n == 1:
-        return "g1:0"
     if colors is None:
         colors = _wl_colors(adj)
     masks = [sum(1 << u for u in adj[v]) for v in range(n)]

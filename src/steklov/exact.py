@@ -71,6 +71,16 @@ def surd_sign(x: int, y: int, d: int) -> int:
     return sx if x * x > y * y * d else sy
 
 
+def _fraction(x) -> Fraction:
+    """``Fraction(x)`` in Python ints. Fraction keeps the parts of a numpy
+    integer (or of a Fraction built from one) as they are, and those
+    overflow in int64."""
+    x = Fraction(x)
+    if type(x.numerator) is int and type(x.denominator) is int:
+        return x
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
 @total_ordering
 class QuadraticSurd:
     """p + q sqrt(d) with rational p, q and an integer d > 1 that is not a
@@ -88,7 +98,7 @@ class QuadraticSurd:
         if isinstance(d, bool) or not isinstance(d, int) or d < 2 or math.isqrt(d) ** 2 == d:
             raise InvalidParamsError(f"sqrt({d!r}) must be irrational: d an integer > 1, no square")
         k = next(k for k in range(math.isqrt(d), 0, -1) if d % (k * k) == 0)  # d = k^2 d0
-        self.p, self.q, self.d = Fraction(p), Fraction(q) * k, d // (k * k)
+        self.p, self.q, self.d = _fraction(p), _fraction(q) * k, d // (k * k)
 
     def _parts(self, other):
         """(p, q, d): ``other`` as p + q sqrt(d), d the radicand of a result
@@ -426,11 +436,10 @@ def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
         prev = QuadraticSurd(prev, 0, b.d)  # so that no int / int makes a float
     else:
         p, c = int(b.numerator), int(b.denominator)  # Python ints, for a numpy b too
-        if c != 1:
-            for r in left:
-                row = a[r]
-                for j in left:
-                    row[j] *= c
+        for r in left:
+            row = a[r]
+            for j in left:
+                row[j] *= c
         shift, over = p * prev, operator.floordiv
     for k in left:
         a[k][k] -= shift

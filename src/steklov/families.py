@@ -24,7 +24,7 @@ import numpy as np
 
 from .enumeration import _index
 from .errors import InvalidParamsError
-from .exact import QuadraticSurd
+from .exact import QuadraticSurd, _fraction
 from .graph import (
     Role,
     WeightedBoundaryGraph,
@@ -38,14 +38,15 @@ Number = float | Fraction
 
 
 def as_number(x) -> Number:
-    """Exact Fraction for rational-like inputs (int, Fraction, 'p/q'); a
+    """Exact Fraction in Python ints for rational-like inputs (int, a
+    numpy integer, Fraction, 'p/q'); a
     :class:`QuadraticSurd` or any other ``numbers.Real`` (a float, or an
     ``mpmath.mpf``, which is never imported here) passes through, so the
     closed forms also evaluate in the caller's number type."""
     if isinstance(x, bool):
         raise InvalidParamsError("not a number")
     if isinstance(x, Rational):
-        return Fraction(x)
+        return _fraction(x)
     if isinstance(x, str):
         try:
             return Fraction(x)

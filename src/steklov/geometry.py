@@ -3,7 +3,9 @@
 A weighted graph is read as a metric graph with edge lengths 1/w.
 Eigenfunctions extend piecewise linearly along edges; their zero sets cut
 the metric graph into nodal domains, and each domain induces a weighted
-graph with Dirichlet boundary at the cut points. Clump numbers are the
+graph with Dirichlet boundary at the cut points. One pass over the edges
+builds every domain, and a sign change is cut at the zero set's one point
+on its edge, which both of its domains share. Clump numbers are the
 unit-tree branch statistics used by the removal lemmas, decided in integer
 halves off the tree's walk; only reports hold Fractions. Every statement
 about unit trees, here and in ``clumps`` and ``extremal``, checks that
@@ -371,60 +373,54 @@ def nodal_domains(g: WeightedBoundaryGraph, f) -> list[NodalDomain]:
     Dirichlet vertices of measure 1; partial edges get weight 1/segment-length.
     Fully-zero edges belong to no domain. Domains are the components of
     the same-sign edges between nonzero vertices, listed by least vertex.
+    They are built in one pass over the edges, and every edge-interior cut
+    point is :func:`zero_set`'s point on that edge, so the two domains of a
+    sign change cut it at the same point.
     """
     f = np.asarray(f, dtype=float)
     return _nodal_domains(g, f, zero_set(g, f))
 
 
 def _nodal_domains(g: WeightedBoundaryGraph, f: np.ndarray, zs: ZeroSet) -> list[NodalDomain]:
-    """:func:`nodal_domains` of a float array ``f`` with its zero set."""
+    """:func:`nodal_domains` of a float array ``f`` with its zero set, in
+    one pass over ``g.edges``: each edge goes to the domain or domains of
+    its nonzero ends, and a sign change is cut at the point that ``zs``
+    holds for that edge, shared by both sides and the zero set. Each side's
+    weight is 1/segment, the segment measured from that side's own end."""
     nonzero = [v for v in range(g.n) if v not in zs.vertex_zeros]
     same_sign = [[u for u in g.adjacency[v] if f[u] * f[v] > 0] for v in range(g.n)]
-
+    # per domain: its members, its induced edges, and its cut points by induced id
+    found = [(members, [], {}) for members, _ in component_passes(same_sign, nonzero)]
+    home = {x: (domain, i) for domain in found for i, x in enumerate(domain[0])}
+    crossing = {pt.edge: pt for pt in zs.edge_zeros}
+    for u, v, w in g.edges:
+        if u in home and v in home and home[u][0] is home[v][0]:
+            (_, edges, _), i = home[u]
+            edges.append((i, home[v][1], w))
+            continue
+        for x, y in (u, v), (v, u):
+            if x not in home:
+                continue
+            if y in zs.vertex_zeros:  # frontier at the far vertex; full metric length
+                pt, weight = GeometricPoint.at_vertex(y), w
+            elif (u, v) in crossing:
+                pt = crossing[u, v]
+                weight = 1.0 / (abs(f[x]) / (abs(f[u]) + abs(f[v])) * _length(w))
+            else:  # no zero end and no sign change: nothing to cut
+                continue
+            (members, edges, cuts), i = home[x]
+            edges.append((i, cuts.setdefault(pt, len(members) + len(cuts)), weight))
     domains = []
-    for members, _ in component_passes(same_sign, nonzero):
-        mset = set(members)
-        cut_points: list[GeometricPoint] = []
-        cut_index: dict[GeometricPoint, int] = {}
-        index = {x: k for k, x in enumerate(members)}
-        edges = []
-        measures = [g.measures[x] for x in members]
-        roles = [
-            Role.BOUNDARY if g.roles[x] is Role.BOUNDARY else Role.INTERIOR
-            for x in members
-        ]
-
-        def cut_id(pt: GeometricPoint) -> int:
-            if pt not in cut_index:
-                cut_index[pt] = len(members) + len(cut_points)
-                cut_points.append(pt)
-                measures.append(1)
-                roles.append(Role.DIRICHLET)
-            return cut_index[pt]
-
-        for u, v, w in g.edges:
-            u_in, v_in = u in mset, v in mset
-            if u_in and v_in:
-                edges.append((index[u], index[v], w))
-            elif u_in or v_in:
-                x, y = (u, v) if u_in else (v, u)
-                if y in zs.vertex_zeros:
-                    # frontier at the far vertex; full metric length
-                    edges.append((index[x], cut_id(GeometricPoint.at_vertex(y)), w))
-                elif f[u] * f[v] < 0:
-                    ell = _length(w)
-                    seg = abs(f[x]) / (abs(f[u]) + abs(f[v])) * ell
-                    t = seg if x == u else ell - seg
-                    pt = GeometricPoint.on_edge(u, v, t)
-                    edges.append((index[x], cut_id(pt), 1.0 / seg))
-                # else: same-sign edge to another domain is impossible
-        induced = make_graph(len(members) + len(cut_points), edges, measures, roles)
+    for members, edges, cuts in found:
+        measures = [g.measures[x] for x in members] + [1] * len(cuts)
+        roles = [Role.BOUNDARY if g.roles[x] is Role.BOUNDARY else Role.INTERIOR
+                 for x in members] + [Role.DIRICHLET] * len(cuts)
         domains.append(
             NodalDomain(
-                vertices=tuple(members),
-                cut_points=tuple(cut_points),
+                vertices=members,
+                cut_points=tuple(cuts),
                 sign=1 if f[members[0]] > 0 else -1,
-                induced=induced,
+                induced=make_graph(len(members) + len(cuts), edges, measures, roles),
             )
         )
     return domains

@@ -639,6 +639,22 @@ def test_numpy_integer_bounds_are_counted_in_python_ints():
             assert counts == inertia_counts(n, edges, b) and list(map(type, counts)) == [int, int]
 
 
+def test_numpy_integer_surd_parts_are_python_ints():
+    # Fraction keeps a numpy integer's parts, so p and q held np.int64s:
+    # the tree walk at n = 200 overflowed, both counts then raised
+    # TypeError in surd_sign, and float() raised OverflowError
+    rng = random.Random(1)
+    graphs = [(200, [(rng.randrange(v), v) for v in range(1, 200)]),
+              (5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])]
+    for b, ref in ((QuadraticSurd(np.int64(1), Fraction(1, 3), 2), QuadraticSurd(1, Fraction(1, 3), 2)),
+                   (QuadraticSurd(Fraction(1, 2), np.int64(1), 3), QuadraticSurd(Fraction(1, 2), 1, 3))):
+        assert b == ref and float(b) == float(ref)
+        assert all(type(x) is int for part in (b.p, b.q) for x in part.as_integer_ratio())
+        for n, edges in graphs:
+            counts = inertia_counts(n, edges, b)
+            assert counts == inertia_counts(n, edges, ref) and list(map(type, counts)) == [int, int]
+
+
 @pytest.mark.parametrize("n,i", IRRATIONAL_PAIRS)
 def test_surd_bound_rounds_to_the_target(n, i):
     t = predicted_bound(n, i, "trees")

@@ -250,6 +250,15 @@ def test_minimal_broom_takes_a_numpy_integer_n():
     assert minimal_broom(Fraction(1, 2), np.int64(3)) == minimal_broom(Fraction(1, 2), 3)
 
 
+def test_numpy_integer_lengths_are_read_in_python_ints():
+    # Fraction keeps a numpy integer's parts: in int64 these values
+    # overflowed, to -1/8722430985553051647 and a negative broom value
+    assert lambda_value(np.int64(10**12)) == lambda_value(10**12) == Fraction(1, 25 * 10**22 + 1)
+    big = minimal_broom(np.int64(4 * 10**9), 3 * 10**9)
+    assert big == minimal_broom(4 * 10**9, 3 * 10**9) and big.value > 0
+    assert all(type(part) is int for part in big.brooms[0].l.as_integer_ratio())
+
+
 @pytest.mark.parametrize("bad", [[3], True, "x", 0, -1], ids=repr)
 def test_minimal_broom_total_rejects_bad_lengths(bad):
     with pytest.raises(InvalidParamsError):

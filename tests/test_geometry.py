@@ -1,11 +1,13 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from steklov import geometry, spectral
-from steklov.enumeration import enumerate_trees
+from steklov.enumeration import enumerate_connected_graphs, enumerate_trees
 from steklov.errors import AllZeroError, InvalidParamsError, NotATreeError, NotUnitWeightError
 from steklov.geometry import (
     Clump,
@@ -217,6 +219,25 @@ def test_nodal_domains_on_path():
     assert {d.sign for d in domains} == {-1, 1}
     for d in domains:
         assert len(d.induced.dirichlet) >= 1
+
+
+def test_every_edge_cut_point_is_the_zero_sets_point():
+    # a domain cut a sign change at an offset of its own, from the far end
+    # when its vertex was the upper one: 349 of these 1,258 points differed
+    # from zero_set's in the last bits
+    classes = [enumerate_trees(n) for n in range(3, 11)]
+    classes += [enumerate_connected_graphs(n) for n in range(3, 8)]
+    points = 0
+    for g in itertools.chain.from_iterable(classes):
+        if not g.boundary:
+            continue
+        res = steklov_spectrum(g)
+        for i in range(1, len(res.eigenvalues) + 1):
+            f = res.eigenpair(i)[1]
+            cuts = Counter(pt for d in nodal_domains(g, f) for pt in d.cut_points if not pt.is_vertex)
+            assert cuts == {pt: 2 for pt in zero_set(g, f).edge_zeros}  # one point, both sides
+            points += sum(cuts.values())
+    assert points == 1258
 
 
 def test_nodal_theorem_all_trees_small():
