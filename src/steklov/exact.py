@@ -25,13 +25,12 @@ each reads the counts off a diagonal congruence of M in exact arithmetic:
   list of L's rows, every interior vertex pivoted first, in Python
   integers: L_II is positive definite, so no interior pivot is 0, and
   what is left is the square block det(L_II) (Lambda - b I), the split
-  above. Every entry is a minor (Sylvester's identity), so every division
-  is exact: in integers for a rational b, the block scaled by its
-  denominator, and in the type's own exact arithmetic for a surd b. The
-  interior and the block take one 1x1 step, and the block a 2x2 step
-  [[0, x], [x, 0]] (one negative and one positive eigenvalue) when every
-  diagonal entry left is 0 (Bunch and Parlett, SIAM J. Numer. Anal. 8,
-  1971).
+  above. The interior and the block take one 1x1 step; when every
+  diagonal entry left is 0, a congruence that adds one row and column to
+  another makes a nonzero one first. Every entry is a minor (Sylvester's
+  identity) of M or of a congruent matrix in the same ring, so every
+  division is exact: in integers for a rational b, the block scaled by its
+  denominator, and in the type's own exact arithmetic for a surd b.
 
 b is a Fraction (or an int) or a :class:`QuadraticSurd` p + q sqrt(d), the
 number type of the irrational bounds theta_i for i = 4, 5, 6; any other b
@@ -392,13 +391,13 @@ def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
     (Bareiss, Math. Comp. 22, 1968) on one list of L's rows, the interior
     vertices (degree >= 2) first.
 
-    Each step, :func:`_step` (1x1) or :func:`_pair_step` (2x2), divides by
-    prev, the last pivot (1 at the start); by Sylvester's identity every
-    entry is then a minor, so every division is exact. b enters only the
-    boundary's diagonal, so the interior is pivoted on L alone, with
-    ``//``: L_II is positive definite, so every interior pivot is positive,
-    and what is left is the square block det(L_II) Lambda (Haynsworth, as
-    above), which b enters as prev (Lambda - b I). For b = p/c the block is
+    Each step, :func:`_step`, divides by prev, the last pivot (1 at the
+    start); by Sylvester's identity every entry is then a minor, so every
+    division is exact. b enters only the boundary's diagonal, so the
+    interior is pivoted on L alone, with ``//``: L_II is positive
+    definite, so every interior pivot is positive, and what is left is the
+    square block det(L_II) Lambda (Haynsworth, as above), which b enters
+    as prev (Lambda - b I). For b = p/c the block is
     scaled by c, to c a_rc - p prev on the diagonal, prev unchanged: every
     minor of c L - p E_B that holds the k interior rows has the factor
     c^k, and the steps are homogeneous of degree 1, so the scaled block's
@@ -407,14 +406,18 @@ def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
     with prev lifted into :class:`QuadraticSurd`, so each division is the
     type's own exact ``/`` and each sign is decided exactly.
 
-    The block's 1x1 step takes the first row left whose diagonal entry is
+    The block's step takes the first row left whose diagonal entry is
     nonzero; its pivot a_kk / prev is negative iff a_kk and prev differ in
-    sign. When every diagonal entry left is 0, :func:`_pair_step` takes
-    a_jk = x != 0: [[0, x], [x, 0]] adds one negative and one positive
-    eigenvalue (Bunch and Parlett, SIAM J. Numer. Anal. 8, 1971). A block
-    left that is all zero adds its size to the zeros. The graph must be
-    connected and have a boundary, as :func:`inertia_counts` checks and
-    :func:`member_counts` takes as given."""
+    sign. When every diagonal entry left is 0 and some a_jk = x != 0,
+    :func:`_congruence` adds row j to row k and column j to column k, the
+    congruence by E = I + e_k e_j^T: the inertia is unchanged, a_kk
+    becomes 2x, and the step pivots k. j and k are not pivoted yet, so
+    prev and the pivoted rows stay as they are, and every later entry is a
+    minor of E M E^T, which lies in the same ring as M, so every division
+    stays exact. A block left that is all zero adds its size to the zeros.
+    The graph must be connected and have a boundary, as
+    :func:`inertia_counts` checks and :func:`member_counts` takes as
+    given."""
     n = len(adj)
     order = [v for v in range(n) if len(adj[v]) > 1]
     interior = len(order)
@@ -450,16 +453,14 @@ def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:
             pair = next(((j, k) for j in left for k in left if a[j][k] != 0), None)
             if pair is None:  # the rest is zero
                 return negative, zero + len(left)
-            negative += 1
-            prev = _pair_step(a, left, *pair, prev, over)
-            continue
+            k = _congruence(a, left, *pair)
         negative += (a[k][k] < 0) != (prev < 0)
         prev = _step(a, left, k, prev, over)
     return negative, zero
 
 
 def _step(a, left: list, k: int, prev, over):
-    """One 1x1 step of :func:`dense_inertia_counts` on the pivot a_kk, in
+    """The one step of :func:`dense_inertia_counts`, on the pivot a_kk, in
     place: k leaves ``left``, and every a_rc left becomes
     (a_kk a_rc - a_rk a_kc) / prev, a minor by Sylvester's identity, so
     ``over`` divides exactly. Returns the new prev, a_kk."""
@@ -468,28 +469,17 @@ def _step(a, left: list, k: int, prev, over):
     pivot = head[k]
     for r in left:
         row, h = a[r], head[r]
-        if h:
-            for c in left:
-                row[c] = over(pivot * row[c] - h * head[c], prev)
-        else:
-            for c in left:
-                row[c] = over(pivot * row[c], prev)
+        for c in left:
+            row[c] = over(pivot * row[c] - h * head[c], prev)
     return pivot
 
 
-def _pair_step(a, left: list, j: int, k: int, prev, over):
-    """One 2x2 step of :func:`dense_inertia_counts` on [[0, x], [x, 0]],
-    x = a_jk, in place: j and k leave ``left``, and every a_rc left becomes
-    (x (a_rj a_kc + a_rk a_jc) - x^2 a_rc) / prev^2, a minor again by
-    Sylvester's identity, so ``over`` divides exactly. Returns the new
-    prev, -x^2 / prev."""
-    x = a[j][k]
-    xx, pp = x * x, prev * prev
-    left.remove(j)
-    left.remove(k)
-    head, next_head = a[j], a[k]
+def _congruence(a, left: list, j: int, k: int) -> int:
+    """Adds row j to row k and column j to column k, in place: the
+    congruence by I + e_k e_j^T, so a_kk = 0 becomes 2 a_jk when a_jj = 0.
+    Returns k."""
+    for c in left:
+        a[k][c] += a[j][c]
     for r in left:
-        row, rj, rk = a[r], head[r], next_head[r]
-        for c in left:
-            row[c] = over(x * (rj * next_head[c] + rk * head[c]) - xx * row[c], pp)
-    return over(-xx, prev)
+        a[r][k] += a[r][j]
+    return k

@@ -5,7 +5,10 @@ Eigenfunctions extend piecewise linearly along edges; their zero sets cut
 the metric graph into nodal domains, and each domain induces a weighted
 graph with Dirichlet boundary at the cut points. One pass over the edges
 builds every domain, and a sign change is cut at the zero set's one point
-on its edge, which both of its domains share. Clump numbers are the
+on its edge, which both of its domains share. Whether two values have the
+same sign is decided by their signs, never by their product, which can
+underflow or overflow, so zero sets and domains do not depend on the scale
+of f. Clump numbers are the
 unit-tree branch statistics used by the removal lemmas, decided in integer
 halves off the tree's walk; only reports hold Fractions. Every statement
 about unit trees, here and in ``clumps`` and ``extremal``, checks that
@@ -97,8 +100,9 @@ class ZeroSet:
 
 def zero_set(g: WeightedBoundaryGraph, f) -> ZeroSet:
     """Vertices with |f| at most ``DEFAULT_ZERO_TOL`` times max |f|, plus
-    interior zeros on sign-change edges. ``f`` holds one finite value per
-    vertex."""
+    interior zeros on sign-change edges, those whose two nonzero ends
+    differ in sign, which is decided by comparing signs, so not by f's
+    scale. ``f`` holds one finite value per vertex."""
     f = np.asarray(f, dtype=float)
     if f.shape != (g.n,):
         raise InvalidParamsError(
@@ -115,7 +119,7 @@ def zero_set(g: WeightedBoundaryGraph, f) -> ZeroSet:
     for u, v, w in g.edges:
         if u in vz and v in vz:
             zero_edges.append((u, v))
-        elif u not in vz and v not in vz and f[u] * f[v] < 0:
+        elif u not in vz and v not in vz and (f[u] > 0) != (f[v] > 0):
             t = abs(f[u]) / (abs(f[u]) + abs(f[v])) * _length(w)
             edge_zeros.append(GeometricPoint.on_edge(u, v, t))
     return ZeroSet(vz, tuple(edge_zeros), tuple(zero_edges))
@@ -372,7 +376,9 @@ def nodal_domains(g: WeightedBoundaryGraph, f) -> list[NodalDomain]:
     Cut points (vertex zeros on the frontier and edge-interior zeros) become
     Dirichlet vertices of measure 1; partial edges get weight 1/segment-length.
     Fully-zero edges belong to no domain. Domains are the components of
-    the same-sign edges between nonzero vertices, listed by least vertex.
+    the same-sign edges between nonzero vertices, listed by least vertex;
+    signs are compared, not multiplied, so the domains do not depend on
+    the scale of f.
     They are built in one pass over the edges, and every edge-interior cut
     point is :func:`zero_set`'s point on that edge, so the two domains of a
     sign change cut it at the same point.
@@ -388,7 +394,7 @@ def _nodal_domains(g: WeightedBoundaryGraph, f: np.ndarray, zs: ZeroSet) -> list
     holds for that edge, shared by both sides and the zero set. Each side's
     weight is 1/segment, the segment measured from that side's own end."""
     nonzero = [v for v in range(g.n) if v not in zs.vertex_zeros]
-    same_sign = [[u for u in g.adjacency[v] if f[u] * f[v] > 0] for v in range(g.n)]
+    same_sign = [[u for u in g.adjacency[v] if (f[u] > 0) == (f[v] > 0)] for v in range(g.n)]
     # per domain: its members, its induced edges, and its cut points by induced id
     found = [(members, [], {}) for members, _ in component_passes(same_sign, nonzero)]
     home = {x: (domain, i) for domain in found for i, x in enumerate(domain[0])}

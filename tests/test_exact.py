@@ -443,8 +443,8 @@ def test_dense_factorization_with_two_by_two_pivots(n, edges, b):
     # in the vertex-order LDL^T every diagonal entry left after the 1x1
     # pivots is 0 on each of these inputs (on the path 0-3-2-1 at b = 1/2:
     # pivots 1/2, 1/2, then [[0, -1], [-1, 0]]); with the interior pivoted
-    # first, only K_2 at b = 1 takes a 2x2 step. The counts are those of
-    # the float spectrum
+    # first, only K_2 at b = 1 takes the congruence that makes a diagonal
+    # entry nonzero. The counts are those of the float spectrum
     adj = adjacency_sets(n, edges)
     eigenvalues = steklov_spectrum(combinatorial_graph(n, edges)).eigenvalues
     expect = (int(np.sum(eigenvalues < float(b) - 1e-9)),
@@ -460,13 +460,13 @@ def test_integer_dense_counts_match_the_fraction_ldlt(monkeypatch, kind):
     # seeded rationals and a seeded surd (the rational and the surd bounds
     # in turn); then on the inputs of
     # test_dense_factorization_with_two_by_two_pivots (the Fraction LDL^T
-    # needs a 2x2 pivot on each; with the interior first, only K_2 needs a
-    # 2x2 step), on two where a 1x1 step follows the 2x2 step and on the
-    # star K_1,4 at b = 3/4, whose block opens with a 2x2 step on integer
-    # entries, each b as given and as a surd with q = 0, which takes the
-    # surd arithmetic. The 2x2 step is reached at a rational b, at an
-    # irrational b (the grid's 1/2 + sqrt(3)/6 on a triangle with four
-    # pendant leaves) and at a surd with q = 0
+    # needs a 2x2 pivot on each; with the interior first, only K_2 has an
+    # all-zero diagonal left), on two where a step follows the congruence
+    # and on the star K_1,4 at b = 3/4, whose block opens with an all-zero
+    # diagonal of integer entries, each b as given and as a surd with
+    # q = 0, which takes the surd arithmetic. The congruence is reached at
+    # a rational b, at an irrational b (the grid's 1/2 + sqrt(3)/6 on a
+    # triangle with four pendant leaves) and at a surd with q = 0
     rng = random.Random(4646)
     bounds = GRID_BOUNDS | {Fraction(0), Fraction(1)}
     bounds |= {Fraction(rng.randrange(-50, 400), rng.randrange(1, 60)) for _ in range(2)}
@@ -476,7 +476,7 @@ def test_integer_dense_counts_match_the_fraction_ldlt(monkeypatch, kind):
     members = [(n, edges) for n in range(1, 8)
                for edges in enumerate_connected_graphs(n).edge_lists()]
     members += [(8, edges) for edges in enumerate_trees(8).edge_lists()]
-    step = counting_calls(monkeypatch, exact, "_pair_step")
+    step = counting_calls(monkeypatch, exact, "_congruence")
     reached = checked = 0
     for n, edges in members:
         adj = adjacency_sets(n, edges)

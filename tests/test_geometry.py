@@ -240,6 +240,33 @@ def test_every_edge_cut_point_is_the_zero_sets_point():
     assert points == 1258
 
 
+def test_nodal_domains_do_not_depend_on_the_scale_of_f():
+    # a product f[u] f[v] underflows to 0 below about 1e-162 and overflows
+    # above about 1e154, so no sign relation may be read off it; powers of
+    # two scale f exactly, so the domains must not change at all
+    def domains(g, f):
+        zs = zero_set(g, f)
+        return zs, [(d.vertices, d.sign, d.cut_points, d.induced.n, d.induced.edges,
+                     d.induced.measures, d.induced.roles) for d in nodal_domains(g, f)]
+
+    classes = [enumerate_trees(n) for n in range(3, 9)]
+    classes += [enumerate_connected_graphs(n) for n in range(3, 7)]
+    checked = 0
+    for g in itertools.chain.from_iterable(classes):
+        if not g.boundary:
+            continue
+        res = steklov_spectrum(g)
+        for i in range(1, len(res.eigenvalues) + 1):
+            f = res.eigenpair(i)[1]
+            expect = domains(g, f)
+            for scale in 2.0 ** -560, 2.0 ** 560:
+                assert domains(g, f * scale) == expect, (g.edges, i, scale)
+                checked += 1
+    assert checked == 584
+    f = np.array([1.0, 0.5, -1.0]) * 2.0 ** 560  # raised in the overflow filter
+    assert len(nodal_domains(path_graph(3), f)) == 2
+
+
 def test_nodal_theorem_all_trees_small():
     checked = 0
     for n in range(2, 10):
