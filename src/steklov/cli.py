@@ -7,9 +7,10 @@ logging goes to stderr. Exit codes: 0 ok/certified, 1 usage error,
 2 assertion/bound failure, 3 rigidity mismatch, 4 unsupported range.
 No command takes a tolerance: ``verify`` decides exactly, and ``nodal``
 checks each domain within the fixed ``geometry.NODAL_TOL`` (1e-8).
-Floats are printed with 17 significant digits and exact rationals as
-"p/q" alongside their decimal value, so identical inputs give
-byte-identical reports regardless of --jobs.
+Floats are printed with 17 significant digits, in CSV too, and exact
+rationals as "p/q" alongside their decimal value, so identical inputs give
+byte-identical reports regardless of --jobs. A CSV field that holds a list
+of codes holds them joined by single spaces.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# -- deterministic JSON with 17-significant-digit floats ---------------------------
+# -- deterministic JSON and CSV with 17-significant-digit floats -------------------
 
 
 def _fmt_float(x: float) -> str:
@@ -84,6 +85,14 @@ def _jsonify(obj) -> str:
     if is_dataclass(obj):
         return _jsonify(asdict(obj))
     return json.dumps(str(obj))
+
+
+def _csv_value(v) -> str:
+    """One CSV field: a code list joined by single spaces, a float with 17
+    significant digits (+inf as ``inf``), anything else as ``str``."""
+    if isinstance(v, list):
+        return " ".join(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -301,7 +310,8 @@ def _cmd_verify(args) -> int:
         "match": report.match,
     }
     if args.format == "csv":
-        _write("field,value\n" + "".join(f"{k},{v}\n" for k, v in payload.items()), args.out)
+        rows = "".join(f"{k},{_csv_value(v)}\n" for k, v in payload.items())
+        _write("field,value\n" + rows, args.out)
     else:  # timestamp-normalized for reproducibility
         _emit("verify", {**payload, "seconds": 0.0}, args.out)
     log.info("verify finished in %.3fs", time.monotonic() - t0)
@@ -317,8 +327,7 @@ def _cmd_sweep(args) -> int:
 
     pairs = extremal.sweep(args.n, args.i, args.graph_class).rows
     if args.format == "csv":
-        rows = "".join(f"{code},{'inf' if math.isinf(val) else format(val, '.17g')}\n"
-                       for code, val in pairs)
+        rows = "".join(f"{code},{_csv_value(val)}\n" for code, val in pairs)
         _write("code,sigma\n" + rows, args.out)
     else:
         _emit(
@@ -459,21 +468,11 @@ def main(argv=None) -> int:
         if getattr(args, "jobs", 1) < 1:
             raise UsageError("--jobs must be >= 1")
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"ERROR {EXIT_USAGE}: {exc}\n")
-        return EXIT_USAGE
-    except OutOfSupportedRangeError as exc:
-        sys.stderr.write(f"ERROR {EXIT_RANGE}: {exc}\n")
-        return EXIT_RANGE
-    except CertificationError as exc:
-        sys.stderr.write(f"ERROR {EXIT_ASSERTION}: {exc}\n")
-        return EXIT_ASSERTION
-    except SteklovError as exc:
-        sys.stderr.write(f"ERROR {EXIT_USAGE}: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
-        sys.stderr.write(f"ERROR {EXIT_USAGE}: {exc}\n")
-        return EXIT_USAGE
+    except (SteklovError, UsageError, OSError) as exc:
+        code = (EXIT_RANGE if isinstance(exc, OutOfSupportedRangeError)
+                else EXIT_ASSERTION if isinstance(exc, CertificationError) else EXIT_USAGE)
+        sys.stderr.write(f"ERROR {code}: {exc}\n")
+        return code
     finally:  # --cache-dir, -v and the stderr handler hold for this run only
         if saved is None:
             os.environ.pop("STEKLOV_CACHE_DIR", None)

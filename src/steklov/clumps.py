@@ -39,7 +39,7 @@ from fractions import Fraction
 from .enumeration import _index
 from .errors import (
     CertificationError,
-    HypothesisViolatedError,
+    HypothesesNotMetError,
     InvalidParamsError,
 )
 from . import geometry
@@ -235,7 +235,7 @@ def find_removal_sub_k(
     if r < 0 or k < 1:
         raise InvalidParamsError("need r >= 0 and k >= 1")
     if len(g.edges) != (r + 2) * k:
-        raise HypothesisViolatedError(
+        raise HypothesesNotMetError(
             f"need |E| = (r+2)k = {(r + 2) * k}, got {len(g.edges)}"
         )
 
@@ -295,7 +295,7 @@ def classify_type_AB(g: WeightedBoundaryGraph, k: int) -> TypeABClassification:
         raise InvalidParamsError("need k >= 1")
     m = len(g.edges)
     if m < k - 1:
-        raise HypothesisViolatedError(f"need |E| >= k-1 = {k - 1}, got {m}")
+        raise HypothesesNotMetError(f"need |E| >= k-1 = {k - 1}, got {m}")
     far = _far_ends(g)
 
     type_a = None

@@ -32,7 +32,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from numbers import Integral
 from pathlib import Path
 
 from .errors import (
@@ -43,6 +42,7 @@ from .errors import (
 )
 from .graph import (
     WeightedBoundaryGraph,
+    _is_label,
     adjacency_sets,
     centroids,
     combinatorial_graph,
@@ -600,10 +600,11 @@ def _index(value, name: str) -> int:
     """``value`` as an int, refusing a bool and any non-integral type (a
     float 6.0 included): a memo keys them like the int, a class file name
     does not. An exact ``int`` is returned at once; any other value (a
-    numpy integer, say) takes the ``numbers.Integral`` check."""
+    numpy integer, say) is decided by the one integer test,
+    ``graph._is_label``."""
     if type(value) is int:
         return value
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    if not _is_label(value):
         raise InvalidParamsError(f"{name} must be an integer, not {value!r}")
     return int(value)
 

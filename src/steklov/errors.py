@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all steklov modules. An input outside a
-statement's hypotheses raises HypothesesNotMetError; NotATreeError and
+statement's hypotheses raises HypothesesNotMetError, the family's one class
+(HypothesisViolatedError is a second name for it); NotATreeError and
 NotUnitWeightError are its kinds that ``geometry.require_tree`` and
 ``geometry.require_unit_tree`` raise."""
 
@@ -68,12 +69,11 @@ class AllZeroError(SteklovError):
     """A function that must be nonzero is zero to tolerance."""
 
 
-class HypothesisViolatedError(SteklovError):
+class HypothesesNotMetError(SteklovError):
     """Input does not satisfy the hypotheses of the statement being checked."""
 
 
-class HypothesesNotMetError(HypothesisViolatedError):
-    pass
+HypothesisViolatedError = HypothesesNotMetError
 
 
 class NotATreeError(HypothesesNotMetError):

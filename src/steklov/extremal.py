@@ -107,7 +107,6 @@ VERDICT_TOL = 1e-9
 # trees n = 18), so no minimizer is missed and no other class merged.
 SCREEN_MARGIN = 1e-9
 GRAPH_CLASSES = ("trees", "connected")
-MAX_SWEEP_TREE_N = 16
 # An attribute only: bench/layers.py wraps ``clump_number`` here by name
 # (tests/test_bench_hooks.py), but the clump bound reads ``_centre``, so the
 # wrapper records nothing until the hook moves there (ROADMAP item 8).
@@ -336,10 +335,8 @@ def _screened(n: int, i: int, graph_class: str):
 
 
 def _sweep_class(n: int, graph_class: str):
-    """The class object of an int n and a known class, with no check of
-    them: only the tree sweep's range is checked here."""
-    if graph_class == "trees" and n > MAX_SWEEP_TREE_N:
-        raise OutOfSupportedRangeError(f"tree sweeps support n <= {MAX_SWEEP_TREE_N}")
+    """The class object of an int n and a known class: the class loader
+    is the one gate of n's range (OutOfSupportedRangeError)."""
     return (enumerate_trees if graph_class == "trees" else enumerate_connected_graphs)(n)
 
 

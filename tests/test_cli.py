@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import hashlib
 import importlib
@@ -310,9 +311,30 @@ def test_verify_connected_comb(capsys):
 
 
 def test_verify_out_of_range(capsys):
-    code, _, err = run(capsys, ["verify", "--n", "20", "--i", "2"])
-    assert code == 4
-    assert err.startswith("ERROR 4:")
+    # one range gate, the class loader's, for both commands past n = 16
+    for command in ("verify", "sweep"):
+        for n in ("17", "20"):
+            assert run(capsys, [command, "--n", n, "--i", "2"]) == (
+                4, "", "ERROR 4: tree enumeration supports 1 <= n <= 16\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "6", "--i", "3", "--class", "connected"],  # two codes each
+    ["verify", "--n", "8", "--i", "4"],  # a surd bound
+], ids=["connected-codes", "surd-bound"])
+def test_verify_csv_rows_read_back(capsys, argv):
+    # every row is two fields under csv.reader, a code list is its codes
+    # joined by spaces, and a float has the 17 digits of the JSON report
+    payload = json.loads(run(capsys, argv)[1])["payload"]
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    rows = list(csv.reader(out.splitlines()))
+    assert code == 0 and rows[0] == ["field", "value"]
+    assert all(len(row) == 2 for row in rows)
+    fields = dict(rows[1:])
+    for name in ("argmin", "predicted"):
+        assert fields[name].split() == payload[name]
+    for name in ("bound", "minimum"):
+        assert fields[name] == cli._fmt_float(payload[name])
 
 
 @pytest.mark.parametrize("failed,exit_code", [
@@ -347,7 +369,7 @@ def test_verify_bad_jobs(capsys):
 # GRID order: every exit code, argmin set and number is pinned byte for byte
 VERIFY_DIGESTS = {
     "json": "5589272454fbe7f07352a18d23ebf3d5634dc2c52c663beed95a1e14e31c17d2",
-    "csv": "16c7ac261aac3a7b64fa38a5d7c9a921ba56b2e7070594cab1cced3c5bcf8258",
+    "csv": "cfc327a28aa5b50fed4159ce8fa74194a3a8f91f6e4c68bfa5604012e035cc2d",
 }
 
 
@@ -418,9 +440,9 @@ def test_verify_with_a_file_as_cache_dir(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "--n", "8", "--i", "3"],
-     "5e4ebd6509b55d01620cf1cf4306371400ef34618d7fce2f01056e822bcd90eb"),
+     "7016c3b2525ff2d40b0afdae1e43074049d5141c64a778925a74c630905f679b"),
     (["verify", "--n", "5", "--i", "2", "--class", "connected"],
-     "91af87048c047b846810e3ca3acb0d447f78e7b2cd16c7982d3c0ebeb82f5dd9"),
+     "92262af6c4601baad8bd860d6834faed1187cf50d24742dfd364b0407e729d3c"),
     (["sweep", "--n", "7", "--i", "2"],
      "0d92a1f27225b5088b82e27deeec071e1c4f7294579a17eb67396d12287b9f6a"),
     (["sweep", "--n", "7", "--i", "3", "--class", "connected"],

@@ -189,6 +189,17 @@ def test_type_ab_gate():
         classify_type_AB(path_graph(2), 3)
 
 
+def test_edge_count_refusals_are_hypotheses_not_met():
+    # both edge-count hypotheses raise the family's one class, and the
+    # older name HypothesisViolatedError is that class
+    comb = build_comb(build_path(3).graph, rooted_path(1)).graph
+    with pytest.raises(HypothesesNotMetError, match=re.escape("need |E| = (r+2)k = 6, got 5")):
+        find_removal_sub_k(comb, 1, 2)
+    with pytest.raises(HypothesesNotMetError, match=re.escape("need |E| >= k-1 = 2, got 1")):
+        classify_type_AB(path_graph(2), 3)
+    assert HypothesisViolatedError is HypothesesNotMetError
+
+
 def test_type_ab_total_sweep():
     # every tree with at least k-1 edges classifies without error
     for n in range(2, 10):

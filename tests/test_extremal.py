@@ -62,7 +62,7 @@ from steklov.families import (
 )
 from steklov.geometry import GeometricPoint, clump_lengths_at, clump_number_at
 from steklov.graph import Role, combinatorial_graph, make_graph
-from steklov.spectral import steklov_spectrum
+from steklov.spectral import SpectralResult, steklov_spectrum
 
 from conftest import (
     broom_codes,
@@ -440,7 +440,8 @@ def test_sweep_matches_per_graph_oracle(graph_class, n, i):
 
 
 def test_verify_extremal_gates(monkeypatch):
-    with pytest.raises(OutOfSupportedRangeError, match="tree sweeps support n <= 16"):
+    with pytest.raises(OutOfSupportedRangeError,
+                       match=re.escape("tree enumeration supports 1 <= n <= 16")):
         verify_extremal(17, 2, "trees")
     with pytest.raises(InvalidParamsError):
         verify_extremal(6, 2, "planar")
@@ -456,13 +457,20 @@ def test_verify_extremal_gates(monkeypatch):
             verify_extremal(n, i, "trees")
 
 
+def test_sweep_past_the_class_range_is_refused_by_the_loader():
+    # the class loader is the one range gate of sweep, as of verify_extremal
+    with pytest.raises(OutOfSupportedRangeError,
+                       match=re.escape("tree enumeration supports 1 <= n <= 16")):
+        sweep(17, 2, "trees")
+
+
 def test_verify_needs_an_exact_bound(monkeypatch):
     # theta_7 is cubic, so (14, 7) has no exact bound: refused before the
     # class is enumerated, although n = 14 is inside the tree gate
     def no_sweep(n):
         raise AssertionError("class enumerated for a pair with no exact bound")
 
-    assert extremal.MAX_SWEEP_TREE_N >= 14
+    assert enumeration.MAX_TREE_N >= 14
     monkeypatch.setattr(extremal, "enumerate_trees", no_sweep)
     with pytest.raises(OutOfSupportedRangeError, match="no exact bound"):
         verify_extremal(14, 7, "trees")
@@ -912,6 +920,23 @@ def test_positivity_connected(rng):
             continue
         v = verify_positivity(h)
         assert v.ok
+
+
+def test_positivity_fails_on_a_one_signed_higher_eigenvector(monkeypatch):
+    # K_{1,3} with two boundary leaves and one Dirichlet leaf passes; with
+    # its second eigenvector replaced by |f_2|, one-signed on B, the
+    # verdict must fail on that vector alone
+    g = combinatorial_graph(4, [(0, 1), (0, 2), (0, 3)]).with_roles(
+        [Role.INTERIOR, Role.BOUNDARY, Role.BOUNDARY, Role.DIRICHLET])
+    assert verify_positivity(g).ok
+    res = steklov_spectrum(g)
+    vectors = res.extensions.copy()
+    vectors[:, 1] = np.abs(vectors[:, 1])
+    one_signed = SpectralResult(res.kind, res.eigenvalues, vectors, res.support, None)
+    monkeypatch.setattr(extremal, "steklov_spectrum", lambda h: one_signed)
+    v = verify_positivity(g)
+    assert v.simple and v.one_signed
+    assert v.higher_change_sign is False and v.ok is False
 
 
 def test_positivity_disconnected_decomposition():
