@@ -9,8 +9,9 @@ No command takes a tolerance: ``verify`` decides exactly, and ``nodal``
 checks each domain within the fixed ``geometry.NODAL_TOL`` (1e-8).
 Floats are printed with 17 significant digits, in CSV too, and exact
 rationals as "p/q" alongside their decimal value, so identical inputs give
-byte-identical reports regardless of --jobs. A CSV field that holds a list
-of codes holds them joined by single spaces.
+byte-identical reports regardless of --jobs. A list of codes takes one CSV
+row per code, each under the list's name, as ``sweep`` writes one row per
+code, so no field grows with the class.
 """
 
 from __future__ import annotations
@@ -88,10 +89,8 @@ def _jsonify(obj) -> str:
 
 
 def _csv_value(v) -> str:
-    """One CSV field: a code list joined by single spaces, a float with 17
-    significant digits (+inf as ``inf``), anything else as ``str``."""
-    if isinstance(v, list):
-        return " ".join(v)
+    """One CSV field: a float with 17 significant digits (+inf as ``inf``),
+    anything else as ``str``."""
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
@@ -310,7 +309,8 @@ def _cmd_verify(args) -> int:
         "match": report.match,
     }
     if args.format == "csv":
-        rows = "".join(f"{k},{_csv_value(v)}\n" for k, v in payload.items())
+        rows = "".join(f"{k},{_csv_value(x)}\n" for k, v in payload.items()
+                       for x in (v if isinstance(v, list) else [v]))
         _write("field,value\n" + rows, args.out)
     else:  # timestamp-normalized for reproducibility
         _emit("verify", {**payload, "seconds": 0.0}, args.out)

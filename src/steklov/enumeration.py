@@ -11,7 +11,7 @@ decodable strings, and each class member is stored (on disk too) under its
 class object parses its codes once into one store, every member's edge
 ends in one flat ``bytes`` row by row, which edge lists, iteration and the
 exact counts read. It also holds its screen, the float spectra of every
-member, and its leaf table, the exact counts of every member at b = 1,
+member, and its leaf counts, every member's number of degree-1 vertices,
 each built on first read from one numpy view of the store, not kept.
 
 Both classes are built from smaller pieces: free trees from the rooted
@@ -359,8 +359,8 @@ class GraphClassStream:
     of their parse, ``store``, filled once: when the class is read from its
     file (the parse is part of the file's check), else on first read. Its
     rows, the edge lists, the fresh graphs of every iteration, the screen
-    ``spectra`` and the exact ``leaf_table`` at b = 1 are read from that
-    store; the last two are held with the object, read-only."""
+    ``spectra`` and the ``leaf_counts`` are read from that store; the last
+    two are held with the object, read-only."""
 
     kind: str
     n: int
@@ -401,7 +401,7 @@ class GraphClassStream:
     def _edge_arrays(self):
         """The stacked edge arrays (``owner``, ``ends``) of
         :func:`~steklov.spectral.stacked_steklov_spectra`, built afresh from
-        the store for :attr:`spectra` and :attr:`leaf_table`, so neither
+        the store for :attr:`spectra` and :attr:`leaf_counts`, so neither
         keeps them: one ``np.frombuffer`` view of its bytes and one
         ``np.repeat`` of each member's index over its edges."""
         import numpy as np
@@ -425,18 +425,21 @@ class GraphClassStream:
         return spectra
 
     @cached_property
-    def leaf_table(self):
-        """The exact counts at b = 1: the read-only
-        :func:`~steklov.exact.leaf_table` of the class, one row (s, L) per
-        stored code, for s support vertices and L leaves, built from the
-        arrays of :meth:`_edge_arrays` on first read and freed with the
-        object, as :attr:`spectra` is. Refused (InvalidParamsError) for
-        n < 3, where the leaf rule is false."""
-        from .exact import leaf_table
+    def leaf_counts(self):
+        """Each member's number of leaves (vertices of degree 1), one entry
+        per stored code, read-only: the degrees are one ``np.bincount``
+        over the ends of :meth:`_edge_arrays`, vertex v of member j counted
+        at j n + v. Built from the store on first read and freed with the
+        object, as :attr:`spectra` is. While a code is bad, every read
+        raises ParseError."""
+        import numpy as np
 
-        table = leaf_table(self.n, *self._edge_arrays())
-        table.flags.writeable = False
-        return table
+        owner, ends = self._edge_arrays()
+        n, size = self.n, len(self)
+        degrees = np.bincount((owner[:, None] * n + ends).ravel(), minlength=size * n)
+        counts = (degrees.reshape(size, n) == 1).sum(axis=1)
+        counts.flags.writeable = False
+        return counts
 
     def edge_lists(self) -> list[list[tuple[int, int]]]:
         """Each member's :meth:`rows` entry as (u, v) pairs, derived afresh:

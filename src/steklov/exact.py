@@ -39,11 +39,10 @@ which compares x^2 with y^2 d, so every count is exact.
 
 At b = 1 the counts need no congruence at all: on a connected graph with
 n >= 3 vertices they are (s, L - s), for L leaves and s distinct support
-vertices. :func:`leaf_table` (which carries the proof) reads s and L for a
-whole class at once, off the stacked edge arrays its screen is built from;
-a class object holds that table. :func:`inertia_counts` and
-:func:`member_counts` do not use the rule, so they stay independent oracles
-for it. Nothing here is memoised.
+vertices (:func:`~steklov.extremal.verify_extremal` carries the proof and
+reads each class member's L off its class object).
+:func:`inertia_counts` and :func:`member_counts` do not use the rule, so
+they stay independent oracles for it. Nothing here is memoised.
 """
 
 from __future__ import annotations
@@ -341,48 +340,6 @@ def _surd_tree_counts(parents, b: QuadraticSurd) -> tuple[int, int]:
     leaf = k <= 1
     sign = surd_sign((k * c - s if leaf else k * c) * z0 - x[0], (-t * z0 if leaf else 0) - y[0], d)
     return negative + (sign < 0), zero + (sign == 0)
-
-
-def leaf_table(n: int, owner, ends):
-    """The counts at b = 1 of a stacked class, as one integer array with a
-    row (s, L) per graph: graph j's counts of :func:`inertia_counts` at
-    b = 1 are (s, L - s). The graphs are given as the integer arrays of
-    :func:`~steklov.spectral.stacked_steklov_spectra`: edge k joins
-    ``ends[k, 0]`` and ``ends[k, 1]`` in graph ``owner[k]``, and the rows run
-    from graph 0 to the largest owner. L is a graph's number of leaves
-    (vertices of degree 1) and s its number of distinct support vertices,
-    those next to a leaf: the degrees are one ``np.bincount`` over the
-    stacked ends, and an edge with one end of degree 1 marks its other end,
-    with no Python loop over the graphs or their edges.
-
-    Proof. With unit measures, B the leaves and I the other vertices, no
-    two leaves are adjacent in a connected graph on n >= 3 vertices, so
-    L_BB = I_B and L_BI = -E, where row l of E marks the support vertex of
-    leaf l. Then S = I_B - E L_II^-1 E^T. L_II is positive definite on a
-    connected graph with a boundary, so E L_II^-1 E^T is positive
-    semidefinite with rank(E L_II^-1 E^T) = rank(E) = s: E's rows are unit
-    vectors, one distinct row per support vertex. So S has s eigenvalues
-    below 1 and L - s at 1. A graph with no leaf gives (0, 0), the counts
-    of its empty spectrum.
-
-    The rule is false on n <= 2: on K_2 both vertices are leaves, so it
-    would give (2, 0), but sigma = 0, 2 gives (1, 0). Such an n raises
-    InvalidParamsError. Each graph is otherwise taken as given: connected,
-    on 0..n-1, with no repeated edge, with no check."""
-    if n < 3:
-        raise InvalidParamsError(f"the leaf rule needs n >= 3, not n = {n}")
-    import numpy as np
-
-    owner = np.asarray(owner, dtype=np.intp)
-    rows = int(owner.max()) + 1 if len(owner) else 0
-    u = owner * n + ends[:, 0]  # vertex ends[k, 0] of graph owner[k], flattened
-    v = owner * n + ends[:, 1]
-    leaf = np.bincount(np.concatenate([u, v]), minlength=rows * n) == 1
-    support = np.zeros(rows * n, dtype=bool)
-    support[v[leaf[u]]] = True
-    support[u[leaf[v]]] = True
-    return np.stack([support.reshape(rows, n).sum(axis=1), leaf.reshape(rows, n).sum(axis=1)],
-                    axis=1)
 
 
 def dense_inertia_counts(adj, b: Exact | int) -> tuple[int, int]:

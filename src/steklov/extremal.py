@@ -20,11 +20,10 @@ numpy view of its one store, the members' flat edge ends, and held with it
 for every i. Rows are the stored codes, which are canonical and sorted.
 Whether the bound b is 1 (every pair with i > n/2) is decided once per
 :func:`verify_extremal` call. At b = 1 no screen is read: every member's
-sigma_i is exactly 1 when it has at least i leaves and missing otherwise,
-read off the class object's own
-:attr:`~steklov.enumeration.GraphClassStream.leaf_table` (s support
-vertices and L leaves per member, counts (s, L - s) at b = 1), held with
-it as the screen is, by one numpy comparison over its rows. At any other
+sigma_i is exactly 1 when it has at least i leaves and missing otherwise
+(the leaf rule, proved there), read off the class object's own
+:attr:`~steklov.enumeration.GraphClassStream.leaf_counts`, held with it as
+the screen is, by one numpy comparison. At any other
 b the classes that screen within SCREEN_MARGIN of b are decided exactly,
 by the counts #{sigma_j < b} and #{sigma_j = b} of their stored members,
 counted afresh on every call, all in one
@@ -406,16 +405,31 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     :func:`sweep` and :func:`predicted_bound`), and the arguments checked
     once, first, by :func:`predicted_bound`. Whether the bound b is 1
     (every pair with i > n/2, and only those) is decided once, so a surd b
-    sees no arithmetic. At b = 1 no screen is read: a member with s
-    support vertices and L leaves has every sigma_j <= 1 and
-    #{sigma_j < 1} = s (:func:`~steklov.exact.leaf_table`), and
-    s <= floor(n/2) < i, as each support vertex has a leaf of its own. So
-    sigma_i is exactly 1 when L >= i and missing (+inf) otherwise, read off
-    the class object's :attr:`~steklov.enumeration.GraphClassStream.leaf_table`:
-    the rows with L >= i are the candidates, all attain b, and the bound
-    holds. Nothing else is computed at b = 1, and no sigma_i column is
-    built. The gap is +inf: a row outside the argmin set has L < i, so
-    i > |B| and its sigma_i is the +inf sentinel. The argmin set is never
+    sees no arithmetic. At b = 1 no screen is read, by the leaf rule: a
+    connected member on n >= 3 vertices with L leaves and s distinct
+    support vertices (those next to a leaf) has the counts
+    (#{sigma_j < 1}, #{sigma_j = 1}) = (s, L - s), its boundary being its
+    L leaves.
+
+    Proof. With unit measures, B the leaves and I the other vertices, no
+    two leaves are adjacent when n >= 3, so L_BB = I_B and L_BI = -E,
+    where row l of E marks the support vertex of leaf l. Then
+    Lambda = I_B - E L_II^-1 E^T. L_II is positive definite on a connected
+    graph with a boundary, so E L_II^-1 E^T is positive semidefinite with
+    rank(E L_II^-1 E^T) = rank(E) = s: E's rows are unit vectors, one
+    distinct row per support vertex. So Lambda has s eigenvalues below 1
+    and L - s at 1. (On K_2, n = 2, both vertices are leaves and the rule
+    would give (2, 0), but sigma = 0, 2 gives (1, 0); b = 1 needs
+    i > n/2 and i < n, so n >= 3.)
+
+    Since s <= floor(n/2) < i, as each support vertex has a leaf of its
+    own, sigma_i is exactly 1 when L >= i and missing (+inf) otherwise,
+    read off the class object's
+    :attr:`~steklov.enumeration.GraphClassStream.leaf_counts`: the members
+    with L >= i are the candidates, all attain b, and the bound holds.
+    Nothing else is computed at b = 1, and no sigma_i column is built. The
+    gap is +inf: a row outside the argmin set has L < i, so i > |B| and
+    its sigma_i is the +inf sentinel. The argmin set is never
     empty: the star K_{1,n-1} belongs to both classes and has n - 1 >= i
     leaves, so the fallback below never runs at b = 1. At any other b the
     candidates are the classes whose screened sigma_i is at most
@@ -434,7 +448,7 @@ def verify_extremal(n: int, i: int, graph_class: str = "trees") -> ExtremalRepor
     stream = _sweep_class(n, graph_class)
     unit = b == 1
     if unit:
-        candidates = attained = (stream.leaf_table[:, 1] >= i).nonzero()[0]  # L >= i
+        candidates = attained = (stream.leaf_counts >= i).nonzero()[0]
         bound_ok = True  # s <= n/2 < i
     else:
         values = stream.spectra[:, i - 1]  # i < n
@@ -539,14 +553,6 @@ def _h_basis(big: SpectralResult) -> np.ndarray:
     return op._extend(data)
 
 
-def is_comb_over(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> bool:
-    """True when the attached components G~_x are pairwise disjoint, i.e.
-    the components of G~ minus E(G) are in bijection with V(G)."""
-    _check_embedding(gt, g)
-    stripped = gt.delete_edges([(u, v) for u, v, _ in g.edges])
-    return len(stripped.components()) == g.n
-
-
 def rigidity_data(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> RigidityData:
     """Conditions (1)-(3), separation and the comb test for G inside G~,
     read from the Steklov spectrum of G~, which must have no B_D."""
@@ -618,7 +624,7 @@ def rigidity_data(gt: WeightedBoundaryGraph, g: WeightedBoundaryGraph) -> Rigidi
         min_form_eig=min_eig,
         separates=separates,
         borderline_pairs=tuple(borderline),
-        comb=len(attached) == g.n,  # as is_comb_over decides it
+        comb=len(attached) == g.n,  # one attached component per vertex of G
     )
 
 

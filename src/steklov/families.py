@@ -167,23 +167,6 @@ def broom_lambda1(l, i: int, d: int) -> Number:
     return 1 / (1 + (p.l + p.i) * p.d)
 
 
-def broom_eigenfunction(l, i: int, d: int) -> dict[int, Number]:
-    """First Dirichlet-Steklov eigenfunction, keyed by the build_broom vertex ids."""
-    p = BroomParams(as_number(l), i, d).normalized()
-    l, i, d = p.l, p.i, p.d
-    f: dict[int, Number] = {0: 0 * l}
-    if d == 0:
-        for j in range(i + 1):
-            f[j + 1] = (l + j) / (l + i)
-    else:
-        denom = 1 + (l + i) * d
-        for j in range(i + 1):
-            f[j + 1] = (l + j) * d / denom
-        for j in range(d):
-            f[i + 2 + j] = 1
-    return f
-
-
 def _halves(x: Number) -> int:
     """-1 / 0 / +1 as {x} is below / at / above one half."""
     twice = 2 * (x - math.floor(x))  # an mpf compares with ints, not Fractions

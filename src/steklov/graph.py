@@ -201,20 +201,8 @@ class WeightedBoundaryGraph:
     def edge_weights(self) -> dict[tuple[int, int], Weight]:
         return {(u, v): w for u, v, w in self.edges}
 
-    def neighbors(self, x: int) -> list[int]:
-        return sorted(self.adjacency[x])
-
     def degree(self, x: int) -> int:
         return len(self.adjacency[x])
-
-    def weight(self, x: int, y: int) -> Weight:
-        key = _norm_edge(x, y)
-        if key not in self.edge_weights:
-            raise EdgeNotFoundError(f"no edge {{{x},{y}}}")
-        return self.edge_weights[key]
-
-    def has_edge(self, x: int, y: int) -> bool:
-        return _norm_edge(x, y) in self.edge_weights
 
     @cached_property
     def _role_lists(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -282,6 +270,7 @@ class WeightedBoundaryGraph:
         kept = [e for e in self.edges if (e[0], e[1]) not in keys]
         return make_graph(self.n, kept, self.measures, self.roles)
 
+    # read by no command: kept as the role transformer that the README documents
     def with_roles(self, roles: Sequence[Role | str]) -> "WeightedBoundaryGraph":
         """The same graph with ``roles``, given as :class:`Role` values or
         their names, as :func:`make_graph` reads them."""
@@ -299,17 +288,6 @@ class WeightedBoundaryGraph:
                  if u in index and v in index]
         return make_graph(len(index), edges, [self.measures[v] for v in index],
                           [self.roles[v] for v in index])
-
-    def is_subgraph_of(self, other: "WeightedBoundaryGraph") -> bool:
-        """Same vertex set, edge subset, matching weights and measures."""
-        if self.n != other.n:
-            return False
-        if any(self.measures[v] != other.measures[v] for v in range(self.n)):
-            return False
-        return all(
-            (u, v) in other.edge_weights and other.edge_weights[(u, v)] == w
-            for u, v, w in self.edges
-        )
 
 
 # -- construction -------------------------------------------------------------

@@ -59,8 +59,6 @@ from .errors import (
 )
 from .graph import WeightedBoundaryGraph, subtree_sizes
 
-# Two eigenvalues count as equal when |a-b| <= EIG_EQ_TOL * max(1, |a|).
-EIG_EQ_TOL = 1e-8
 # A solve warns of an ill-conditioned block when rcond falls below this.
 _EPS = float(np.finfo(float).eps)
 
@@ -134,11 +132,6 @@ def laplacian_matrix(g: WeightedBoundaryGraph) -> LaplacianForm:
         matrix=_laplacian(g, range(g.n)),
         measures=np.array([float(m) for m in g.measures]),
     )
-
-
-def dirichlet_energy(g: WeightedBoundaryGraph, f: np.ndarray) -> float:
-    """<df,df>_G = sum over edges of (f(x)-f(y))^2 w_xy."""
-    return sum(float(w) * (f[u] - f[v]) ** 2 for u, v, w in g.edges)
 
 
 def _check_interior_solvable(g: WeightedBoundaryGraph, interior) -> None:
@@ -300,18 +293,6 @@ class SpectralResult:
             raise InvalidParamsError(
                 f"eigenpair index {i} outside 1..{len(self.eigenvalues)}")
         return float(self.eigenvalues[i - 1]), self.extensions[:, i - 1]
-
-    def multiplicity_groups(self) -> list[list[int]]:
-        """Indices (0-based) grouped by eigenvalue, equal within EIG_EQ_TOL."""
-        groups: list[list[int]] = []
-        for idx, val in enumerate(self.eigenvalues):
-            if groups and abs(val - self.eigenvalues[groups[-1][0]]) <= EIG_EQ_TOL * max(
-                1.0, abs(val)
-            ):
-                groups[-1].append(idx)
-            else:
-                groups.append([idx])
-        return groups
 
 
 def _generalized_eigh(S: np.ndarray, m: np.ndarray):

@@ -20,8 +20,8 @@ from steklov.enumeration import (
     tree_from_code,
     unit_tree_code,
 )
-from steklov.errors import OutOfSupportedRangeError
-from steklov.families import BroomParams, _arm, build_broom, minimal_broom_total
+from steklov.errors import InvalidParamsError, OutOfSupportedRangeError
+from steklov.families import BroomParams, _arm, as_number, build_broom, minimal_broom_total
 from steklov.graph import (
     Role,
     adjacency_sets,
@@ -78,6 +78,54 @@ def stacked(edge_lists):
     owner = np.repeat(np.arange(len(edge_lists)), [len(e) for e in edge_lists])
     ends = np.array([pair for edges in edge_lists for pair in edges], np.intp).reshape(-1, 2)
     return owner, ends
+
+
+def leaf_table(n, owner, ends):
+    """Oracle for the leaf rule of ``steklov.extremal.verify_extremal`` (which
+    carries its proof): a row (s, L) per stacked graph, for L leaves and s
+    distinct support vertices (those next to a leaf), so that graph j's
+    counts (#{sigma_j < 1}, #{sigma_j = 1}) are (s, L - s). Edge k joins
+    ``ends[k, 0]`` and ``ends[k, 1]`` in graph ``owner[k]``, and the rows
+    run from graph 0 to the largest owner; the degrees are one bincount
+    over the stacked ends, and an edge with one end of degree 1 marks its
+    other end. A graph with no leaf reads (0, 0), the counts of its empty
+    spectrum. The rule is false on n <= 2 (on K_2 it would give (2, 0),
+    but sigma = 0, 2 gives (1, 0)), so such an n raises InvalidParamsError."""
+    if n < 3:
+        raise InvalidParamsError(f"the leaf rule needs n >= 3, not n = {n}")
+    owner = np.asarray(owner, dtype=np.intp)
+    rows = int(owner.max()) + 1 if len(owner) else 0
+    u = owner * n + ends[:, 0]  # vertex ends[k, 0] of graph owner[k], flattened
+    v = owner * n + ends[:, 1]
+    leaf = np.bincount(np.concatenate([u, v]), minlength=rows * n) == 1
+    support = np.zeros(rows * n, dtype=bool)
+    support[v[leaf[u]]] = True
+    support[u[leaf[v]]] = True
+    return np.stack([support.reshape(rows, n).sum(axis=1), leaf.reshape(rows, n).sum(axis=1)],
+                    axis=1)
+
+
+def dirichlet_energy(g, f):
+    """<df,df>_G = sum over edges of (f(x)-f(y))^2 w_xy."""
+    return sum(float(w) * (f[u] - f[v]) ** 2 for u, v, w in g.edges)
+
+
+def broom_eigenfunction(l, i, d):
+    """First Dirichlet-Steklov eigenfunction of the broom Br(l, i, d), keyed
+    by the ``build_broom`` vertex ids."""
+    p = BroomParams(as_number(l), i, d).normalized()
+    l, i, d = p.l, p.i, p.d
+    f = {0: 0 * l}
+    if d == 0:
+        for j in range(i + 1):
+            f[j + 1] = (l + j) / (l + i)
+    else:
+        denom = 1 + (l + i) * d
+        for j in range(i + 1):
+            f[j + 1] = (l + j) * d / denom
+        for j in range(d):
+            f[i + 2 + j] = 1
+    return f
 
 
 def code_decoders(code):
@@ -454,3 +502,36 @@ def _isolated_enumeration_cache(tmp_path_factory):
 
     os.environ["STEKLOV_CACHE_DIR"] = str(tmp_path_factory.mktemp("class-cache"))
     yield
+
+
+class _NoSkips:
+    """Fails a run in which any test, or any collected module, is skipped
+    or xfailed, so that a green run has run every test. Registered as a
+    plugin, not left as conftest hooks, so that it sees the reports of the
+    benchmark's tests too."""
+
+    def __init__(self):
+        self.skipped = []
+
+    def pytest_collectreport(self, report):
+        if report.skipped:
+            self.skipped.append(report.nodeid)
+
+    def pytest_runtest_logreport(self, report):
+        if report.skipped or hasattr(report, "wasxfail"):
+            self.skipped.append(report.nodeid)
+
+    def pytest_sessionfinish(self, session):
+        if self.skipped and session.exitstatus == pytest.ExitCode.OK:
+            session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+    def pytest_terminal_summary(self, terminalreporter):
+        if self.skipped:
+            terminalreporter.write_line(
+                f"FAILED: {len(self.skipped)} skipped or xfailed, and none may be:", red=True)
+            for nodeid in self.skipped:
+                terminalreporter.write_line(f"  {nodeid}")
+
+
+def pytest_configure(config):
+    config.pluginmanager.register(_NoSkips(), "no-skips")

@@ -323,18 +323,41 @@ def test_verify_out_of_range(capsys):
     ["verify", "--n", "8", "--i", "4"],  # a surd bound
 ], ids=["connected-codes", "surd-bound"])
 def test_verify_csv_rows_read_back(capsys, argv):
-    # every row is two fields under csv.reader, a code list is its codes
-    # joined by spaces, and a float has the 17 digits of the JSON report
+    # every row is two fields under csv.reader, a code list is one row per
+    # code, in order, every other field one row, and a float has the 17
+    # digits of the JSON report
     payload = json.loads(run(capsys, argv)[1])["payload"]
     code, out, _ = run(capsys, argv + ["--format", "csv"])
     rows = list(csv.reader(out.splitlines()))
     assert code == 0 and rows[0] == ["field", "value"]
     assert all(len(row) == 2 for row in rows)
-    fields = dict(rows[1:])
+    fields = {}
+    for name, value in rows[1:]:
+        fields.setdefault(name, []).append(value)
+    assert list(fields) == [name for name in payload if name != "seconds"]
     for name in ("argmin", "predicted"):
-        assert fields[name].split() == payload[name]
+        assert fields[name] == payload[name]
     for name in ("bound", "minimum"):
-        assert fields[name] == cli._fmt_float(payload[name])
+        assert fields[name] == [cli._fmt_float(payload[name])]
+
+
+@pytest.mark.parametrize("n,i", [(15, 8), (16, 9)])
+def test_verify_csv_of_a_large_argmin_set_reads_back(capsys, n, i):
+    # the argmin sets of these pairs, 160,109 and 301,247 characters of
+    # codes, are longer than one field that csv.reader takes by default
+    # (131,072): each code is a row of its own, read back as the JSON lists
+    from steklov.enumeration import _load_class
+
+    argv = ["verify", "--n", str(n), "--i", str(i)]
+    try:
+        payload = json.loads(run(capsys, argv)[1])["payload"]
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+    finally:
+        _load_class.cache_clear()
+    assert code == 0 and len(" ".join(payload["argmin"])) > csv.field_size_limit()
+    rows = list(csv.reader(out.splitlines()))
+    for name in ("argmin", "predicted"):
+        assert [value for field, value in rows if field == name] == payload[name]
 
 
 @pytest.mark.parametrize("failed,exit_code", [
@@ -369,7 +392,7 @@ def test_verify_bad_jobs(capsys):
 # GRID order: every exit code, argmin set and number is pinned byte for byte
 VERIFY_DIGESTS = {
     "json": "5589272454fbe7f07352a18d23ebf3d5634dc2c52c663beed95a1e14e31c17d2",
-    "csv": "cfc327a28aa5b50fed4159ce8fa74194a3a8f91f6e4c68bfa5604012e035cc2d",
+    "csv": "9cc5813b1fe243ca41c73cf2aca49519ed69e5687f471e6ee2bce9a81d3cf699",
 }
 
 
@@ -440,7 +463,7 @@ def test_verify_with_a_file_as_cache_dir(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "--n", "8", "--i", "3"],
-     "7016c3b2525ff2d40b0afdae1e43074049d5141c64a778925a74c630905f679b"),
+     "f2d8f97a5d9cbada0f86c3cbcec2066a44c6b94cbb74136dd69cce49a4a3f876"),
     (["verify", "--n", "5", "--i", "2", "--class", "connected"],
      "92262af6c4601baad8bd860d6834faed1187cf50d24742dfd364b0407e729d3c"),
     (["sweep", "--n", "7", "--i", "2"],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from steklov import exact, extremal, graph
 from steklov.enumeration import (
+    GraphClassStream,
     _load_class,
     enumerate_connected_graphs,
     enumerate_trees,
@@ -32,7 +33,13 @@ from steklov.families import lambda_value
 from steklov.graph import adjacency_sets, combinatorial_graph
 from steklov.spectral import steklov_spectrum
 
-from conftest import counting_calls, fraction_ldlt_counts, jacobs_trevisan_counts, stacked
+from conftest import (
+    counting_calls,
+    fraction_ldlt_counts,
+    jacobs_trevisan_counts,
+    leaf_table,
+    stacked,
+)
 
 IRRATIONAL_PAIRS = [(8, 4), (10, 5), (12, 4), (12, 6)]
 GRID_BOUNDS = {predicted_bound(n, i, "trees").bound_exact
@@ -294,21 +301,24 @@ def preorder_arrays(adj, root):
 
 def test_leaf_rule_matches_both_oracles():
     # at b = 1 every member with a boundary of the tree classes 3 <= n <= 12
-    # and the connected classes 3 <= n <= 7, in its class's table: (s, L - s)
-    # equals the counts of inertia_counts on the member's edges, and of the
-    # Jacobs-Trevisan oracle on a tree member; a member with no leaf reads
-    # (0, 0). The table of the edge lists, each reversed with its pairs
-    # swapped, is the class's. Every tree n <= 10 rooted at a leaf too,
-    # where vertex 0 is a leaf whose support is 1
+    # and the connected classes 3 <= n <= 7, in the leaf table of its
+    # class's edge lists: (s, L - s) equals the counts of inertia_counts on
+    # the member's edges, and of the Jacobs-Trevisan oracle on a tree
+    # member; a member with no leaf reads (0, 0). The class object's leaf
+    # counts are the table's L column, and the table of the edge lists,
+    # each reversed with its pairs swapped, is the same. Every tree n <= 10
+    # rooted at a leaf too, where vertex 0 is a leaf whose support is 1
     one = Fraction(1)
     streams = [enumerate_trees(n) for n in range(3, 13)]
     streams += [enumerate_connected_graphs(n) for n in range(3, 8)]
     members = below_one = at_one = leafless = 0
     for stream in streams:
-        n, edge_lists, table = stream.n, stream.edge_lists(), stream.leaf_table
+        n, edge_lists = stream.n, stream.edge_lists()
+        table = leaf_table(n, *stacked(edge_lists))
         assert table.shape == (len(stream), 2)
+        assert np.array_equal(stream.leaf_counts, table[:, 1])
         flipped = [[(v, u) for u, v in reversed(edges)] for edges in edge_lists]
-        assert np.array_equal(exact.leaf_table(n, *stacked(flipped)), table)
+        assert np.array_equal(leaf_table(n, *stacked(flipped)), table)
         for (supports, leaves), edges in zip(table.tolist(), edge_lists, strict=True):
             adj = adjacency_sets(n, edges)
             if all(len(a) > 1 for a in adj):
@@ -333,7 +343,7 @@ def test_leaf_rule_matches_both_oracles():
             edges = [(u, v) for v, u in enumerate(parent) if v]
             assert degree[0] == 1 and all(u < v for u, v in edges)
             edge_lists.append(edges)
-        table = exact.leaf_table(n, *stacked(edge_lists))
+        table = leaf_table(n, *stacked(edge_lists))
         for (supports, leaves), edges in zip(table.tolist(), edge_lists, strict=True):
             assert (supports, leaves - supports) == inertia_counts(n, edges, one)
             rooted_at_leaves += 1
@@ -346,7 +356,7 @@ def test_leaf_rule_refuses_n_below_three(n, member):
     # and the rule would give (2, 0), but sigma = 0, 2 gives (1, 0)
     assert inertia_counts(2, [(0, 1)], Fraction(1)) == (1, 0)
     with pytest.raises(InvalidParamsError, match="n >= 3"):
-        exact.leaf_table(n, *stacked([member]))
+        leaf_table(n, *stacked([member]))
 
 
 def test_verify_over_a_tree_class_makes_no_subtree_walk(monkeypatch):
@@ -374,7 +384,7 @@ def test_verify_over_a_tree_class_makes_no_subtree_walk(monkeypatch):
 
 
 def test_verify_at_b_one_makes_no_walk_and_no_factorization(monkeypatch):
-    # at b = 1 (m = 1) the class's leaf table decides every candidate: no
+    # at b = 1 (m = 1) the class's leaf counts decide every candidate: no
     # tree walk, no dense LDL^T and no subtree walk, over trees and over a
     # connected class with candidates that are not trees
     pairs = (("trees", 12, 7), ("trees", 11, 6), ("connected", 7, 4))
@@ -422,16 +432,16 @@ def test_verify_at_b_one_builds_no_column_and_no_gap(monkeypatch):
 def test_surd_bound_is_never_compared_with_one(monkeypatch, n, i):
     # whether b is 1 is decided once per call, from b's q for a surd b: no
     # surd subtraction or comparison, in verify_extremal or while a
-    # candidate is counted, and no leaf table, over a class object that
+    # candidate is counted, and no leaf counts, over a class object that
     # holds none yet
     verify_extremal(n, i, "trees")  # the prediction is held
     _load_class.cache_clear()
     calls = [counting_calls(monkeypatch, QuadraticSurd, "__sub__"),
              counting_calls(monkeypatch, QuadraticSurd, "_cmp"),
-             counting_calls(monkeypatch, exact, "leaf_table")]
+             counting_calls(monkeypatch, vars(GraphClassStream)["leaf_counts"], "func")]
     assert verify_extremal(n, i, "trees").rechecked == 1
     assert calls == [[], [], []]
-    assert "leaf_table" not in vars(enumerate_trees(n))
+    assert "leaf_counts" not in vars(enumerate_trees(n))
 
 
 @pytest.mark.parametrize("n,edges,b", [

@@ -37,7 +37,6 @@ from steklov.extremal import (
     THETA,
     check_monotonicity,
     check_rigidity_equivalence,
-    is_comb_over,
     predicted_bound,
     rigidity_data,
     sigma_value,
@@ -505,7 +504,7 @@ def test_leaf_rule_candidates_equal_the_screens():
     """The oracle of the b = 1 rule. b is 1 exactly on the 65 pairs with
     i > n/2 (trees 3 <= n <= 16, connected graphs 3 <= n <= 7), and on each
     the classes with at least i leaves, which verify_extremal certifies
-    from the leaf table alone, are the classes whose screened sigma_i is
+    from the leaf counts alone, are the classes whose screened sigma_i is
     at most 1 + SCREEN_MARGIN; each of them screens within 1e-12 of 1."""
     pairs = 0
     try:
@@ -517,7 +516,7 @@ def test_leaf_rule_candidates_equal_the_screens():
                     except OutOfSupportedRangeError:
                         assert i >= 7 and n % i == 0
                 stream = enumerate_trees(n) if graph_class == "trees" else enumerate_connected_graphs(n)
-                leaves = stream.leaf_table[:, 1]
+                leaves = stream.leaf_counts
                 for i in range(n // 2 + 1, n):
                     assert predicted_bound(n, i, graph_class).bound_exact == 1, (n, i)
                     values = stream.spectra[:, i - 1]
@@ -561,7 +560,7 @@ def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
     # filled when the class is read from its file; the tree members of the
     # connected class are parsed as tree codes. A class object made from
     # its codes alone fills the store on first read: reading its leaf
-    # table at a b = 1 pair parses each code once too, and builds no screen
+    # counts at a b = 1 pair parses each code once too, and builds no screen
     for graph_class, n in (("trees", 12), ("connected", 7)):
         enumerate_class = enumerate_trees if graph_class == "trees" else enumerate_connected_graphs
         enumerate_class(n)  # writes the class file
@@ -581,11 +580,11 @@ def test_class_parsed_once_for_iteration_and_every_i(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(extremal, enumerate_class.__name__, lambda n: made)
             fresh = [counting_calls(m, enumeration, name) for name in ("_unit_tree", "graph_edges")]
-            rep = verify_extremal(n, n - 1, graph_class)  # the leaf table alone
+            rep = verify_extremal(n, n - 1, graph_class)  # the leaf counts alone
             assert rep.target.bound_exact == 1 and rep.match
         assert fresh == [trees, graphs]
-        assert "leaf_table" in vars(made) and "spectra" not in vars(made)
-        assert np.array_equal(made.leaf_table, stream.leaf_table)
+        assert "leaf_counts" in vars(made) and "spectra" not in vars(made)
+        assert np.array_equal(made.leaf_counts, stream.leaf_counts)
 
 
 def test_one_clear_frees_the_class_and_its_screen():
@@ -605,21 +604,23 @@ def test_one_clear_frees_the_class_and_its_screen():
 
 
 def test_leaf_table_is_built_once_per_class_and_freed_with_it(monkeypatch):
-    # the class object holds its leaf table, read-only, as it holds its
+    # the class object holds its leaf counts, read-only, as it holds its
     # screen: built on the first b = 1 verify, shared by every later one,
     # and freed by one clear; the object keeps no edge arrays, and no b = 1
     # verify builds the screen
     _load_class.cache_clear()
-    builds = counting_calls(monkeypatch, exact, "leaf_table")
+    prop = vars(GraphClassStream)["leaf_counts"]
+    builds, build = [], prop.func  # records n, not the object, which must be freed
+    monkeypatch.setattr(prop, "func", lambda stream: builds.append(stream.n) or build(stream))
     for i in (7, 8, 7, 9):
         assert verify_extremal(12, i, "trees").match
     stream = enumerate_trees(12)
-    table = stream.leaf_table
+    table = stream.leaf_counts
     assert builds == [12] and not table.flags.writeable
     with pytest.raises(ValueError):
-        table[0, 0] = 1
+        table[0] = 1
     assert {k for k, v in vars(stream).items() if isinstance(v, np.ndarray)} == {
-        "leaf_table"}
+        "leaf_counts"}
     held = weakref.ref(table)
     del stream, table
     assert held() is not None
@@ -651,7 +652,7 @@ def test_oracle_runs_on_every_sweep(monkeypatch, graph_class, n, i):
     """The exact counts decide the candidates afresh on every call, as many
     on a warm call as on a cold one and no per-graph solve. At b != 1 that
     is one count call, one store row per candidate; at b == 1 (connected
-    (7, 4)) the class's leaf table decides them, with no count call, tree
+    (7, 4)) the class's leaf counts decide them, with no count call, tree
     walk or dense LDL^T."""
     _load_class.cache_clear()
     counts = counting(monkeypatch, "member_counts")
@@ -849,8 +850,8 @@ def test_rigidity_comb_instances(rng):
         if len(g.boundary) < 2:
             continue
         gt = _comb_host(g, teeth_len=int(rng.integers(1, 3)))
-        assert is_comb_over(gt, g)
         v = check_rigidity_equivalence(gt, g)
+        assert v.data.comb
         assert v.spectra_equal and v.conditions_hold and v.agree
         if v.comb_consistent is not None:
             assert v.comb_consistent

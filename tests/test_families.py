@@ -15,7 +15,6 @@ from steklov.extremal import THETA, verify_reg_star
 from steklov.families import (
     BroomParams,
     RootedTree,
-    broom_eigenfunction,
     broom_lambda1,
     build_broom,
     build_comb,
@@ -41,6 +40,7 @@ from steklov.spectral import (
 
 from conftest import (
     broom_codes,
+    broom_eigenfunction,
     broom_shape,
     clump_rooted_tree,
     mu_max_path,

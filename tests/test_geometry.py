@@ -108,7 +108,7 @@ def brute_force_clumps(g, pt):
     if pt.is_vertex:
         p = pt.vertex
         comps = g.components(set(range(g.n)) - {p})
-        attach = [next(x for x in comp if g.has_edge(x, p)) for comp in comps]
+        attach = [next(x for x in comp if x in g.adjacency[p]) for comp in comps]
         lengths = [Fraction(len(comp)) for comp in comps]
     else:
         comps = g.delete_edges([pt.edge]).components()
