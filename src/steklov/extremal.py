@@ -3,15 +3,20 @@ minimization sweeps with rigidity matching, monotonicity and equality
 conditions, and the remaining statement-level checks (positivity, nodal,
 first-eigenvalue bounds, clump bounds, bipartite identities).
 
-Predicted bounds follow the three-case main result for the i-th Steklov
-eigenvalue over n-vertex graphs: i = 2 (dumbbells), i not dividing n
-(broom-armed stars), i dividing n (regular combs with correction
-theta_i = 1/(4 cos^2(pi/2i))). Every bound b is exact: a Fraction, or a
-:class:`QuadraticSurd` p + q sqrt(d) for i = 4, 5, 6 dividing n; a pair
-with i >= 7 dividing n has no exact theta_i and is refused. A target's
-float and string are rendered from b: str(b), or b correctly rounded to 40
-significant digits for a surd. Each (n, i, class) target, minimizer graphs
-and codes included, is built once per process and shared by every caller.
+Predicted bounds follow the main result for the i-th Steklov eigenvalue
+over n-vertex graphs. Its three cases are two formulas, each minimizer
+built from the minimal broom that gives the bound: i not dividing n
+(broom-armed stars) and i dividing n (regular combs with correction
+theta_i = 1/(4 cos^2(pi/2i))). The case i = 2 is read in both: the
+two-armed stars of Br((n - 1)/2) for odd n and the comb over P_2, with
+theta_2 = 1/2, for even n are the dumbbells, with the bound
+Lambda((n - 1)/2); its target keeps the label "sigma2". Every bound b is
+exact: a Fraction, or a :class:`QuadraticSurd` p + q sqrt(d) for
+i = 4, 5, 6 dividing n; a pair with i >= 7 dividing n has no exact
+theta_i and is refused. A target's float and string are rendered from
+b: str(b), or b correctly rounded to 40 significant digits for a surd.
+Each (n, i, class) target, minimizer graphs and codes included, is built
+once per process and shared by every caller.
 
 Exhaustive sweeps screen a whole class with batched float spectra. The
 screen does not depend on i: it is the class object's own
@@ -67,7 +72,6 @@ from .families import (
     build_broom,
     build_comb,
     build_cycle,
-    build_dumbbell,
     build_path,
     build_star,
     minimal_broom,
@@ -164,7 +168,7 @@ class ExtremalTarget:
     bound: float
     bound_exact: Fraction | QuadraticSurd
     bound_str: str  # exact rational, or correctly rounded 40-digit decimal
-    theta: Fraction | QuadraticSurd | None  # None unless i divides n
+    theta: Fraction | QuadraticSurd | None  # None unless i divides n (1/2 at i = 2, n even)
     characterized: bool  # predicted minimizers are the complete equality set
     minimizers: tuple[MinimizerDescriptor, ...]  # by code, those with none last
     predicted_codes: tuple[str, ...]  # the minimizers' codes, sorted; None left out
@@ -191,25 +195,6 @@ def _class_members(candidates, graph_class: str) -> tuple[MinimizerDescriptor, .
             else:
                 seen.setdefault(code, d)
     return tuple(seen[c] for c in sorted(seen)) + tuple(uncoded)
-
-
-def _sigma2_minimizers(n: int) -> list:
-    m, s = divmod(n - 1, 4)
-    table = {
-        0: [(m, 2 * m, m)],  # n = 4m+1
-        1: [(m, 2 * m + 1, m)],  # n = 4m+2
-        2: [(m + 1, 2 * m, m + 1), (m, 2 * m + 2, m), (m, 2 * m + 1, m + 1)],
-        3: [(m + 1, 2 * m + 1, m + 1)],  # n = 4m+4
-    }
-    params = table[s]
-    out = []
-    for d0, i, d1 in params:
-        try:
-            out.append(("dumbbell", {"d0": d0, "i": i, "d1": d1},
-                        build_dumbbell(d0, i, d1).graph))
-        except InvalidParamsError:
-            continue  # degenerate tiny-n parameter, covered by another entry
-    return out
 
 
 def _broom_arm(params) -> RootedTree:
@@ -271,12 +256,8 @@ def predicted_bound(n: int, i: int, graph_class: str = "connected") -> ExtremalT
 def _predicted(n: int, i: int, graph_class: str) -> ExtremalTarget:
     """The target of checked arguments (see :func:`predicted_bound`)."""
     m, theta, characterized = n // i, None, True
-    if i == 2:
-        case, bound_exact = "sigma2", minimal_broom_halves(n - 1).value
-        candidates = _sigma2_minimizers(n)
-    elif n % i != 0:
+    if n % i != 0:
         case, sol = "i_not_dividing", minimal_broom_total(m)
-        bound_exact = sol.value
         characterized = n == i * m + 1
         if characterized:
             candidates = _star_minimizers(i, m, sol.brooms)
@@ -289,8 +270,10 @@ def _predicted(n: int, i: int, graph_class: str) -> ExtremalTarget:
     else:
         case, theta = "i_dividing", theta_value(i)
         sol = minimal_broom_total(m - 1 + theta)
-        bound_exact = sol.value
         candidates = _comb_minimizers(i, m, _comb_tooth(sol.brooms[0]))
+    if i == 2:
+        case = "sigma2"  # the report's label; the formulas above give the dumbbells
+    bound_exact = sol.value
     minimizers = _class_members(candidates, graph_class)
     return ExtremalTarget(
         n, i, case, float(bound_exact), bound_exact, _bound_str(bound_exact), theta,
@@ -952,8 +935,7 @@ def verify_sigma_lambda(g: WeightedBoundaryGraph, z: int, w=1) -> SigmaLambdaVer
     z = _index(z, "z")
     if not 0 <= z < g.n:
         raise InvalidParamsError("z must be a vertex of G")
-    if g.dirichlet:
-        raise InvalidParamsError("G must carry a plain boundary (no B_D)")
+    _require_plain(g)
     edges = list(g.edges) + [(z, g.n, w)]
     roles = list(g.roles) + [Role.DIRICHLET]
     measures = list(g.measures) + [1]

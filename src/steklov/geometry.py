@@ -409,11 +409,9 @@ def _nodal_domains(g: WeightedBoundaryGraph, f: np.ndarray, zs: ZeroSet) -> list
                 continue
             if y in zs.vertex_zeros:  # frontier at the far vertex; full metric length
                 pt, weight = GeometricPoint.at_vertex(y), w
-            elif (u, v) in crossing:
+            else:  # nonzero ends in two domains differ in sign: zs cuts the edge
                 pt = crossing[u, v]
                 weight = 1.0 / (abs(f[x]) / (abs(f[u]) + abs(f[v])) * _length(w))
-            else:  # no zero end and no sign change: nothing to cut
-                continue
             (members, edges, cuts), i = home[x]
             edges.append((i, cuts.setdefault(pt, len(members) + len(cuts)), weight))
     domains = []

@@ -21,7 +21,14 @@ from steklov.enumeration import (
     unit_tree_code,
 )
 from steklov.errors import InvalidParamsError, OutOfSupportedRangeError
-from steklov.families import BroomParams, _arm, as_number, build_broom, minimal_broom_total
+from steklov.families import (
+    BroomParams,
+    _arm,
+    as_number,
+    build_broom,
+    build_dumbbell,
+    minimal_broom_total,
+)
 from steklov.graph import (
     Role,
     adjacency_sets,
@@ -126,6 +133,20 @@ def broom_eigenfunction(l, i, d):
         for j in range(d):
             f[i + 2 + j] = 1
     return f
+
+
+def dumbbell_minimizers(n):
+    """The paper's sigma_2 minimizers on n vertices, by n mod 4: the
+    dumbbells (d0, i, d1) of its list, each a path of length i with d0 and
+    d1 pendant edges on its ends, less the degenerate ones (i = 0)."""
+    m, s = divmod(n - 1, 4)
+    table = {
+        0: [(m, 2 * m, m)],  # n = 4m+1
+        1: [(m, 2 * m + 1, m)],  # n = 4m+2
+        2: [(m + 1, 2 * m, m + 1), (m, 2 * m + 2, m), (m, 2 * m + 1, m + 1)],
+        3: [(m + 1, 2 * m + 1, m + 1)],  # n = 4m+4
+    }
+    return [build_dumbbell(d0, i, d1).graph for d0, i, d1 in table[s] if i >= 1]
 
 
 def code_decoders(code):

@@ -68,6 +68,7 @@ from conftest import (
     broom_shape,
     clump_rooted_tree,
     counting_calls,
+    dumbbell_minimizers,
     path_graph,
     random_weighted_graph,
 )
@@ -101,6 +102,18 @@ def test_predicted_bound_sigma2():
     t2 = predicted_bound(7, 2)
     assert t2.bound_exact == Fraction(1, 3)
     assert len(t2.minimizers) == 3  # three tied dumbbells
+
+
+@pytest.mark.parametrize("graph_class, top", [("trees", 40), ("connected", 10)])
+def test_sigma2_prediction_is_the_dumbbell_list(graph_class, top):
+    # i = 2 takes the i-not-dividing or i-dividing formula; the paper's
+    # dumbbell list by n mod 4 is the oracle of its minimizers
+    for n in range(3, top + 1):
+        t = predicted_bound(n, 2, graph_class)
+        codes = sorted({canonical_code(g) for g in dumbbell_minimizers(n)})
+        assert t.predicted_codes == tuple(codes), n
+        assert t.bound_exact == families.minimal_broom_halves(n - 1).value, n
+        assert t.case == "sigma2" and t.characterized, n
 
 
 def test_predicted_bound_not_dividing():
@@ -244,11 +257,11 @@ def test_failed_prediction_caches_nothing(monkeypatch):
     expected = predicted_bound(9, 2, "trees")
     extremal._predicted.cache_clear()
 
-    def broken(n):
+    def broken(i, m, forms):
         raise InvalidParamsError("no dumbbell")
 
     with monkeypatch.context() as m:
-        m.setattr(extremal, "_sigma2_minimizers", broken)
+        m.setattr(extremal, "_star_minimizers", broken)  # (9, 2) builds a star
         for _ in range(2):
             with pytest.raises(InvalidParamsError, match="no dumbbell"):
                 predicted_bound(9, 2, "trees")
@@ -882,6 +895,16 @@ def test_rigidity_triangle_with_pendant():
     assert v.agree
 
 
+def test_rigidity_borderline_pair(monkeypatch):
+    # two rows of the H basis 5e-9 * scale apart: above the zero tolerance,
+    # so H still separates, but within ten times it, so the pair is flagged
+    basis = np.array([[1.0], [1.0 + 5e-9], [-1.0]])
+    monkeypatch.setattr(extremal, "_h_basis", lambda big: basis)
+    data = rigidity_data(path_graph(3), path_graph(3))
+    assert data.borderline_pairs == ((0, 1),)
+    assert data.separates
+
+
 def test_rigidity_check_assembles_the_host_once(rng, monkeypatch):
     # G~ is assembled once, for its Steklov spectrum; the H basis is solved
     # from that operator's interior factor, not by one harmonic extension
@@ -1337,7 +1360,7 @@ LEAF_OFF_BROOM = BROOM_112.with_roles(BROOM_112.roles[:-1] + (Role.INTERIOR,))
     # bound held
     (lambda: verify_lambda1_bound(BROOM_112.with_roles(BROOM_112.roles[:-1] + ("interior",))),
      HypothesesNotMetError, "leaves must be exactly B u B_D"),
-    (lambda: verify_sigma_lambda(BROOM_112, 1), InvalidParamsError, "plain boundary"),
+    (lambda: verify_sigma_lambda(BROOM_112, 1), InvalidParamsError, "needs B_D empty"),
     (lambda: theta_value(1), InvalidParamsError, "need i >= 2"),
     (lambda: theta_value(4.0), InvalidParamsError, "i must be an integer, not 4.0"),
     (lambda: theta_value(True), InvalidParamsError, "i must be an integer, not True"),
